@@ -15,11 +15,14 @@ import random
 
 from .gf import (
     irreducible_polys,
-    poly_add,
     poly_deg,
     poly_divmod,
+    poly_gcd,
+    poly_mod,
     poly_mul,
-    poly_neg,
+    poly_pow_mod,
+    poly_scale,
+    poly_sub,
     poly_trim,
 )
 from .matrix import Mat, direct_sum, kron, nullspace
@@ -55,32 +58,44 @@ def blocks_matrix(ctx, blocks):
 
 
 def charpoly(g):
-    """det(xI - g) by subset dynamic programming; monic, constant first."""
+    """det(xI - g), monic, constant term first, in O(n^3) field operations.
+
+    g is first reduced by similarity to upper Hessenberg form (elimination
+    with pivoting, valid over any field); the characteristic polynomial of
+    a Hessenberg matrix then follows from the column recurrence of Cohen,
+    GTM 138, Algorithm 2.2.9."""
     ctx, n = g.ctx, g.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            if i == j:
-                row.append(poly_trim((ctx.neg(g.rows[i][j]), 1)))
-            else:
-                row.append(poly_trim((ctx.neg(g.rows[i][j]),)))
-        rows.append(row)
-    dp = {0: (1,)}
-    for mask in range(1, 1 << n):
-        k = bin(mask).count("1") - 1  # expand along row k
-        acc = ()
-        pos = 0
-        for j in range(n):
-            if not mask & (1 << j):
+    h = [list(r) for r in g.rows]
+    for j in range(n - 2):
+        k = j + 1
+        piv = next((i for i in range(k, n) if h[i][j]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            h[piv], h[k] = h[k], h[piv]
+            for row in h:
+                row[piv], row[k] = row[k], row[piv]
+        inv_p = ctx.inv(h[k][j])
+        for i in range(k + 1, n):
+            u = ctx.mul(h[i][j], inv_p)
+            if not u:
                 continue
-            term = poly_mul(ctx, rows[k][j], dp[mask ^ (1 << j)])
-            if (k + pos) & 1:
-                term = poly_neg(ctx, term)
-            acc = poly_add(ctx, acc, term)
-            pos += 1
-        dp[mask] = acc
-    return dp[(1 << n) - 1]
+            # row i -= u * row k, then column k += u * column i: a similarity
+            h[i] = [ctx.sub(a, ctx.mul(u, b)) for a, b in zip(h[i], h[k])]
+            for row in h:
+                row[k] = ctx.add(row[k], ctx.mul(u, row[i]))
+    # polys[m] is the characteristic polynomial of the leading m x m block
+    polys = [(1,)]
+    for m in range(n):
+        p = poly_mul(ctx, (ctx.neg(h[m][m]), 1), polys[m])
+        t = 1
+        for i in range(m - 1, -1, -1):
+            t = ctx.mul(t, h[i + 1][i])
+            if not t:
+                break
+            p = poly_sub(ctx, p, poly_scale(ctx, ctx.mul(t, h[i][m]), polys[i]))
+        polys.append(p)
+    return polys[n]
 
 
 _IRR_CACHE = {}
@@ -93,26 +108,78 @@ def _irreducibles(ctx, d):
     return _IRR_CACHE[key]
 
 
+def _split_equal_degree(ctx, h, d):
+    """Irreducible factors of h, a monic squarefree product of distinct
+    irreducibles of degree d, by Berlekamp's algorithm (Berlekamp 1970).
+
+    The polynomials v of degree < deg h with v^q = v mod h form the fixed
+    space of the Frobenius matrix Q; gcd(u, v - s) over s in GF(q) splits
+    every factor u of h that v does not take to a constant."""
+    n = poly_deg(h)
+    if n == d:
+        return [h]
+    q = ctx.q
+    xq = poly_pow_mod(ctx, (0, 1), q, h)
+    qrows, r = [], (1,)
+    for _ in range(n):  # row i of Q holds x^(iq) mod h
+        qrows.append(r + (0,) * (n - len(r)))
+        r = poly_mod(ctx, poly_mul(ctx, r, xq), h)
+    # v Q = v  <=>  (Q - I)^T v = 0
+    fixed = Mat(ctx, [[ctx.sub(qrows[i][j], 1 if i == j else 0)
+                       for i in range(n)] for j in range(n)])
+    factors = [h]
+    for v in nullspace(fixed):
+        v = poly_trim(v)
+        if poly_deg(v) < 1:
+            continue
+        split = []
+        for u in factors:
+            if poly_deg(u) == d:
+                split.append(u)
+                continue
+            for s in range(q):
+                c = poly_gcd(ctx, u, poly_sub(ctx, v, (s,)))
+                if poly_deg(c) > 0:
+                    split.append(c)
+        factors = split
+        if len(factors) * d == n:
+            break
+    return factors
+
+
 def factor_charpoly(g):
-    """Monic irreducible factors with multiplicities, ordered by degree then
-    coefficient encoding."""
+    """Monic irreducible factors of charpoly(g) with multiplicities, ordered
+    by degree then coefficient encoding.
+
+    Distinct-degree factorization: once every factor of degree below d has
+    been divided out of rem, gcd(rem, x^(q^d) - x) is the product of the
+    distinct degree-d factors, already squarefree.  Berlekamp splits it
+    when it holds more than one, and repeated exact division gives each
+    multiplicity.  When deg rem < 2d, rem itself is irreducible."""
     ctx = g.ctx
     rem = charpoly(g)
+    x = (0, 1)
+    frob = x  # x^(q^d) mod rem
     out = []
-    d = 1
+    d = 0
     while poly_deg(rem) > 0:
-        for f in _irreducibles(ctx, d):
+        d += 1
+        if poly_deg(rem) < 2 * d:
+            out.append((rem, 1))
+            break
+        frob = poly_pow_mod(ctx, frob, ctx.q, rem)
+        h = poly_gcd(ctx, rem, poly_sub(ctx, frob, x))
+        if poly_deg(h) == 0:
+            continue
+        for f in _split_equal_degree(ctx, h, d):
             mult = 0
             while True:
                 quo, r = poly_divmod(ctx, rem, f)
                 if r:
                     break
                 rem, mult = quo, mult + 1
-            if mult:
-                out.append((f, mult))
-            if poly_deg(rem) < d:
-                break
-        d += 1
+            out.append((f, mult))
+    out.sort(key=lambda fm: (len(fm[0]), fm[0][::-1]))
     return out
 
 

@@ -274,7 +274,9 @@ def sl2_witness(g):
     steps, t = _sl2_core(g)
     w = Witness(spec, g, steps, t)
     rep = replay(w)
-    assert rep.ok, rep.violation
+    if not rep.ok:
+        raise ConstructError("construction produced an invalid witness: %s"
+                             % rep.violation)
     return w
 
 
@@ -827,7 +829,8 @@ def construct_involution(g, spec):
     """Witness for a non-central g in the group described by spec.
 
     Matrix families GL and SL take Mat inputs; Sym and Alt take Perm
-    inputs.  The returned witness is replayed before being handed back."""
+    inputs.  The returned witness is replayed before being handed back;
+    one that fails the replay raises ConstructError."""
     if spec.family in ("Sym", "Alt"):
         assert isinstance(g, Perm) and g.n == spec.n
         if g.is_identity():
@@ -858,8 +861,9 @@ def construct_involution(g, spec):
         raise ValueError("construction not supported for family %r"
                          % spec.family)
     rep = replay(w)
-    assert rep.ok, "construction produced an invalid witness: %s" % \
-        rep.violation
+    if not rep.ok:
+        raise ConstructError("construction produced an invalid witness: %s"
+                             % rep.violation)
     return w
 
 

@@ -8,6 +8,9 @@ first, with no trailing zeros; the zero polynomial is ().
 
 Fields beyond GF(32) are refused: every table here is built by full
 scans, and nothing downstream needs larger coefficient fields.
+Irreducibility is decided by Rabin's test, which takes a polynomial
+number of field operations in the degree; only ``irreducible_polys``
+scans, because it lists every monic polynomial of one degree.
 """
 
 from functools import lru_cache
@@ -113,14 +116,6 @@ class FieldCtx:
     def scalar(self, k):
         """Image of the integer k under Z -> GF(q)."""
         return k % self.p
-
-    def coords(self, a):
-        """Digits of a over the prime field, length self.deg."""
-        p, out = self.p, []
-        for _ in range(self.deg):
-            out.append(a % p)
-            a //= p
-        return tuple(out)
 
     def coords_base(self, a):
         """Digits of a over the coefficient field of a tower, length ext_deg."""
@@ -317,29 +312,33 @@ def poly_scale(ctx, c, f):
 def poly_mul(ctx, f, g):
     if not f or not g:
         return ()
+    q, add, mul = ctx.q, ctx.add_table, ctx.mul_table
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == 0:
             continue
-        for j, b in enumerate(g):
-            out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+        row = a * q
+        for j, b in enumerate(g, i):
+            out[j] = add[out[j] * q + mul[row + b]]
     return poly_trim(out)
 
 
 def poly_divmod(ctx, f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
+    q, add, mul, neg = ctx.q, ctx.add_table, ctx.mul_table, ctx.neg_table
     f = list(f)
     dg = len(g) - 1
     lead_inv = ctx.inv(g[-1])
     quo = [0] * max(len(f) - dg, 0)
     for i in range(len(f) - dg - 1, -1, -1):
-        c = ctx.mul(f[i + dg], lead_inv)
+        c = mul[f[i + dg] * q + lead_inv]
         if c == 0:
             continue
         quo[i] = c
-        for j, gc in enumerate(g):
-            f[i + j] = ctx.sub(f[i + j], ctx.mul(c, gc))
+        row = neg[c] * q
+        for j, gc in enumerate(g, i):
+            f[j] = add[f[j] * q + mul[row + gc]]
     return poly_trim(quo), poly_trim(f)
 
 
@@ -389,18 +388,26 @@ def monic_polys(ctx, d):
 
 
 def poly_is_irreducible(ctx, f):
+    """Rabin's test (Rabin 1980).  f of degree d >= 2 is irreducible iff
+    x^(q^d) = x mod f and gcd(f, x^(q^(d/r)) - x) = 1 for every prime r | d.
+
+    The powers x^(q^k) mod f are built one Frobenius step at a time and the
+    gcd checks run in increasing k, so a small factor ends the test early.
+    """
     d = poly_deg(f)
     if d <= 0:
         return False
     if d == 1:
         return True
-    if f[0] == 0:
-        return False  # divisible by x
-    for k in range(1, d // 2 + 1):
-        for g in monic_polys(ctx, k):
-            if not poly_mod(ctx, f, g):
-                return False
-    return True
+    x = (0, 1)
+    checks = {d // r for r in range(2, d + 1)
+              if d % r == 0 and _smallest_prime_factor(r) == r}
+    frob = x
+    for k in range(1, d + 1):
+        frob = poly_pow_mod(ctx, frob, ctx.q, f)
+        if k in checks and poly_gcd(ctx, f, poly_sub(ctx, frob, x)) != (1,):
+            return False
+    return frob == x
 
 
 def irreducible_polys(ctx, d):

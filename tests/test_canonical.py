@@ -1,6 +1,19 @@
 import random
 
-from invword.gf import make_field
+import pytest
+
+import invword.canonical as canonical
+import invword.gf as gf
+from invword.gf import (
+    make_field,
+    monic_polys,
+    poly_add,
+    poly_deg,
+    poly_divmod,
+    poly_mul,
+    poly_neg,
+    poly_trim,
+)
 from invword.matrix import Mat, direct_sum, mat_over
 from invword.canonical import (
     CanonicalForm,
@@ -44,6 +57,148 @@ def test_cayley_hamilton_randoms():
         ctx = make_field(q)
         g = rand_invertible(ctx, n, rng)
         assert mat_poly_eval(g, charpoly(g)) == Mat.zero(ctx, n)
+
+
+# -- reference implementations: the subset-DP charpoly and trial-division
+# factoring that factor_charpoly and charpoly replaced ---------------------
+
+
+def _charpoly_subset_dp(g):
+    """det(xI - g) by subset dynamic programming, O(2^n * n)."""
+    ctx, n = g.ctx, g.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            if i == j:
+                row.append(poly_trim((ctx.neg(g.rows[i][j]), 1)))
+            else:
+                row.append(poly_trim((ctx.neg(g.rows[i][j]),)))
+        rows.append(row)
+    dp = {0: (1,)}
+    for mask in range(1, 1 << n):
+        k = bin(mask).count("1") - 1  # expand along row k
+        acc = ()
+        pos = 0
+        for j in range(n):
+            if not mask & (1 << j):
+                continue
+            term = poly_mul(ctx, rows[k][j], dp[mask ^ (1 << j)])
+            if (k + pos) & 1:
+                term = poly_neg(ctx, term)
+            acc = poly_add(ctx, acc, term)
+            pos += 1
+        dp[mask] = acc
+    return dp[(1 << n) - 1]
+
+
+def _factor_by_trial_division(ctx, f):
+    """Divide out every monic polynomial of degree d = 1, 2, ... in encoding
+    order while 2d <= deg f.  The first divisor found in each degree is
+    irreducible, because its own factors were divided out before it; what
+    is left at the end has no factor of degree <= half its own, so it is
+    irreducible too."""
+    out = []
+    d = 1
+    while 2 * d <= poly_deg(f):
+        for g in monic_polys(ctx, d):
+            mult = 0
+            while True:
+                quo, r = poly_divmod(ctx, f, g)
+                if r:
+                    break
+                f, mult = quo, mult + 1
+            if mult:
+                out.append((g, mult))
+        d += 1
+    if poly_deg(f) > 0:
+        out.append((f, 1))
+    return out
+
+
+CROSS_CHECK_QS = [2, 3, 4, 5, 7, 8, 9]
+
+
+@pytest.mark.parametrize("q", CROSS_CHECK_QS)
+def test_charpoly_and_factors_match_reference(q):
+    ctx = make_field(q)
+    rng = random.Random(q)
+    for n in range(1, 7):
+        for trial in range(10):
+            # every other matrix is mostly zeros, which makes repeated
+            # factors and split charpolys common
+            density = 0.3 if trial % 2 else 1.0
+            g = Mat(ctx, [[rng.randrange(q) if rng.random() < density else 0
+                           for _ in range(n)] for _ in range(n)])
+            cp = charpoly(g)
+            assert cp == _charpoly_subset_dp(g)
+            assert factor_charpoly(g) == _factor_by_trial_division(ctx, cp)
+
+
+def _aggregate(blocks):
+    mults = {}
+    for f, m in blocks:
+        mults[f] = mults.get(f, 0) + m
+    return sorted(mults.items(), key=lambda fm: (len(fm[0]), fm[0][::-1]))
+
+
+# Several distinct irreducibles of one degree >= 2, some repeated, so that
+# gcd(rem, x^(q^d) - x) holds more than one factor and Berlekamp splits it.
+BERLEKAMP_BLOCKS = [
+    (2, [((1, 1, 0, 1), 1), ((1, 0, 1, 1), 1)]),
+    (2, [((1, 1, 0, 1), 2), ((1, 0, 1, 1), 1)]),
+    (2, [((1, 1), 1), ((1, 1), 1), ((1, 1, 0, 1), 1), ((1, 0, 1, 1), 1)]),
+    (4, [((2, 1, 1), 2), ((3, 1, 1), 1)]),
+    (3, [((1, 0, 1), 2), ((2, 1, 1), 1), ((2, 2, 1), 1)]),
+    (3, [((1, 0, 1), 1), ((1, 0, 1), 1), ((2, 1, 1), 1)]),
+    (3, [((2, 0, 1, 0, 1), 1), ((2, 0, 2, 0, 1), 1)]),
+    (5, [((1, 1), 2), ((2, 1), 1), ((3, 1), 1), ((2, 0, 1), 1)]),
+]
+
+
+@pytest.mark.parametrize("q,blocks", BERLEKAMP_BLOCKS)
+def test_factor_blocks_with_shared_degrees(q, blocks, monkeypatch):
+    splits = []
+    split = canonical._split_equal_degree
+
+    def spy(ctx, h, d):
+        out = split(ctx, h, d)
+        splits.append((poly_deg(h), d))
+        return out
+
+    monkeypatch.setattr(canonical, "_split_equal_degree", spy)
+    ctx = make_field(q)
+    j = blocks_matrix(ctx, blocks)
+    c = rand_invertible(ctx, j.n, random.Random(len(blocks) * q))
+    g = c * j * c.inv()
+    cp = charpoly(g)
+    assert cp == charpoly(j)
+    assert factor_charpoly(g) == _aggregate(blocks)
+    assert factor_charpoly(g) == _factor_by_trial_division(ctx, cp)
+    assert any(h > d for h, d in splits)
+
+
+def _reject_enumeration(*args):
+    raise AssertionError("factor_charpoly must not enumerate polynomials")
+
+
+def test_factor_charpoly_never_enumerates(monkeypatch):
+    monkeypatch.setattr(gf, "monic_polys", _reject_enumeration)
+    monkeypatch.setattr(gf, "irreducible_polys", _reject_enumeration)
+    monkeypatch.setattr(canonical, "irreducible_polys", _reject_enumeration)
+    monkeypatch.setattr(canonical, "_IRR_CACHE", {})
+    f3 = make_field(3)
+    f10 = (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1)          # x^10 + 2x^2 + 1
+    assert factor_charpoly(companion(f3, f10)) == [(f10, 1)]
+    f7 = make_field(7)
+    f12 = (2, 1, 1) + (0,) * 9 + (1,)               # x^12 + x^2 + x + 2
+    assert factor_charpoly(companion(f7, f12)) == [(f12, 1)]
+    quartics = [(2, 0, 1, 0, 1), (2, 0, 2, 0, 1), (1, 1, 1, 0, 1)]
+    prod = (1,)
+    for f in quartics:
+        prod = poly_mul(f3, prod, f)
+    assert factor_charpoly(companion(f3, prod)) == [
+        ((2, 0, 1, 0, 1), 1), ((1, 1, 1, 0, 1), 1), ((2, 0, 2, 0, 1), 1)]
 
 
 def test_factor_unipotent_2x2():

@@ -358,3 +358,18 @@ def test_witness_json_tamper_detection():
     obj["steps"][0]["c"] = swapped
     w2 = witness_from_json(json.dumps(obj))
     assert not replay(w2).ok
+
+
+def test_invalid_witness_raises_construct_error(monkeypatch):
+    # the final check must hold under python -O too, so it is no assert
+    import invword.constructor as constructor
+    monkeypatch.setattr(constructor, "replay", lambda w: constructor.ReplayReport(
+        False, "forced-violation", w.length, 0))
+    g = companion(ctx5, next(f for f in irreducible_polys(ctx5, 3)
+                             if f[0] == ctx5.neg(1)))
+    with pytest.raises(ConstructError, match="forced-violation"):
+        construct_involution(g, GroupSpec("SL", 3, 5))
+    with pytest.raises(ConstructError, match="forced-violation"):
+        construct_involution(Perm.from_cycles("(1,2,3)", 5), GroupSpec("Alt", 5))
+    with pytest.raises(ConstructError, match="forced-violation"):
+        sl2_witness(Mat(ctx5, [[2, 0], [0, 3]]))

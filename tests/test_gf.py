@@ -6,11 +6,14 @@ from invword.gf import (
     irreducible_polys,
     make_extension,
     make_field,
+    monic_polys,
     pick_alpha,
+    poly_deg,
     poly_divmod,
     poly_eval,
     poly_gcd,
     poly_is_irreducible,
+    poly_mod,
     poly_mul,
     poly_parse,
     poly_pow_mod,
@@ -154,12 +157,47 @@ def test_extension_rejects_reducible_and_oversized():
         make_extension(make_field(9), (1, 0, 0, 1, 1))
 
 
+def _mobius(n):
+    out, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return 0
+            out = -out
+        p += 1
+    return -out if n > 1 else out
+
+
 def test_irreducible_poly_counts():
-    # Necklace counts: (q^2 - q)/2 quadratics, (q^3 - q)/3 cubics.
-    for q in (2, 3, 4, 5):
+    # Gauss's count (1/d) sum_{k | d} mu(d/k) q^k; for d = 2, 3 these are
+    # the necklace counts (q^2 - q)/2 and (q^3 - q)/3.
+    for q, max_deg in ((2, 6), (3, 6), (4, 3), (5, 3)):
         F = make_field(q)
-        assert len(irreducible_polys(F, 2)) == (q * q - q) // 2
-        assert len(irreducible_polys(F, 3)) == (q ** 3 - q) // 3
+        for d in range(1, max_deg + 1):
+            count = sum(_mobius(d // k) * q ** k for k in range(1, d + 1) if d % k == 0)
+            assert len(irreducible_polys(F, d)) * d == count
+
+
+def _irreducible_by_trial_division(ctx, f):
+    """Reference test: f has no monic divisor of degree 1..deg f // 2."""
+    d = poly_deg(f)
+    if d <= 0:
+        return False
+    for k in range(1, d // 2 + 1):
+        for g in monic_polys(ctx, k):
+            if not poly_mod(ctx, f, g):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("q,max_deg", [(q, 4) for q in (2, 3, 4, 5, 7, 8, 9)]
+                         + [(q, 3) for q in (16, 25, 27, 32)])
+def test_rabin_matches_trial_division(q, max_deg):
+    F = make_field(q)
+    for d in range(1, max_deg + 1):
+        for f in monic_polys(F, d):
+            assert poly_is_irreducible(F, f) == _irreducible_by_trial_division(F, f), f
 
 
 def test_poly_arithmetic_roundtrip():
