@@ -44,7 +44,8 @@ class WitnessStep:
     __slots__ = ("c", "e", "case")
 
     def __init__(self, c, e, case):
-        assert e in (1, -1)
+        if e not in (1, -1):
+            raise ValueError("step exponent must be 1 or -1, not %r" % (e,))
         self.c = c
         self.e = e
         self.case = case
@@ -100,7 +101,7 @@ def _expand(outer, word):
     return out
 
 
-def find_partner(g, spec=None):
+def find_partner(g):
     """First transvection h (by coefficient, then position) whose
     commutator with g is non-central."""
     ctx, n = g.ctx, g.n
@@ -118,17 +119,23 @@ def find_partner(g, spec=None):
                          "some transvection")
 
 
-def _reseed(g, depth):
-    """Trade g for the commutator x = g^-1 h^-1 g h (always determinant 1
-    and non-central) and pull a witness for x back to g.  The wrapping
-    word has net exponent 0, so the result is balanced regardless of the
-    inner word."""
-    ctx, n = g.ctx, g.n
+def _reseed_word(g):
+    """The word g^-1 (h^-1 g h) with h = find_partner(g), and its product,
+    the commutator x = g^-1 h^-1 g h (always determinant 1 and
+    non-central).  The word has net exponent 0, so a witness for x pulled
+    back along it is balanced regardless of the inner word."""
     h = find_partner(g)
-    word_x = [(Mat.identity(ctx, n), -1, "reseed"),
-              (h.inv(), 1, "reseed")]
-    x = _product(g, word_x)
+    word = [(Mat.identity(g.ctx, g.n), -1, "reseed"),
+            (h.inv(), 1, "reseed")]
+    x = _product(g, word)
     assert x == commutator(g, h) and not x.is_scalar()
+    return word, x
+
+
+def _reseed(g, depth):
+    """Trade g for its commutator with a partner and pull a witness for
+    the commutator back to g."""
+    word_x, x = _reseed_word(g)
     inner, t = _construct_internal(x, depth + 1)
     return _expand(inner, word_x), t
 
@@ -176,7 +183,7 @@ def _sl2_unipotent(w, label):
     return steps, t
 
 
-def _sl2_core(g, depth=0):
+def _sl2_core(g):
     """Witness steps for non-central 2x2 determinant-1 g over GF(q), q >= 2.
 
     Normalizes so the lower-left entry vanishes or the matrix takes the
@@ -491,23 +498,43 @@ def _pair_search(g, target):
 # -- residue finish, descent, decomposition ------------------------------
 
 
-def _finish_block(gJ, word, expect, offset, depth):
-    """expect = I (+) r (+) I with a 2x2 residue r at the given diagonal
-    offset: finish with a 2x2 word on r, lift, and square once if the
-    embedded target only squares to -I on the residue."""
-    ctx, n = gJ.ctx, gJ.n
-    sub = Mat(ctx, [[expect.rows[offset + i][offset + j] for j in (0, 1)]
-                    for i in (0, 1)])
-    inner, t_sub = _sl2_core(sub, depth)
-    lifted = [(pad(c, n, offset), e, lab) for c, e, lab in inner]
-    steps = _expand(lifted, word)
-    t = pad(t_sub, n, offset)
-    spec = GroupSpec("SL", n, ctx.q)
+def _read_sub(gJ, emb):
+    return Mat(gJ.ctx, [[gJ.rows[i][j] for j in emb] for i in emb])
+
+
+def _lift_sub(c, n, emb):
+    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for a, i in enumerate(emb):
+        for b, j in enumerate(emb):
+            rows[i][j] = c.rows[a][b]
+    return Mat(c.ctx, rows)
+
+
+def _lift_square(gJ, inner, t_sub, emb, word=None):
+    """Embed a witness (inner, t_sub) for the block on the coordinates emb
+    into the size of gJ, pull it back along word when it was built over
+    word's product rather than over gJ, and square once if the embedded
+    target is not yet a projective involution (it may square to -I on
+    the block only)."""
+    n = gJ.n
+    steps = [(_lift_sub(c, n, emb), e, lab) for c, e, lab in inner]
+    if word is not None:
+        steps = _expand(steps, word)
+    t = _lift_sub(t_sub, n, emb)
+    spec = GroupSpec("SL", n, gJ.ctx.q)
     if not classify(t, spec).projective_involution:
         steps = steps + steps
         t = t * t
         assert classify(t, spec).projective_involution
     return steps, t
+
+
+def _finish_block(gJ, word, expect, offset):
+    """expect = I (+) r (+) I with a 2x2 residue r at the given diagonal
+    offset: finish with a 2x2 word on r and lift it."""
+    emb = (offset, offset + 1)
+    inner, t_sub = _sl2_core(_read_sub(expect, emb))
+    return _lift_square(gJ, inner, t_sub, emb, word)
 
 
 def _phi(mat_ext, base, f):
@@ -541,7 +568,7 @@ def _phi(mat_ext, base, f):
     return Mat(base, out)
 
 
-def _ext_descent(gJ, f, mult, depth):
+def _ext_descent(gJ, f, mult):
     """Jordan block for irreducible f of degree d >= 2 with multiplicity
     mult: view it as xi (I + N) over GF(q^d), solve there, map the word
     down entrywise.  Determinants of the mapped conjugators are norms of
@@ -558,16 +585,12 @@ def _ext_descent(gJ, f, mult, depth):
     assert _phi(m_up, base, f) == gJ
     if mult >= 3:
         word, expect, off = _mn_word(m_up)
-        steps_up, t_up = _finish_block(m_up, word, expect, off, depth)
+        steps_up, t_up = _finish_block(m_up, word, expect, off)
     else:
         # mult == 2 with even q: the upstairs matrix has determinant
         # xi^2 != 1, so reseed there and solve the 2x2 case
-        h_up = find_partner(m_up)
-        word_x = [(Mat.identity(ext, 2), -1, "reseed"),
-                  (h_up.inv(), 1, "reseed")]
-        x = _product(m_up, word_x)
-        assert not x.is_scalar() and x.det() == 1
-        inner, t_up = _sl2_core(x, depth)
+        word_x, x = _reseed_word(m_up)
+        inner, t_up = _sl2_core(x)
         steps_up = _expand(inner, word_x)
     steps = [(_phi(c, base, f), e, "descent/" + lab)
              for c, e, lab in steps_up]
@@ -577,23 +600,10 @@ def _ext_descent(gJ, f, mult, depth):
     return steps, t
 
 
-def _read_sub(gJ, emb):
-    return Mat(gJ.ctx, [[gJ.rows[i][j] for j in emb] for i in emb])
-
-
-def _lift_sub(c, n, emb):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, i in enumerate(emb):
-        for b, j in enumerate(emb):
-            rows[i][j] = c.rows[a][b]
-    return Mat(c.ctx, rows)
-
-
 def _decomposable(gJ, cf, depth):
     """Split into diagonal parts, solve on one non-scalar part with a
-    balanced word (so the complement cancels), lift, and square once if
-    the embedded target is not yet a projective involution."""
-    ctx, n = gJ.ctx, gJ.n
+    balanced word (so the complement cancels) and lift it."""
+    ctx = gJ.ctx
     g1, g2, (emb1, emb2) = split_decomposable(cf, gJ)
     sides = [(g1, emb1), (g2, emb2)]
     viable = [(s, e) for s, e in sides
@@ -611,18 +621,10 @@ def _decomposable(gJ, cf, depth):
         emb = tuple(emb_t) + (emb_o[0],)
         sub = _read_sub(gJ, emb)
     inner, t_sub = _construct_internal(sub, depth + 1, require_balanced=True)
-    steps = [(_lift_sub(c, n, emb), e, lab) for c, e, lab in inner]
-    t = _lift_sub(t_sub, n, emb)
-    assert _product(gJ, steps) == t
-    spec = GroupSpec("SL", n, ctx.q)
-    if not classify(t, spec).projective_involution:
-        steps = steps + steps
-        t = t * t
-        assert classify(t, spec).projective_involution
-    return steps, t
+    return _lift_square(gJ, inner, t_sub, emb)
 
 
-# -- class-graph search and sampling for the excluded pairs ---------------
+# -- class-graph search for the excluded pairs ----------------------------
 
 
 def brute_force_witness(g, spec, cap=48):
@@ -632,7 +634,7 @@ def brute_force_witness(g, spec, cap=48):
     minimum-length witness.  Raises Unreachable (with a closure
     certificate) when no involution is reachable, GroupTooLarge when the
     group cannot be enumerated, ConstructError past the cap."""
-    from .oracle import build_group, conjugacy_classes
+    from .oracle import _bfs_layers, _right_mul, build_group, conjugacy_classes
 
     tbl = build_group(spec)
     ct = conjugacy_classes(tbl)
@@ -659,97 +661,45 @@ def brute_force_witness(g, spec, cap=48):
         el = tbl.decode(idx)
         return classify(el, spec).projective_involution
 
-    seen = {}  # class index -> (word of generator elements, its product)
-    frontier = []
-    for a in gens:
-        k = ct.class_of[a]
-        if k not in seen:
-            seen[k] = ([a], a)
-            frontier.append(k)
-    level = 1
-    while True:
-        for k in frontier:
-            word, prod = seen[k]
-            if is_target(prod):
+    parents = {}  # class index -> node it was first reached from
+    layers = _bfs_layers(gens, _right_mul(tbl, gens), ct.class_of, parents)
+    for level, layer in enumerate(layers, 1):
+        for y in layer:
+            if is_target(y):
+                # generator a_k = x_(k-1)^-1 y_k along the path back
+                word, x = [], y
+                while x is not None:
+                    prev = parents[ct.class_of[x]]
+                    word.append(x if prev is None
+                                else tbl.mul(tbl.inv(prev), x))
+                    x = prev
                 steps = [(tbl.decode(genmap[a][1]), genmap[a][0], "bfs")
-                         for a in word]
-                return Witness(spec, g, steps, tbl.decode(prod))
+                         for a in reversed(word)]
+                return Witness(spec, g, steps, tbl.decode(y))
         if level >= cap:
             raise ConstructError("class search passed the cap (%d)" % cap)
-        nxt = []
-        for k in frontier:
-            word, x = seen[k]
-            for a in gens:
-                y = tbl.mul(x, a)
-                ky = ct.class_of[y]
-                if ky not in seen:
-                    seen[ky] = (word + [a], y)
-                    nxt.append(ky)
-        if not nxt:
-            closure = sorted(seen)
-            certificate = {
-                "group_order": tbl.order,
-                "classes_in_closure": len(closure),
-                "closure_size": sum(ct.sizes[k] for k in closure),
-                "levels_explored": level,
-                "involution_classes_in_group": sum(
-                    1 for k in range(len(ct.reps)) if is_target(ct.reps[k])),
-            }
-            raise Unreachable(
-                "closure of the class contains no involution", certificate)
-        frontier = nxt
-        level += 1
-
-
-def _sampled_witness(g):
-    """Randomized last resort: balanced alternating-exponent products of
-    conjugates by seeded random determinant-1 matrices."""
-    ctx, n = g.ctx, g.n
-    seed = n
-    for row in g.rows:
-        for v in row:
-            seed = (seed * ctx.q + v) % (2 ** 61 - 1)
-    rng = random.Random(seed)
-    gi = g.inv()
-    eye = Mat.identity(ctx, n)
-    spec = GroupSpec("SL", n, ctx.q)
-    for length in (2, 4, 6, 8, 12, 16, 24, 32, 48):
-        for _ in range(300):
-            steps = []
-            acc = eye
-            for k in range(length):
-                c = eye
-                for _ in range(n + 1):
-                    i = rng.randrange(n)
-                    j = rng.randrange(n)
-                    if i == j:
-                        continue
-                    c = c * transvection(ctx, n, i, j,
-                                         rng.randrange(1, ctx.q))
-                e = 1 if k % 2 == 0 else -1
-                steps.append((c, e, "sampled"))
-                acc = acc * (c * (g if e == 1 else gi) * c.inv())
-            if classify(acc, spec).projective_involution:
-                return steps, acc
-    raise ConstructError("sampled search exhausted")
+    certificate = {
+        "group_order": tbl.order,
+        "classes_in_closure": len(parents),
+        "closure_size": sum(ct.sizes[k] for k in parents),
+        "levels_explored": level,
+        "involution_classes_in_group": sum(
+            1 for k in range(len(ct.reps)) if is_target(ct.reps[k])),
+    }
+    raise Unreachable("closure of the class contains no involution",
+                      certificate)
 
 
 def _excluded_ladder(g, depth):
-    """For the fixed small (n, q) pairs: exact class search, then the
-    generic reductions anyway, then sampling."""
+    """For the fixed small (n, q) pairs: exact class search, or the
+    generic reductions when the group is too large to enumerate."""
     from .oracle import GroupTooLarge
 
     try:
-        if g.det() != 1:
-            return _reseed(g, depth)
         w = brute_force_witness(g, GroupSpec("SL", g.n, g.ctx.q))
-        return [(s.c, s.e, s.case) for s in w.steps], w.target
     except GroupTooLarge:
-        pass
-    try:
         return _construct_internal(g, depth + 1, skip_excluded=True)
-    except ConstructError:
-        return _sampled_witness(g)
+    return [(s.c, s.e, s.case) for s in w.steps], w.target
 
 
 # -- main pipeline -------------------------------------------------------
@@ -762,12 +712,12 @@ def _construct_internal(g, depth=0, require_balanced=False,
     ctx, n = g.ctx, g.n
     if g.is_scalar():
         raise ValueError("central element has no witness")
-    if (n, ctx.q) in EXCLUDED_PAIRS and not skip_excluded:
-        steps, t = _excluded_ladder(g, depth)
-    elif g.det() != 1:
+    if g.det() != 1:
         steps, t = _reseed(g, depth)
+    elif (n, ctx.q) in EXCLUDED_PAIRS and not skip_excluded:
+        steps, t = _excluded_ladder(g, depth)
     elif n == 2:
-        steps, t = _sl2_core(g, depth)
+        steps, t = _sl2_core(g)
     else:
         cf = generalized_jordan(g)
         gJ = cf.canonical
@@ -776,32 +726,31 @@ def _construct_internal(g, depth=0, require_balanced=False,
         elif cf.case == "m1":
             try:
                 word, expect, off = _m1_word(gJ)
-                steps_j, t_j = _finish_block(gJ, word, expect, off, depth)
+                steps_j, t_j = _finish_block(gJ, word, expect, off)
             except ConstructError:
                 steps_j, t_j = _reseed(gJ, depth)
         elif cf.case == "mn":
             try:
                 word, expect, off = _mn_word(gJ)
-                steps_j, t_j = _finish_block(gJ, word, expect, off, depth)
+                steps_j, t_j = _finish_block(gJ, word, expect, off)
             except ConstructError:
                 try:
                     expect = pad(transvection_h(ctx, 1), n, n - 2)
                     a, b = _pair_search(gJ, expect)
                     word = [(a, 1, "mn-reduction"), (b, -1, "mn-reduction")]
-                    steps_j, t_j = _finish_block(gJ, word, expect, n - 2,
-                                                 depth)
+                    steps_j, t_j = _finish_block(gJ, word, expect, n - 2)
                 except ConstructError:
                     steps_j, t_j = _reseed(gJ, depth)
         elif cf.case == "m2":
             f = cf.blocks[0][0]
             try:
                 word, expect, off = _m2_word(gJ, f)
-                steps_j, t_j = _finish_block(gJ, word, expect, off, depth)
+                steps_j, t_j = _finish_block(gJ, word, expect, off)
             except ConstructError:
                 steps_j, t_j = None, None
                 if ctx.p == 2:
                     try:
-                        steps_j, t_j = _ext_descent(gJ, f, 2, depth)
+                        steps_j, t_j = _ext_descent(gJ, f, 2)
                     except (ConstructError, UnsupportedField):
                         pass
                 if steps_j is None:
@@ -809,7 +758,7 @@ def _construct_internal(g, depth=0, require_balanced=False,
         elif cf.case == "ext":
             f, mult = cf.blocks[0]
             try:
-                steps_j, t_j = _ext_descent(gJ, f, mult, depth)
+                steps_j, t_j = _ext_descent(gJ, f, mult)
             except ConstructError:
                 steps_j, t_j = _reseed(gJ, depth)
         else:

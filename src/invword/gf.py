@@ -358,13 +358,6 @@ def poly_gcd(ctx, f, g):
     return poly_monic(ctx, f)
 
 
-def poly_eval(ctx, f, a):
-    r = 0
-    for c in reversed(f):
-        r = ctx.add(ctx.mul(r, a), c)
-    return r
-
-
 def poly_pow_mod(ctx, f, k, m):
     r = poly_mod(ctx, (1,), m)
     f = poly_mod(ctx, f, m)

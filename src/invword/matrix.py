@@ -119,13 +119,6 @@ class Mat:
     def transpose(self):
         return Mat(self.ctx, tuple(zip(*self.rows))) if self.rows else self
 
-    def trace(self):
-        add = self.ctx.add
-        t = 0
-        for i in range(self.n):
-            t = add(t, self.rows[i][i])
-        return t
-
     # -- elimination-based ops ----------------------------------------------
 
     def det(self):
@@ -281,22 +274,10 @@ def transvection(ctx, n, i, j, c=1):
     return Mat(ctx, rows)
 
 
-def conj(c, g):
-    """c g c^{-1}."""
-    return c * g * c.inv()
-
-
-def commutator(g, h, order="g-1h-1gh"):
-    """Commutator of g and h in the requested bracketing.
-
-    Both orders are products of one conjugate of g and one of g^{-1}:
-    g^{-1}h^{-1}gh = g^{-1} * (h^{-1} g h) and ghg^{-1}h^{-1} = g * (hg^{-1}h^{-1}).
-    """
-    if order == "g-1h-1gh":
-        return g.inv() * h.inv() * g * h
-    if order == "ghg-1h-1":
-        return g * h * g.inv() * h.inv()
-    raise ValueError("unknown commutator order %r" % order)
+def commutator(g, h):
+    """g^{-1}h^{-1}gh = g^{-1} * (h^{-1} g h): a product of one conjugate of
+    g^{-1} and one of g."""
+    return g.inv() * h.inv() * g * h
 
 
 class GroupSpec:

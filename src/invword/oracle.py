@@ -347,13 +347,56 @@ def projective_involution_indices(tbl):
     return frozenset(out)
 
 
+def _bfs_layers(starts, neighbors, key=None, parents=None):
+    """Breadth-first search from starts, yielding one layer at a time.
+
+    Nodes are expanded in frontier order, then in the order neighbors(x)
+    lists them.  Nodes are told apart by key[node] (such as a class index
+    from ct.class_of), or by themselves when key is None; the first node
+    met for each key stands for it and later ones are dropped.  When a
+    dict is passed as parents it receives, per key, the node it was
+    reached from (None for the starts), so a path can be read back."""
+    seen = {} if parents is None else parents
+    frontier = []
+    for x in starts:
+        k = x if key is None else key[x]
+        if k not in seen:
+            seen[k] = None
+            frontier.append(x)
+    while frontier:
+        yield frontier
+        nxt = []
+        for x in frontier:
+            for y in neighbors(x):
+                k = y if key is None else key[y]
+                if k not in seen:
+                    seen[k] = x
+                    nxt.append(y)
+        frontier = nxt
+
+
+def _right_mul(tbl, gens):
+    """Neighbors in the right Cayley graph: x -> [x a for a in gens].
+
+    Computes tbl.mul(x, a) with the operand lookups and the method call
+    taken out of the per-edge loop, which is the hot spot of every
+    search."""
+    index, elements, mul_enc = tbl.index, tbl.elements, tbl._mul_enc
+    gens_enc = [elements[a] for a in gens]
+
+    def neighbors(x):
+        ex = elements[x]
+        return [index[mul_enc(ex, b)] for b in gens_enc]
+
+    return neighbors
+
+
 def dist_to_set(tbl, c, targets):
     """Least k with (C u C^-1)^k meeting the target set, where C is the
     conjugacy class of c; None if the closure never meets it.
 
-    Uses the class-level search when the target set is a union of
-    classes (it always is for involution sets), otherwise falls back to
-    an element-level search."""
+    Searches the class graph when the target set is a union of classes
+    (it always is for involution sets), otherwise the elements."""
     ct = conjugacy_classes(tbl)
     ci = c if isinstance(c, int) else tbl.index_of(c)
     if ci is None:
@@ -369,50 +412,11 @@ def dist_to_set(tbl, c, targets):
         gens.add(x)
         gens.add(tbl.inv(x))
     gens = sorted(gens)
-    if not normal:
-        return _element_bfs(tbl, gens, targets)
-    target_classes = {ct.class_of[t] for t in targets}
-    seen = {}
-    frontier = []
-    for a in gens:
-        k = ct.class_of[a]
-        if k not in seen:
-            seen[k] = a
-            frontier.append(k)
-    level = 1
-    while frontier:
-        if any(k in target_classes for k in frontier):
+    key = ct.class_of if normal else None
+    layers = _bfs_layers(gens, _right_mul(tbl, gens), key)
+    for level, layer in enumerate(layers, 1):
+        if not targets.isdisjoint(layer):
             return level
-        nxt = []
-        for k in frontier:
-            x = seen[k]
-            for a in gens:
-                y = tbl.mul(x, a)
-                ky = ct.class_of[y]
-                if ky not in seen:
-                    seen[ky] = y
-                    nxt.append(ky)
-        frontier = nxt
-        level += 1
-    return None
-
-
-def _element_bfs(tbl, gens, targets):
-    seen = set(gens)
-    frontier = list(gens)
-    level = 1
-    while frontier:
-        if any(x in targets for x in frontier):
-            return level
-        nxt = []
-        for x in frontier:
-            for a in gens:
-                y = tbl.mul(x, a)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        level += 1
     return None
 
 
@@ -598,19 +602,9 @@ def orbital_diameter_report(spec=None, bound_factor=72):
             x, y = tuple(fs)
             adj[x].append(y)
             adj[y].append(x)
-        dist = [-1] * n
-        dist[e] = 0
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for y in adj[x]:
-                    if dist[y] == -1:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        assert min(dist) >= 0, "orbital graph must be connected"
-        orbital_diameters[k] = max(dist)
+        layers = list(_bfs_layers([e], adj.__getitem__))
+        assert sum(map(len, layers)) == n, "orbital graph must be connected"
+        orbital_diameters[k] = len(layers) - 1
         orbital_edges[k] = edges
     # Cayley graphs of the nontrivial classes
     class_diameters = {}
@@ -619,20 +613,9 @@ def orbital_diameter_report(spec=None, bound_factor=72):
         if ct.reps[k] == e:
             continue
         gens = set(ct.members(k)) | {tbl.inv(x) for x in ct.members(k)}
-        dist = [-1] * n
-        dist[e] = 0
-        frontier = [e]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for a in gens:
-                    y = tbl.mul(x, a)
-                    if dist[y] == -1:
-                        dist[y] = dist[x] + 1
-                        nxt.append(y)
-            frontier = nxt
-        assert min(dist) >= 0
-        class_diameters[k] = max(dist)
+        layers = list(_bfs_layers([e], _right_mul(tbl, gens)))
+        assert sum(map(len, layers)) == n
+        class_diameters[k] = len(layers) - 1
         class_edges[k] = {frozenset((x, tbl.mul(x, a)))
                           for x in range(n) for a in gens}
     # each nondiagonal orbital graph must be one of the class graphs

@@ -70,6 +70,18 @@ def test_verify_tampered_exits_one(capsys, tmp_path):
     assert code == 1 and out.startswith("violation")
 
 
+def test_verify_bad_exponent_exits_two(capsys, tmp_path):
+    code, out, _ = run(capsys, "construct", "--group", "sl", "--n", "2",
+                       "--q", "5", "--matrix", "1,1;0,1")
+    obj = json.loads(out)
+    obj["steps"][0]["e"] = 2
+    obj["net_exponent"] = sum(s["e"] for s in obj["steps"])
+    path = tmp_path / "bad_e.json"
+    path.write_text(json.dumps(obj))
+    code, _, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and "exponent" in err
+
+
 def test_verify_unreadable_exits_two(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--witness",
                        str(tmp_path / "absent.json"))

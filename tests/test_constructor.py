@@ -2,10 +2,12 @@ import pytest
 
 from invword.gf import make_field, irreducible_polys
 from invword.matrix import GroupSpec, Mat, transvection_h
-from invword.canonical import companion, gen_jordan_block, class_transversal
+from invword.canonical import (companion, gen_jordan_block, class_transversal,
+                               generalized_jordan)
 from invword.perm import Perm
 from invword.constructor import (ConstructError, Unreachable, Witness,
-                                 WitnessStep, brute_force_witness,
+                                 WitnessStep, _ext_descent,
+                                 brute_force_witness,
                                  construct_involution, find_partner, replay,
                                  sl2_witness, witness_from_json,
                                  witness_to_json)
@@ -146,6 +148,23 @@ def test_ext_descent_route():
     w = ok(construct_involution(gen_jordan_block(ctx3, f, 3),
                                 GroupSpec("SL", 6, 3)))
     assert w.length == 12 and labels(w) == ["descent/mn-reduction"]
+
+
+@pytest.mark.parametrize("q, target", [
+    (2, "1,0,1,1;0,1,1,0;0,0,1,0;0,0,0,1"),
+    (4, "1,0,3,0;0,1,0,3;0,0,1,0;0,0,0,1")])
+def test_ext_descent_reseed_word(q, target):
+    # a doubled quadratic block in characteristic 2 has determinant
+    # xi^2 != 1 upstairs, so the descent reseeds there with the same word
+    # as the top-level commutator restart
+    ctx = make_field(q)
+    f = next(iter(irreducible_polys(ctx, 2)))
+    gJ = generalized_jordan(gen_jordan_block(ctx, f, 2)).canonical
+    steps, t = _ext_descent(gJ, f, 2)
+    assert t.to_text() == target
+    assert [e for _, e, _ in steps] == [-1, 1] * 4
+    w = ok(Witness(GroupSpec("SL", 4, q), gJ, steps, t))
+    assert labels(w) == ["descent/reseed"] and w.net_exponent == 0
 
 
 def test_decomposable_route():
@@ -344,6 +363,16 @@ def test_witness_json_roundtrip_perm():
     js = witness_to_json(w)
     w2 = witness_from_json(js)
     assert replay(w2).ok and witness_to_json(w2) == js
+
+
+def test_witness_step_rejects_bad_exponent():
+    c = Mat.identity(ctx5, 2)
+    for e in (0, 2, -2):
+        with pytest.raises(ValueError):
+            WitnessStep(c, e, "bfs")
+    g = Mat(ctx5, [[1, 1], [0, 1]])
+    with pytest.raises(ValueError):
+        Witness(GroupSpec("SL", 2, 5), g, [(c, 2, "bfs")], g)
 
 
 def test_witness_json_tamper_detection():

@@ -2,13 +2,13 @@ import random
 
 import pytest
 
+from invword.canonical import charpoly
 from invword.gf import make_field
 from invword.matrix import (
     GroupSpec,
     Mat,
     classify,
     commutator,
-    conj,
     direct_sum,
     kron,
     mat_over,
@@ -63,7 +63,7 @@ def test_conjugation_normalizes_corner():
     F = make_field(5)
     g = mat_over(5, "1,0;1,1")
     c = transvection_h(F, F.neg(1))
-    assert conj(c, g) == mat_over(5, "0,4;1,2")
+    assert c * g * c.inv() == mat_over(5, "0,4;1,2")
 
 
 def test_conjugation_preserves_det_trace():
@@ -72,8 +72,9 @@ def test_conjugation_preserves_det_trace():
     for _ in range(100):
         g = rand_mat(F, 3, rng)
         c = rand_invertible(F, 3, rng)
-        assert conj(c, g).det() == g.det()
-        assert conj(c, g).trace() == g.trace()
+        cg = c * g * c.inv()
+        assert cg.det() == g.det()
+        assert charpoly(cg) == charpoly(g)
 
 
 def test_commutator_orders():
@@ -81,11 +82,9 @@ def test_commutator_orders():
     g = Mat.diag(F, (2, 3))  # diag(a, a^-1), a = 2
     h1 = transvection_h(F, 1)
     # h1 g h1^-1 g^-1 = h(1 - a^2) = h(2) over GF(5)
-    assert commutator(h1, g, "ghg-1h-1") == transvection_h(F, 2)
+    assert commutator(h1.inv(), g.inv()) == transvection_h(F, 2)
     assert commutator(g, h1) == g.inv() * h1.inv() * g * h1
     assert commutator(g, g) == Mat.identity(F, 2)
-    with pytest.raises(ValueError):
-        commutator(g, h1, "hg")
 
 
 def test_commutator_is_two_conjugates():
@@ -95,7 +94,7 @@ def test_commutator_is_two_conjugates():
         g = rand_invertible(F, 2, rng)
         h = rand_invertible(F, 2, rng)
         lhs = commutator(g, h)
-        assert lhs == conj(Mat.identity(F, 2), g.inv()) * conj(h.inv(), g)
+        assert lhs == g.inv() * (h.inv() * g * h)
 
 
 def test_classify():
@@ -121,7 +120,7 @@ def test_classify_conjugation_invariant():
     t = mat_over(5, "1,1;3,4")
     for _ in range(50):
         c = rand_invertible(F, 2, rng)
-        assert classify(conj(c, t), spec).projective_involution
+        assert classify(c * t * c.inv(), spec).projective_involution
 
 
 def test_det_multiplicative_exhaustive_gf3():

@@ -1,5 +1,6 @@
 import pytest
 
+from invword import oracle
 from invword.matrix import GroupSpec, Mat
 from invword.gf import make_field
 from invword.perm import Perm
@@ -100,6 +101,32 @@ def test_dist_to_set_nonnormal_target_falls_back():
     # a single involution is not a union of classes; element search
     # still finds a product of two 3-cycles hitting it exactly
     assert dist_to_set(tbl, i3, {one}) == 2
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("Alt", 5), GroupSpec("PSL", 2, 7)])
+def test_dist_to_set_class_and_element_search_agree(spec, monkeypatch):
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    inv = involution_indices(tbl)
+    # one involution short of the set is not a union of classes, so the
+    # element search runs; distance layers of a conjugation-closed
+    # generating set are unions of classes, so the answer cannot change
+    partial = inv - {min(inv)}
+    modes = []
+    search = oracle._bfs_layers
+
+    def spy(starts, neighbors, key=None, parents=None):
+        modes.append("element" if key is None else "class")
+        return search(starts, neighbors, key, parents)
+
+    monkeypatch.setattr(oracle, "_bfs_layers", spy)
+    for k in range(ct.n_classes):
+        if ct.reps[k] == tbl.identity_index:
+            continue
+        d = dist_to_set(tbl, ct.reps[k], inv)
+        assert d is not None
+        assert dist_to_set(tbl, ct.reps[k], partial) == d
+    assert modes == ["class", "element"] * (ct.n_classes - 1)
 
 
 def test_d_inv_alt5():
