@@ -127,7 +127,7 @@ def _cmd_survey(args):
     try:
         for row in _survey_rows(args):
             print("\t".join(str(x) for x in row))
-    except (GroupTooLarge, UnsupportedField, AssertionError) as e:
+    except (GroupTooLarge, ValueError) as e:
         print("survey: %s" % e, file=sys.stderr)
         return 2
     return 0

@@ -645,14 +645,20 @@ def brute_force_witness(g, spec, cap=48):
         raise ValueError("identity has no witness")
     cls_g = ct.class_of[gi]
     tg_inv = tbl.inv(ct.transporter[gi])
-    genmap = {}
-    for x in ct.members(cls_g):
-        # x = t_x r t_x^-1 and g = t_g r t_g^-1, so (t_x t_g^-1) conjugates
-        # g to x; the inverse class reuses the same conjugators
-        v = tbl.mul(ct.transporter[x], tg_inv)
-        genmap.setdefault(x, (1, v))
-        genmap.setdefault(tbl.inv(x), (-1, v))
-    gens = sorted(genmap)
+    members = ct.members(cls_g)
+    gens = sorted(set(members).union(tbl.inv(x) for x in members))
+
+    def step(a):
+        # a is x^e for a member x of the class: e = +1 when a is a member
+        # and a^-1 is no earlier member, else x = a^-1 and e = -1.  As
+        # x = t_x r t_x^-1 and g = t_g r t_g^-1, t_x t_g^-1 conjugates g to x
+        ai = tbl.inv(a)
+        if ct.class_of[a] == cls_g and not (ct.class_of[ai] == cls_g
+                                            and ai < a):
+            e, x = 1, a
+        else:
+            e, x = -1, ai
+        return tbl.decode(tbl.mul(ct.transporter[x], tg_inv)), e, "bfs"
 
     def is_target(idx):
         if tbl.spec.family in ("Alt", "Sym"):
@@ -662,22 +668,23 @@ def brute_force_witness(g, spec, cap=48):
         return classify(el, spec).projective_involution
 
     parents = {}  # class index -> node it was first reached from
-    layers = _bfs_layers(gens, _right_mul(tbl, gens), ct.class_of, parents)
-    for level, layer in enumerate(layers, 1):
-        for y in layer:
-            if is_target(y):
-                # generator a_k = x_(k-1)^-1 y_k along the path back
-                word, x = [], y
-                while x is not None:
-                    prev = parents[ct.class_of[x]]
-                    word.append(x if prev is None
-                                else tbl.mul(tbl.inv(prev), x))
-                    x = prev
-                steps = [(tbl.decode(genmap[a][1]), genmap[a][0], "bfs")
-                         for a in reversed(word)]
-                return Witness(spec, g, steps, tbl.decode(y))
-        if level >= cap:
-            raise ConstructError("class search passed the cap (%d)" % cap)
+    level = 0
+    for level, y in _bfs_layers(gens, _right_mul(tbl, gens), ct.class_of,
+                                parents):
+        if level > cap:
+            break
+        if is_target(y):
+            # generator a_k = x_(k-1)^-1 y_k along the path back
+            word, x = [], y
+            while x is not None:
+                prev = parents[ct.class_of[x]]
+                word.append(x if prev is None
+                            else tbl.mul(tbl.inv(prev), x))
+                x = prev
+            steps = [step(a) for a in reversed(word)]
+            return Witness(spec, g, steps, tbl.decode(y))
+    if level >= cap:
+        raise ConstructError("class search passed the cap (%d)" % cap)
     certificate = {
         "group_order": tbl.order,
         "classes_in_closure": len(parents),

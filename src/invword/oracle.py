@@ -6,6 +6,18 @@ the conjugacy-class graph: for a normal generating set, the classes
 reachable by k-fold products are exactly the level-k classes, so a
 class-level search is exact while touching |classes| nodes instead of
 |G|.
+
+Elements are stored as codes.  A permutation is its tuple of images.  An
+n x n matrix over GF(q) is one int, the row code: a row is the int
+sum r_k * q**(n-1-k) in range(q**n), first entry most significant, and
+the matrix is sum row_i * (q**n)**(n-1-i), row 0 most significant.  Both
+codes order elements lexicographically by their entries, so a table's
+element list (sorted codes), and with it every index, class
+representative and transporter, does not depend on the code chosen.
+Matrix arithmetic runs on row tables built with each group table (none
+at import): a row sum and a scaled row are one lookup each, right
+multiplication by a generator maps each row through one table, and left
+multiplication by a generator rewrites one row.
 """
 
 import itertools
@@ -53,107 +65,255 @@ def is_simple(spec):
     return False
 
 
-# -- element encodings ----------------------------------------------------
+# -- element codes ----------------------------------------------------------
 
 
-def _mat_mul_enc(ctx, n):
-    """Row-tuple matrix product using the flat field tables."""
-    q = ctx.q
-    mt, at = ctx.mul_table, ctx.add_table
+class _PermCode:
+    """Permutations of range(n) as image tuples; gens is a list of them."""
 
+    def __init__(self, n, gens):
+        self.identity = tuple(range(n))
+        self.gens = gens
+        self._gens_inv = [self.inverse(s) for s in gens]
+
+    @staticmethod
     def mul(a, b):
-        bc = tuple(zip(*b))
-        out = []
-        for ra in a:
-            row = []
-            for cb in bc:
-                acc = 0
-                for x, y in zip(ra, cb):
-                    if x and y:
-                        acc = at[acc * q + mt[x * q + y]]
-                row.append(acc)
-            out.append(tuple(row))
+        return tuple(b[x] for x in a)
+
+    @staticmethod
+    def inverse(a):
+        out = [0] * len(a)
+        for i, x in enumerate(a):
+            out[x] = i
         return tuple(out)
 
-    return mul
+    def encode(self, el):
+        return el.images if isinstance(el, Perm) else None
+
+    def decode(self, e):
+        return Perm(e)
+
+    def conjugates(self, x):
+        """[s x s^-1 for s in gens]."""
+        mul = self.mul
+        return [mul(mul(s, x), si) for s, si in zip(self.gens, self._gens_inv)]
+
+    def left(self, k, t):
+        """gens[k] * t."""
+        return self.mul(self.gens[k], t)
+
+    def right_mul(self, bs):
+        """The function x -> (x b for b in bs)."""
+        mul = self.mul
+        return lambda x: (mul(x, b) for b in bs)
 
 
-def _perm_mul_enc(a, b):
-    return tuple(b[x] for x in a)
+class _RowCode:
+    """n x n matrices over GF(q) as row codes (see the module docstring).
+
+    Generators are elementary matrices I + c E_ij, given as (i, j, c);
+    i == j is allowed (a dilation by 1 + c).  Left multiplication by one
+    adds c times row j to row i.  scalars lists the scalars other than 1
+    of a projective quotient; every code is normalized to the least code
+    among its multiples by them.  The tables live as long as the group
+    table: add[a * Q + b] is the code of row a + row b and scale[c * Q + a]
+    that of c * row a, for Q = q**n."""
+
+    def __init__(self, ctx, n, ops, scalars):
+        q = ctx.q
+        self.ctx, self.n, self.q, self.Q = ctx, n, q, q ** n
+        fa, fm = ctx.add_table, ctx.mul_table
+        # build the tables for rows of length 1, 2, ..., n, each row
+        # x * span + u getting a leading entry x in front of the shorter
+        # u; entries are taken from one list of ints, so that a table of
+        # q**(2n) entries holds no more than q**n int objects
+        ints = list(range(self.Q))
+        add, scale, entries, span = [0], [0] * q, [()], 1
+        for _ in range(n):
+            add = [ints[fa[x * q + y] * span + add[u * span + v]]
+                   for x in range(q) for u in range(span)
+                   for y in range(q) for v in range(span)]
+            scale = [ints[fm[c * q + x] * span + scale[c * span + u]]
+                     for c in range(q) for x in range(q) for u in range(span)]
+            entries = [(x,) + e for x in range(q) for e in entries]
+            span *= q
+        self.add, self.scale, self.entries = add, scale, entries
+        self.scalars = scalars
+        self.identity = self._code([q ** (n - 1 - k) for k in range(n)])
+        self.ops = ops
+        self.inv_ops = [(i, j, ctx.neg(c)) if i != j
+                        else (i, j, ctx.sub(ctx.inv(ctx.add(1, c)), 1))
+                        for i, j, c in ops]
+        self.gens = [self._row_op(op, self.identity) for op in ops]
+        self._maps = [self.right_map(s) for s in self.gens]
+        # s x s^-1 is x mapped by s^-1 on the right, then row i of the
+        # result plus c times its row j put back at place Q**(n-1-i)
+        self._conj = [(self.right_map(self._row_op(inv, self.identity)), i,
+                       j, c * self.Q, self.Q ** (n - 1 - i))
+                      for (i, j, c), inv in zip(ops, self.inv_ops)]
+
+    def _row_op(self, op, t):
+        """Code of (I + c E_ij) t: t with c times its row j added to row i."""
+        i, j, c = op
+        rows = self.split(t)
+        rows[i] = self.add[rows[i] * self.Q + self.scale[c * self.Q + rows[j]]]
+        return self._code(rows)
+
+    def split(self, x):
+        """The row codes of x, row 0 first."""
+        rows = [0] * self.n
+        for k in range(self.n - 1, -1, -1):
+            x, rows[k] = divmod(x, self.Q)
+        return rows
+
+    def _code(self, rows):
+        """The normalized code of the matrix with these rows."""
+        x = 0
+        for r in rows:
+            x = x * self.Q + r
+        return self._least(x) if self.scalars else x
+
+    def _least(self, x):
+        """The least code among the multiples of x by the scalars."""
+        Q, scale = self.Q, self.scale
+        rows = self.split(x)
+        best = x
+        for c in self.scalars:
+            y = 0
+            for r in rows:
+                y = y * Q + scale[c * Q + r]
+            if y < best:
+                best = y
+        return best
+
+    def encode(self, el):
+        """Code of a Mat, or None if el is not an n x n matrix over GF(q)."""
+        if not isinstance(el, Mat) or el.n != self.n or el.m != self.n:
+            return None
+        q, rows = self.q, []
+        for r in el.rows:
+            v = 0
+            for x in r:
+                if not 0 <= x < q:
+                    return None
+                v = v * q + x
+            rows.append(v)
+        return self._code(rows)
+
+    def decode(self, x):
+        return Mat(self.ctx, [self.entries[r] for r in self.split(x)])
+
+    def right_map(self, b):
+        """The row map r -> r b, as a list over range(Q)."""
+        add, scale, Q, q = self.add, self.scale, self.Q, self.q
+        m = [0]
+        for v in reversed(self.split(b)):
+            m = [add[scale[c * Q + v] * Q + w] for c in range(q) for w in m]
+        return m
+
+    def _product(self, ents, brows):
+        """Code of the matrix with row entries ents times the matrix with
+        rows brows."""
+        add, scale, Q = self.add, self.scale, self.Q
+        x = 0
+        for e in ents:
+            acc = 0
+            for c, v in zip(e, brows):
+                if c:
+                    acc = add[acc * Q + scale[c * Q + v]]
+            x = x * Q + acc
+        return self._least(x) if self.scalars else x
+
+    def mul(self, a, b):
+        return self._product([self.entries[r] for r in self.split(a)],
+                             self.split(b))
+
+    def right_mul(self, bs):
+        """The function x -> (x b for b in bs)."""
+        entries, split, product = self.entries, self.split, self._product
+
+        def times(x):
+            ents = [entries[r] for r in split(x)]
+            return (product(ents, split(b)) for b in bs)
+
+        return times
+
+    def left(self, k, t):
+        """gens[k] * t."""
+        return self._row_op(self.ops[k], t)
+
+    def conjugates(self, x):
+        """[s x s^-1 for s in gens]."""
+        add, scale, Q, least = self.add, self.scale, self.Q, self._least
+        rows = self.split(x)
+        out = []
+        for m, i, j, cQ, place in self._conj:
+            y = 0
+            for r in rows:
+                y = y * Q + m[r]
+            old = m[rows[i]]
+            y += (add[old * Q + scale[cQ + m[rows[j]]]] - old) * place
+            out.append(least(y) if self.scalars else y)
+        return out
+
+    def closure(self, cap):
+        """Every element generated, mapped to its inverse.
+
+        Breadth-first from the identity by right multiplication; an
+        element y = x s is first met from x, so its inverse s^-1 x^-1 is
+        one row operation on the inverse of x."""
+        split, row_op = self.split, self._row_op
+        Q, least, scalars = self.Q, self._least, self.scalars
+        inverse = {self.identity: self.identity}
+        frontier = [self.identity]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                rows = split(x)
+                for m, op in zip(self._maps, self.inv_ops):
+                    y = 0
+                    for r in rows:
+                        y = y * Q + m[r]
+                    if scalars:
+                        y = least(y)
+                    if y not in inverse:
+                        inverse[y] = row_op(op, inverse[x])
+                        nxt.append(y)
+            frontier = nxt
+            if len(inverse) > cap:
+                raise GroupTooLarge("closure passed the order cap")
+        return inverse
 
 
 class GroupTable:
-    """A fully enumerated group: encodings, an index, and index-level ops."""
+    """A fully enumerated group: element codes in increasing order, an
+    index, and index-level ops.  inverse maps every code to the code of
+    its inverse; code.gens are the generators."""
 
-    def __init__(self, spec, ctx, elements, mul_enc, inv_enc, gens):
+    def __init__(self, spec, ctx, code, inverse):
         self.spec = spec
         self.ctx = ctx
-        self.elements = elements
-        self.index = {e: i for i, e in enumerate(elements)}
-        self._mul_enc = mul_enc
-        self._inv_enc = inv_enc
-        self.order = len(elements)
-        self.identity_index = self.index[self._identity_enc()]
-        self.gens = [self.index[e] for e in gens]
-        self._inv_cache = None
+        self.code = code
+        self.elements = sorted(inverse)
+        self.index = {e: i for i, e in enumerate(self.elements)}
+        self.order = len(self.elements)
+        self.identity_index = self.index[code.identity]
+        self.gens = [self.index[e] for e in code.gens]
+        self._inverse = [self.index[inverse[e]] for e in self.elements]
         self._classes = None
 
-    def _identity_enc(self):
-        if self.spec.family in ("Sym", "Alt"):
-            return tuple(range(self.spec.n))
-        n = self.spec.n
-        return tuple(tuple(1 if i == j else 0 for j in range(n))
-                     for i in range(n))
-
     def mul(self, i, j):
-        return self.index[self._mul_enc(self.elements[i], self.elements[j])]
+        return self.index[self.code.mul(self.elements[i], self.elements[j])]
 
     def inv(self, i):
-        if self._inv_cache is None:
-            self._inv_cache = [None] * self.order
-        v = self._inv_cache[i]
-        if v is None:
-            v = self.index[self._inv_enc(self.elements[i])]
-            self._inv_cache[i] = v
-        return v
+        return self._inverse[i]
 
     def decode(self, i):
-        e = self.elements[i]
-        if self.spec.family in ("Sym", "Alt"):
-            return Perm(e)
-        return Mat(self.ctx, [list(r) for r in e])
+        return self.code.decode(self.elements[i])
 
     def index_of(self, el):
-        if isinstance(el, Perm):
-            key = el.images
-        elif isinstance(el, Mat):
-            key = tuple(tuple(r) for r in el.rows)
-            if self.spec.family in ("PSL", "PGL"):
-                key = self._normalize(key)
-        else:
-            key = el
-        return self.index.get(key)
-
-    def _normalize(self, key):
-        raise NotImplementedError
-
-
-def _closure(gens_enc, mul_enc, identity_enc):
-    """Generator closure by breadth-first multiplication."""
-    seen = {identity_enc}
-    frontier = [identity_enc]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s in gens_enc:
-                y = mul_enc(x, s)
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-        if len(seen) > ORDER_CAP:
-            raise GroupTooLarge("closure passed the order cap")
-    return seen
+        """Index of a Perm or Mat, None when it is not in the group."""
+        return self.index.get(self.code.encode(el))
 
 
 _TABLE_CACHE = {}
@@ -162,9 +322,9 @@ _TABLE_CACHE = {}
 def build_group(spec, order_cap=ORDER_CAP):
     """Enumerate the group described by spec.
 
-    Raises GroupTooLarge when the order formula exceeds the cap.  The
-    computed order is asserted against the formula.  Tables are cached
-    per spec; repeat callers share one enumeration."""
+    Raises GroupTooLarge when the order formula exceeds the cap, and
+    RuntimeError if the enumerated order differs from the formula.  Tables
+    are cached per spec; repeat callers share one enumeration."""
     expected = group_order(spec)
     if expected > order_cap:
         raise GroupTooLarge("|%r| = %d exceeds the cap %d"
@@ -172,8 +332,8 @@ def build_group(spec, order_cap=ORDER_CAP):
     key = (spec.family, spec.n, spec.q)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
+    n = spec.n
     if spec.family in ("Sym", "Alt"):
-        n = spec.n
         base = list(itertools.permutations(range(n)))
         if spec.family == "Alt":
             elems = [p for p in base if Perm(p).parity() == 0]
@@ -185,74 +345,31 @@ def build_group(spec, order_cap=ORDER_CAP):
                     Perm.from_cycles("(%s)" % ",".join(
                         str(i) for i in range(1, n + 1)), n).images] \
                 if n >= 2 else []
-        elems.sort()
-        tbl = GroupTable(spec, None, elems, _perm_mul_enc,
-                         lambda e: Perm(e).inv().images,
-                         [g for g in gens if g in set(elems)] or [elems[0]])
-        assert tbl.order == expected, (tbl.order, expected)
-        _TABLE_CACHE[key] = tbl
-        return tbl
-    ctx = make_field(spec.q)
-    n, q = spec.n, spec.q
-    mul_enc = _mat_mul_enc(ctx, n)
-
-    def inv_enc(e):
-        return tuple(tuple(r) for r in Mat(ctx, [list(r) for r in e]).inv().rows)
-
-    gens = []
-    for i in range(n):
-        for j in range(n):
-            if i == j:
-                continue
-            for lam in range(1, q):
-                rows = [[1 if a == b else 0 for b in range(n)]
-                        for a in range(n)]
-                rows[i][j] = lam
-                gens.append(tuple(tuple(r) for r in rows))
-    if spec.family in ("GL", "PGL"):
-        nu = ctx.generator()
-        rows = [[1 if a == b else 0 for b in range(n)] for a in range(n)]
-        rows[0][0] = nu
-        gens.append(tuple(tuple(r) for r in rows))
-    identity = tuple(tuple(1 if i == j else 0 for j in range(n))
-                     for i in range(n))
-    if spec.family in ("SL", "GL"):
-        elems = sorted(_closure(gens, mul_enc, identity))
-        tbl = GroupTable(spec, ctx, elems, mul_enc, inv_enc, gens)
-        assert tbl.order == expected, (tbl.order, expected)
-        _TABLE_CACHE[key] = tbl
-        return tbl
-    # projective families: quotient by scalars with lambda^n = 1 (PSL)
-    # or all scalars (PGL); encodings are normalized to the lexicographic
-    # minimum over the allowed scalar multiples
-    if spec.family == "PSL":
-        lams = [l for l in range(1, q) if ctx.pow(l, n) == 1]
+        code = _PermCode(n, [g for g in gens if g in set(elems)]
+                         or [elems[0]])
+        tbl = GroupTable(spec, None, code,
+                         {e: code.inverse(e) for e in elems})
     else:
-        lams = list(range(1, q))
-    mt = ctx.mul_table
-
-    def normalize(e):
-        best = e
-        for lam in lams:
-            if lam == 1:
-                continue
-            cand = tuple(tuple(mt[lam * q + x] for x in r) for r in e)
-            if cand < best:
-                best = cand
-        return best
-
-    def pmul(a, b):
-        return normalize(mul_enc(a, b))
-
-    def pinv(e):
-        return normalize(inv_enc(e))
-
-    raw = _closure([normalize(g) for g in gens], pmul, normalize(identity))
-    elems = sorted(raw)
-    tbl = GroupTable(spec, ctx, elems, pmul, pinv,
-                     [normalize(g) for g in gens])
-    tbl._normalize = normalize
-    assert tbl.order == expected, (tbl.order, expected)
+        ctx = make_field(spec.q)
+        q = ctx.q
+        # transvections I + lam E_ij; GL and PGL add diag(nu, 1, ..., 1)
+        ops = [(i, j, lam) for i in range(n) for j in range(n) if i != j
+               for lam in range(1, q)]
+        if spec.family in ("GL", "PGL"):
+            ops.append((0, 0, ctx.sub(ctx.generator(), 1)))
+        # projective families: quotient by scalars with lambda^n = 1 (PSL)
+        # or all scalars (PGL)
+        if spec.family == "PSL":
+            scalars = [c for c in range(2, q) if ctx.pow(c, n) == 1]
+        elif spec.family == "PGL":
+            scalars = list(range(2, q))
+        else:
+            scalars = []
+        code = _RowCode(ctx, n, ops, scalars)
+        tbl = GroupTable(spec, ctx, code, code.closure(ORDER_CAP))
+    if tbl.order != expected:
+        raise RuntimeError("%r: enumerated %d elements, the order formula "
+                           "gives %d" % (spec, tbl.order, expected))
     _TABLE_CACHE[key] = tbl
     return tbl
 
@@ -285,13 +402,16 @@ class ClassTable:
 
 
 def conjugacy_classes(tbl):
+    """Classes in index order of their least element, each grown by
+    conjugating with the generators; the transporter of y = s x s^-1 is
+    s times that of x.  Raises RuntimeError if the classes do not
+    partition the group or a sampled transporter is wrong."""
     if tbl._classes is not None:
         return tbl._classes
     order = tbl.order
+    index, elements, code = tbl.index, tbl.elements, tbl.code
     class_of = [-1] * order
     reps, sizes, transporter = [], [], [tbl.identity_index] * order
-    gens = tbl.gens
-    gen_inv = [tbl.inv(s) for s in gens]
     for i in range(order):
         if class_of[i] != -1:
             continue
@@ -305,22 +425,26 @@ def conjugacy_classes(tbl):
             nxt = []
             for x in frontier:
                 tx = transporter[x]
-                for s, si in zip(gens, gen_inv):
-                    y = tbl.mul(tbl.mul(s, x), si)
+                for s, c in enumerate(code.conjugates(elements[x])):
+                    y = index[c]
                     if class_of[y] == -1:
                         class_of[y] = k
-                        transporter[y] = tbl.mul(s, tx)
+                        transporter[y] = index[code.left(s, elements[tx])]
                         nxt.append(y)
                         count += 1
             frontier = nxt
         sizes.append(count)
+    if sum(sizes) != order:
+        raise RuntimeError("%r: class sizes sum to %d, not %d"
+                           % (tbl.spec, sum(sizes), order))
     ct = ClassTable(tbl, class_of, reps, sizes, transporter)
-    assert sum(sizes) == order
     # transporter invariant: x = t * rep * t^-1
     for i in (0, order // 2, order - 1):
         t = transporter[i]
         r = reps[class_of[i]]
-        assert tbl.mul(tbl.mul(t, r), tbl.inv(t)) == i
+        if tbl.mul(tbl.mul(t, r), tbl.inv(t)) != i:
+            raise RuntimeError("%r: transporter of element %d is wrong"
+                               % (tbl.spec, i))
     tbl._classes = ct
     return ct
 
@@ -336,8 +460,8 @@ def involution_indices(tbl):
 
 def projective_involution_indices(tbl):
     """Indices whose square is scalar while the element is not (matrix
-    families only)."""
-    assert tbl.spec.family in ("GL", "SL")
+    families GL and SL only; ValueError otherwise)."""
+    _require_linear(tbl.spec)
     spec = tbl.spec
     out = []
     for i in range(tbl.order):
@@ -347,15 +471,25 @@ def projective_involution_indices(tbl):
     return frozenset(out)
 
 
+def _require_linear(spec):
+    if spec.family not in ("GL", "SL"):
+        raise ValueError("%r: projective involutions are defined here for "
+                         "GL and SL only" % spec)
+
+
 def _bfs_layers(starts, neighbors, key=None, parents=None):
-    """Breadth-first search from starts, yielding one layer at a time.
+    """Breadth-first search from starts, yielding (layer, node) for each
+    node as it is met, the starts (deduplicated) forming layer 1.
 
     Nodes are expanded in frontier order, then in the order neighbors(x)
-    lists them.  Nodes are told apart by key[node] (such as a class index
-    from ct.class_of), or by themselves when key is None; the first node
-    met for each key stands for it and later ones are dropped.  When a
-    dict is passed as parents it receives, per key, the node it was
-    reached from (None for the starts), so a path can be read back."""
+    lists them, and a node is met only when the search gets to it, so a
+    caller that stops at the first node it wants pays for no more of the
+    layer (neighbors may be a generator for the same reason).  Nodes are
+    told apart by key[node] (such as a class index from ct.class_of), or
+    by themselves when key is None; the first node met for each key
+    stands for it and later ones are dropped.  When a dict is passed as
+    parents it receives, per key, the node it was reached from (None for
+    the starts), so a path can be read back."""
     seen = {} if parents is None else parents
     frontier = []
     for x in starts:
@@ -363,8 +497,10 @@ def _bfs_layers(starts, neighbors, key=None, parents=None):
         if k not in seen:
             seen[k] = None
             frontier.append(x)
+            yield 1, x
+    level = 1
     while frontier:
-        yield frontier
+        level += 1
         nxt = []
         for x in frontier:
             for y in neighbors(x):
@@ -372,21 +508,21 @@ def _bfs_layers(starts, neighbors, key=None, parents=None):
                 if k not in seen:
                     seen[k] = x
                     nxt.append(y)
+                    yield level, y
         frontier = nxt
 
 
 def _right_mul(tbl, gens):
-    """Neighbors in the right Cayley graph: x -> [x a for a in gens].
+    """Neighbors in the right Cayley graph: x -> (x a for a in gens),
+    computed one at a time as the search asks for them.
 
-    Computes tbl.mul(x, a) with the operand lookups and the method call
-    taken out of the per-edge loop, which is the hot spot of every
-    search."""
-    index, elements, mul_enc = tbl.index, tbl.elements, tbl._mul_enc
-    gens_enc = [elements[a] for a in gens]
+    The per-generator work is done once here, out of the per-edge loop,
+    which is the hot spot of every search."""
+    index, elements = tbl.index, tbl.elements
+    times = tbl.code.right_mul([elements[a] for a in gens])
 
     def neighbors(x):
-        ex = elements[x]
-        return [index[mul_enc(ex, b)] for b in gens_enc]
+        return (index[y] for y in times(elements[x]))
 
     return neighbors
 
@@ -413,9 +549,8 @@ def dist_to_set(tbl, c, targets):
         gens.add(tbl.inv(x))
     gens = sorted(gens)
     key = ct.class_of if normal else None
-    layers = _bfs_layers(gens, _right_mul(tbl, gens), key)
-    for level, layer in enumerate(layers, 1):
-        if not targets.isdisjoint(layer):
+    for level, y in _bfs_layers(gens, _right_mul(tbl, gens), key):
+        if y in targets:
             return level
     return None
 
@@ -442,12 +577,14 @@ def d_inv(tbl):
     """max over nontrivial classes of the distance to the involution set.
 
     Defined for simple groups (the notion this measures assumes every
-    class generates); asserts simplicity."""
-    assert is_simple(tbl.spec), "%r is not simple" % tbl.spec
+    class generates); raises ValueError for a group that is not simple."""
+    if not is_simple(tbl.spec):
+        raise ValueError("%r is not simple" % tbl.spec)
     ct = conjugacy_classes(tbl)
     targets = involution_indices(tbl)
-    assert targets, "a nontrivial finite simple group has involutions only " \
-                    "when |G| is even; none found"
+    if not targets:
+        raise RuntimeError("%r: a nonabelian finite simple group has even "
+                           "order, yet no involution was found" % tbl.spec)
     rows = []
     for k in range(ct.n_classes):
         if ct.reps[k] == tbl.identity_index:
@@ -463,8 +600,9 @@ def d_proj_inv(tbl):
     """Per-class distance to the projective-involution set for a matrix
     group, skipping central classes (their closures never leave the
     center).  A None distance marks a class whose closure misses the
-    set; value is then None as well."""
-    assert tbl.spec.family in ("GL", "SL")
+    set; value is then None as well.  Raises ValueError outside GL and
+    SL."""
+    _require_linear(tbl.spec)
     ct = conjugacy_classes(tbl)
     targets = projective_involution_indices(tbl)
     rows = []
@@ -500,13 +638,12 @@ def class_product_count(tbl, class_reps, target, cross_check=False):
     counts[ct.class_of[reps[0]]] = 1
     for r in reps[1:]:
         xs = ct.members(ct.class_of[r])
-        xs_inv = [tbl.inv(x) for x in xs]
+        times_inv = _right_mul(tbl, [tbl.inv(x) for x in xs])
         new = {}
         for k in range(ct.n_classes):
-            e_k = ct.reps[k]
             total = 0
-            for xi in xs_inv:
-                total += counts[ct.class_of[tbl.mul(e_k, xi)]]
+            for y in times_inv(ct.reps[k]):
+                total += counts[ct.class_of[y]]
             if total:
                 new[k] = total
         counts = {k: new.get(k, 0) for k in range(ct.n_classes)}
@@ -602,9 +739,9 @@ def orbital_diameter_report(spec=None, bound_factor=72):
             x, y = tuple(fs)
             adj[x].append(y)
             adj[y].append(x)
-        layers = list(_bfs_layers([e], adj.__getitem__))
-        assert sum(map(len, layers)) == n, "orbital graph must be connected"
-        orbital_diameters[k] = len(layers) - 1
+        reached = list(_bfs_layers([e], adj.__getitem__))
+        assert len(reached) == n, "orbital graph must be connected"
+        orbital_diameters[k] = reached[-1][0] - 1
         orbital_edges[k] = edges
     # Cayley graphs of the nontrivial classes
     class_diameters = {}
@@ -613,9 +750,9 @@ def orbital_diameter_report(spec=None, bound_factor=72):
         if ct.reps[k] == e:
             continue
         gens = set(ct.members(k)) | {tbl.inv(x) for x in ct.members(k)}
-        layers = list(_bfs_layers([e], _right_mul(tbl, gens)))
-        assert sum(map(len, layers)) == n
-        class_diameters[k] = len(layers) - 1
+        reached = list(_bfs_layers([e], _right_mul(tbl, gens)))
+        assert len(reached) == n
+        class_diameters[k] = reached[-1][0] - 1
         class_edges[k] = {frozenset((x, tbl.mul(x, a)))
                           for x in range(n) for a in gens}
     # each nondiagonal orbital graph must be one of the class graphs

@@ -114,6 +114,11 @@ def test_survey_sl2_reports_unreachable_none(capsys):
     assert "None" in out
 
 
+def test_survey_refuses_non_simple_group(capsys):
+    code, _, err = run(capsys, "survey", "--family", "alt", "--n", "4")
+    assert code == 2 and "not simple" in err
+
+
 def test_charsum_positive(capsys):
     code, out, _ = run(capsys, "charsum", "--q", "5")
     assert code == 0

@@ -402,3 +402,19 @@ def test_invalid_witness_raises_construct_error(monkeypatch):
         construct_involution(Perm.from_cycles("(1,2,3)", 5), GroupSpec("Alt", 5))
     with pytest.raises(ConstructError, match="forced-violation"):
         sl2_witness(Mat(ctx5, [[2, 0], [0, 3]]))
+
+
+def test_class_search_cap():
+    # a 5-cycle of Alt(5) is 3 steps from an involution
+    g = Perm.from_cycles("(1,2,3,4,5)", 5)
+    with pytest.raises(ConstructError, match="cap"):
+        brute_force_witness(g, GroupSpec("Alt", 5), cap=2)
+    assert brute_force_witness(g, GroupSpec("Alt", 5), cap=3).length == 3
+    # the order-3 class of SL(2,2) runs out of classes at layer 2: that is
+    # still past a cap of 2, and certified unreachable under a cap of 3
+    g = Mat(ctx2, [[1, 1], [1, 0]])
+    with pytest.raises(ConstructError, match="cap"):
+        brute_force_witness(g, GroupSpec("SL", 2, 2), cap=2)
+    with pytest.raises(Unreachable) as ei:
+        brute_force_witness(g, GroupSpec("SL", 2, 2), cap=3)
+    assert ei.value.certificate["levels_explored"] == 2

@@ -1,14 +1,21 @@
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from invword import oracle
+from invword.constructor import brute_force_witness
 from invword.matrix import GroupSpec, Mat
 from invword.gf import make_field
 from invword.perm import Perm
 from invword.oracle import (GroupTooLarge, build_group, class_product_count,
-                            conjugacy_classes, d_inv, dist_to_set,
+                            conjugacy_classes, d_inv, d_proj_inv, dist_to_set,
                             group_order, involution_indices, is_simple,
                             orbital_diameter_report,
                             projective_involution_indices)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def test_order_formulas():
@@ -39,6 +46,22 @@ def test_build_group_alt5():
 def test_build_group_rejects_large():
     with pytest.raises(GroupTooLarge):
         build_group(GroupSpec("SL", 4, 3))   # order 12130560
+
+
+def test_enumeration_self_checks_raise(monkeypatch):
+    # these checks must survive python -O, so they are no asserts
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    monkeypatch.setattr(oracle, "group_order", lambda spec: 25)
+    for spec in (GroupSpec("SL", 2, 3), GroupSpec("Sym", 4)):
+        with pytest.raises(RuntimeError, match="order formula gives 25"):
+            build_group(spec)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    tbl = build_group(GroupSpec("SL", 2, 3))
+    # every transporter the identity: only class representatives pass
+    monkeypatch.setattr(tbl.code, "left", lambda k, t: tbl.code.identity)
+    with pytest.raises(RuntimeError, match="transporter"):
+        conjugacy_classes(tbl)
 
 
 def test_conjugacy_classes_alt5():
@@ -141,8 +164,31 @@ def test_d_inv_requires_simplicity():
     assert is_simple(GroupSpec("PSL", 2, 7))
     assert not is_simple(GroupSpec("PSL", 2, 3))
     assert not is_simple(GroupSpec("SL", 2, 5))
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         d_inv(build_group(GroupSpec("SL", 2, 5)))
+
+
+def test_d_inv_refuses_non_simple_under_optimize():
+    # the check must survive python -O, so it is no assert
+    code = ("from invword.matrix import GroupSpec\n"
+            "from invword.oracle import build_group, d_inv\n"
+            "try:\n"
+            "    d_inv(build_group(GroupSpec('Alt', 4)))\n"
+            "except ValueError as e:\n"
+            "    print('refused:', e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={"PYTHONPATH": SRC}, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "refused: Alt(4) is not simple"
+
+
+def test_projective_involutions_need_a_linear_group():
+    tbl = build_group(GroupSpec("PSL", 2, 5))
+    with pytest.raises(ValueError):
+        projective_involution_indices(tbl)
+    with pytest.raises(ValueError):
+        d_proj_inv(tbl)
 
 
 def test_d_inv_sl32():
@@ -186,3 +232,143 @@ def test_orbital_diameter_report():
     assert len(rep.matching) == 4
     assert 2 * rep.orbdiam >= rep.d_t
     assert rep.orbdiam <= 72 * rep.d_t
+
+
+# -- reference: the tuple-of-tuples tables the oracle kept before the row
+# code.  Matrices are tuples of row tuples, products are generic field
+# sums, inverses go through Mat.inv, and projective classes are the least
+# tuple among the scalar multiples.
+
+
+def _ref_right(ctx, b):
+    """The map x -> x b on row-tuple matrices, each row product memoized."""
+    q, mt, at = ctx.q, ctx.mul_table, ctx.add_table
+    cols = tuple(zip(*b))
+    memo = {}
+
+    def row(r):
+        if r not in memo:
+            out = []
+            for cb in cols:
+                acc = 0
+                for x, y in zip(r, cb):
+                    if x and y:
+                        acc = at[acc * q + mt[x * q + y]]
+                out.append(acc)
+            memo[r] = tuple(out)
+        return memo[r]
+
+    return lambda x: tuple(map(row, x))
+
+
+def _ref_left(ctx, s):
+    """The map x -> s x, as (x^T s^T)^T."""
+    right = _ref_right(ctx, tuple(zip(*s)))
+    return lambda x: tuple(zip(*right(tuple(zip(*x)))))
+
+
+def _ref_tables(spec):
+    """(elements, inverse, gens, class_of, reps, transporter) as the
+    tuple code computed them: closure by breadth-first right
+    multiplication with the transvections (and diag(nu, 1, ...) for GL,
+    PGL), sorted; classes by conjugating with the generators in order."""
+    ctx, n, q = make_field(spec.q), spec.n, spec.q
+    if spec.family == "PSL":
+        lams = [c for c in range(2, q) if ctx.pow(c, n) == 1]
+    else:
+        lams = list(range(2, q)) if spec.family == "PGL" else []
+
+    def code(rows):
+        e = tuple(tuple(r) for r in rows)
+        return min([e] + [tuple(tuple(ctx.mul(c, x) for x in r) for r in e)
+                          for c in lams])
+
+    def unit():
+        return [[int(a == b) for b in range(n)] for a in range(n)]
+
+    gens = []
+    for i in range(n):
+        for j in range(n):
+            for lam in range(1, q) if i != j else ():
+                rows = unit()
+                rows[i][j] = lam
+                gens.append(code(rows))
+    if spec.family in ("GL", "PGL"):
+        rows = unit()
+        rows[0][0] = ctx.generator()
+        gens.append(code(rows))
+    identity = code(unit())
+    times = [_ref_right(ctx, s) for s in gens]
+    seen, frontier = {identity}, [identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for f in times:
+                y = code(f(x))
+                if y not in seen:
+                    seen.add(y)
+                    nxt.append(y)
+        frontier = nxt
+    elements = sorted(seen)
+    index = {e: i for i, e in enumerate(elements)}
+    inverse = [index[code(Mat(ctx, e).inv().rows)] for e in elements]
+    gens = [index[s] for s in gens]
+    steps = [(s, _ref_left(ctx, elements[s]),
+              _ref_right(ctx, elements[inverse[s]])) for s in gens]
+    e = index[identity]
+    class_of, reps = [-1] * len(elements), []
+    transporter = [e] * len(elements)
+    for i in range(len(elements)):
+        if class_of[i] != -1:
+            continue
+        class_of[i] = len(reps)
+        reps.append(i)
+        frontier = [i]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for s, left, right_inv in steps:
+                    y = index[code(left(right_inv(elements[x])))]
+                    if class_of[y] == -1:
+                        class_of[y] = class_of[i]
+                        transporter[y] = index[code(
+                            left(elements[transporter[x]]))]
+                        nxt.append(y)
+            frontier = nxt
+    return elements, inverse, gens, class_of, reps, transporter
+
+
+@pytest.mark.parametrize("spec", [
+    *(GroupSpec("SL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9)),
+    GroupSpec("SL", 3, 2), GroupSpec("SL", 3, 3), GroupSpec("SL", 4, 2),
+    GroupSpec("GL", 2, 3),
+    *(GroupSpec("PSL", 2, q) for q in (5, 7, 8, 9)),
+    GroupSpec("PGL", 2, 5),
+], ids=repr)
+def test_row_code_matches_tuple_reference(spec):
+    elements, inverse, gens, class_of, reps, transporter = _ref_tables(spec)
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    assert [tbl.decode(i).rows for i in range(tbl.order)] == elements
+    assert [tbl.inv(i) for i in range(tbl.order)] == inverse
+    assert tbl.gens == gens
+    assert ct.class_of == class_of
+    assert ct.reps == reps
+    assert ct.transporter == transporter
+    assert all(tbl.index_of(tbl.decode(i)) == i for i in range(tbl.order))
+
+
+def test_sl42_class_search_lengths_are_distances():
+    spec = GroupSpec("SL", 4, 2)
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    targets = projective_involution_indices(tbl)
+    checked = 0
+    for k in range(ct.n_classes):
+        g = tbl.decode(ct.reps[k])
+        if g.is_scalar():
+            continue
+        w = brute_force_witness(g, spec)
+        assert w.length == dist_to_set(tbl, ct.reps[k], targets), k
+        checked += 1
+    assert checked == ct.n_classes - 1
