@@ -11,6 +11,7 @@ before being returned.
 
 import itertools
 import json
+import math
 import random
 
 from .gf import UnsupportedField, make_extension, make_field, pick_alpha, poly_deg
@@ -450,8 +451,13 @@ def _pair_candidates(ctx, n, count=600):
 
 def _similarity_in_sl(g, m):
     """u with u g u^-1 = m and det u = 1, or None.  A base solution is
-    corrected inside the centralizer F[g] (g is regular in every use)."""
-    from .canonical import solve_similarity
+    corrected inside the centralizer F[g] (g is regular in every use).
+
+    With charpoly(g) = prod f_i^e_i, det p(g) = prod N(p mod f_i)^e_i,
+    norms taken down to GF(q); norms are onto GF(q)*, so the determinants
+    reached in F[g] are exactly the e-th powers, e = gcd(e_i).  A target
+    outside them returns None without enumerating F[g]."""
+    from .canonical import factor_charpoly, solve_similarity
     u0 = solve_similarity(g, m)
     if u0 is None:
         return None
@@ -460,6 +466,11 @@ def _similarity_in_sl(g, m):
         return u0
     ctx, n = g.ctx, g.n
     want = ctx.inv(d)
+    e = ctx.q - 1
+    for _, mult in factor_charpoly(g):
+        e = math.gcd(e, mult)
+    if ctx.pow(want, (ctx.q - 1) // e) != 1:
+        return None  # want is not an e-th power
     pows = [Mat.identity(ctx, n)]
     for _ in range(n - 1):
         pows.append(pows[-1] * g)
@@ -634,7 +645,8 @@ def brute_force_witness(g, spec, cap=48):
     minimum-length witness.  Raises Unreachable (with a closure
     certificate) when no involution is reachable, GroupTooLarge when the
     group cannot be enumerated, ConstructError past the cap."""
-    from .oracle import _bfs_layers, _right_mul, build_group, conjugacy_classes
+    from .oracle import (_bfs_layers, _right_mul, build_group, conjugacy_classes,
+                         projective_involution_test)
 
     tbl = build_group(spec)
     ct = conjugacy_classes(tbl)
@@ -660,12 +672,12 @@ def brute_force_witness(g, spec, cap=48):
             e, x = -1, ai
         return tbl.decode(tbl.mul(ct.transporter[x], tg_inv)), e, "bfs"
 
-    def is_target(idx):
-        if tbl.spec.family in ("Alt", "Sym"):
+    if spec.family in ("Alt", "Sym"):
+        def is_target(idx):
             return (idx != tbl.identity_index
                     and tbl.mul(idx, idx) == tbl.identity_index)
-        el = tbl.decode(idx)
-        return classify(el, spec).projective_involution
+    else:
+        is_target = projective_involution_test(tbl)
 
     parents = {}  # class index -> node it was first reached from
     level = 0

@@ -39,9 +39,12 @@ class UnsupportedField(ValueError):
 class FieldCtx:
     """Arithmetic context for one finite field.
 
-    All operations go through precomputed flat tables; the hot-path
-    consumers read ``add_table`` / ``mul_table`` directly (row-major,
-    index a*q + b) instead of paying method-call overhead.
+    All operations go through precomputed tables.  ``add_table`` and
+    ``mul_table`` are flat (row-major, index a*q + b); the polynomial
+    helpers read them directly.  ``add_rows[a][b]`` and ``mul_rows[a][b]``
+    hold the same sums and products as one tuple per a, so the matrix
+    kernels update a whole row as ``[add_rows[x][mf[y]] ...]`` with
+    ``mf = mul_rows[f]`` fetched once per row.
     """
 
     def __init__(self, q, p, deg, key, add_table, mul_table, base=None, ext_modulus=None):
@@ -54,6 +57,8 @@ class FieldCtx:
         self.ext_deg = None if base is None else len(ext_modulus) - 1
         self.add_table = add_table
         self.mul_table = mul_table
+        self.add_rows = tuple(tuple(add_table[a * q:(a + 1) * q]) for a in range(q))
+        self.mul_rows = tuple(tuple(mul_table[a * q:(a + 1) * q]) for a in range(q))
         n = q
         self.neg_table = [0] * n
         for a in range(1, n):

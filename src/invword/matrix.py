@@ -2,7 +2,16 @@
 
 Entries are field encodings (plain ints).  Rows are stored as tuples, so
 matrices hash and compare by value; all binary operations require both
-operands to share the same (cached) field context.
+operands to share the same (cached) field context, and raise ValueError
+on a field or shape mismatch.
+
+The kernels work a row at a time through the field's row tables
+(``ctx.add_rows``, ``ctx.mul_rows``): a product row is the sum of the
+rows of the right factor scaled by the entries of the left one, and an
+elimination step replaces a row by ``[addr[x][mf[y]] for x, y in
+zip(row, pivot_row)]`` with ``mf = mul_rows[-f]``.  Results are built by
+``_mat``, which takes a tuple of equal-length tuples as given; the public
+``Mat(ctx, rows)`` converts and checks its rows.
 """
 
 from .gf import make_field
@@ -26,18 +35,19 @@ class Mat:
 
     @classmethod
     def identity(cls, ctx, n):
-        return cls(ctx, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return cls.diag(ctx, (1,) * n)
 
     @classmethod
     def zero(cls, ctx, n, m=None):
         m = n if m is None else m
-        return cls(ctx, ((0,) * m,) * n)
+        return _mat(ctx, ((0,) * m,) * n)
 
     @classmethod
     def diag(cls, ctx, entries):
         entries = tuple(entries)
         n = len(entries)
-        return cls(ctx, tuple(tuple(entries[i] if i == j else 0 for j in range(n)) for i in range(n)))
+        return _mat(ctx, tuple((0,) * i + (c,) + (0,) * (n - 1 - i)
+                               for i, c in enumerate(entries)))
 
     @classmethod
     def scalar(cls, ctx, n, c):
@@ -46,44 +56,45 @@ class Mat:
     # -- ring structure ----------------------------------------------------
 
     def __add__(self, other):
-        assert self.ctx is other.ctx and self.n == other.n and self.m == other.m
-        add = self.ctx.add_table
-        q = self.ctx.q
-        return Mat(self.ctx, tuple(tuple(add[a * q + b] for a, b in zip(ra, rb))
-                                   for ra, rb in zip(self.rows, other.rows)))
+        if other.ctx is not self.ctx or (self.n, self.m) != (other.n, other.m):
+            raise ValueError("cannot add %s and %s" % (_shape(self), _shape(other)))
+        addr = self.ctx.add_rows
+        return _mat(self.ctx, tuple(tuple([addr[x][y] for x, y in zip(ra, rb)])
+                                    for ra, rb in zip(self.rows, other.rows)))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
         neg = self.ctx.neg_table
-        return Mat(self.ctx, tuple(tuple(neg[a] for a in r) for r in self.rows))
+        return _mat(self.ctx, tuple(tuple([neg[x] for x in r]) for r in self.rows))
 
     def __mul__(self, other):
-        assert self.ctx is other.ctx and self.m == other.n
-        q = self.ctx.q
-        add = self.ctx.add_table
-        mul = self.ctx.mul_table
-        bt = other.transpose().rows
+        ctx = self.ctx
+        if other.ctx is not ctx or self.m != other.n:
+            raise ValueError("cannot multiply %s by %s" % (_shape(self), _shape(other)))
+        addr, mulr = ctx.add_rows, ctx.mul_rows
+        brows = other.rows
         out = []
         for ra in self.rows:
-            row = []
-            for cb in bt:
-                s = 0
-                for a, b in zip(ra, cb):
-                    if a and b:
-                        s = add[s * q + mul[a * q + b]]
-                row.append(s)
-            out.append(tuple(row))
-        return Mat(self.ctx, tuple(out))
+            # row i of the product: sum over k of a_ik times row k of other
+            acc = None
+            for a, rb in zip(ra, brows):
+                if a:
+                    ma = mulr[a]
+                    if acc is None:
+                        acc = rb if a == 1 else [ma[y] for y in rb]
+                    else:
+                        acc = [addr[x][ma[y]] for x, y in zip(acc, rb)]
+            out.append((0,) * other.m if acc is None else tuple(acc))
+        return _mat(ctx, tuple(out))
 
     def scale(self, c):
-        q = self.ctx.q
-        mul = self.ctx.mul_table
-        return Mat(self.ctx, tuple(tuple(mul[c * q + a] for a in r) for r in self.rows))
+        mc = self.ctx.mul_rows[c]
+        return _mat(self.ctx, tuple(tuple([mc[x] for x in r]) for r in self.rows))
 
     def __pow__(self, k):
-        assert self.n == self.m
+        _require_square(self)
         base = self if k >= 0 else self.inv()
         k = abs(k)
         out = Mat.identity(self.ctx, self.n)
@@ -117,15 +128,15 @@ class Mat:
                    for i in range(self.n) for j in range(self.n))
 
     def transpose(self):
-        return Mat(self.ctx, tuple(zip(*self.rows))) if self.rows else self
+        return _mat(self.ctx, tuple(zip(*self.rows))) if self.rows else self
 
     # -- elimination-based ops ----------------------------------------------
 
     def det(self):
-        assert self.n == self.m
-        ctx = self.ctx
-        a = [list(r) for r in self.rows]
-        n = self.n
+        _require_square(self)
+        ctx, n = self.ctx, self.n
+        addr, mulr, neg, inv = ctx.add_rows, ctx.mul_rows, ctx.neg_table, ctx.inv_table
+        a = list(self.rows)
         det = 1
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
@@ -133,35 +144,33 @@ class Mat:
                 return 0
             if piv != col:
                 a[col], a[piv] = a[piv], a[col]
-                det = ctx.neg(det)
-            det = ctx.mul(det, a[col][col])
-            inv_p = ctx.inv(a[col][col])
+                det = neg[det]
+            prow = a[col]
+            p = prow[col]
+            det = mulr[det][p]
+            minv = mulr[neg[inv[p]]]
             for r in range(col + 1, n):
-                f = ctx.mul(a[r][col], inv_p)
+                f = a[r][col]
                 if f:
-                    for c in range(col, n):
-                        a[r][c] = ctx.sub(a[r][c], ctx.mul(f, a[col][c]))
+                    mf = mulr[minv[f]]
+                    a[r] = [addr[x][mf[y]] for x, y in zip(a[r], prow)]
         return det
 
     def inv(self):
-        assert self.n == self.m
+        _require_square(self)
         ctx, n = self.ctx, self.n
-        a = [list(self.rows[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+        one = (0,) * n + (1,) + (0,) * (n - 1)
+        a = [row + one[n - i:2 * n - i] for i, row in enumerate(self.rows)]
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
                 raise ZeroDivisionError("singular matrix")
             a[col], a[piv] = a[piv], a[col]
-            inv_p = ctx.inv(a[col][col])
-            a[col] = [ctx.mul(inv_p, x) for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col]:
-                    f = a[r][col]
-                    a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[col])]
-        return Mat(ctx, tuple(tuple(row[n:]) for row in a))
+            _eliminate(ctx, a, col, col)
+        return _mat(ctx, tuple(tuple(row[n:]) for row in a))
 
     def rank(self):
-        return len(_row_echelon(self.ctx, [list(r) for r in self.rows])[0])
+        return len(_row_echelon(self.ctx, list(self.rows))[0])
 
     # -- text form -------------------------------------------------------
 
@@ -173,6 +182,41 @@ class Mat:
 
     def __repr__(self):
         return "Mat(%r, %s)" % (self.ctx, self.to_text())
+
+
+def _mat(ctx, rows):
+    """A Mat over ctx with rows taken as given: a tuple of equal-length
+    tuples of field encodings."""
+    m = object.__new__(Mat)
+    m.ctx = ctx
+    m.rows = rows
+    m.n = len(rows)
+    m.m = len(rows[0]) if rows else 0
+    return m
+
+
+def _shape(a):
+    return "%dx%d over %r" % (a.n, a.m, a.ctx)
+
+
+def _require_square(a):
+    if a.n != a.m:
+        raise ValueError("square matrix required, got %s" % _shape(a))
+
+
+def _eliminate(ctx, a, r, c):
+    """Scale row r of the row list a to a leading 1 in column c, then clear
+    column c from every other row."""
+    addr, mulr, neg = ctx.add_rows, ctx.mul_rows, ctx.neg_table
+    prow = a[r]
+    if prow[c] != 1:
+        mi = mulr[ctx.inv_table[prow[c]]]
+        prow = a[r] = [mi[x] for x in prow]
+    for i, row in enumerate(a):
+        f = row[c]
+        if f and i != r:
+            mf = mulr[neg[f]]
+            a[i] = [addr[x][mf[y]] for x, y in zip(row, prow)]
 
 
 def parse_mat(ctx, text):
@@ -187,7 +231,8 @@ def parse_mat(ctx, text):
 
 
 def _row_echelon(ctx, a):
-    # In-place echelon; returns (pivot column list, row list).
+    """Reduced row echelon form of the row list a, in place (rows are
+    replaced, never mutated); returns (pivot column list, row list)."""
     rows = len(a)
     cols = len(a[0]) if rows else 0
     pivots = []
@@ -197,12 +242,7 @@ def _row_echelon(ctx, a):
         if piv is None:
             continue
         a[r], a[piv] = a[piv], a[r]
-        inv_p = ctx.inv(a[r][c])
-        a[r] = [ctx.mul(inv_p, x) for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c]:
-                f = a[i][c]
-                a[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[i], a[r])]
+        _eliminate(ctx, a, r, c)
         pivots.append(c)
         r += 1
         if r == rows:
@@ -212,24 +252,23 @@ def _row_echelon(ctx, a):
 
 def nullspace(mat):
     """Basis of the right kernel {x : mat @ x = 0}, vectors as tuples."""
-    ctx = mat.ctx
-    pivots, a = _row_echelon(ctx, [list(r) for r in mat.rows])
+    neg = mat.ctx.neg_table
+    pivots, a = _row_echelon(mat.ctx, list(mat.rows))
     basis = []
     free = [c for c in range(mat.m) if c not in pivots]
     for fc in free:
         v = [0] * mat.m
         v[fc] = 1
         for r, pc in enumerate(pivots):
-            v[pc] = ctx.neg(a[r][fc])
+            v[pc] = neg[a[r][fc]]
         basis.append(tuple(v))
     return basis
 
 
 def solve(mat, b):
     """One solution x of mat @ x = b, or None.  b is a sequence."""
-    ctx = mat.ctx
-    aug = [list(r) + [bv] for r, bv in zip(mat.rows, b)]
-    pivots, a = _row_echelon(ctx, aug)
+    aug = [r + (bv,) for r, bv in zip(mat.rows, b)]
+    pivots, a = _row_echelon(mat.ctx, aug)
     if mat.m in pivots:
         return None  # pivot in the constant column: inconsistent
     x = [0] * mat.m
@@ -239,36 +278,37 @@ def solve(mat, b):
 
 
 def direct_sum(a, b):
-    assert a.ctx is b.ctx
-    n = a.n + b.n
-    rows = [tuple(r) + (0,) * b.m for r in a.rows]
-    rows += [(0,) * a.m + tuple(r) for r in b.rows]
-    return Mat(a.ctx, rows)
+    if a.ctx is not b.ctx:
+        raise ValueError("field mismatch: %r and %r" % (a.ctx, b.ctx))
+    left, right = (0,) * a.m, (0,) * b.m
+    return _mat(a.ctx, tuple(r + right for r in a.rows)
+                + tuple(left + r for r in b.rows))
 
 
 def pad(mat, n, offset=0):
     """Embed a square block at diagonal position offset inside I_n."""
-    assert mat.n == mat.m and offset + mat.n <= n
-    out = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for i in range(mat.n):
-        for j in range(mat.n):
-            out[offset + i][offset + j] = mat.rows[i][j]
-    return Mat(mat.ctx, out)
+    _require_square(mat)
+    if offset < 0 or offset + mat.n > n:
+        raise ValueError("a %dx%d block at offset %d does not fit in %dx%d"
+                         % (mat.n, mat.n, offset, n, n))
+    eye = Mat.identity(mat.ctx, n).rows
+    left, right = (0,) * offset, (0,) * (n - offset - mat.n)
+    return _mat(mat.ctx, eye[:offset] + tuple(left + r + right for r in mat.rows)
+                + eye[offset + mat.n:])
 
 
 def kron(a, b):
-    assert a.ctx is b.ctx
-    mul = a.ctx.mul
-    rows = []
-    for ra in a.rows:
-        for rb in b.rows:
-            rows.append(tuple(mul(x, y) for x in ra for y in rb))
-    return Mat(a.ctx, rows)
+    if a.ctx is not b.ctx:
+        raise ValueError("field mismatch: %r and %r" % (a.ctx, b.ctx))
+    mulr = a.ctx.mul_rows
+    return _mat(a.ctx, tuple(tuple([mx[y] for mx in map(mulr.__getitem__, ra) for y in rb])
+                             for ra in a.rows for rb in b.rows))
 
 
 def transvection(ctx, n, i, j, c=1):
     """I + c E_ij with i != j; determinant 1 for every c."""
-    assert i != j
+    if i == j:
+        raise ValueError("a transvection needs i != j, got %d" % i)
     rows = [[1 if r == s else 0 for s in range(n)] for r in range(n)]
     rows[i][j] = c
     return Mat(ctx, rows)

@@ -24,7 +24,7 @@ import itertools
 from math import factorial, gcd, prod
 
 from .gf import make_field
-from .matrix import GroupSpec, Mat, classify
+from .matrix import GroupSpec, Mat
 from .perm import Perm
 
 ORDER_CAP = 10 ** 6
@@ -459,16 +459,23 @@ def involution_indices(tbl):
 
 
 def projective_involution_indices(tbl):
-    """Indices whose square is scalar while the element is not (matrix
+    """Indices of the non-scalar elements whose square is I or -I (matrix
     families GL and SL only; ValueError otherwise)."""
     _require_linear(tbl.spec)
-    spec = tbl.spec
-    out = []
-    for i in range(tbl.order):
-        el = tbl.decode(i)
-        if classify(el, spec).projective_involution:
-            out.append(i)
-    return frozenset(out)
+    return frozenset(filter(projective_involution_test(tbl), range(tbl.order)))
+
+
+def projective_involution_test(tbl):
+    """The predicate on indices of a matrix group table: the element is not
+    scalar and its square is the element I or -I of the table, if -I is
+    in the group at all.  One table product per call; nothing is decoded."""
+    ctx, n = tbl.ctx, tbl.spec.n
+    scalars = {tbl.index_of(Mat.scalar(ctx, n, c)) for c in range(1, ctx.q)}
+    squares = {tbl.index_of(Mat.scalar(ctx, n, c)) for c in (1, ctx.neg(1))}
+    scalars.discard(None)
+    squares.discard(None)
+    mul = tbl.mul
+    return lambda i: i not in scalars and mul(i, i) in squares
 
 
 def _require_linear(spec):
@@ -628,7 +635,12 @@ def class_product_count(tbl, class_reps, target, cross_check=False):
     class_reps[i], whose product equals the fixed element target.
 
     Counted by iterated class convolution: the count of products equal
-    to a fixed element depends only on that element's class."""
+    to a fixed element depends only on that element's class.  cross_check
+    also counts the products directly; it raises ValueError above 5000
+    elements and RuntimeError when the two counts differ."""
+    if cross_check and tbl.order > 5000:
+        raise ValueError("%r: the direct cross-check is for groups of at "
+                         "most 5000 elements" % tbl.spec)
     ct = conjugacy_classes(tbl)
     reps = [r if isinstance(r, int) else tbl.index_of(r) for r in class_reps]
     ti = target if isinstance(target, int) else tbl.index_of(target)
@@ -649,7 +661,6 @@ def class_product_count(tbl, class_reps, target, cross_check=False):
         counts = {k: new.get(k, 0) for k in range(ct.n_classes)}
     result = counts[ct.class_of[ti]]
     if cross_check:
-        assert tbl.order <= 5000, "direct check is for small groups"
         acc = {x: 1 for x in ct.members(ct.class_of[reps[0]])}
         for r in reps[1:]:
             nxt = {}
@@ -658,7 +669,9 @@ def class_product_count(tbl, class_reps, target, cross_check=False):
                     z = tbl.mul(x, y)
                     nxt[z] = nxt.get(z, 0) + cx
             acc = nxt
-        assert acc.get(ti, 0) == result, (acc.get(ti, 0), result)
+        if acc.get(ti, 0) != result:
+            raise RuntimeError("%r: class convolution counts %d, direct "
+                               "products %d" % (tbl.spec, result, acc.get(ti, 0)))
     return result
 
 
@@ -683,6 +696,11 @@ class OrbitalReport:
                 % (self.orbdiam, self.d_t, self.ok))
 
 
+def _require(ok, spec, what):
+    if not ok:
+        raise RuntimeError("%r: %s" % (spec, what))
+
+
 def orbital_diameter_report(spec=None, bound_factor=72):
     """Orbital graphs of the square-with-swap action on T = Alt(5).
 
@@ -690,7 +708,8 @@ def orbital_diameter_report(spec=None, bound_factor=72):
     swap by w -> w^-1.  Point pairs split into orbitals; each nondiagonal
     orbital graph is checked to be the Cayley graph of a class closed
     under inversion, so the maximum orbital diameter sandwiches between
-    half the class-graph diameter and bound_factor times it."""
+    half the class-graph diameter and bound_factor times it.  Raises
+    RuntimeError when one of these structure checks fails."""
     if spec is None:
         spec = GroupSpec("Alt", 5)
     tbl = build_group(spec)
@@ -730,17 +749,20 @@ def orbital_diameter_report(spec=None, bound_factor=72):
     orbital_edges = {}
     for k, pairs in enumerate(orbitals):
         if pairs[0][0] == pairs[0][1]:
-            assert all(x == y for x, y in pairs)
+            _require(all(x == y for x, y in pairs), spec,
+                     "orbital %d mixes diagonal and off-diagonal pairs" % k)
             continue
         edges = {frozenset(p) for p in pairs}
-        assert all(len(fs) == 2 for fs in edges)
+        _require(all(len(fs) == 2 for fs in edges), spec,
+                 "orbital %d holds a loop" % k)
         adj = [[] for _ in range(n)]
         for fs in edges:
             x, y = tuple(fs)
             adj[x].append(y)
             adj[y].append(x)
         reached = list(_bfs_layers([e], adj.__getitem__))
-        assert len(reached) == n, "orbital graph must be connected"
+        _require(len(reached) == n, spec,
+                 "orbital graph %d is not connected" % k)
         orbital_diameters[k] = reached[-1][0] - 1
         orbital_edges[k] = edges
     # Cayley graphs of the nontrivial classes
@@ -751,7 +773,8 @@ def orbital_diameter_report(spec=None, bound_factor=72):
             continue
         gens = set(ct.members(k)) | {tbl.inv(x) for x in ct.members(k)}
         reached = list(_bfs_layers([e], _right_mul(tbl, gens)))
-        assert len(reached) == n
+        _require(len(reached) == n, spec,
+                 "class %d does not generate the group" % k)
         class_diameters[k] = reached[-1][0] - 1
         class_edges[k] = {frozenset((x, tbl.mul(x, a)))
                           for x in range(n) for a in gens}
@@ -759,11 +782,11 @@ def orbital_diameter_report(spec=None, bound_factor=72):
     matching = {}
     for k, edges in orbital_edges.items():
         matches = [c for c, ce in class_edges.items() if ce == edges]
-        assert len(matches) == 1, \
-            "orbital %d matched classes %r" % (k, matches)
+        _require(len(matches) == 1, spec,
+                 "orbital %d matched classes %r" % (k, matches))
         matching[k] = matches[0]
-    assert set(matching.values()) == set(class_edges), \
-        "every nontrivial class graph should appear as an orbital graph"
+    _require(set(matching.values()) == set(class_edges), spec,
+             "a nontrivial class graph is no orbital graph")
     orbdiam = max(orbital_diameters.values())
     d_t = max(class_diameters.values())
     lower_ok = 2 * orbdiam >= d_t

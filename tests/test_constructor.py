@@ -1,12 +1,18 @@
+import itertools
+import math
+import random
+
 import pytest
 
 from invword.gf import make_field, irreducible_polys
 from invword.matrix import GroupSpec, Mat, transvection_h
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
-                               generalized_jordan)
+                               factor_charpoly, generalized_jordan,
+                               solve_similarity)
 from invword.perm import Perm
 from invword.constructor import (ConstructError, Unreachable, Witness,
                                  WitnessStep, _ext_descent,
+                                 _similarity_in_sl,
                                  brute_force_witness,
                                  construct_involution, find_partner, replay,
                                  sl2_witness, witness_from_json,
@@ -27,6 +33,101 @@ def ok(w):
 
 def labels(w):
     return sorted({s.case for s in w.steps})
+
+
+# -- determinant correction in the pair search -----------------------------
+
+
+def ref_similarity_in_sl(g, m):
+    """_similarity_in_sl without the e-th power test: enumerate F[g] for a
+    z of determinant det(u0)^-1."""
+    import itertools
+    u0 = solve_similarity(g, m)
+    if u0 is None:
+        return None
+    d = u0.det()
+    if d == 1:
+        return u0
+    ctx, n = g.ctx, g.n
+    want = ctx.inv(d)
+    pows = [Mat.identity(ctx, n)]
+    for _ in range(n - 1):
+        pows.append(pows[-1] * g)
+    for coeffs in itertools.islice(itertools.product(range(ctx.q), repeat=n),
+                                   300000):
+        z = None
+        for ck, pk in zip(coeffs, pows):
+            if ck:
+                z = pk.scale(ck) if z is None else z + pk.scale(ck)
+        if z is not None and z.det() == want:
+            return u0 * z
+    return None
+
+
+def rand_gl(ctx, n, rng):
+    while True:
+        c = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)])
+        if c.det():
+            return c
+
+
+def test_similarity_early_exit_skips_enumeration(monkeypatch):
+    # g = I + N over GF(3), n = 6: det p(g) = p(1)^6 is a square, and the
+    # only nonzero square is 1, so det u0 = 2 cannot be corrected in F[g]
+    g = gen_jordan_block(ctx3, (2, 1), 6)
+    rng = random.Random(6)
+    while True:
+        c = rand_gl(ctx3, 6, rng)
+        m = c * g * c.inv()
+        if solve_similarity(g, m).det() == 2:
+            break
+    calls = []
+    det = Mat.det
+    monkeypatch.setattr(Mat, "det", lambda self: calls.append(self) or det(self))
+    solve_similarity(g, m)
+    in_solve = len(calls)
+    calls.clear()
+    assert _similarity_in_sl(g, m) is None
+    assert len(calls) == in_solve + 1  # solve_similarity's, then det u0
+    monkeypatch.setattr(Mat, "det", det)
+    assert ref_similarity_in_sl(g, m) is None
+
+
+def test_similarity_early_exit_agrees_with_enumeration():
+    rng = random.Random(2024)
+    outcomes = {"none": 0, "found": 0, "early": 0}
+    for q in (3, 4, 5):
+        ctx = make_field(q)
+        for n in (2, 3, 4):
+            lam = list(range(1, q))
+            shapes = [gen_jordan_block(ctx, (ctx.neg(rng.choice(lam)), 1), n),
+                      rand_gl(ctx, n, rng)]
+            if n == 4:
+                f = irreducible_polys(ctx, 2)[0]
+                shapes.append(gen_jordan_block(ctx, f, 2))
+                a, b = rng.sample(lam, 2)
+                shapes.append(Mat(ctx, [[a, 1, 0, 0], [0, a, 0, 0],
+                                        [0, 0, b, 1], [0, 0, 0, b]]))
+            for g in shapes:
+                for _ in range(4):
+                    c = rand_gl(ctx, n, rng)
+                    m = c * g * c.inv()
+                    u0 = solve_similarity(g, m)
+                    want = ref_similarity_in_sl(g, m)
+                    got = _similarity_in_sl(g, m)
+                    assert got == want
+                    if got is None:
+                        outcomes["none"] += 1
+                        e = q - 1
+                        for _, mult in factor_charpoly(g):
+                            e = math.gcd(e, mult)
+                        if ctx.pow(ctx.inv(u0.det()), (q - 1) // e) != 1:
+                            outcomes["early"] += 1
+                    else:
+                        outcomes["found"] += 1
+                        assert got.det() == 1 and got * g * got.inv() == m
+    assert outcomes["early"] == outcomes["none"] > 0
+    assert outcomes["found"] > 0
 
 
 # -- 2x2 core -------------------------------------------------------------

@@ -1,9 +1,12 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from invword.canonical import charpoly
-from invword.gf import make_field
+from invword.gf import make_extension, make_field
 from invword.matrix import (
     GroupSpec,
     Mat,
@@ -19,6 +22,8 @@ from invword.matrix import (
     transvection,
     transvection_h,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def rand_mat(ctx, n, rng):
@@ -185,3 +190,218 @@ def test_block_helpers():
 def test_parse_rejects_ragged():
     with pytest.raises(ValueError):
         parse_mat(make_field(5), "1,2;3")
+
+
+# -- per-entry reference kernels ---------------------------------------------
+# The matrix kernels before the row tables: one field operation per entry,
+# through the flat tables and the FieldCtx methods.  The row-table kernels
+# must agree with them entry for entry.
+
+def ref_mul(a, b):
+    ctx = a.ctx
+    q, add, mul = ctx.q, ctx.add_table, ctx.mul_table
+    bt = list(zip(*b.rows))
+    out = []
+    for ra in a.rows:
+        row = []
+        for cb in bt:
+            s = 0
+            for x, y in zip(ra, cb):
+                if x and y:
+                    s = add[s * q + mul[x * q + y]]
+            row.append(s)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+def ref_det(mat):
+    ctx, n = mat.ctx, mat.n
+    a = [list(r) for r in mat.rows]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = ctx.neg(det)
+        det = ctx.mul(det, a[col][col])
+        inv_p = ctx.inv(a[col][col])
+        for r in range(col + 1, n):
+            f = ctx.mul(a[r][col], inv_p)
+            if f:
+                for c in range(col, n):
+                    a[r][c] = ctx.sub(a[r][c], ctx.mul(f, a[col][c]))
+    return det
+
+
+def ref_inv(mat):
+    ctx, n = mat.ctx, mat.n
+    a = [list(mat.rows[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            raise ZeroDivisionError("singular matrix")
+        a[col], a[piv] = a[piv], a[col]
+        inv_p = ctx.inv(a[col][col])
+        a[col] = [ctx.mul(inv_p, x) for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a)
+
+
+def ref_row_echelon(ctx, a):
+    rows = len(a)
+    cols = len(a[0]) if rows else 0
+    pivots = []
+    r = 0
+    for c in range(cols):
+        piv = next((i for i in range(r, rows) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv_p = ctx.inv(a[r][c])
+        a[r] = [ctx.mul(inv_p, x) for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+        if r == rows:
+            break
+    return pivots, a
+
+
+def ref_nullspace(mat):
+    ctx = mat.ctx
+    pivots, a = ref_row_echelon(ctx, [list(r) for r in mat.rows])
+    basis = []
+    for fc in (c for c in range(mat.m) if c not in pivots):
+        v = [0] * mat.m
+        v[fc] = 1
+        for r, pc in enumerate(pivots):
+            v[pc] = ctx.neg(a[r][fc])
+        basis.append(tuple(v))
+    return basis
+
+
+def ref_solve(mat, b):
+    pivots, a = ref_row_echelon(mat.ctx, [list(r) + [bv] for r, bv in zip(mat.rows, b)])
+    if mat.m in pivots:
+        return None
+    x = [0] * mat.m
+    for r, pc in enumerate(pivots):
+        x[pc] = a[r][mat.m]
+    return tuple(x)
+
+
+KERNEL_FIELDS = [make_field(q) for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32)]
+KERNEL_FIELDS.append(make_extension(make_field(3), (1, 0, 1)))  # GF(9) as GF(3)[i]
+
+
+def kernel_inputs(ctx, rng, n, m):
+    """Seeded n x m matrices: dense, sparse, and singular (one row a
+    combination of two others, or a zero column)."""
+    def entry(density):
+        return rng.randrange(1, ctx.q) if rng.random() < density else 0
+
+    out = []
+    for density in (1.0, 0.6, 0.25):
+        out.append(Mat(ctx, [[entry(density) for _ in range(m)] for _ in range(n)]))
+    if n >= 3:
+        rows = [list(r) for r in out[0].rows]
+        c, d = rng.randrange(ctx.q), rng.randrange(ctx.q)
+        rows[rng.randrange(n)] = [ctx.add(ctx.mul(c, x), ctx.mul(d, y))
+                                  for x, y in zip(rows[0], rows[1])]
+        out.append(Mat(ctx, rows))
+    if m >= 2:
+        col = rng.randrange(m)
+        out.append(Mat(ctx, [[0 if j == col else x for j, x in enumerate(r)]
+                             for r in out[1].rows]))
+    return out
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=repr)
+def test_row_table_kernels_match_reference(ctx):
+    rng = random.Random(ctx.q * 101 + ctx.deg + (ctx.base is not None))
+    singular = 0
+    for n in range(1, 9):
+        for a in kernel_inputs(ctx, rng, n, n):
+            for b in kernel_inputs(ctx, rng, n, n)[:2]:
+                assert (a * b).rows == ref_mul(a, b)
+                assert (a + b).rows == tuple(
+                    tuple(ctx.add(x, y) for x, y in zip(ra, rb))
+                    for ra, rb in zip(a.rows, b.rows))
+            c = rng.randrange(ctx.q)
+            assert a.scale(c).rows == tuple(tuple(ctx.mul(c, x) for x in r) for r in a.rows)
+            assert (-a).rows == tuple(tuple(ctx.neg(x) for x in r) for r in a.rows)
+            d = ref_det(a)
+            assert a.det() == d
+            if d:
+                assert a.inv().rows == ref_inv(a)
+            else:
+                singular += 1
+                with pytest.raises(ZeroDivisionError):
+                    ref_inv(a)
+                with pytest.raises(ZeroDivisionError):
+                    a.inv()
+    assert singular > 0
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=repr)
+def test_row_table_elimination_matches_reference(ctx):
+    rng = random.Random(ctx.q * 103 + ctx.deg + (ctx.base is not None))
+    for n in range(1, 9):
+        m = rng.randrange(1, 9)
+        k = rng.randrange(1, 9)
+        for a in kernel_inputs(ctx, rng, n, m):
+            # rectangular products n x m times m x k
+            for b in kernel_inputs(ctx, rng, m, k)[:2]:
+                assert (a * b).rows == ref_mul(a, b)
+            pivots, _ = ref_row_echelon(ctx, [list(r) for r in a.rows])
+            assert a.rank() == len(pivots)
+            assert nullspace(a) == ref_nullspace(a)
+            x = Mat(ctx, [[rng.randrange(ctx.q)] for _ in range(m)])
+            inside = tuple(r[0] for r in (a * x).rows)  # b = a x is solvable
+            outside = tuple(rng.randrange(ctx.q) for _ in range(n))
+            for b in (inside, outside):
+                assert solve(a, b) == ref_solve(a, b)
+            assert solve(a, inside) is not None
+
+
+def test_kernel_guards_raise_under_optimize():
+    # shape and field mismatches must raise ValueError also under python -O
+    code = (
+        "from invword.gf import make_field\n"
+        "from invword.matrix import Mat, direct_sum, kron, mat_over, pad, transvection\n"
+        "a, b = mat_over(5, '1,2,3;4,0,1'), mat_over(5, '1,2;3,4')\n"
+        "f7 = mat_over(7, '2,0;0,2')\n"
+        "cases = [\n"
+        "    ('mul shape', lambda: a * b),\n"
+        "    ('mul field', lambda: b * f7),\n"
+        "    ('det', lambda: a.det()),\n"
+        "    ('inv', lambda: a.inv()),\n"
+        "    ('pow', lambda: a ** 2),\n"
+        "    ('add', lambda: a + b),\n"
+        "    ('add field', lambda: b + f7),\n"
+        "    ('direct_sum', lambda: direct_sum(b, f7)),\n"
+        "    ('kron', lambda: kron(b, f7)),\n"
+        "    ('pad square', lambda: pad(a, 4)),\n"
+        "    ('pad fit', lambda: pad(b, 3, offset=2)),\n"
+        "    ('transvection', lambda: transvection(make_field(5), 3, 1, 1)),\n"
+        "]\n"
+        "for name, f in cases:\n"
+        "    try:\n"
+        "        print(name, 'returned', f())\n"
+        "    except ValueError:\n"
+        "        print(name, 'ValueError')\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={"PYTHONPATH": SRC}, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.strip().splitlines()
+    assert len(lines) == 12
+    assert all(line.endswith(" ValueError") for line in lines), lines

@@ -6,14 +6,15 @@ import pytest
 
 from invword import oracle
 from invword.constructor import brute_force_witness
-from invword.matrix import GroupSpec, Mat
+from invword.matrix import GroupSpec, Mat, classify
 from invword.gf import make_field
 from invword.perm import Perm
 from invword.oracle import (GroupTooLarge, build_group, class_product_count,
                             conjugacy_classes, d_inv, d_proj_inv, dist_to_set,
                             group_order, involution_indices, is_simple,
                             orbital_diameter_report,
-                            projective_involution_indices)
+                            projective_involution_indices,
+                            projective_involution_test)
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -232,6 +233,72 @@ def test_orbital_diameter_report():
     assert len(rep.matching) == 4
     assert 2 * rep.orbdiam >= rep.d_t
     assert rep.orbdiam <= 72 * rep.d_t
+
+
+def test_class_product_cross_check_raises_under_optimize():
+    # the cross-check must check something under python -O: too large a
+    # group is refused, and a count that disagrees with the direct
+    # products (forced here by dropping one class member from the
+    # convolution) raises
+    code = (
+        "from invword import oracle\n"
+        "from invword.matrix import GroupSpec\n"
+        "from invword.perm import Perm\n"
+        "sl33 = oracle.build_group(GroupSpec('SL', 3, 3))\n"
+        "try:\n"
+        "    print(oracle.class_product_count(sl33, [1, 1], 0, cross_check=True))\n"
+        "except ValueError as e:\n"
+        "    print('ValueError:', e)\n"
+        "a4 = oracle.build_group(GroupSpec('Alt', 4))\n"
+        "dt = a4.index_of(Perm.from_cycles('(1,2)(3,4)', 4))\n"
+        "right_mul = oracle._right_mul\n"
+        "oracle._right_mul = lambda tbl, gens: right_mul(tbl, gens[1:])\n"
+        "try:\n"
+        "    print(oracle.class_product_count(a4, [dt, dt], a4.identity_index,\n"
+        "                                     cross_check=True))\n"
+        "except RuntimeError as e:\n"
+        "    print('RuntimeError:', e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={"PYTHONPATH": SRC}, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "ValueError: SL(3,3): the direct cross-check is for groups of at "
+        "most 5000 elements",
+        "RuntimeError: Alt(4): class convolution counts 2, direct products 3",
+    ]
+
+
+def test_orbital_report_checks_raise_under_optimize():
+    # in Alt(4) the double transpositions generate only V4, so their
+    # orbital graph is not connected
+    code = ("from invword.matrix import GroupSpec\n"
+            "from invword.oracle import orbital_diameter_report\n"
+            "try:\n"
+            "    print(orbital_diameter_report(GroupSpec('Alt', 4)))\n"
+            "except RuntimeError as e:\n"
+            "    print('RuntimeError:', e)\n")
+    out = subprocess.run([sys.executable, "-O", "-c", code],
+                         env={"PYTHONPATH": SRC}, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == \
+        "RuntimeError: Alt(4): orbital graph 2 is not connected"
+
+
+@pytest.mark.parametrize("spec", [
+    *(GroupSpec("SL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9)),
+    GroupSpec("SL", 3, 2), GroupSpec("SL", 3, 3), GroupSpec("SL", 4, 2),
+    GroupSpec("GL", 2, 3), GroupSpec("GL", 3, 2),
+], ids=repr)
+def test_projective_involution_test_matches_classify(spec):
+    tbl = build_group(spec)
+    want = frozenset(i for i in range(tbl.order)
+                     if classify(tbl.decode(i), spec).projective_involution)
+    assert want
+    assert projective_involution_indices(tbl) == want
+    is_target = projective_involution_test(tbl)
+    assert frozenset(filter(is_target, range(tbl.order))) == want
 
 
 # -- reference: the tuple-of-tuples tables the oracle kept before the row
