@@ -4,9 +4,10 @@ construct_involution(g, spec) returns a Witness holding steps (c_i, e_i)
 with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
 (in {I, -I}) and t non-central.  Closed-form reduction words cover each
-canonical shape; a conjugacy-class graph search covers a fixed list of
-small groups where the reductions degenerate; everything is replayed
-before being returned.
+canonical shape, tried in the order of the route table; a commutator
+restart answers when every route fails; a conjugacy-class graph search
+covers a fixed list of small groups where the reductions degenerate.
+Everything is replayed before being returned.
 """
 
 import itertools
@@ -18,10 +19,12 @@ from .gf import UnsupportedField, make_extension, make_field, pick_alpha, poly_d
 from .matrix import (GroupSpec, Mat, classify, commutator, pad, parse_mat,
                      transvection, transvection_h)
 from .canonical import charpoly, companion, generalized_jordan, split_decomposable
+from .oracle import GroupTooLarge
 from .perm import Perm, a5_witness, alt_partner, commutator_perm
 
 # Pairs (n, q) where the closed-form reductions are not available end to
-# end; these go through the class-graph search first.
+# end; these go through the class-graph search first, and through the
+# reductions only when the group is too large to enumerate.
 EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
 MAX_WITNESS_LEN = 96
@@ -116,7 +119,7 @@ def find_partner(g):
                 h = transvection(ctx, n, i, j, lam)
                 if not commutator(g, h).is_scalar():
                     return h
-    raise AssertionError("non-central element must fail to commute with "
+    raise ConstructError("non-central element must fail to commute with "
                          "some transvection")
 
 
@@ -128,9 +131,7 @@ def _reseed_word(g):
     h = find_partner(g)
     word = [(Mat.identity(g.ctx, g.n), -1, "reseed"),
             (h.inv(), 1, "reseed")]
-    x = _product(g, word)
-    assert x == commutator(g, h) and not x.is_scalar()
-    return word, x
+    return word, _product(g, word)
 
 
 def _reseed(g, depth):
@@ -144,20 +145,6 @@ def _reseed(g, depth):
 # -- 2x2 core ------------------------------------------------------------
 
 
-def _beta_exponent(ctx):
-    """(alpha, k) with alpha a square in {-1, 2, -2} and k the integer
-    exponent satisfying k = 2/alpha in the prime field."""
-    alpha, beta = pick_alpha(ctx)
-    if alpha == ctx.neg(1):
-        k = -2
-    elif alpha == ctx.scalar(2):
-        k = 1
-    else:
-        k = -1
-    assert ctx.scalar(k % ctx.p) == beta
-    return alpha, k
-
-
 def _sl2_unipotent(w, label):
     """Word for upper unitriangular w = I + x E_12, x != 0.  For odd q the
     product is [[1, x], [-2/x, -1]], which squares to -I; for even q the
@@ -165,16 +152,18 @@ def _sl2_unipotent(w, label):
     ctx = w.ctx
     x = w.rows[0][1]
     eye = Mat.identity(ctx, 2)
-    assert w.rows[0][0] == 1 and w.rows[1][0] == 0 and w.rows[1][1] == 1
-    assert x != 0
+    if w.rows != ((1, x), (0, 1)) or x == 0:
+        raise ConstructError("2x2 seed is not a nontrivial transvection")
     if ctx.p == 2:
         return [(eye, 1, label)], w
-    alpha, k = _beta_exponent(ctx)
+    # alpha is a square in {-1, 2, -2} and k = 2/alpha in the prime field
+    alpha, _ = pick_alpha(ctx)
+    k = -2 if alpha == ctx.neg(1) else 1 if alpha == ctx.scalar(2) else -1
     gamma = ctx.sqrt(ctx.div(alpha, ctx.mul(x, x)))
-    assert gamma is not None
+    if gamma is None:
+        raise ConstructError("alpha / x^2 is not a square")
     s = Mat(ctx, [[ctx.neg(ctx.mul(gamma, x)), ctx.sub(x, ctx.inv(gamma))],
                   [gamma, ctx.neg(1)]])
-    assert s.det() == 1
     steps = [(eye, 1, label)] + [(s, 1 if k > 0 else -1, label)] * abs(k)
     t = _product(w, steps)
     expect = Mat(ctx, [[1, x],
@@ -188,10 +177,11 @@ def _sl2_core(g):
     """Witness steps for non-central 2x2 determinant-1 g over GF(q), q >= 2.
 
     Normalizes so the lower-left entry vanishes or the matrix takes the
-    antidiagonal-plus form, then branches on the shape.  Over GF(2) the
-    order-3 elements admit no witness of this kind; that raises."""
+    antidiagonal-plus form, then branches on the shape.  Every branch ends
+    in _sl2_unipotent, which checks its seed and its identity, or returns
+    w itself, which the caller's replay checks.  Over GF(2) the order-3
+    elements admit no witness of this kind; that raises."""
     ctx = g.ctx
-    assert g.n == 2 and g.det() == 1 and not g.is_scalar()
     eye = Mat.identity(ctx, 2)
     u = None
     w = g
@@ -199,7 +189,6 @@ def _sl2_core(g):
         # row reduce to the form with a zero in position (1,1)
         u = transvection_h(ctx, ctx.neg(ctx.div(w.rows[0][0], w.rows[1][0])))
         w = u * w * u.inv()
-        assert w.rows[0][0] == 0 and w.rows[1][0] != 0
     if w.rows[1][0] == 0:
         # [[a, b], [0, 1/a]]
         a, b = w.rows[0][0], w.rows[0][1]
@@ -216,7 +205,6 @@ def _sl2_core(g):
             h1 = transvection_h(ctx, 1)
             word = [(h1, 1, "sl2-commutator"), (eye, -1, "sl2-commutator")]
             seed = _product(w, word)
-            assert seed.rows[1][0] == 0 and seed.rows[0][0] == 1
             inner, t = _sl2_unipotent(seed, "sl2-commutator")
             steps = _expand(inner, word)
     else:
@@ -230,8 +218,6 @@ def _sl2_core(g):
             h2 = transvection_h(ctx, ctx.div(b, a))
             word = [(h2, 1, "sl2-twist"), (eye, 1, "sl2-twist")] * 2
             seed = _product(w, word)
-            assert seed == transvection_h(
-                ctx, ctx.mul(ctx.scalar(4), ctx.div(b, a)))
             inner, t = _sl2_unipotent(seed, "sl2-twist")
             steps = _expand(inner, word)
         else:
@@ -245,47 +231,29 @@ def _sl2_core(g):
             off = ctx.mul(ctx.sub(ctx.mul(c, c), 1),
                           ctx.div(b, ctx.mul(a, c)))
             h3 = Mat(ctx, [[c, off], [0, ctx.inv(c)]])
-            assert h3.det() == 1
             word1 = [(h3, 1, "sl2-char2"), (eye, -1, "sl2-char2")]
-            w1 = _product(w, word1)
-            csq = ctx.mul(c, c)
-            assert w1.rows[1][0] == 0 and w1.rows[0][0] == csq and csq != 1
             h1 = transvection_h(ctx, 1)
             word2 = _expand([(h1, 1, "sl2-char2"), (eye, -1, "sl2-char2")],
                             word1)
             seed = _product(w, word2)
-            assert seed.rows[1][0] == 0 and seed.rows[0][0] == 1
             inner, t = _sl2_unipotent(seed, "sl2-char2")
             steps = _expand(inner, word2)
     if u is not None:
         # the word was built over w = u g u^-1 and u has determinant 1
         steps = [(c * u, e, lab) for c, e, lab in steps]
-    assert _product(g, steps) == t
     return steps, t
 
 
 def sl2_witness(g):
-    """Witness for a non-central 2x2 determinant-1 matrix, q > 3.
+    """Witness for a non-central 2x2 determinant-1 matrix, q > 3: the
+    same witness construct_involution builds in SL(2, q).
 
     For q in {2, 3} use construct_involution, which routes these through
     the class-graph search."""
-    ctx = g.ctx
-    if ctx.q <= 3:
+    if g.ctx.q <= 3:
         raise ValueError("q <= 3 needs the search fallback; "
                          "call construct_involution")
-    spec = GroupSpec("SL", 2, ctx.q)
-    cls = classify(g, spec)
-    if not cls.in_group:
-        raise ValueError("determinant is not 1")
-    if cls.central:
-        raise ValueError("central element has no witness")
-    steps, t = _sl2_core(g)
-    w = Witness(spec, g, steps, t)
-    rep = replay(w)
-    if not rep.ok:
-        raise ConstructError("construction produced an invalid witness: %s"
-                             % rep.violation)
-    return w
+    return construct_involution(g, GroupSpec("SL", 2, g.ctx.q))
 
 
 # -- reduction words for the canonical shapes ----------------------------
@@ -298,14 +266,25 @@ def _s3(ctx, n, y):
     return pad(r, n, n - 3)
 
 
-def _scalar_fix(ctx, n, d):
-    """nu with nu^n = 1/d, or None; scaling a conjugator by nu cancels in
-    the conjugation, so this repairs determinants invisibly."""
+def _unit_residue(ctx, n):
+    """I + E_{n-1,n}: the product the closed-form block words reach."""
+    return pad(transvection_h(ctx, 1), n, n - 2)
+
+
+def _det_one(v):
+    """v scaled by a nu with nu^n = 1/det v; the scalar cancels in the
+    conjugation, so this repairs a conjugator's determinant invisibly.
+    Raises ConstructError when det v is 0 or not an n-th power."""
+    ctx, d = v.ctx, v.det()
+    if d == 1:
+        return v
+    if d == 0:
+        raise ConstructError("conjugator singular")
     target = ctx.inv(d)
     for nu in range(1, ctx.q):
-        if ctx.pow(nu, n) == target:
-            return nu
-    return None
+        if ctx.pow(nu, v.n) == target:
+            return v.scale(nu)
+    raise ConstructError("conjugator determinant outside the n-th powers")
 
 
 def _m1_word(gJ):
@@ -313,12 +292,8 @@ def _m1_word(gJ):
     whose product is I + E_{n-1,n}."""
     ctx, n = gJ.ctx, gJ.n
     lab = "m1-reduction"
-    word = [(_s3(ctx, n, ctx.neg(1)), -1, lab), (_s3(ctx, n, 0), 1, lab),
+    return [(_s3(ctx, n, ctx.neg(1)), -1, lab), (_s3(ctx, n, 0), 1, lab),
             (_s3(ctx, n, 1), -1, lab), (_s3(ctx, n, 0), 1, lab)]
-    expect = pad(transvection_h(ctx, 1), n, n - 2)
-    if _product(gJ, word) != expect:
-        raise ConstructError("companion reduction identity failed")
-    return word, expect, n - 2
 
 
 def _mn_word(gJ):
@@ -338,25 +313,14 @@ def _mn_word(gJ):
         rows[n - 2][1] = ctx.add(rows[n - 2][1], y)
         return Mat(ctx, rows)
 
-    conjs = []
-    for y in (1, 0):
-        v = v_of(y)
-        dv = v.det()
-        if dv == 0:
-            raise ConstructError("reduction matrix singular")
-        if dv != 1:
-            nu = _scalar_fix(ctx, n, dv)
-            if nu is None:
-                raise ConstructError(
-                    "reduction determinant outside the n-th powers")
-            v = v.scale(nu)
-            assert v.det() == 1
-        conjs.append(v)
-    word = [(conjs[0], 1, lab), (conjs[1], -1, lab)]
-    expect = pad(transvection_h(ctx, 1), n, n - 2)
-    if _product(gJ, word) != expect:
-        raise ConstructError("regular unipotent reduction identity failed")
-    return word, expect, n - 2
+    return [(_det_one(v_of(1)), 1, lab), (_det_one(v_of(0)), -1, lab)]
+
+
+def _pair_word(gJ):
+    """lambda (I + N) when _mn_word fails: a searched 2-step word with
+    product I + E_{n-1,n}."""
+    a, b = _pair_search(gJ, _unit_residue(gJ.ctx, gJ.n))
+    return [(a, 1, "mn-reduction"), (b, -1, "mn-reduction")]
 
 
 def _m2_t2(ctx, n, f):
@@ -394,38 +358,23 @@ def _m2_t2(ctx, n, f):
 
 def _m2_word(gJ, f):
     """Two Jordan blocks for the same irreducible f of degree d = n/2 >= 2:
-    a 4-step word with product I + E_{n-1,n} when n >= 6; a searched pair
-    reaching a 2x2 residue when n = 4."""
+    (word, product).  A 4-step word with product I + E_{n-1,n} when
+    n >= 6; a searched pair reaching I (+) [[1, 1], [1/c0, 1 + 1/c0]]
+    (determinant 1, not scalar) when n = 4."""
     ctx, n = gJ.ctx, gJ.n
     lab = "m2-reduction"
     if n == 4:
         c0 = f[0]
         wres = Mat(ctx, [[1, 1], [ctx.inv(c0), ctx.add(1, ctx.inv(c0))]])
-        assert wres.det() == 1 and not wres.is_scalar()
         target = pad(wres, 4, 2)
         A, B = _pair_search(gJ, target)
-        word = [(A, 1, lab), (B, -1, lab)]
-        assert _product(gJ, word) == target
-        return word, target, 2
-    t1 = pad(transvection_h(ctx, 1), n, n - 2)
-    t2 = _m2_t2(ctx, n, f)
-    dv = t2.det()
-    if dv == 0:
-        raise ConstructError("auxiliary conjugator singular")
-    if dv != 1:
-        nu = _scalar_fix(ctx, n, dv)
-        if nu is None:
-            raise ConstructError(
-                "auxiliary determinant outside the n-th powers")
-        t2 = t2.scale(nu)
-    A = t2.inv()
+        return [(A, 1, lab), (B, -1, lab)], target
+    t1 = _unit_residue(ctx, n)
+    A = _det_one(_m2_t2(ctx, n, f)).inv()
     B = A * t1
     s0, sm1 = _s3(ctx, n, 0), _s3(ctx, n, ctx.neg(1))
-    word = [(s0 * A, -1, lab), (s0 * B, 1, lab),
-            (sm1 * B, -1, lab), (sm1 * A, 1, lab)]
-    if _product(gJ, word) != t1:
-        raise ConstructError("double-block reduction identity failed")
-    return word, t1, n - 2
+    return [(s0 * A, -1, lab), (s0 * B, 1, lab),
+            (sm1 * B, -1, lab), (sm1 * A, 1, lab)], t1
 
 
 # -- searched pairs ------------------------------------------------------
@@ -487,9 +436,7 @@ def _similarity_in_sl(g, m):
             z = term if z is None else z + term
         if z is None or z.det() != want:
             continue
-        u = u0 * z
-        assert u.det() == 1 and u * g * u.inv() == m
-        return u
+        return u0 * z
     return None
 
 
@@ -532,18 +479,22 @@ def _lift_square(gJ, inner, t_sub, emb, word=None):
     if word is not None:
         steps = _expand(steps, word)
     t = _lift_sub(t_sub, n, emb)
-    spec = GroupSpec("SL", n, gJ.ctx.q)
-    if not classify(t, spec).projective_involution:
+    if not classify(t, GroupSpec("SL", n, gJ.ctx.q)).projective_involution:
         steps = steps + steps
         t = t * t
-        assert classify(t, spec).projective_involution
     return steps, t
 
 
-def _finish_block(gJ, word, expect, offset):
-    """expect = I (+) r (+) I with a 2x2 residue r at the given diagonal
-    offset: finish with a 2x2 word on r and lift it."""
-    emb = (offset, offset + 1)
+def _finish_block(gJ, word, expect=None):
+    """Check that word's product over gJ is expect = I (+) r, a 2x2 residue
+    r on the last two coordinates (I + E_{n-1,n} by default), then finish
+    with a 2x2 word on r and lift it."""
+    n = gJ.n
+    if expect is None:
+        expect = _unit_residue(gJ.ctx, n)
+    if _product(gJ, word) != expect:
+        raise ConstructError("%s identity failed" % word[0][2])
+    emb = (n - 2, n - 1)
     inner, t_sub = _sl2_core(_read_sub(expect, emb))
     return _lift_square(gJ, inner, t_sub, emb, word)
 
@@ -593,27 +544,25 @@ def _ext_descent(gJ, f, mult):
         if i + 1 < mult:
             rows[i][i + 1] = xi
     m_up = Mat(ext, rows)
-    assert _phi(m_up, base, f) == gJ
+    if _phi(m_up, base, f) != gJ:
+        raise ConstructError("block is not the blow-up of xi (I + N)")
     if mult >= 3:
-        word, expect, off = _mn_word(m_up)
-        steps_up, t_up = _finish_block(m_up, word, expect, off)
+        steps_up, t_up = _finish_block(m_up, _mn_word(m_up))
     else:
         # mult == 2 with even q: the upstairs matrix has determinant
         # xi^2 != 1, so reseed there and solve the 2x2 case
         word_x, x = _reseed_word(m_up)
         inner, t_up = _sl2_core(x)
         steps_up = _expand(inner, word_x)
-    steps = [(_phi(c, base, f), e, "descent/" + lab)
-             for c, e, lab in steps_up]
-    t = _phi(t_up, base, f)
-    assert _product(gJ, steps) == t
-    assert classify(t, GroupSpec("SL", gJ.n, base.q)).projective_involution
-    return steps, t
+    return ([(_phi(c, base, f), e, "descent/" + lab) for c, e, lab in steps_up],
+            _phi(t_up, base, f))
 
 
 def _decomposable(gJ, cf, depth):
     """Split into diagonal parts, solve on one non-scalar part with a
-    balanced word (so the complement cancels) and lift it."""
+    balanced word (so the complement cancels) and lift it.  An unbalanced
+    word for the part is traded for a commutator restart, whose words
+    always balance."""
     ctx = gJ.ctx
     g1, g2, (emb1, emb2) = split_decomposable(cf, gJ)
     sides = [(g1, emb1), (g2, emb2)]
@@ -625,13 +574,16 @@ def _decomposable(gJ, cf, depth):
         # only a 2x2 part over GF(2) is non-scalar; balanced words do not
         # exist there (they land in the index-2 subgroup), so widen the
         # part by one coordinate of the scalar complement
-        traps = [(s, e) for s, e in sides if not s.is_scalar()]
-        assert traps, "split must leave a non-scalar part"
-        _, emb_t = traps[0]
+        traps = [e for s, e in sides if not s.is_scalar()]
+        if not traps:
+            raise ConstructError("split left no non-scalar part")
+        emb_t = traps[0]
         emb_o = emb2 if emb_t == emb1 else emb1
         emb = tuple(emb_t) + (emb_o[0],)
         sub = _read_sub(gJ, emb)
-    inner, t_sub = _construct_internal(sub, depth + 1, require_balanced=True)
+    inner, t_sub = _construct_internal(sub, depth + 1)
+    if sum(e for _, e, _ in inner) != 0:
+        inner, t_sub = _reseed(sub, depth + 1)
     return _lift_square(gJ, inner, t_sub, emb)
 
 
@@ -644,13 +596,19 @@ def brute_force_witness(g, spec, cap=48):
     products of the class of g and its inverse, so the first hit gives a
     minimum-length witness.  Raises Unreachable (with a closure
     certificate) when no involution is reachable, GroupTooLarge when the
-    group cannot be enumerated, ConstructError past the cap."""
+    group cannot be enumerated, ConstructError past the cap.  Only SL and
+    Alt: elsewhere the table's words do not replay (parity in Sym,
+    determinant in GL, products up to scalars in PSL and PGL), so other
+    families raise ValueError."""
     from .oracle import (_bfs_layers, _right_mul, build_group, conjugacy_classes,
                          projective_involution_test)
 
+    if spec.family not in ("SL", "Alt"):
+        raise ValueError("class-graph search not supported for family %r"
+                         % spec.family)
     tbl = build_group(spec)
     ct = conjugacy_classes(tbl)
-    gi = tbl.index_of(g)
+    gi = tbl.index_of(g) if _fits(g, spec) else None
     if gi is None:
         raise ValueError("element outside the group")
     if gi == tbl.identity_index:
@@ -672,7 +630,7 @@ def brute_force_witness(g, spec, cap=48):
             e, x = -1, ai
         return tbl.decode(tbl.mul(ct.transporter[x], tg_inv)), e, "bfs"
 
-    if spec.family in ("Alt", "Sym"):
+    if spec.family == "Alt":
         def is_target(idx):
             return (idx != tbl.identity_index
                     and tbl.mul(idx, idx) == tbl.identity_index)
@@ -709,98 +667,79 @@ def brute_force_witness(g, spec, cap=48):
                       certificate)
 
 
-def _excluded_ladder(g, depth):
-    """For the fixed small (n, q) pairs: exact class search, or the
-    generic reductions when the group is too large to enumerate."""
-    from .oracle import GroupTooLarge
-
-    try:
-        w = brute_force_witness(g, GroupSpec("SL", g.n, g.ctx.q))
-    except GroupTooLarge:
-        return _construct_internal(g, depth + 1, skip_excluded=True)
-    return [(s.c, s.e, s.case) for s in w.steps], w.target
-
-
 # -- main pipeline -------------------------------------------------------
 
 
-def _construct_internal(g, depth=0, require_balanced=False,
-                        skip_excluded=False):
+def _m2_descent(gJ, cf):
+    if gJ.ctx.p != 2:
+        raise ConstructError("double-block descent needs characteristic 2")
+    return _ext_descent(gJ, cf.blocks[0][0], 2)
+
+
+# Indecomposable canonical case -> its closed-form routes in the order they
+# are tried.  A route takes (gJ, cf) and returns (steps, t); it may raise
+# ConstructError or UnsupportedField, and then the next route runs.  When
+# every route fails, the commutator restart (_reseed) answers.
+_ROUTES = {
+    "m1": [lambda gJ, cf: _finish_block(gJ, _m1_word(gJ))],
+    "mn": [lambda gJ, cf: _finish_block(gJ, _mn_word(gJ)),
+           lambda gJ, cf: _finish_block(gJ, _pair_word(gJ))],
+    "m2": [lambda gJ, cf: _finish_block(gJ, *_m2_word(gJ, cf.blocks[0][0])),
+           _m2_descent],
+    "ext": [lambda gJ, cf: _ext_descent(gJ, *cf.blocks[0])],
+}
+
+
+def _construct_internal(g, depth=0):
     if depth > _MAX_DEPTH:
         raise ConstructError("recursion limit hit")
     ctx, n = g.ctx, g.n
     if g.is_scalar():
         raise ValueError("central element has no witness")
     if g.det() != 1:
-        steps, t = _reseed(g, depth)
-    elif (n, ctx.q) in EXCLUDED_PAIRS and not skip_excluded:
-        steps, t = _excluded_ladder(g, depth)
-    elif n == 2:
-        steps, t = _sl2_core(g)
+        return _reseed(g, depth)
+    if (n, ctx.q) in EXCLUDED_PAIRS:
+        try:
+            w = brute_force_witness(g, GroupSpec("SL", n, ctx.q))
+        except GroupTooLarge:
+            pass  # the generic routes below
+        else:
+            return [(s.c, s.e, s.case) for s in w.steps], w.target
+    if n == 2:
+        return _sl2_core(g)
+    cf = generalized_jordan(g)
+    gJ = cf.canonical
+    if cf.case == "decomposable":
+        steps, t = _decomposable(gJ, cf, depth)
     else:
-        cf = generalized_jordan(g)
-        gJ = cf.canonical
-        if cf.case == "decomposable":
-            steps_j, t_j = _decomposable(gJ, cf, depth)
-        elif cf.case == "m1":
+        for route in _ROUTES[cf.case]:
             try:
-                word, expect, off = _m1_word(gJ)
-                steps_j, t_j = _finish_block(gJ, word, expect, off)
-            except ConstructError:
-                steps_j, t_j = _reseed(gJ, depth)
-        elif cf.case == "mn":
-            try:
-                word, expect, off = _mn_word(gJ)
-                steps_j, t_j = _finish_block(gJ, word, expect, off)
-            except ConstructError:
-                try:
-                    expect = pad(transvection_h(ctx, 1), n, n - 2)
-                    a, b = _pair_search(gJ, expect)
-                    word = [(a, 1, "mn-reduction"), (b, -1, "mn-reduction")]
-                    steps_j, t_j = _finish_block(gJ, word, expect, n - 2)
-                except ConstructError:
-                    steps_j, t_j = _reseed(gJ, depth)
-        elif cf.case == "m2":
-            f = cf.blocks[0][0]
-            try:
-                word, expect, off = _m2_word(gJ, f)
-                steps_j, t_j = _finish_block(gJ, word, expect, off)
-            except ConstructError:
-                steps_j, t_j = None, None
-                if ctx.p == 2:
-                    try:
-                        steps_j, t_j = _ext_descent(gJ, f, 2)
-                    except (ConstructError, UnsupportedField):
-                        pass
-                if steps_j is None:
-                    steps_j, t_j = _reseed(gJ, depth)
-        elif cf.case == "ext":
-            f, mult = cf.blocks[0]
-            try:
-                steps_j, t_j = _ext_descent(gJ, f, mult)
-            except ConstructError:
-                steps_j, t_j = _reseed(gJ, depth)
+                steps, t = route(gJ, cf)
+                break
+            except (ConstructError, UnsupportedField):
+                pass
         else:
-            raise AssertionError("unexpected case %r at n=%d" % (cf.case, n))
-        if cf.u.is_identity():
-            steps, t = steps_j, t_j
-        else:
-            u, ui = cf.u, cf.u.inv()
-            steps = [(ui * c * u, e, lab) for c, e, lab in steps_j]
-            t = ui * t_j * u
-    if require_balanced and sum(e for _, e, _ in steps) != 0:
-        steps, t = _reseed(g, depth)
-    return steps, t
+            steps, t = _reseed(gJ, depth)
+    if cf.u.is_identity():
+        return steps, t
+    u, ui = cf.u, cf.u.inv()
+    return [(ui * c * u, e, lab) for c, e, lab in steps], ui * t * u
 
 
 def construct_involution(g, spec):
     """Witness for a non-central g in the group described by spec.
 
     Matrix families GL and SL take Mat inputs; Sym and Alt take Perm
-    inputs.  The returned witness is replayed before being handed back;
-    one that fails the replay raises ConstructError."""
+    inputs.  An input of the wrong kind, size or field raises ValueError.
+    The returned witness is replayed before being handed back; one that
+    fails the replay raises ConstructError."""
+    if spec.family not in ("Sym", "Alt", "GL", "SL"):
+        raise ValueError("construction not supported for family %r"
+                         % spec.family)
+    if not _fits(g, spec):
+        raise ValueError("input is not an element of the shape of %r"
+                         % (spec,))
     if spec.family in ("Sym", "Alt"):
-        assert isinstance(g, Perm) and g.n == spec.n
         if g.is_identity():
             raise ValueError("identity has no witness")
         if spec.family == "Alt" and g.parity() != 0:
@@ -816,8 +755,9 @@ def construct_involution(g, spec):
             target = commutator_perm(g, h)
         w = Witness(spec, g, steps, target)
         w.certificate = certificate
-    elif spec.family in ("GL", "SL"):
-        assert isinstance(g, Mat) and g.n == spec.n and g.ctx.q == spec.q
+    else:
+        if any(not 0 <= x < spec.q for row in g.rows for x in row):
+            raise ValueError("matrix entry out of range for GF(%d)" % spec.q)
         cls = classify(g, spec)
         if not cls.in_group:
             raise ValueError("determinant is not 1: outside the group")
@@ -825,9 +765,6 @@ def construct_involution(g, spec):
             raise ValueError("central element has no witness")
         steps, target = _construct_internal(g)
         w = Witness(spec, g, steps, target)
-    else:
-        raise ValueError("construction not supported for family %r"
-                         % spec.family)
     rep = replay(w)
     if not rep.ok:
         raise ConstructError("construction produced an invalid witness: %s"
@@ -853,6 +790,15 @@ class ReplayReport:
             state, self.length, self.net_exponent)
 
 
+def _fits(x, spec):
+    """Whether x has the shape of an element of spec: a permutation of
+    degree spec.n, or a spec.n x spec.n matrix over GF(spec.q)."""
+    if spec.family in ("Sym", "Alt"):
+        return isinstance(x, Perm) and x.n == spec.n
+    return (isinstance(x, Mat) and x.n == x.m == spec.n
+            and x.ctx.q == spec.q)
+
+
 def replay(w):
     """Recompute the product and recheck every invariant; reports the
     first violation instead of raising."""
@@ -869,6 +815,8 @@ def replay(w):
         return report("length-exceeds-%d" % MAX_WITNESS_LEN)
     if net != w.net_exponent:
         return report("net-exponent-mismatch")
+    if not all(_fits(x, spec) for x in [w.g, w.target] + [s.c for s in w.steps]):
+        return report("spec-mismatch")
     if spec.family in ("Sym", "Alt"):
         g = w.g
         acc = Perm.identity(g.n)

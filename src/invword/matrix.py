@@ -328,10 +328,11 @@ class GroupSpec:
     def __init__(self, family, n, q=None):
         if family not in self.FAMILIES:
             raise ValueError("unknown family %r" % family)
-        if family in ("Sym", "Alt"):
-            assert q is None
-        else:
-            assert q is not None
+        perm = family in ("Sym", "Alt")
+        if perm and q is not None:
+            raise ValueError("%s takes no field order" % family)
+        if not perm and q is None:
+            raise ValueError("%s needs a field order q" % family)
         self.family = family
         self.n = n
         self.q = q

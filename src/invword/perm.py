@@ -12,7 +12,9 @@ class Perm:
 
     def __init__(self, images):
         images = tuple(images)
-        assert sorted(images) == list(range(len(images)))
+        if sorted(images) != list(range(len(images))):
+            raise ValueError("images are not a permutation of 0..%d"
+                             % (len(images) - 1))
         self.images = images
 
     @classmethod
@@ -53,7 +55,9 @@ class Perm:
         return len(self.images)
 
     def __mul__(self, other):
-        assert self.n == other.n
+        if self.n != other.n:
+            raise ValueError("cannot multiply permutations of degrees %d and %d"
+                             % (self.n, other.n))
         return Perm(other.images[self.images[i]] for i in range(self.n))
 
     def inv(self):
@@ -162,7 +166,7 @@ def _row_partner(main, companion, kind, n):
         return cyc(a[1], b[1], b[0])
     if kind == "two-fixed":
         return cyc(a[0], b[0]) + cyc(a[1], b[1])
-    raise AssertionError(kind)
+    raise RuntimeError("unknown partner table row %r" % kind)
 
 
 def alt_partner(g):
@@ -222,10 +226,10 @@ def alt_partner(g):
                              "fewer than 4 points")
     text = "".join("(%s)" % ",".join(map(str, c)) for c in pts)
     h = Perm.from_cycles(text, n)
-    assert h.parity() == 0
     x = commutator_perm(g, h)
-    assert not x.is_identity() and (x * x).is_identity(), \
-        "partner table produced a commutator of order != 2"
+    if h.parity() != 0 or x.is_identity() or not (x * x).is_identity():
+        raise RuntimeError("partner table produced an odd partner or a "
+                           "commutator of order != 2")
     return h
 
 
@@ -235,9 +239,11 @@ def a5_witness(g):
     of at most two conjugates of g or g^-1 is an involution.
 
     Returns (steps, target, certificate) with steps a list of
-    (conjugator, exponent) pairs.
+    (conjugator, exponent) pairs.  The certificate is checked as it is
+    built; a product that breaks it raises RuntimeError.
     """
-    assert g.n == 5 and g.cycle_type() == (5,)
+    if g.n != 5 or g.cycle_type() != (5,):
+        raise ValueError("a5_witness takes a 5-cycle on 5 points")
     import itertools
     alt5 = [Perm(p) for p in itertools.permutations(range(5))
             if Perm(p).parity() == 0]
@@ -249,10 +255,10 @@ def a5_witness(g):
                    if not p.is_identity() and (p * p).is_identity()}
     checked = 0
     for x in gens:
-        assert x.images not in involutions
-        checked += 1
-        for y in gens:
-            assert (x * y).images not in involutions
+        for p in [x] + [x * y for y in gens]:
+            if p.images in involutions:
+                raise RuntimeError("a product of at most two conjugates of "
+                                   "the 5-cycle is an involution")
             checked += 1
     certificate = {"products_checked": checked, "no_witness_of_length": 2,
                    "class_inverse_closed": inv_closed}
@@ -263,7 +269,7 @@ def a5_witness(g):
                 steps = [_transporter(alt5, g, x), _transporter(alt5, g, y),
                          (Perm.identity(5), 1)]
                 return steps, t, certificate
-    raise AssertionError("no length-3 witness found in A_5")
+    raise RuntimeError("no length-3 witness found in A_5")
 
 
 def _transporter(group, g, x):
@@ -274,4 +280,4 @@ def _transporter(group, g, x):
             return (c, 1)
         if c * gi * c.inv() == x:
             return (c, -1)
-    raise AssertionError("element not conjugate to g or its inverse")
+    raise RuntimeError("element not conjugate to g or its inverse")

@@ -70,6 +70,20 @@ def test_verify_tampered_exits_one(capsys, tmp_path):
     assert code == 1 and out.startswith("violation")
 
 
+@pytest.mark.parametrize("n", [2, 7])
+def test_verify_edited_group_size_exits_one(capsys, tmp_path, n):
+    # the matrices stay 3x3, so the record no longer describes SL(n, 5)
+    code, out, _ = run(capsys, "construct", "--group", "sl", "--n", "3",
+                       "--q", "5", "--matrix", "1,1,0;0,1,1;0,0,1")
+    obj = json.loads(out)
+    obj["group"]["n"] = n
+    path = tmp_path / "resized.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--witness", str(path))
+    assert code == 1 and out.startswith("violation")
+    assert "spec-mismatch" in out
+
+
 def test_verify_bad_exponent_exits_two(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "--group", "sl", "--n", "2",
                        "--q", "5", "--matrix", "1,1;0,1")

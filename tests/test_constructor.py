@@ -1,11 +1,17 @@
+import hashlib
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from invword.gf import make_field, irreducible_polys
-from invword.matrix import GroupSpec, Mat, transvection_h
+import invword.constructor as constructor
+from invword.gf import UnsupportedField, make_field, irreducible_polys
+from invword.matrix import GroupSpec, Mat, parse_mat, transvection_h
+from invword.oracle import GroupTooLarge
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                factor_charpoly, generalized_jordan,
                                solve_similarity)
@@ -23,6 +29,8 @@ ctx3 = make_field(3)
 ctx4 = make_field(4)
 ctx5 = make_field(5)
 ctx7 = make_field(7)
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def ok(w):
@@ -291,6 +299,104 @@ def test_find_partner_frozen():
         find_partner(Mat(ctx5, [[2, 0], [0, 2]]))
 
 
+# -- the route table and its fallbacks -------------------------------------
+
+
+def _cubed(ctx, d):
+    f = next(f for f in irreducible_polys(ctx, d)
+             if gen_jordan_block(ctx, f, 3).det() == 1)
+    return gen_jordan_block(ctx, f, 3)
+
+
+@pytest.mark.parametrize("q, d, length", [(7, 2, 64), (4, 3, 4)])
+def test_ext_descent_past_field_cap_reseeds(q, d, length):
+    # GF(q^d) is above the 32-element cap, so the descent raises
+    # UnsupportedField and the commutator restart answers
+    ctx = make_field(q)
+    w = ok(construct_involution(_cubed(ctx, d), GroupSpec("SL", 3 * d, q)))
+    assert w.length == length and labels(w) == ["reseed"]
+
+
+def _doubled(ctx, d):
+    f = next(f for f in irreducible_polys(ctx, d)
+             if gen_jordan_block(ctx, f, 2).det() == 1)
+    return gen_jordan_block(ctx, f, 2)
+
+
+ROUTE_INPUTS = {
+    "m1": lambda: (companion(ctx5, next(f for f in irreducible_polys(ctx5, 3)
+                                        if f[0] == ctx5.neg(1))),
+                   GroupSpec("SL", 3, 5)),
+    "mn": lambda: (Mat(ctx5, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+                   GroupSpec("SL", 3, 5)),
+    "m2 char 2": lambda: (_doubled(ctx2, 3), GroupSpec("SL", 6, 2)),
+    "m2 odd": lambda: (_doubled(ctx3, 3), GroupSpec("SL", 6, 3)),
+    "ext": lambda: (_cubed(ctx3, 2), GroupSpec("SL", 6, 3)),
+}
+ROUTE_ENTRIES = ("_m1_word", "_mn_word", "_pair_search", "_m2_word",
+                 "_ext_descent", "_reseed")
+
+
+@pytest.mark.parametrize("case, forced, calls", [
+    ("m1", {"_m1_word": ConstructError}, ["_m1_word", "_reseed"]),
+    ("mn", {"_mn_word": ConstructError}, ["_mn_word", "_pair_search"]),
+    ("mn", {"_mn_word": ConstructError, "_pair_search": ConstructError},
+     ["_mn_word", "_pair_search", "_reseed"]),
+    ("m2 char 2", {"_m2_word": ConstructError}, ["_m2_word", "_ext_descent"]),
+    ("m2 char 2", {"_m2_word": ConstructError, "_ext_descent": UnsupportedField},
+     ["_m2_word", "_ext_descent", "_reseed"]),
+    ("m2 odd", {"_m2_word": ConstructError}, ["_m2_word", "_reseed"]),
+    ("ext", {"_ext_descent": ConstructError}, ["_ext_descent", "_reseed"]),
+    ("ext", {"_ext_descent": UnsupportedField}, ["_ext_descent", "_reseed"]),
+])
+def test_failed_route_falls_through(monkeypatch, case, forced, calls):
+    # each forced route raises on its first call only; the next route in
+    # the table answers, or the commutator restart when none is left
+    trace = []
+    for name in ROUTE_ENTRIES:
+        def spy(*args, _name=name, _real=getattr(constructor, name)):
+            trace.append(_name)
+            if _name in forced and trace.count(_name) == 1:
+                raise forced[_name]("forced")
+            return _real(*args)
+        monkeypatch.setattr(constructor, name, spy)
+    g, spec = ROUTE_INPUTS[case]()
+    ok(construct_involution(g, spec))
+    assert trace[:len(calls)] == calls
+    if calls[-1] != "_reseed":
+        assert "_reseed" not in trace
+
+
+def test_word_missing_its_residue_falls_through(monkeypatch):
+    # _finish_block checks every word's product before finishing on the
+    # residue; a word that misses it counts as a failed route
+    real = constructor._m1_word
+    monkeypatch.setattr(constructor, "_m1_word", lambda gJ: real(gJ)[1:])
+    g, spec = ROUTE_INPUTS["m1"]()
+    with pytest.raises(ConstructError, match="m1-reduction identity failed"):
+        constructor._finish_block(g, constructor._m1_word(g))
+    w = ok(construct_involution(g, spec))
+    assert labels(w) == ["reseed"]
+
+
+def test_excluded_pair_too_large_runs_the_routes(monkeypatch):
+    # an excluded pair whose group cannot be enumerated takes the generic
+    # routes in the same call, at the same depth
+    def too_large(g, spec):
+        raise GroupTooLarge("forced")
+    monkeypatch.setattr(constructor, "brute_force_witness", too_large)
+    depths = []
+    real = constructor._construct_internal
+    monkeypatch.setattr(constructor, "_construct_internal",
+                        lambda g, depth=0: depths.append(depth) or real(g, depth))
+    for g, _ in class_transversal(ctx4, 3):
+        if g.is_scalar():
+            continue
+        depths.clear()
+        w = ok(construct_involution(g, GroupSpec("SL", 3, 4)))
+        assert "bfs" not in labels(w) and depths.count(0) == 1
+
+
 # -- excluded pairs and the search ladder ----------------------------------
 
 
@@ -335,6 +441,31 @@ def test_excluded_sl43_too_large_falls_through():
     assert w.length <= 48
 
 
+@pytest.mark.parametrize("spec", [
+    GroupSpec("Sym", 4), GroupSpec("GL", 2, 3), GroupSpec("PSL", 2, 7),
+    GroupSpec("PGL", 2, 5)], ids=repr)
+def test_brute_force_refuses_families_whose_words_do_not_replay(spec):
+    # the class table's words fail replay there: parity in Sym,
+    # determinant in GL, products up to scalars in PSL and PGL
+    if spec.family == "Sym":
+        g = Perm.from_cycles("(1,2)", 4)
+    else:
+        g = Mat(make_field(spec.q), [[1, 1], [0, 1]])
+    with pytest.raises(ValueError, match="not supported"):
+        brute_force_witness(g, spec)
+
+
+def test_brute_force_refuses_elements_outside_the_spec():
+    # the class table looks elements up by their entries alone
+    gf9 = make_field(9)
+    for g in (Mat(gf9, [[1, 1], [0, 1]]),
+              Mat(ctx3, [[1, 1, 0], [0, 1, 0], [0, 0, 1]])):
+        with pytest.raises(ValueError, match="outside the group"):
+            brute_force_witness(g, GroupSpec("SL", 2, 3))
+    with pytest.raises(ValueError, match="outside the group"):
+        brute_force_witness(Perm.from_cycles("(1,2,3)", 6), GroupSpec("Alt", 5))
+
+
 def test_brute_force_lengths_are_minimal():
     # BFS levels are exact distances, so a projective involution itself
     # comes back at length 1
@@ -374,6 +505,75 @@ def test_perm_rejections():
         construct_involution(Perm.identity(6), GroupSpec("Alt", 6))
     with pytest.raises(ValueError):
         construct_involution(Perm.from_cycles("(1,2)", 6), GroupSpec("Alt", 6))
+
+
+INPUT_GUARDS = """
+from invword import GroupSpec, Mat, Perm, make_field, construct_involution
+from invword.constructor import replay, witness_from_json, witness_to_json
+import json
+f5, f7 = make_field(5), make_field(7)
+sl25 = GroupSpec("SL", 2, 5)
+w = construct_involution(Mat(f5, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
+                         GroupSpec("SL", 3, 5))
+def edited(n):
+    obj = json.loads(witness_to_json(w))
+    obj["group"]["n"] = n
+    return witness_from_json(json.dumps(obj))
+cases = [
+    ("3x3 for SL(2,5)", lambda: construct_involution(
+        Mat(f5, [[1, 1, 0], [0, 1, 0], [0, 0, 1]]), sl25)),
+    ("2x3 for SL(2,5)", lambda: construct_involution(
+        Mat(f5, [[1, 1, 0], [0, 1, 0]]), sl25)),
+    ("GF(7) for SL(2,5)", lambda: construct_involution(
+        Mat(f7, [[1, 1], [0, 1]]), sl25)),
+    ("entry 7 over GF(5)", lambda: construct_involution(
+        Mat(f5, [[7, 0], [0, 3]]), sl25)),
+    ("perm for SL(2,5)", lambda: construct_involution(
+        Perm.from_cycles("(1,2)", 2), sl25)),
+    ("matrix for Alt(5)", lambda: construct_involution(
+        Mat(f5, [[1, 1], [0, 1]]), GroupSpec("Alt", 5))),
+    ("degree 6 for Alt(5)", lambda: construct_involution(
+        Perm.from_cycles("(1,2,3)", 6), GroupSpec("Alt", 5))),
+    ("SL without q", lambda: GroupSpec("SL", 2)),
+    ("Alt with q", lambda: GroupSpec("Alt", 5, 3)),
+    ("group.n edited to 2", lambda: replay(edited(2)).violation or "ok"),
+    ("group.n edited to 7", lambda: replay(edited(7)).violation or "ok"),
+]
+for name, f in cases:
+    try:
+        out = f()
+        print(name, "|", out if isinstance(out, str) else "returned")
+    except Exception as e:
+        print(name, "|", type(e).__name__)
+"""
+
+
+def test_input_guards_hold_under_optimize():
+    # the guards are raises, not asserts: python -O keeps them
+    out = subprocess.run([sys.executable, "-O", "-c", INPUT_GUARDS],
+                         env={"PYTHONPATH": SRC}, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = dict(line.split(" | ") for line in out.stdout.strip().splitlines())
+    expect = {name: "ValueError" for name in got}
+    expect["group.n edited to 2"] = expect["group.n edited to 7"] = \
+        "spec-mismatch"
+    assert len(got) == 11 and got == expect
+
+
+def test_replay_flags_elements_outside_the_spec():
+    w = _sample_witness()
+    for spec in (GroupSpec("SL", 3, 5), GroupSpec("SL", 2, 7)):
+        assert replay(Witness(spec, w.g, w.steps, w.target)).violation == \
+            "spec-mismatch"
+    w.steps[0] = WitnessStep(Mat.identity(ctx5, 3), w.steps[0].e, "x")
+    assert replay(w).violation == "spec-mismatch"
+    w = _sample_witness()
+    w.target = Mat.identity(ctx7, 2)
+    assert replay(w).violation == "spec-mismatch"
+    g = Perm.from_cycles("(1,2,3)", 5)
+    w = Witness(GroupSpec("Alt", 6), g, [(Perm.identity(5), 1, "x")], g)
+    assert replay(w).violation == "spec-mismatch"
 
 
 def test_matrix_rejections():
@@ -519,3 +719,46 @@ def test_class_search_cap():
     with pytest.raises(Unreachable) as ei:
         brute_force_witness(g, GroupSpec("SL", 2, 2), cap=3)
     assert ei.value.certificate["levels_explored"] == 2
+
+
+# -- pinned witness bytes ----------------------------------------------------
+
+
+def pinned_inputs():
+    """The class transversals of SL(2,2), SL(2,3), SL(2,5) and SL(3,3), the
+    route tests' elements (m2 at n = 4, 6, 8; ext at n = 6; the SL(4,3)
+    too-large path; the GL reseed) and one SL(6,3) element whose
+    regular-unipotent word fails and whose pair search answers."""
+    items = []
+    for n, q in ((2, 2), (2, 3), (2, 5), (3, 3)):
+        items += [(g, GroupSpec("SL", n, q))
+                  for g, _ in class_transversal(make_field(q), n)]
+    for q, d in ((5, 2), (2, 3), (3, 3), (3, 4), (5, 4)):
+        items.append((_doubled(make_field(q), d), GroupSpec("SL", 2 * d, q)))
+    for ctx in (ctx2, ctx3):
+        items.append((_cubed(ctx, 2), GroupSpec("SL", 6, ctx.q)))
+    items.append((Mat(ctx3, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0],
+                             [0, 0, 0, 1]]), GroupSpec("SL", 4, 3)))
+    items.append((Mat(ctx7, [[3, 0], [0, 1]]), GroupSpec("GL", 2, 7)))
+    items.append((parse_mat(ctx3, "2,2,2,0,1,2;2,0,0,0,0,2;1,2,0,2,2,0;"
+                            "1,2,1,1,0,0;0,0,2,0,1,0;1,1,2,0,2,2"),
+                  GroupSpec("SL", 6, 3)))
+    return items
+
+
+# sha256 over each input's witness_to_json (or exception and certificate),
+# one per line; a change to any witness byte changes it
+PINNED_SHA256 = \
+    "bd77073487226dd7941291e0ddf24c6d77f236854b772462af8c163d3da8c449"
+
+
+def test_pinned_witness_bytes():
+    h = hashlib.sha256()
+    for g, spec in pinned_inputs():
+        try:
+            rec = witness_to_json(construct_involution(g, spec))
+        except ConstructError as e:
+            rec = "%s: %s | %r" % (type(e).__name__, e,
+                                   getattr(e, "certificate", None))
+        h.update(rec.encode() + b"\n")
+    assert h.hexdigest() == PINNED_SHA256

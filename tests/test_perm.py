@@ -1,4 +1,7 @@
 import itertools
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -146,3 +149,51 @@ def test_a5_witness_length_three():
     assert cert["no_witness_of_length"] == 2
     assert cert["class_inverse_closed"] is True
     assert cert["products_checked"] > 0
+
+
+PERM_CHECKS = """
+import invword.perm as P
+from invword.perm import Perm, a5_witness, alt_partner
+
+def odd_partner(main, companion, kind, n):
+    # (1,3) against (1,2,3,4)(5,6): the commutator (1,3)(2,4) is an
+    # involution, so only the parity check refuses it
+    return [[main[0], main[2]]]
+
+def even_everything():
+    P.Perm.parity = lambda self: 0
+    return a5_witness(Perm.from_cycles("(1,2,3,4,5)", 5))
+
+cases = [
+    ("repeated image", lambda: Perm([0, 0, 1])),
+    ("missing image", lambda: Perm([0, 2])),
+    ("degrees differ", lambda: Perm.identity(3) * Perm.identity(4)),
+    ("a5 input", lambda: a5_witness(Perm.from_cycles("(1,2,3)", 5))),
+    ("partner table", lambda: (setattr(P, "_row_partner", odd_partner),
+                               alt_partner(Perm.from_cycles("(1,2,3,4)(5,6)", 6)))),
+    ("a5 certificate", even_everything),
+]
+for name, f in cases:
+    try:
+        f()
+        print(name, "| returned")  # never format what came back
+    except Exception as e:
+        print(name, "|", type(e).__name__)
+"""
+
+
+def test_perm_checks_raise_under_optimize():
+    # bad input raises ValueError and a broken self-check RuntimeError, also
+    # under python -O.  The partner table is forced to hand out an odd
+    # partner, and with every permutation counted as even the class of a
+    # 5-cycle becomes all 24 5-cycles, two of which multiply to an involution
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    out = subprocess.run([sys.executable, "-O", "-c", PERM_CHECKS],
+                         env={"PYTHONPATH": src}, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    got = dict(line.split(" | ") for line in out.stdout.strip().splitlines())
+    assert got == {"repeated image": "ValueError", "missing image": "ValueError",
+                   "degrees differ": "ValueError", "a5 input": "ValueError",
+                   "partner table": "RuntimeError",
+                   "a5 certificate": "RuntimeError"}
