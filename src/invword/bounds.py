@@ -71,10 +71,16 @@ def _sp_gap_degree(m, q):
     return Fraction((q ** m - 1) * (q ** m - q), 2 * (q + 1))
 
 
+def _require(ok, name, *params):
+    """ValueError naming the bound and its parameters unless ok."""
+    if not ok:
+        raise ValueError("%s is not defined at %r" % (name, params))
+
+
 def sp_odd(m, q):
     """Odd q: four Weil characters contribute a q^6/1024 numerator, the
     rest go through the class-count cap 10.8 q^m."""
-    assert q % 2 == 1 and m >= 2
+    _require(q % 2 == 1 and m >= 2, "sp_odd", m, q)
     d = _sp_gap_degree(m, q)
     weil = Fraction(4) * (Fraction(q) ** 6 / 4096)
     rest = Fraction(54, 5) * q ** m * (2 * q ** m) ** 6
@@ -82,7 +88,7 @@ def sp_odd(m, q):
 
 
 def sp_even(m, q):
-    assert q % 2 == 0 and m >= 2
+    _require(q % 2 == 0 and m >= 2, "sp_even", m, q)
     d = _sp_gap_degree(m, q)
     return Fraction(76, 5) * q ** m * (2 * q ** m) ** 6 / d ** 10
 
@@ -101,14 +107,15 @@ def _o_degree_even_dim(m, q, eps):
 
 def o_odd_dim(m, q):
     """n = 2m+1, q odd, m >= 3."""
-    assert q % 2 == 1 and m >= 3
+    _require(q % 2 == 1 and m >= 3, "o_odd_dim", m, q)
     d = _o_degree_odd_dim(m, q)
     return Fraction(15) * q ** m * (2 * q ** m) ** 6 / d ** 10
 
 
 def o_even_dim(m, q, eps):
     """n = 2m, m >= 4, both forms; (m, q, eps) = (4, 2, +1) excluded."""
-    assert m >= 4 and eps in (1, -1) and (m, q, eps) != (4, 2, 1)
+    _require(m >= 4 and eps in (1, -1) and (m, q, eps) != (4, 2, 1),
+             "o_even_dim", m, q, eps)
     d = _o_degree_even_dim(m, q, eps)
     return Fraction(15) * q ** m * (2 * q ** m) ** 6 / d ** 10
 

@@ -29,9 +29,12 @@ from .matrix import Mat, direct_sum, kron, nullspace
 
 
 def companion(ctx, f):
-    """Companion matrix of a monic polynomial, subdiagonal-1 convention."""
+    """Companion matrix of a monic polynomial, subdiagonal-1 convention.
+    ValueError for a constant or non-monic f."""
     d = poly_deg(f)
-    assert d >= 1 and f[-1] == 1
+    if d < 1 or f[-1] != 1:
+        raise ValueError("companion needs a monic polynomial of degree "
+                         ">= 1, not %r" % (f,))
     rows = [[0] * d for _ in range(d)]
     for i in range(1, d):
         rows[i][i - 1] = 1
@@ -209,7 +212,10 @@ def _jordan_partition(g, f, e):
         exactly = cnt - (ge[j + 1] if j + 1 < len(ge) else 0)
         parts.extend([j + 1] * exactly)
     parts.sort(reverse=True)
-    assert sum(parts) == e
+    if sum(parts) != e:
+        raise RuntimeError("rank filtration gives blocks %r of total size "
+                           "%d, not the multiplicity %d"
+                           % (parts, sum(parts), e))
     return parts
 
 
@@ -284,7 +290,9 @@ def solve_similarity(g, j):
 
 
 def generalized_jordan(g):
-    """Canonical form of an invertible matrix, with a replayable base change."""
+    """Canonical form of an invertible matrix, with a replayable base change.
+    Raises RuntimeError if the base change found does not conjugate g to
+    the block matrix."""
     ctx, n = g.ctx, g.n
     blocks = []
     for f, e in factor_charpoly(g):
@@ -295,8 +303,11 @@ def generalized_jordan(g):
         u = Mat.identity(ctx, n)
     else:
         u = solve_similarity(g, jmat)
-        assert u is not None, "block data must describe a similar matrix"
-    assert u * g * u.inv() == jmat
+        if u is None:
+            raise RuntimeError("block data must describe a similar matrix")
+    if u * g * u.inv() != jmat:
+        raise RuntimeError("base change does not conjugate g to its "
+                           "canonical form")
     return CanonicalForm(u, blocks, _case_tag(blocks, n), jmat)
 
 

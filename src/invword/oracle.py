@@ -7,20 +7,31 @@ reachable by k-fold products are exactly the level-k classes, so a
 class-level search is exact while touching |classes| nodes instead of
 |G|.
 
-Elements are stored as codes.  A permutation is its tuple of images.  An
-n x n matrix over GF(q) is one int, the row code: a row is the int
-sum r_k * q**(n-1-k) in range(q**n), first entry most significant, and
-the matrix is sum row_i * (q**n)**(n-1-i), row 0 most significant.  Both
-codes order elements lexicographically by their entries, so a table's
-element list (sorted codes), and with it every index, class
-representative and transporter, does not depend on the code chosen.
-Matrix arithmetic runs on row tables built with each group table (none
-at import): a row sum and a scaled row are one lookup each, right
-multiplication by a generator maps each row through one table, and left
-multiplication by a generator rewrites one row.
+Elements are stored as codes.  A permutation is its tuple of images; a
+product or conjugate is one list comprehension over the images, and
+Alt(n) is listed by filtering itertools.permutations with a parity mask
+read off the Lehmer code of each position, so no Perm is built per
+element.  An n x n matrix over GF(q) is one int, the row code: a row is
+the int sum r_k * q**(n-1-k) in range(q**n), first entry most
+significant, and the matrix is sum row_i * (q**n)**(n-1-i), row 0 most
+significant.  Both codes order elements lexicographically by their
+entries, so a table's element list (sorted codes), and with it every
+index, class representative and transporter, does not depend on the
+code chosen.  Matrix arithmetic runs on row tables built with each group
+table (none at import): a row sum and a scaled row are one lookup each,
+right multiplication by a generator maps each row through one table, and
+left multiplication by a generator rewrites one row.
+
+A matrix group has two generator lists (_row_ops).  The closure that
+enumerates it walks a generating subset, the adjacent transvections with
+lam in an additive basis of GF(q) (8 instead of 18 for SL(3,4)); its
+output, each element with its inverse, does not depend on the
+generators.  Conjugacy classes grow by conjugating with the full list
+of transvections, which fixes every transporter.
 """
 
 import itertools
+from collections import Counter
 from math import factorial, gcd, prod
 
 from .gf import make_field
@@ -69,7 +80,10 @@ def is_simple(spec):
 
 
 class _PermCode:
-    """Permutations of range(n) as image tuples; gens is a list of them."""
+    """Permutations of range(n) as image tuples; gens is a list of them.
+
+    A product or a conjugate is one list comprehension over the images,
+    turned into a tuple; no Perm is built for a table element."""
 
     def __init__(self, n, gens):
         self.identity = tuple(range(n))
@@ -78,7 +92,7 @@ class _PermCode:
 
     @staticmethod
     def mul(a, b):
-        return tuple(b[x] for x in a)
+        return tuple([b[x] for x in a])
 
     @staticmethod
     def inverse(a):
@@ -94,9 +108,9 @@ class _PermCode:
         return Perm(e)
 
     def conjugates(self, x):
-        """[s x s^-1 for s in gens]."""
-        mul = self.mul
-        return [mul(mul(s, x), si) for s, si in zip(self.gens, self._gens_inv)]
+        """[s x s^-1 for s in gens], each composed in one pass."""
+        return [tuple([si[x[j]] for j in s])
+                for s, si in zip(self.gens, self._gens_inv)]
 
     def left(self, k, t):
         """gens[k] * t."""
@@ -104,8 +118,23 @@ class _PermCode:
 
     def right_mul(self, bs):
         """The function x -> (x b for b in bs)."""
-        mul = self.mul
-        return lambda x: (mul(x, b) for b in bs)
+        return lambda x: (tuple([b[i] for i in x]) for b in bs)
+
+
+def _even_mask(n):
+    """1 at each even permutation of range(n) and 0 at each odd one, in the
+    order itertools.permutations lists them.
+
+    The k-th permutation's Lehmer code is k written in the factorial
+    base, and its inversion count is the sum of those digits.  So the
+    block of (m-1)! permutations with leading digit d has the parities
+    of the degree m-1 list, flipped when d is odd."""
+    even, odd = [1], [0]
+    for m in range(2, n + 1):
+        size = len(even) * m
+        even, odd = (even + odd) * m, (odd + even) * m
+        even, odd = even[:size], odd[:size]
+    return even
 
 
 class _RowCode:
@@ -113,11 +142,12 @@ class _RowCode:
 
     Generators are elementary matrices I + c E_ij, given as (i, j, c);
     i == j is allowed (a dilation by 1 + c).  Left multiplication by one
-    adds c times row j to row i.  scalars lists the scalars other than 1
-    of a projective quotient; every code is normalized to the least code
-    among its multiples by them.  The tables live as long as the group
-    table: add[a * Q + b] is the code of row a + row b and scale[c * Q + a]
-    that of c * row a, for Q = q**n."""
+    adds c times row j to row i.  ops are the generators that conjugation
+    runs over; closure takes its own list.  scalars lists the scalars
+    other than 1 of a projective quotient; every code is normalized to the
+    least code among its multiples by them.  The tables live as long as
+    the group table: add[a * Q + b] is the code of row a + row b and
+    scale[c * Q + a] that of c * row a, for Q = q**n."""
 
     def __init__(self, ctx, n, ops, scalars):
         q = ctx.q
@@ -141,16 +171,24 @@ class _RowCode:
         self.scalars = scalars
         self.identity = self._code([q ** (n - 1 - k) for k in range(n)])
         self.ops = ops
-        self.inv_ops = [(i, j, ctx.neg(c)) if i != j
-                        else (i, j, ctx.sub(ctx.inv(ctx.add(1, c)), 1))
-                        for i, j, c in ops]
         self.gens = [self._row_op(op, self.identity) for op in ops]
-        self._maps = [self.right_map(s) for s in self.gens]
         # s x s^-1 is x mapped by s^-1 on the right, then row i of the
         # result plus c times its row j put back at place Q**(n-1-i)
-        self._conj = [(self.right_map(self._row_op(inv, self.identity)), i,
-                       j, c * self.Q, self.Q ** (n - 1 - i))
-                      for (i, j, c), inv in zip(ops, self.inv_ops)]
+        self._conj = []
+        for op in ops:
+            i, j, c = op
+            inv = self._row_op(self._inverse_op(op), self.identity)
+            self._conj.append((self.right_map(inv), i, j, c * self.Q,
+                               self.Q ** (n - 1 - i)))
+
+    def _inverse_op(self, op):
+        """The generator inverse to I + c E_ij: c negated, or for a
+        dilation by 1 + c the dilation by (1 + c)^-1."""
+        i, j, c = op
+        ctx = self.ctx
+        if i != j:
+            return i, j, ctx.neg(c)
+        return i, j, ctx.sub(ctx.inv(ctx.add(1, c)), 1)
 
     def _row_op(self, op, t):
         """Code of (I + c E_ij) t: t with c times its row j added to row i."""
@@ -256,21 +294,25 @@ class _RowCode:
             out.append(least(y) if self.scalars else y)
         return out
 
-    def closure(self, cap):
-        """Every element generated, mapped to its inverse.
+    def closure(self, ops, cap):
+        """Every element generated by the row operations ops, mapped to
+        its inverse.
 
         Breadth-first from the identity by right multiplication; an
         element y = x s is first met from x, so its inverse s^-1 x^-1 is
-        one row operation on the inverse of x."""
+        one row operation on the inverse of x.  The result is the same
+        for any generating list; only the time taken depends on it."""
         split, row_op = self.split, self._row_op
         Q, least, scalars = self.Q, self._least, self.scalars
+        steps = [(self.right_map(row_op(op, self.identity)),
+                  self._inverse_op(op)) for op in ops]
         inverse = {self.identity: self.identity}
         frontier = [self.identity]
         while frontier:
             nxt = []
             for x in frontier:
                 rows = split(x)
-                for m, op in zip(self._maps, self.inv_ops):
+                for m, op in steps:
                     y = 0
                     for r in rows:
                         y = y * Q + m[r]
@@ -319,6 +361,27 @@ class GroupTable:
 _TABLE_CACHE = {}
 
 
+def _row_ops(spec, ctx):
+    """(ops, walk): the generators of a matrix group table, as row
+    operations (i, j, c) for I + c E_ij.
+
+    ops are the transvections I + lam E_ij, every i != j and lam != 0,
+    and for GL and PGL the dilation diag(nu, 1, ..., 1) with nu the
+    field's generator; conjugation, and so every transporter, runs over
+    them.  walk generates the same group from fewer: the transvections
+    with |i - j| = 1 and lam in the additive basis 1, xi, ...,
+    xi^(deg-1) (encoded p**k), and the dilation.  Commutators of
+    adjacent root groups give the others, so walk serves the closure."""
+    n = spec.n
+    dilation = ([(0, 0, ctx.sub(ctx.generator(), 1))]
+                if spec.family in ("GL", "PGL") else [])
+    ops = [(i, j, lam) for i in range(n) for j in range(n) if i != j
+           for lam in range(1, ctx.q)]
+    walk = [(i, j, ctx.p ** k) for i in range(n) for j in (i - 1, i + 1)
+            if 0 <= j < n for k in range(ctx.deg)]
+    return ops + dilation, walk + dilation
+
+
 def build_group(spec, order_cap=ORDER_CAP):
     """Enumerate the group described by spec.
 
@@ -334,29 +397,23 @@ def build_group(spec, order_cap=ORDER_CAP):
         return _TABLE_CACHE[key]
     n = spec.n
     if spec.family in ("Sym", "Alt"):
-        base = list(itertools.permutations(range(n)))
+        elems = itertools.permutations(range(n))
         if spec.family == "Alt":
-            elems = [p for p in base if Perm(p).parity() == 0]
+            elems = itertools.compress(elems, _even_mask(n))
             gens = [Perm.from_cycles("(%d,%d,%d)" % (i, i + 1, i + 2), n).images
-                    for i in range(1, n - 1)] if n >= 3 else []
+                    for i in range(1, n - 1)]
         else:
-            elems = base
             gens = [Perm.from_cycles("(1,2)", n).images,
                     Perm.from_cycles("(%s)" % ",".join(
                         str(i) for i in range(1, n + 1)), n).images] \
                 if n >= 2 else []
-        code = _PermCode(n, [g for g in gens if g in set(elems)]
-                         or [elems[0]])
+        code = _PermCode(n, gens or [tuple(range(n))])
         tbl = GroupTable(spec, None, code,
                          {e: code.inverse(e) for e in elems})
     else:
         ctx = make_field(spec.q)
         q = ctx.q
-        # transvections I + lam E_ij; GL and PGL add diag(nu, 1, ..., 1)
-        ops = [(i, j, lam) for i in range(n) for j in range(n) if i != j
-               for lam in range(1, q)]
-        if spec.family in ("GL", "PGL"):
-            ops.append((0, 0, ctx.sub(ctx.generator(), 1)))
+        ops, walk = _row_ops(spec, ctx)
         # projective families: quotient by scalars with lambda^n = 1 (PSL)
         # or all scalars (PGL)
         if spec.family == "PSL":
@@ -366,7 +423,7 @@ def build_group(spec, order_cap=ORDER_CAP):
         else:
             scalars = []
         code = _RowCode(ctx, n, ops, scalars)
-        tbl = GroupTable(spec, ctx, code, code.closure(ORDER_CAP))
+        tbl = GroupTable(spec, ctx, code, code.closure(walk, ORDER_CAP))
     if tbl.order != expected:
         raise RuntimeError("%r: enumerated %d elements, the order formula "
                            "gives %d" % (spec, tbl.order, expected))
@@ -534,19 +591,30 @@ def _right_mul(tbl, gens):
     return neighbors
 
 
+def _index(tbl, x):
+    """The index of x: an int in range(tbl.order) as it is, a Perm or Mat
+    looked up in the table.  ValueError for anything else."""
+    i = x if isinstance(x, int) else tbl.index_of(x)
+    if i is None or not 0 <= i < tbl.order:
+        raise ValueError("element outside the group")
+    return i
+
+
 def dist_to_set(tbl, c, targets):
     """Least k with (C u C^-1)^k meeting the target set, where C is the
     conjugacy class of c; None if the closure never meets it.
 
     Searches the class graph when the target set is a union of classes
-    (it always is for involution sets), otherwise the elements."""
+    (it always is for involution sets), otherwise the elements.  c and
+    the targets are indices (c may also be a Perm or Mat); ValueError for
+    one outside the group."""
     ct = conjugacy_classes(tbl)
-    ci = c if isinstance(c, int) else tbl.index_of(c)
-    if ci is None:
-        raise ValueError("element outside the group")
+    ci = _index(tbl, c)
     if ci == tbl.identity_index:
         raise ValueError("distance from the identity class is undefined")
     targets = frozenset(targets)
+    if targets and not (min(targets) >= 0 and max(targets) < tbl.order):
+        raise ValueError("target index outside the group")
     normal = all(
         len(targets.intersection(ct.members(k))) in (0, ct.sizes[k])
         for k in range(ct.n_classes))
@@ -635,31 +703,36 @@ def class_product_count(tbl, class_reps, target, cross_check=False):
     class_reps[i], whose product equals the fixed element target.
 
     Counted by iterated class convolution: the count of products equal
-    to a fixed element depends only on that element's class.  cross_check
-    also counts the products directly; it raises ValueError above 5000
-    elements and RuntimeError when the two counts differ."""
+    to a fixed element depends only on that element's class, and a
+    product equal to rep_k whose last factor is x in class c extends one
+    equal to rep_k x^-1.  So each distinct factor class c gets one
+    transition, the classes of rep_k x^-1 for x in c with their
+    multiplicities, however often it recurs.  cross_check also counts the
+    products directly; it raises ValueError above 5000 elements and
+    RuntimeError when the two counts differ.  ValueError too for an
+    empty class_reps and for an element or index outside the group."""
     if cross_check and tbl.order > 5000:
         raise ValueError("%r: the direct cross-check is for groups of at "
                          "most 5000 elements" % tbl.spec)
+    if not class_reps:
+        raise ValueError("class_product_count needs at least one factor")
     ct = conjugacy_classes(tbl)
-    reps = [r if isinstance(r, int) else tbl.index_of(r) for r in class_reps]
-    ti = target if isinstance(target, int) else tbl.index_of(target)
-    if ti is None or any(r is None for r in reps):
-        raise ValueError("element outside the group")
-    counts = {k: 0 for k in range(ct.n_classes)}
-    counts[ct.class_of[reps[0]]] = 1
+    reps = [_index(tbl, r) for r in class_reps]
+    ti = _index(tbl, target)
+    class_of = ct.class_of
+    transition = {}
     for r in reps[1:]:
-        xs = ct.members(ct.class_of[r])
-        times_inv = _right_mul(tbl, [tbl.inv(x) for x in xs])
-        new = {}
-        for k in range(ct.n_classes):
-            total = 0
-            for y in times_inv(ct.reps[k]):
-                total += counts[ct.class_of[y]]
-            if total:
-                new[k] = total
-        counts = {k: new.get(k, 0) for k in range(ct.n_classes)}
-    result = counts[ct.class_of[ti]]
+        c = class_of[r]
+        if c not in transition:
+            times_inv = _right_mul(tbl, [tbl.inv(x) for x in ct.members(c)])
+            transition[c] = [Counter(class_of[y] for y in times_inv(rep))
+                             for rep in ct.reps]
+    counts = [0] * ct.n_classes
+    counts[class_of[reps[0]]] = 1
+    for r in reps[1:]:
+        counts = [sum(counts[j] * m for j, m in row.items())
+                  for row in transition[class_of[r]]]
+    result = counts[class_of[ti]]
     if cross_check:
         acc = {x: 1 for x in ct.members(ct.class_of[reps[0]])}
         for r in reps[1:]:

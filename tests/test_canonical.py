@@ -1,4 +1,7 @@
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +31,8 @@ from invword.canonical import (
     solve_similarity,
     split_decomposable,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def rand_invertible(ctx, n, rng):
@@ -322,3 +327,65 @@ def test_transversal_det_filter_sl3():
     for rep, blocks in reps:
         sizes.add(tuple(sorted((tuple(f), m) for f, m in blocks)))
     assert len(reps) == len(sizes)  # no twist duplication over GF(2)
+
+
+INPUT_GUARDS = """
+from invword.bounds import o_even_dim, o_odd_dim, sp_even, sp_odd
+from invword.canonical import companion
+from invword.gf import make_field, pick_alpha
+f5 = make_field(5)
+cases = [
+    ("companion of a non-monic", lambda: companion(f5, (1, 2, 3))),
+    ("companion of a constant", lambda: companion(f5, (1,))),
+    ("pick_alpha over GF(4)", lambda: pick_alpha(make_field(4))),
+    ("sp_odd at even q", lambda: sp_odd(2, 4)),
+    ("sp_odd at m = 1", lambda: sp_odd(1, 3)),
+    ("sp_even at odd q", lambda: sp_even(2, 3)),
+    ("o_odd_dim at m = 2", lambda: o_odd_dim(2, 3)),
+    ("o_odd_dim at even q", lambda: o_odd_dim(3, 4)),
+    ("o_even_dim at (4, 2, +1)", lambda: o_even_dim(4, 2, 1)),
+    ("o_even_dim at eps = 0", lambda: o_even_dim(4, 3, 0)),
+]
+for name, f in cases:
+    try:
+        f()
+        print(name, "| returned")
+    except Exception as e:
+        print(name, "|", type(e).__name__)
+"""
+
+
+def test_gf_canonical_bounds_guards_hold_under_optimize():
+    # the input guards of gf, canonical and bounds are raises, not
+    # asserts: python -O keeps them.  A probe that returns prints only
+    # that it returned, so a wrong value cannot pass for a refusal
+    out = subprocess.run([sys.executable, "-O", "-c", INPUT_GUARDS],
+                         env={"PYTHONPATH": SRC}, capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    got = dict(line.split(" | ") for line in out.stdout.strip().splitlines())
+    assert len(got) == 10
+    assert got == {name: "ValueError" for name in got}
+
+
+def test_jordan_self_checks_raise(monkeypatch):
+    # these checks must survive python -O, so they are no asserts
+    f5 = make_field(5)
+    unipotent = Mat(f5, [[1, 1], [0, 1]])
+    split = Mat(f5, [[2, 1], [0, 3]])
+    with monkeypatch.context() as m:
+        # f(g) = I: the rank filtration stops at once and finds no block
+        m.setattr(canonical, "mat_poly_eval",
+                  lambda g, f: Mat.identity(g.ctx, g.n))
+        with pytest.raises(RuntimeError, match="rank filtration"):
+            generalized_jordan(unipotent)
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "solve_similarity", lambda g, j: None)
+        with pytest.raises(RuntimeError, match="similar matrix"):
+            generalized_jordan(split)
+    with monkeypatch.context() as m:
+        m.setattr(canonical, "solve_similarity",
+                  lambda g, j: Mat.identity(g.ctx, g.n))
+        with pytest.raises(RuntimeError, match="does not conjugate"):
+            generalized_jordan(split)
+    assert generalized_jordan(split).canonical != split

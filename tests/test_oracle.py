@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import subprocess
 import sys
 from pathlib import Path
@@ -5,8 +7,8 @@ from pathlib import Path
 import pytest
 
 from invword import oracle
-from invword.constructor import brute_force_witness
-from invword.matrix import GroupSpec, Mat, classify
+from invword.constructor import brute_force_witness, find_partner
+from invword.matrix import GroupSpec, Mat, classify, commutator
 from invword.gf import make_field
 from invword.perm import Perm
 from invword.oracle import (GroupTooLarge, build_group, class_product_count,
@@ -439,3 +441,163 @@ def test_sl42_class_search_lengths_are_distances():
         assert w.length == dist_to_set(tbl, ct.reps[k], targets), k
         checked += 1
     assert checked == ct.n_classes - 1
+
+
+# -- pinned outputs: one digest over class tables, distance rows, six-fold
+# class product counts and the orbital report.  Faster element codes,
+# class products or closures must leave every element order, inverse,
+# class index, transporter, distance and count as it is, and any change
+# to one of them changes the digest.
+
+PINNED_SIMPLE_SPECS = ([GroupSpec("Alt", n) for n in (5, 6, 7, 8)]
+                       + [GroupSpec("PSL", 2, q) for q in (5, 7, 8, 9, 11)])
+PINNED_TABLE_SPECS = (
+    PINNED_SIMPLE_SPECS[:4] + [GroupSpec("Sym", 5)] + PINNED_SIMPLE_SPECS[4:]
+    + [GroupSpec("SL", 3, 3), GroupSpec("SL", 4, 2), GroupSpec("SL", 3, 4),
+       GroupSpec("GL", 2, 3), GroupSpec("GL", 3, 2), GroupSpec("PGL", 2, 5)])
+PINNED_ORACLE_SHA256 = \
+    "f592373063a821bce5aa243dcc43f288aa89d87a646fc1f8fab09f85af182be8"
+
+
+def oracle_digest():
+    h = hashlib.sha256()
+
+    def put(*parts):
+        h.update(repr(parts).encode() + b"\n")
+
+    for spec in PINNED_TABLE_SPECS:
+        tbl = build_group(spec)
+        ct = conjugacy_classes(tbl)
+        put(spec, tbl.elements, [tbl.inv(i) for i in range(tbl.order)],
+            tbl.gens, ct.class_of, ct.reps, ct.sizes, ct.transporter)
+    for spec in PINNED_SIMPLE_SPECS:
+        rep = d_inv(build_group(spec))
+        put(spec, rep.rows, rep.value, rep.argmax)
+    for n, q in ((2, 5), (2, 7), (3, 2), (3, 3)):
+        rep = d_proj_inv(build_group(GroupSpec("SL", n, q)))
+        put(rep.spec, rep.rows, rep.value, rep.argmax)
+    for q in (5, 7, 9, 11):
+        tbl = build_group(GroupSpec("SL", 2, q))
+        ct = conjugacy_classes(tbl)
+        minus = tbl.index_of(Mat.scalar(tbl.ctx, 2, tbl.ctx.neg(1)))
+        for r in ct.reps:
+            g = tbl.decode(r)
+            if not g.is_scalar():
+                x = commutator(g, find_partner(g))
+                put(q, r, class_product_count(tbl, [tbl.index_of(x)] * 6,
+                                              minus))
+    rep = orbital_diameter_report()
+    put(rep.orbital_diameters, rep.class_diameters, rep.matching,
+        rep.orbdiam, rep.d_t, rep.lower_ok, rep.upper_ok)
+    return h.hexdigest()
+
+
+def test_pinned_oracle_outputs():
+    assert oracle_digest() == PINNED_ORACLE_SHA256
+
+
+def test_index_guards():
+    tbl = build_group(GroupSpec("Alt", 5))
+    inv = involution_indices(tbl)
+    i3 = tbl.index_of(Perm.from_cycles("(1,2,3)", 5))
+    for bad in (-1, tbl.order, 10 ** 6):
+        with pytest.raises(ValueError, match="outside the group"):
+            dist_to_set(tbl, bad, inv)
+        with pytest.raises(ValueError, match="outside the group"):
+            dist_to_set(tbl, i3, inv | {bad})
+        with pytest.raises(ValueError, match="outside the group"):
+            class_product_count(tbl, [bad, i3], i3)
+        with pytest.raises(ValueError, match="outside the group"):
+            class_product_count(tbl, [i3, bad], i3)
+        with pytest.raises(ValueError, match="outside the group"):
+            class_product_count(tbl, [i3, i3], bad)
+    with pytest.raises(ValueError, match="at least one factor"):
+        class_product_count(tbl, [], tbl.identity_index)
+    # the last index is an element like any other
+    last = tbl.order - 1
+    assert dist_to_set(tbl, last, inv) is not None
+    assert class_product_count(tbl, [last], last) == 1
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_even_mask_is_perm_parity(n):
+    perms = list(itertools.permutations(range(n)))
+    assert oracle._even_mask(n) == [int(Perm(p).parity() == 0)
+                                    for p in perms]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("Alt", 6), GroupSpec("Sym", 5)],
+                         ids=repr)
+def test_perm_code_conjugates_compose_in_one_pass(spec):
+    tbl = build_group(spec)
+    code = tbl.code
+    for x in tbl.elements[::7]:
+        assert code.conjugates(x) == [
+            code.mul(code.mul(s, x), code.inverse(s)) for s in code.gens]
+        # mul(a, b) applies a first: the image of i is b[a[i]]
+        for s in code.gens:
+            assert code.mul(x, s) == tuple(s[i] for i in x)
+
+
+@pytest.mark.parametrize("spec", [
+    *(GroupSpec("SL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9)),
+    GroupSpec("SL", 3, 2), GroupSpec("SL", 3, 3), GroupSpec("SL", 4, 2),
+    GroupSpec("GL", 2, 3), GroupSpec("GL", 3, 2),
+    *(GroupSpec("PSL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11)),
+    GroupSpec("PGL", 2, 5),
+], ids=repr)
+def test_closure_walk_matches_all_generators(spec):
+    tbl = build_group(spec)
+    ops, walk = oracle._row_ops(spec, tbl.ctx)
+    assert set(walk) <= set(ops)
+    full = tbl.code.closure(ops, oracle.ORDER_CAP)
+    assert tbl.code.closure(walk, oracle.ORDER_CAP) == full
+    assert sorted(full) == tbl.elements
+    assert [tbl.index[full[e]] for e in tbl.elements] == \
+        [tbl.inv(i) for i in range(tbl.order)]
+
+
+def test_closure_walk_sizes():
+    def sizes(spec):
+        ops, walk = oracle._row_ops(spec, make_field(spec.q))
+        return len(ops), len(walk)
+
+    assert sizes(GroupSpec("SL", 3, 4)) == (18, 8)
+    assert sizes(GroupSpec("PSL", 2, 11)) == (20, 2)
+    assert sizes(GroupSpec("SL", 4, 2)) == (12, 6)
+    assert sizes(GroupSpec("GL", 2, 3)) == (5, 3)
+
+
+def _ref_class_product_count(tbl, reps, ti):
+    """class_product_count as it was before each factor class got one
+    transition: the transition is recomputed for every factor."""
+    ct = conjugacy_classes(tbl)
+    counts = {k: 0 for k in range(ct.n_classes)}
+    counts[ct.class_of[reps[0]]] = 1
+    for r in reps[1:]:
+        xs = ct.members(ct.class_of[r])
+        times_inv = oracle._right_mul(tbl, [tbl.inv(x) for x in xs])
+        new = {}
+        for k in range(ct.n_classes):
+            total = 0
+            for y in times_inv(ct.reps[k]):
+                total += counts[ct.class_of[y]]
+            if total:
+                new[k] = total
+        counts = {k: new.get(k, 0) for k in range(ct.n_classes)}
+    return counts[ct.class_of[ti]]
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("Alt", 5), GroupSpec("PSL", 2, 7),
+                                  GroupSpec("SL", 2, 5)], ids=repr)
+def test_class_product_count_matches_per_factor_loop(spec):
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    reps = [r for r in ct.reps if r != tbl.identity_index]
+    a, b, c = reps[0], reps[1], reps[-1]
+    lists = [[a] * m for m in range(1, 6)] + [[c] * 4, [a, b], [b, a, b],
+                                               [a, b, a, c, b], [c, a, a, b]]
+    for factors in lists:
+        for t in ct.reps:
+            assert class_product_count(tbl, factors, t) == \
+                _ref_class_product_count(tbl, factors, t), (factors, t)
