@@ -25,7 +25,7 @@ from .gf import (
     poly_sub,
     poly_trim,
 )
-from .matrix import Mat, direct_sum, kron, nullspace
+from .matrix import Mat, direct_sum, kron, nullspace, sub_block
 
 
 def companion(ctx, f):
@@ -332,12 +332,7 @@ def split_decomposable(cf, g):
     n = cf.canonical.n
     emb1 = tuple(range(n1))
     emb2 = tuple(range(n1, n))
-
-    def read(emb):
-        return Mat(cf.canonical.ctx,
-                   [[cf.canonical.rows[i][j] for j in emb] for i in emb])
-
-    g1, g2 = read(emb1), read(emb2)
+    g1, g2 = sub_block(cf.canonical, emb1), sub_block(cf.canonical, emb2)
     if g1.is_scalar() and g2.is_scalar():
         # both sides scalar: lambda I_{n1} (+) mu I_{n2}; trade one coordinate
         # so that at least one side becomes non-scalar (needs a side of dim 2+)
@@ -347,7 +342,7 @@ def split_decomposable(cf, g):
         elif n - n1 >= 2:
             emb1 = (0, 1)
             emb2 = tuple(range(2, n))
-        g1, g2 = read(emb1), read(emb2)
+        g1, g2 = sub_block(cf.canonical, emb1), sub_block(cf.canonical, emb2)
     return g1, g2, (emb1, emb2)
 
 

@@ -44,37 +44,31 @@ def _int_range(text):
 
 
 def _cmd_construct(args):
-    if args.group in ("sl", "gl"):
-        if args.q is None or args.matrix is None:
-            print("construct: matrix groups need --q and --matrix",
-                  file=sys.stderr)
-            return 2
-        try:
-            ctx = make_field(args.q)
-            g = parse_mat(ctx, args.matrix)
+    matrix = args.group in ("sl", "gl")
+    if matrix and (args.q is None or args.matrix is None):
+        print("construct: matrix groups need --q and --matrix",
+              file=sys.stderr)
+        return 2
+    if not matrix and args.perm is None:
+        print("construct: permutation groups need --perm", file=sys.stderr)
+        return 2
+    try:
+        if matrix:
+            g = parse_mat(make_field(args.q), args.matrix)
             spec = GroupSpec(args.group.upper(), args.n, args.q)
             if g.n != args.n:
                 raise ValueError("matrix size does not match --n")
-            w = construct_involution(g, spec)
-        except Unreachable as u:
-            print('{"unreachable":true}')
-            print("no witness exists: %s" % u, file=sys.stderr)
-            return 1
-        except (UnsupportedField, ValueError) as e:
-            print("construct: %s" % e, file=sys.stderr)
-            return 2
-    else:
-        if args.perm is None:
-            print("construct: permutation groups need --perm",
-                  file=sys.stderr)
-            return 2
-        try:
+        else:
             g = Perm.from_cycles(args.perm, args.n)
             spec = GroupSpec(args.group.capitalize(), args.n)
-            w = construct_involution(g, spec)
-        except ValueError as e:
-            print("construct: %s" % e, file=sys.stderr)
-            return 2
+        w = construct_involution(g, spec)
+    except Unreachable as u:
+        print('{"unreachable":true}')
+        print("no witness exists: %s" % u, file=sys.stderr)
+        return 1
+    except ValueError as e:
+        print("construct: %s" % e, file=sys.stderr)
+        return 2
     print(witness_to_json(w))
     return 0
 
@@ -84,7 +78,7 @@ def _cmd_verify(args):
         with open(args.witness) as fh:
             text = fh.read()
         w = witness_from_json(text)
-    except (OSError, ValueError, KeyError) as e:
+    except (OSError, ValueError) as e:
         print("verify: %s" % e, file=sys.stderr)
         return 2
     rep = replay(w)
@@ -97,23 +91,17 @@ def _cmd_verify(args):
 
 def _survey_rows(args):
     if args.family == "alt":
-        for n in args.n:
-            rep = d_inv(build_group(GroupSpec("Alt", n)))
-            for k, text, size, dist in rep.rows:
-                yield ("alt", n, "-", text, size, dist, rep.value)
+        cells = [("Alt", n, None) for n in args.n]
     elif args.family == "psl2":
-        for q in args.q:
-            rep = d_inv(build_group(GroupSpec("PSL", 2, q)))
-            for k, text, size, dist in rep.rows:
-                yield ("psl2", 2, q, text.replace("\n", "|"), size, dist,
-                       rep.value)
+        cells = [("PSL", 2, q) for q in args.q]
     else:
-        n = 2 if args.family == "sl2" else 3
-        for q in args.q:
-            rep = d_proj_inv(build_group(GroupSpec("SL", n, q)))
-            for k, text, size, dist in rep.rows:
-                yield (args.family, n, q, text.replace("\n", "|"), size,
-                       dist, rep.value)
+        cells = [("SL", 2 if args.family == "sl2" else 3, q) for q in args.q]
+    for family, n, q in cells:
+        tbl = build_group(GroupSpec(family, n, q))
+        rep = d_proj_inv(tbl) if family == "SL" else d_inv(tbl)
+        for k, text, size, dist in rep.rows:
+            yield (args.family, n, "-" if q is None else q, text, size, dist,
+                   rep.value)
 
 
 def _cmd_survey(args):

@@ -17,9 +17,13 @@ import random
 
 from .gf import UnsupportedField, make_extension, make_field, pick_alpha, poly_deg
 from .matrix import (GroupSpec, Mat, classify, commutator, pad, parse_mat,
-                     transvection, transvection_h)
-from .canonical import charpoly, companion, generalized_jordan, split_decomposable
-from .oracle import GroupTooLarge
+                     sub_block, transvection, transvection_h)
+from .canonical import (charpoly, companion, factor_charpoly,
+                        generalized_jordan, mat_poly_eval, solve_similarity,
+                        split_decomposable)
+from .oracle import (GroupTooLarge, build_group, class_search,
+                     conjugacy_classes, involution_indices,
+                     projective_involution_test)
 from .perm import Perm, a5_witness, alt_partner, commutator_perm
 
 # Pairs (n, q) where the closed-form reductions are not available end to
@@ -29,6 +33,7 @@ EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
 MAX_WITNESS_LEN = 96
 _MAX_DEPTH = 10
+_PAIR_DRAWS = 600
 
 
 class ConstructError(Exception):
@@ -177,14 +182,17 @@ def _sl2_core(g):
     """Witness steps for non-central 2x2 determinant-1 g over GF(q), q >= 2.
 
     Normalizes so the lower-left entry vanishes or the matrix takes the
-    antidiagonal-plus form, then branches on the shape.  Every branch ends
-    in _sl2_unipotent, which checks its seed and its identity, or returns
-    w itself, which the caller's replay checks.  Over GF(2) the order-3
-    elements admit no witness of this kind; that raises."""
+    antidiagonal-plus form, then branches on the shape.  A branch either
+    returns w itself, which the caller's replay checks, or picks a word
+    whose product over w is a transvection; _sl2_unipotent checks that
+    seed and its identity, and the word pulls its witness back to w.
+    Over GF(2) the order-3 elements admit no witness of this kind; that
+    raises."""
     ctx = g.ctx
     eye = Mat.identity(ctx, 2)
     u = None
     w = g
+    word = None
     if w.rows[1][0] != 0:
         # row reduce to the form with a zero in position (1,1)
         u = transvection_h(ctx, ctx.neg(ctx.div(w.rows[0][0], w.rows[1][0])))
@@ -197,16 +205,10 @@ def _sl2_core(g):
         elif a == ctx.neg(1):
             # q odd, b != 0: w^2 = I + (-2b) E_12
             word = [(eye, 1, "sl2-square"), (eye, 1, "sl2-square")]
-            seed = _product(w, word)
-            inner, t = _sl2_unipotent(seed, "sl2-square")
-            steps = _expand(inner, word)
         else:
             # a not 0, 1, -1: commutator with h(1) is I + (1 - a^2) E_12
             h1 = transvection_h(ctx, 1)
             word = [(h1, 1, "sl2-commutator"), (eye, -1, "sl2-commutator")]
-            seed = _product(w, word)
-            inner, t = _sl2_unipotent(seed, "sl2-commutator")
-            steps = _expand(inner, word)
     else:
         # [[0, -1/a], [a, b]]
         a, b = w.rows[1][0], w.rows[1][1]
@@ -217,9 +219,6 @@ def _sl2_core(g):
             # (h2 w h2^-1 w)^2 = I + (4b/a) E_12 with h2 = I + (b/a) E_12
             h2 = transvection_h(ctx, ctx.div(b, a))
             word = [(h2, 1, "sl2-twist"), (eye, 1, "sl2-twist")] * 2
-            seed = _product(w, word)
-            inner, t = _sl2_unipotent(seed, "sl2-twist")
-            steps = _expand(inner, word)
         else:
             if ctx.q == 2:
                 raise ConstructError(
@@ -231,13 +230,13 @@ def _sl2_core(g):
             off = ctx.mul(ctx.sub(ctx.mul(c, c), 1),
                           ctx.div(b, ctx.mul(a, c)))
             h3 = Mat(ctx, [[c, off], [0, ctx.inv(c)]])
-            word1 = [(h3, 1, "sl2-char2"), (eye, -1, "sl2-char2")]
             h1 = transvection_h(ctx, 1)
-            word2 = _expand([(h1, 1, "sl2-char2"), (eye, -1, "sl2-char2")],
-                            word1)
-            seed = _product(w, word2)
-            inner, t = _sl2_unipotent(seed, "sl2-char2")
-            steps = _expand(inner, word2)
+            word = _expand([(h1, 1, "sl2-char2"), (eye, -1, "sl2-char2")],
+                           [(h3, 1, "sl2-char2"), (eye, -1, "sl2-char2")])
+    if word is not None:
+        # the word's steps carry the branch's label
+        inner, t = _sl2_unipotent(_product(w, word), word[0][2])
+        steps = _expand(inner, word)
     if u is not None:
         # the word was built over w = u g u^-1 and u has determinant 1
         steps = [(c * u, e, lab) for c, e, lab in steps]
@@ -380,14 +379,16 @@ def _m2_word(gJ, f):
 # -- searched pairs ------------------------------------------------------
 
 
-def _pair_candidates(ctx, n, count=600):
+def _pair_candidates(ctx, n):
+    """The identity, the unit transvections, then _PAIR_DRAWS seeded
+    random products of 2n transvections."""
     yield Mat.identity(ctx, n)
     for i in range(n):
         for j in range(n):
             if i != j:
                 yield transvection(ctx, n, i, j, 1)
     rng = random.Random(0xA11CE ^ (ctx.q * 1009 + n))
-    for _ in range(count):
+    for _ in range(_PAIR_DRAWS):
         m = Mat.identity(ctx, n)
         for _ in range(2 * n):
             i = rng.randrange(n)
@@ -406,7 +407,6 @@ def _similarity_in_sl(g, m):
     norms taken down to GF(q); norms are onto GF(q)*, so the determinants
     reached in F[g] are exactly the e-th powers, e = gcd(e_i).  A target
     outside them returns None without enumerating F[g]."""
-    from .canonical import factor_charpoly, solve_similarity
     u0 = solve_similarity(g, m)
     if u0 is None:
         return None
@@ -420,23 +420,11 @@ def _similarity_in_sl(g, m):
         e = math.gcd(e, mult)
     if ctx.pow(want, (ctx.q - 1) // e) != 1:
         return None  # want is not an e-th power
-    pows = [Mat.identity(ctx, n)]
-    for _ in range(n - 1):
-        pows.append(pows[-1] * g)
-    tried = 0
-    for coeffs in itertools.product(range(ctx.q), repeat=n):
-        tried += 1
-        if tried > 300000:
-            break
-        z = None
-        for ck, pk in zip(coeffs, pows):
-            if ck == 0:
-                continue
-            term = pk.scale(ck)
-            z = term if z is None else z + term
-        if z is None or z.det() != want:
-            continue
-        return u0 * z
+    for coeffs in itertools.islice(
+            itertools.product(range(ctx.q), repeat=n), 300000):
+        z = mat_poly_eval(g, coeffs)
+        if z.det() == want:
+            return u0 * z
     return None
 
 
@@ -454,10 +442,6 @@ def _pair_search(g, target):
 
 
 # -- residue finish, descent, decomposition ------------------------------
-
-
-def _read_sub(gJ, emb):
-    return Mat(gJ.ctx, [[gJ.rows[i][j] for j in emb] for i in emb])
 
 
 def _lift_sub(c, n, emb):
@@ -495,7 +479,7 @@ def _finish_block(gJ, word, expect=None):
     if _product(gJ, word) != expect:
         raise ConstructError("%s identity failed" % word[0][2])
     emb = (n - 2, n - 1)
-    inner, t_sub = _sl2_core(_read_sub(expect, emb))
+    inner, t_sub = _sl2_core(sub_block(expect, emb))
     return _lift_square(gJ, inner, t_sub, emb, word)
 
 
@@ -506,9 +490,6 @@ def _phi(mat_ext, base, f):
     ext = mat_ext.ctx
     d = poly_deg(f)
     comp = companion(base, f)
-    pows = [Mat.identity(base, d)]
-    for _ in range(d - 1):
-        pows.append(pows[-1] * comp)
     m = mat_ext.n
     out = [[0] * (m * d) for _ in range(m * d)]
     for i in range(m):
@@ -516,14 +497,7 @@ def _phi(mat_ext, base, f):
             a = mat_ext.rows[i][j]
             if a == 0:
                 continue
-            blk = None
-            for k, ck in enumerate(ext.coords_base(a)):
-                if ck == 0:
-                    continue
-                term = pows[k].scale(ck)
-                blk = term if blk is None else blk + term
-            if blk is None:
-                continue
+            blk = mat_poly_eval(comp, ext.coords_base(a))
             for bi in range(d):
                 for bj in range(d):
                     out[i * d + bi][j * d + bj] = blk.rows[bi][bj]
@@ -580,7 +554,7 @@ def _decomposable(gJ, cf, depth):
         emb_t = traps[0]
         emb_o = emb2 if emb_t == emb1 else emb1
         emb = tuple(emb_t) + (emb_o[0],)
-        sub = _read_sub(gJ, emb)
+        sub = sub_block(gJ, emb)
     inner, t_sub = _construct_internal(sub, depth + 1)
     if sum(e for _, e, _ in inner) != 0:
         inner, t_sub = _reseed(sub, depth + 1)
@@ -600,9 +574,6 @@ def brute_force_witness(g, spec, cap=48):
     Alt: elsewhere the table's words do not replay (parity in Sym,
     determinant in GL, products up to scalars in PSL and PGL), so other
     families raise ValueError."""
-    from .oracle import (_bfs_layers, _right_mul, build_group, conjugacy_classes,
-                         projective_involution_test)
-
     if spec.family not in ("SL", "Alt"):
         raise ValueError("class-graph search not supported for family %r"
                          % spec.family)
@@ -615,8 +586,6 @@ def brute_force_witness(g, spec, cap=48):
         raise ValueError("identity has no witness")
     cls_g = ct.class_of[gi]
     tg_inv = tbl.inv(ct.transporter[gi])
-    members = ct.members(cls_g)
-    gens = sorted(set(members).union(tbl.inv(x) for x in members))
 
     def step(a):
         # a is x^e for a member x of the class: e = +1 when a is a member
@@ -631,16 +600,13 @@ def brute_force_witness(g, spec, cap=48):
         return tbl.decode(tbl.mul(ct.transporter[x], tg_inv)), e, "bfs"
 
     if spec.family == "Alt":
-        def is_target(idx):
-            return (idx != tbl.identity_index
-                    and tbl.mul(idx, idx) == tbl.identity_index)
+        is_target = involution_indices(tbl).__contains__
     else:
         is_target = projective_involution_test(tbl)
 
     parents = {}  # class index -> node it was first reached from
     level = 0
-    for level, y in _bfs_layers(gens, _right_mul(tbl, gens), ct.class_of,
-                                parents):
+    for level, y in class_search(tbl, gi, ct.class_of, parents):
         if level > cap:
             break
         if is_target(y):
@@ -799,6 +765,18 @@ def _fits(x, spec):
             and x.ctx.q == spec.q)
 
 
+def _target_violation(t, spec):
+    """The violation of a target that is no (projective) involution of the
+    family, or None."""
+    if spec.family in ("Sym", "Alt"):
+        if t.is_identity() or not (t * t).is_identity():
+            return "target-not-involution"
+        return "target-parity" if t.parity() != 0 else None
+    if not classify(t, spec).projective_involution:
+        return "target-not-projective-involution"
+    return None
+
+
 def replay(w):
     """Recompute the product and recheck every invariant; reports the
     first violation instead of raising."""
@@ -817,34 +795,21 @@ def replay(w):
         return report("net-exponent-mismatch")
     if not all(_fits(x, spec) for x in [w.g, w.target] + [s.c for s in w.steps]):
         return report("spec-mismatch")
-    if spec.family in ("Sym", "Alt"):
-        g = w.g
-        acc = Perm.identity(g.n)
-        gi = g.inv()
-        for s in w.steps:
-            if s.c.parity() != 0:
-                return report("conjugator-parity")
-            acc = acc * (s.c * (g if s.e == 1 else gi) * s.c.inv())
-        if acc != w.target:
-            return report("product-mismatch")
-        t = w.target
-        if t.is_identity() or not (t * t).is_identity():
-            return report("target-not-involution")
-        if t.parity() != 0:
-            return report("target-parity")
-        return report()
     g = w.g
-    acc = Mat.identity(g.ctx, g.n)
+    if spec.family in ("Sym", "Alt"):
+        acc = Perm.identity(g.n)
+        bad, violation = (lambda c: c.parity() != 0), "conjugator-parity"
+    else:
+        acc = Mat.identity(g.ctx, g.n)
+        bad, violation = (lambda c: c.det() != 1), "conjugator-determinant"
     gi = g.inv()
     for s in w.steps:
-        if s.c.det() != 1:
-            return report("conjugator-determinant")
+        if bad(s.c):
+            return report(violation)
         acc = acc * (s.c * (g if s.e == 1 else gi) * s.c.inv())
     if acc != w.target:
         return report("product-mismatch")
-    if not classify(w.target, spec).projective_involution:
-        return report("target-not-projective-involution")
-    return report()
+    return report(_target_violation(w.target, spec))
 
 
 def witness_to_json(w):
@@ -867,19 +832,37 @@ def witness_to_json(w):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _record_field(obj, key, kind):
+    """obj[key] when obj is a dict holding a kind there (a bool is no int);
+    ValueError for any other structure."""
+    x = obj.get(key) if isinstance(obj, dict) else None
+    if not isinstance(x, kind) or (kind is int and isinstance(x, bool)):
+        raise ValueError("malformed witness record: %r is not of type %s"
+                         % (key, kind.__name__))
+    return x
+
+
 def witness_from_json(text):
+    """The witness a witness_to_json record describes.  ValueError for a
+    record of the wrong structure or types, or whose net exponent differs
+    from the sum of its steps'."""
     obj = json.loads(text)
-    fam = obj["group"]["family"]
-    n = obj["group"]["n"]
+    if not isinstance(obj, dict):
+        raise ValueError("malformed witness record: not a JSON object")
+    group = _record_field(obj, "group", dict)
+    fam, n = group.get("family"), group.get("n")
     if fam in ("Sym", "Alt"):
         spec = GroupSpec(fam, n)
         dec = lambda s: Perm.from_cycles(s, n)
     else:
-        spec = GroupSpec(fam, n, obj["group"]["q"])
+        spec = GroupSpec(fam, n, group.get("q"))
         ctx = make_field(spec.q)
         dec = lambda s: parse_mat(ctx, s)
-    steps = [(dec(d["c"]), d["e"], d["case"]) for d in obj["steps"]]
-    w = Witness(spec, dec(obj["g"]), steps, dec(obj["target"]))
-    if w.net_exponent != obj["net_exponent"]:
+    steps = [(dec(_record_field(d, "c", str)), _record_field(d, "e", int),
+              _record_field(d, "case", str))
+             for d in _record_field(obj, "steps", list)]
+    w = Witness(spec, dec(_record_field(obj, "g", str)), steps,
+                dec(_record_field(obj, "target", str)))
+    if w.net_exponent != _record_field(obj, "net_exponent", int):
         raise ValueError("net exponent mismatch in witness record")
     return w

@@ -127,9 +127,6 @@ class Mat:
         return all(self.rows[i][j] == (c if i == j else 0)
                    for i in range(self.n) for j in range(self.n))
 
-    def transpose(self):
-        return _mat(self.ctx, tuple(zip(*self.rows))) if self.rows else self
-
     # -- elimination-based ops ----------------------------------------------
 
     def det(self):
@@ -297,6 +294,11 @@ def pad(mat, n, offset=0):
                 + eye[offset + mat.n:])
 
 
+def sub_block(mat, emb):
+    """The square block of mat on the coordinates emb (rows and columns)."""
+    return Mat(mat.ctx, [[mat.rows[i][j] for j in emb] for i in emb])
+
+
 def kron(a, b):
     if a.ctx is not b.ctx:
         raise ValueError("field mismatch: %r and %r" % (a.ctx, b.ctx))
@@ -333,6 +335,8 @@ class GroupSpec:
             raise ValueError("%s takes no field order" % family)
         if not perm and q is None:
             raise ValueError("%s needs a field order q" % family)
+        if type(n) is not int or not (q is None or type(q) is int):
+            raise ValueError("n and q must be ints, not %r and %r" % (n, q))
         self.family = family
         self.n = n
         self.q = q

@@ -39,6 +39,8 @@ from .matrix import GroupSpec, Mat
 from .perm import Perm
 
 ORDER_CAP = 10 ** 6
+# orbdiam <= ORBITAL_BOUND_FACTOR * d_t is the upper half of the sandwich
+ORBITAL_BOUND_FACTOR = 72
 
 
 class GroupTooLarge(Exception):
@@ -382,16 +384,16 @@ def _row_ops(spec, ctx):
     return ops + dilation, walk + dilation
 
 
-def build_group(spec, order_cap=ORDER_CAP):
+def build_group(spec):
     """Enumerate the group described by spec.
 
-    Raises GroupTooLarge when the order formula exceeds the cap, and
+    Raises GroupTooLarge when the order formula exceeds ORDER_CAP, and
     RuntimeError if the enumerated order differs from the formula.  Tables
     are cached per spec; repeat callers share one enumeration."""
     expected = group_order(spec)
-    if expected > order_cap:
+    if expected > ORDER_CAP:
         raise GroupTooLarge("|%r| = %d exceeds the cap %d"
-                            % (spec, expected, order_cap))
+                            % (spec, expected, ORDER_CAP))
     key = (spec.family, spec.n, spec.q)
     if key in _TABLE_CACHE:
         return _TABLE_CACHE[key]
@@ -600,6 +602,18 @@ def _index(tbl, x):
     return i
 
 
+def class_search(tbl, ci, key=None, parents=None):
+    """The breadth-first search over products of the class C of the index
+    ci and its inverses: _bfs_layers from the members of C u C^-1 (in
+    index order), each node's neighbors its right multiples by them.  Layer
+    k holds the elements of (C u C^-1)^k first met there; key and parents
+    are passed on (key=ct.class_of searches the class graph)."""
+    ct = conjugacy_classes(tbl)
+    members = ct.members(ct.class_of[ci])
+    gens = sorted(set(members).union(tbl.inv(x) for x in members))
+    return _bfs_layers(gens, _right_mul(tbl, gens), key, parents)
+
+
 def dist_to_set(tbl, c, targets):
     """Least k with (C u C^-1)^k meeting the target set, where C is the
     conjugacy class of c; None if the closure never meets it.
@@ -618,13 +632,7 @@ def dist_to_set(tbl, c, targets):
     normal = all(
         len(targets.intersection(ct.members(k))) in (0, ct.sizes[k])
         for k in range(ct.n_classes))
-    gens = set()
-    for x in ct.members(ct.class_of[ci]):
-        gens.add(x)
-        gens.add(tbl.inv(x))
-    gens = sorted(gens)
-    key = ct.class_of if normal else None
-    for level, y in _bfs_layers(gens, _right_mul(tbl, gens), key):
+    for level, y in class_search(tbl, ci, ct.class_of if normal else None):
         if y in targets:
             return level
     return None
@@ -648,6 +656,19 @@ def _rep_text(tbl, idx):
     return str(el) if isinstance(el, Perm) else el.to_text()
 
 
+def _distance_report(tbl, targets, skip):
+    """The distances to targets of the classes whose rep is not skipped:
+    value is the largest and argmax its classes, or, when some closure
+    misses the set, None and the classes at None."""
+    ct = conjugacy_classes(tbl)
+    rows = [(k, _rep_text(tbl, r), ct.sizes[k], dist_to_set(tbl, r, targets))
+            for k, r in enumerate(ct.reps) if not skip(r)]
+    dists = [r[3] for r in rows]
+    value = None if None in dists else max(dists)
+    argmax = [r[0] for r in rows if r[3] == value]
+    return DistanceReport(tbl.spec, rows, value, argmax)
+
+
 def d_inv(tbl):
     """max over nontrivial classes of the distance to the involution set.
 
@@ -655,20 +676,11 @@ def d_inv(tbl):
     class generates); raises ValueError for a group that is not simple."""
     if not is_simple(tbl.spec):
         raise ValueError("%r is not simple" % tbl.spec)
-    ct = conjugacy_classes(tbl)
     targets = involution_indices(tbl)
     if not targets:
         raise RuntimeError("%r: a nonabelian finite simple group has even "
                            "order, yet no involution was found" % tbl.spec)
-    rows = []
-    for k in range(ct.n_classes):
-        if ct.reps[k] == tbl.identity_index:
-            continue
-        d = dist_to_set(tbl, ct.reps[k], targets)
-        rows.append((k, _rep_text(tbl, ct.reps[k]), ct.sizes[k], d))
-    value = max(r[3] for r in rows)
-    argmax = [r[0] for r in rows if r[3] == value]
-    return DistanceReport(tbl.spec, rows, value, argmax)
+    return _distance_report(tbl, targets, lambda r: r == tbl.identity_index)
 
 
 def d_proj_inv(tbl):
@@ -678,21 +690,8 @@ def d_proj_inv(tbl):
     set; value is then None as well.  Raises ValueError outside GL and
     SL."""
     _require_linear(tbl.spec)
-    ct = conjugacy_classes(tbl)
-    targets = projective_involution_indices(tbl)
-    rows = []
-    for k in range(ct.n_classes):
-        if tbl.decode(ct.reps[k]).is_scalar():
-            continue
-        d = dist_to_set(tbl, ct.reps[k], targets)
-        rows.append((k, _rep_text(tbl, ct.reps[k]), ct.sizes[k], d))
-    if any(r[3] is None for r in rows):
-        value = None
-        argmax = [r[0] for r in rows if r[3] is None]
-    else:
-        value = max(r[3] for r in rows)
-        argmax = [r[0] for r in rows if r[3] == value]
-    return DistanceReport(tbl.spec, rows, value, argmax)
+    return _distance_report(tbl, projective_involution_indices(tbl),
+                            lambda r: tbl.decode(r).is_scalar())
 
 
 # -- class product counts -------------------------------------------------
@@ -774,14 +773,14 @@ def _require(ok, spec, what):
         raise RuntimeError("%r: %s" % (spec, what))
 
 
-def orbital_diameter_report(spec=None, bound_factor=72):
+def orbital_diameter_report(spec=None):
     """Orbital graphs of the square-with-swap action on T = Alt(5).
 
     The domain is identified with T: (u, v) acts by w -> u^-1 w v and the
     swap by w -> w^-1.  Point pairs split into orbitals; each nondiagonal
     orbital graph is checked to be the Cayley graph of a class closed
     under inversion, so the maximum orbital diameter sandwiches between
-    half the class-graph diameter and bound_factor times it.  Raises
+    half the class-graph diameter and ORBITAL_BOUND_FACTOR times it.  Raises
     RuntimeError when one of these structure checks fails."""
     if spec is None:
         spec = GroupSpec("Alt", 5)
@@ -863,6 +862,6 @@ def orbital_diameter_report(spec=None, bound_factor=72):
     orbdiam = max(orbital_diameters.values())
     d_t = max(class_diameters.values())
     lower_ok = 2 * orbdiam >= d_t
-    upper_ok = orbdiam <= bound_factor * d_t
+    upper_ok = orbdiam <= ORBITAL_BOUND_FACTOR * d_t
     return OrbitalReport(spec, orbital_diameters, class_diameters, matching,
                          orbdiam, d_t, lower_ok, upper_ok)

@@ -106,6 +106,39 @@ def test_verify_unreadable_exits_two(capsys, tmp_path):
     assert code == 2
 
 
+def _set(*path):
+    """An edit that puts path[-1] at the key path[:-1] of a record."""
+    def edit(obj):
+        *keys, last, value = path
+        for k in keys:
+            obj = obj[k]
+        obj[last] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    lambda obj: [obj],
+    _set("group", "q", "5"),
+    _set("group", "n", "3"),
+    _set("steps", 5),
+    _set("steps", 0, "c", 5),
+    _set("steps", 0, "case", 5),
+    _set("g", 5),
+    _set("net_exponent", "0"),
+], ids=["record-is-list", "q-is-str", "n-is-str", "steps-is-int",
+        "c-is-int", "case-is-int", "g-is-int", "net-is-str"])
+def test_verify_malformed_record_exits_two(capsys, tmp_path, edit):
+    code, out, _ = run(capsys, "construct", "--group", "sl", "--n", "2",
+                       "--q", "5", "--matrix", "1,1;0,1")
+    obj = json.loads(out)
+    obj = edit(obj) or obj
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("verify: ") and err.count("\n") == 1
+
+
 def test_survey_alt(capsys):
     code, out, _ = run(capsys, "survey", "--family", "alt", "--n", "5..6")
     assert code == 0

@@ -651,6 +651,16 @@ def test_replay_flags_perm_violations():
     assert replay(w).violation == "target-parity"
 
 
+def test_replay_flags_perm_target_not_involution():
+    g = Perm.from_cycles("(1,2,3)", 5)
+    eye = Perm.identity(5)
+    spec = GroupSpec("Alt", 5)
+    w = Witness(spec, g, [(eye, 1, "x")], g)
+    assert replay(w).violation == "target-not-involution"
+    w = Witness(spec, g, [(eye, 1, "x"), (eye, -1, "x")], eye)
+    assert replay(w).violation == "target-not-involution"
+
+
 def test_witness_json_roundtrip_matrix():
     w = _sample_witness()
     js = witness_to_json(w)
@@ -762,3 +772,22 @@ def test_pinned_witness_bytes():
                                    getattr(e, "certificate", None))
         h.update(rec.encode() + b"\n")
     assert h.hexdigest() == PINNED_SHA256
+
+
+# sha256 over the witnesses for the class transversals of SL(2,4) and
+# SL(2,8), one witness_to_json per line: the even-q branch of the 2x2
+# finish (sl2-char2), which none of the inputs above reaches
+PINNED_SL2_EVEN_SHA256 = \
+    "f4c971daa0068b1761ebe4d9cb811d343a4d1e7e0272fc14c4cfc1efed9268b6"
+
+
+def test_pinned_sl2_even_witness_bytes():
+    h = hashlib.sha256()
+    count = 0
+    for q in (4, 8):
+        for g, _ in class_transversal(make_field(q), 2):
+            w = construct_involution(g, GroupSpec("SL", 2, q))
+            h.update(witness_to_json(w).encode() + b"\n")
+            count += 1
+    assert count == 68
+    assert h.hexdigest() == PINNED_SL2_EVEN_SHA256

@@ -187,6 +187,14 @@ def test_block_helpers():
     assert t.det() == 1 and t[2, 0] == 4
 
 
+@pytest.mark.parametrize("family, n, q", [
+    ("SL", "3", 5), ("SL", 3, "5"), ("SL", True, 5), ("GL", 2, 5.0),
+    ("Alt", 5.0, None), ("Sym", None, None)])
+def test_group_spec_refuses_non_int_sizes(family, n, q):
+    with pytest.raises(ValueError, match="must be ints"):
+        GroupSpec(family, n, q)
+
+
 def test_parse_rejects_ragged():
     with pytest.raises(ValueError):
         parse_mat(make_field(5), "1,2;3")

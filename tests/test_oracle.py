@@ -12,8 +12,9 @@ from invword.matrix import GroupSpec, Mat, classify, commutator
 from invword.gf import make_field
 from invword.perm import Perm
 from invword.oracle import (GroupTooLarge, build_group, class_product_count,
-                            conjugacy_classes, d_inv, d_proj_inv, dist_to_set,
-                            group_order, involution_indices, is_simple,
+                            class_search, conjugacy_classes, d_inv,
+                            d_proj_inv, dist_to_set, group_order,
+                            involution_indices, is_simple,
                             orbital_diameter_report,
                             projective_involution_indices,
                             projective_involution_test)
@@ -153,6 +154,33 @@ def test_dist_to_set_class_and_element_search_agree(spec, monkeypatch):
         assert d is not None
         assert dist_to_set(tbl, ct.reps[k], partial) == d
     assert modes == ["class", "element"] * (ct.n_classes - 1)
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("Alt", 5), GroupSpec("SL", 2, 3)])
+def test_class_search_layers_are_the_new_products(spec):
+    # layer k of the element search holds the elements of S^k met in no
+    # earlier power, S the class of the start with its inverses; the class
+    # search meets the classes of the same layers
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    for k, r in enumerate(ct.reps):
+        gens = set(ct.members(k)) | {tbl.inv(x) for x in ct.members(k)}
+        layers = {}
+        for level, y in class_search(tbl, r):
+            layers.setdefault(level, set()).add(y)
+        assert sorted(layers) == list(range(1, len(layers) + 1))
+        seen, power = set(), {tbl.identity_index}
+        for level in sorted(layers):
+            power = {tbl.mul(a, b) for a in power for b in gens}
+            assert layers[level] == power - seen
+            seen |= power
+        assert {tbl.mul(a, b) for a in seen for b in gens} <= seen
+        by_class = {}
+        for level, y in class_search(tbl, r, ct.class_of):
+            by_class[ct.class_of[y]] = level
+        assert by_class == {ct.class_of[y]: level
+                            for level in sorted(layers, reverse=True)
+                            for y in layers[level]}
 
 
 def test_d_inv_alt5():
