@@ -5,9 +5,11 @@ with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
 (in {I, -I}) and t non-central.  Closed-form reduction words cover each
 canonical shape, tried in the order of the route table; a commutator
-restart answers when every route fails; a conjugacy-class graph search
-covers a fixed list of small groups where the reductions degenerate.
-Everything is replayed before being returned.
+restart answers when every route fails.  A fixed list of small groups,
+where the reductions degenerate, reads a stored minimal word for the
+class of g (class_words, regenerated by class_word_table with the
+oracle's class-graph search) and conjugates it back to g, so no group is
+enumerated.  Everything is replayed before being returned.
 """
 
 import itertools
@@ -18,17 +20,19 @@ import random
 from .gf import UnsupportedField, make_extension, make_field, pick_alpha, poly_deg
 from .matrix import (GroupSpec, Mat, classify, commutator, pad, parse_mat,
                      sub_block, transvection, transvection_h)
-from .canonical import (charpoly, companion, factor_charpoly,
-                        generalized_jordan, mat_poly_eval, solve_similarity,
-                        split_decomposable)
-from .oracle import (GroupTooLarge, build_group, class_search,
-                     conjugacy_classes, involution_indices,
+from .canonical import (charpoly, class_transversal, companion,
+                        factor_charpoly, generalized_jordan, mat_poly_eval,
+                        solve_similarity, split_decomposable)
+from .class_words import CLASS_WORDS
+from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
+                     group_order, involution_indices,
                      projective_involution_test)
 from .perm import Perm, a5_witness, alt_partner, commutator_perm
 
 # Pairs (n, q) where the closed-form reductions are not available end to
-# end; these go through the class-graph search first, and through the
-# reductions only when the group is too large to enumerate.
+# end; these read the stored class word for the canonical form of g
+# (CLASS_WORDS), and take the reductions only when none is stored: SL(4,3)
+# is too large for the class-graph search that fills the table.
 EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
 MAX_WITNESS_LEN = 96
@@ -247,10 +251,10 @@ def sl2_witness(g):
     """Witness for a non-central 2x2 determinant-1 matrix, q > 3: the
     same witness construct_involution builds in SL(2, q).
 
-    For q in {2, 3} use construct_involution, which routes these through
-    the class-graph search."""
+    For q in {2, 3} use construct_involution, which reads these from the
+    stored class words."""
     if g.ctx.q <= 3:
-        raise ValueError("q <= 3 needs the search fallback; "
+        raise ValueError("q <= 3 has no 2x2 closed form; "
                          "call construct_involution")
     return construct_involution(g, GroupSpec("SL", 2, g.ctx.q))
 
@@ -561,7 +565,7 @@ def _decomposable(gJ, cf, depth):
     return _lift_square(gJ, inner, t_sub, emb)
 
 
-# -- class-graph search for the excluded pairs ----------------------------
+# -- class words for the excluded pairs ------------------------------------
 
 
 def brute_force_witness(g, spec, cap=48):
@@ -633,6 +637,49 @@ def brute_force_witness(g, spec, cap=48):
                       certificate)
 
 
+def class_word_table():
+    """CLASS_WORDS recomputed with the oracle: for each excluded pair small
+    enough to enumerate and each determinant-1, non-central canonical form
+    J there (from class_transversal), the key (n, q, J text) and either
+    (the step texts (c, e) of brute_force_witness(J, SL(n, q)), the target
+    text) or, for a class that reaches no involution, (the Unreachable
+    message, its certificate)."""
+    table = {}
+    for n, q in sorted(EXCLUDED_PAIRS):
+        spec = GroupSpec("SL", n, q)
+        if group_order(spec) > ORDER_CAP:
+            continue
+        for g, _ in class_transversal(make_field(q), n):
+            j = generalized_jordan(g).canonical
+            key = (n, q, j.to_text())
+            if key in table:
+                continue
+            try:
+                w = brute_force_witness(j, spec)
+            except Unreachable as u:
+                table[key] = (str(u), u.certificate)
+            else:
+                table[key] = (tuple((s.c.to_text(), s.e) for s in w.steps),
+                              w.target.to_text())
+    return table
+
+
+def _class_word(gJ):
+    """The stored word over the canonical form gJ of an excluded pair, as
+    (steps, target), or None when CLASS_WORDS holds no entry for it.
+    Raises Unreachable, with a copy of the stored certificate, for the
+    class that reaches no involution."""
+    entry = CLASS_WORDS.get((gJ.n, gJ.ctx.q, gJ.to_text()))
+    if entry is None:
+        return None
+    word, target = entry
+    if isinstance(word, str):
+        raise Unreachable(word, dict(target))
+    ctx = gJ.ctx
+    return ([(parse_mat(ctx, c), e, "bfs") for c, e in word],
+            parse_mat(ctx, target))
+
+
 # -- main pipeline -------------------------------------------------------
 
 
@@ -664,18 +711,17 @@ def _construct_internal(g, depth=0):
         raise ValueError("central element has no witness")
     if g.det() != 1:
         return _reseed(g, depth)
-    if (n, ctx.q) in EXCLUDED_PAIRS:
-        try:
-            w = brute_force_witness(g, GroupSpec("SL", n, ctx.q))
-        except GroupTooLarge:
-            pass  # the generic routes below
-        else:
-            return [(s.c, s.e, s.case) for s in w.steps], w.target
-    if n == 2:
+    excluded = (n, ctx.q) in EXCLUDED_PAIRS
+    if n == 2 and not excluded:
         return _sl2_core(g)
     cf = generalized_jordan(g)
     gJ = cf.canonical
-    if cf.case == "decomposable":
+    # g = u^-1 gJ u, and conjugation by u maps the word over gJ to one over
+    # g with the same length and determinant-1 conjugators (below)
+    stored = _class_word(gJ) if excluded else None
+    if stored is not None:
+        steps, t = stored
+    elif cf.case == "decomposable":
         steps, t = _decomposable(gJ, cf, depth)
     else:
         for route in _ROUTES[cf.case]:

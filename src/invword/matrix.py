@@ -337,6 +337,8 @@ class GroupSpec:
             raise ValueError("%s needs a field order q" % family)
         if type(n) is not int or not (q is None or type(q) is int):
             raise ValueError("n and q must be ints, not %r and %r" % (n, q))
+        if n < 1:
+            raise ValueError("n must be at least 1, not %d" % n)
         self.family = family
         self.n = n
         self.q = q

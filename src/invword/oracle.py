@@ -629,10 +629,22 @@ def dist_to_set(tbl, c, targets):
     targets = frozenset(targets)
     if targets and not (min(targets) >= 0 and max(targets) < tbl.order):
         raise ValueError("target index outside the group")
+    return _dist(tbl, ci, targets, _class_key(ct, targets))
+
+
+def _class_key(ct, targets):
+    """ct.class_of when the target set is a union of classes, else None:
+    the key that dist_to_set's search tells nodes apart by."""
     normal = all(
         len(targets.intersection(ct.members(k))) in (0, ct.sizes[k])
         for k in range(ct.n_classes))
-    for level, y in class_search(tbl, ci, ct.class_of if normal else None):
+    return ct.class_of if normal else None
+
+
+def _dist(tbl, ci, targets, key):
+    """dist_to_set for a checked index ci and frozenset targets, searching
+    the class graph when key is ct.class_of and the elements when None."""
+    for level, y in class_search(tbl, ci, key):
         if y in targets:
             return level
     return None
@@ -661,7 +673,8 @@ def _distance_report(tbl, targets, skip):
     value is the largest and argmax its classes, or, when some closure
     misses the set, None and the classes at None."""
     ct = conjugacy_classes(tbl)
-    rows = [(k, _rep_text(tbl, r), ct.sizes[k], dist_to_set(tbl, r, targets))
+    key = _class_key(ct, targets)  # once for every class, not per class
+    rows = [(k, _rep_text(tbl, r), ct.sizes[k], _dist(tbl, r, targets, key))
             for k, r in enumerate(ct.reps) if not skip(r)]
     dists = [r[3] for r in rows]
     value = None if None in dists else max(dists)

@@ -139,6 +139,21 @@ def test_verify_malformed_record_exits_two(capsys, tmp_path, edit):
     assert err.startswith("verify: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,n", [
+    (("--group", "sl", "--n", "2", "--q", "5", "--matrix", "1,1;0,1"), 0),
+    (("--group", "alt", "--n", "6", "--perm", "(1,2,3)"), -1),
+], ids=["sl-n-0", "alt-n-minus-1"])
+def test_verify_group_size_below_one_exits_two(capsys, tmp_path, argv, n):
+    code, out, _ = run(capsys, "construct", *argv)
+    obj = json.loads(out)
+    obj["group"]["n"] = n
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "verify", "--witness", str(path))
+    assert code == 2 and out == ""
+    assert err == "verify: n must be at least 1, not %d\n" % n
+
+
 def test_survey_alt(capsys):
     code, out, _ = run(capsys, "survey", "--family", "alt", "--n", "5..6")
     assert code == 0

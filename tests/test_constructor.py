@@ -11,7 +11,6 @@ import pytest
 import invword.constructor as constructor
 from invword.gf import UnsupportedField, make_field, irreducible_polys
 from invword.matrix import GroupSpec, Mat, parse_mat, transvection_h
-from invword.oracle import GroupTooLarge
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                factor_charpoly, generalized_jordan,
                                solve_similarity)
@@ -380,11 +379,9 @@ def test_word_missing_its_residue_falls_through(monkeypatch):
 
 
 def test_excluded_pair_too_large_runs_the_routes(monkeypatch):
-    # an excluded pair whose group cannot be enumerated takes the generic
-    # routes in the same call, at the same depth
-    def too_large(g, spec):
-        raise GroupTooLarge("forced")
-    monkeypatch.setattr(constructor, "brute_force_witness", too_large)
+    # an excluded pair with no stored class word (as SL(4,3), too large to
+    # enumerate) takes the generic routes in the same call, at the same depth
+    monkeypatch.setattr(constructor, "CLASS_WORDS", {})
     depths = []
     real = constructor._construct_internal
     monkeypatch.setattr(constructor, "_construct_internal",
@@ -731,6 +728,76 @@ def test_class_search_cap():
     assert ei.value.certificate["levels_explored"] == 2
 
 
+# -- stored class words -------------------------------------------------------
+
+STORED_PAIRS = [(2, 2), (2, 3), (3, 2), (3, 4), (4, 2)]
+
+
+def test_class_words_equal_the_class_search():
+    table = constructor.class_word_table()
+    assert list(table.items()) == list(constructor.CLASS_WORDS.items())
+
+
+def test_class_words_cover_every_class():
+    keys = set()
+    for n, q in STORED_PAIRS:
+        for g, _ in class_transversal(make_field(q), n):
+            keys.add((n, q, generalized_jordan(g).canonical.to_text()))
+    assert keys == set(constructor.CLASS_WORDS)
+    assert len(keys) == 42
+
+
+def test_class_words_replay_under_non_sl_conjugation():
+    # v has determinant != 1 wherever GF(q) allows it; g = v J v^-1 still
+    # gets the stored word's length, carried over by generalized_jordan's u
+    rng = random.Random(11)
+    for (n, q, text), (word, target) in constructor.CLASS_WORDS.items():
+        ctx = make_field(q)
+        v = rand_gl(ctx, n, rng)
+        while q > 2 and v.det() == 1:
+            v = rand_gl(ctx, n, rng)
+        g = v * parse_mat(ctx, text) * v.inv()
+        if isinstance(word, str):
+            with pytest.raises(Unreachable) as ei:
+                construct_involution(g, GroupSpec("SL", n, q))
+            assert ei.value.certificate == target
+            continue
+        w = ok(construct_involution(g, GroupSpec("SL", n, q)))
+        assert (w.length, w.net_exponent) == (len(word),
+                                              sum(e for _, e in word))
+        assert labels(w) == ["bfs"]
+
+
+def test_excluded_pairs_enumerate_no_group(monkeypatch):
+    import invword.oracle as oracle
+    calls = []
+    for mod in (oracle, constructor):
+        for name in ("build_group", "conjugacy_classes"):
+            real = getattr(oracle, name)
+            monkeypatch.setattr(mod, name, lambda *a, _n=name, _r=real:
+                                calls.append(_n) or _r(*a))
+    rng = random.Random(5)
+    for n, q in STORED_PAIRS:
+        ctx = make_field(q)
+        for g, _ in class_transversal(ctx, n):
+            c = rand_gl(ctx, n, rng)
+            try:
+                ok(construct_involution(c * g * c.inv(),
+                                        GroupSpec("SL", n, q)))
+            except Unreachable:
+                assert (n, q) == (2, 2)
+    # 1 (+) J_3(omega) in SL(4,4): its part on the last three coordinates
+    # is solved in SL(3,4), through the stored words
+    hits = []
+    real = constructor._class_word
+    monkeypatch.setattr(constructor, "_class_word",
+                        lambda gJ: hits.append(gJ.n) or real(gJ))
+    g = parse_mat(ctx4, "1,0,0,0;0,2,2,0;0,0,2,2;0,0,0,2")
+    ok(construct_involution(g, GroupSpec("SL", 4, 4)))
+    assert hits and set(hits) == {3}
+    assert calls == []
+
+
 # -- pinned witness bytes ----------------------------------------------------
 
 
@@ -759,18 +826,27 @@ def pinned_inputs():
 # sha256 over each input's witness_to_json (or exception and certificate),
 # one per line; a change to any witness byte changes it
 PINNED_SHA256 = \
-    "bd77073487226dd7941291e0ddf24c6d77f236854b772462af8c163d3da8c449"
+    "fcc1a4c02a2d380502a4756cbfcacd736ea265d674abbe2762c0e1ec80af98cc"
+# sha256 over each input's "length net_exponent" (or the same exception
+# line): the shape of every witness, which the stored class words kept
+# from the class-graph search they replaced
+PINNED_SHAPE_SHA256 = \
+    "c0e1c5d7b77efb66562ef4a924e95efe0f37fac60b4cbc3077bba9318e2f9e71"
 
 
 def test_pinned_witness_bytes():
-    h = hashlib.sha256()
+    h, shape = hashlib.sha256(), hashlib.sha256()
     for g, spec in pinned_inputs():
         try:
-            rec = witness_to_json(construct_involution(g, spec))
+            w = construct_involution(g, spec)
+            rec, dims = witness_to_json(w), "%d %d" % (w.length,
+                                                       w.net_exponent)
         except ConstructError as e:
-            rec = "%s: %s | %r" % (type(e).__name__, e,
-                                   getattr(e, "certificate", None))
+            rec = dims = "%s: %s | %r" % (type(e).__name__, e,
+                                          getattr(e, "certificate", None))
         h.update(rec.encode() + b"\n")
+        shape.update(dims.encode() + b"\n")
+    assert shape.hexdigest() == PINNED_SHAPE_SHA256
     assert h.hexdigest() == PINNED_SHA256
 
 

@@ -195,6 +195,14 @@ def test_group_spec_refuses_non_int_sizes(family, n, q):
         GroupSpec(family, n, q)
 
 
+@pytest.mark.parametrize("family, n, q", [
+    ("SL", 0, 5), ("GL", -2, 3), ("Alt", -1, None), ("Sym", 0, None)])
+def test_group_spec_refuses_sizes_below_one(family, n, q):
+    with pytest.raises(ValueError, match="at least 1"):
+        GroupSpec(family, n, q)
+    assert GroupSpec(family, 1, q).n == 1
+
+
 def test_parse_rejects_ragged():
     with pytest.raises(ValueError):
         parse_mat(make_field(5), "1,2;3")
