@@ -41,7 +41,7 @@ tour("scaled regular unipotent",
      GroupSpec("SL", 4, 5))
 
 f = next(iter(irreducible_polys(ctx2, 2)))
-tour("quadratic block, multiplicity 3 (field descent)",
+tour("quadratic block, multiplicity 3 (restart window)",
      gen_jordan_block(ctx2, f, 3), GroupSpec("SL", 6, 2))
 
 tour("block diagonal split",

@@ -245,7 +245,7 @@ def _case_tag(blocks, n):
         return "mn"
     if m == 2:
         return "m2"
-    return "ext"  # deg f >= 2 with m >= 3: handled by field-extension descent
+    return "ext"  # deg f >= 2 with m >= 3, so n >= 6: the constructor's window
 
 
 def solve_similarity(g, j):

@@ -4,8 +4,10 @@ construct_involution(g, spec) returns a Witness holding steps (c_i, e_i)
 with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
 (in {I, -I}) and t non-central.  Closed-form reduction words cover each
-canonical shape, tried in the order of the route table; a commutator
-restart answers when every route fails.  A fixed list of small groups,
+canonical shape up to dimension 4, tried in the order of the route table;
+a commutator restart answers when every route fails, and answers every
+element above dimension 4: the commutator moves a window of dimension at
+most 4, solved there and lifted.  A fixed list of small groups,
 where the reductions degenerate, reads a stored minimal word for the
 class of g (class_words, regenerated by class_word_table with the
 oracle's class-graph search) and conjugates it back to g, so no group is
@@ -17,12 +19,13 @@ import json
 import math
 import random
 
-from .gf import UnsupportedField, make_extension, make_field, pick_alpha, poly_deg
-from .matrix import (GroupSpec, Mat, classify, commutator, pad, parse_mat,
-                     sub_block, transvection, transvection_h)
-from .canonical import (charpoly, class_transversal, companion,
-                        factor_charpoly, generalized_jordan, mat_poly_eval,
-                        solve_similarity, split_decomposable)
+from .gf import make_field, pick_alpha
+from .matrix import (GroupSpec, Mat, classify, commutator, nullspace, pad,
+                     parse_mat, pivot_columns, sub_block, transvection,
+                     transvection_h)
+from .canonical import (charpoly, class_transversal, factor_charpoly,
+                        generalized_jordan, mat_poly_eval, solve_similarity,
+                        split_decomposable)
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
                      group_order, involution_indices,
@@ -145,9 +148,13 @@ def _reseed_word(g):
 
 def _reseed(g, depth):
     """Trade g for its commutator with a partner and pull a witness for
-    the commutator back to g."""
+    the commutator back to g; above dimension 4 the commutator is solved
+    on its window."""
     word_x, x = _reseed_word(g)
-    inner, t = _construct_internal(x, depth + 1)
+    if g.n > 4:
+        inner, t = _window(x, depth)
+    else:
+        inner, t = _construct_internal(x, depth + 1)
     return _expand(inner, word_x), t
 
 
@@ -319,65 +326,16 @@ def _mn_word(gJ):
     return [(_det_one(v_of(1)), 1, lab), (_det_one(v_of(0)), -1, lab)]
 
 
-def _pair_word(gJ):
-    """lambda (I + N) when _mn_word fails: a searched 2-step word with
-    product I + E_{n-1,n}."""
-    a, b = _pair_search(gJ, _unit_residue(gJ.ctx, gJ.n))
-    return [(a, 1, "mn-reduction"), (b, -1, "mn-reduction")]
-
-
-def _m2_t2(ctx, n, f):
-    """The auxiliary conjugator for the two-block shape, n = 2d >= 6."""
-    half = n // 2
-    rows = [[0] * n for _ in range(n)]
-
-    def put(i, j, val):
-        # i, j are 1-indexed
-        rows[i - 1][j - 1] = ctx.add(rows[i - 1][j - 1], val)
-
-    if n == 6:
-        put(1, 4, 1)
-        put(2, 3, 1)
-        put(2, 6, 1)
-        put(3, 1, 1)
-        put(4, 2, 1)
-        put(6, 6, 1)
-        put(4, 4, ctx.neg(1))
-        put(5, 5, ctx.neg(1))
-        put(5, 6, ctx.add(1, f[2]))
-    else:
-        put(1, n, 1)
-        put(1, half + 1, 1 if (half + 1) % 2 == 1 else ctx.neg(1))
-        for i in range(2, half - 1):
-            put(i, half + i, 1)
-        for i in range(1, half + 1):
-            put(half - 2 + i, i, 1)
-        put(n - 2, n - 2, ctx.neg(1))
-        put(n - 1, n - 1, ctx.neg(1))
-        put(n - 1, n, ctx.add(1, f[half - 1]))
-        put(n, n, 1)
-    return Mat(ctx, rows)
-
-
 def _m2_word(gJ, f):
-    """Two Jordan blocks for the same irreducible f of degree d = n/2 >= 2:
-    (word, product).  A 4-step word with product I + E_{n-1,n} when
-    n >= 6; a searched pair reaching I (+) [[1, 1], [1/c0, 1 + 1/c0]]
-    (determinant 1, not scalar) when n = 4."""
-    ctx, n = gJ.ctx, gJ.n
-    lab = "m2-reduction"
-    if n == 4:
-        c0 = f[0]
-        wres = Mat(ctx, [[1, 1], [ctx.inv(c0), ctx.add(1, ctx.inv(c0))]])
-        target = pad(wres, 4, 2)
-        A, B = _pair_search(gJ, target)
-        return [(A, 1, lab), (B, -1, lab)], target
-    t1 = _unit_residue(ctx, n)
-    A = _det_one(_m2_t2(ctx, n, f)).inv()
-    B = A * t1
-    s0, sm1 = _s3(ctx, n, 0), _s3(ctx, n, ctx.neg(1))
-    return [(s0 * A, -1, lab), (s0 * B, 1, lab),
-            (sm1 * B, -1, lab), (sm1 * A, 1, lab)], t1
+    """Two Jordan blocks for the same irreducible quadratic f, n = 4:
+    (word, product), a searched pair reaching I (+) [[1, 1], [1/c0,
+    1 + 1/c0]] (determinant 1, not scalar)."""
+    ctx = gJ.ctx
+    c0 = f[0]
+    wres = Mat(ctx, [[1, 1], [ctx.inv(c0), ctx.add(1, ctx.inv(c0))]])
+    target = pad(wres, 4, 2)
+    A, B = _pair_search(gJ, target)
+    return [(A, 1, "m2-reduction"), (B, -1, "m2-reduction")], target
 
 
 # -- searched pairs ------------------------------------------------------
@@ -445,7 +403,7 @@ def _pair_search(g, target):
     raise ConstructError("pair search exhausted")
 
 
-# -- residue finish, descent, decomposition ------------------------------
+# -- residue finish, decomposition, window --------------------------------
 
 
 def _lift_sub(c, n, emb):
@@ -487,82 +445,59 @@ def _finish_block(gJ, word, expect=None):
     return _lift_square(gJ, inner, t_sub, emb, word)
 
 
-def _phi(mat_ext, base, f):
-    """Entrywise blow-up along the extension defined by f: each entry
-    sum b_k xi^k becomes sum b_k C(f)^k.  A ring homomorphism, so words
-    and their products descend entry by entry."""
-    ext = mat_ext.ctx
-    d = poly_deg(f)
-    comp = companion(base, f)
-    m = mat_ext.n
-    out = [[0] * (m * d) for _ in range(m * d)]
-    for i in range(m):
-        for j in range(m):
-            a = mat_ext.rows[i][j]
-            if a == 0:
-                continue
-            blk = mat_poly_eval(comp, ext.coords_base(a))
-            for bi in range(d):
-                for bj in range(d):
-                    out[i * d + bi][j * d + bj] = blk.rows[bi][bj]
-    return Mat(base, out)
-
-
-def _ext_descent(gJ, f, mult):
-    """Jordan block for irreducible f of degree d >= 2 with multiplicity
-    mult: view it as xi (I + N) over GF(q^d), solve there, map the word
-    down entrywise.  Determinants of the mapped conjugators are norms of
-    the upstairs determinants, so determinant-1 is preserved."""
-    base = gJ.ctx
-    ext = make_extension(base, f)  # UnsupportedField above 32 elements
-    xi = base.q  # encoding of the adjoined root
-    rows = [[0] * mult for _ in range(mult)]
-    for i in range(mult):
-        rows[i][i] = xi
-        if i + 1 < mult:
-            rows[i][i + 1] = xi
-    m_up = Mat(ext, rows)
-    if _phi(m_up, base, f) != gJ:
-        raise ConstructError("block is not the blow-up of xi (I + N)")
-    if mult >= 3:
-        steps_up, t_up = _finish_block(m_up, _mn_word(m_up))
-    else:
-        # mult == 2 with even q: the upstairs matrix has determinant
-        # xi^2 != 1, so reseed there and solve the 2x2 case
-        word_x, x = _reseed_word(m_up)
-        inner, t_up = _sl2_core(x)
-        steps_up = _expand(inner, word_x)
-    return ([(_phi(c, base, f), e, "descent/" + lab) for c, e, lab in steps_up],
-            _phi(t_up, base, f))
-
-
 def _decomposable(gJ, cf, depth):
     """Split into diagonal parts, solve on one non-scalar part with a
     balanced word (so the complement cancels) and lift it.  An unbalanced
     word for the part is traded for a commutator restart, whose words
     always balance."""
-    ctx = gJ.ctx
     g1, g2, (emb1, emb2) = split_decomposable(cf, gJ)
-    sides = [(g1, emb1), (g2, emb2)]
-    viable = [(s, e) for s, e in sides
-              if not s.is_scalar() and not (s.n == 2 and ctx.q == 2)]
-    if viable:
-        sub, emb = viable[0]
-    else:
-        # only a 2x2 part over GF(2) is non-scalar; balanced words do not
-        # exist there (they land in the index-2 subgroup), so widen the
-        # part by one coordinate of the scalar complement
-        traps = [e for s, e in sides if not s.is_scalar()]
-        if not traps:
-            raise ConstructError("split left no non-scalar part")
-        emb_t = traps[0]
-        emb_o = emb2 if emb_t == emb1 else emb1
-        emb = tuple(emb_t) + (emb_o[0],)
-        sub = sub_block(gJ, emb)
+    sub, emb = (g2, emb2) if g1.is_scalar() else (g1, emb1)
     inner, t_sub = _construct_internal(sub, depth + 1)
     if sum(e for _, e, _ in inner) != 0:
         inner, t_sub = _reseed(sub, depth + 1)
     return _lift_square(gJ, inner, t_sub, emb)
+
+
+def _extend(ctx, basis, vectors):
+    """basis followed by those of vectors that are independent of it and
+    of the ones taken before them."""
+    cols = list(basis) + list(vectors)
+    return [cols[c] for c in pivot_columns(Mat(ctx, list(zip(*cols))))]
+
+
+def _window(x, depth):
+    """Witness for a commutator x with a transvection, n > 4.  x - I has
+    rank r <= 2, so x fixes K = ker(x - I) and moves only the window
+    U = im(x - I) + W, W a complement of K taken from im(x - I) first:
+    dim U = r + dim(im & K) <= 4.  In the basis P of U followed by a
+    complement of U & K in K, x is y (+) I.  A witness for y on U lifts
+    with no balance, as the complement is exactly I; conjugating by P keeps
+    each conjugator's determinant.  y is never scalar: that would make U =
+    im(x - I), which both transvections of x preserve, and on U their
+    product, two unipotents, would be -I.  Over GF(2) a 2-dimensional
+    window is widened by one kernel vector, since the order-3 class of the
+    2x2 group reaches no involution while every class of the 3x3 group has
+    a stored word."""
+    ctx, n = x.ctx, x.n
+    m = x - Mat.identity(ctx, n)
+    kernel = nullspace(m)
+    image = _extend(ctx, [], zip(*m.rows))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    spanned = _extend(ctx, kernel, image)
+    window = image + _extend(ctx, spanned, units)[len(spanned):]
+    rest = _extend(ctx, window, kernel)[len(window):]
+    if ctx.q == 2 and len(window) == 2:
+        window, rest = window + rest[:1], rest[1:]
+    d = len(window)
+    p = Mat(ctx, list(zip(*(window + rest))))
+    pi = p.inv()
+    xw = pi * x * p
+    y = sub_block(xw, range(d))
+    if xw != pad(y, n):
+        raise ConstructError("window identity failed")
+    inner, t_sub = _construct_internal(y, depth + 1)
+    steps, t = _lift_square(xw, inner, t_sub, range(d))
+    return [(p * c * pi, e, lab) for c, e, lab in steps], p * t * pi
 
 
 # -- class words for the excluded pairs ------------------------------------
@@ -683,23 +618,14 @@ def _class_word(gJ):
 # -- main pipeline -------------------------------------------------------
 
 
-def _m2_descent(gJ, cf):
-    if gJ.ctx.p != 2:
-        raise ConstructError("double-block descent needs characteristic 2")
-    return _ext_descent(gJ, cf.blocks[0][0], 2)
-
-
-# Indecomposable canonical case -> its closed-form routes in the order they
-# are tried.  A route takes (gJ, cf) and returns (steps, t); it may raise
-# ConstructError or UnsupportedField, and then the next route runs.  When
-# every route fails, the commutator restart (_reseed) answers.
+# Indecomposable canonical case of dimension 3 or 4 -> its closed-form
+# routes in the order they are tried.  A route takes (gJ, cf) and returns
+# (steps, t); it may raise ConstructError, and then the next route runs.
+# When every route fails, the commutator restart (_reseed) answers.
 _ROUTES = {
     "m1": [lambda gJ, cf: _finish_block(gJ, _m1_word(gJ))],
-    "mn": [lambda gJ, cf: _finish_block(gJ, _mn_word(gJ)),
-           lambda gJ, cf: _finish_block(gJ, _pair_word(gJ))],
-    "m2": [lambda gJ, cf: _finish_block(gJ, *_m2_word(gJ, cf.blocks[0][0])),
-           _m2_descent],
-    "ext": [lambda gJ, cf: _ext_descent(gJ, *cf.blocks[0])],
+    "mn": [lambda gJ, cf: _finish_block(gJ, _mn_word(gJ))],
+    "m2": [lambda gJ, cf: _finish_block(gJ, *_m2_word(gJ, cf.blocks[0][0]))],
 }
 
 
@@ -709,7 +635,7 @@ def _construct_internal(g, depth=0):
     ctx, n = g.ctx, g.n
     if g.is_scalar():
         raise ValueError("central element has no witness")
-    if g.det() != 1:
+    if g.det() != 1 or n > 4:
         return _reseed(g, depth)
     excluded = (n, ctx.q) in EXCLUDED_PAIRS
     if n == 2 and not excluded:
@@ -728,7 +654,7 @@ def _construct_internal(g, depth=0):
             try:
                 steps, t = route(gJ, cf)
                 break
-            except (ConstructError, UnsupportedField):
+            except ConstructError:
                 pass
         else:
             steps, t = _reseed(gJ, depth)
@@ -768,8 +694,6 @@ def construct_involution(g, spec):
         w = Witness(spec, g, steps, target)
         w.certificate = certificate
     else:
-        if any(not 0 <= x < spec.q for row in g.rows for x in row):
-            raise ValueError("matrix entry out of range for GF(%d)" % spec.q)
         cls = classify(g, spec)
         if not cls.in_group:
             raise ValueError("determinant is not 1: outside the group")

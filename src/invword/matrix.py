@@ -11,7 +11,8 @@ rows of the right factor scaled by the entries of the left one, and an
 elimination step replaces a row by ``[addr[x][mf[y]] for x, y in
 zip(row, pivot_row)]`` with ``mf = mul_rows[-f]``.  Results are built by
 ``_mat``, which takes a tuple of equal-length tuples as given; the public
-``Mat(ctx, rows)`` converts and checks its rows.
+``Mat(ctx, rows)`` converts its rows and checks their lengths and that
+every entry is an encoding in range(q).
 """
 
 from .gf import make_field
@@ -21,11 +22,14 @@ class Mat:
     __slots__ = ("ctx", "rows", "n", "m")
 
     def __init__(self, ctx, rows):
-        rows = tuple(tuple(r) for r in rows)
+        rows = tuple(map(tuple, rows))
         if rows:
-            w = len(rows[0])
-            if any(len(r) != w for r in rows):
+            if set(map(len, rows)) != {len(rows[0])}:
                 raise ValueError("ragged rows")
+            entries = set().union(*rows)
+            if entries and not (0 <= min(entries) and max(entries) < ctx.q):
+                raise ValueError("matrix entry out of range for GF(%d)"
+                                 % ctx.q)
         self.ctx = ctx
         self.rows = rows
         self.n = len(rows)
@@ -218,13 +222,8 @@ def _eliminate(ctx, a, r, c):
 
 def parse_mat(ctx, text):
     """Parse the compact row text form, e.g. '1,1;0,1' over GF(q)."""
-    rows = []
-    for chunk in text.strip().split(";"):
-        row = [int(x) for x in chunk.split(",")]
-        if any(not 0 <= x < ctx.q for x in row):
-            raise ValueError("entry out of range for GF(%d): %s" % (ctx.q, chunk))
-        rows.append(row)
-    return Mat(ctx, rows)
+    return Mat(ctx, [[int(x) for x in chunk.split(",")]
+                     for chunk in text.strip().split(";")])
 
 
 def _row_echelon(ctx, a):
@@ -260,6 +259,12 @@ def nullspace(mat):
             v[pc] = neg[a[r][fc]]
         basis.append(tuple(v))
     return basis
+
+
+def pivot_columns(mat):
+    """Indices of the columns of mat that are independent of the columns
+    before them (the pivots of its row echelon form)."""
+    return _row_echelon(mat.ctx, list(mat.rows))[0]
 
 
 def solve(mat, b):

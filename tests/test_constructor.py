@@ -9,15 +9,15 @@ from pathlib import Path
 import pytest
 
 import invword.constructor as constructor
-from invword.gf import UnsupportedField, make_field, irreducible_polys
-from invword.matrix import GroupSpec, Mat, parse_mat, transvection_h
+from invword.gf import MAX_ORDER, make_field, irreducible_polys
+from invword.matrix import (GroupSpec, Mat, direct_sum, parse_mat,
+                            transvection_h)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                factor_charpoly, generalized_jordan,
                                solve_similarity)
 from invword.perm import Perm
 from invword.constructor import (ConstructError, Unreachable, Witness,
-                                 WitnessStep, _ext_descent,
-                                 _similarity_in_sl,
+                                 WitnessStep, _similarity_in_sl,
                                  brute_force_witness,
                                  construct_involution, find_partner, replay,
                                  sl2_witness, witness_from_json,
@@ -218,22 +218,9 @@ def test_m2_route_n4():
     assert "m2-reduction" in labels(w)
 
 
-def test_m2_route_n6():
-    f = next(f for f in irreducible_polys(ctx2, 3)
-             if gen_jordan_block(ctx2, f, 2).det() == 1)
-    w = ok(construct_involution(gen_jordan_block(ctx2, f, 2),
-                                GroupSpec("SL", 6, 2)))
-    assert w.length == 4 and labels(w) == ["m2-reduction"]
-    f = next(f for f in irreducible_polys(ctx3, 3)
-             if gen_jordan_block(ctx3, f, 2).det() == 1)
-    w = ok(construct_involution(gen_jordan_block(ctx3, f, 2),
-                                GroupSpec("SL", 6, 3)))
-    assert w.length == 16 and "m2-reduction" in labels(w)
-
-
 def test_m2_route_n8_det_repair_blocked_reseeds():
-    # over GF(3) the needed scalar correction is never an 8th power, so
-    # the straight word is rejected and the commutator restart kicks in
+    # two quartic blocks at n = 8 have no route of their own: above
+    # dimension 4 the commutator restart answers, on its window
     f = next(f for f in irreducible_polys(ctx3, 4)
              if gen_jordan_block(ctx3, f, 2).det() == 1)
     w = ok(construct_involution(gen_jordan_block(ctx3, f, 2),
@@ -244,35 +231,6 @@ def test_m2_route_n8_det_repair_blocked_reseeds():
     w = ok(construct_involution(gen_jordan_block(ctx5, f, 2),
                                 GroupSpec("SL", 8, 5)))
     assert w.reseeded() and w.length == 24
-
-
-def test_ext_descent_route():
-    f = next(iter(irreducible_polys(ctx2, 2)))
-    w = ok(construct_involution(gen_jordan_block(ctx2, f, 3),
-                                GroupSpec("SL", 6, 2)))
-    assert w.length == 2 and labels(w) == ["descent/mn-reduction"]
-    f = next(f for f in irreducible_polys(ctx3, 2)
-             if gen_jordan_block(ctx3, f, 3).det() == 1)
-    w = ok(construct_involution(gen_jordan_block(ctx3, f, 3),
-                                GroupSpec("SL", 6, 3)))
-    assert w.length == 12 and labels(w) == ["descent/mn-reduction"]
-
-
-@pytest.mark.parametrize("q, target", [
-    (2, "1,0,1,1;0,1,1,0;0,0,1,0;0,0,0,1"),
-    (4, "1,0,3,0;0,1,0,3;0,0,1,0;0,0,0,1")])
-def test_ext_descent_reseed_word(q, target):
-    # a doubled quadratic block in characteristic 2 has determinant
-    # xi^2 != 1 upstairs, so the descent reseeds there with the same word
-    # as the top-level commutator restart
-    ctx = make_field(q)
-    f = next(iter(irreducible_polys(ctx, 2)))
-    gJ = generalized_jordan(gen_jordan_block(ctx, f, 2)).canonical
-    steps, t = _ext_descent(gJ, f, 2)
-    assert t.to_text() == target
-    assert [e for _, e, _ in steps] == [-1, 1] * 4
-    w = ok(Witness(GroupSpec("SL", 4, q), gJ, steps, t))
-    assert labels(w) == ["descent/reseed"] and w.net_exponent == 0
 
 
 def test_decomposable_route():
@@ -298,6 +256,92 @@ def test_find_partner_frozen():
         find_partner(Mat(ctx5, [[2, 0], [0, 2]]))
 
 
+# -- the window above dimension 4 -------------------------------------------
+
+
+def _field_orders():
+    return [q for q in range(2, MAX_ORDER + 1)
+            if len({p for p in range(2, q + 1)
+                    if q % p == 0 and all(p % r for r in range(2, p))}) == 1]
+
+
+def test_window_shapes_stay_under_the_cap():
+    # above dimension 4 the restart's commutator x is y (+) I on a window
+    # of dimension <= 4, y one of: a non-central 2x2 class (im(x - I) and
+    # ker(x - I) apart, or J_2(1)), J_3(1), J_2(1) (+) J_2(1); over GF(2)
+    # the 2x2 classes are widened to y (+) 1.  The witness for x is the
+    # one for y, squared once (s = 2) when its target squares to -I only on
+    # the window, then pulled back along the 2-step restart word
+    worst = {}
+    for q in _field_orders():
+        ctx = make_field(q)
+        j2 = Mat(ctx, [[1, 1], [0, 1]])
+        shapes = {"J3": parse_mat(ctx, "1,1,0;0,1,1;0,0,1"),
+                  "J2+J2": direct_sum(j2, j2)}
+        if q == 2:
+            one = Mat.identity(ctx, 1)
+            shapes["J2+1"] = direct_sum(j2, one)
+            shapes["C3+1"] = direct_sum(Mat(ctx, [[0, 1], [1, 1]]), one)
+        else:
+            shapes.update(("2x2 %s" % g, g) for g, _ in class_transversal(ctx, 2)
+                          if not g.is_scalar())
+        for name, y in shapes.items():
+            w = ok(construct_involution(y, GroupSpec("SL", y.n, q)))
+            s = 1 if (w.target * w.target).is_identity() else 2
+            assert 2 * s * w.length <= constructor.MAX_WITNESS_LEN, (q, name)
+            kind = name.split()[0]
+            worst[kind] = max(worst.get(kind, 0), 2 * s * w.length)
+    assert worst == {"J3": 24, "J2+J2": 96, "J2+1": 2, "C3+1": 4, "2x2": 48}
+
+
+def _random_sl(ctx, n, rng):
+    g = rand_gl(ctx, n, rng)
+    d = g.det()
+    return Mat(ctx, [[ctx.div(x, d) for x in g.rows[0]]] + list(g.rows[1:]))
+
+
+def test_window_seeded_sample():
+    rng = random.Random(12)
+    for n in range(5, 11):
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            ctx = make_field(q)
+            for _ in range(2):
+                g = _random_sl(ctx, n, rng)
+                w = ok(construct_involution(g, GroupSpec("SL", n, q)))
+                assert labels(w) == ["reseed"] and w.net_exponent == 0
+                assert w.length <= constructor.MAX_WITNESS_LEN
+
+
+def test_window_gl_inputs():
+    rng = random.Random(13)
+    for n, q in ((5, 3), (6, 4), (7, 5), (8, 7), (9, 13), (10, 32)):
+        ctx = make_field(q)
+        for _ in range(2):
+            g = rand_gl(ctx, n, rng)
+            while g.det() == 1:
+                g = rand_gl(ctx, n, rng)
+            w = ok(construct_involution(g, GroupSpec("GL", n, q)))
+            assert labels(w) == ["reseed"] and w.net_exponent == 0
+
+
+def test_window_widens_the_gf2_order3_class(monkeypatch):
+    # x - I has rank 2 and x has order 3, so the 2-dimensional window holds
+    # the order-3 class of the 2x2 group, which reaches no involution; the
+    # window takes one kernel vector more and reads the stored 3x3 word
+    g = parse_mat(ctx2, "0,1,0,0,1;1,0,1,0,0;1,1,0,1,0;0,1,0,1,1;0,1,1,1,1")
+    _, x = constructor._reseed_word(g)
+    m = x - Mat.identity(ctx2, 5)
+    assert m.rank() == (m * m).rank() == 2 and (x * x * x).is_identity()
+    solved = []
+    real = constructor._construct_internal
+    monkeypatch.setattr(constructor, "_construct_internal", lambda y, depth=0:
+                        solved.append(y) or real(y, depth))
+    w = ok(construct_involution(g, GroupSpec("SL", 5, 2)))
+    y = solved[-1]
+    assert y.n == 3 and y.rows[2] == (0, 0, 1) and (y * y * y).is_identity()
+    assert w.length == 4 and labels(w) == ["reseed"]
+
+
 # -- the route table and its fallbacks -------------------------------------
 
 
@@ -307,13 +351,19 @@ def _cubed(ctx, d):
     return gen_jordan_block(ctx, f, 3)
 
 
-@pytest.mark.parametrize("q, d, length", [(7, 2, 64), (4, 3, 4)])
-def test_ext_descent_past_field_cap_reseeds(q, d, length):
-    # GF(q^d) is above the 32-element cap, so the descent raises
-    # UnsupportedField and the commutator restart answers
+@pytest.mark.parametrize("q, d, length", [(7, 2, 32), (4, 3, 4)])
+def test_ext_descent_past_field_cap_reseeds(monkeypatch, q, d, length):
+    # a cubed block whose GF(q^d) is past the 32-element cap: no field
+    # descent is needed, as above dimension 4 the commutator restart solves
+    # the window, and its 2-step word doubles the window's length
+    windows = []
+    real = constructor._window
+    monkeypatch.setattr(constructor, "_window", lambda x, depth: windows.append(
+        real(x, depth)) or windows[-1])
     ctx = make_field(q)
     w = ok(construct_involution(_cubed(ctx, d), GroupSpec("SL", 3 * d, q)))
     assert w.length == length and labels(w) == ["reseed"]
+    assert len(windows) == 1 and w.length == 2 * len(windows[0][0])
 
 
 def _doubled(ctx, d):
@@ -328,29 +378,30 @@ ROUTE_INPUTS = {
                    GroupSpec("SL", 3, 5)),
     "mn": lambda: (Mat(ctx5, [[1, 1, 0], [0, 1, 1], [0, 0, 1]]),
                    GroupSpec("SL", 3, 5)),
-    "m2 char 2": lambda: (_doubled(ctx2, 3), GroupSpec("SL", 6, 2)),
-    "m2 odd": lambda: (_doubled(ctx3, 3), GroupSpec("SL", 6, 3)),
+    "m2 char 2": lambda: (_doubled(ctx4, 2), GroupSpec("SL", 4, 4)),
+    "m2 odd": lambda: (_doubled(ctx5, 2), GroupSpec("SL", 4, 5)),
     "ext": lambda: (_cubed(ctx3, 2), GroupSpec("SL", 6, 3)),
 }
 ROUTE_ENTRIES = ("_m1_word", "_mn_word", "_pair_search", "_m2_word",
-                 "_ext_descent", "_reseed")
+                 "_reseed")
 
 
 @pytest.mark.parametrize("case, forced, calls", [
     ("m1", {"_m1_word": ConstructError}, ["_m1_word", "_reseed"]),
-    ("mn", {"_mn_word": ConstructError}, ["_mn_word", "_pair_search"]),
+    ("mn", {"_mn_word": ConstructError}, ["_mn_word", "_reseed"]),
     ("mn", {"_mn_word": ConstructError, "_pair_search": ConstructError},
-     ["_mn_word", "_pair_search", "_reseed"]),
-    ("m2 char 2", {"_m2_word": ConstructError}, ["_m2_word", "_ext_descent"]),
-    ("m2 char 2", {"_m2_word": ConstructError, "_ext_descent": UnsupportedField},
-     ["_m2_word", "_ext_descent", "_reseed"]),
+     ["_mn_word", "_reseed"]),
+    ("m2 char 2", {"_m2_word": ConstructError}, ["_m2_word", "_reseed"]),
+    ("m2 char 2", {"_pair_search": ConstructError},
+     ["_m2_word", "_pair_search", "_reseed"]),
     ("m2 odd", {"_m2_word": ConstructError}, ["_m2_word", "_reseed"]),
-    ("ext", {"_ext_descent": ConstructError}, ["_ext_descent", "_reseed"]),
-    ("ext", {"_ext_descent": UnsupportedField}, ["_ext_descent", "_reseed"]),
+    ("ext", {}, ["_reseed"]),
 ])
 def test_failed_route_falls_through(monkeypatch, case, forced, calls):
     # each forced route raises on its first call only; the next route in
-    # the table answers, or the commutator restart when none is left
+    # the table answers, or the commutator restart when none is left.  mn
+    # has no searched fallback, so its forced pair search is never met,
+    # and above dimension 4 (the ext input) the restart answers at once
     trace = []
     for name in ROUTE_ENTRIES:
         def spy(*args, _name=name, _real=getattr(constructor, name)):
@@ -803,9 +854,9 @@ def test_excluded_pairs_enumerate_no_group(monkeypatch):
 
 def pinned_inputs():
     """The class transversals of SL(2,2), SL(2,3), SL(2,5) and SL(3,3), the
-    route tests' elements (m2 at n = 4, 6, 8; ext at n = 6; the SL(4,3)
-    too-large path; the GL reseed) and one SL(6,3) element whose
-    regular-unipotent word fails and whose pair search answers."""
+    doubled blocks at n = 4, 6, 8 and the cubed quadratics at n = 6, the
+    SL(4,3) too-large path, the GL reseed and one SL(6,3) element; every
+    element above dimension 4 takes the commutator restart's window."""
     items = []
     for n, q in ((2, 2), (2, 3), (2, 5), (3, 3)):
         items += [(g, GroupSpec("SL", n, q))
@@ -824,18 +875,20 @@ def pinned_inputs():
 
 
 # sha256 over each input's witness_to_json (or exception and certificate),
-# one per line; a change to any witness byte changes it
-PINNED_SHA256 = \
-    "fcc1a4c02a2d380502a4756cbfcacd736ea265d674abbe2762c0e1ec80af98cc"
-# sha256 over each input's "length net_exponent" (or the same exception
-# line): the shape of every witness, which the stored class words kept
-# from the class-graph search they replaced
-PINNED_SHAPE_SHA256 = \
-    "c0e1c5d7b77efb66562ef4a924e95efe0f37fac60b4cbc3077bba9318e2f9e71"
+# one per line, and over each input's "length net_exponent" (or the same
+# exception line), the shape of every witness; one pair of digests for the
+# inputs of dimension at most 4, whose witnesses the window left as they
+# were, and one for the inputs above it
+PINNED_SHA256 = {
+    "n <= 4": ("8728e9f26a65290ee8cf34c4e7020cac45f9547f9c816ad7aeccd2ed955525e6",
+               "f181ed423314261938536515721426d1d8e92bc2423a8c3ae1cd0ba021577605"),
+    "n > 4": ("3bcb4faf4a313dfcf0920ee59f6ec66599a9b569b5cf80984052a829b99a13e7",
+              "41e09793156ccd956113b978b2402881a340da331ce57bd775bb172ac0e156e5"),
+}
 
 
 def test_pinned_witness_bytes():
-    h, shape = hashlib.sha256(), hashlib.sha256()
+    digests = {k: (hashlib.sha256(), hashlib.sha256()) for k in PINNED_SHA256}
     for g, spec in pinned_inputs():
         try:
             w = construct_involution(g, spec)
@@ -844,10 +897,12 @@ def test_pinned_witness_bytes():
         except ConstructError as e:
             rec = dims = "%s: %s | %r" % (type(e).__name__, e,
                                           getattr(e, "certificate", None))
+        h, shape = digests["n <= 4" if spec.n <= 4 else "n > 4"]
         h.update(rec.encode() + b"\n")
         shape.update(dims.encode() + b"\n")
-    assert shape.hexdigest() == PINNED_SHAPE_SHA256
-    assert h.hexdigest() == PINNED_SHA256
+    got = {k: (h.hexdigest(), shape.hexdigest())
+           for k, (h, shape) in digests.items()}
+    assert got == PINNED_SHA256
 
 
 # sha256 over the witnesses for the class transversals of SL(2,4) and

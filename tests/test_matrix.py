@@ -45,6 +45,19 @@ def test_text_roundtrip():
         mat_over(5, "1,7;0,1")
 
 
+def test_entries_out_of_range_raise():
+    # an entry outside range(q) encodes no field element; the constructor
+    # refuses it before any kernel looks it up in a field table
+    f5 = make_field(5)
+    for rows in ([[7, 0], [0, 3]], [[1, 0], [0, 5]], [[-1, 0], [0, 1]]):
+        with pytest.raises(ValueError, match="out of range for GF\\(5\\)"):
+            Mat(f5, rows)
+    with pytest.raises(ValueError, match="out of range"):
+        transvection(f5, 3, 0, 1, 5)
+    assert Mat(f5, [[4, 0], [0, 4]]).det() == 1
+    assert Mat(f5, []).n == 0
+
+
 def test_det_frozen():
     assert mat_over(5, "0,4;1,0").det() == 1  # [[0,-1],[1,0]]
     assert mat_over(3, "1,0;0,1").det() == 1
