@@ -13,7 +13,6 @@ from .constructor import (
     construct_involution,
     find_partner,
     replay,
-    sl2_witness,
     witness_from_json,
     witness_to_json,
 )
@@ -56,7 +55,6 @@ __all__ = [
     "construct_involution",
     "find_partner",
     "replay",
-    "sl2_witness",
     "witness_from_json",
     "witness_to_json",
     "GroupTooLarge",

@@ -209,7 +209,6 @@ def build_parser():
     b.set_defaults(fn=_cmd_bounds)
 
     o = sub.add_parser("orbdiam", help="pair-action diameter sandwich")
-    o.add_argument("--t", choices=["alt5"], default="alt5")
     o.set_defaults(fn=_cmd_orbdiam)
     return p
 

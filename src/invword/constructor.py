@@ -3,28 +3,25 @@
 construct_involution(g, spec) returns a Witness holding steps (c_i, e_i)
 with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
-(in {I, -I}) and t non-central.  Closed-form reduction words cover each
-canonical shape up to dimension 4, tried in the order of the route table;
-a commutator restart answers when every route fails, and answers every
-element above dimension 4: the commutator moves a window of dimension at
-most 4, solved there and lifted.  A fixed list of small groups,
+(in {I, -I}) and t non-central.  Up to dimension 4, a closed-form word
+answers the companion block and lambda (I + N), and a decomposable element
+is solved on one part.  Every other element, and every element above
+dimension 4, takes the commutator restart: the commutator with a
+transvection moves a window of dimension at most 4, solved there and
+lifted.  No pair is searched.  A fixed list of small groups,
 where the reductions degenerate, reads a stored minimal word for the
 class of g (class_words, regenerated by class_word_table with the
 oracle's class-graph search) and conjugates it back to g, so no group is
 enumerated.  Everything is replayed before being returned.
 """
 
-import itertools
 import json
-import math
-import random
 
 from .gf import make_field, pick_alpha
 from .matrix import (GroupSpec, Mat, classify, commutator, nullspace, pad,
                      parse_mat, pivot_columns, sub_block, transvection,
                      transvection_h)
-from .canonical import (charpoly, class_transversal, factor_charpoly,
-                        generalized_jordan, mat_poly_eval, solve_similarity,
+from .canonical import (class_transversal, generalized_jordan,
                         split_decomposable)
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
@@ -40,7 +37,6 @@ EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
 MAX_WITNESS_LEN = 96
 _MAX_DEPTH = 10
-_PAIR_DRAWS = 600
 
 
 class ConstructError(Exception):
@@ -147,14 +143,10 @@ def _reseed_word(g):
 
 
 def _reseed(g, depth):
-    """Trade g for its commutator with a partner and pull a witness for
-    the commutator back to g; above dimension 4 the commutator is solved
-    on its window."""
+    """Trade g for its commutator with a partner, solve the commutator on
+    its window and pull the witness back to g."""
     word_x, x = _reseed_word(g)
-    if g.n > 4:
-        inner, t = _window(x, depth)
-    else:
-        inner, t = _construct_internal(x, depth + 1)
+    inner, t = _window(x, depth)
     return _expand(inner, word_x), t
 
 
@@ -254,18 +246,6 @@ def _sl2_core(g):
     return steps, t
 
 
-def sl2_witness(g):
-    """Witness for a non-central 2x2 determinant-1 matrix, q > 3: the
-    same witness construct_involution builds in SL(2, q).
-
-    For q in {2, 3} use construct_involution, which reads these from the
-    stored class words."""
-    if g.ctx.q <= 3:
-        raise ValueError("q <= 3 has no 2x2 closed form; "
-                         "call construct_involution")
-    return construct_involution(g, GroupSpec("SL", 2, g.ctx.q))
-
-
 # -- reduction words for the canonical shapes ----------------------------
 
 
@@ -326,83 +306,6 @@ def _mn_word(gJ):
     return [(_det_one(v_of(1)), 1, lab), (_det_one(v_of(0)), -1, lab)]
 
 
-def _m2_word(gJ, f):
-    """Two Jordan blocks for the same irreducible quadratic f, n = 4:
-    (word, product), a searched pair reaching I (+) [[1, 1], [1/c0,
-    1 + 1/c0]] (determinant 1, not scalar)."""
-    ctx = gJ.ctx
-    c0 = f[0]
-    wres = Mat(ctx, [[1, 1], [ctx.inv(c0), ctx.add(1, ctx.inv(c0))]])
-    target = pad(wres, 4, 2)
-    A, B = _pair_search(gJ, target)
-    return [(A, 1, "m2-reduction"), (B, -1, "m2-reduction")], target
-
-
-# -- searched pairs ------------------------------------------------------
-
-
-def _pair_candidates(ctx, n):
-    """The identity, the unit transvections, then _PAIR_DRAWS seeded
-    random products of 2n transvections."""
-    yield Mat.identity(ctx, n)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                yield transvection(ctx, n, i, j, 1)
-    rng = random.Random(0xA11CE ^ (ctx.q * 1009 + n))
-    for _ in range(_PAIR_DRAWS):
-        m = Mat.identity(ctx, n)
-        for _ in range(2 * n):
-            i = rng.randrange(n)
-            j = rng.randrange(n)
-            if i == j:
-                continue
-            m = m * transvection(ctx, n, i, j, rng.randrange(1, ctx.q))
-        yield m
-
-
-def _similarity_in_sl(g, m):
-    """u with u g u^-1 = m and det u = 1, or None.  A base solution is
-    corrected inside the centralizer F[g] (g is regular in every use).
-
-    With charpoly(g) = prod f_i^e_i, det p(g) = prod N(p mod f_i)^e_i,
-    norms taken down to GF(q); norms are onto GF(q)*, so the determinants
-    reached in F[g] are exactly the e-th powers, e = gcd(e_i).  A target
-    outside them returns None without enumerating F[g]."""
-    u0 = solve_similarity(g, m)
-    if u0 is None:
-        return None
-    d = u0.det()
-    if d == 1:
-        return u0
-    ctx, n = g.ctx, g.n
-    want = ctx.inv(d)
-    e = ctx.q - 1
-    for _, mult in factor_charpoly(g):
-        e = math.gcd(e, mult)
-    if ctx.pow(want, (ctx.q - 1) // e) != 1:
-        return None  # want is not an e-th power
-    for coeffs in itertools.islice(
-            itertools.product(range(ctx.q), repeat=n), 300000):
-        z = mat_poly_eval(g, coeffs)
-        if z.det() == want:
-            return u0 * z
-    return None
-
-
-def _pair_search(g, target):
-    """Determinant-1 pair (A, B) with (A g A^-1)(B g^-1 B^-1) = target."""
-    cp_g = charpoly(g)
-    for b in _pair_candidates(g.ctx, g.n):
-        m = target * (b * g * b.inv())
-        if charpoly(m) != cp_g:
-            continue
-        a = _similarity_in_sl(g, m)
-        if a is not None:
-            return a, b
-    raise ConstructError("pair search exhausted")
-
-
 # -- residue finish, decomposition, window --------------------------------
 
 
@@ -431,13 +334,11 @@ def _lift_square(gJ, inner, t_sub, emb, word=None):
     return steps, t
 
 
-def _finish_block(gJ, word, expect=None):
-    """Check that word's product over gJ is expect = I (+) r, a 2x2 residue
-    r on the last two coordinates (I + E_{n-1,n} by default), then finish
-    with a 2x2 word on r and lift it."""
+def _finish_block(gJ, word):
+    """Check that word's product over gJ is I + E_{n-1,n}, then finish with
+    a 2x2 word on its residue on the last two coordinates and lift it."""
     n = gJ.n
-    if expect is None:
-        expect = _unit_residue(gJ.ctx, n)
+    expect = _unit_residue(gJ.ctx, n)
     if _product(gJ, word) != expect:
         raise ConstructError("%s identity failed" % word[0][2])
     emb = (n - 2, n - 1)
@@ -466,7 +367,7 @@ def _extend(ctx, basis, vectors):
 
 
 def _window(x, depth):
-    """Witness for a commutator x with a transvection, n > 4.  x - I has
+    """Witness for a commutator x with a transvection.  x - I has
     rank r <= 2, so x fixes K = ker(x - I) and moves only the window
     U = im(x - I) + W, W a complement of K taken from im(x - I) first:
     dim U = r + dim(im & K) <= 4.  In the basis P of U followed by a
@@ -618,15 +519,10 @@ def _class_word(gJ):
 # -- main pipeline -------------------------------------------------------
 
 
-# Indecomposable canonical case of dimension 3 or 4 -> its closed-form
-# routes in the order they are tried.  A route takes (gJ, cf) and returns
-# (steps, t); it may raise ConstructError, and then the next route runs.
-# When every route fails, the commutator restart (_reseed) answers.
-_ROUTES = {
-    "m1": [lambda gJ, cf: _finish_block(gJ, _m1_word(gJ))],
-    "mn": [lambda gJ, cf: _finish_block(gJ, _mn_word(gJ))],
-    "m2": [lambda gJ, cf: _finish_block(gJ, *_m2_word(gJ, cf.blocks[0][0]))],
-}
+# Indecomposable canonical case of dimension 3 or 4 -> its closed-form word,
+# whose product over gJ is I + E_{n-1,n}.  A case without one (m2) and a
+# word that raises ConstructError take the commutator restart (_reseed).
+_WORDS = {"m1": _m1_word, "mn": _mn_word}
 
 
 def _construct_internal(g, depth=0):
@@ -650,13 +546,9 @@ def _construct_internal(g, depth=0):
     elif cf.case == "decomposable":
         steps, t = _decomposable(gJ, cf, depth)
     else:
-        for route in _ROUTES[cf.case]:
-            try:
-                steps, t = route(gJ, cf)
-                break
-            except ConstructError:
-                pass
-        else:
+        try:
+            steps, t = _finish_block(gJ, _WORDS[cf.case](gJ))
+        except (KeyError, ConstructError):
             steps, t = _reseed(gJ, depth)
     if cf.u.is_identity():
         return steps, t

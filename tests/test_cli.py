@@ -209,7 +209,7 @@ def test_bounds_all_families_exit_zero(capsys):
 
 
 def test_orbdiam(capsys):
-    code, out, _ = run(capsys, "orbdiam", "--t", "alt5")
+    code, out, _ = run(capsys, "orbdiam")
     assert code == 0
     assert out.strip() == "orbdiam=3 d_t=3 half_lower=True upper_72x=True"
 

@@ -1,6 +1,4 @@
 import hashlib
-import itertools
-import math
 import random
 import subprocess
 import sys
@@ -13,15 +11,12 @@ from invword.gf import MAX_ORDER, make_field, irreducible_polys
 from invword.matrix import (GroupSpec, Mat, direct_sum, parse_mat,
                             transvection_h)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
-                               factor_charpoly, generalized_jordan,
-                               solve_similarity)
+                               generalized_jordan)
 from invword.perm import Perm
 from invword.constructor import (ConstructError, Unreachable, Witness,
-                                 WitnessStep, _similarity_in_sl,
-                                 brute_force_witness,
+                                 WitnessStep, brute_force_witness,
                                  construct_involution, find_partner, replay,
-                                 sl2_witness, witness_from_json,
-                                 witness_to_json)
+                                 witness_from_json, witness_to_json)
 
 ctx2 = make_field(2)
 ctx3 = make_field(3)
@@ -42,35 +37,6 @@ def labels(w):
     return sorted({s.case for s in w.steps})
 
 
-# -- determinant correction in the pair search -----------------------------
-
-
-def ref_similarity_in_sl(g, m):
-    """_similarity_in_sl without the e-th power test: enumerate F[g] for a
-    z of determinant det(u0)^-1."""
-    import itertools
-    u0 = solve_similarity(g, m)
-    if u0 is None:
-        return None
-    d = u0.det()
-    if d == 1:
-        return u0
-    ctx, n = g.ctx, g.n
-    want = ctx.inv(d)
-    pows = [Mat.identity(ctx, n)]
-    for _ in range(n - 1):
-        pows.append(pows[-1] * g)
-    for coeffs in itertools.islice(itertools.product(range(ctx.q), repeat=n),
-                                   300000):
-        z = None
-        for ck, pk in zip(coeffs, pows):
-            if ck:
-                z = pk.scale(ck) if z is None else z + pk.scale(ck)
-        if z is not None and z.det() == want:
-            return u0 * z
-    return None
-
-
 def rand_gl(ctx, n, rng):
     while True:
         c = Mat(ctx, [[rng.randrange(ctx.q) for _ in range(n)] for _ in range(n)])
@@ -78,93 +44,42 @@ def rand_gl(ctx, n, rng):
             return c
 
 
-def test_similarity_early_exit_skips_enumeration(monkeypatch):
-    # g = I + N over GF(3), n = 6: det p(g) = p(1)^6 is a square, and the
-    # only nonzero square is 1, so det u0 = 2 cannot be corrected in F[g]
-    g = gen_jordan_block(ctx3, (2, 1), 6)
-    rng = random.Random(6)
-    while True:
-        c = rand_gl(ctx3, 6, rng)
-        m = c * g * c.inv()
-        if solve_similarity(g, m).det() == 2:
-            break
-    calls = []
-    det = Mat.det
-    monkeypatch.setattr(Mat, "det", lambda self: calls.append(self) or det(self))
-    solve_similarity(g, m)
-    in_solve = len(calls)
-    calls.clear()
-    assert _similarity_in_sl(g, m) is None
-    assert len(calls) == in_solve + 1  # solve_similarity's, then det u0
-    monkeypatch.setattr(Mat, "det", det)
-    assert ref_similarity_in_sl(g, m) is None
-
-
-def test_similarity_early_exit_agrees_with_enumeration():
-    rng = random.Random(2024)
-    outcomes = {"none": 0, "found": 0, "early": 0}
-    for q in (3, 4, 5):
-        ctx = make_field(q)
-        for n in (2, 3, 4):
-            lam = list(range(1, q))
-            shapes = [gen_jordan_block(ctx, (ctx.neg(rng.choice(lam)), 1), n),
-                      rand_gl(ctx, n, rng)]
-            if n == 4:
-                f = irreducible_polys(ctx, 2)[0]
-                shapes.append(gen_jordan_block(ctx, f, 2))
-                a, b = rng.sample(lam, 2)
-                shapes.append(Mat(ctx, [[a, 1, 0, 0], [0, a, 0, 0],
-                                        [0, 0, b, 1], [0, 0, 0, b]]))
-            for g in shapes:
-                for _ in range(4):
-                    c = rand_gl(ctx, n, rng)
-                    m = c * g * c.inv()
-                    u0 = solve_similarity(g, m)
-                    want = ref_similarity_in_sl(g, m)
-                    got = _similarity_in_sl(g, m)
-                    assert got == want
-                    if got is None:
-                        outcomes["none"] += 1
-                        e = q - 1
-                        for _, mult in factor_charpoly(g):
-                            e = math.gcd(e, mult)
-                        if ctx.pow(ctx.inv(u0.det()), (q - 1) // e) != 1:
-                            outcomes["early"] += 1
-                    else:
-                        outcomes["found"] += 1
-                        assert got.det() == 1 and got * g * got.inv() == m
-    assert outcomes["early"] == outcomes["none"] > 0
-    assert outcomes["found"] > 0
-
-
 # -- 2x2 core -------------------------------------------------------------
 
 
 def test_sl2_semisimple_commutator_route():
-    w = ok(sl2_witness(Mat(ctx5, [[2, 0], [0, 3]])))
+    w = ok(construct_involution(Mat(ctx5, [[2, 0], [0, 3]]),
+                                GroupSpec("SL", 2, 5)))
     assert w.length == 6 and labels(w) == ["sl2-commutator"]
-    w = ok(sl2_witness(Mat(ctx7, [[2, 1], [0, 4]])))
+    w = ok(construct_involution(Mat(ctx7, [[2, 1], [0, 4]]),
+                                GroupSpec("SL", 2, 7)))
     assert w.length == 4 and labels(w) == ["sl2-commutator"]
 
 
 def test_sl2_unipotent_routes():
-    w = ok(sl2_witness(Mat(ctx4, [[1, 1], [0, 1]])))
+    w = ok(construct_involution(Mat(ctx4, [[1, 1], [0, 1]]),
+                                GroupSpec("SL", 2, 4)))
     assert w.length == 1 and labels(w) == ["sl2-unipotent"]
-    w = ok(sl2_witness(Mat(ctx5, [[1, 1], [0, 1]])))
+    w = ok(construct_involution(Mat(ctx5, [[1, 1], [0, 1]]),
+                                GroupSpec("SL", 2, 5)))
     assert w.length == 3 and labels(w) == ["sl2-unipotent"]
-    w = ok(sl2_witness(Mat(ctx5, [[4, 1], [0, 4]])))
+    w = ok(construct_involution(Mat(ctx5, [[4, 1], [0, 4]]),
+                                GroupSpec("SL", 2, 5)))
     assert w.length == 6 and labels(w) == ["sl2-square"]
 
 
 def test_sl2_lower_routes():
-    w = ok(sl2_witness(Mat(ctx5, [[0, 2], [2, 0]])))
+    w = ok(construct_involution(Mat(ctx5, [[0, 2], [2, 0]]),
+                                GroupSpec("SL", 2, 5)))
     assert w.length == 1 and labels(w) == ["sl2-antidiagonal"]
-    w = ok(sl2_witness(Mat(ctx5, [[4, 0], [3, 4]])))
+    w = ok(construct_involution(Mat(ctx5, [[4, 0], [3, 4]]),
+                                GroupSpec("SL", 2, 5)))
     assert w.length == 12 and labels(w) == ["sl2-twist"]
 
 
 def test_sl2_target_is_projective_involution():
-    w = sl2_witness(Mat(ctx5, [[2, 0], [0, 3]]))
+    w = construct_involution(Mat(ctx5, [[2, 0], [0, 3]]),
+                             GroupSpec("SL", 2, 5))
     t = w.target
     assert not t.is_scalar()
     sq = t * t
@@ -173,11 +88,11 @@ def test_sl2_target_is_projective_involution():
 
 def test_sl2_witness_rejections():
     with pytest.raises(ValueError):
-        sl2_witness(Mat(ctx3, [[1, 1], [0, 1]]))   # q <= 3: search territory
+        construct_involution(Mat(ctx5, [[2, 0], [0, 1]]),
+                             GroupSpec("SL", 2, 5))  # det 2
     with pytest.raises(ValueError):
-        sl2_witness(Mat(ctx5, [[2, 0], [0, 1]]))   # det 2
-    with pytest.raises(ValueError):
-        sl2_witness(Mat(ctx5, [[4, 0], [0, 4]]))   # central
+        construct_involution(Mat(ctx5, [[4, 0], [0, 4]]),
+                             GroupSpec("SL", 2, 5))  # central
 
 
 # -- single-block reduction routes ----------------------------------------
@@ -209,13 +124,22 @@ def test_mn_route_scaled():
     assert w.length == 12 and "mn-reduction" in labels(w)
 
 
-def test_m2_route_n4():
-    f = next(f for f in irreducible_polys(ctx5, 2)
-             if gen_jordan_block(ctx5, f, 2).det() == 1)
-    g = gen_jordan_block(ctx5, f, 2)
-    w = ok(construct_involution(g, GroupSpec("SL", 4, 5)))
-    assert w.length == 48 and not w.reseeded()
-    assert "m2-reduction" in labels(w)
+def test_m2_classes_n4_take_the_restart():
+    # J_2(C(f)) for an irreducible quadratic f has no closed-form word: the
+    # commutator restart solves its window, for every determinant-1 class
+    # (SL(4,2)'s one class reads its stored word)
+    count = 0
+    for q in _field_orders():
+        ctx = make_field(q)
+        for f in irreducible_polys(ctx, 2):
+            g = gen_jordan_block(ctx, f, 2)
+            if g.det() != 1:
+                continue
+            w = ok(construct_involution(g, GroupSpec("SL", 4, q)))
+            assert labels(w) == (["bfs"] if q == 2 else ["reseed"]), (q, f)
+            assert w.length <= 48, (q, f)
+            count += 1
+    assert count == 244
 
 
 def test_m2_route_n8_det_repair_blocked_reseeds():
@@ -239,6 +163,11 @@ def test_decomposable_route():
     assert w.length == 12 and not w.reseeded()
     g = Mat(ctx5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     w = ok(construct_involution(g, GroupSpec("SL", 3, 5)))
+    assert w.length == 12 and w.reseeded()
+    # diag(3, 2, 1, 1): the unbalanced part's restart solves its
+    # commutator on the window
+    g = Mat(ctx5, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
+    w = ok(construct_involution(g, GroupSpec("SL", 4, 5)))
     assert w.length == 12 and w.reseeded()
 
 
@@ -314,14 +243,19 @@ def test_window_seeded_sample():
 
 def test_window_gl_inputs():
     rng = random.Random(13)
-    for n, q in ((5, 3), (6, 4), (7, 5), (8, 7), (9, 13), (10, 32)):
+    inputs = [parse_mat(make_field(13), "11,8,0,7;1,12,6,7;12,11,8,5;11,12,4,8")]
+    for n, q in ((3, 4), (3, 7), (4, 5), (4, 9), (5, 3), (6, 4), (7, 5),
+                 (8, 7), (9, 13), (10, 32)):
         ctx = make_field(q)
         for _ in range(2):
             g = rand_gl(ctx, n, rng)
             while g.det() == 1:
                 g = rand_gl(ctx, n, rng)
-            w = ok(construct_involution(g, GroupSpec("GL", n, q)))
-            assert labels(w) == ["reseed"] and w.net_exponent == 0
+            inputs.append(g)
+    for g in inputs:
+        w = ok(construct_involution(g, GroupSpec("GL", g.n, g.ctx.q)))
+        assert w.net_exponent == 0 and w.length <= 48
+        assert labels(w) == ["reseed"]
 
 
 def test_window_widens_the_gf2_order3_class(monkeypatch):
@@ -382,27 +316,27 @@ ROUTE_INPUTS = {
     "m2 odd": lambda: (_doubled(ctx5, 2), GroupSpec("SL", 4, 5)),
     "ext": lambda: (_cubed(ctx3, 2), GroupSpec("SL", 6, 3)),
 }
-ROUTE_ENTRIES = ("_m1_word", "_mn_word", "_pair_search", "_m2_word",
-                 "_reseed")
+ROUTE_ENTRIES = ("_m1_word", "_mn_word", "_finish_block", "_reseed")
 
 
 @pytest.mark.parametrize("case, forced, calls", [
     ("m1", {"_m1_word": ConstructError}, ["_m1_word", "_reseed"]),
     ("mn", {"_mn_word": ConstructError}, ["_mn_word", "_reseed"]),
-    ("mn", {"_mn_word": ConstructError, "_pair_search": ConstructError},
-     ["_mn_word", "_reseed"]),
-    ("m2 char 2", {"_m2_word": ConstructError}, ["_m2_word", "_reseed"]),
-    ("m2 char 2", {"_pair_search": ConstructError},
-     ["_m2_word", "_pair_search", "_reseed"]),
-    ("m2 odd", {"_m2_word": ConstructError}, ["_m2_word", "_reseed"]),
+    ("mn", {"_finish_block": ConstructError},
+     ["_mn_word", "_finish_block", "_reseed"]),
+    ("m2 char 2", {}, ["_reseed"]),
+    ("m2 char 2", {"_finish_block": ConstructError}, ["_reseed"]),
+    ("m2 odd", {}, ["_reseed"]),
     ("ext", {}, ["_reseed"]),
 ])
 def test_failed_route_falls_through(monkeypatch, case, forced, calls):
-    # each forced route raises on its first call only; the next route in
-    # the table answers, or the commutator restart when none is left.  mn
-    # has no searched fallback, so its forced pair search is never met,
-    # and above dimension 4 (the ext input) the restart answers at once
+    # each forced entry raises on its first call only; a case whose word
+    # or its finish fails takes the commutator restart, and so do the m2
+    # case, which has no word, and every element above dimension 4 (the
+    # ext input).  The case table holds the word functions themselves, so
+    # their spies replace its entries too
     trace = []
+    cases = {f.__name__: case for case, f in constructor._WORDS.items()}
     for name in ROUTE_ENTRIES:
         def spy(*args, _name=name, _real=getattr(constructor, name)):
             trace.append(_name)
@@ -410,6 +344,8 @@ def test_failed_route_falls_through(monkeypatch, case, forced, calls):
                 raise forced[_name]("forced")
             return _real(*args)
         monkeypatch.setattr(constructor, name, spy)
+        if name in cases:
+            monkeypatch.setitem(constructor._WORDS, cases[name], spy)
     g, spec = ROUTE_INPUTS[case]()
     ok(construct_involution(g, spec))
     assert trace[:len(calls)] == calls
@@ -422,6 +358,7 @@ def test_word_missing_its_residue_falls_through(monkeypatch):
     # residue; a word that misses it counts as a failed route
     real = constructor._m1_word
     monkeypatch.setattr(constructor, "_m1_word", lambda gJ: real(gJ)[1:])
+    monkeypatch.setitem(constructor._WORDS, "m1", constructor._m1_word)
     g, spec = ROUTE_INPUTS["m1"]()
     with pytest.raises(ConstructError, match="m1-reduction identity failed"):
         constructor._finish_block(g, constructor._m1_word(g))
@@ -760,7 +697,8 @@ def test_invalid_witness_raises_construct_error(monkeypatch):
     with pytest.raises(ConstructError, match="forced-violation"):
         construct_involution(Perm.from_cycles("(1,2,3)", 5), GroupSpec("Alt", 5))
     with pytest.raises(ConstructError, match="forced-violation"):
-        sl2_witness(Mat(ctx5, [[2, 0], [0, 3]]))
+        construct_involution(Mat(ctx5, [[2, 0], [0, 3]]),
+                             GroupSpec("SL", 2, 5))
 
 
 def test_class_search_cap():
@@ -877,10 +815,9 @@ def pinned_inputs():
 # sha256 over each input's witness_to_json (or exception and certificate),
 # one per line, and over each input's "length net_exponent" (or the same
 # exception line), the shape of every witness; one pair of digests for the
-# inputs of dimension at most 4, whose witnesses the window left as they
-# were, and one for the inputs above it
+# inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("8728e9f26a65290ee8cf34c4e7020cac45f9547f9c816ad7aeccd2ed955525e6",
+    "n <= 4": ("71049fcba2fda33bfa5e760edf1796dd99c9a653d8c44bb33388f0a4ff181f60",
                "f181ed423314261938536515721426d1d8e92bc2423a8c3ae1cd0ba021577605"),
     "n > 4": ("3bcb4faf4a313dfcf0920ee59f6ec66599a9b569b5cf80984052a829b99a13e7",
               "41e09793156ccd956113b978b2402881a340da331ce57bd775bb172ac0e156e5"),
