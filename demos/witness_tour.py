@@ -1,5 +1,6 @@
-"""Walk one element of each reduction route through the constructor and
-print the resulting word.
+"""Walk the 2x2 closed-form words and the commutator restart, which
+answers every larger element, through the constructor and print each
+resulting word.
 
 Every witness is a sequence of steps (c, e): the product of c g^e c^-1
 over the steps equals the recorded target, a non-scalar matrix squaring
@@ -34,9 +35,9 @@ tour("2x2 semisimple", Mat(ctx5, [[2, 0], [0, 3]]), GroupSpec("SL", 2, 5))
 tour("2x2 unipotent", Mat(ctx5, [[1, 1], [0, 1]]), GroupSpec("SL", 2, 5))
 
 f = next(f for f in irreducible_polys(ctx5, 3) if f[0] == ctx5.neg(1))
-tour("irreducible companion 3x3", companion(ctx5, f), GroupSpec("SL", 3, 5))
+tour("irreducible companion 3x3 (restart window)", companion(ctx5, f), GroupSpec("SL", 3, 5))
 
-tour("scaled regular unipotent",
+tour("scaled regular unipotent (restart window)",
      Mat(ctx5, [[2, 2, 0, 0], [0, 2, 2, 0], [0, 0, 2, 2], [0, 0, 0, 2]]),
      GroupSpec("SL", 4, 5))
 
@@ -44,7 +45,7 @@ f = next(iter(irreducible_polys(ctx2, 2)))
 tour("quadratic block, multiplicity 3 (restart window)",
      gen_jordan_block(ctx2, f, 3), GroupSpec("SL", 6, 2))
 
-tour("block diagonal split",
+tour("block diagonal (restart window)",
      Mat(ctx5, [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]),
      GroupSpec("SL", 4, 5))
 

@@ -3,16 +3,16 @@
 construct_involution(g, spec) returns a Witness holding steps (c_i, e_i)
 with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
-(in {I, -I}) and t non-central.  Up to dimension 4, a closed-form word
-answers the companion block and lambda (I + N), and a decomposable element
-is solved on one part.  Every other element, and every element above
-dimension 4, takes the commutator restart: the commutator with a
-transvection moves a window of dimension at most 4, solved there and
-lifted.  No pair is searched.  A fixed list of small groups,
-where the reductions degenerate, reads a stored minimal word for the
-class of g (class_words, regenerated by class_word_table with the
-oracle's class-graph search) and conjugates it back to g, so no group is
-enumerated.  Everything is replayed before being returned.
+(in {I, -I}) and t non-central.  There are three outcomes.  A 2x2
+determinant-1 element takes a closed-form word (_sl2_core).  A fixed list
+of small groups, where the 2x2 words and the restart degenerate, reads a
+stored minimal word for the class of g (class_words, regenerated by
+class_word_table with the oracle's class-graph search) and conjugates it
+back to g, so no group is enumerated.  Every other element takes the
+commutator restart: up to dimension 4 on its canonical form, the
+commutator with a transvection moves a window of dimension at most 4,
+solved there and lifted.  No pair is searched.  Everything is replayed
+before being returned.
 """
 
 import json
@@ -21,18 +21,17 @@ from .gf import make_field, pick_alpha
 from .matrix import (GroupSpec, Mat, classify, commutator, nullspace, pad,
                      parse_mat, pivot_columns, sub_block, transvection,
                      transvection_h)
-from .canonical import (class_transversal, generalized_jordan,
-                        split_decomposable)
+from .canonical import class_transversal, generalized_jordan
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
                      group_order, involution_indices,
                      projective_involution_test)
 from .perm import Perm, a5_witness, alt_partner, commutator_perm
 
-# Pairs (n, q) where the closed-form reductions are not available end to
+# Pairs (n, q) where the 2x2 words and the restart are not available end to
 # end; these read the stored class word for the canonical form of g
-# (CLASS_WORDS), and take the reductions only when none is stored: SL(4,3)
-# is too large for the class-graph search that fills the table.
+# (CLASS_WORDS), and take the restart only when none is stored: SL(4,3) is
+# too large for the class-graph search that fills the table.
 EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
 MAX_WITNESS_LEN = 96
@@ -246,117 +245,7 @@ def _sl2_core(g):
     return steps, t
 
 
-# -- reduction words for the canonical shapes ----------------------------
-
-
-def _s3(ctx, n, y):
-    """The 3x3 gadget [[0, -1, y], [1, 0, 0], [0, 0, 1]] (determinant 1)
-    acting on the last three coordinates."""
-    r = Mat(ctx, [[0, ctx.neg(1), y], [1, 0, 0], [0, 0, 1]])
-    return pad(r, n, n - 3)
-
-
-def _unit_residue(ctx, n):
-    """I + E_{n-1,n}: the product the closed-form block words reach."""
-    return pad(transvection_h(ctx, 1), n, n - 2)
-
-
-def _det_one(v):
-    """v scaled by a nu with nu^n = 1/det v; the scalar cancels in the
-    conjugation, so this repairs a conjugator's determinant invisibly.
-    Raises ConstructError when det v is 0 or not an n-th power."""
-    ctx, d = v.ctx, v.det()
-    if d == 1:
-        return v
-    if d == 0:
-        raise ConstructError("conjugator singular")
-    target = ctx.inv(d)
-    for nu in range(1, ctx.q):
-        if ctx.pow(nu, v.n) == target:
-            return v.scale(nu)
-    raise ConstructError("conjugator determinant outside the n-th powers")
-
-
-def _m1_word(gJ):
-    """Companion matrix of an irreducible polynomial, n >= 3: a 4-step word
-    whose product is I + E_{n-1,n}."""
-    ctx, n = gJ.ctx, gJ.n
-    lab = "m1-reduction"
-    return [(_s3(ctx, n, ctx.neg(1)), -1, lab), (_s3(ctx, n, 0), 1, lab),
-            (_s3(ctx, n, 1), -1, lab), (_s3(ctx, n, 0), 1, lab)]
-
-
-def _mn_word(gJ):
-    """lambda (I + N), n >= 3: a 2-step word with product I + E_{n-1,n}.
-    The scalar lambda cancels between the two exponents."""
-    ctx, n = gJ.ctx, gJ.n
-    lab = "mn-reduction"
-
-    def v_of(y):
-        rows = [[0] * n for _ in range(n)]
-        rows[n - 2][0] = 1
-        rows[n - 3][1] = ctx.add(rows[n - 3][1], 1)
-        for i in range(3, n + 1):
-            rows[n - i][i - 1] = ctx.add(rows[n - i][i - 1], 1)
-            sgn = 1 if i % 2 == 1 else ctx.neg(1)
-            rows[n - 1][i - 1] = ctx.add(rows[n - 1][i - 1], sgn)
-        rows[n - 2][1] = ctx.add(rows[n - 2][1], y)
-        return Mat(ctx, rows)
-
-    return [(_det_one(v_of(1)), 1, lab), (_det_one(v_of(0)), -1, lab)]
-
-
-# -- residue finish, decomposition, window --------------------------------
-
-
-def _lift_sub(c, n, emb):
-    rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for a, i in enumerate(emb):
-        for b, j in enumerate(emb):
-            rows[i][j] = c.rows[a][b]
-    return Mat(c.ctx, rows)
-
-
-def _lift_square(gJ, inner, t_sub, emb, word=None):
-    """Embed a witness (inner, t_sub) for the block on the coordinates emb
-    into the size of gJ, pull it back along word when it was built over
-    word's product rather than over gJ, and square once if the embedded
-    target is not yet a projective involution (it may square to -I on
-    the block only)."""
-    n = gJ.n
-    steps = [(_lift_sub(c, n, emb), e, lab) for c, e, lab in inner]
-    if word is not None:
-        steps = _expand(steps, word)
-    t = _lift_sub(t_sub, n, emb)
-    if not classify(t, GroupSpec("SL", n, gJ.ctx.q)).projective_involution:
-        steps = steps + steps
-        t = t * t
-    return steps, t
-
-
-def _finish_block(gJ, word):
-    """Check that word's product over gJ is I + E_{n-1,n}, then finish with
-    a 2x2 word on its residue on the last two coordinates and lift it."""
-    n = gJ.n
-    expect = _unit_residue(gJ.ctx, n)
-    if _product(gJ, word) != expect:
-        raise ConstructError("%s identity failed" % word[0][2])
-    emb = (n - 2, n - 1)
-    inner, t_sub = _sl2_core(sub_block(expect, emb))
-    return _lift_square(gJ, inner, t_sub, emb, word)
-
-
-def _decomposable(gJ, cf, depth):
-    """Split into diagonal parts, solve on one non-scalar part with a
-    balanced word (so the complement cancels) and lift it.  An unbalanced
-    word for the part is traded for a commutator restart, whose words
-    always balance."""
-    g1, g2, (emb1, emb2) = split_decomposable(cf, gJ)
-    sub, emb = (g2, emb2) if g1.is_scalar() else (g1, emb1)
-    inner, t_sub = _construct_internal(sub, depth + 1)
-    if sum(e for _, e, _ in inner) != 0:
-        inner, t_sub = _reseed(sub, depth + 1)
-    return _lift_square(gJ, inner, t_sub, emb)
+# -- window --------------------------------------------------------------
 
 
 def _extend(ctx, basis, vectors):
@@ -378,7 +267,8 @@ def _window(x, depth):
     product, two unipotents, would be -I.  Over GF(2) a 2-dimensional
     window is widened by one kernel vector, since the order-3 class of the
     2x2 group reaches no involution while every class of the 3x3 group has
-    a stored word."""
+    a stored word.  The target is squared once when it squares to -I on U
+    only."""
     ctx, n = x.ctx, x.n
     m = x - Mat.identity(ctx, n)
     kernel = nullspace(m)
@@ -397,7 +287,11 @@ def _window(x, depth):
     if xw != pad(y, n):
         raise ConstructError("window identity failed")
     inner, t_sub = _construct_internal(y, depth + 1)
-    steps, t = _lift_square(xw, inner, t_sub, range(d))
+    steps = [(pad(c, n), e, lab) for c, e, lab in inner]
+    t = pad(t_sub, n)
+    if not classify(t, GroupSpec("SL", n, ctx.q)).projective_involution:
+        # t may square to -I on the window only
+        steps, t = steps + steps, t * t
     return [(p * c * pi, e, lab) for c, e, lab in steps], p * t * pi
 
 
@@ -519,12 +413,6 @@ def _class_word(gJ):
 # -- main pipeline -------------------------------------------------------
 
 
-# Indecomposable canonical case of dimension 3 or 4 -> its closed-form word,
-# whose product over gJ is I + E_{n-1,n}.  A case without one (m2) and a
-# word that raises ConstructError take the commutator restart (_reseed).
-_WORDS = {"m1": _m1_word, "mn": _mn_word}
-
-
 def _construct_internal(g, depth=0):
     if depth > _MAX_DEPTH:
         raise ConstructError("recursion limit hit")
@@ -541,15 +429,7 @@ def _construct_internal(g, depth=0):
     # g = u^-1 gJ u, and conjugation by u maps the word over gJ to one over
     # g with the same length and determinant-1 conjugators (below)
     stored = _class_word(gJ) if excluded else None
-    if stored is not None:
-        steps, t = stored
-    elif cf.case == "decomposable":
-        steps, t = _decomposable(gJ, cf, depth)
-    else:
-        try:
-            steps, t = _finish_block(gJ, _WORDS[cf.case](gJ))
-        except (KeyError, ConstructError):
-            steps, t = _reseed(gJ, depth)
+    steps, t = _reseed(gJ, depth) if stored is None else stored
     if cf.u.is_identity():
         return steps, t
     u, ui = cf.u, cf.u.inv()

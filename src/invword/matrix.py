@@ -287,16 +287,15 @@ def direct_sum(a, b):
                 + tuple(left + r for r in b.rows))
 
 
-def pad(mat, n, offset=0):
-    """Embed a square block at diagonal position offset inside I_n."""
+def pad(mat, n):
+    """Embed a square block on the leading coordinates of I_n."""
     _require_square(mat)
-    if offset < 0 or offset + mat.n > n:
-        raise ValueError("a %dx%d block at offset %d does not fit in %dx%d"
-                         % (mat.n, mat.n, offset, n, n))
-    eye = Mat.identity(mat.ctx, n).rows
-    left, right = (0,) * offset, (0,) * (n - offset - mat.n)
-    return _mat(mat.ctx, eye[:offset] + tuple(left + r + right for r in mat.rows)
-                + eye[offset + mat.n:])
+    if mat.n > n:
+        raise ValueError("a %dx%d block does not fit in %dx%d"
+                         % (mat.n, mat.n, n, n))
+    right = (0,) * (n - mat.n)
+    return _mat(mat.ctx, tuple(r + right for r in mat.rows)
+                + Mat.identity(mat.ctx, n).rows[mat.n:])
 
 
 def sub_block(mat, emb):

@@ -95,33 +95,7 @@ def test_sl2_witness_rejections():
                              GroupSpec("SL", 2, 5))  # central
 
 
-# -- single-block reduction routes ----------------------------------------
-
-
-def test_m1_route():
-    f = next(f for f in irreducible_polys(ctx5, 3) if f[0] == ctx5.neg(1))
-    w = ok(construct_involution(companion(ctx5, f), GroupSpec("SL", 3, 5)))
-    assert w.length == 24 and not w.reseeded()
-    assert "m1-reduction" in labels(w)
-
-
-def test_m1_route_q3():
-    f = next(f for f in irreducible_polys(ctx3, 3) if f[0] == ctx3.neg(1))
-    w = ok(construct_involution(companion(ctx3, f), GroupSpec("SL", 3, 3)))
-    assert w.length == 16 and not w.reseeded()
-
-
-def test_mn_route_unipotent():
-    g = Mat(ctx5, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
-    w = ok(construct_involution(g, GroupSpec("SL", 3, 5)))
-    assert w.length == 12 and "mn-reduction" in labels(w)
-
-
-def test_mn_route_scaled():
-    g = Mat(ctx5, [[2, 2, 0, 0], [0, 2, 2, 0], [0, 0, 2, 2], [0, 0, 0, 2]])
-    assert g.det() == 1
-    w = ok(construct_involution(g, GroupSpec("SL", 4, 5)))
-    assert w.length == 12 and "mn-reduction" in labels(w)
+# -- the commutator restart up to dimension 4 ------------------------------
 
 
 def test_m2_classes_n4_take_the_restart():
@@ -158,17 +132,13 @@ def test_m2_route_n8_det_repair_blocked_reseeds():
 
 
 def test_decomposable_route():
-    g = Mat(ctx5, [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]])
-    w = ok(construct_involution(g, GroupSpec("SL", 4, 5)))
-    assert w.length == 12 and not w.reseeded()
-    g = Mat(ctx5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
-    w = ok(construct_involution(g, GroupSpec("SL", 3, 5)))
-    assert w.length == 12 and w.reseeded()
-    # diag(3, 2, 1, 1): the unbalanced part's restart solves its
-    # commutator on the window
-    g = Mat(ctx5, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
-    w = ok(construct_involution(g, GroupSpec("SL", 4, 5)))
-    assert w.length == 12 and w.reseeded()
+    # a decomposable element is not split into parts: the restart solves
+    # its commutator on the window, as for every other element
+    for g in (Mat(ctx5, [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]),
+              Mat(ctx5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
+              Mat(ctx5, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])):
+        w = ok(construct_involution(g, GroupSpec("SL", g.n, 5)))
+        assert w.length == 12 and w.reseeded()
 
 
 def test_gl_reseed_route():
@@ -220,7 +190,14 @@ def test_window_shapes_stay_under_the_cap():
             assert 2 * s * w.length <= constructor.MAX_WITNESS_LEN, (q, name)
             kind = name.split()[0]
             worst[kind] = max(worst.get(kind, 0), 2 * s * w.length)
-    assert worst == {"J3": 24, "J2+J2": 96, "J2+1": 2, "C3+1": 4, "2x2": 48}
+    assert worst == {"J3": 24, "J2+J2": 24, "J2+1": 2, "C3+1": 4, "2x2": 48}
+
+
+def test_window_holding_j2_j2_stays_under_half_the_cap():
+    # the window of this SL(5,5) element holds J_2(1) (+) J_2(1)
+    g = parse_mat(ctx5, "3,1,0,3,2;0,1,4,0,1;3,0,4,3,0;1,4,2,0,1;0,0,2,3,3")
+    w = ok(construct_involution(g, GroupSpec("SL", 5, 5)))
+    assert w.length <= 48 and labels(w) == ["reseed"]
 
 
 def _random_sl(ctx, n, rng):
@@ -276,7 +253,7 @@ def test_window_widens_the_gf2_order3_class(monkeypatch):
     assert w.length == 4 and labels(w) == ["reseed"]
 
 
-# -- the route table and its fallbacks -------------------------------------
+# -- one restart for every case ---------------------------------------------
 
 
 def _cubed(ctx, d):
@@ -314,61 +291,29 @@ ROUTE_INPUTS = {
                    GroupSpec("SL", 3, 5)),
     "m2 char 2": lambda: (_doubled(ctx4, 2), GroupSpec("SL", 4, 4)),
     "m2 odd": lambda: (_doubled(ctx5, 2), GroupSpec("SL", 4, 5)),
+    "decomposable": lambda: (parse_mat(ctx5, "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1"),
+                             GroupSpec("SL", 4, 5)),
     "ext": lambda: (_cubed(ctx3, 2), GroupSpec("SL", 6, 3)),
 }
-ROUTE_ENTRIES = ("_m1_word", "_mn_word", "_finish_block", "_reseed")
 
 
-@pytest.mark.parametrize("case, forced, calls", [
-    ("m1", {"_m1_word": ConstructError}, ["_m1_word", "_reseed"]),
-    ("mn", {"_mn_word": ConstructError}, ["_mn_word", "_reseed"]),
-    ("mn", {"_finish_block": ConstructError},
-     ["_mn_word", "_finish_block", "_reseed"]),
-    ("m2 char 2", {}, ["_reseed"]),
-    ("m2 char 2", {"_finish_block": ConstructError}, ["_reseed"]),
-    ("m2 odd", {}, ["_reseed"]),
-    ("ext", {}, ["_reseed"]),
-])
-def test_failed_route_falls_through(monkeypatch, case, forced, calls):
-    # each forced entry raises on its first call only; a case whose word
-    # or its finish fails takes the commutator restart, and so do the m2
-    # case, which has no word, and every element above dimension 4 (the
-    # ext input).  The case table holds the word functions themselves, so
-    # their spies replace its entries too
-    trace = []
-    cases = {f.__name__: case for case, f in constructor._WORDS.items()}
-    for name in ROUTE_ENTRIES:
-        def spy(*args, _name=name, _real=getattr(constructor, name)):
-            trace.append(_name)
-            if _name in forced and trace.count(_name) == 1:
-                raise forced[_name]("forced")
-            return _real(*args)
-        monkeypatch.setattr(constructor, name, spy)
-        if name in cases:
-            monkeypatch.setitem(constructor._WORDS, cases[name], spy)
+@pytest.mark.parametrize("case", list(ROUTE_INPUTS))
+def test_every_case_takes_one_restart(monkeypatch, case):
+    # no canonical case has a word of its own: an element with no stored
+    # class word takes the commutator restart, once at the top
+    depths = []
+    real = constructor._reseed
+    monkeypatch.setattr(constructor, "_reseed", lambda g, depth:
+                        depths.append(depth) or real(g, depth))
     g, spec = ROUTE_INPUTS[case]()
-    ok(construct_involution(g, spec))
-    assert trace[:len(calls)] == calls
-    if calls[-1] != "_reseed":
-        assert "_reseed" not in trace
-
-
-def test_word_missing_its_residue_falls_through(monkeypatch):
-    # _finish_block checks every word's product before finishing on the
-    # residue; a word that misses it counts as a failed route
-    real = constructor._m1_word
-    monkeypatch.setattr(constructor, "_m1_word", lambda gJ: real(gJ)[1:])
-    monkeypatch.setitem(constructor._WORDS, "m1", constructor._m1_word)
-    g, spec = ROUTE_INPUTS["m1"]()
-    with pytest.raises(ConstructError, match="m1-reduction identity failed"):
-        constructor._finish_block(g, constructor._m1_word(g))
     w = ok(construct_involution(g, spec))
-    assert labels(w) == ["reseed"]
+    assert depths.count(0) == 1 and labels(w) == ["reseed"]
 
 
 def test_excluded_pair_too_large_runs_the_routes(monkeypatch):
     # an excluded pair with no stored class word (as SL(4,3), too large to
-    # enumerate) takes the generic routes in the same call, at the same depth
+    # enumerate) takes the commutator restart in the same call, at the same
+    # depth
     monkeypatch.setattr(constructor, "CLASS_WORDS", {})
     depths = []
     real = constructor._construct_internal
@@ -775,15 +720,15 @@ def test_excluded_pairs_enumerate_no_group(monkeypatch):
                                         GroupSpec("SL", n, q)))
             except Unreachable:
                 assert (n, q) == (2, 2)
-    # 1 (+) J_3(omega) in SL(4,4): its part on the last three coordinates
-    # is solved in SL(3,4), through the stored words
+    # a class of SL(4,4) whose restart window holds a class of SL(3,4),
+    # solved through the stored words
     hits = []
     real = constructor._class_word
     monkeypatch.setattr(constructor, "_class_word",
                         lambda gJ: hits.append(gJ.n) or real(gJ))
-    g = parse_mat(ctx4, "1,0,0,0;0,2,2,0;0,0,2,2;0,0,0,2")
-    ok(construct_involution(g, GroupSpec("SL", 4, 4)))
-    assert hits and set(hits) == {3}
+    g = parse_mat(ctx4, "0,0,0,1;1,0,0,2;0,1,0,0;0,0,1,1")
+    w = ok(construct_involution(g, GroupSpec("SL", 4, 4)))
+    assert w.length == 4 and hits and set(hits) == {3}
     assert calls == []
 
 
@@ -817,9 +762,9 @@ def pinned_inputs():
 # exception line), the shape of every witness; one pair of digests for the
 # inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("71049fcba2fda33bfa5e760edf1796dd99c9a653d8c44bb33388f0a4ff181f60",
-               "f181ed423314261938536515721426d1d8e92bc2423a8c3ae1cd0ba021577605"),
-    "n > 4": ("3bcb4faf4a313dfcf0920ee59f6ec66599a9b569b5cf80984052a829b99a13e7",
+    "n <= 4": ("f1f5f95b2735eaf638d8e7f7eeea6b8f6a022e8a56bfbcf9485f530309747acd",
+               "71891021ee16a3936c878b3d6649c3a5a57d121b31ab0ffa1aa1134a31b9573a"),
+    "n > 4": ("239a7408690cc1a86a355062ee6906be702648b11eb54d234c14760a0779b01e",
               "41e09793156ccd956113b978b2402881a340da331ce57bd775bb172ac0e156e5"),
 }
 

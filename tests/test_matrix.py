@@ -192,8 +192,8 @@ def test_block_helpers():
     b = Mat.diag(F, (2,))
     s = direct_sum(a, b)
     assert s.to_text() == "1,1,0;0,1,0;0,0,2"
-    p = pad(a, 4, offset=1)
-    assert p.to_text() == "1,0,0,0;0,1,1,0;0,0,1,0;0,0,0,1"
+    p = pad(a, 4)
+    assert p.to_text() == "1,1,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
     k = kron(Mat.identity(F, 2), a)
     assert k == direct_sum(a, a)
     t = transvection(F, 3, 2, 0, 4)
@@ -419,7 +419,7 @@ def test_kernel_guards_raise_under_optimize():
         "    ('direct_sum', lambda: direct_sum(b, f7)),\n"
         "    ('kron', lambda: kron(b, f7)),\n"
         "    ('pad square', lambda: pad(a, 4)),\n"
-        "    ('pad fit', lambda: pad(b, 3, offset=2)),\n"
+        "    ('pad fit', lambda: pad(b, 1)),\n"
         "    ('transvection', lambda: transvection(make_field(5), 3, 1, 1)),\n"
         "]\n"
         "for name, f in cases:\n"
