@@ -116,6 +116,35 @@ def test_m2_classes_n4_take_the_restart():
     assert count == 244
 
 
+def test_m1_route():
+    # a companion block has no closed-form word: the restart solves its
+    # commutator on the window
+    f = next(f for f in irreducible_polys(ctx5, 3) if f[0] == ctx5.neg(1))
+    w = ok(construct_involution(companion(ctx5, f), GroupSpec("SL", 3, 5)))
+    assert w.length == 24 and w.reseeded()
+    assert labels(w) == ["reseed"]
+
+
+def test_m1_route_q3():
+    f = next(f for f in irreducible_polys(ctx3, 3) if f[0] == ctx3.neg(1))
+    w = ok(construct_involution(companion(ctx3, f), GroupSpec("SL", 3, 3)))
+    assert w.length == 16 and labels(w) == ["reseed"]
+
+
+def test_mn_route_unipotent():
+    # a single Jordan block, unipotent or scaled, takes the restart too
+    g = Mat(ctx5, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
+    w = ok(construct_involution(g, GroupSpec("SL", 3, 5)))
+    assert w.length == 12 and labels(w) == ["reseed"]
+
+
+def test_mn_route_scaled():
+    g = Mat(ctx5, [[2, 2, 0, 0], [0, 2, 2, 0], [0, 0, 2, 2], [0, 0, 0, 2]])
+    assert g.det() == 1
+    w = ok(construct_involution(g, GroupSpec("SL", 4, 5)))
+    assert w.length == 12 and labels(w) == ["reseed"]
+
+
 def test_m2_route_n8_det_repair_blocked_reseeds():
     # two quartic blocks at n = 8 have no route of their own: above
     # dimension 4 the commutator restart answers, on its window
