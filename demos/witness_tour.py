@@ -1,6 +1,6 @@
-"""Walk the 2x2 closed-form words and the commutator restart, which
-answers every larger element, through the constructor and print each
-resulting word.
+"""Walk the 2x2 trace rule (the shortest word g (k g^e k^-1)^m, k a
+transvection, of trace 0) and the commutator restart, which answers every
+larger element, through the constructor and print each resulting word.
 
 Every witness is a sequence of steps (c, e): the product of c g^e c^-1
 over the steps equals the recorded target, a non-scalar matrix squaring
@@ -29,10 +29,13 @@ def tour(tag, g, spec):
 
 
 ctx5 = make_field(5)
+ctx7 = make_field(7)
 ctx2 = make_field(2)
 
-tour("2x2 semisimple", Mat(ctx5, [[2, 0], [0, 3]]), GroupSpec("SL", 2, 5))
+tour("2x2 of trace 0", Mat(ctx5, [[2, 0], [0, 3]]), GroupSpec("SL", 2, 5))
 tour("2x2 unipotent", Mat(ctx5, [[1, 1], [0, 1]]), GroupSpec("SL", 2, 5))
+tour("2x2 pulled back from a commutator", Mat(ctx7, [[2, 1], [0, 4]]),
+     GroupSpec("SL", 2, 7))
 
 f = next(f for f in irreducible_polys(ctx5, 3) if f[0] == ctx5.neg(1))
 tour("irreducible companion 3x3 (restart window)", companion(ctx5, f), GroupSpec("SL", 3, 5))

@@ -1,6 +1,6 @@
 """Bounded conjugate-product words reaching involutions in classical groups."""
 
-from .gf import FieldCtx, UnsupportedField, make_field, make_extension, pick_alpha
+from .gf import FieldCtx, UnsupportedField, make_field, make_extension
 from .matrix import GroupSpec, Mat, classify, parse_mat
 from .canonical import CanonicalForm, class_transversal, companion, factor_charpoly
 from .perm import Perm, a5_witness, alt_partner, commutator_perm
@@ -34,7 +34,6 @@ __all__ = [
     "UnsupportedField",
     "make_field",
     "make_extension",
-    "pick_alpha",
     "GroupSpec",
     "Mat",
     "classify",

@@ -4,23 +4,23 @@ construct_involution(g, spec) returns a Witness holding steps (c_i, e_i)
 with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
 (in {I, -I}) and t non-central.  There are three outcomes.  A 2x2
-determinant-1 element takes a closed-form word (_sl2_core).  A fixed list
-of small groups, where the 2x2 words and the restart degenerate, reads a
-stored minimal word for the class of g (class_words, regenerated by
-class_word_table with the oracle's class-graph search) and conjugates it
-back to g, so no group is enumerated.  Every other element takes the
-commutator restart: up to dimension 4 on its canonical form, the
-commutator with a transvection moves a window of dimension at most 4,
-solved there and lifted.  No pair is searched.  Everything is replayed
-before being returned.
+determinant-1 element takes one trace rule (_sl2_core): the shortest word
+g (k g^e k^-1)^m, k a transvection, whose product has trace 0, of at most
+4 steps.  A fixed list of small groups, where the 2x2 rule and the
+restart degenerate, reads a stored minimal word for the class of g
+(class_words, regenerated by class_word_table with the oracle's
+class-graph search) and conjugates it back to g, so no group is
+enumerated.  Every other element takes the commutator restart: up to
+dimension 4 on its canonical form, the commutator with a transvection
+moves a window of dimension at most 4, solved there and lifted.  No pair
+is searched.  Everything is replayed before being returned.
 """
 
 import json
 
-from .gf import make_field, pick_alpha
+from .gf import make_field
 from .matrix import (GroupSpec, Mat, classify, commutator, nullspace, pad,
-                     parse_mat, pivot_columns, sub_block, transvection,
-                     transvection_h)
+                     parse_mat, pivot_columns, sub_block, transvection)
 from .canonical import class_transversal, generalized_jordan
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
@@ -28,7 +28,7 @@ from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
                      projective_involution_test)
 from .perm import Perm, a5_witness, alt_partner, commutator_perm
 
-# Pairs (n, q) where the 2x2 words and the restart are not available end to
+# Pairs (n, q) where the 2x2 rule and the restart are not available end to
 # end; these read the stored class word for the canonical form of g
 # (CLASS_WORDS), and take the restart only when none is stored: SL(4,3) is
 # too large for the class-graph search that fills the table.
@@ -152,97 +152,67 @@ def _reseed(g, depth):
 # -- 2x2 core ------------------------------------------------------------
 
 
-def _sl2_unipotent(w, label):
-    """Word for upper unitriangular w = I + x E_12, x != 0.  For odd q the
-    product is [[1, x], [-2/x, -1]], which squares to -I; for even q the
-    element is already an involution."""
-    ctx = w.ctx
-    x = w.rows[0][1]
-    eye = Mat.identity(ctx, 2)
-    if w.rows != ((1, x), (0, 1)) or x == 0:
-        raise ConstructError("2x2 seed is not a nontrivial transvection")
-    if ctx.p == 2:
-        return [(eye, 1, label)], w
-    # alpha is a square in {-1, 2, -2} and k = 2/alpha in the prime field
-    alpha, _ = pick_alpha(ctx)
-    k = -2 if alpha == ctx.neg(1) else 1 if alpha == ctx.scalar(2) else -1
-    gamma = ctx.sqrt(ctx.div(alpha, ctx.mul(x, x)))
-    if gamma is None:
-        raise ConstructError("alpha / x^2 is not a square")
-    s = Mat(ctx, [[ctx.neg(ctx.mul(gamma, x)), ctx.sub(x, ctx.inv(gamma))],
-                  [gamma, ctx.neg(1)]])
-    steps = [(eye, 1, label)] + [(s, 1 if k > 0 else -1, label)] * abs(k)
-    t = _product(w, steps)
-    expect = Mat(ctx, [[1, x],
-                       [ctx.neg(ctx.div(ctx.scalar(2), x)), ctx.neg(1)]])
-    if t != expect:
-        raise ConstructError("unipotent 2x2 identity failed")
-    return steps, t
+def _sl2_core(g, longest=4):
+    """Steps of the shortest word over non-central 2x2 determinant-1 g, of
+    at most `longest` steps, whose product t has trace 0 and is not scalar,
+    or None.  Such a t is a witness's target: t^2 = -I (I when q is even).
 
-
-def _sl2_core(g):
-    """Witness steps for non-central 2x2 determinant-1 g over GF(q), q >= 2.
-
-    Normalizes so the lower-left entry vanishes or the matrix takes the
-    antidiagonal-plus form, then branches on the shape.  A branch either
-    returns w itself, which the caller's replay checks, or picks a word
-    whose product over w is a transvection; _sl2_unipotent checks that
-    seed and its identity, and the word pulls its witness back to w.
-    Over GF(2) the order-3 elements admit no witness of this kind; that
-    raises."""
+    The word is g (k g^e k^-1)^m, with k = I + lam v (-v2, v1) the
+    transvection fixing v and w = det(v, g v).  Its trace follows from
+    tr(g k g k^-1) = tr(g)^2 - 2 - lam^2 w^2, tr(g k g^-1 k^-1) =
+    2 + lam^2 w^2 and, by Cayley-Hamilton, tr(g y^2) = tr(g) (tr(g y) - 1)
+    for y = k g^e k^-1, so lam^2 w^2 is fixed and lam read off a square
+    root.  In turn: g itself when tr g = 0; in characteristic 2, for an
+    eigenvector v (w = 0), the commutator with lam = 1, of trace 2 = 0 and
+    not I as k does not commute with g; for the first v of (1,0), (0,1),
+    (1,1) with w != 0, (m, e) = (1, 1), (1, -1), (2, 1), (2, -1); last, a
+    2-step word for a commutator x = g k g^-1 k^-1, pulled back to 4."""
     ctx = g.ctx
     eye = Mat.identity(ctx, 2)
-    u = None
-    w = g
-    word = None
-    if w.rows[1][0] != 0:
-        # row reduce to the form with a zero in position (1,1)
-        u = transvection_h(ctx, ctx.neg(ctx.div(w.rows[0][0], w.rows[1][0])))
-        w = u * w * u.inv()
-    if w.rows[1][0] == 0:
-        # [[a, b], [0, 1/a]]
-        a, b = w.rows[0][0], w.rows[0][1]
-        if a == 1:
-            steps, t = _sl2_unipotent(w, "sl2-unipotent")
-        elif a == ctx.neg(1):
-            # q odd, b != 0: w^2 = I + (-2b) E_12
-            word = [(eye, 1, "sl2-square"), (eye, 1, "sl2-square")]
-        else:
-            # a not 0, 1, -1: commutator with h(1) is I + (1 - a^2) E_12
-            h1 = transvection_h(ctx, 1)
-            word = [(h1, 1, "sl2-commutator"), (eye, -1, "sl2-commutator")]
-    else:
-        # [[0, -1/a], [a, b]]
-        a, b = w.rows[1][0], w.rows[1][1]
-        if b == 0:
-            # already squares to -I (to I when q is even)
-            steps, t = [(eye, 1, "sl2-antidiagonal")], w
-        elif ctx.p != 2:
-            # (h2 w h2^-1 w)^2 = I + (4b/a) E_12 with h2 = I + (b/a) E_12
-            h2 = transvection_h(ctx, ctx.div(b, a))
-            word = [(h2, 1, "sl2-twist"), (eye, 1, "sl2-twist")] * 2
-        else:
-            if ctx.q == 2:
-                raise ConstructError(
-                    "order-3 element of the 2x2 group over GF(2): no "
-                    "product of conjugates is an involution")
-            # even q >= 4: commutator with a diagonal-plus matrix lands in
-            # the triangular branch, and one more commutator is unipotent
-            c = 2  # any element outside {0, 1}
-            off = ctx.mul(ctx.sub(ctx.mul(c, c), 1),
-                          ctx.div(b, ctx.mul(a, c)))
-            h3 = Mat(ctx, [[c, off], [0, ctx.inv(c)]])
-            h1 = transvection_h(ctx, 1)
-            word = _expand([(h1, 1, "sl2-char2"), (eye, -1, "sl2-char2")],
-                           [(h3, 1, "sl2-char2"), (eye, -1, "sl2-char2")])
-    if word is not None:
-        # the word's steps carry the branch's label
-        inner, t = _sl2_unipotent(_product(w, word), word[0][2])
-        steps = _expand(inner, word)
-    if u is not None:
-        # the word was built over w = u g u^-1 and u has determinant 1
-        steps = [(c * u, e, lab) for c, e, lab in steps]
-    return steps, t
+    (a, b), (c, d) = g.rows
+    tr = ctx.add(a, d)
+    if tr == 0:
+        return [(eye, 1, "sl2-antidiagonal")]
+
+    def det_v_gv(v):
+        x = ctx.add(ctx.mul(a, v[0]), ctx.mul(b, v[1]))
+        y = ctx.add(ctx.mul(c, v[0]), ctx.mul(d, v[1]))
+        return ctx.sub(ctx.mul(v[0], y), ctx.mul(v[1], x))
+
+    def fixing(v, lam):
+        return eye + (Mat(ctx, [[v[0]], [v[1]]])
+                      * Mat(ctx, [[ctx.neg(v[1]), v[0]]])).scale(lam)
+
+    if ctx.p == 2:
+        lines = [(0, 1)] + [(1, x) for x in ctx.elements()]
+        v = next((v for v in lines if det_v_gv(v) == 0), None)
+        if v is not None:
+            return [(eye, 1, "sl2-commutator"),
+                    (fixing(v, 1), -1, "sl2-commutator")]
+    v = next(v for v in ((1, 0), (0, 1), (1, 1)) if det_v_gv(v) != 0)
+    w, sq = det_v_gv(v), ctx.mul(tr, tr)
+    for m, e, rhs in ((1, 1, ctx.sub(sq, ctx.scalar(2))),
+                      (1, -1, ctx.neg(ctx.scalar(2))),
+                      (2, 1, ctx.sub(sq, ctx.scalar(3))),
+                      (2, -1, ctx.neg(1))):
+        root = ctx.sqrt(rhs)
+        if m >= longest or root is None:
+            continue
+        label = "sl2-square" if e == 1 else "sl2-commutator"
+        k = fixing(v, ctx.div(root, w))
+        steps = [(eye, 1, label)] + [(k, e, label)] * m
+        if not _product(g, steps).is_scalar():
+            return steps
+    if longest < 4:
+        return None
+    for lam in range(1, ctx.q):
+        word = [(eye, 1, "sl2-commutator"),
+                (fixing(v, lam), -1, "sl2-commutator")]
+        # x is not scalar: g k g^-1 is a transvection other than k
+        inner = _sl2_core(_product(g, word), 2)
+        if inner is not None:
+            return _expand(inner, word)
+    return None
 
 
 # -- window --------------------------------------------------------------
@@ -423,7 +393,10 @@ def _construct_internal(g, depth=0):
         return _reseed(g, depth)
     excluded = (n, ctx.q) in EXCLUDED_PAIRS
     if n == 2 and not excluded:
-        return _sl2_core(g)
+        steps = _sl2_core(g)
+        if steps is None:
+            raise ConstructError("no 2x2 word of at most 4 steps has trace 0")
+        return steps, _product(g, steps)
     cf = generalized_jordan(g)
     gJ = cf.canonical
     # g = u^-1 gJ u, and conjugation by u maps the word over gJ to one over

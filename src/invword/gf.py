@@ -262,21 +262,6 @@ def make_extension(base, modulus):
     return ctx
 
 
-def pick_alpha(ctx):
-    """First square alpha among -1, 2, -2 in GF(q), q odd, with beta = 2/alpha.
-
-    At least one of the three is a square since their product is a square.
-    Returns (alpha, beta) encodings; ValueError in characteristic 2.
-    """
-    if ctx.p == 2:
-        raise ValueError("pick_alpha needs odd q, not q = %d" % ctx.q)
-    two = ctx.scalar(2)
-    for alpha in (ctx.neg(1), two, ctx.neg(two)):
-        if ctx.is_square(alpha):
-            return alpha, ctx.div(two, alpha)
-    raise RuntimeError("GF(%d): none of -1, 2, -2 is a square" % ctx.q)
-
-
 # -- polynomial helpers (tuples over a ctx, constant term first) --------
 
 

@@ -396,7 +396,3 @@ def mat_over(q, text):
     """Shorthand: parse a matrix text over GF(q)."""
     return parse_mat(make_field(q), text)
 
-
-def transvection_h(ctx, x, n=2):
-    """The standard upper transvection h(x) = I + x E_{1,2}, n x n."""
-    return transvection(ctx, n, 0, 1, x)

@@ -332,12 +332,12 @@ def test_transversal_det_filter_sl3():
 INPUT_GUARDS = """
 from invword.bounds import o_even_dim, o_odd_dim, sp_even, sp_odd
 from invword.canonical import companion
-from invword.gf import make_field, pick_alpha
+from invword.gf import make_extension, make_field
 f5 = make_field(5)
 cases = [
     ("companion of a non-monic", lambda: companion(f5, (1, 2, 3))),
     ("companion of a constant", lambda: companion(f5, (1,))),
-    ("pick_alpha over GF(4)", lambda: pick_alpha(make_field(4))),
+    ("make_extension by a constant", lambda: make_extension(f5, (1,))),
     ("sp_odd at even q", lambda: sp_odd(2, 4)),
     ("sp_odd at m = 1", lambda: sp_odd(1, 3)),
     ("sp_even at odd q", lambda: sp_even(2, 3)),

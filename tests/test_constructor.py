@@ -8,8 +8,7 @@ import pytest
 
 import invword.constructor as constructor
 from invword.gf import MAX_ORDER, make_field, irreducible_polys
-from invword.matrix import (GroupSpec, Mat, direct_sum, parse_mat,
-                            transvection_h)
+from invword.matrix import GroupSpec, Mat, direct_sum, parse_mat
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
 from invword.perm import Perm
@@ -47,34 +46,43 @@ def rand_gl(ctx, n, rng):
 # -- 2x2 core -------------------------------------------------------------
 
 
-def test_sl2_semisimple_commutator_route():
-    w = ok(construct_involution(Mat(ctx5, [[2, 0], [0, 3]]),
-                                GroupSpec("SL", 2, 5)))
-    assert w.length == 6 and labels(w) == ["sl2-commutator"]
-    w = ok(construct_involution(Mat(ctx7, [[2, 1], [0, 4]]),
-                                GroupSpec("SL", 2, 7)))
-    assert w.length == 4 and labels(w) == ["sl2-commutator"]
+# (q, g, length, labels): the word g (k g^e k^-1)^m of the trace rule, one
+# row per case and branch
+SL2_ROUTES = [
+    (5, "2,0;0,3", 1, ["sl2-antidiagonal"]),  # trace 0 already
+    (5, "0,2;2,0", 1, ["sl2-antidiagonal"]),
+    (4, "1,1;0,1", 1, ["sl2-antidiagonal"]),  # an involution over GF(4)
+    (8, "2,0;0,5", 2, ["sl2-commutator"]),    # eigenvector in char 2
+    (7, "1,1;0,1", 2, ["sl2-square"]),        # (m, e) = (1, 1)
+    (11, "0,10;1,1", 2, ["sl2-commutator"]),  # (1, -1)
+    (5, "1,1;0,1", 3, ["sl2-square"]),        # (2, 1)
+    (5, "4,1;0,4", 3, ["sl2-square"]),
+    (5, "4,0;3,4", 3, ["sl2-square"]),
+    (13, "0,12;1,3", 3, ["sl2-commutator"]),  # (2, -1)
+    (7, "2,1;0,4", 4, ["sl2-commutator"]),    # pulled back from a commutator
+    (8, "0,1;1,1", 4, ["sl2-commutator"]),    # elliptic of order 3
+]
 
 
-def test_sl2_unipotent_routes():
-    w = ok(construct_involution(Mat(ctx4, [[1, 1], [0, 1]]),
-                                GroupSpec("SL", 2, 4)))
-    assert w.length == 1 and labels(w) == ["sl2-unipotent"]
-    w = ok(construct_involution(Mat(ctx5, [[1, 1], [0, 1]]),
-                                GroupSpec("SL", 2, 5)))
-    assert w.length == 3 and labels(w) == ["sl2-unipotent"]
-    w = ok(construct_involution(Mat(ctx5, [[4, 1], [0, 4]]),
-                                GroupSpec("SL", 2, 5)))
-    assert w.length == 6 and labels(w) == ["sl2-square"]
+def test_sl2_trace_rule_routes():
+    for q, text, length, route in SL2_ROUTES:
+        g = parse_mat(make_field(q), text)
+        w = ok(construct_involution(g, GroupSpec("SL", 2, q)))
+        assert (w.length, labels(w)) == (length, route), (q, text)
 
 
-def test_sl2_lower_routes():
-    w = ok(construct_involution(Mat(ctx5, [[0, 2], [2, 0]]),
-                                GroupSpec("SL", 2, 5)))
-    assert w.length == 1 and labels(w) == ["sl2-antidiagonal"]
-    w = ok(construct_involution(Mat(ctx5, [[4, 0], [3, 4]]),
-                                GroupSpec("SL", 2, 5)))
-    assert w.length == 12 and labels(w) == ["sl2-twist"]
+def test_sl2_classes_take_at_most_4_steps():
+    # every non-central class of SL(2, q), q from 4 to 32, has a word of
+    # the trace rule of at most 4 steps
+    worst = {}
+    for q in _field_orders():
+        if q < 4:
+            continue
+        for g, _ in class_transversal(make_field(q), 2):
+            if not g.is_scalar():
+                w = ok(construct_involution(g, GroupSpec("SL", 2, q)))
+                worst[q] = max(worst.get(q, 0), w.length)
+    assert len(worst) == 16 and max(worst.values()) == 4
 
 
 def test_sl2_target_is_projective_involution():
@@ -219,7 +227,7 @@ def test_window_shapes_stay_under_the_cap():
             assert 2 * s * w.length <= constructor.MAX_WITNESS_LEN, (q, name)
             kind = name.split()[0]
             worst[kind] = max(worst.get(kind, 0), 2 * s * w.length)
-    assert worst == {"J3": 24, "J2+J2": 24, "J2+1": 2, "C3+1": 4, "2x2": 48}
+    assert worst == {"J3": 24, "J2+J2": 24, "J2+1": 2, "C3+1": 4, "2x2": 16}
 
 
 def test_window_holding_j2_j2_stays_under_half_the_cap():
@@ -291,7 +299,7 @@ def _cubed(ctx, d):
     return gen_jordan_block(ctx, f, 3)
 
 
-@pytest.mark.parametrize("q, d, length", [(7, 2, 32), (4, 3, 4)])
+@pytest.mark.parametrize("q, d, length", [(7, 2, 8), (4, 3, 4)])
 def test_ext_descent_past_field_cap_reseeds(monkeypatch, q, d, length):
     # a cubed block whose GF(q^d) is past the 32-element cap: no field
     # descent is needed, as above dimension 4 the commutator restart solves
@@ -791,9 +799,9 @@ def pinned_inputs():
 # exception line), the shape of every witness; one pair of digests for the
 # inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("f1f5f95b2735eaf638d8e7f7eeea6b8f6a022e8a56bfbcf9485f530309747acd",
-               "71891021ee16a3936c878b3d6649c3a5a57d121b31ab0ffa1aa1134a31b9573a"),
-    "n > 4": ("239a7408690cc1a86a355062ee6906be702648b11eb54d234c14760a0779b01e",
+    "n <= 4": ("3c9ef0983af81ec3737e631a64470dfc08566dfef063794de6bbe68892af0b91",
+               "b96e135f83a13d7a138e6464157647bb1f8f5c7035ba6f8f9c7b0852bbce811b"),
+    "n > 4": ("5e9015e605a2d123666a57076b4478d536e134b92a9982deba5389063ec536df",
               "41e09793156ccd956113b978b2402881a340da331ce57bd775bb172ac0e156e5"),
 }
 
@@ -817,10 +825,11 @@ def test_pinned_witness_bytes():
 
 
 # sha256 over the witnesses for the class transversals of SL(2,4) and
-# SL(2,8), one witness_to_json per line: the even-q branch of the 2x2
-# finish (sl2-char2), which none of the inputs above reaches
+# SL(2,8), one witness_to_json per line: the characteristic-2 words of the
+# 2x2 trace rule (the eigenvector commutator and the elliptic classes),
+# which none of the inputs above reaches
 PINNED_SL2_EVEN_SHA256 = \
-    "f4c971daa0068b1761ebe4d9cb811d343a4d1e7e0272fc14c4cfc1efed9268b6"
+    "6e9927453e60436cc6801889b530e6b7b076640c6b86778d6cfa8d509c08b625"
 
 
 def test_pinned_sl2_even_witness_bytes():

@@ -7,7 +7,6 @@ from invword.gf import (
     make_extension,
     make_field,
     monic_polys,
-    pick_alpha,
     poly_deg,
     poly_divmod,
     poly_gcd,
@@ -90,17 +89,6 @@ def test_sqrt_consistency_all_fields():
                 assert s is None
         if q % 2 == 1:
             assert len(squares) == (q + 1) // 2
-
-
-def test_pick_alpha_frozen():
-    assert pick_alpha(make_field(3)) == (1, 2)    # alpha = -2, beta = -1
-    assert pick_alpha(make_field(5)) == (4, 3)    # alpha = -1, beta = -2
-    assert pick_alpha(make_field(7)) == (2, 1)
-    for q in (3, 5, 7, 9, 11, 13, 25, 27):
-        F = make_field(q)
-        alpha, beta = pick_alpha(F)
-        assert F.is_square(alpha)
-        assert F.mul(alpha, beta) == F.scalar(2)
 
 
 def test_make_field_rejects_bad_orders():

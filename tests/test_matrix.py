@@ -20,7 +20,6 @@ from invword.matrix import (
     parse_mat,
     solve,
     transvection,
-    transvection_h,
 )
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -40,7 +39,7 @@ def rand_invertible(ctx, n, rng):
 def test_text_roundtrip():
     m = mat_over(5, "1,1;0,1")
     assert m.to_text() == "1,1;0,1"
-    assert m == transvection_h(make_field(5), 1)
+    assert m == transvection(make_field(5), 2, 0, 1, 1)
     with pytest.raises(ValueError):
         mat_over(5, "1,7;0,1")
 
@@ -67,8 +66,8 @@ def test_det_frozen():
 def test_transvection_inverse():
     F = make_field(7)
     for x in range(7):
-        hx = transvection_h(F, x)
-        assert hx.inv() == transvection_h(F, F.neg(x))
+        hx = transvection(F, 2, 0, 1, x)
+        assert hx.inv() == transvection(F, 2, 0, 1, F.neg(x))
 
 
 def test_square_of_sl2_target_is_minus_identity():
@@ -80,7 +79,7 @@ def test_conjugation_normalizes_corner():
     # c = h(-1) sends [[1,0],[1,1]] to a matrix with zero top-left entry
     F = make_field(5)
     g = mat_over(5, "1,0;1,1")
-    c = transvection_h(F, F.neg(1))
+    c = transvection(F, 2, 0, 1, F.neg(1))
     assert c * g * c.inv() == mat_over(5, "0,4;1,2")
 
 
@@ -98,9 +97,9 @@ def test_conjugation_preserves_det_trace():
 def test_commutator_orders():
     F = make_field(5)
     g = Mat.diag(F, (2, 3))  # diag(a, a^-1), a = 2
-    h1 = transvection_h(F, 1)
+    h1 = transvection(F, 2, 0, 1, 1)
     # h1 g h1^-1 g^-1 = h(1 - a^2) = h(2) over GF(5)
-    assert commutator(h1.inv(), g.inv()) == transvection_h(F, 2)
+    assert commutator(h1.inv(), g.inv()) == transvection(F, 2, 0, 1, 2)
     assert commutator(g, h1) == g.inv() * h1.inv() * g * h1
     assert commutator(g, g) == Mat.identity(F, 2)
 
@@ -123,7 +122,7 @@ def test_classify():
     t = mat_over(5, "1,1;3,4")
     c = classify(t, s5)
     assert not c.central and c.projective_involution and not c.involution
-    h1 = transvection_h(make_field(4), 1)
+    h1 = transvection(make_field(4), 2, 0, 1, 1)
     c = classify(h1, GroupSpec("SL", 2, 4))
     assert c.involution and c.projective_involution
     bad = mat_over(5, "2,0;0,1")
