@@ -47,28 +47,46 @@ def rand_gl(ctx, n, rng):
 
 
 # (q, g, length, labels): the word g (k g^e k^-1)^m of the trace rule, one
-# row per case and branch
-SL2_ROUTES = [
-    (5, "2,0;0,3", 1, ["sl2-antidiagonal"]),  # trace 0 already
-    (5, "0,2;2,0", 1, ["sl2-antidiagonal"]),
-    (4, "1,1;0,1", 1, ["sl2-antidiagonal"]),  # an involution over GF(4)
-    (8, "2,0;0,5", 2, ["sl2-commutator"]),    # eigenvector in char 2
-    (7, "1,1;0,1", 2, ["sl2-square"]),        # (m, e) = (1, 1)
-    (11, "0,10;1,1", 2, ["sl2-commutator"]),  # (1, -1)
-    (5, "1,1;0,1", 3, ["sl2-square"]),        # (2, 1)
-    (5, "4,1;0,4", 3, ["sl2-square"]),
-    (5, "4,0;3,4", 3, ["sl2-square"]),
-    (13, "0,12;1,3", 3, ["sl2-commutator"]),  # (2, -1)
-    (7, "2,1;0,4", 4, ["sl2-commutator"]),    # pulled back from a commutator
-    (8, "0,1;1,1", 4, ["sl2-commutator"]),    # elliptic of order 3
-]
+# row per case and branch, grouped by the kind of input
+SL2_ROUTES = {
+    "semisimple": [
+        (5, "2,0;0,3", 1, ["sl2-antidiagonal"]),  # trace 0 already
+        (8, "2,0;0,5", 2, ["sl2-commutator"]),    # eigenvector in char 2
+        (11, "0,10;1,1", 2, ["sl2-commutator"]),  # (m, e) = (1, -1)
+        (13, "0,12;1,3", 3, ["sl2-commutator"]),  # (2, -1)
+        (7, "2,1;0,4", 4, ["sl2-commutator"]),    # pulled back from a commutator
+        (8, "0,1;1,1", 4, ["sl2-commutator"]),    # elliptic of order 3
+    ],
+    "unipotent": [
+        (4, "1,1;0,1", 1, ["sl2-antidiagonal"]),  # an involution over GF(4)
+        (7, "1,1;0,1", 2, ["sl2-square"]),        # (1, 1)
+        (5, "1,1;0,1", 3, ["sl2-square"]),        # (2, 1)
+        (5, "4,1;0,4", 3, ["sl2-square"]),
+    ],
+    "lower": [
+        (5, "0,2;2,0", 1, ["sl2-antidiagonal"]),
+        (5, "4,0;3,4", 3, ["sl2-square"]),
+    ],
+}
 
 
-def test_sl2_trace_rule_routes():
-    for q, text, length, route in SL2_ROUTES:
+def _check_sl2_routes(kind):
+    for q, text, length, route in SL2_ROUTES[kind]:
         g = parse_mat(make_field(q), text)
         w = ok(construct_involution(g, GroupSpec("SL", 2, q)))
         assert (w.length, labels(w)) == (length, route), (q, text)
+
+
+def test_sl2_semisimple_commutator_route():
+    _check_sl2_routes("semisimple")
+
+
+def test_sl2_unipotent_routes():
+    _check_sl2_routes("unipotent")
+
+
+def test_sl2_lower_routes():
+    _check_sl2_routes("lower")
 
 
 def test_sl2_classes_take_at_most_4_steps():
