@@ -305,7 +305,8 @@ def generalized_jordan(g):
         u = solve_similarity(g, jmat)
         if u is None:
             raise RuntimeError("block data must describe a similar matrix")
-    if u * g * u.inv() != jmat:
+    # u is invertible, so u g = jmat u is u g u^-1 = jmat
+    if u * g != jmat * u:
         raise RuntimeError("base change does not conjugate g to its "
                            "canonical form")
     return CanonicalForm(u, blocks, _case_tag(blocks, n), jmat)

@@ -19,8 +19,9 @@ is searched.  Everything is replayed before being returned.
 import json
 
 from .gf import make_field
-from .matrix import (GroupSpec, Mat, classify, commutator, nullspace, pad,
-                     parse_mat, pivot_columns, sub_block, transvection)
+from .matrix import (GroupSpec, Mat, classify, commutator,
+                     is_projective_involution, nullspace, pad, parse_mat,
+                     pivot_columns, sub_block, transvection)
 from .canonical import class_transversal, generalized_jordan
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
@@ -113,19 +114,24 @@ def _expand(outer, word):
 
 
 def find_partner(g):
-    """First transvection h (by coefficient, then position) whose
-    commutator with g is non-central."""
-    ctx, n = g.ctx, g.n
+    """First transvection h = I + E_ij (by position) whose commutator with
+    g is non-central.  A scalar commutator with a unipotent h is I, since
+    g^-1 h^-1 g = s h^-1 forces s = 1, so h is the first that g does not
+    commute with: g E_ij = E_ij g exactly when column i and row j of g are
+    zero off the diagonal and g_ii = g_jj.  No other coefficient than 1
+    is needed, as g commutes with I + c E_ij for all c or for none."""
+    ctx, n, rows = g.ctx, g.n, g.rows
     if g.is_scalar():
         raise ValueError("central element has no partner")
-    for lam in range(1, ctx.q):
-        for i in range(n):
-            for j in range(n):
-                if i == j:
-                    continue
-                h = transvection(ctx, n, i, j, lam)
-                if not commutator(g, h).is_scalar():
-                    return h
+    col_diag = [all(rows[k][i] == 0 for k in range(n) if k != i)
+                for i in range(n)]
+    row_diag = [all(rows[j][k] == 0 for k in range(n) if k != j)
+                for j in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and not (col_diag[i] and row_diag[j]
+                               and rows[i][i] == rows[j][j]):
+                return transvection(ctx, n, i, j)
     raise ConstructError("non-central element must fail to commute with "
                          "some transvection")
 
@@ -138,7 +144,7 @@ def _reseed_word(g):
     h = find_partner(g)
     word = [(Mat.identity(g.ctx, g.n), -1, "reseed"),
             (h.inv(), 1, "reseed")]
-    return word, _product(g, word)
+    return word, commutator(g, h)
 
 
 def _reseed(g, depth):
@@ -165,8 +171,9 @@ def _sl2_core(g, longest=4):
     root.  In turn: g itself when tr g = 0; in characteristic 2, for an
     eigenvector v (w = 0), the commutator with lam = 1, of trace 2 = 0 and
     not I as k does not commute with g; for the first v of (1,0), (0,1),
-    (1,1) with w != 0, (m, e) = (1, 1), (1, -1), (2, 1), (2, -1); last, a
-    2-step word for a commutator x = g k g^-1 k^-1, pulled back to 4."""
+    (1,1) with w != 0, (m, e) = (1, 1), (1, -1), (2, 1), (2, -1), the
+    first two skipped in characteristic 2; last, a 2-step word for a
+    commutator x = g k g^-1 k^-1, pulled back to 4."""
     ctx = g.ctx
     eye = Mat.identity(ctx, 2)
     (a, b), (c, d) = g.rows
@@ -191,10 +198,13 @@ def _sl2_core(g, longest=4):
                     (fixing(v, 1), -1, "sl2-commutator")]
     v = next(v for v in ((1, 0), (0, 1), (1, 1)) if det_v_gv(v) != 0)
     w, sq = det_v_gv(v), ctx.mul(tr, tr)
-    for m, e, rhs in ((1, 1, ctx.sub(sq, ctx.scalar(2))),
-                      (1, -1, ctx.neg(ctx.scalar(2))),
-                      (2, 1, ctx.sub(sq, ctx.scalar(3))),
-                      (2, -1, ctx.neg(1))):
+    words = ((1, 1, ctx.sub(sq, ctx.scalar(2))),
+             (1, -1, ctx.neg(ctx.scalar(2))),
+             (2, 1, ctx.sub(sq, ctx.scalar(3))),
+             (2, -1, ctx.neg(1)))
+    # in characteristic 2 both m = 1 products are I: e = -1 has lam = 0,
+    # so k = I, and e = 1 has lam w = tr, which makes k g k^-1 = g^-1
+    for m, e, rhs in words[2 if ctx.p == 2 else 0:]:
         root = ctx.sqrt(rhs)
         if m >= longest or root is None:
             continue
@@ -257,12 +267,12 @@ def _window(x, depth):
     if xw != pad(y, n):
         raise ConstructError("window identity failed")
     inner, t_sub = _construct_internal(y, depth + 1)
-    steps = [(pad(c, n), e, lab) for c, e, lab in inner]
+    steps = [(p * pad(c, n) * pi, e, lab) for c, e, lab in inner]
     t = pad(t_sub, n)
-    if not classify(t, GroupSpec("SL", n, ctx.q)).projective_involution:
+    if not is_projective_involution(t):
         # t may square to -I on the window only
         steps, t = steps + steps, t * t
-    return [(p * c * pi, e, lab) for c, e, lab in steps], p * t * pi
+    return steps, p * t * pi
 
 
 # -- class words for the excluded pairs ------------------------------------
@@ -487,7 +497,7 @@ def _target_violation(t, spec):
         if t.is_identity() or not (t * t).is_identity():
             return "target-not-involution"
         return "target-parity" if t.parity() != 0 else None
-    if not classify(t, spec).projective_involution:
+    if not is_projective_involution(t):
         return "target-not-projective-involution"
     return None
 
@@ -511,17 +521,31 @@ def replay(w):
     if not all(_fits(x, spec) for x in [w.g, w.target] + [s.c for s in w.steps]):
         return report("spec-mismatch")
     g = w.g
+    gi = g.inv()
     if spec.family in ("Sym", "Alt"):
         acc = Perm.identity(g.n)
-        bad, violation = (lambda c: c.parity() != 0), "conjugator-parity"
+        violation = "conjugator-parity"
+
+        def checked_inv(c):
+            return c.inv() if c.parity() == 0 else None
     else:
         acc = Mat.identity(g.ctx, g.n)
-        bad, violation = (lambda c: c.det() != 1), "conjugator-determinant"
-    gi = g.inv()
+        violation = "conjugator-determinant"
+
+        def checked_inv(c):
+            ci, det = c.inv_det()
+            return ci if det == 1 else None
+    # c g^e c^-1 once per distinct step: a doubled window repeats its steps
+    conjugates = {}
     for s in w.steps:
-        if bad(s.c):
-            return report(violation)
-        acc = acc * (s.c * (g if s.e == 1 else gi) * s.c.inv())
+        key = (s.c, s.e)
+        y = conjugates.get(key)
+        if y is None:
+            ci = checked_inv(s.c)
+            if ci is None:
+                return report(violation)
+            y = conjugates[key] = s.c * (g if s.e == 1 else gi) * ci
+        acc = acc * y
     if acc != w.target:
         return report("product-mismatch")
     return report(_target_violation(w.target, spec))

@@ -158,17 +158,30 @@ class Mat:
         return det
 
     def inv(self):
+        inverse, _ = self.inv_det()
+        if inverse is None:
+            raise ZeroDivisionError("singular matrix")
+        return inverse
+
+    def inv_det(self):
+        """(inverse, determinant) from one Gauss-Jordan elimination; the
+        inverse is None when the determinant is 0."""
         _require_square(self)
         ctx, n = self.ctx, self.n
+        mulr, neg = ctx.mul_rows, ctx.neg_table
         one = (0,) * n + (1,) + (0,) * (n - 1)
         a = [row + one[n - i:2 * n - i] for i, row in enumerate(self.rows)]
+        det = 1
         for col in range(n):
             piv = next((r for r in range(col, n) if a[r][col]), None)
             if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
+                return None, 0
+            if piv != col:
+                a[col], a[piv] = a[piv], a[col]
+                det = neg[det]
+            det = mulr[det][a[col][col]]
             _eliminate(ctx, a, col, col)
-        return _mat(ctx, tuple(tuple(row[n:]) for row in a))
+        return _mat(ctx, tuple(tuple(row[n:]) for row in a)), det
 
     def rank(self):
         return len(_row_echelon(self.ctx, list(self.rows))[0])
@@ -388,8 +401,18 @@ def classify(g, spec):
     sq = g * g
     central = g.is_scalar()
     involution = sq == eye and g != eye
-    proj = (sq == eye or sq == eye.scale(g.ctx.neg(1))) and not central
+    proj = _is_pm_identity(sq) and not central
     return Classification(in_group, central, involution, proj)
+
+
+def is_projective_involution(g):
+    """classify(g, spec).projective_involution for an invertible g, without
+    the determinant: g^2 in {I, -I} and g not scalar."""
+    return not g.is_scalar() and _is_pm_identity(g * g)
+
+
+def _is_pm_identity(m):
+    return m.is_scalar() and m.rows[0][0] in (1, m.ctx.neg(1))
 
 
 def mat_over(q, text):

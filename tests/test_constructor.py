@@ -8,7 +8,8 @@ import pytest
 
 import invword.constructor as constructor
 from invword.gf import MAX_ORDER, make_field, irreducible_polys
-from invword.matrix import GroupSpec, Mat, direct_sum, parse_mat
+from invword.matrix import (GroupSpec, Mat, commutator, direct_sum, parse_mat,
+                            transvection)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
 from invword.perm import Perm
@@ -101,6 +102,51 @@ def test_sl2_classes_take_at_most_4_steps():
                 w = ok(construct_involution(g, GroupSpec("SL", 2, q)))
                 worst[q] = max(worst.get(q, 0), w.length)
     assert len(worst) == 16 and max(worst.values()) == 4
+
+
+def _sl2_elliptic(ctx):
+    """Every elliptic element of SL(2, q): x^2 - t x + 1 has no root, so
+    b != 0 and c = (ad - 1)/b."""
+    traces = [t for t in ctx.elements()
+              if all(ctx.mul(x, ctx.sub(t, x)) != 1 for x in ctx.elements())]
+    for a in ctx.elements():
+        for t in traces:
+            d = ctx.sub(t, a)
+            for b in range(1, ctx.q):
+                c = ctx.div(ctx.sub(ctx.mul(a, d), 1), b)
+                yield Mat(ctx, [[a, b], [c, d]])
+
+
+def test_sl2_char2_skips_the_void_m1_words(monkeypatch):
+    # in characteristic 2 the (m, e) = (1, -1) word has lam = 0, so k = I,
+    # and the (1, 1) word has lam w = tr, which makes k g k^-1 = g^-1: both
+    # products are I, so every elliptic element, having no eigenvector,
+    # takes the 3-step (2, 1) word or the 4-step pull-back, and _sl2_core
+    # evaluates no m = 1 word
+    real = constructor._product
+    m1_words = []
+
+    def product(g, steps):
+        if len(steps) == 2 and (steps[1][2] == "sl2-square"
+                                or steps[1][0].is_identity()):
+            m1_words.append(steps)
+        return real(g, steps)
+    monkeypatch.setattr(constructor, "_product", product)
+    count = 0
+    for q in (4, 8, 16, 32):
+        ctx = make_field(q)
+        for g in _sl2_elliptic(ctx):
+            (a, b), (c, d) = g.rows
+            # v = (1, 0) has w = det(v, g v) = c, never 0 here
+            k = Mat(ctx, [[1, ctx.div(ctx.add(a, d), c)], [0, 1]])
+            assert (g * k * g * k.inv()).is_identity()
+            steps = constructor._sl2_core(g)
+            t = constructor._product(g, steps)
+            assert len(steps) in (3, 4) and not t.is_scalar()
+            assert ctx.add(t[0, 0], t[1, 1]) == 0
+            count += 1
+    assert count == sum(q * q * (q - 1) // 2 for q in (4, 8, 16, 32))
+    assert m1_words == []
 
 
 def test_sl2_target_is_projective_involution():
@@ -208,6 +254,43 @@ def test_find_partner_frozen():
     assert find_partner(Mat(ctx7, [[2, 0], [0, 3]])).to_text() == "1,1;0,1"
     with pytest.raises(ValueError):
         find_partner(Mat(ctx5, [[2, 0], [0, 2]]))
+
+
+def _partner_by_commutator(g):
+    """find_partner's definition by commutators: the first transvection
+    I + lam E_ij, by coefficient and then position, whose commutator with
+    g is non-central."""
+    ctx, n = g.ctx, g.n
+    for lam in range(1, ctx.q):
+        for i in range(n):
+            for j in range(n):
+                if i != j:
+                    h = transvection(ctx, n, i, j, lam)
+                    if not commutator(g, h).is_scalar():
+                        return h
+
+
+def test_find_partner_matches_the_commutator_definition():
+    inputs = [g for q in (2, 3, 4, 5, 7, 8, 9) for n in (2, 3, 4)
+              for g, _ in class_transversal(make_field(q), n)]
+    rng = random.Random(16)
+    for n in range(5, 10):
+        for q in (2, 3, 4, 5, 7, 9):
+            ctx = make_field(q)
+            # dense, then a scalar block followed by a dense one, whose
+            # partner sits past the first position
+            inputs.append(rand_gl(ctx, n, rng))
+            k = rng.randrange(2, n - 1)
+            inputs.append(direct_sum(Mat.scalar(ctx, k, rng.randrange(1, q)),
+                                     rand_gl(ctx, n - k, rng)))
+    assert len(inputs) == 16116
+    assert sum(g.det() != 1 for g in inputs) > 30
+    late = 0
+    for g in inputs:
+        h = find_partner(g)
+        assert h == _partner_by_commutator(g), g.to_text()
+        late += h.rows[0][1] != 1
+    assert late > 1000
 
 
 # -- the window above dimension 4 -------------------------------------------
@@ -617,11 +700,60 @@ def test_replay_flags_tampering():
     assert replay(w).violation == "conjugator-determinant"
 
 
+def _doubled_window_witness():
+    """An SL(5,7) witness whose window's target squares to -I on the window
+    only, so the window's word is taken twice: 16 steps, 8 distinct."""
+    g = parse_mat(ctx7, "2,2,2,2,4;4,4,0,3,1;2,0,1,4,5;3,4,1,3,0;5,3,2,4,3")
+    w = ok(construct_involution(g, GroupSpec("SL", 5, 7)))
+    assert w.length == 16 and len({(s.c, s.e) for s in w.steps}) == 8
+    return w
+
+
+def test_replay_flags_repeated_bad_conjugator():
+    w = _doubled_window_witness()
+    c = w.steps[0].c
+    bad = c * Mat.diag(ctx7, (3, 1, 1, 1, 1))
+    repeats = [i for i, s in enumerate(w.steps) if s.c == c]
+    assert len(repeats) == 2
+    for i in repeats:
+        w.steps[i] = WitnessStep(bad, w.steps[i].e, "x")
+    assert replay(w).violation == "conjugator-determinant"
+
+
+def test_replay_flags_tampered_target_of_doubled_witness():
+    w = _doubled_window_witness()
+    h = transvection(ctx7, 5, 0, 1)
+    # another projective involution, so only the product check can fail
+    w.target = h * w.target * h.inv()
+    assert replay(w).violation == "product-mismatch"
+
+
+def test_replay_eliminates_once_per_distinct_conjugator(monkeypatch):
+    # one Gauss-Jordan elimination for g^-1 and one per distinct step (c, e),
+    # which checks det c and gives c^-1 together; no determinant besides
+    w = _doubled_window_witness()
+    calls = {"inv_det": 0, "det": 0}
+    for name in calls:
+        real = getattr(Mat, name)
+
+        def counted(self, name=name, real=real):
+            calls[name] += 1
+            return real(self)
+        monkeypatch.setattr(Mat, name, counted)
+    assert replay(w).ok
+    assert calls == {"inv_det": 8 + 1, "det": 0}
+    assert len({s.c for s in w.steps}) == 8
+
+
 def test_replay_flags_bad_target():
     g = Mat(ctx5, [[1, 1], [0, 1]])
     eye = Mat.identity(ctx5, 2)
     w = Witness(GroupSpec("SL", 2, 5), g, [(eye, 1, "x"), (eye, 1, "x")],
                 g * g)
+    assert replay(w).violation == "target-not-projective-involution"
+    # one conjugator with both exponents: the product g g^-1 is I
+    w = Witness(GroupSpec("SL", 2, 5), g, [(eye, 1, "x"), (eye, -1, "x")],
+                eye)
     assert replay(w).violation == "target-not-projective-involution"
 
 

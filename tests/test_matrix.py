@@ -13,6 +13,7 @@ from invword.matrix import (
     classify,
     commutator,
     direct_sum,
+    is_projective_involution,
     kron,
     mat_over,
     nullspace,
@@ -128,6 +129,20 @@ def test_classify():
     bad = mat_over(5, "2,0;0,1")
     assert not classify(bad, s5).in_group
     assert classify(bad, GroupSpec("GL", 2, 5)).in_group
+
+
+def test_projective_involution_without_determinant():
+    rng = random.Random(17)
+    for q in (4, 5):
+        ctx = make_field(q)
+        spec = GroupSpec("SL", 2, q)
+        hits = 0
+        for _ in range(200):
+            g = rand_invertible(ctx, 2, rng)
+            hits += is_projective_involution(g)
+            assert is_projective_involution(g) == \
+                classify(g, spec).projective_involution
+        assert 0 < hits < 200
 
 
 def test_classify_conjugation_invariant():
@@ -374,6 +389,25 @@ def test_row_table_kernels_match_reference(ctx):
                 singular += 1
                 with pytest.raises(ZeroDivisionError):
                     ref_inv(a)
+                with pytest.raises(ZeroDivisionError):
+                    a.inv()
+    assert singular > 0
+
+
+@pytest.mark.parametrize("q", (2, 4, 7, 9))
+def test_inv_det_is_det_and_inv_in_one(q):
+    ctx = make_field(q)
+    rng = random.Random(q * 107)
+    singular = 0
+    for n in range(1, 9):
+        for a in kernel_inputs(ctx, rng, n, n):
+            inverse, det = a.inv_det()
+            assert det == a.det() == ref_det(a)
+            if det:
+                assert inverse.rows == ref_inv(a) and inverse == a.inv()
+            else:
+                singular += 1
+                assert inverse is None
                 with pytest.raises(ZeroDivisionError):
                     a.inv()
     assert singular > 0
