@@ -358,8 +358,9 @@ def _partitions(e):
     return rec(e, e)
 
 
-def class_transversal(ctx, n, include_central=False):
-    """Representatives covering every conjugacy class of SL_n(q).
+def class_transversal(ctx, n):
+    """Representatives covering every non-central conjugacy class of
+    SL_n(q).
 
     Enumerates determinant-1 canonical forms J and, for each, the twists
     D J D^{-1} with D = diag(nu^i, 1, ..., 1): these cover all SL-classes
@@ -398,7 +399,7 @@ def class_transversal(ctx, n, include_central=False):
         if det != 1:
             continue
         jmat = blocks_matrix(ctx, blocks)
-        if not include_central and jmat.is_scalar():
+        if jmat.is_scalar():
             continue
         for i in range(ctx.q - 1):
             d = Mat.diag(ctx, (ctx.pow(nu, i),) + (1,) * (n - 1))

@@ -115,9 +115,6 @@ class FieldCtx:
         """Square root of a, smallest encoding, or None if a is a non-square."""
         return self.sqrt_table[a]
 
-    def is_square(self, a):
-        return self.sqrt_table[a] is not None
-
     def scalar(self, k):
         """Image of the integer k under Z -> GF(q)."""
         return k % self.p
@@ -397,40 +394,3 @@ def poly_is_irreducible(ctx, f):
 def irreducible_polys(ctx, d):
     """Monic irreducible degree-d polynomials over ctx, encoding order."""
     return [f for f in monic_polys(ctx, d) if poly_is_irreducible(ctx, f)]
-
-
-def poly_str(f):
-    """Compact display form, highest power first: (1,0,1) -> 'x^2+1'."""
-    if not f:
-        return "0"
-    parts = []
-    for i in range(len(f) - 1, -1, -1):
-        c = f[i]
-        if c == 0:
-            continue
-        if i == 0:
-            parts.append(str(c))
-        else:
-            xs = "x" if i == 1 else "x^%d" % i
-            parts.append(xs if c == 1 else "%d%s" % (c, xs))
-    return "+".join(parts)
-
-
-def poly_parse(s):
-    """Inverse of poly_str for well-formed inputs; encodings stay raw ints."""
-    s = s.replace(" ", "")
-    if s == "0":
-        return ()
-    coeffs = {}
-    for term in s.split("+"):
-        if "x" in term:
-            head, _, tail = term.partition("x")
-            c = int(head) if head else 1
-            k = int(tail[1:]) if tail.startswith("^") else (1 if tail == "" else int(tail))
-        else:
-            c, k = int(term), 0
-        coeffs[k] = coeffs.get(k, 0) + c
-    out = [0] * (max(coeffs) + 1)
-    for k, c in coeffs.items():
-        out[k] = c
-    return poly_trim(out)

@@ -280,18 +280,6 @@ def pivot_columns(mat):
     return _row_echelon(mat.ctx, list(mat.rows))[0]
 
 
-def solve(mat, b):
-    """One solution x of mat @ x = b, or None.  b is a sequence."""
-    aug = [r + (bv,) for r, bv in zip(mat.rows, b)]
-    pivots, a = _row_echelon(mat.ctx, aug)
-    if mat.m in pivots:
-        return None  # pivot in the constant column: inconsistent
-    x = [0] * mat.m
-    for r, pc in enumerate(pivots):
-        x[pc] = a[r][mat.m]
-    return tuple(x)
-
-
 def direct_sum(a, b):
     if a.ctx is not b.ctx:
         raise ValueError("field mismatch: %r and %r" % (a.ctx, b.ctx))

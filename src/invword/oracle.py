@@ -22,12 +22,11 @@ table (none at import): a row sum and a scaled row are one lookup each,
 right multiplication by a generator maps each row through one table, and
 left multiplication by a generator rewrites one row.
 
-A matrix group has two generator lists (_row_ops).  The closure that
-enumerates it walks a generating subset, the adjacent transvections with
-lam in an additive basis of GF(q) (8 instead of 18 for SL(3,4)); its
-output, each element with its inverse, does not depend on the
-generators.  Conjugacy classes grow by conjugating with the full list
-of transvections, which fixes every transporter.
+A matrix group has one generator list (_row_ops): the adjacent
+transvections with lam in an additive basis of GF(q) (8 for SL(3,4)),
+plus a dilation for GL and PGL.  The closure walks it, conjugacy classes
+grow by conjugating with it, and it fixes every transporter; elements,
+inverses and the class partition do not depend on the list.
 """
 
 import itertools
@@ -144,12 +143,12 @@ class _RowCode:
 
     Generators are elementary matrices I + c E_ij, given as (i, j, c);
     i == j is allowed (a dilation by 1 + c).  Left multiplication by one
-    adds c times row j to row i.  ops are the generators that conjugation
-    runs over; closure takes its own list.  scalars lists the scalars
-    other than 1 of a projective quotient; every code is normalized to the
-    least code among its multiples by them.  The tables live as long as
-    the group table: add[a * Q + b] is the code of row a + row b and
-    scale[c * Q + a] that of c * row a, for Q = q**n."""
+    adds c times row j to row i.  ops are the generators, which the
+    closure, conjugation and left multiplication all run over.  scalars
+    lists the scalars other than 1 of a projective quotient; every code is
+    normalized to the least code among its multiples by them.  The tables
+    live as long as the group table: add[a * Q + b] is the code of row
+    a + row b and scale[c * Q + a] that of c * row a, for Q = q**n."""
 
     def __init__(self, ctx, n, ops, scalars):
         q = ctx.q
@@ -227,15 +226,16 @@ class _RowCode:
         return best
 
     def encode(self, el):
-        """Code of a Mat, or None if el is not an n x n matrix over GF(q)."""
-        if not isinstance(el, Mat) or el.n != self.n or el.m != self.n:
+        """Code of a Mat, or None if el is not an n x n matrix over this
+        table's field context.  Mat(ctx, rows) keeps the entries in
+        range; a context of another field encodes them otherwise."""
+        if not (isinstance(el, Mat) and el.ctx is self.ctx
+                and el.n == el.m == self.n):
             return None
         q, rows = self.q, []
         for r in el.rows:
             v = 0
             for x in r:
-                if not 0 <= x < q:
-                    return None
                 v = v * q + x
             rows.append(v)
         return self._code(rows)
@@ -296,9 +296,8 @@ class _RowCode:
             out.append(least(y) if self.scalars else y)
         return out
 
-    def closure(self, ops, cap):
-        """Every element generated by the row operations ops, mapped to
-        its inverse.
+    def closure(self, cap):
+        """Every element generated by ops, mapped to its inverse.
 
         Breadth-first from the identity by right multiplication; an
         element y = x s is first met from x, so its inverse s^-1 x^-1 is
@@ -306,8 +305,8 @@ class _RowCode:
         for any generating list; only the time taken depends on it."""
         split, row_op = self.split, self._row_op
         Q, least, scalars = self.Q, self._least, self.scalars
-        steps = [(self.right_map(row_op(op, self.identity)),
-                  self._inverse_op(op)) for op in ops]
+        steps = [(self.right_map(s), self._inverse_op(op))
+                 for s, op in zip(self.gens, self.ops)]
         inverse = {self.identity: self.identity}
         frontier = [self.identity]
         while frontier:
@@ -364,24 +363,17 @@ _TABLE_CACHE = {}
 
 
 def _row_ops(spec, ctx):
-    """(ops, walk): the generators of a matrix group table, as row
-    operations (i, j, c) for I + c E_ij.
-
-    ops are the transvections I + lam E_ij, every i != j and lam != 0,
-    and for GL and PGL the dilation diag(nu, 1, ..., 1) with nu the
-    field's generator; conjugation, and so every transporter, runs over
-    them.  walk generates the same group from fewer: the transvections
-    with |i - j| = 1 and lam in the additive basis 1, xi, ...,
-    xi^(deg-1) (encoded p**k), and the dilation.  Commutators of
-    adjacent root groups give the others, so walk serves the closure."""
+    """The generators of a matrix group table, as row operations (i, j, c)
+    for I + c E_ij: the transvections with |i - j| = 1 and lam in the
+    additive basis 1, xi, ..., xi^(deg-1) (encoded p**k), and for GL and
+    PGL the dilation diag(nu, 1, ..., 1) with nu the field's generator.
+    Commutators of adjacent root groups give every other transvection.
+    The closure, conjugation, and so every transporter, run over them."""
     n = spec.n
     dilation = ([(0, 0, ctx.sub(ctx.generator(), 1))]
                 if spec.family in ("GL", "PGL") else [])
-    ops = [(i, j, lam) for i in range(n) for j in range(n) if i != j
-           for lam in range(1, ctx.q)]
-    walk = [(i, j, ctx.p ** k) for i in range(n) for j in (i - 1, i + 1)
-            if 0 <= j < n for k in range(ctx.deg)]
-    return ops + dilation, walk + dilation
+    return [(i, j, ctx.p ** k) for i in range(n) for j in (i - 1, i + 1)
+            if 0 <= j < n for k in range(ctx.deg)] + dilation
 
 
 def build_group(spec):
@@ -415,7 +407,6 @@ def build_group(spec):
     else:
         ctx = make_field(spec.q)
         q = ctx.q
-        ops, walk = _row_ops(spec, ctx)
         # projective families: quotient by scalars with lambda^n = 1 (PSL)
         # or all scalars (PGL)
         if spec.family == "PSL":
@@ -424,8 +415,8 @@ def build_group(spec):
             scalars = list(range(2, q))
         else:
             scalars = []
-        code = _RowCode(ctx, n, ops, scalars)
-        tbl = GroupTable(spec, ctx, code, code.closure(walk, ORDER_CAP))
+        code = _RowCode(ctx, n, _row_ops(spec, ctx), scalars)
+        tbl = GroupTable(spec, ctx, code, code.closure(ORDER_CAP))
     if tbl.order != expected:
         raise RuntimeError("%r: enumerated %d elements, the order formula "
                            "gives %d" % (spec, tbl.order, expected))

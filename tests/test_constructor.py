@@ -949,9 +949,9 @@ def pinned_inputs():
 # exception line), the shape of every witness; one pair of digests for the
 # inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("3c9ef0983af81ec3737e631a64470dfc08566dfef063794de6bbe68892af0b91",
+    "n <= 4": ("1fbc64a58ba77937793ab27190f58f5fa9c506141dd766f7ee29a57bf0e01668",
                "b96e135f83a13d7a138e6464157647bb1f8f5c7035ba6f8f9c7b0852bbce811b"),
-    "n > 4": ("5e9015e605a2d123666a57076b4478d536e134b92a9982deba5389063ec536df",
+    "n > 4": ("4fd609decbfe4ae3b9fd8a022483d0cd2e4db0fc092e5219a6b911a971b339ca",
               "41e09793156ccd956113b978b2402881a340da331ce57bd775bb172ac0e156e5"),
 }
 

@@ -13,9 +13,7 @@ from invword.gf import (
     poly_is_irreducible,
     poly_mod,
     poly_mul,
-    poly_parse,
     poly_pow_mod,
-    poly_str,
 )
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
@@ -201,12 +199,3 @@ def test_poly_pow_mod_fermat():
     F = make_field(3)
     m = (1, 0, 1)
     assert poly_pow_mod(F, (0, 1), 9, m) == (0, 1)
-
-
-def test_poly_str_parse():
-    assert poly_str((1, 0, 1)) == "x^2+1"
-    assert poly_str((2, 1)) == "x+2"
-    assert poly_str((1, 2, 0, 1)) == "x^3+2x+1"
-    assert poly_str(()) == "0"
-    for f in [(1, 0, 1), (2, 1), (0, 0, 3, 1), (4,)]:
-        assert poly_parse(poly_str(f)) == f

@@ -9,7 +9,7 @@ import pytest
 from invword import oracle
 from invword.constructor import brute_force_witness, find_partner
 from invword.matrix import GroupSpec, Mat, classify, commutator
-from invword.gf import make_field
+from invword.gf import make_extension, make_field
 from invword.perm import Perm
 from invword.oracle import (GroupTooLarge, build_group, class_product_count,
                             class_search, conjugacy_classes, d_inv,
@@ -364,12 +364,10 @@ def _ref_left(ctx, s):
     return lambda x: tuple(zip(*right(tuple(zip(*x)))))
 
 
-def _ref_tables(spec):
-    """(elements, inverse, gens, class_of, reps, transporter) as the
-    tuple code computed them: closure by breadth-first right
-    multiplication with the transvections (and diag(nu, 1, ...) for GL,
-    PGL), sorted; classes by conjugating with the generators in order."""
-    ctx, n, q = make_field(spec.q), spec.n, spec.q
+def _ref_code(spec, ctx):
+    """The reference code of a matrix given by its rows: the tuple of row
+    tuples, for PSL and PGL the least among its scalar multiples."""
+    n, q = spec.n, spec.q
     if spec.family == "PSL":
         lams = [c for c in range(2, q) if ctx.pow(c, n) == 1]
     else:
@@ -380,22 +378,77 @@ def _ref_tables(spec):
         return min([e] + [tuple(tuple(ctx.mul(c, x) for x in r) for r in e)
                           for c in lams])
 
+    return code
+
+
+def _ref_gens(spec, ctx, code, every):
+    """Codes of the transvections I + lam E_ij, either every one or (as
+    the oracle's generator list) those with |i - j| = 1 and lam = p**k,
+    followed for GL and PGL by diag(nu, 1, ..., 1)."""
+    n, q = spec.n, spec.q
+
     def unit():
         return [[int(a == b) for b in range(n)] for a in range(n)]
 
+    if every:
+        ijs = [(i, j, lam) for i in range(n) for j in range(n) if i != j
+               for lam in range(1, q)]
+    else:
+        ijs = [(i, j, ctx.p ** k) for i in range(n) for j in (i - 1, i + 1)
+               if 0 <= j < n for k in range(ctx.deg)]
     gens = []
-    for i in range(n):
-        for j in range(n):
-            for lam in range(1, q) if i != j else ():
-                rows = unit()
-                rows[i][j] = lam
-                gens.append(code(rows))
+    for i, j, lam in ijs:
+        rows = unit()
+        rows[i][j] = lam
+        gens.append(code(rows))
     if spec.family in ("GL", "PGL"):
         rows = unit()
         rows[0][0] = ctx.generator()
         gens.append(code(rows))
-    identity = code(unit())
-    times = [_ref_right(ctx, s) for s in gens]
+    return gens
+
+
+def _ref_classes(ctx, elements, code, gens):
+    """(class_of, reps, transporter) over the sorted element list,
+    classes in the order of their least element, each grown by
+    conjugating with the generator indices gens in order."""
+    index = {e: i for i, e in enumerate(elements)}
+    steps = [(_ref_left(ctx, elements[s]),
+              _ref_right(ctx, code(Mat(ctx, elements[s]).inv().rows)))
+             for s in gens]
+    e = index[code(Mat.identity(ctx, len(elements[0])).rows)]
+    class_of, reps = [-1] * len(elements), []
+    transporter = [e] * len(elements)
+    for i in range(len(elements)):
+        if class_of[i] != -1:
+            continue
+        class_of[i] = len(reps)
+        reps.append(i)
+        frontier = [i]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                for left, right_inv in steps:
+                    y = index[code(left(right_inv(elements[x])))]
+                    if class_of[y] == -1:
+                        class_of[y] = class_of[i]
+                        transporter[y] = index[code(
+                            left(elements[transporter[x]]))]
+                        nxt.append(y)
+            frontier = nxt
+    return class_of, reps, transporter
+
+
+def _ref_tables(spec):
+    """(elements, inverse, gens, class_of, reps, transporter) as the
+    tuple code computes them: closure by breadth-first right
+    multiplication with every transvection (and diag(nu, 1, ...) for GL,
+    PGL), sorted; classes by conjugating with the oracle's generator
+    list in order."""
+    ctx = make_field(spec.q)
+    code = _ref_code(spec, ctx)
+    identity = code(Mat.identity(ctx, spec.n).rows)
+    times = [_ref_right(ctx, s) for s in _ref_gens(spec, ctx, code, True)]
     seen, frontier = {identity}, [identity]
     while frontier:
         nxt = []
@@ -409,39 +462,21 @@ def _ref_tables(spec):
     elements = sorted(seen)
     index = {e: i for i, e in enumerate(elements)}
     inverse = [index[code(Mat(ctx, e).inv().rows)] for e in elements]
-    gens = [index[s] for s in gens]
-    steps = [(s, _ref_left(ctx, elements[s]),
-              _ref_right(ctx, elements[inverse[s]])) for s in gens]
-    e = index[identity]
-    class_of, reps = [-1] * len(elements), []
-    transporter = [e] * len(elements)
-    for i in range(len(elements)):
-        if class_of[i] != -1:
-            continue
-        class_of[i] = len(reps)
-        reps.append(i)
-        frontier = [i]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for s, left, right_inv in steps:
-                    y = index[code(left(right_inv(elements[x])))]
-                    if class_of[y] == -1:
-                        class_of[y] = class_of[i]
-                        transporter[y] = index[code(
-                            left(elements[transporter[x]]))]
-                        nxt.append(y)
-            frontier = nxt
-    return elements, inverse, gens, class_of, reps, transporter
+    gens = [index[s] for s in _ref_gens(spec, ctx, code, False)]
+    return (elements, inverse, gens,
+            *_ref_classes(ctx, elements, code, gens))
 
 
-@pytest.mark.parametrize("spec", [
+TUPLE_REFERENCE_SPECS = [
     *(GroupSpec("SL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9)),
     GroupSpec("SL", 3, 2), GroupSpec("SL", 3, 3), GroupSpec("SL", 4, 2),
     GroupSpec("GL", 2, 3),
     *(GroupSpec("PSL", 2, q) for q in (5, 7, 8, 9)),
     GroupSpec("PGL", 2, 5),
-], ids=repr)
+]
+
+
+@pytest.mark.parametrize("spec", TUPLE_REFERENCE_SPECS, ids=repr)
 def test_row_code_matches_tuple_reference(spec):
     elements, inverse, gens, class_of, reps, transporter = _ref_tables(spec)
     tbl = build_group(spec)
@@ -453,6 +488,23 @@ def test_row_code_matches_tuple_reference(spec):
     assert ct.reps == reps
     assert ct.transporter == transporter
     assert all(tbl.index_of(tbl.decode(i)) == i for i in range(tbl.order))
+
+
+@pytest.mark.parametrize("spec", TUPLE_REFERENCE_SPECS, ids=repr)
+def test_classes_do_not_depend_on_the_generators(spec):
+    # conjugating with every transvection instead of the oracle's short
+    # list gives the same partition: only the transporters differ
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    ctx = tbl.ctx
+    code = _ref_code(spec, ctx)
+    elements = [tbl.decode(i).rows for i in range(tbl.order)]
+    index = {e: i for i, e in enumerate(elements)}
+    every = [index[s] for s in _ref_gens(spec, ctx, code, True)]
+    class_of, reps, _ = _ref_classes(ctx, elements, code, every)
+    assert class_of == ct.class_of
+    assert reps == ct.reps
+    assert [class_of.count(k) for k in range(len(reps))] == ct.sizes
 
 
 def test_sl42_class_search_lengths_are_distances():
@@ -484,7 +536,7 @@ PINNED_TABLE_SPECS = (
     + [GroupSpec("SL", 3, 3), GroupSpec("SL", 4, 2), GroupSpec("SL", 3, 4),
        GroupSpec("GL", 2, 3), GroupSpec("GL", 3, 2), GroupSpec("PGL", 2, 5)])
 PINNED_ORACLE_SHA256 = \
-    "f592373063a821bce5aa243dcc43f288aa89d87a646fc1f8fab09f85af182be8"
+    "da8620e67ee2e530408fa9f4f41d21a6177797a6208fb9c32ae48b35d246e751"
 
 
 def oracle_digest():
@@ -545,6 +597,22 @@ def test_index_guards():
     last = tbl.order - 1
     assert dist_to_set(tbl, last, inv) is not None
     assert class_product_count(tbl, [last], last) == 1
+    # a matrix over another field, or over another context of GF(q), is
+    # no element, even where its entries would fit
+    gf9 = make_extension(make_field(3), (1, 0, 1))
+    for n, q, bad in ((2, 2, Mat(make_field(3), [[1, 1], [0, 1]])),
+                      (2, 5, Mat(make_field(7), [[1, 1], [0, 1]])),
+                      (2, 9, Mat(gf9, [[1, 1], [0, 1]]))):
+        mt = build_group(GroupSpec("SL", n, q))
+        good = mt.index_of(Mat(mt.ctx, bad.rows))
+        assert good is not None and mt.index_of(bad) is None
+        targets = involution_indices(mt)
+        with pytest.raises(ValueError, match="outside the group"):
+            dist_to_set(mt, bad, targets)
+        with pytest.raises(ValueError, match="outside the group"):
+            class_product_count(mt, [bad, good], good)
+        with pytest.raises(ValueError, match="outside the group"):
+            class_product_count(mt, [good], bad)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -567,19 +635,37 @@ def test_perm_code_conjugates_compose_in_one_pass(spec):
             assert code.mul(x, s) == tuple(s[i] for i in x)
 
 
-@pytest.mark.parametrize("spec", [
+MATRIX_TABLE_SPECS = [
     *(GroupSpec("SL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9)),
     GroupSpec("SL", 3, 2), GroupSpec("SL", 3, 3), GroupSpec("SL", 4, 2),
     GroupSpec("GL", 2, 3), GroupSpec("GL", 3, 2),
     *(GroupSpec("PSL", 2, q) for q in (2, 3, 4, 5, 7, 8, 9, 11)),
     GroupSpec("PGL", 2, 5),
-], ids=repr)
+]
+
+
+def every_row_op(spec, ctx):
+    """Every transvection I + lam E_ij as a row operation (i, j, lam), and
+    for GL and PGL the oracle's dilation."""
+    n = spec.n
+    ops = [(i, j, lam) for i in range(n) for j in range(n) if i != j
+           for lam in range(1, ctx.q)]
+    if spec.family in ("GL", "PGL"):
+        ops.append((0, 0, ctx.sub(ctx.generator(), 1)))
+    return ops
+
+
+@pytest.mark.parametrize("spec", MATRIX_TABLE_SPECS, ids=repr)
 def test_closure_walk_matches_all_generators(spec):
+    # the closure walks the oracle's short list; walking every
+    # transvection finds the same elements with the same inverses
     tbl = build_group(spec)
-    ops, walk = oracle._row_ops(spec, tbl.ctx)
+    walk = oracle._row_ops(spec, tbl.ctx)
+    ops = every_row_op(spec, tbl.ctx)
     assert set(walk) <= set(ops)
-    full = tbl.code.closure(ops, oracle.ORDER_CAP)
-    assert tbl.code.closure(walk, oracle.ORDER_CAP) == full
+    full = oracle._RowCode(tbl.ctx, spec.n, ops,
+                           tbl.code.scalars).closure(oracle.ORDER_CAP)
+    assert tbl.code.closure(oracle.ORDER_CAP) == full
     assert sorted(full) == tbl.elements
     assert [tbl.index[full[e]] for e in tbl.elements] == \
         [tbl.inv(i) for i in range(tbl.order)]
@@ -587,13 +673,24 @@ def test_closure_walk_matches_all_generators(spec):
 
 def test_closure_walk_sizes():
     def sizes(spec):
-        ops, walk = oracle._row_ops(spec, make_field(spec.q))
-        return len(ops), len(walk)
+        ctx = make_field(spec.q)
+        return len(every_row_op(spec, ctx)), len(oracle._row_ops(spec, ctx))
 
     assert sizes(GroupSpec("SL", 3, 4)) == (18, 8)
     assert sizes(GroupSpec("PSL", 2, 11)) == (20, 2)
     assert sizes(GroupSpec("SL", 4, 2)) == (12, 6)
     assert sizes(GroupSpec("GL", 2, 3)) == (5, 3)
+
+
+@pytest.mark.parametrize("spec", MATRIX_TABLE_SPECS + [GroupSpec("SL", 3, 4)],
+                         ids=repr)
+def test_every_transporter_conjugates_its_rep(spec):
+    # conjugacy_classes samples three transporters; check them all
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    mul, inv = tbl.mul, tbl.inv
+    for i, t in enumerate(ct.transporter):
+        assert mul(mul(t, ct.reps[ct.class_of[i]]), inv(t)) == i, i
 
 
 def _ref_class_product_count(tbl, reps, ti):
