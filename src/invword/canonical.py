@@ -222,30 +222,13 @@ def _jordan_partition(g, f, e):
 class CanonicalForm:
     """Generalized Jordan data: u g u^{-1} = blocks_matrix(blocks)."""
 
-    def __init__(self, u, blocks, case, canonical):
+    def __init__(self, u, blocks, canonical):
         self.u = u
         self.blocks = blocks
-        self.case = case
         self.canonical = canonical
 
     def __repr__(self):
-        return "CanonicalForm(case=%s, blocks=%r)" % (self.case, self.blocks)
-
-
-def _case_tag(blocks, n):
-    if len(blocks) >= 2:
-        return "decomposable"
-    if n <= 2:
-        return "small"  # base case; at n=2 the m2/mn shapes coincide anyway
-    f, m = blocks[0]
-    d = poly_deg(f)
-    if m == 1:
-        return "m1"
-    if d == 1:
-        return "mn"
-    if m == 2:
-        return "m2"
-    return "ext"  # deg f >= 2 with m >= 3, so n >= 6: the constructor's window
+        return "CanonicalForm(blocks=%r)" % (self.blocks,)
 
 
 def solve_similarity(g, j):
@@ -309,7 +292,7 @@ def generalized_jordan(g):
     if u * g != jmat * u:
         raise RuntimeError("base change does not conjugate g to its "
                            "canonical form")
-    return CanonicalForm(u, blocks, _case_tag(blocks, n), jmat)
+    return CanonicalForm(u, blocks, jmat)
 
 
 def split_decomposable(cf, g):
@@ -319,10 +302,10 @@ def split_decomposable(cf, g):
     Jordan coordinates; g1 (+) g2 read off those positions.  When both sides
     of the natural split are scalar (lambda I (+) mu I), the sides are
     re-split as (lambda I, mu) (+) (lambda, mu I) so each part is non-scalar.
-    On an indecomposable input, returns the case tag instead.
+    On an indecomposable input, returns None.
     """
     if len(cf.blocks) < 2:
-        return cf.case
+        return None
     sizes = [poly_deg(f) * m for f, m in cf.blocks]
     first_f = cf.blocks[0][0]
     cut_blocks = 1

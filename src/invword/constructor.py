@@ -35,8 +35,10 @@ from .perm import Perm, a5_witness, alt_partner, commutator_perm
 # too large for the class-graph search that fills the table.
 EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
-MAX_WITNESS_LEN = 96
-_MAX_DEPTH = 10
+# the window table's maximum over every supported q; a 3- or 4-dimensional
+# window restarts once, onto a 2x2 window or a stored word, so depth 2 ends
+MAX_WITNESS_LEN = 24
+_MAX_DEPTH = 2
 
 
 class ConstructError(Exception):
@@ -80,9 +82,6 @@ class Witness:
     @property
     def length(self):
         return len(self.steps)
-
-    def reseeded(self):
-        return any("reseed" in s.case for s in self.steps)
 
     def __repr__(self):
         return "Witness(%r, length=%d, net=%d)" % (
@@ -278,16 +277,16 @@ def _window(x, depth):
 # -- class words for the excluded pairs ------------------------------------
 
 
-def brute_force_witness(g, spec, cap=48):
+def brute_force_witness(g, spec):
     """Exhaustive witness via the conjugacy-class graph of the ambient
     group.  Levels of the graph are exactly the classes meeting the k-fold
     products of the class of g and its inverse, so the first hit gives a
-    minimum-length witness.  Raises Unreachable (with a closure
-    certificate) when no involution is reachable, GroupTooLarge when the
-    group cannot be enumerated, ConstructError past the cap.  Only SL and
-    Alt: elsewhere the table's words do not replay (parity in Sym,
-    determinant in GL, products up to scalars in PSL and PGL), so other
-    families raise ValueError."""
+    minimum-length witness; the search reaches each class at most once,
+    so it ends.  Raises Unreachable (with a closure certificate) when no
+    involution is reachable, GroupTooLarge when the group cannot be
+    enumerated.  Only SL and Alt: elsewhere the table's words do not
+    replay (parity in Sym, determinant in GL, products up to scalars in
+    PSL and PGL), so other families raise ValueError."""
     if spec.family not in ("SL", "Alt"):
         raise ValueError("class-graph search not supported for family %r"
                          % spec.family)
@@ -321,8 +320,6 @@ def brute_force_witness(g, spec, cap=48):
     parents = {}  # class index -> node it was first reached from
     level = 0
     for level, y in class_search(tbl, gi, ct.class_of, parents):
-        if level > cap:
-            break
         if is_target(y):
             # generator a_k = x_(k-1)^-1 y_k along the path back
             word, x = [], y
@@ -333,8 +330,6 @@ def brute_force_witness(g, spec, cap=48):
                 x = prev
             steps = [step(a) for a in reversed(word)]
             return Witness(spec, g, steps, tbl.decode(y))
-    if level >= cap:
-        raise ConstructError("class search passed the cap (%d)" % cap)
     certificate = {
         "group_order": tbl.order,
         "classes_in_closure": len(parents),
@@ -521,20 +516,25 @@ def replay(w):
     if not all(_fits(x, spec) for x in [w.g, w.target] + [s.c for s in w.steps]):
         return report("spec-mismatch")
     g = w.g
-    gi = g.inv()
     if spec.family in ("Sym", "Alt"):
+        gi = g.inv()
+        outside = spec.family == "Alt" and g.parity() != 0
         acc = Perm.identity(g.n)
         violation = "conjugator-parity"
 
         def checked_inv(c):
             return c.inv() if c.parity() == 0 else None
     else:
+        gi, det = g.inv_det()
+        outside = gi is None or (det != 1 and spec.family in ("SL", "PSL"))
         acc = Mat.identity(g.ctx, g.n)
         violation = "conjugator-determinant"
 
         def checked_inv(c):
             ci, det = c.inv_det()
             return ci if det == 1 else None
+    if outside:
+        return report("element-outside-group")
     # c g^e c^-1 once per distinct step: a doubled window repeats its steps
     conjugates = {}
     for s in w.steps:

@@ -47,14 +47,12 @@ class FieldCtx:
     ``mf = mul_rows[f]`` fetched once per row.
     """
 
-    def __init__(self, q, p, deg, key, add_table, mul_table, base=None, ext_modulus=None):
+    def __init__(self, q, p, deg, key, add_table, mul_table, base=None):
         self.q = q
         self.p = p
         self.deg = deg        # degree over the prime field
         self.key = key
         self.base = base      # coefficient field for towers, else None
-        self.ext_modulus = ext_modulus
-        self.ext_deg = None if base is None else len(ext_modulus) - 1
         self.add_table = add_table
         self.mul_table = mul_table
         self.add_rows = tuple(tuple(add_table[a * q:(a + 1) * q]) for a in range(q))
@@ -118,16 +116,6 @@ class FieldCtx:
     def scalar(self, k):
         """Image of the integer k under Z -> GF(q)."""
         return k % self.p
-
-    def coords_base(self, a):
-        """Digits of a over the coefficient field of a tower, length ext_deg."""
-        if self.base is None:
-            raise ValueError("not a tower field")
-        b, out = self.base.q, []
-        for _ in range(self.ext_deg):
-            out.append(a % b)
-            a //= b
-        return tuple(out)
 
     def generator(self):
         """Smallest-encoding generator of the multiplicative group."""
@@ -237,7 +225,7 @@ def make_extension(base, modulus):
     monic irreducible modulus (tuple over base, constant first, degree d >= 2).
 
     The encoding is sum b_i * q**i for the element sum b_i * xi**i, so base
-    elements embed as themselves and coords_base() recovers the b_i.
+    elements embed as themselves.
     """
     modulus = tuple(modulus)
     key = ("t", base.key, modulus)
@@ -254,7 +242,7 @@ def make_extension(base, modulus):
         raise ValueError("modulus is reducible over GF(%d)" % base.q)
     add_table, mul_table = _poly_field_tables(base.add, base.mul, base.neg, base.q, modulus)
     ctx = FieldCtx(base.q ** d, base.p, base.deg * d, key, add_table, mul_table,
-                   base=base, ext_modulus=modulus)
+                   base=base)
     _EXT_CACHE[key] = ctx
     return ctx
 

@@ -12,8 +12,8 @@ import time
 
 from invword.bounds import scan, scan_matches_statement
 from invword.canonical import _partitions, class_transversal
-from invword.constructor import (Unreachable, construct_involution,
-                                 find_partner, replay)
+from invword.constructor import (MAX_WITNESS_LEN, Unreachable,
+                                 construct_involution, find_partner, replay)
 from invword.gf import make_field
 from invword.matrix import GroupSpec, Mat, commutator
 from invword.oracle import (build_group, class_product_count,
@@ -50,14 +50,13 @@ def test_criterion_1_constructor_soundness_sweep():
                 continue
             rep = replay(w)
             assert rep.ok, ((n, q), struct, rep.violation)
-            allow = 96 if w.reseeded() else 48
-            assert w.length <= allow, ((n, q), struct, w.length)
+            assert w.length <= MAX_WITNESS_LEN, ((n, q), struct, w.length)
             worst = max(worst, w.length)
     elapsed = time.time() - t0
     # the lone certified impossibility: SL(2,2), order-3 class
     ok = (len(unreachable) == 1 and unreachable[0][0] == (2, 2)
           and unreachable[0][2]["involution_classes_in_group"] == 1
-          and worst <= 48 and elapsed < 300)
+          and worst <= MAX_WITNESS_LEN and elapsed < 300)
     _report(1, "constructor soundness sweep", ok,
             "%d pairs, %d reps, %d certified unreachable, worst len %d, "
             "%.1fs < 300s" % (len(GRID + EXCLUDED), reps, len(unreachable),

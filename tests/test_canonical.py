@@ -231,22 +231,6 @@ def test_gen_jordan_blocks():
     assert b == mat_over(3, "0,2,0,2;1,0,1,0;0,0,0,2;0,0,1,0")
 
 
-def test_case_tags():
-    assert generalized_jordan(mat_over(5, "1,1;0,1")).case == "small"
-    assert generalized_jordan(mat_over(3, "0,2;1,0")).case == "small"
-    assert generalized_jordan(mat_over(7, "2,0;0,3")).case == "decomposable"
-    g = companion(make_field(3), (1, 1, 2, 1))
-    assert generalized_jordan(g).case == "m1"
-    f5 = make_field(5)
-    lam_jordan = gen_jordan_block(f5, (3, 1), 3)
-    assert generalized_jordan(lam_jordan).case == "mn"
-    m2 = gen_jordan_block(f5, (2, 0, 1), 2)
-    assert generalized_jordan(m2).case == "m2"
-    f3 = make_field(3)
-    ext = gen_jordan_block(f3, (1, 0, 1), 3)
-    assert generalized_jordan(ext).case == "ext"
-
-
 def test_jordan_shortcut_and_replay():
     f5 = make_field(5)
     cf = generalized_jordan(gen_jordan_block(f5, (3, 1), 3))
@@ -267,7 +251,6 @@ def test_jordan_partition_via_conjugate():
     c = rand_invertible(f5, 3, rng)
     cf = generalized_jordan(c * j * c.inv())
     assert cf.blocks == [((4, 1), 2), ((4, 1), 1)]
-    assert cf.case == "decomposable"
 
 
 def test_solve_similarity_negative():
@@ -302,10 +285,11 @@ def test_split_single_factor_two_blocks():
     assert e1 == (0, 1) and e2 == (2, 3)
 
 
-def test_split_indecomposable_returns_tag():
+def test_split_indecomposable_returns_none():
     g = companion(make_field(3), (1, 1, 2, 1))
     cf = generalized_jordan(g)
-    assert split_decomposable(cf, g) == "m1"
+    assert cf.blocks == [((1, 1, 2, 1), 1)]
+    assert split_decomposable(cf, g) is None
 
 
 def test_transversal_sl2_3():

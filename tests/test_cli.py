@@ -84,6 +84,18 @@ def test_verify_edited_group_size_exits_one(capsys, tmp_path, n):
     assert "spec-mismatch" in out
 
 
+@pytest.mark.parametrize("g", ["0,1;1,0", "0,0;0,0"])
+def test_verify_element_outside_the_group_exits_one(capsys, tmp_path, g):
+    # det -1 is outside SL(2,5), and the zero matrix has no inverse
+    obj = {"group": {"family": "SL", "n": 2, "q": 5}, "g": g,
+           "target": "0,1;1,0", "net_exponent": 1,
+           "steps": [{"c": "1,0;0,1", "e": 1, "case": "x"}]}
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(obj))
+    code, out, _ = run(capsys, "verify", "--witness", str(path))
+    assert (code, out) == (1, "violation element-outside-group\n")
+
+
 def test_verify_bad_exponent_exits_two(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "--group", "sl", "--n", "2",
                        "--q", "5", "--matrix", "1,1;0,1")

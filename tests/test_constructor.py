@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 import subprocess
 import sys
@@ -9,7 +10,7 @@ import pytest
 import invword.constructor as constructor
 from invword.gf import MAX_ORDER, make_field, irreducible_polys
 from invword.matrix import (GroupSpec, Mat, commutator, direct_sum, parse_mat,
-                            transvection)
+                            sub_block, transvection)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
 from invword.perm import Perm
@@ -104,6 +105,39 @@ def test_sl2_classes_take_at_most_4_steps():
     assert len(worst) == 16 and max(worst.values()) == 4
 
 
+def test_sl2_trace_table_bounds_every_element():
+    # the 2x2 rule's word depends only on (q, tr g).  A non-central g has a
+    # vector v that is no eigenvector, and in the basis [v, g v] g is the
+    # companion C(t) = [[0, -1], [1, t]], t = tr g.  The transvection
+    # k = I + lam v (-v2, v1) fixing v sends g v to g v + lam w v, where
+    # w = det(v, g v), so in that basis k = I + lam w E_12: every candidate
+    # word g (k g^e k^-1)^m is conjugate to one over C(t), and its trace,
+    # which picks the word, depends on (t, lam w) only.  So one row per
+    # (q, t) bounds every element, as the conjugates below check per cell
+    rng = random.Random(18)
+    table = {}
+    for q in _field_orders():
+        if q < 4:
+            continue
+        ctx = make_field(q)
+        for t in ctx.elements():
+            c = Mat(ctx, [[0, ctx.neg(1)], [1, t]])
+            conjugates = [c]
+            for _ in range(3):
+                p = rand_gl(ctx, 2, rng)
+                conjugates.append(p * c * p.inv())
+            shapes = set()
+            for g in conjugates:
+                steps = constructor._sl2_core(g)
+                y = constructor._product(g, steps)
+                assert ctx.add(y[0, 0], y[1, 1]) == 0 and not y.is_scalar()
+                shapes.add((len(steps), sum(e for _, e, _ in steps)))
+            assert len(shapes) == 1, (q, t, shapes)
+            table[q, t] = shapes.pop()[0]
+    assert len(table) == 276 and max(table.values()) == 4
+    assert {q for (q, _), n in table.items() if n == 4} == {7, 8, 23, 31, 32}
+
+
 def _sl2_elliptic(ctx):
     """Every elliptic element of SL(2, q): x^2 - t x + 1 has no root, so
     b != 0 and c = (ad - 1)/b."""
@@ -183,7 +217,7 @@ def test_m2_classes_n4_take_the_restart():
                 continue
             w = ok(construct_involution(g, GroupSpec("SL", 4, q)))
             assert labels(w) == (["bfs"] if q == 2 else ["reseed"]), (q, f)
-            assert w.length <= 48, (q, f)
+            assert w.length <= constructor.MAX_WITNESS_LEN, (q, f)
             count += 1
     assert count == 244
 
@@ -193,8 +227,7 @@ def test_m1_route():
     # commutator on the window
     f = next(f for f in irreducible_polys(ctx5, 3) if f[0] == ctx5.neg(1))
     w = ok(construct_involution(companion(ctx5, f), GroupSpec("SL", 3, 5)))
-    assert w.length == 24 and w.reseeded()
-    assert labels(w) == ["reseed"]
+    assert w.length == 24 and labels(w) == ["reseed"]
 
 
 def test_m1_route_q3():
@@ -224,12 +257,12 @@ def test_m2_route_n8_det_repair_blocked_reseeds():
              if gen_jordan_block(ctx3, f, 2).det() == 1)
     w = ok(construct_involution(gen_jordan_block(ctx3, f, 2),
                                 GroupSpec("SL", 8, 3)))
-    assert w.reseeded() and w.length == 16
+    assert labels(w) == ["reseed"] and w.length == 16
     f = next(f for f in irreducible_polys(ctx5, 4)
              if gen_jordan_block(ctx5, f, 2).det() == 1)
     w = ok(construct_involution(gen_jordan_block(ctx5, f, 2),
                                 GroupSpec("SL", 8, 5)))
-    assert w.reseeded() and w.length == 24
+    assert labels(w) == ["reseed"] and w.length == 24
 
 
 def test_decomposable_route():
@@ -239,13 +272,13 @@ def test_decomposable_route():
               Mat(ctx5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
               Mat(ctx5, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])):
         w = ok(construct_involution(g, GroupSpec("SL", g.n, 5)))
-        assert w.length == 12 and w.reseeded()
+        assert w.length == 12 and labels(w) == ["reseed"]
 
 
 def test_gl_reseed_route():
     g = Mat(ctx7, [[3, 0], [0, 1]])
     w = ok(construct_involution(g, GroupSpec("GL", 2, 7)))
-    assert w.reseeded() and w.length == 4
+    assert labels(w) == ["reseed"] and w.length == 4
     assert w.net_exponent == 0    # commutator restarts always balance
 
 
@@ -329,13 +362,17 @@ def test_window_shapes_stay_under_the_cap():
             kind = name.split()[0]
             worst[kind] = max(worst.get(kind, 0), 2 * s * w.length)
     assert worst == {"J3": 24, "J2+J2": 24, "J2+1": 2, "C3+1": 4, "2x2": 16}
+    # the replay cap is this table's maximum, not a bound above it
+    assert max(worst.values()) == constructor.MAX_WITNESS_LEN
 
 
-def test_window_holding_j2_j2_stays_under_half_the_cap():
-    # the window of this SL(5,5) element holds J_2(1) (+) J_2(1)
+def test_window_holding_j2_j2_reaches_the_cap():
+    # the window of this SL(5,5) element holds J_2(1) (+) J_2(1), one of
+    # the two window shapes whose lift is the window table's maximum
     g = parse_mat(ctx5, "3,1,0,3,2;0,1,4,0,1;3,0,4,3,0;1,4,2,0,1;0,0,2,3,3")
     w = ok(construct_involution(g, GroupSpec("SL", 5, 5)))
-    assert w.length <= 48 and labels(w) == ["reseed"]
+    assert w.length == constructor.MAX_WITNESS_LEN
+    assert labels(w) == ["reseed"]
 
 
 def _random_sl(ctx, n, rng):
@@ -369,7 +406,8 @@ def test_window_gl_inputs():
             inputs.append(g)
     for g in inputs:
         w = ok(construct_involution(g, GroupSpec("GL", g.n, g.ctx.q)))
-        assert w.net_exponent == 0 and w.length <= 48
+        assert w.net_exponent == 0
+        assert w.length <= constructor.MAX_WITNESS_LEN
         assert labels(w) == ["reseed"]
 
 
@@ -389,6 +427,50 @@ def test_window_widens_the_gf2_order3_class(monkeypatch):
     y = solved[-1]
     assert y.n == 3 and y.rows[2] == (0, 0, 1) and (y * y * y).is_identity()
     assert w.length == 4 and labels(w) == ["reseed"]
+
+
+def _window_shape(y):
+    """The shape of a restart's window y, or None for a shape outside the
+    list of _window's docstring."""
+    ctx, d = y.ctx, y.n
+    m = y - Mat.identity(ctx, d)
+    if d == 2 and ctx.q > 2 and not y.is_scalar():
+        return "2x2"
+    if d == 3 and m.rank() == 2 and (m * m * m).rank() == 0:
+        return "J3"
+    if d == 4 and m.rank() == 2 and (m * m).rank() == 0:
+        return "J2+J2"
+    corner = sub_block(y, range(2))
+    if (ctx.q == 2 and d == 3 and not corner.is_scalar()
+            and y == direct_sum(corner, Mat.identity(ctx, 1))):
+        return "widened"
+    return None
+
+
+def test_window_shapes_and_depth(monkeypatch):
+    # every window met is one of the shapes the window table covers, and a
+    # 3- or 4-dimensional window restarts once: depth 2 is the deepest
+    windows, depths = {}, []
+    real = constructor._construct_internal
+
+    def spy(y, depth=0):
+        depths.append(depth)
+        if depth:
+            shape = _window_shape(y)
+            assert shape is not None, y.to_text()
+            windows[shape] = windows.get(shape, 0) + 1
+        return real(y, depth)
+    monkeypatch.setattr(constructor, "_construct_internal", spy)
+    rng = random.Random(19)
+    for n in range(3, 11):
+        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
+            ctx = make_field(q)
+            for g in (_random_sl(ctx, n, rng), _random_sl(ctx, n, rng),
+                      rand_gl(ctx, n, rng)):
+                family = "SL" if g.det() == 1 else "GL"
+                ok(construct_involution(g, GroupSpec(family, n, q)))
+    assert max(depths) == 2 == constructor._MAX_DEPTH
+    assert set(windows) == {"2x2", "J3", "J2+J2", "widened"}, windows
 
 
 # -- one restart for every case ---------------------------------------------
@@ -506,7 +588,7 @@ def test_excluded_sl43_too_large_falls_through():
     # the reduction routes but the guard steps aside rather than fail
     g = Mat(ctx3, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     w = ok(construct_involution(g, GroupSpec("SL", 4, 3)))
-    assert w.length <= 48
+    assert w.length <= constructor.MAX_WITNESS_LEN
 
 
 @pytest.mark.parametrize("spec", [
@@ -665,7 +747,7 @@ def test_every_class_gets_a_witness(n, q):
     count = 0
     for g, _ in class_transversal(ctx, n):
         w = ok(construct_involution(g, GroupSpec("SL", n, q)))
-        assert w.length <= (96 if w.reseeded() else 48)
+        assert w.length <= constructor.MAX_WITNESS_LEN
         count += 1
     assert count > 0
 
@@ -683,9 +765,34 @@ def test_replay_flags_empty_and_oversize():
     assert replay(Witness(w.spec, w.g, [], w.target)).violation == \
         "empty-witness"
     eye = Mat.identity(ctx5, 2)
-    long = [(eye, 1, "x")] * 97
+    long = [(eye, 1, "x")] * (constructor.MAX_WITNESS_LEN + 1)
     assert replay(Witness(w.spec, w.g, long, w.target)).violation == \
-        "length-exceeds-96"
+        "length-exceeds-24"
+
+
+# records whose g lies outside the group: each product is a projective
+# involution, so only the membership check can refuse the first two, and
+# the third has no g^-1
+OUTSIDE_RECORDS = {
+    "det -1 in SL(2,5)": {"group": {"family": "SL", "n": 2, "q": 5},
+                          "g": "0,1;1,0", "target": "0,1;1,0",
+                          "steps": [{"c": "1,0;0,1", "e": 1, "case": "x"}]},
+    "odd in Alt(4)": {"group": {"family": "Alt", "n": 4}, "g": "(1,2)",
+                      "target": "(1,2)(3,4)",
+                      "steps": [{"c": "", "e": 1, "case": "x"},
+                                {"c": "(1,3)(2,4)", "e": 1, "case": "x"}]},
+    "singular in GL(2,5)": {"group": {"family": "GL", "n": 2, "q": 5},
+                            "g": "0,0;0,0", "target": "0,1;1,0",
+                            "steps": [{"c": "1,0;0,1", "e": 1, "case": "x"}]},
+}
+
+
+@pytest.mark.parametrize("name", list(OUTSIDE_RECORDS))
+def test_replay_flags_elements_outside_the_group(name):
+    obj = dict(OUTSIDE_RECORDS[name])
+    obj["net_exponent"] = sum(s["e"] for s in obj["steps"])
+    w = witness_from_json(json.dumps(obj))
+    assert replay(w).violation == "element-outside-group"
 
 
 def test_replay_flags_tampering():
@@ -804,7 +911,6 @@ def test_witness_step_rejects_bad_exponent():
 
 
 def test_witness_json_tamper_detection():
-    import json
     w = _sample_witness()
     obj = json.loads(witness_to_json(w))
     obj["net_exponent"] += 1
@@ -834,18 +940,14 @@ def test_invalid_witness_raises_construct_error(monkeypatch):
 
 
 def test_class_search_cap():
+    # the search reaches each class at most once, so it ends with no cap:
     # a 5-cycle of Alt(5) is 3 steps from an involution
     g = Perm.from_cycles("(1,2,3,4,5)", 5)
-    with pytest.raises(ConstructError, match="cap"):
-        brute_force_witness(g, GroupSpec("Alt", 5), cap=2)
-    assert brute_force_witness(g, GroupSpec("Alt", 5), cap=3).length == 3
-    # the order-3 class of SL(2,2) runs out of classes at layer 2: that is
-    # still past a cap of 2, and certified unreachable under a cap of 3
+    assert brute_force_witness(g, GroupSpec("Alt", 5)).length == 3
+    # the order-3 class of SL(2,2) runs out of classes at layer 2
     g = Mat(ctx2, [[1, 1], [1, 0]])
-    with pytest.raises(ConstructError, match="cap"):
-        brute_force_witness(g, GroupSpec("SL", 2, 2), cap=2)
     with pytest.raises(Unreachable) as ei:
-        brute_force_witness(g, GroupSpec("SL", 2, 2), cap=3)
+        brute_force_witness(g, GroupSpec("SL", 2, 2))
     assert ei.value.certificate["levels_explored"] == 2
 
 

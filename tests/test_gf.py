@@ -105,10 +105,10 @@ def test_make_field_is_cached():
 def test_extension_tower_gf4():
     F2 = make_field(2)
     F4 = make_extension(F2, (1, 1, 1))
-    assert F4.q == 4 and F4.base is F2 and F4.ext_deg == 2
+    assert F4.q == 4 and F4.base is F2 and F4.deg == 2
     xi = 2
     assert F4.mul(xi, xi) == F4.add(xi, 1)  # xi^2 = xi + 1
-    assert F4.coords_base(3) == (1, 1)
+    assert F4.add(xi, 1) == 3  # digits (1, 1): 1 + 1 * xi encodes as 1 + 1 * 2
     # base elements embed as themselves
     for a in range(2):
         for b in range(2):
