@@ -1,5 +1,20 @@
 """Characteristic polynomials, factorization, and generalized Jordan form.
 
+generalized_jordan finds the base change u to the canonical form J of an
+invertible g in one of two ways:
+
+* g cyclic (minimal polynomial = characteristic polynomial, so J has one
+  block per irreducible factor): u = K_J K_g^-1 for the Krylov matrices
+  K = [v, gv, ..., g^(n-1) v] of a cyclic vector of each side, about 2n
+  matrix-vector products and two eliminations.  g's vector is its first
+  cyclic unit vector, else one built factor by factor; J's is read off
+  its block layout;
+* g derogatory: solve_similarity finds the base change from an
+  n^2-unknown linear system.
+
+The rank filtration of f(g)^j gives the blocks either way; one rank
+decides whether a factor has a single block.
+
 Conventions (frozen; the constructor depends on them):
 
 * companion(f) has 1s on the subdiagonal and last column (-c_0,...,-c_{d-1}).
@@ -66,8 +81,11 @@ def charpoly(g):
     g is first reduced by similarity to upper Hessenberg form (elimination
     with pivoting, valid over any field); the characteristic polynomial of
     a Hessenberg matrix then follows from the column recurrence of Cohen,
-    GTM 138, Algorithm 2.2.9."""
+    GTM 138, Algorithm 2.2.9.  ValueError for a non-square g."""
     ctx, n = g.ctx, g.n
+    if n != g.m:
+        raise ValueError("charpoly needs a square matrix, not %dx%d"
+                         % (n, g.m))
     h = [list(r) for r in g.rows]
     for j in range(n - 2):
         k = j + 1
@@ -158,7 +176,8 @@ def factor_charpoly(g):
     been divided out of rem, gcd(rem, x^(q^d) - x) is the product of the
     distinct degree-d factors, already squarefree.  Berlekamp splits it
     when it holds more than one, and repeated exact division gives each
-    multiplicity.  When deg rem < 2d, rem itself is irreducible."""
+    multiplicity.  When deg rem < 2d, rem itself is irreducible.
+    ValueError for a non-square g."""
     ctx = g.ctx
     rem = charpoly(g)
     x = (0, 1)
@@ -199,13 +218,13 @@ def _jordan_partition(g, f, e):
         return [1]
     d = poly_deg(f)
     fg = mat_poly_eval(g, f)
-    ranks = [g.n]
-    power = Mat.identity(g.ctx, g.n)
-    while True:
+    ranks = [g.n, fg.rank()]
+    if ranks[1] == g.n - d:  # ker f(g) has dimension d: a single block
+        return [e]
+    power = fg
+    while ranks[-1] != ranks[-2]:
         power = power * fg
         ranks.append(power.rank())
-        if ranks[-1] == ranks[-2]:
-            break
     ge = [(ranks[j - 1] - ranks[j]) // d for j in range(1, len(ranks))]
     parts = []
     for j, cnt in enumerate(ge):
@@ -236,6 +255,8 @@ def solve_similarity(g, j):
 
     Solves the linear system X g = j X and picks an invertible element of the
     solution space (structured scan, then seeded random combinations).
+    generalized_jordan calls it only for a derogatory g, which has no
+    cyclic vector and so no Krylov base change.
     """
     ctx, n = g.ctx, g.n
     nsq = n * n
@@ -272,24 +293,105 @@ def solve_similarity(g, j):
     return None
 
 
+def _krylov(g, v):
+    """The matrix [v, gv, ..., g^(n-1) v], column by column."""
+    addr, mulr = g.ctx.add_rows, g.ctx.mul_rows
+    cols = [v]
+    for _ in range(g.n - 1):
+        out = []
+        for row in g.rows:
+            s = 0
+            for a, x in zip(row, v):
+                if a and x:
+                    s = addr[s][mulr[a][x]]
+            out.append(s)
+        v = tuple(out)
+        cols.append(v)
+    return Mat(g.ctx, list(zip(*cols)))
+
+
+def _cyclic_vector(g, factors):
+    """A cyclic vector of a cyclic g, or None if none is found.
+
+    With chi = prod f^e the characteristic polynomial, (chi/f)(g) != 0 for
+    every factor f of a cyclic g.  A unit vector x_f outside its kernel
+    gives y_f = (chi/f^e)(g) x_f, which generates the f-primary part, and
+    the sum of the y_f generates the whole space."""
+    ctx, n = g.ctx, g.n
+    at = {f: mat_poly_eval(g, f) for f, _ in factors}
+    v = (0,) * n
+    for f, e in factors:
+        rest = Mat.identity(ctx, n)
+        for f2, e2 in factors:
+            if f2 != f:
+                rest = rest * at[f2] ** e2
+        top = rest * at[f] ** (e - 1)
+        col = next((j for j in range(n) if any(r[j] for r in top.rows)), None)
+        if col is None:
+            return None
+        v = tuple(ctx.add(x, r[col]) for x, r in zip(v, rest.rows))
+    return v
+
+
+def _krylov_inverse(g, factors):
+    """K_g^-1 for the Krylov matrix K_g of a cyclic vector of a cyclic g,
+    or None if none is found.  The vector is the first unit vector whose
+    Krylov matrix is invertible (one elimination tests it and inverts
+    it), else the one _cyclic_vector builds."""
+    n = g.n
+    for i in range(n):
+        kinv, _ = _krylov(g, (0,) * i + (1,) + (0,) * (n - 1 - i)).inv_det()
+        if kinv is not None:
+            return kinv
+    v = _cyclic_vector(g, factors)
+    return None if v is None else _krylov(g, v).inv_det()[0]
+
+
+def _layout_vector(blocks, n):
+    """A cyclic vector of the canonical matrix of a block list with one
+    block per factor: 1 at the first coordinate of each block's last
+    C(f) copy."""
+    w = [0] * n
+    at = 0
+    for f, m in blocks:
+        d = poly_deg(f)
+        w[at + d * (m - 1)] = 1
+        at += d * m
+    return tuple(w)
+
+
 def generalized_jordan(g):
     """Canonical form of an invertible matrix, with a replayable base change.
-    Raises RuntimeError if the base change found does not conjugate g to
-    the block matrix."""
+
+    The rank filtration (_jordan_partition) gives the blocks; it stops
+    after one rank when a factor has a single block.  A cyclic g has one
+    block (f, e) per factor f^e of its characteristic polynomial, and
+    u = K_J K_g^-1, with K_g the Krylov matrix of a cyclic vector of g (see
+    _krylov_inverse) and K_J that of _layout_vector's cyclic vector of J:
+    both conjugate their side to the companion matrix of that polynomial.
+    A derogatory g takes solve_similarity for u, and a g that is already
+    its canonical form gets u = I.  ValueError for a singular or
+    non-square g; RuntimeError if the base change found does not
+    conjugate g to the block matrix."""
     ctx, n = g.ctx, g.n
-    blocks = []
-    for f, e in factor_charpoly(g):
-        for m in _jordan_partition(g, f, e):
-            blocks.append((f, m))
+    factors = factor_charpoly(g)
+    if any(f == (0, 1) for f, _ in factors):
+        raise ValueError("generalized_jordan needs an invertible matrix")
+    blocks = [(f, m) for f, e in factors for m in _jordan_partition(g, f, e)]
     jmat = blocks_matrix(ctx, blocks)
     if jmat == g:
         u = Mat.identity(ctx, n)
+    elif len(blocks) == len(factors):
+        kinv = _krylov_inverse(g, factors)
+        kj = _krylov(jmat, _layout_vector(blocks, n))
+        # u is invertible iff K_J is
+        u = kj * kinv if kinv is not None and kj.det() else None
     else:
         u = solve_similarity(g, jmat)
         if u is None:
             raise RuntimeError("block data must describe a similar matrix")
     # u is invertible, so u g = jmat u is u g u^-1 = jmat
-    if u * g != jmat * u:
+    if u is None or u * g != jmat * u:
         raise RuntimeError("base change does not conjugate g to its "
                            "canonical form")
     return CanonicalForm(u, blocks, jmat)

@@ -352,24 +352,119 @@ def test_gf_canonical_bounds_guards_hold_under_optimize():
     assert got == {name: "ValueError" for name in got}
 
 
+def test_square_and_invertible_inputs_only():
+    f5 = make_field(5)
+    wide = Mat(f5, [[1, 2, 3], [0, 1, 4]])
+    with pytest.raises(ValueError, match="square"):
+        charpoly(wide)
+    with pytest.raises(ValueError, match="square"):
+        factor_charpoly(wide)
+    # J_2(0) is cyclic, but x^2 has no invertible companion block
+    with pytest.raises(ValueError, match="invertible"):
+        generalized_jordan(Mat(f5, [[0, 1], [0, 0]]))
+
+
+def _spy_solve_similarity(monkeypatch):
+    calls = []
+    real = canonical.solve_similarity
+    monkeypatch.setattr(canonical, "solve_similarity",
+                        lambda g, j: calls.append(g) or real(g, j))
+    return calls
+
+
 def test_jordan_self_checks_raise(monkeypatch):
     # these checks must survive python -O, so they are no asserts
     f5 = make_field(5)
-    unipotent = Mat(f5, [[1, 1], [0, 1]])
+    # 1 + J_2(1) is derogatory and not its canonical form J_2(1) + 1, so it
+    # takes the rank filtration and solve_similarity; split is cyclic and
+    # takes the Krylov base change
+    derogatory = Mat(f5, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
     split = Mat(f5, [[2, 1], [0, 3]])
     with monkeypatch.context() as m:
         # f(g) = I: the rank filtration stops at once and finds no block
         m.setattr(canonical, "mat_poly_eval",
                   lambda g, f: Mat.identity(g.ctx, g.n))
         with pytest.raises(RuntimeError, match="rank filtration"):
-            generalized_jordan(unipotent)
+            generalized_jordan(derogatory)
     with monkeypatch.context() as m:
         m.setattr(canonical, "solve_similarity", lambda g, j: None)
         with pytest.raises(RuntimeError, match="similar matrix"):
-            generalized_jordan(split)
+            generalized_jordan(derogatory)
     with monkeypatch.context() as m:
         m.setattr(canonical, "solve_similarity",
                   lambda g, j: Mat.identity(g.ctx, g.n))
         with pytest.raises(RuntimeError, match="does not conjugate"):
+            generalized_jordan(derogatory)
+    with monkeypatch.context() as m:
+        calls = _spy_solve_similarity(m)
+        # K_g = K_J = I makes u = I, which does not conjugate split
+        m.setattr(canonical, "_krylov",
+                  lambda g, v: Mat.identity(g.ctx, g.n))
+        with pytest.raises(RuntimeError, match="does not conjugate"):
             generalized_jordan(split)
+        assert calls == []
+    with monkeypatch.context() as m:
+        calls = _spy_solve_similarity(m)
+        # a vector that is not cyclic for J makes K_J, and so u, singular
+        m.setattr(canonical, "_layout_vector", lambda blocks, n: (0,) * n)
+        with pytest.raises(RuntimeError, match="does not conjugate"):
+            generalized_jordan(split)
+        assert calls == []
+    cf = generalized_jordan(derogatory)
+    assert cf.blocks == [((4, 1), 2), ((4, 1), 1)]
+    assert cf.canonical != derogatory
     assert generalized_jordan(split).canonical != split
+
+
+def _blocks_by_ranks(g):
+    """Reference block list from the whole rank filtration: a factor f^e
+    has (rank f(g)^(j-1) - rank f(g)^j) / deg f blocks of size >= j."""
+    out = []
+    for f, e in factor_charpoly(g):
+        fg = mat_poly_eval(g, f)
+        ranks = [(fg ** j).rank() for j in range(e + 1)]
+        at_least = [(ranks[j - 1] - ranks[j]) // poly_deg(f)
+                    for j in range(1, e + 1)] + [0]
+        for size in range(e, 0, -1):
+            out += [(f, size)] * (at_least[size - 1] - at_least[size])
+    return out
+
+
+def test_krylov_base_change_over_class_transversals(monkeypatch):
+    # one representative per canonical form of SL(n, q), n <= 4, q <= 9,
+    # conjugated by a seeded random element of GL(n, q) (the twists of a
+    # form are GL-conjugate, so they add no case here).  The blocks match
+    # the rank-filtration reference, u conjugates g to its canonical form,
+    # and solve_similarity runs exactly on the derogatory inputs that are
+    # not already canonical (those get u = I): every cyclic one takes the
+    # Krylov base change, also when no unit vector is cyclic and
+    # _cyclic_vector builds one
+    calls = _spy_solve_similarity(monkeypatch)
+    built = []
+    real_cyclic = canonical._cyclic_vector
+    monkeypatch.setattr(canonical, "_cyclic_vector",
+                        lambda g, factors: built.append(
+                            real_cyclic(g, factors)) or built[-1])
+    rng = random.Random(19)
+    derogatory = cyclic = 0
+    for q in CROSS_CHECK_QS:
+        ctx = make_field(q)
+        for n in (2, 3, 4):
+            forms = {}
+            for rep, blocks in class_transversal(ctx, n):
+                forms.setdefault(repr(blocks), blocks_matrix(ctx, blocks))
+            for j in forms.values():
+                c = rand_invertible(ctx, n, rng)
+                g = c * j * c.inv()
+                ref = _blocks_by_ranks(g)
+                cf = generalized_jordan(g)
+                assert cf.blocks == ref
+                assert cf.canonical == j
+                assert cf.u * g * cf.u.inv() == j
+                if len(ref) > len(factor_charpoly(g)):
+                    derogatory += g != j
+                else:
+                    cyclic += 1
+    assert (cyclic, derogatory, len(calls)) == (2094, 334, 334)
+    # some cyclic inputs have no cyclic unit vector
+    assert any(v is not None for v in built)
