@@ -4,13 +4,14 @@ generalized_jordan finds the base change u to the canonical form J of an
 invertible g in one of two ways:
 
 * g cyclic (minimal polynomial = characteristic polynomial, so J has one
-  block per irreducible factor): u = K_J K_g^-1 for the Krylov matrices
-  K = [v, gv, ..., g^(n-1) v] of a cyclic vector of each side, about 2n
-  matrix-vector products and two eliminations.  g's vector is its first
-  cyclic unit vector, else one built factor by factor; J's is read off
-  its block layout;
-* g derogatory: solve_similarity finds the base change from an
-  n^2-unknown linear system.
+  block per irreducible factor) with a cyclic unit vector: u = K_J K_g^-1
+  for the Krylov matrices K = [v, gv, ..., g^(n-1) v] of a cyclic vector
+  of each side, about 2n matrix-vector products and two eliminations.
+  g's vector is its first cyclic unit vector; J's is read off its block
+  layout;
+* any other g (derogatory, or no unit vector is cyclic): solve_similarity
+  takes seeded random combinations of the solutions of an n^2-unknown
+  linear system until one is invertible.
 
 The rank filtration of f(g)^j gives the blocks either way; one rank
 decides whether a factor has a single block.
@@ -251,12 +252,12 @@ class CanonicalForm:
 
 
 def solve_similarity(g, j):
-    """An invertible u with u g u^{-1} = j, or None if g, j are not similar.
+    """An invertible u with u g u^{-1} = j, or None if none is found.
 
-    Solves the linear system X g = j X and picks an invertible element of the
-    solution space (structured scan, then seeded random combinations).
-    generalized_jordan calls it only for a derogatory g, which has no
-    cyclic vector and so no Krylov base change.
+    Solves the linear system X g = j X and tries up to 2000 seeded random
+    combinations of its solution basis; a g not similar to j gives None.
+    generalized_jordan calls it only for a g that is derogatory or has no
+    cyclic unit vector.
     """
     ctx, n = g.ctx, g.n
     nsq = n * n
@@ -268,19 +269,10 @@ def solve_similarity(g, j):
                 row[i * n + k] = ctx.add(row[i * n + k], g.rows[k][jj])
                 row[k * n + jj] = ctx.sub(row[k * n + jj], j.rows[i][k])
             rows.append(row)
-    basis = nullspace(Mat(ctx, rows))
-    mats = [Mat(ctx, [v[i * n:(i + 1) * n] for i in range(n)]) for v in basis]
-    mats = [m for m in mats if m.rows != Mat.zero(ctx, n).rows]
-    if not mats:
+    mats = [Mat(ctx, [v[i * n:(i + 1) * n] for i in range(n)])
+            for v in nullspace(Mat(ctx, rows))]
+    if not mats:  # X = 0 is the only solution
         return None
-    for m in mats:
-        if m.det():
-            return m
-    for a in range(len(mats)):
-        for b in range(a + 1, len(mats)):
-            cand = mats[a] + mats[b]
-            if cand.det():
-                return cand
     rng = random.Random(0x5EED ^ n ^ ctx.q)
     for _ in range(2000):
         cand = Mat.zero(ctx, n)
@@ -310,41 +302,16 @@ def _krylov(g, v):
     return Mat(g.ctx, list(zip(*cols)))
 
 
-def _cyclic_vector(g, factors):
-    """A cyclic vector of a cyclic g, or None if none is found.
-
-    With chi = prod f^e the characteristic polynomial, (chi/f)(g) != 0 for
-    every factor f of a cyclic g.  A unit vector x_f outside its kernel
-    gives y_f = (chi/f^e)(g) x_f, which generates the f-primary part, and
-    the sum of the y_f generates the whole space."""
-    ctx, n = g.ctx, g.n
-    at = {f: mat_poly_eval(g, f) for f, _ in factors}
-    v = (0,) * n
-    for f, e in factors:
-        rest = Mat.identity(ctx, n)
-        for f2, e2 in factors:
-            if f2 != f:
-                rest = rest * at[f2] ** e2
-        top = rest * at[f] ** (e - 1)
-        col = next((j for j in range(n) if any(r[j] for r in top.rows)), None)
-        if col is None:
-            return None
-        v = tuple(ctx.add(x, r[col]) for x, r in zip(v, rest.rows))
-    return v
-
-
-def _krylov_inverse(g, factors):
-    """K_g^-1 for the Krylov matrix K_g of a cyclic vector of a cyclic g,
-    or None if none is found.  The vector is the first unit vector whose
-    Krylov matrix is invertible (one elimination tests it and inverts
-    it), else the one _cyclic_vector builds."""
+def _krylov_inverse(g):
+    """K_g^-1 for the first unit vector whose Krylov matrix K_g is
+    invertible (one elimination tests it and inverts it), or None if no
+    unit vector is cyclic."""
     n = g.n
     for i in range(n):
         kinv, _ = _krylov(g, (0,) * i + (1,) + (0,) * (n - 1 - i)).inv_det()
         if kinv is not None:
             return kinv
-    v = _cyclic_vector(g, factors)
-    return None if v is None else _krylov(g, v).inv_det()[0]
+    return None
 
 
 def _layout_vector(blocks, n):
@@ -365,14 +332,14 @@ def generalized_jordan(g):
 
     The rank filtration (_jordan_partition) gives the blocks; it stops
     after one rank when a factor has a single block.  A cyclic g has one
-    block (f, e) per factor f^e of its characteristic polynomial, and
-    u = K_J K_g^-1, with K_g the Krylov matrix of a cyclic vector of g (see
-    _krylov_inverse) and K_J that of _layout_vector's cyclic vector of J:
-    both conjugate their side to the companion matrix of that polynomial.
-    A derogatory g takes solve_similarity for u, and a g that is already
-    its canonical form gets u = I.  ValueError for a singular or
-    non-square g; RuntimeError if the base change found does not
-    conjugate g to the block matrix."""
+    block (f, e) per factor f^e of its characteristic polynomial.  When
+    it also has a cyclic unit vector, u = K_J K_g^-1, with K_g that
+    vector's Krylov matrix (_krylov_inverse) and K_J that of
+    _layout_vector's cyclic vector of J: both conjugate their side to the
+    companion matrix of that polynomial.  Any other g takes
+    solve_similarity for u, and a g that is already its canonical form
+    gets u = I.  ValueError for a singular or non-square g; RuntimeError
+    if the base change found does not conjugate g to the block matrix."""
     ctx, n = g.ctx, g.n
     factors = factor_charpoly(g)
     if any(f == (0, 1) for f, _ in factors):
@@ -381,11 +348,11 @@ def generalized_jordan(g):
     jmat = blocks_matrix(ctx, blocks)
     if jmat == g:
         u = Mat.identity(ctx, n)
-    elif len(blocks) == len(factors):
-        kinv = _krylov_inverse(g, factors)
+    elif len(blocks) == len(factors) and \
+            (kinv := _krylov_inverse(g)) is not None:
         kj = _krylov(jmat, _layout_vector(blocks, n))
         # u is invertible iff K_J is
-        u = kj * kinv if kinv is not None and kj.det() else None
+        u = kj * kinv if kj.det() else None
     else:
         u = solve_similarity(g, jmat)
         if u is None:

@@ -308,21 +308,18 @@ class _RowCode:
         steps = [(self.right_map(s), self._inverse_op(op))
                  for s, op in zip(self.gens, self.ops)]
         inverse = {self.identity: self.identity}
-        frontier = [self.identity]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                rows = split(x)
-                for m, op in steps:
-                    y = 0
-                    for r in rows:
-                        y = y * Q + m[r]
-                    if scalars:
-                        y = least(y)
-                    if y not in inverse:
-                        inverse[y] = row_op(op, inverse[x])
-                        nxt.append(y)
-            frontier = nxt
+        todo = [self.identity]
+        for x in todo:
+            rows = split(x)
+            for m, op in steps:
+                y = 0
+                for r in rows:
+                    y = y * Q + m[r]
+                if scalars:
+                    y = least(y)
+                if y not in inverse:
+                    inverse[y] = row_op(op, inverse[x])
+                    todo.append(y)
             if len(inverse) > cap:
                 raise GroupTooLarge("closure passed the order cap")
         return inverse
@@ -469,21 +466,16 @@ def conjugacy_classes(tbl):
         reps.append(i)
         class_of[i] = k
         transporter[i] = tbl.identity_index
-        frontier = [i]
-        count = 1
-        while frontier:
-            nxt = []
-            for x in frontier:
-                tx = transporter[x]
-                for s, c in enumerate(code.conjugates(elements[x])):
-                    y = index[c]
-                    if class_of[y] == -1:
-                        class_of[y] = k
-                        transporter[y] = index[code.left(s, elements[tx])]
-                        nxt.append(y)
-                        count += 1
-            frontier = nxt
-        sizes.append(count)
+        members = [i]
+        for x in members:
+            tx = transporter[x]
+            for s, c in enumerate(code.conjugates(elements[x])):
+                y = index[c]
+                if class_of[y] == -1:
+                    class_of[y] = k
+                    transporter[y] = index[code.left(s, elements[tx])]
+                    members.append(y)
+        sizes.append(len(members))
     if sum(sizes) != order:
         raise RuntimeError("%r: class sizes sum to %d, not %d"
                            % (tbl.spec, sum(sizes), order))
@@ -807,17 +799,12 @@ def orbital_diameter_report(spec=None):
             k = len(orbitals)
             pairs = [(a, b)]
             orbital_of[a][b] = k
-            frontier = [(a, b)]
-            while frontier:
-                nxt = []
-                for x, y in frontier:
-                    for mp in maps:
-                        p = (mp[x], mp[y])
-                        if orbital_of[p[0]][p[1]] == -1:
-                            orbital_of[p[0]][p[1]] = k
-                            pairs.append(p)
-                            nxt.append(p)
-                frontier = nxt
+            for x, y in pairs:
+                for mp in maps:
+                    p = (mp[x], mp[y])
+                    if orbital_of[p[0]][p[1]] == -1:
+                        orbital_of[p[0]][p[1]] = k
+                        pairs.append(p)
             orbitals.append(pairs)
     ct = conjugacy_classes(tbl)
     # nondiagonal orbital edge sets, as undirected graphs

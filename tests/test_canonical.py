@@ -430,41 +430,58 @@ def _blocks_by_ranks(g):
     return out
 
 
+def _has_cyclic_unit_vector(g):
+    """Reference: some e_i has g-translates e_i, g e_i, ..., g^(n-1) e_i
+    that span the whole space."""
+    for i in range(g.n):
+        v = Mat(g.ctx, [[int(r == i)] for r in range(g.n)])
+        cols = [v]
+        for _ in range(g.n - 1):
+            cols.append(g * cols[-1])
+        if Mat(g.ctx, [[c.rows[r][0] for c in cols]
+                       for r in range(g.n)]).rank() == g.n:
+            return True
+    return False
+
+
 def test_krylov_base_change_over_class_transversals(monkeypatch):
     # one representative per canonical form of SL(n, q), n <= 4, q <= 9,
-    # conjugated by a seeded random element of GL(n, q) (the twists of a
-    # form are GL-conjugate, so they add no case here).  The blocks match
-    # the rank-filtration reference, u conjugates g to its canonical form,
-    # and solve_similarity runs exactly on the derogatory inputs that are
-    # not already canonical (those get u = I): every cyclic one takes the
-    # Krylov base change, also when no unit vector is cyclic and
-    # _cyclic_vector builds one
+    # and of SL(5, 2), SL(6, 2) and SL(5, 3), where the solution spaces of
+    # solve_similarity are largest, each conjugated by a seeded random
+    # element of GL(n, q) (the twists of a form are GL-conjugate, so they
+    # add no case here).  The blocks match the rank-filtration reference,
+    # u conjugates g to its canonical form, and solve_similarity runs on
+    # exactly the inputs that are not already canonical (those get u = I)
+    # and are derogatory or have no cyclic unit vector; every other input
+    # takes the Krylov base change
     calls = _spy_solve_similarity(monkeypatch)
-    built = []
-    real_cyclic = canonical._cyclic_vector
-    monkeypatch.setattr(canonical, "_cyclic_vector",
-                        lambda g, factors: built.append(
-                            real_cyclic(g, factors)) or built[-1])
     rng = random.Random(19)
-    derogatory = cyclic = 0
-    for q in CROSS_CHECK_QS:
+    cases = [(q, n) for q in CROSS_CHECK_QS for n in (2, 3, 4)]
+    cases += [(2, 5), (2, 6), (3, 5)]
+    expected = []
+    derogatory = no_unit = krylov = 0
+    for q, n in cases:
         ctx = make_field(q)
-        for n in (2, 3, 4):
-            forms = {}
-            for rep, blocks in class_transversal(ctx, n):
-                forms.setdefault(repr(blocks), blocks_matrix(ctx, blocks))
-            for j in forms.values():
-                c = rand_invertible(ctx, n, rng)
-                g = c * j * c.inv()
-                ref = _blocks_by_ranks(g)
-                cf = generalized_jordan(g)
-                assert cf.blocks == ref
-                assert cf.canonical == j
-                assert cf.u * g * cf.u.inv() == j
-                if len(ref) > len(factor_charpoly(g)):
-                    derogatory += g != j
-                else:
-                    cyclic += 1
-    assert (cyclic, derogatory, len(calls)) == (2094, 334, 334)
-    # some cyclic inputs have no cyclic unit vector
-    assert any(v is not None for v in built)
+        forms = {}
+        for rep, blocks in class_transversal(ctx, n):
+            forms.setdefault(repr(blocks), blocks_matrix(ctx, blocks))
+        for j in forms.values():
+            c = rand_invertible(ctx, n, rng)
+            g = c * j * c.inv()
+            ref = _blocks_by_ranks(g)
+            cf = generalized_jordan(g)
+            assert cf.blocks == ref
+            assert cf.canonical == j
+            assert cf.u * g * cf.u.inv() == j
+            if g == j:
+                continue
+            if len(ref) > len(factor_charpoly(g)):
+                derogatory += 1
+            elif not _has_cyclic_unit_vector(g):
+                no_unit += 1
+            else:
+                krylov += 1
+                continue
+            expected.append(g)
+    assert calls == expected
+    assert (krylov, derogatory, no_unit) == (2211, 405, 8)

@@ -1051,9 +1051,9 @@ def pinned_inputs():
 # exception line), the shape of every witness; one pair of digests for the
 # inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("8a1fd76b36c720e7f3700955ea03775efd759d757ad2dac552169b510fd8e3af",
+    "n <= 4": ("00b5072cb756030ba83f65a2f103f18d922b6434c44994e2ff1886e95d4b3e05",
                "b96e135f83a13d7a138e6464157647bb1f8f5c7035ba6f8f9c7b0852bbce811b"),
-    "n > 4": ("21e5fc70a8132d9603e998ad194338064d3d0b23ce2a0eec1a511ebc137c1fbf",
+    "n > 4": ("b0a857c0d2ad7ec37c084a51e263a313d8427cf126d0c13b8bf183431d924e77",
               "41e09793156ccd956113b978b2402881a340da331ce57bd775bb172ac0e156e5"),
 }
 
