@@ -13,10 +13,15 @@ class-graph search) and conjugates it back to g, so no group is
 enumerated.  Every other element takes the commutator restart: up to
 dimension 4 on its canonical form, the commutator with a transvection
 moves a window of dimension at most 4, solved there and lifted.  No pair
-is searched.  Everything is replayed before being returned.
+is searched.  The word over a canonical form (stored or restarted) depends
+on the form and the restart depth alone, so it is computed once per pair
+and held in a memo of at most _CANONICAL_WORDS_HELD words; each input then
+pays for its canonical form and the conjugation back.  Everything is
+replayed before being returned.
 """
 
 import json
+from functools import lru_cache
 
 from .gf import make_field
 from .matrix import (GroupSpec, Mat, classify, commutator,
@@ -39,6 +44,10 @@ EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 # window restarts once, onto a 2x2 window or a stored word, so depth 2 ends
 MAX_WITNESS_LEN = 24
 _MAX_DEPTH = 2
+
+# words over canonical forms held by _canonical_word; over the classes of
+# SL(4,7) one takes about 4 KiB, so the memo holds about 4 MiB when full
+_CANONICAL_WORDS_HELD = 1024
 
 
 class ConstructError(Exception):
@@ -158,9 +167,10 @@ def _reseed(g, depth):
 
 
 def _sl2_core(g, longest=4):
-    """Steps of the shortest word over non-central 2x2 determinant-1 g, of
-    at most `longest` steps, whose product t has trace 0 and is not scalar,
-    or None.  Such a t is a witness's target: t^2 = -I (I when q is even).
+    """(steps, t) for the shortest word over non-central 2x2 determinant-1
+    g, of at most `longest` steps, whose product t has trace 0 and is not
+    scalar, or None.  Such a t is a witness's target: t^2 = -I (I when q is
+    even).
 
     The word is g (k g^e k^-1)^m, with k = I + lam v (-v2, v1) the
     transvection fixing v and w = det(v, g v).  Its trace follows from
@@ -178,7 +188,7 @@ def _sl2_core(g, longest=4):
     (a, b), (c, d) = g.rows
     tr = ctx.add(a, d)
     if tr == 0:
-        return [(eye, 1, "sl2-antidiagonal")]
+        return [(eye, 1, "sl2-antidiagonal")], g
 
     def det_v_gv(v):
         x = ctx.add(ctx.mul(a, v[0]), ctx.mul(b, v[1]))
@@ -193,8 +203,9 @@ def _sl2_core(g, longest=4):
         lines = [(0, 1)] + [(1, x) for x in ctx.elements()]
         v = next((v for v in lines if det_v_gv(v) == 0), None)
         if v is not None:
-            return [(eye, 1, "sl2-commutator"),
-                    (fixing(v, 1), -1, "sl2-commutator")]
+            steps = [(eye, 1, "sl2-commutator"),
+                     (fixing(v, 1), -1, "sl2-commutator")]
+            return steps, _product(g, steps)
     v = next(v for v in ((1, 0), (0, 1), (1, 1)) if det_v_gv(v) != 0)
     w, sq = det_v_gv(v), ctx.mul(tr, tr)
     words = ((1, 1, ctx.sub(sq, ctx.scalar(2))),
@@ -210,17 +221,19 @@ def _sl2_core(g, longest=4):
         label = "sl2-square" if e == 1 else "sl2-commutator"
         k = fixing(v, ctx.div(root, w))
         steps = [(eye, 1, label)] + [(k, e, label)] * m
-        if not _product(g, steps).is_scalar():
-            return steps
+        t = _product(g, steps)
+        if not t.is_scalar():
+            return steps, t
     if longest < 4:
         return None
     for lam in range(1, ctx.q):
         word = [(eye, 1, "sl2-commutator"),
                 (fixing(v, lam), -1, "sl2-commutator")]
-        # x is not scalar: g k g^-1 is a transvection other than k
-        inner = _sl2_core(_product(g, word), 2)
-        if inner is not None:
-            return _expand(inner, word)
+        # x is not scalar: g k g^-1 is a transvection other than k; the
+        # pulled-back word keeps the product of the word over x
+        found = _sl2_core(_product(g, word), 2)
+        if found is not None:
+            return _expand(found[0], word), found[1]
     return None
 
 
@@ -388,6 +401,20 @@ def _class_word(gJ):
 # -- main pipeline -------------------------------------------------------
 
 
+@lru_cache(maxsize=_CANONICAL_WORDS_HELD)
+def _canonical_word(gJ, depth):
+    """(steps, target) over the canonical form gJ met at restart depth
+    `depth`, the steps a tuple: the stored class word of an excluded pair,
+    else the commutator restart.  Both depend on (gJ, depth) alone, as
+    every search is seeded, so each pair is solved once.  An exception is
+    not held: each call raises afresh, with its own copy of a
+    certificate."""
+    excluded = (gJ.n, gJ.ctx.q) in EXCLUDED_PAIRS
+    stored = _class_word(gJ) if excluded else None
+    steps, t = _reseed(gJ, depth) if stored is None else stored
+    return tuple(steps), t
+
+
 def _construct_internal(g, depth=0):
     if depth > _MAX_DEPTH:
         raise ConstructError("recursion limit hit")
@@ -396,18 +423,15 @@ def _construct_internal(g, depth=0):
         raise ValueError("central element has no witness")
     if g.det() != 1 or n > 4:
         return _reseed(g, depth)
-    excluded = (n, ctx.q) in EXCLUDED_PAIRS
-    if n == 2 and not excluded:
-        steps = _sl2_core(g)
-        if steps is None:
+    if n == 2 and (n, ctx.q) not in EXCLUDED_PAIRS:
+        found = _sl2_core(g)
+        if found is None:
             raise ConstructError("no 2x2 word of at most 4 steps has trace 0")
-        return steps, _product(g, steps)
+        return found
     cf = generalized_jordan(g)
-    gJ = cf.canonical
     # g = u^-1 gJ u, and conjugation by u maps the word over gJ to one over
     # g with the same length and determinant-1 conjugators (below)
-    stored = _class_word(gJ) if excluded else None
-    steps, t = _reseed(gJ, depth) if stored is None else stored
+    steps, t = _canonical_word(cf.canonical, depth)
     if cf.u.is_identity():
         return steps, t
     u, ui = cf.u, cf.u.inv()

@@ -3,6 +3,7 @@ import json
 import random
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,6 +14,8 @@ from invword.matrix import (GroupSpec, Mat, commutator, direct_sum, parse_mat,
                             sub_block, transvection)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
+from invword.oracle import (build_group, dist_to_set,
+                            projective_involution_indices)
 from invword.perm import Perm
 from invword.constructor import (ConstructError, Unreachable, Witness,
                                  WitnessStep, brute_force_witness,
@@ -128,8 +131,8 @@ def test_sl2_trace_table_bounds_every_element():
                 conjugates.append(p * c * p.inv())
             shapes = set()
             for g in conjugates:
-                steps = constructor._sl2_core(g)
-                y = constructor._product(g, steps)
+                steps, y = constructor._sl2_core(g)
+                assert y == constructor._product(g, steps)
                 assert ctx.add(y[0, 0], y[1, 1]) == 0 and not y.is_scalar()
                 shapes.add((len(steps), sum(e for _, e, _ in steps)))
             assert len(shapes) == 1, (q, t, shapes)
@@ -174,8 +177,8 @@ def test_sl2_char2_skips_the_void_m1_words(monkeypatch):
             # v = (1, 0) has w = det(v, g v) = c, never 0 here
             k = Mat(ctx, [[1, ctx.div(ctx.add(a, d), c)], [0, 1]])
             assert (g * k * g * k.inv()).is_identity()
-            steps = constructor._sl2_core(g)
-            t = constructor._product(g, steps)
+            steps, t = constructor._sl2_core(g)
+            assert t == real(g, steps)
             assert len(steps) in (3, 4) and not t.is_scalar()
             assert ctx.add(t[0, 0], t[1, 1]) == 0
             count += 1
@@ -558,12 +561,15 @@ def test_excluded_sl22():
 
 def test_excluded_sl22_order3_unreachable():
     g = Mat(ctx2, [[0, 1], [1, 1]])
-    with pytest.raises(Unreachable) as ei:
-        construct_involution(g, GroupSpec("SL", 2, 2))
-    cert = ei.value.certificate
-    assert cert == {"group_order": 6, "classes_in_closure": 2,
-                    "closure_size": 3, "levels_explored": 2,
-                    "involution_classes_in_group": 1}
+    for _ in range(2):
+        with pytest.raises(Unreachable) as ei:
+            construct_involution(g, GroupSpec("SL", 2, 2))
+        cert = ei.value.certificate
+        assert cert == {"group_order": 6, "classes_in_closure": 2,
+                        "closure_size": 3, "levels_explored": 2,
+                        "involution_classes_in_group": 1}
+        # each call raises with its own copy of the stored certificate
+        cert.clear()
 
 
 def test_excluded_sl23_transversal():
@@ -1019,6 +1025,74 @@ def test_excluded_pairs_enumerate_no_group(monkeypatch):
     w = ok(construct_involution(g, GroupSpec("SL", 4, 4)))
     assert w.length == 4 and hits and set(hits) == {3}
     assert calls == []
+
+
+# -- the memo of words over canonical forms ----------------------------------
+
+
+@pytest.mark.parametrize("n, q", [(3, 5), (4, 3), (4, 4)])
+def test_canonical_word_memo_is_transparent(n, q):
+    # every class representative and a conjugate of it, each solved with
+    # the memo cleared and then with it warm: a held word gives the same
+    # bytes as a word solved afresh
+    ctx, spec = make_field(q), GroupSpec("SL", n, q)
+    rng = random.Random(n * 32 + q)
+    inputs = []
+    for g, _ in class_transversal(ctx, n):
+        if not g.is_scalar():
+            c = rand_gl(ctx, n, rng)
+            inputs += [g, c * g * c.inv()]
+    memo = constructor._canonical_word
+    cold = []
+    for g in inputs:
+        memo.cache_clear()
+        cold.append(witness_to_json(construct_involution(g, spec)))
+    memo.cache_clear()
+    warm = [witness_to_json(construct_involution(g, spec)) for g in inputs]
+    assert warm == cold
+    # each conjugate at least reads the word its representative left
+    assert memo.cache_info().hits >= len(inputs) // 2
+
+
+# -- witness length against the exact distance --------------------------------
+
+
+# (n, q) -> histogram of the gaps L - d over one input per class_transversal
+# element, L the witness length and d the exact distance to a projective
+# involution in the class graph; the 2x2 rule and the stored words are
+# minimal on most groups, the restart on SL(3,3) is not
+GAP_HISTOGRAMS = {
+    (2, 2): {0: 1}, (2, 3): {0: 6}, (2, 4): {0: 12}, (2, 5): {0: 20},
+    (2, 7): {0: 30, 2: 12}, (2, 8): {0: 49, 1: 7}, (2, 9): {0: 72},
+    (2, 11): {0: 110}, (2, 13): {0: 108, 1: 48},
+    (3, 2): {0: 5}, (3, 3): {1: 2, 2: 2, 6: 14, 7: 2, 14: 2},
+    (4, 2): {0: 13}, (3, 4): {0: 57},
+}
+
+
+@pytest.mark.parametrize("n, q", list(GAP_HISTOGRAMS))
+def test_witness_length_against_exact_distance(n, q):
+    # a witness is a path in the Cayley graph on C u C^-1, so L >= d; the
+    # witness and the class-graph search are independent, so this checks both
+    spec = GroupSpec("SL", n, q)
+    tbl = build_group(spec)
+    targets = projective_involution_indices(tbl)
+    gaps, unreachable = Counter(), 0
+    for g, _ in class_transversal(make_field(q), n):
+        if g.is_scalar():
+            continue
+        d = dist_to_set(tbl, g, targets)
+        try:
+            w = construct_involution(g, spec)
+        except Unreachable:
+            # the order-3 class of SL(2,2): its closure holds no involution
+            assert d is None
+            unreachable += 1
+            continue
+        assert w.length >= d, (g.to_text(), w.length, d)
+        gaps[w.length - d] += 1
+    assert unreachable == int((n, q) == (2, 2))
+    assert dict(gaps) == GAP_HISTOGRAMS[n, q]
 
 
 # -- pinned witness bytes ----------------------------------------------------
