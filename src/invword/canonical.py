@@ -28,6 +28,7 @@ Conventions (frozen; the constructor depends on them):
 """
 
 import random
+from functools import lru_cache
 
 from .gf import (
     irreducible_polys,
@@ -42,6 +43,10 @@ from .gf import (
     poly_trim,
 )
 from .matrix import Mat, direct_sum, kron, nullspace, sub_block
+
+# factorizations held by factor_charpoly; sl-classes seed 1 meets 158
+# distinct characteristic polynomials in 611 calls
+_FACTORIZATIONS_HELD = 1024
 
 
 def companion(ctx, f):
@@ -171,16 +176,21 @@ def _split_equal_degree(ctx, h, d):
 
 def factor_charpoly(g):
     """Monic irreducible factors of charpoly(g) with multiplicities, ordered
-    by degree then coefficient encoding.
+    by degree then coefficient encoding, as a fresh list.
 
     Distinct-degree factorization: once every factor of degree below d has
     been divided out of rem, gcd(rem, x^(q^d) - x) is the product of the
     distinct degree-d factors, already squarefree.  Berlekamp splits it
     when it holds more than one, and repeated exact division gives each
-    multiplicity.  When deg rem < 2d, rem itself is irreducible.
-    ValueError for a non-square g."""
-    ctx = g.ctx
-    rem = charpoly(g)
+    multiplicity.  When deg rem < 2d, rem itself is irreducible.  Each
+    (field, polynomial) is factored once and held in a memo of at most
+    _FACTORIZATIONS_HELD entries.  ValueError for a non-square g."""
+    return list(_factorization(g.ctx, charpoly(g)))
+
+
+@lru_cache(maxsize=_FACTORIZATIONS_HELD)
+def _factorization(ctx, rem):
+    """factor_charpoly's factors of the monic polynomial rem, as a tuple."""
     x = (0, 1)
     frob = x  # x^(q^d) mod rem
     out = []
@@ -203,7 +213,7 @@ def factor_charpoly(g):
                 rem, mult = quo, mult + 1
             out.append((f, mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0][::-1]))
-    return out
+    return tuple(out)
 
 
 def mat_poly_eval(g, f):

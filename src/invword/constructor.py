@@ -31,7 +31,7 @@ from .canonical import class_transversal, generalized_jordan
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
                      group_order, involution_indices,
-                     projective_involution_test)
+                     projective_involution_indices)
 from .perm import Perm, a5_witness, alt_partner, commutator_perm
 
 # Pairs (n, q) where the 2x2 rule and the restart are not available end to
@@ -325,15 +325,13 @@ def brute_force_witness(g, spec):
             e, x = -1, ai
         return tbl.decode(tbl.mul(ct.transporter[x], tg_inv)), e, "bfs"
 
-    if spec.family == "Alt":
-        is_target = involution_indices(tbl).__contains__
-    else:
-        is_target = projective_involution_test(tbl)
+    targets = (involution_indices if spec.family == "Alt"
+               else projective_involution_indices)(tbl)
 
     parents = {}  # class index -> node it was first reached from
     level = 0
     for level, y in class_search(tbl, gi, ct.class_of, parents):
-        if is_target(y):
+        if y in targets:
             # generator a_k = x_(k-1)^-1 y_k along the path back
             word, x = [], y
             while x is not None:
@@ -349,7 +347,7 @@ def brute_force_witness(g, spec):
         "closure_size": sum(ct.sizes[k] for k in parents),
         "levels_explored": level,
         "involution_classes_in_group": sum(
-            1 for k in range(len(ct.reps)) if is_target(ct.reps[k])),
+            1 for r in ct.reps if r in targets),
     }
     raise Unreachable("closure of the class contains no involution",
                       certificate)

@@ -24,9 +24,18 @@ left multiplication by a generator rewrites one row.
 
 A matrix group has one generator list (_row_ops): the adjacent
 transvections with lam in an additive basis of GF(q) (8 for SL(3,4)),
-plus a dilation for GL and PGL.  The closure walks it, conjugacy classes
-grow by conjugating with it, and it fixes every transporter; elements,
+plus a dilation for GL and PGL.  Alt(n) has two generators, (1,2,3) and
+the even long cycle ((1..n) for odd n, (2..n) for even n), and Sym(n)
+has (1,2) and (1..n).  The closure walks the list, conjugacy classes grow
+by conjugating with it, and it fixes every transporter; elements,
 inverses and the class partition do not depend on the list.
+
+What is the same on a whole class is computed once per class: the
+involution and projective-involution sets test each class
+representative and take the union of the classes that pass, a target
+set is recognized as a union of classes from the sizes of the classes it
+meets, and class_product_count keeps one transition per factor class on
+the class table.
 """
 
 import itertools
@@ -391,8 +400,12 @@ def build_group(spec):
         elems = itertools.permutations(range(n))
         if spec.family == "Alt":
             elems = itertools.compress(elems, _even_mask(n))
-            gens = [Perm.from_cycles("(%d,%d,%d)" % (i, i + 1, i + 2), n).images
-                    for i in range(1, n - 1)]
+            # (1,2,3) and the even long cycle, (1..n) for odd n and (2..n)
+            # for even n; the two coincide at n = 3
+            long_cycle = "(%s)" % ",".join(map(str, range(2 - n % 2, n + 1)))
+            gens = list(dict.fromkeys(
+                Perm.from_cycles(c, n).images
+                for c in ("(1,2,3)", long_cycle))) if n >= 3 else []
         else:
             gens = [Perm.from_cycles("(1,2)", n).images,
                     Perm.from_cycles("(%s)" % ",".join(
@@ -435,6 +448,7 @@ class ClassTable:
         self.sizes = sizes
         self.transporter = transporter
         self._members = None
+        self._transitions = {}
 
     @property
     def n_classes(self):
@@ -446,6 +460,18 @@ class ClassTable:
             for i, c in enumerate(self.class_of):
                 self._members[c].append(i)
         return self._members[k]
+
+    def transition(self, c):
+        """Row k counts the classes of rep_k x^-1 for x in class c; built
+        once per class and held with the table."""
+        rows = self._transitions.get(c)
+        if rows is None:
+            tbl, class_of = self.tbl, self.class_of
+            times_inv = _right_mul(tbl, [tbl.inv(x) for x in self.members(c)])
+            rows = self._transitions[c] = [
+                Counter(class_of[y] for y in times_inv(rep))
+                for rep in self.reps]
+        return rows
 
 
 def conjugacy_classes(tbl):
@@ -494,17 +520,24 @@ def conjugacy_classes(tbl):
 # -- distances ------------------------------------------------------------
 
 
+def _class_union(tbl, test):
+    """The indices of every class whose representative passes test, for a
+    test that holds on a whole class or on none of it."""
+    ct = conjugacy_classes(tbl)
+    return frozenset(itertools.chain.from_iterable(
+        ct.members(k) for k, r in enumerate(ct.reps) if test(r)))
+
+
 def involution_indices(tbl):
     e = tbl.identity_index
-    return frozenset(i for i in range(tbl.order)
-                     if i != e and tbl.mul(i, i) == e)
+    return _class_union(tbl, lambda i: i != e and tbl.mul(i, i) == e)
 
 
 def projective_involution_indices(tbl):
     """Indices of the non-scalar elements whose square is I or -I (matrix
     families GL and SL only; ValueError otherwise)."""
     _require_linear(tbl.spec)
-    return frozenset(filter(projective_involution_test(tbl), range(tbl.order)))
+    return _class_union(tbl, projective_involution_test(tbl))
 
 
 def projective_involution_test(tbl):
@@ -618,9 +651,10 @@ def dist_to_set(tbl, c, targets):
 def _class_key(ct, targets):
     """ct.class_of when the target set is a union of classes, else None:
     the key that dist_to_set's search tells nodes apart by."""
-    normal = all(
-        len(targets.intersection(ct.members(k))) in (0, ct.sizes[k])
-        for k in range(ct.n_classes))
+    # the targets lie in the classes they hit, so they are those classes'
+    # union exactly when the sizes add up to the number of targets
+    hit = {ct.class_of[i] for i in targets}
+    normal = sum(ct.sizes[k] for k in hit) == len(targets)
     return ct.class_of if normal else None
 
 
@@ -702,10 +736,12 @@ def class_product_count(tbl, class_reps, target, cross_check=False):
     product equal to rep_k whose last factor is x in class c extends one
     equal to rep_k x^-1.  So each distinct factor class c gets one
     transition, the classes of rep_k x^-1 for x in c with their
-    multiplicities, however often it recurs.  cross_check also counts the
-    products directly; it raises ValueError above 5000 elements and
-    RuntimeError when the two counts differ.  ValueError too for an
-    empty class_reps and for an element or index outside the group."""
+    multiplicities (ClassTable.transition), built once per class table
+    however often c recurs, in this call or a later one.  cross_check
+    also counts the products directly; it raises ValueError above 5000
+    elements and RuntimeError when the two counts differ.  ValueError too
+    for an empty class_reps and for an element or index outside the
+    group."""
     if cross_check and tbl.order > 5000:
         raise ValueError("%r: the direct cross-check is for groups of at "
                          "most 5000 elements" % tbl.spec)
@@ -715,18 +751,11 @@ def class_product_count(tbl, class_reps, target, cross_check=False):
     reps = [_index(tbl, r) for r in class_reps]
     ti = _index(tbl, target)
     class_of = ct.class_of
-    transition = {}
-    for r in reps[1:]:
-        c = class_of[r]
-        if c not in transition:
-            times_inv = _right_mul(tbl, [tbl.inv(x) for x in ct.members(c)])
-            transition[c] = [Counter(class_of[y] for y in times_inv(rep))
-                             for rep in ct.reps]
     counts = [0] * ct.n_classes
     counts[class_of[reps[0]]] = 1
     for r in reps[1:]:
         counts = [sum(counts[j] * m for j, m in row.items())
-                  for row in transition[class_of[r]]]
+                  for row in ct.transition(class_of[r])]
     result = counts[class_of[ti]]
     if cross_check:
         acc = {x: 1 for x in ct.members(ct.class_of[reps[0]])}

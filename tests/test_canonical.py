@@ -222,6 +222,26 @@ def test_factor_irreducible_quadratic():
     assert factor_charpoly(g) == [((1, 0, 1), 1)]
 
 
+def test_factor_charpoly_memo_hands_out_fresh_lists():
+    # one factorization per (field, polynomial): a matrix with the same
+    # characteristic polynomial reads the held one, and no caller can
+    # change what the next caller gets
+    memo = canonical._factorization
+    assert memo.cache_info().maxsize == canonical._FACTORIZATIONS_HELD
+    assert memo.cache_info().currsize == 0   # the conftest fixture clears it
+    g = mat_over(5, "1,1;0,1")
+    first = factor_charpoly(g)
+    first.append("junk")
+    first[0] = None
+    assert factor_charpoly(mat_over(5, "1,0;3,1")) == [((4, 1), 2)]
+    assert factor_charpoly(g) == [((4, 1), 2)]
+    info = memo.cache_info()
+    assert (info.hits, info.misses) == (2, 1)
+    # the same coefficients over another field are another key
+    assert factor_charpoly(mat_over(7, "1,1;0,1")) == [((6, 1), 2)]
+    assert memo.cache_info().misses == 2
+
+
 def test_gen_jordan_blocks():
     f5 = make_field(5)
     assert gen_jordan_block(f5, (4, 1), 2) == mat_over(5, "1,1;0,1")

@@ -539,7 +539,7 @@ PINNED_TABLE_SPECS = (
        GroupSpec("GL", 2, 3), GroupSpec("GL", 3, 2), GroupSpec("PGL", 2, 5)])
 PINNED_ORACLE_SHA256 = {
     "outputs": "5d6b7ecc8cfe0f5d519e9322cd993f6f2beece00969a8906abf309d0b4e90435",
-    "generators": "213b6ba02a763b082fa6b573741251aba32c914e68a490d7420cc0696ac8f380",
+    "generators": "292a1bade411f264de00b184d57e0a4487809a7f65426955ad4322b6a57e3f5d",
 }
 
 
@@ -731,3 +731,101 @@ def test_class_product_count_matches_per_factor_loop(spec):
         for t in ct.reps:
             assert class_product_count(tbl, factors, t) == \
                 _ref_class_product_count(tbl, factors, t), (factors, t)
+
+
+# -- class invariants computed once per class, and the Alt generators ------
+
+
+@pytest.mark.parametrize("n, classes", zip(range(3, 10),
+                                           (3, 4, 5, 7, 9, 14, 18)))
+def test_alt_two_generators_give_every_class(n, classes):
+    # a list that generated a proper subgroup would split classes while
+    # their sizes still summed to the order (conjugacy_classes' own
+    # check), so the count is the check
+    tbl = build_group(GroupSpec("Alt", n))
+    long_cycle = range(1, n + 1) if n % 2 else range(2, n + 1)
+    want = [Perm.from_cycles("(1,2,3)", n),
+            Perm.from_cycles("(%s)" % ",".join(map(str, long_cycle)), n)]
+    assert [tbl.decode(s) for s in tbl.gens] == want[:1 if n == 3 else 2]
+    ct = conjugacy_classes(tbl)
+    assert ct.n_classes == classes
+
+
+TARGET_SET_SPECS = [
+    *(GroupSpec("Alt", n) for n in (5, 6, 7)), GroupSpec("Sym", 5),
+    *(GroupSpec("PSL", 2, q) for q in (5, 7, 8, 9)),
+    *(GroupSpec("SL", 2, q) for q in (5, 7, 9)),
+    GroupSpec("SL", 3, 2), GroupSpec("SL", 3, 3), GroupSpec("GL", 2, 3),
+]
+
+
+def _ref_class_key(ct, targets):
+    """_class_key as it was: a scan of the members of every class."""
+    normal = all(
+        len(targets.intersection(ct.members(k))) in (0, ct.sizes[k])
+        for k in range(ct.n_classes))
+    return ct.class_of if normal else None
+
+
+@pytest.mark.parametrize("spec", TARGET_SET_SPECS, ids=repr)
+def test_target_sets_match_the_element_definitions(spec):
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    e, mul = tbl.identity_index, tbl.mul
+    inv = involution_indices(tbl)
+    assert inv == frozenset(i for i in range(tbl.order)
+                            if i != e and mul(i, i) == e)
+    sets = [inv]
+    if spec.family in ("GL", "SL"):
+        proj = projective_involution_indices(tbl)
+        assert proj == frozenset(filter(projective_involution_test(tbl),
+                                        range(tbl.order)))
+        sets.append(proj)
+    # unions of classes, and sets that are none: a single non-central
+    # element, and a union of classes one element short
+    central = {r for k, r in enumerate(ct.reps) if ct.sizes[k] == 1}
+    lone = next(i for i in range(tbl.order) if i not in central)
+    sets += [frozenset(ct.members(ct.class_of[lone])),
+             frozenset(ct.members(0) + ct.members(ct.n_classes - 1)),
+             frozenset([lone])]
+    sets += [s - {min(s)} for s in sets if len(s) > 1]
+    for targets in sets:
+        assert oracle._class_key(ct, targets) is \
+            _ref_class_key(ct, targets), sorted(targets)[:5]
+    assert oracle._class_key(ct, frozenset([lone])) is None
+    assert oracle._class_key(ct, inv) is ct.class_of
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("SL", 2, 5), GroupSpec("SL", 2, 7),
+                                  GroupSpec("Alt", 5)], ids=repr)
+def test_held_transition_rows_match_a_fresh_table(spec, monkeypatch):
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})   # rows no test has held
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    reps = [r for r in ct.reps if r != tbl.identity_index]
+    a, b, c = reps[0], reps[len(reps) // 2], reps[-1]
+    lists = [[a] * 6, [b, c], [c, a, b, a], [a], [b] * 3 + [c] * 2]
+    built = []
+    search = oracle._right_mul
+
+    def spy(tbl, gens):
+        built.append(len(gens))
+        return search(tbl, gens)
+
+    monkeypatch.setattr(oracle, "_right_mul", spy)
+    first = {(i, t): class_product_count(tbl, f, t, cross_check=True)
+             for i, f in enumerate(lists) for t in ct.reps}
+    # one transition per distinct factor class after the first factor
+    assert len(built) == len(ct._transitions) == len(
+        {ct.class_of[r] for f in lists for r in f[1:]})
+    again = {(i, t): class_product_count(tbl, f, t)
+             for i, f in enumerate(lists) for t in ct.reps}
+    assert again == first
+    assert len(built) == len(ct._transitions)   # every row was held
+    for i, f in enumerate(lists):
+        monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+        fresh = build_group(spec)
+        assert fresh is not tbl and conjugacy_classes(fresh)._transitions == {}
+        assert fresh.elements == tbl.elements
+        for t in ct.reps:
+            assert class_product_count(fresh, f, t) == first[i, t], (f, t)
