@@ -299,13 +299,16 @@ def brute_force_witness(g, spec):
     involution is reachable, GroupTooLarge when the group cannot be
     enumerated.  Only SL and Alt: elsewhere the table's words do not
     replay (parity in Sym, determinant in GL, products up to scalars in
-    PSL and PGL), so other families raise ValueError."""
+    PSL and PGL), so other families raise ValueError, as does a g of the
+    wrong shape or field, before any group is built."""
     if spec.family not in ("SL", "Alt"):
         raise ValueError("class-graph search not supported for family %r"
                          % spec.family)
+    if not _fits(g, spec):
+        raise ValueError("element outside the group")
     tbl = build_group(spec)
     ct = conjugacy_classes(tbl)
-    gi = tbl.index_of(g) if _fits(g, spec) else None
+    gi = tbl.index_of(g)
     if gi is None:
         raise ValueError("element outside the group")
     if gi == tbl.identity_index:

@@ -5,7 +5,9 @@ conjugacy classes come with transporters, and distances are measured on
 the conjugacy-class graph: for a normal generating set, the classes
 reachable by k-fold products are exactly the level-k classes, so a
 class-level search is exact while touching |classes| nodes instead of
-|G|.
+|G|.  Per-element data that a query may never read is computed on first
+use: an inverse when tbl.inv asks for it, the transporters when
+ct.transporter is first read.
 
 Elements are stored as codes.  A permutation is its tuple of images; a
 product or conjugate is one list comprehension over the images, and
@@ -34,12 +36,14 @@ What is the same on a whole class is computed once per class: the
 involution and projective-involution sets test each class
 representative and take the union of the classes that pass, a target
 set is recognized as a union of classes from the sizes of the classes it
-meets, and class_product_count keeps one transition per factor class on
-the class table.
+meets, the inverse class C^-1 is the class of rep^-1, and
+class_product_count keeps one transition per factor class on the class
+table.
 """
 
 import itertools
 from collections import Counter
+from functools import cached_property
 from math import factorial, gcd, prod
 
 from .gf import make_field
@@ -184,21 +188,9 @@ class _RowCode:
         self.gens = [self._row_op(op, self.identity) for op in ops]
         # s x s^-1 is x mapped by s^-1 on the right, then row i of the
         # result plus c times its row j put back at place Q**(n-1-i)
-        self._conj = []
-        for op in ops:
-            i, j, c = op
-            inv = self._row_op(self._inverse_op(op), self.identity)
-            self._conj.append((self.right_map(inv), i, j, c * self.Q,
-                               self.Q ** (n - 1 - i)))
-
-    def _inverse_op(self, op):
-        """The generator inverse to I + c E_ij: c negated, or for a
-        dilation by 1 + c the dilation by (1 + c)^-1."""
-        i, j, c = op
-        ctx = self.ctx
-        if i != j:
-            return i, j, ctx.neg(c)
-        return i, j, ctx.sub(ctx.inv(ctx.add(1, c)), 1)
+        self._conj = [(self.right_map(self.inverse(s)), i, j, c * self.Q,
+                       self.Q ** (n - 1 - i))
+                      for s, (i, j, c) in zip(self.gens, ops)]
 
     def _row_op(self, op, t):
         """Code of (I + c E_ij) t: t with c times its row j added to row i."""
@@ -251,6 +243,10 @@ class _RowCode:
 
     def decode(self, x):
         return Mat(self.ctx, [self.entries[r] for r in self.split(x)])
+
+    def inverse(self, x):
+        """The normalized code of x^-1."""
+        return self.encode(self.decode(x).inv())
 
     def right_map(self, b):
         """The row map r -> r b, as a list over range(Q)."""
@@ -306,56 +302,59 @@ class _RowCode:
         return out
 
     def closure(self, cap):
-        """Every element generated by ops, mapped to its inverse.
+        """The set of every element generated by ops.
 
-        Breadth-first from the identity by right multiplication; an
-        element y = x s is first met from x, so its inverse s^-1 x^-1 is
-        one row operation on the inverse of x.  The result is the same
-        for any generating list; only the time taken depends on it."""
-        split, row_op = self.split, self._row_op
-        Q, least, scalars = self.Q, self._least, self.scalars
-        steps = [(self.right_map(s), self._inverse_op(op))
-                 for s, op in zip(self.gens, self.ops)]
-        inverse = {self.identity: self.identity}
+        Breadth-first from the identity by right multiplication, each
+        product one row map per row.  The set is the same for any
+        generating list; only the time taken depends on it."""
+        split, Q, least = self.split, self.Q, self._least
+        scalars = self.scalars
+        maps = [self.right_map(s) for s in self.gens]
+        seen = {self.identity}
         todo = [self.identity]
         for x in todo:
             rows = split(x)
-            for m, op in steps:
+            for m in maps:
                 y = 0
                 for r in rows:
                     y = y * Q + m[r]
                 if scalars:
                     y = least(y)
-                if y not in inverse:
-                    inverse[y] = row_op(op, inverse[x])
+                if y not in seen:
+                    seen.add(y)
                     todo.append(y)
-            if len(inverse) > cap:
+            if len(seen) > cap:
                 raise GroupTooLarge("closure passed the order cap")
-        return inverse
+        return seen
 
 
 class GroupTable:
-    """A fully enumerated group: element codes in increasing order, an
-    index, and index-level ops.  inverse maps every code to the code of
-    its inverse; code.gens are the generators."""
+    """A fully enumerated group: the element codes in increasing order, an
+    index, and index-level ops; code.gens are the generators.  An inverse
+    is computed by code.inverse the first time inv asks for it, and held
+    for the element and its inverse alike."""
 
-    def __init__(self, spec, ctx, code, inverse):
+    def __init__(self, spec, ctx, code, elements):
         self.spec = spec
         self.ctx = ctx
         self.code = code
-        self.elements = sorted(inverse)
+        self.elements = sorted(elements)
         self.index = {e: i for i, e in enumerate(self.elements)}
         self.order = len(self.elements)
         self.identity_index = self.index[code.identity]
         self.gens = [self.index[e] for e in code.gens]
-        self._inverse = [self.index[inverse[e]] for e in self.elements]
+        self._inverse = [-1] * self.order
         self._classes = None
 
     def mul(self, i, j):
         return self.index[self.code.mul(self.elements[i], self.elements[j])]
 
     def inv(self, i):
-        return self._inverse[i]
+        j = self._inverse[i]
+        if j < 0:
+            j = self.index[self.code.inverse(self.elements[i])]
+            self._inverse[i], self._inverse[j] = j, i
+        return j
 
     def decode(self, i):
         return self.code.decode(self.elements[i])
@@ -412,8 +411,7 @@ def build_group(spec):
                         str(i) for i in range(1, n + 1)), n).images] \
                 if n >= 2 else []
         code = _PermCode(n, gens or [tuple(range(n))])
-        tbl = GroupTable(spec, None, code,
-                         {e: code.inverse(e) for e in elems})
+        tbl = GroupTable(spec, None, code, elems)
     else:
         ctx = make_field(spec.q)
         q = ctx.q
@@ -439,20 +437,50 @@ def build_group(spec):
 
 class ClassTable:
     """class_of[i] is the class index of element i; reps[k] an element
-    index; transporter[i] satisfies x = t x_rep t^-1 at the index level."""
+    index; transporter[i] satisfies x = t x_rep t^-1 at the index level.
 
-    def __init__(self, tbl, class_of, reps, sizes, transporter):
+    The walk that found the classes is kept as records: met lists the
+    elements in the order it met them, and element y (no rep) was met as
+    gens[via[y]] src[y] gens[via[y]]^-1.  The transporter list is built
+    from them on first access, in met order: t_y = gens[via[y]] t_src[y]."""
+
+    def __init__(self, tbl, class_of, reps, sizes, met, src, via):
         self.tbl = tbl
         self.class_of = class_of
         self.reps = reps
         self.sizes = sizes
-        self.transporter = transporter
+        self._met, self._src, self._via = met, src, via
         self._members = None
         self._transitions = {}
 
     @property
     def n_classes(self):
         return len(self.reps)
+
+    @cached_property
+    def transporter(self):
+        tbl = self.tbl
+        index, elements, left = tbl.index, tbl.elements, tbl.code.left
+        src, via = self._src, self._via
+        t = [tbl.identity_index] * tbl.order
+        for y in self._met:
+            x = src[y]
+            if x >= 0:
+                t[y] = index[left(via[y], elements[t[x]])]
+        return t
+
+    def _chain_transporter(self, i):
+        """The transporter of i alone, read off the records along the chain
+        from its class rep: one left multiplication per link."""
+        path = []
+        while self._src[i] >= 0:
+            path.append(self._via[i])
+            i = self._src[i]
+        tbl = self.tbl
+        t = tbl.code.identity
+        for s in reversed(path):
+            t = tbl.code.left(s, t)
+        return tbl.index[t]
 
     def members(self, k):
         if self._members is None:
@@ -461,13 +489,25 @@ class ClassTable:
                 self._members[c].append(i)
         return self._members[k]
 
+    def inverse_class(self, k):
+        """The class C^-1 of the inverses of class k: the class of rep_k^-1,
+        as inversion maps conjugates to conjugates."""
+        return self.class_of[self.tbl.inv(self.reps[k])]
+
+    def with_inverses(self, k):
+        """C u C^-1 for class k, in index order."""
+        return sorted(set(self.members(k)).union(
+            self.members(self.inverse_class(k))))
+
     def transition(self, c):
-        """Row k counts the classes of rep_k x^-1 for x in class c; built
-        once per class and held with the table."""
+        """Row k counts the classes of rep_k x^-1 for x in class c (the
+        x^-1 are the members of C^-1); built once per class and held with
+        the table."""
         rows = self._transitions.get(c)
         if rows is None:
-            tbl, class_of = self.tbl, self.class_of
-            times_inv = _right_mul(tbl, [tbl.inv(x) for x in self.members(c)])
+            class_of = self.class_of
+            times_inv = _right_mul(self.tbl,
+                                   self.members(self.inverse_class(c)))
             rows = self._transitions[c] = [
                 Counter(class_of[y] for y in times_inv(rep))
                 for rep in self.reps]
@@ -477,38 +517,39 @@ class ClassTable:
 def conjugacy_classes(tbl):
     """Classes in index order of their least element, each grown by
     conjugating with the generators; the transporter of y = s x s^-1 is
-    s times that of x.  Raises RuntimeError if the classes do not
-    partition the group or a sampled transporter is wrong."""
+    s times that of x, and only the walk's records are kept for it (see
+    ClassTable).  Raises RuntimeError if the classes do not partition the
+    group or a sampled transporter is wrong."""
     if tbl._classes is not None:
         return tbl._classes
     order = tbl.order
-    index, elements, code = tbl.index, tbl.elements, tbl.code
-    class_of = [-1] * order
-    reps, sizes, transporter = [], [], [tbl.identity_index] * order
+    index, elements, conjugates = tbl.index, tbl.elements, tbl.code.conjugates
+    class_of, src, via = [-1] * order, [-1] * order, [0] * order
+    reps, sizes, met = [], [], []
     for i in range(order):
         if class_of[i] != -1:
             continue
         k = len(reps)
         reps.append(i)
         class_of[i] = k
-        transporter[i] = tbl.identity_index
         members = [i]
         for x in members:
-            tx = transporter[x]
-            for s, c in enumerate(code.conjugates(elements[x])):
+            for s, c in enumerate(conjugates(elements[x])):
                 y = index[c]
                 if class_of[y] == -1:
                     class_of[y] = k
-                    transporter[y] = index[code.left(s, elements[tx])]
+                    src[y] = x
+                    via[y] = s
                     members.append(y)
         sizes.append(len(members))
+        met += members
     if sum(sizes) != order:
         raise RuntimeError("%r: class sizes sum to %d, not %d"
                            % (tbl.spec, sum(sizes), order))
-    ct = ClassTable(tbl, class_of, reps, sizes, transporter)
+    ct = ClassTable(tbl, class_of, reps, sizes, met, src, via)
     # transporter invariant: x = t * rep * t^-1
     for i in (0, order // 2, order - 1):
-        t = transporter[i]
+        t = ct._chain_transporter(i)
         r = reps[class_of[i]]
         if tbl.mul(tbl.mul(t, r), tbl.inv(t)) != i:
             raise RuntimeError("%r: transporter of element %d is wrong"
@@ -625,8 +666,7 @@ def class_search(tbl, ci, key=None, parents=None):
     k holds the elements of (C u C^-1)^k first met there; key and parents
     are passed on (key=ct.class_of searches the class graph)."""
     ct = conjugacy_classes(tbl)
-    members = ct.members(ct.class_of[ci])
-    gens = sorted(set(members).union(tbl.inv(x) for x in members))
+    gens = ct.with_inverses(ct.class_of[ci])
     return _bfs_layers(gens, _right_mul(tbl, gens), key, parents)
 
 
@@ -637,14 +677,14 @@ def dist_to_set(tbl, c, targets):
     Searches the class graph when the target set is a union of classes
     (it always is for involution sets), otherwise the elements.  c and
     the targets are indices (c may also be a Perm or Mat); ValueError for
-    one outside the group."""
-    ct = conjugacy_classes(tbl)
+    one outside the group, checked before the classes are built."""
     ci = _index(tbl, c)
     if ci == tbl.identity_index:
         raise ValueError("distance from the identity class is undefined")
     targets = frozenset(targets)
     if targets and not (min(targets) >= 0 and max(targets) < tbl.order):
         raise ValueError("target index outside the group")
+    ct = conjugacy_classes(tbl)
     return _dist(tbl, ci, targets, _class_key(ct, targets))
 
 
@@ -863,7 +903,7 @@ def orbital_diameter_report(spec=None):
     for k in range(ct.n_classes):
         if ct.reps[k] == e:
             continue
-        gens = set(ct.members(k)) | {tbl.inv(x) for x in ct.members(k)}
+        gens = ct.with_inverses(k)
         reached = list(_bfs_layers([e], _right_mul(tbl, gens)))
         _require(len(reached) == n, spec,
                  "class %d does not generate the group" % k)

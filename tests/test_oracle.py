@@ -663,7 +663,8 @@ def every_row_op(spec, ctx):
 @pytest.mark.parametrize("spec", MATRIX_TABLE_SPECS, ids=repr)
 def test_closure_walk_matches_all_generators(spec):
     # the closure walks the oracle's short list; walking every
-    # transvection finds the same elements with the same inverses
+    # transvection finds the same elements, and each table inverse is the
+    # matrix inverse
     tbl = build_group(spec)
     walk = oracle._row_ops(spec, tbl.ctx)
     ops = every_row_op(spec, tbl.ctx)
@@ -672,8 +673,8 @@ def test_closure_walk_matches_all_generators(spec):
                            tbl.code.scalars).closure(oracle.ORDER_CAP)
     assert tbl.code.closure(oracle.ORDER_CAP) == full
     assert sorted(full) == tbl.elements
-    assert [tbl.index[full[e]] for e in tbl.elements] == \
-        [tbl.inv(i) for i in range(tbl.order)]
+    for i in range(tbl.order):
+        assert tbl.inv(i) == tbl.index_of(tbl.decode(i).inv()), i
 
 
 def test_closure_walk_sizes():
@@ -829,3 +830,144 @@ def test_held_transition_rows_match_a_fresh_table(spec, monkeypatch):
         assert fresh.elements == tbl.elements
         for t in ct.reps:
             assert class_product_count(fresh, f, t) == first[i, t], (f, t)
+
+
+# -- per-element data on first use: inverses, transporters, C^-1
+
+LAZY_SPECS = [GroupSpec("Alt", n) for n in (5, 6, 7)] + [
+    GroupSpec("Sym", 5), GroupSpec("PSL", 2, 7), GroupSpec("PGL", 2, 5),
+    GroupSpec("GL", 2, 3)]
+
+
+def _chain_length(ct, i):
+    """The number of walk records between element i and its class rep."""
+    n = 0
+    while ct._src[i] >= 0:
+        i, n = ct._src[i], n + 1
+    return n
+
+
+@pytest.mark.parametrize("spec, queries", [
+    (GroupSpec("Alt", 7), [d_inv]),
+    (GroupSpec("SL", 3, 3), [d_inv, d_proj_inv])], ids=repr)
+def test_class_queries_read_no_per_element_inverse(spec, queries,
+                                                   monkeypatch):
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    inverses, lefts = [], []
+
+    def counted(calls, fn):
+        return lambda *args: (calls.append(args), fn(*args))[1]
+
+    perm, row = oracle._PermCode, oracle._RowCode
+    monkeypatch.setattr(perm, "inverse",
+                        staticmethod(counted(inverses, perm.inverse)))
+    monkeypatch.setattr(row, "inverse", counted(inverses, row.inverse))
+    for cls in (perm, row):
+        monkeypatch.setattr(cls, "left", counted(lefts, cls.left))
+    tbl = build_group(spec)
+    # each code inverts its generators once, and nothing else
+    built = len(inverses)
+    assert built <= len(tbl.gens) and not lefts
+    ct = conjugacy_classes(tbl)
+    samples = (0, tbl.order // 2, tbl.order - 1)
+    chains = sum(_chain_length(ct, i) for i in samples)
+    # the sampled transporter checks: one chain walk and one inverse each
+    assert len(lefts) == chains
+    assert len(inverses) <= built + len(samples)
+    for query in queries:
+        query(tbl)
+    assert len(inverses) <= built + len(samples) + ct.n_classes
+    assert len(lefts) == chains
+    assert "transporter" not in vars(ct)
+
+
+def _eager_transporters(tbl):
+    """The transporters as an eager walk computes them: classes in index
+    order of their least element, each grown by conjugating with the
+    generators, y = s x s^-1 getting s times the transporter of x."""
+    code, index, elements = tbl.code, tbl.index, tbl.elements
+    seen = [False] * tbl.order
+    t = [tbl.identity_index] * tbl.order
+    for i in range(tbl.order):
+        if seen[i]:
+            continue
+        seen[i] = True
+        members = [i]
+        for x in members:
+            for s, c in enumerate(code.conjugates(elements[x])):
+                y = index[c]
+                if not seen[y]:
+                    seen[y] = True
+                    t[y] = index[code.left(s, elements[t[x]])]
+                    members.append(y)
+    return t
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("Alt", n) for n in (5, 6, 7)]
+                         + [GroupSpec("Sym", 5)], ids=repr)
+def test_transporters_on_first_use_match_an_eager_walk(spec, monkeypatch):
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    assert "transporter" not in vars(ct)
+    transporter = ct.transporter
+    assert transporter == _eager_transporters(tbl)
+    assert ct.transporter is transporter   # built once, then held
+    mul, inv = tbl.mul, tbl.inv
+    for i, t in enumerate(transporter):
+        assert mul(mul(t, ct.reps[ct.class_of[i]]), inv(t)) == i, i
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS, ids=repr)
+def test_inverse_on_first_use(spec, monkeypatch):
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    tbl = build_group(spec)
+    e = tbl.identity_index
+    for i in range(tbl.order):
+        j = tbl.inv(i)
+        assert tbl.mul(i, j) == e and tbl.mul(j, i) == e, i
+        assert tbl.inv(j) == i
+
+
+@pytest.mark.parametrize("spec", LAZY_SPECS, ids=repr)
+def test_class_level_inverses_match_the_elements(spec, monkeypatch):
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    code = tbl.code
+    for k in range(ct.n_classes):
+        members = ct.members(k)
+        inverses = {tbl.index[code.inverse(tbl.elements[x])]
+                    for x in members}
+        assert ct.members(ct.inverse_class(k)) == sorted(inverses), k
+        assert ct.with_inverses(k) == sorted(set(members) | inverses), k
+
+
+def test_inputs_are_checked_before_the_group_is_built(monkeypatch):
+    from invword import constructor
+    built = []
+    monkeypatch.setattr(constructor, "build_group",
+                        lambda spec: built.append(spec))
+    spec = GroupSpec("SL", 3, 5)
+    for bad in (Mat(make_field(5), [[1, 1], [0, 1]]),
+                Mat(make_field(7), [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+                Perm.from_cycles("(1,2,3)", 3)):
+        with pytest.raises(ValueError, match="outside the group"):
+            brute_force_witness(bad, spec)
+    with pytest.raises(ValueError, match="outside the group"):
+        brute_force_witness(Perm.from_cycles("(1,2,3)", 6),
+                            GroupSpec("Alt", 5))
+    assert built == []
+    # dist_to_set checks c and the targets before it builds the classes
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    tbl = build_group(GroupSpec("Alt", 5))
+    classes = []
+    monkeypatch.setattr(oracle, "conjugacy_classes",
+                        lambda tbl: classes.append(tbl))
+    i3 = tbl.index_of(Perm.from_cycles("(1,2,3)", 5))
+    for c, targets in ((-1, {0}), (tbl.order, {0}),
+                       (Perm.from_cycles("(1,2,3)", 6), {0}),
+                       (tbl.identity_index, {0}), (i3, {tbl.order})):
+        with pytest.raises(ValueError):
+            dist_to_set(tbl, c, targets)
+    assert classes == []
