@@ -10,6 +10,8 @@ Everything is a Fraction, so the verdicts carry no rounding risk.
 
 from fractions import Fraction
 
+from .gf import prime_power
+
 FAMILIES = ("gl-mn", "gl-m1", "gu-i", "gu-ii", "sp-odd", "sp-even", "o")
 
 # printed exception lists, where the source states one; "o" is an upper
@@ -29,16 +31,7 @@ GU_SKIP = frozenset({(4, 2), (4, 3), (5, 2), (6, 2)})
 
 
 def is_prime_power(q):
-    if q < 2:
-        return False
-    for p in range(2, q + 1):
-        if p * p > q:
-            return q >= 2   # q itself is prime
-        if q % p == 0:
-            while q % p == 0:
-                q //= p
-            return q == 1
-    return True
+    return prime_power(q) is not None
 
 
 def prime_powers(limit):

@@ -78,14 +78,17 @@ class WitnessStep:
 
 
 class Witness:
-    """g, the steps, and the recorded target of the replayable product."""
+    """g, the steps, and the recorded target of the replayable product;
+    certificate is what a search proved about shorter words (the A5
+    5-cycle's), else None."""
 
-    def __init__(self, spec, g, steps, target):
+    def __init__(self, spec, g, steps, target, certificate=None):
         self.spec = spec
         self.g = g
         self.steps = [s if isinstance(s, WitnessStep) else WitnessStep(*s)
                       for s in steps]
         self.target = target
+        self.certificate = certificate
         self.net_exponent = sum(s.e for s in self.steps)
 
     @property
@@ -314,7 +317,7 @@ def brute_force_witness(g, spec):
     if gi == tbl.identity_index:
         raise ValueError("identity has no witness")
     cls_g = ct.class_of[gi]
-    tg_inv = tbl.inv(ct.transporter[gi])
+    tg_inv = tbl.inv(ct.transporter(gi))
 
     def step(a):
         # a is x^e for a member x of the class: e = +1 when a is a member
@@ -326,7 +329,7 @@ def brute_force_witness(g, spec):
             e, x = 1, a
         else:
             e, x = -1, ai
-        return tbl.decode(tbl.mul(ct.transporter[x], tg_inv)), e, "bfs"
+        return tbl.decode(tbl.mul(ct.transporter(x), tg_inv)), e, "bfs"
 
     targets = (involution_indices if spec.family == "Alt"
                else projective_involution_indices)(tbl)
@@ -466,8 +469,7 @@ def construct_involution(g, spec):
             steps = [(Perm.identity(g.n), -1, "alt-partner"),
                      (h.inv(), 1, "alt-partner")]
             target = commutator_perm(g, h)
-        w = Witness(spec, g, steps, target)
-        w.certificate = certificate
+        w = Witness(spec, g, steps, target, certificate)
     else:
         cls = classify(g, spec)
         if not cls.in_group:

@@ -39,53 +39,41 @@ class UnsupportedField(ValueError):
 class FieldCtx:
     """Arithmetic context for one finite field.
 
-    All operations go through precomputed tables.  ``add_table`` and
-    ``mul_table`` are flat (row-major, index a*q + b); the polynomial
-    helpers read them directly.  ``add_rows[a][b]`` and ``mul_rows[a][b]``
-    hold the same sums and products as one tuple per a, so the matrix
-    kernels update a whole row as ``[add_rows[x][mf[y]] ...]`` with
-    ``mf = mul_rows[f]`` fetched once per row.
+    All operations go through precomputed tables, one tuple per left
+    operand: ``add_rows[a][b]`` is a + b and ``mul_rows[a][b]`` is a * b.
+    The matrix kernels and the polynomial helpers update a whole row as
+    ``[add_rows[x][mf[y]] ...]`` with ``mf = mul_rows[f]`` fetched once.
+    ``neg_table`` and ``inv_table`` are read off the rows: the place of 0
+    in ``add_rows[a]`` and of 1 in ``mul_rows[a]``.
     """
 
-    def __init__(self, q, p, deg, key, add_table, mul_table, base=None):
+    def __init__(self, q, p, deg, key, add_rows, mul_rows, base=None):
         self.q = q
         self.p = p
         self.deg = deg        # degree over the prime field
         self.key = key
         self.base = base      # coefficient field for towers, else None
-        self.add_table = add_table
-        self.mul_table = mul_table
-        self.add_rows = tuple(tuple(add_table[a * q:(a + 1) * q]) for a in range(q))
-        self.mul_rows = tuple(tuple(mul_table[a * q:(a + 1) * q]) for a in range(q))
-        n = q
-        self.neg_table = [0] * n
-        for a in range(1, n):
-            for b in range(n):
-                if add_table[a * n + b] == 0:
-                    self.neg_table[a] = b
-                    break
-        self.inv_table = [0] * n  # inv_table[0] stays 0 and is never served
-        for a in range(1, n):
-            for b in range(1, n):
-                if mul_table[a * n + b] == 1:
-                    self.inv_table[a] = b
-                    break
+        self.add_rows = add_rows
+        self.mul_rows = mul_rows
+        self.neg_table = [row.index(0) for row in add_rows]
+        # inv_table[0] stays 0 and is never served
+        self.inv_table = [0] + [row.index(1) for row in mul_rows[1:]]
         # smallest-encoding square root, or None
-        self.sqrt_table = [None] * n
-        for x in range(n - 1, -1, -1):
-            self.sqrt_table[mul_table[x * n + x]] = x
+        self.sqrt_table = [None] * q
+        for x in range(q - 1, -1, -1):
+            self.sqrt_table[mul_rows[x][x]] = x
         self._gen = None
 
     # -- element ops ---------------------------------------------------
 
     def add(self, a, b):
-        return self.add_table[a * self.q + b]
+        return self.add_rows[a][b]
 
     def sub(self, a, b):
-        return self.add_table[a * self.q + self.neg_table[b]]
+        return self.add_rows[a][self.neg_table[b]]
 
     def mul(self, a, b):
-        return self.mul_table[a * self.q + b]
+        return self.mul_rows[a][b]
 
     def neg(self, a):
         return self.neg_table[a]
@@ -96,16 +84,16 @@ class FieldCtx:
         return self.inv_table[a]
 
     def div(self, a, b):
-        return self.mul_table[a * self.q + self.inv(b)]
+        return self.mul_rows[a][self.inv(b)]
 
     def pow(self, a, k):
         if k < 0:
             a, k = self.inv(a), -k
-        r, q = 1, self.q
+        r, mulr = 1, self.mul_rows
         while k:
             if k & 1:
-                r = self.mul_table[r * q + a]
-            a = self.mul_table[a * q + a]
+                r = mulr[r][a]
+            a = mulr[a][a]
             k >>= 1
         return r
 
@@ -123,7 +111,7 @@ class FieldCtx:
             for g in range(1, self.q):
                 x, order = g, 1
                 while x != 1:
-                    x = self.mul_table[x * self.q + g]
+                    x = self.mul_rows[x][g]
                     order += 1
                 if order == self.q - 1:
                     self._gen = g
@@ -139,49 +127,47 @@ class FieldCtx:
         return "GF(%d)" % self.q
 
 
-def _poly_field_tables(k_add, k_mul, k_neg, k_size, modulus):
-    # Tables for k[x]/(modulus), modulus monic of degree d >= 2 over the
-    # coefficient structure k.  Elements are digit tuples encoded base k_size.
+def _poly_field_tables(k, modulus):
+    """(add_rows, mul_rows) of k[x]/(modulus), for a field context k and
+    a monic modulus of degree d >= 2 over it; the element sum c_i x^i is
+    encoded sum c_i * k.q**i."""
     d = len(modulus) - 1
-    q = k_size ** d
-
-    def dec(e):
-        out = []
+    s = k.q
+    q = s ** d
+    addk, mulk, negk = k.add_rows, k.mul_rows, k.neg_table
+    digits = []
+    for e in range(q):
+        t = []
         for _ in range(d):
-            out.append(e % k_size)
-            e //= k_size
-        return out
+            e, c = divmod(e, s)
+            t.append(c)
+        digits.append(t)
 
     def enc(t):
         e = 0
         for c in reversed(t):
-            e = e * k_size + c
+            e = e * s + c
         return e
 
-    add_table = [0] * (q * q)
-    mul_table = [0] * (q * q)
-    for a in range(q):
-        ta = dec(a)
-        for b in range(q):
-            tb = dec(b)
-            add_table[a * q + b] = enc([k_add(x, y) for x, y in zip(ta, tb)])
-            prod = [0] * (2 * d - 1)
-            for i, x in enumerate(ta):
-                if x == 0:
-                    continue
-                for j, y in enumerate(tb):
-                    prod[i + j] = k_add(prod[i + j], k_mul(x, y))
-            for i in range(2 * d - 2, d - 1, -1):
-                c = prod[i]
-                if c == 0:
-                    continue
-                prod[i] = 0
-                for j in range(d + 1):
-                    if modulus[j]:
-                        t = k_mul(c, modulus[j])
-                        prod[i - d + j] = k_add(prod[i - d + j], k_neg(t))
-            mul_table[a * q + b] = enc(prod[:d])
-    return add_table, mul_table
+    def times(ta, tb):
+        prod = [0] * (2 * d - 1)
+        for i, x in enumerate(ta):
+            if x:
+                mx = mulk[x]
+                for j, y in enumerate(tb, i):
+                    prod[j] = addk[prod[j]][mx[y]]
+        for i in range(2 * d - 2, d - 1, -1):
+            c = prod[i]
+            if c:   # subtract c x^(i-d) modulus; the monic lead clears i
+                mc = mulk[negk[c]]
+                for j, m in enumerate(modulus, i - d):
+                    prod[j] = addk[prod[j]][mc[m]]
+        return enc(prod[:d])
+
+    add_rows = tuple(tuple(enc([addk[x][y] for x, y in zip(ta, tb)])
+                           for tb in digits) for ta in digits)
+    mul_rows = tuple(tuple(times(ta, tb) for tb in digits) for ta in digits)
+    return add_rows, mul_rows
 
 
 def _smallest_prime_factor(n):
@@ -193,28 +179,34 @@ def _smallest_prime_factor(n):
     return n
 
 
+def prime_power(q):
+    """(p, k) with q = p**k for a prime p, or None when q is not a prime
+    power (every q < 2 included)."""
+    if q < 2:
+        return None
+    p, k = _smallest_prime_factor(q), 0
+    while q % p == 0:
+        q //= p
+        k += 1
+    return (p, k) if q == 1 else None
+
+
 @lru_cache(maxsize=None)
 def make_field(q):
     """Field context for GF(q), q a prime power up to 32.  Cached, so
     contexts compare by identity."""
     if q < 2 or q > MAX_ORDER:
         raise UnsupportedField("field order %d outside supported range 2..%d" % (q, MAX_ORDER))
-    p = _smallest_prime_factor(q)
-    deg, m = 0, q
-    while m % p == 0:
-        m //= p
-        deg += 1
-    if m != 1:
+    pk = prime_power(q)
+    if pk is None:
         raise UnsupportedField("field order %d is not a prime power" % q)
+    p, deg = pk
     if deg == 1:
-        add_table = [(a + b) % p for a in range(p) for b in range(p)]
-        mul_table = [(a * b) % p for a in range(p) for b in range(p)]
-        return FieldCtx(q, p, 1, ("p", q), add_table, mul_table)
-    modulus = MODULUS_TABLE[q]
-    k_neg = lambda a: (-a) % p
-    add_table, mul_table = _poly_field_tables(
-        lambda a, b: (a + b) % p, lambda a, b: (a * b) % p, k_neg, p, modulus)
-    return FieldCtx(q, p, deg, ("p", q), add_table, mul_table)
+        rows = (tuple(tuple((a + b) % p for b in range(p)) for a in range(p)),
+                tuple(tuple((a * b) % p for b in range(p)) for a in range(p)))
+    else:
+        rows = _poly_field_tables(make_field(p), MODULUS_TABLE[q])
+    return FieldCtx(q, p, deg, ("p", q), *rows)
 
 
 _EXT_CACHE = {}
@@ -240,9 +232,8 @@ def make_extension(base, modulus):
             "extension GF(%d) exceeds supported order %d" % (base.q ** d, MAX_ORDER))
     if not poly_is_irreducible(base, modulus):
         raise ValueError("modulus is reducible over GF(%d)" % base.q)
-    add_table, mul_table = _poly_field_tables(base.add, base.mul, base.neg, base.q, modulus)
-    ctx = FieldCtx(base.q ** d, base.p, base.deg * d, key, add_table, mul_table,
-                   base=base)
+    ctx = FieldCtx(base.q ** d, base.p, base.deg * d, key,
+                   *_poly_field_tables(base, modulus), base=base)
     _EXT_CACHE[key] = ctx
     return ctx
 
@@ -288,33 +279,33 @@ def poly_scale(ctx, c, f):
 def poly_mul(ctx, f, g):
     if not f or not g:
         return ()
-    q, add, mul = ctx.q, ctx.add_table, ctx.mul_table
+    addr, mulr = ctx.add_rows, ctx.mul_rows
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
         if a == 0:
             continue
-        row = a * q
+        ma = mulr[a]
         for j, b in enumerate(g, i):
-            out[j] = add[out[j] * q + mul[row + b]]
+            out[j] = addr[out[j]][ma[b]]
     return poly_trim(out)
 
 
 def poly_divmod(ctx, f, g):
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
-    q, add, mul, neg = ctx.q, ctx.add_table, ctx.mul_table, ctx.neg_table
+    addr, mulr = ctx.add_rows, ctx.mul_rows
     f = list(f)
     dg = len(g) - 1
-    lead_inv = ctx.inv(g[-1])
+    mlead = mulr[ctx.inv(g[-1])]
     quo = [0] * max(len(f) - dg, 0)
     for i in range(len(f) - dg - 1, -1, -1):
-        c = mul[f[i + dg] * q + lead_inv]
+        c = mlead[f[i + dg]]
         if c == 0:
             continue
         quo[i] = c
-        row = neg[c] * q
+        mc = mulr[ctx.neg_table[c]]
         for j, gc in enumerate(g, i):
-            f[j] = add[f[j] * q + mul[row + gc]]
+            f[j] = addr[f[j]][mc[gc]]
     return poly_trim(quo), poly_trim(f)
 
 

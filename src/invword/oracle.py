@@ -5,9 +5,10 @@ conjugacy classes come with transporters, and distances are measured on
 the conjugacy-class graph: for a normal generating set, the classes
 reachable by k-fold products are exactly the level-k classes, so a
 class-level search is exact while touching |classes| nodes instead of
-|G|.  Per-element data that a query may never read is computed on first
-use: an inverse when tbl.inv asks for it, the transporters when
-ct.transporter is first read.
+|G|.  Per-element data that a query may never read is computed only when
+asked for: an inverse the first time tbl.inv asks for it, and a
+transporter per element, read by ct.transporter(i) off the records of the
+walk that grew the classes.
 
 Elements are stored as codes.  A permutation is its tuple of images; a
 product or conjugate is one list comprehension over the images, and
@@ -43,7 +44,6 @@ table.
 
 import itertools
 from collections import Counter
-from functools import cached_property
 from math import factorial, gcd, prod
 
 from .gf import make_field
@@ -166,7 +166,7 @@ class _RowCode:
     def __init__(self, ctx, n, ops, scalars):
         q = ctx.q
         self.ctx, self.n, self.q, self.Q = ctx, n, q, q ** n
-        fa, fm = ctx.add_table, ctx.mul_table
+        fa, fm = ctx.add_rows, ctx.mul_rows
         # build the tables for rows of length 1, 2, ..., n, each row
         # x * span + u getting a leading entry x in front of the shorter
         # u; entries are taken from one list of ints, so that a table of
@@ -174,10 +174,10 @@ class _RowCode:
         ints = list(range(self.Q))
         add, scale, entries, span = [0], [0] * q, [()], 1
         for _ in range(n):
-            add = [ints[fa[x * q + y] * span + add[u * span + v]]
+            add = [ints[fa[x][y] * span + add[u * span + v]]
                    for x in range(q) for u in range(span)
                    for y in range(q) for v in range(span)]
-            scale = [ints[fm[c * q + x] * span + scale[c * span + u]]
+            scale = [ints[fm[c][x] * span + scale[c * span + u]]
                      for c in range(q) for x in range(q) for u in range(span)]
             entries = [(x,) + e for x in range(q) for e in entries]
             span *= q
@@ -437,19 +437,19 @@ def build_group(spec):
 
 class ClassTable:
     """class_of[i] is the class index of element i; reps[k] an element
-    index; transporter[i] satisfies x = t x_rep t^-1 at the index level.
+    index; transporter(i) is t with x_i = t x_rep t^-1 at the index level.
 
-    The walk that found the classes is kept as records: met lists the
-    elements in the order it met them, and element y (no rep) was met as
-    gens[via[y]] src[y] gens[via[y]]^-1.  The transporter list is built
-    from them on first access, in met order: t_y = gens[via[y]] t_src[y]."""
+    The walk that found the classes is kept as records: element y (no
+    rep) was met as gens[via[y]] src[y] gens[via[y]]^-1, so t_y =
+    gens[via[y]] t_src[y], and transporter(i) reads its own chain of
+    records back to the class rep."""
 
-    def __init__(self, tbl, class_of, reps, sizes, met, src, via):
+    def __init__(self, tbl, class_of, reps, sizes, src, via):
         self.tbl = tbl
         self.class_of = class_of
         self.reps = reps
         self.sizes = sizes
-        self._met, self._src, self._via = met, src, via
+        self._src, self._via = src, via
         self._members = None
         self._transitions = {}
 
@@ -457,30 +457,18 @@ class ClassTable:
     def n_classes(self):
         return len(self.reps)
 
-    @cached_property
-    def transporter(self):
-        tbl = self.tbl
-        index, elements, left = tbl.index, tbl.elements, tbl.code.left
-        src, via = self._src, self._via
-        t = [tbl.identity_index] * tbl.order
-        for y in self._met:
-            x = src[y]
-            if x >= 0:
-                t[y] = index[left(via[y], elements[t[x]])]
-        return t
-
-    def _chain_transporter(self, i):
-        """The transporter of i alone, read off the records along the chain
-        from its class rep: one left multiplication per link."""
+    def transporter(self, i):
+        """The transporter of element i: one left multiplication per record
+        on the chain from its class rep."""
         path = []
         while self._src[i] >= 0:
             path.append(self._via[i])
             i = self._src[i]
-        tbl = self.tbl
-        t = tbl.code.identity
+        code = self.tbl.code
+        t = code.identity
         for s in reversed(path):
-            t = tbl.code.left(s, t)
-        return tbl.index[t]
+            t = code.left(s, t)
+        return self.tbl.index[t]
 
     def members(self, k):
         if self._members is None:
@@ -525,7 +513,7 @@ def conjugacy_classes(tbl):
     order = tbl.order
     index, elements, conjugates = tbl.index, tbl.elements, tbl.code.conjugates
     class_of, src, via = [-1] * order, [-1] * order, [0] * order
-    reps, sizes, met = [], [], []
+    reps, sizes = [], []
     for i in range(order):
         if class_of[i] != -1:
             continue
@@ -542,14 +530,13 @@ def conjugacy_classes(tbl):
                     via[y] = s
                     members.append(y)
         sizes.append(len(members))
-        met += members
     if sum(sizes) != order:
         raise RuntimeError("%r: class sizes sum to %d, not %d"
                            % (tbl.spec, sum(sizes), order))
-    ct = ClassTable(tbl, class_of, reps, sizes, met, src, via)
+    ct = ClassTable(tbl, class_of, reps, sizes, src, via)
     # transporter invariant: x = t * rep * t^-1
     for i in (0, order // 2, order - 1):
-        t = ct._chain_transporter(i)
+        t = ct.transporter(i)
         r = reps[class_of[i]]
         if tbl.mul(tbl.mul(t, r), tbl.inv(t)) != i:
             raise RuntimeError("%r: transporter of element %d is wrong"

@@ -136,39 +136,6 @@ def commutator_perm(g, h):
     return g.inv() * h.inv() * g * h
 
 
-def _row_partner(main, companion, kind, n):
-    """The partner for one matched table row; points are 1-based lists."""
-    a = main
-
-    def cyc(*pts):
-        return [list(pts)]
-
-    if kind == "long":            # cycle of length >= 6
-        return cyc(a[1], a[4]) + cyc(a[2], a[5])
-    if kind == "four":
-        return cyc(a[0], a[3]) + cyc(a[1], a[2])
-    b = companion
-    if kind == "five-fixed":
-        return cyc(a[3], b[0], a[4])
-    if kind == "five-two":
-        return cyc(a[4], b[1], b[0])
-    if kind == "five-three":
-        return cyc(a[3], b[2]) + cyc(a[4], b[0])
-    if kind == "five-five":
-        return cyc(a[3], b[4]) + cyc(a[4], b[0])
-    if kind == "three-fixed":
-        return cyc(a[1], b[0], a[2])
-    if kind == "three-two":
-        return cyc(a[0], a[2], a[1], b[1], b[0])
-    if kind == "three-three":
-        return cyc(a[1], b[2]) + cyc(a[2], b[0])
-    if kind == "two-two":
-        return cyc(a[1], b[1], b[0])
-    if kind == "two-fixed":
-        return cyc(a[0], b[0]) + cyc(a[1], b[1])
-    raise RuntimeError("unknown partner table row %r" % kind)
-
-
 def alt_partner(g):
     """An even permutation h with [g, h] = g^-1 h^-1 g h an involution.
 
@@ -187,40 +154,49 @@ def alt_partner(g):
         by_len.setdefault(len(c), []).append(c)
     longs = [c for c in cycles if len(c) >= 6]
     if longs:
-        pts = _row_partner(longs[0], None, "long", n)
+        a = longs[0]
+        pts = [[a[1], a[4]], [a[2], a[5]]]
     elif by_len.get(4):
-        pts = _row_partner(by_len[4][0], None, "four", n)
+        a = by_len[4][0]
+        pts = [[a[0], a[3]], [a[1], a[2]]]
     elif by_len.get(5):
-        main = by_len[5][0]
+        a = by_len[5][0]
         if fixed:
-            pts = _row_partner(main, [fixed[0]], "five-fixed", n)
+            pts = [[a[3], fixed[0], a[4]]]
         elif by_len.get(2):
-            pts = _row_partner(main, by_len[2][0], "five-two", n)
+            b = by_len[2][0]
+            pts = [[a[4], b[1], b[0]]]
         elif by_len.get(3):
-            pts = _row_partner(main, by_len[3][0], "five-three", n)
+            b = by_len[3][0]
+            pts = [[a[3], b[2]], [a[4], b[0]]]
         elif len(by_len[5]) >= 2:
-            pts = _row_partner(main, by_len[5][1], "five-five", n)
+            b = by_len[5][1]
+            pts = [[a[3], b[4]], [a[4], b[0]]]
         else:
             raise ValueError(
                 "single 5-cycle on 5 points: no commutator partner of this "
                 "kind exists; use a5_witness")
     elif by_len.get(3):
-        main = by_len[3][0]
+        a = by_len[3][0]
         if fixed:
-            pts = _row_partner(main, [fixed[0]], "three-fixed", n)
+            pts = [[a[1], fixed[0], a[2]]]
         elif by_len.get(2):
-            pts = _row_partner(main, by_len[2][0], "three-two", n)
+            b = by_len[2][0]
+            pts = [[a[0], a[2], a[1], b[1], b[0]]]
         elif len(by_len[3]) >= 2:
-            pts = _row_partner(main, by_len[3][1], "three-three", n)
+            b = by_len[3][1]
+            pts = [[a[1], b[2]], [a[2], b[0]]]
         else:
             raise ValueError("no even partner exists for a single 3-cycle "
                              "on fewer than 4 points")
     else:
         twos = by_len.get(2, [])
         if len(twos) >= 2:
-            pts = _row_partner(twos[0], twos[1], "two-two", n)
+            a, b = twos[0], twos[1]
+            pts = [[a[1], b[1], b[0]]]
         elif twos and len(fixed) >= 2:
-            pts = _row_partner(twos[0], fixed[:2], "two-fixed", n)
+            a = twos[0]
+            pts = [[a[0], fixed[0]], [a[1], fixed[1]]]
         else:
             raise ValueError("no even partner exists for a transposition on "
                              "fewer than 4 points")

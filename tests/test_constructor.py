@@ -650,6 +650,20 @@ def test_a5_search_witness():
                              "class_inverse_closed": True}
 
 
+def test_every_witness_has_a_certificate_field():
+    # only the A5 search proves anything about shorter words; every other
+    # route, the class-graph search and a parsed record carry None
+    sl = ok(construct_involution(Mat(ctx5, [[1, 1], [0, 1]]),
+                                 GroupSpec("SL", 2, 5)))
+    bfs = brute_force_witness(Mat(ctx3, [[1, 1], [0, 1]]),
+                              GroupSpec("SL", 2, 3))
+    a5 = construct_involution(Perm.from_cycles("(1,2,3,4,5)", 5),
+                              GroupSpec("Alt", 5))
+    for w in (sl, bfs, witness_from_json(witness_to_json(a5))):
+        assert w.certificate is None
+    assert a5.certificate["no_witness_of_length"] == 2
+
+
 def test_sym_route_accepts_odd_input():
     g = Perm.from_cycles("(1,2)", 4)
     w = ok(construct_involution(g, GroupSpec("Sym", 4)))

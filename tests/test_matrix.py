@@ -225,12 +225,11 @@ def test_parse_rejects_ragged():
 
 # -- per-entry reference kernels ---------------------------------------------
 # The matrix kernels before the row tables: one field operation per entry,
-# through the flat tables and the FieldCtx methods.  The row-table kernels
-# must agree with them entry for entry.
+# through the FieldCtx methods.  The row-table kernels must agree with them
+# entry for entry.
 
 def ref_mul(a, b):
     ctx = a.ctx
-    q, add, mul = ctx.q, ctx.add_table, ctx.mul_table
     bt = list(zip(*b.rows))
     out = []
     for ra in a.rows:
@@ -239,7 +238,7 @@ def ref_mul(a, b):
             s = 0
             for x, y in zip(ra, cb):
                 if x and y:
-                    s = add[s * q + mul[x * q + y]]
+                    s = ctx.add(s, ctx.mul(x, y))
             row.append(s)
         out.append(tuple(row))
     return tuple(out)

@@ -75,7 +75,7 @@ def test_conjugacy_classes_alt5():
     assert sum(ct.sizes) == 60
     # transporter invariant on every element
     for i in range(tbl.order):
-        t = ct.transporter[i]
+        t = ct.transporter(i)
         r = ct.reps[ct.class_of[i]]
         assert tbl.mul(tbl.mul(t, r), tbl.inv(t)) == i
 
@@ -339,7 +339,6 @@ def test_projective_involution_test_matches_classify(spec):
 
 def _ref_right(ctx, b):
     """The map x -> x b on row-tuple matrices, each row product memoized."""
-    q, mt, at = ctx.q, ctx.mul_table, ctx.add_table
     cols = tuple(zip(*b))
     memo = {}
 
@@ -350,7 +349,7 @@ def _ref_right(ctx, b):
                 acc = 0
                 for x, y in zip(r, cb):
                     if x and y:
-                        acc = at[acc * q + mt[x * q + y]]
+                        acc = ctx.add(acc, ctx.mul(x, y))
                 out.append(acc)
             memo[r] = tuple(out)
         return memo[r]
@@ -486,7 +485,7 @@ def test_row_code_matches_tuple_reference(spec):
     assert tbl.gens == gens
     assert ct.class_of == class_of
     assert ct.reps == reps
-    assert ct.transporter == transporter
+    assert [ct.transporter(i) for i in range(tbl.order)] == transporter
     assert all(tbl.index_of(tbl.decode(i)) == i for i in range(tbl.order))
 
 
@@ -554,7 +553,8 @@ def oracle_digest():
         ct = conjugacy_classes(tbl)
         put(spec, tbl.elements, [tbl.inv(i) for i in range(tbl.order)],
             ct.class_of, ct.reps, ct.sizes)
-        put(spec, tbl.gens, ct.transporter, into=gens)
+        put(spec, tbl.gens, [ct.transporter(i) for i in range(tbl.order)],
+            into=gens)
     for spec in PINNED_SIMPLE_SPECS:
         rep = d_inv(build_group(spec))
         put(spec, rep.rows, rep.value, rep.argmax)
@@ -695,7 +695,8 @@ def test_every_transporter_conjugates_its_rep(spec):
     tbl = build_group(spec)
     ct = conjugacy_classes(tbl)
     mul, inv = tbl.mul, tbl.inv
-    for i, t in enumerate(ct.transporter):
+    for i in range(tbl.order):
+        t = ct.transporter(i)
         assert mul(mul(t, ct.reps[ct.class_of[i]]), inv(t)) == i, i
 
 
@@ -847,9 +848,16 @@ def _chain_length(ct, i):
     return n
 
 
+def _query_id(value):
+    """A test id that names the queries, not their addresses in memory."""
+    if isinstance(value, list):
+        return "+".join(fn.__name__ for fn in value)
+    return repr(value)
+
+
 @pytest.mark.parametrize("spec, queries", [
     (GroupSpec("Alt", 7), [d_inv]),
-    (GroupSpec("SL", 3, 3), [d_inv, d_proj_inv])], ids=repr)
+    (GroupSpec("SL", 3, 3), [d_inv, d_proj_inv])], ids=_query_id)
 def test_class_queries_read_no_per_element_inverse(spec, queries,
                                                    monkeypatch):
     monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
@@ -878,7 +886,31 @@ def test_class_queries_read_no_per_element_inverse(spec, queries,
         query(tbl)
     assert len(inverses) <= built + len(samples) + ct.n_classes
     assert len(lefts) == chains
-    assert "transporter" not in vars(ct)
+
+
+@pytest.mark.parametrize("spec, rows", [
+    (GroupSpec("SL", 3, 4), [[0, 1, 0], [0, 0, 1], [1, 2, 3]]),
+    (GroupSpec("SL", 4, 2), [[1, 1, 0, 0], [0, 1, 0, 0],
+                             [0, 0, 0, 1], [0, 0, 1, 1]])], ids=repr)
+def test_brute_force_reads_only_the_transporters_on_its_path(spec, rows,
+                                                             monkeypatch):
+    # a witness of w.length steps reads the transporters of g and of one
+    # class member per step: one chain walk each, on top of the sampled
+    # checks of conjugacy_classes, and no transporter of any other element
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    lefts = []
+    left = oracle._RowCode.left
+    monkeypatch.setattr(oracle._RowCode, "left",
+                        lambda *args: (lefts.append(args), left(*args))[1])
+    g = Mat(make_field(spec.q), rows)
+    w = brute_force_witness(g, spec)
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    samples = (0, tbl.order // 2, tbl.order - 1)
+    chains = sum(_chain_length(ct, i) for i in samples)
+    longest = max(_chain_length(ct, i)
+                  for i in ct.members(ct.class_of[tbl.index_of(g)]))
+    assert chains < len(lefts) <= chains + (w.length + 1) * longest
 
 
 def _eager_transporters(tbl):
@@ -906,15 +938,16 @@ def _eager_transporters(tbl):
 @pytest.mark.parametrize("spec", [GroupSpec("Alt", n) for n in (5, 6, 7)]
                          + [GroupSpec("Sym", 5)], ids=repr)
 def test_transporters_on_first_use_match_an_eager_walk(spec, monkeypatch):
+    # each transporter is read off its own chain of walk records, in any
+    # order: here from the last element down
     monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
     tbl = build_group(spec)
     ct = conjugacy_classes(tbl)
-    assert "transporter" not in vars(ct)
-    transporter = ct.transporter
-    assert transporter == _eager_transporters(tbl)
-    assert ct.transporter is transporter   # built once, then held
+    eager = _eager_transporters(tbl)
     mul, inv = tbl.mul, tbl.inv
-    for i, t in enumerate(transporter):
+    for i in reversed(range(tbl.order)):
+        t = ct.transporter(i)
+        assert t == eager[i], i
         assert mul(mul(t, ct.reps[ct.class_of[i]]), inv(t)) == i, i
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -112,6 +114,35 @@ def test_partner_every_type_through_degree_12():
     assert skipped == [(5,)]
 
 
+# sha256 over alt_partner's answer (the partner's text, or the name of the
+# exception raised) for every cycle type of degree 2..12 and one seeded
+# conjugate of each: 540 inputs, the table's rows and every refusal
+PINNED_PARTNER_SHA256 = ("f52e3bcb361204182677cf9c5168a670"
+                         "e5902c6db59724d405d922f33b6dceae")
+
+
+def alt_partner_digest():
+    rng = random.Random(12)
+    h = hashlib.sha256()
+    for n in range(2, 13):
+        for typ in _all_cycle_types(n):
+            g = _perm_of_type(typ)
+            images = list(range(n))
+            rng.shuffle(images)
+            c = Perm(images)
+            for x in (g, c.inv() * g * c):
+                try:
+                    out = str(alt_partner(x))
+                except (ValueError, RuntimeError) as e:
+                    out = type(e).__name__
+                h.update(("%r | %s\n" % (x, out)).encode())
+    return h.hexdigest()
+
+
+def test_pinned_alt_partner():
+    assert alt_partner_digest() == PINNED_PARTNER_SHA256
+
+
 def test_no_partner_possible_below_degree_four():
     # A_2 and A_3 contain no involutions, so no commutator can be one.
     for n in (2, 3):
@@ -155,10 +186,11 @@ PERM_CHECKS = """
 import invword.perm as P
 from invword.perm import Perm, a5_witness, alt_partner
 
-def odd_partner(main, companion, kind, n):
-    # (1,3) against (1,2,3,4)(5,6): the commutator (1,3)(2,4) is an
-    # involution, so only the parity check refuses it
-    return [[main[0], main[2]]]
+def odd_partner():
+    # every permutation counted as odd: the partner of (1,2,3,4)(5,6) has
+    # an involution as commutator, so only the parity check refuses it
+    P.Perm.parity = lambda self: 1
+    return alt_partner(Perm.from_cycles("(1,2,3,4)(5,6)", 6))
 
 def even_everything():
     P.Perm.parity = lambda self: 0
@@ -169,8 +201,7 @@ cases = [
     ("missing image", lambda: Perm([0, 2])),
     ("degrees differ", lambda: Perm.identity(3) * Perm.identity(4)),
     ("a5 input", lambda: a5_witness(Perm.from_cycles("(1,2,3)", 5))),
-    ("partner table", lambda: (setattr(P, "_row_partner", odd_partner),
-                               alt_partner(Perm.from_cycles("(1,2,3,4)(5,6)", 6)))),
+    ("partner table", odd_partner),
     ("a5 certificate", even_everything),
 ]
 for name, f in cases:
@@ -184,9 +215,10 @@ for name, f in cases:
 
 def test_perm_checks_raise_under_optimize():
     # bad input raises ValueError and a broken self-check RuntimeError, also
-    # under python -O.  The partner table is forced to hand out an odd
-    # partner, and with every permutation counted as even the class of a
-    # 5-cycle becomes all 24 5-cycles, two of which multiply to an involution
+    # under python -O.  With every permutation counted as odd the partner
+    # table's parity check refuses its partner, and with every permutation
+    # counted as even the class of a 5-cycle becomes all 24 5-cycles, two
+    # of which multiply to an involution
     src = str(Path(__file__).resolve().parent.parent / "src")
     out = subprocess.run([sys.executable, "-O", "-c", PERM_CHECKS],
                          env={"PYTHONPATH": src}, capture_output=True,
