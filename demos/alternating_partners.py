@@ -2,7 +2,8 @@
 involution.  Show the partner and the resulting commutator for one
 permutation of every cycle type on up to 9 points."""
 
-from invword.perm import Perm, alt_partner, commutator_perm
+from invword.matrix import commutator
+from invword.perm import Perm, alt_partner
 
 
 def partitions(n, cap=None):
@@ -39,7 +40,7 @@ for n in range(4, 10):
                   % (str(parts),))
             continue
         h = alt_partner(g)
-        c = commutator_perm(g, h)
+        c = commutator(g, h)
         assert h.parity() == 0
         assert c * c == Perm.identity(n) and not c.is_identity()
         print("  %-14s  h = %-22s [h,g] type %s"

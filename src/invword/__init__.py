@@ -3,7 +3,7 @@
 from .gf import FieldCtx, UnsupportedField, make_field, make_extension
 from .matrix import GroupSpec, Mat, classify, parse_mat
 from .canonical import CanonicalForm, class_transversal, companion, factor_charpoly
-from .perm import Perm, a5_witness, alt_partner, commutator_perm
+from .perm import Perm, a5_witness, alt_partner
 from .constructor import (
     ConstructError,
     Unreachable,
@@ -45,7 +45,6 @@ __all__ = [
     "Perm",
     "a5_witness",
     "alt_partner",
-    "commutator_perm",
     "ConstructError",
     "Unreachable",
     "Witness",

@@ -32,7 +32,7 @@ from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
                      group_order, involution_indices,
                      projective_involution_indices)
-from .perm import Perm, a5_witness, alt_partner, commutator_perm
+from .perm import Perm, a5_witness, alt_partner
 
 # Pairs (n, q) where the 2x2 rule and the restart are not available end to
 # end; these read the stored class word for the canonical form of g
@@ -147,21 +147,21 @@ def find_partner(g):
                          "some transvection")
 
 
-def _reseed_word(g):
-    """The word g^-1 (h^-1 g h) with h = find_partner(g), and its product,
-    the commutator x = g^-1 h^-1 g h (always determinant 1 and
-    non-central).  The word has net exponent 0, so a witness for x pulled
+def _reseed_word(g, h, label):
+    """The word g^-1 (h^-1 g h) over a partner h of g, each step labelled
+    `label`, and its product, the commutator x = g^-1 h^-1 g h.  The one
+    trade word for both kinds of element: the restart's, with h =
+    find_partner(g) (x has determinant 1 and is non-central), and the
+    alternating group's, with h = alt_partner(g) (x is an even
+    involution).  The word has net exponent 0, so a witness for x pulled
     back along it is balanced regardless of the inner word."""
-    h = find_partner(g)
-    word = [(Mat.identity(g.ctx, g.n), -1, "reseed"),
-            (h.inv(), 1, "reseed")]
-    return word, commutator(g, h)
+    return [(g ** 0, -1, label), (h.inv(), 1, label)], commutator(g, h)
 
 
 def _reseed(g, depth):
     """Trade g for its commutator with a partner, solve the commutator on
     its window and pull the witness back to g."""
-    word_x, x = _reseed_word(g)
+    word_x, x = _reseed_word(g, find_partner(g), "reseed")
     inner, t = _window(x, depth)
     return _expand(inner, word_x), t
 
@@ -465,10 +465,7 @@ def construct_involution(g, spec):
             raw, target, certificate = a5_witness(g)
             steps = [(c, e, "a5-search") for c, e in raw]
         else:
-            h = alt_partner(g)
-            steps = [(Perm.identity(g.n), -1, "alt-partner"),
-                     (h.inv(), 1, "alt-partner")]
-            target = commutator_perm(g, h)
+            steps, target = _reseed_word(g, alt_partner(g), "alt-partner")
         w = Witness(spec, g, steps, target, certificate)
     else:
         cls = classify(g, spec)
@@ -542,34 +539,22 @@ def replay(w):
         return report("net-exponent-mismatch")
     if not all(_fits(x, spec) for x in [w.g, w.target] + [s.c for s in w.steps]):
         return report("spec-mismatch")
+    # a permutation's inv_det gives its sign, the determinant of its matrix
     g = w.g
-    if spec.family in ("Sym", "Alt"):
-        gi = g.inv()
-        outside = spec.family == "Alt" and g.parity() != 0
-        acc = Perm.identity(g.n)
-        violation = "conjugator-parity"
-
-        def checked_inv(c):
-            return c.inv() if c.parity() == 0 else None
-    else:
-        gi, det = g.inv_det()
-        outside = gi is None or (det != 1 and spec.family in ("SL", "PSL"))
-        acc = Mat.identity(g.ctx, g.n)
-        violation = "conjugator-determinant"
-
-        def checked_inv(c):
-            ci, det = c.inv_det()
-            return ci if det == 1 else None
-    if outside:
+    gi, det = g.inv_det()
+    if gi is None or (det != 1 and spec.family in ("SL", "PSL", "Alt")):
         return report("element-outside-group")
+    violation = ("conjugator-parity" if spec.family in ("Sym", "Alt")
+                 else "conjugator-determinant")
     # c g^e c^-1 once per distinct step: a doubled window repeats its steps
     conjugates = {}
+    acc = g ** 0
     for s in w.steps:
         key = (s.c, s.e)
         y = conjugates.get(key)
         if y is None:
-            ci = checked_inv(s.c)
-            if ci is None:
+            ci, det = s.c.inv_det()
+            if det != 1:
                 return report(violation)
             y = conjugates[key] = s.c * (g if s.e == 1 else gi) * ci
         acc = acc * y
@@ -583,16 +568,12 @@ def witness_to_json(w):
     group = {"family": spec.family, "n": spec.n}
     if spec.q is not None:
         group["q"] = spec.q
-    if spec.family in ("Sym", "Alt"):
-        enc = str
-    else:
-        enc = lambda m: m.to_text()
     obj = {
         "group": group,
-        "g": enc(w.g),
-        "steps": [{"c": enc(s.c), "e": s.e, "case": s.case}
+        "g": str(w.g),
+        "steps": [{"c": str(s.c), "e": s.e, "case": s.case}
                   for s in w.steps],
-        "target": enc(w.target),
+        "target": str(w.target),
         "net_exponent": w.net_exponent,
     }
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))

@@ -42,9 +42,8 @@ class Mat:
         return cls.diag(ctx, (1,) * n)
 
     @classmethod
-    def zero(cls, ctx, n, m=None):
-        m = n if m is None else m
-        return _mat(ctx, ((0,) * m,) * n)
+    def zero(cls, ctx, n):
+        return _mat(ctx, ((0,) * n,) * n)
 
     @classmethod
     def diag(cls, ctx, entries):
@@ -323,7 +322,7 @@ def transvection(ctx, n, i, j, c=1):
 
 def commutator(g, h):
     """g^{-1}h^{-1}gh = g^{-1} * (h^{-1} g h): a product of one conjugate of
-    g^{-1} and one of g."""
+    g^{-1} and one of g.  Matrices and permutations alike."""
     return g.inv() * h.inv() * g * h
 
 

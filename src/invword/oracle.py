@@ -76,18 +76,23 @@ def group_order(spec):
 
 
 def is_simple(spec):
-    """Simplicity of the abstract group described by spec."""
+    """Whether spec describes a non-abelian simple group.  A matrix group
+    is one exactly when it equals a simple PSL(n, q), n >= 2 and (n, q) not
+    (2, 2) or (2, 3): GL equals PSL when q = 2, SL and PGL when
+    gcd(n, q - 1) = 1.  So GL(3,2) is PSL(2,7) and PGL(2,4) is Alt(5),
+    while SL(1, q) and PSL(1, q) are trivial."""
     n, q = spec.n, spec.q
     if spec.family == "Alt":
         return n >= 5
     if spec.family == "Sym":
         return False
-    if spec.family == "PSL":
-        return not (n == 2 and q in (2, 3))
-    if spec.family == "SL":
-        # coincides with its projective quotient only for trivial centers
-        return gcd(n, q - 1) == 1 and not (n == 2 and q in (2, 3))
-    return False
+    if spec.family == "GL":
+        is_psl = q == 2
+    elif spec.family in ("SL", "PGL"):
+        is_psl = gcd(n, q - 1) == 1
+    else:
+        is_psl = True
+    return is_psl and n >= 2 and (n, q) not in ((2, 2), (2, 3))
 
 
 # -- element codes ----------------------------------------------------------
@@ -707,18 +712,13 @@ class DistanceReport:
         return "DistanceReport(%r, value=%r)" % (self.spec, self.value)
 
 
-def _rep_text(tbl, idx):
-    el = tbl.decode(idx)
-    return str(el) if isinstance(el, Perm) else el.to_text()
-
-
 def _distance_report(tbl, targets, skip):
     """The distances to targets of the classes whose rep is not skipped:
     value is the largest and argmax its classes, or, when some closure
     misses the set, None and the classes at None."""
     ct = conjugacy_classes(tbl)
     key = _class_key(ct, targets)  # once for every class, not per class
-    rows = [(k, _rep_text(tbl, r), ct.sizes[k], _dist(tbl, r, targets, key))
+    rows = [(k, str(tbl.decode(r)), ct.sizes[k], _dist(tbl, r, targets, key))
             for k, r in enumerate(ct.reps) if not skip(r)]
     dists = [r[3] for r in rows]
     value = None if None in dists else max(dists)

@@ -3,8 +3,12 @@ square products of conjugates to involutions in alternating groups.
 
 Convention: points are 1-based in text form, images are stored 0-based, and
 (g*h)(x) = h(g(x)).  Under this convention h^-1 g h relabels the cycles of g
-by h.
+by h.  The witness path treats a Perm as it does a Mat: matrix.commutator,
+g ** 0, str(g) and inv_det(), whose sign is the permutation matrix's
+determinant.
 """
+
+from .matrix import commutator
 
 
 class Perm:
@@ -65,6 +69,12 @@ class Perm:
         for i, j in enumerate(self.images):
             out[j] = i
         return Perm(out)
+
+    def inv_det(self):
+        """(inverse, sign): the sign, 1 or -1, is the determinant of the
+        permutation matrix, so an even permutation is one of sign 1, as a
+        matrix of SL is one of determinant 1."""
+        return self.inv(), -1 if self.parity() else 1
 
     def __pow__(self, k):
         if k < 0:
@@ -130,10 +140,6 @@ class Perm:
 
     def __repr__(self):
         return "Perm[%d] %s" % (self.n, str(self))
-
-
-def commutator_perm(g, h):
-    return g.inv() * h.inv() * g * h
 
 
 def alt_partner(g):
@@ -202,7 +208,7 @@ def alt_partner(g):
                              "fewer than 4 points")
     text = "".join("(%s)" % ",".join(map(str, c)) for c in pts)
     h = Perm.from_cycles(text, n)
-    x = commutator_perm(g, h)
+    x = commutator(g, h)
     if h.parity() != 0 or x.is_identity() or not (x * x).is_identity():
         raise RuntimeError("partner table produced an odd partner or a "
                            "commutator of order != 2")

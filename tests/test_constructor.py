@@ -419,7 +419,7 @@ def test_window_widens_the_gf2_order3_class(monkeypatch):
     # the order-3 class of the 2x2 group, which reaches no involution; the
     # window takes one kernel vector more and reads the stored 3x3 word
     g = parse_mat(ctx2, "0,1,0,0,1;1,0,1,0,0;1,1,0,1,0;0,1,0,1,1;0,1,1,1,1")
-    _, x = constructor._reseed_word(g)
+    _, x = constructor._reseed_word(g, find_partner(g), "reseed")
     m = x - Mat.identity(ctx2, 5)
     assert m.rank() == (m * m).rank() == 2 and (x * x * x).is_identity()
     solved = []

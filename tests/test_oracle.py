@@ -199,6 +199,33 @@ def test_d_inv_requires_simplicity():
         d_inv(build_group(GroupSpec("SL", 2, 5)))
 
 
+def _class_distances(spec):
+    return sorted((size, d) for _, _, size, d in
+                  d_inv(build_group(spec)).rows)
+
+
+def test_simple_exactly_when_psl_and_isomorphic_pairs_agree():
+    # a matrix group is simple exactly when it equals a simple PSL(n, q):
+    # GL when q = 2, SL and PGL when gcd(n, q - 1) = 1
+    simple = [("GL", 3, 2), ("GL", 4, 2), ("PGL", 2, 4), ("PGL", 3, 5),
+              ("SL", 3, 5), ("PSL", 3, 4), ("PSL", 2, 4)]
+    not_simple = [("GL", 2, 2), ("GL", 3, 3), ("PGL", 2, 5), ("PGL", 3, 4),
+                  ("SL", 3, 4), ("SL", 1, 5), ("PSL", 1, 5), ("GL", 1, 2),
+                  ("PGL", 1, 4), ("PSL", 2, 2), ("PSL", 2, 3), ("SL", 2, 3)]
+    assert [s for s in simple if not is_simple(GroupSpec(*s))] == []
+    assert [s for s in not_simple if is_simple(GroupSpec(*s))] == []
+    # the trivial SL(1, q) is refused as not simple, not searched for an
+    # involution that cannot exist
+    with pytest.raises(ValueError, match="not simple"):
+        d_inv(build_group(GroupSpec("SL", 1, 5)))
+    # GL(3,2) = PSL(2,7), PGL(2,4) = Alt(5), GL(4,2) = Alt(8): the same
+    # multiset of (class size, distance to the involutions)
+    for a, b in ((GroupSpec("GL", 3, 2), GroupSpec("PSL", 2, 7)),
+                 (GroupSpec("PGL", 2, 4), GroupSpec("Alt", 5)),
+                 (GroupSpec("GL", 4, 2), GroupSpec("Alt", 8))):
+        assert _class_distances(a) == _class_distances(b), (a, b)
+
+
 def test_d_inv_refuses_non_simple_under_optimize():
     # the check must survive python -O, so it is no assert
     code = ("from invword.matrix import GroupSpec\n"

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from invword.perm import Perm, alt_partner, a5_witness, commutator_perm
+from invword.constructor import construct_involution, witness_to_json
+from invword.matrix import GroupSpec, commutator
+from invword.perm import Perm, alt_partner, a5_witness
 
 
 def test_parse_and_print_roundtrip():
@@ -43,6 +45,14 @@ def test_inverse_and_power():
     assert g.order() == 5
 
 
+def test_inv_det_gives_the_sign():
+    # the sign is the determinant of the permutation matrix
+    for text, sign in (("()", 1), ("(1,2)", -1), ("(1,2,3)", 1),
+                       ("(1,2,3,4)(5,6)", 1), ("(1,2,3,4)", -1)):
+        g = Perm.from_cycles(text, 6)
+        assert g.inv_det() == (g.inv(), sign)
+
+
 def test_parity_and_cycle_type():
     assert Perm.from_cycles("(1,2)", 4).parity() == 1
     assert Perm.from_cycles("(1,2,3)", 4).parity() == 0
@@ -60,7 +70,7 @@ def test_partner_four_cycle_frozen():
     g = Perm.from_cycles("(1,2,3,4)", 4)
     h = alt_partner(g)
     assert str(h) == "(1,4)(2,3)"
-    assert str(commutator_perm(g, h)) == "(1,3)(2,4)"
+    assert str(commutator(g, h)) == "(1,3)(2,4)"
 
 
 def test_partner_double_transposition_frozen():
@@ -109,7 +119,7 @@ def test_partner_every_type_through_degree_12():
                 continue
             h = alt_partner(g)
             assert h.parity() == 0
-            x = commutator_perm(g, h)
+            x = commutator(g, h)
             assert x.order() == 2
     assert skipped == [(5,)]
 
@@ -143,6 +153,33 @@ def test_pinned_alt_partner():
     assert alt_partner_digest() == PINNED_PARTNER_SHA256
 
 
+# sha256 over the witness for each of g and g^3, g of each cycle type of
+# degree 2..10 in Alt and in Sym, one line each: the record and the
+# certificate, or the ValueError for the identity, an odd g in Alt and
+# degrees below 4 (548 lines)
+PINNED_ALT_SYM_SHA256 = ("13c64d8e92e755e18b5c7f969046121f"
+                         "0eab3051516853ef7c51f4731c226390")
+
+
+def test_pinned_alt_sym_witness_bytes():
+    h = hashlib.sha256()
+    count = 0
+    for family in ("Alt", "Sym"):
+        for n in range(2, 11):
+            for typ in _all_cycle_types(n):
+                g = _perm_of_type(typ)
+                for x in (g, g ** 3):
+                    try:
+                        w = construct_involution(x, GroupSpec(family, n))
+                        line = "%s %r" % (witness_to_json(w), w.certificate)
+                    except ValueError as e:
+                        line = "ValueError: %s" % e
+                    h.update(line.encode() + b"\n")
+                    count += 1
+    assert count == 548
+    assert h.hexdigest() == PINNED_ALT_SYM_SHA256
+
+
 def test_no_partner_possible_below_degree_four():
     # A_2 and A_3 contain no involutions, so no commutator can be one.
     for n in (2, 3):
@@ -154,7 +191,7 @@ def test_no_partner_possible_below_degree_four():
                 h = Perm(h_images)
                 if h.parity() != 0:
                     continue
-                x = commutator_perm(g, h)
+                x = commutator(g, h)
                 assert not (not x.is_identity() and (x * x).is_identity())
             with pytest.raises(ValueError):
                 alt_partner(g)
@@ -163,7 +200,7 @@ def test_no_partner_possible_below_degree_four():
 def test_partner_respects_conjugacy():
     g = Perm.from_cycles("(2,7,3,9)(1,5)(4,8)", 9)
     h = alt_partner(g)
-    x = commutator_perm(g, h)
+    x = commutator(g, h)
     assert x.order() == 2 and h.parity() == 0
 
 
