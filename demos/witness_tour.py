@@ -1,6 +1,10 @@
 """Walk the 2x2 trace rule (the shortest word g (k g^e k^-1)^m, k a
 transvection, of trace 0) and the commutator restart, which answers every
 larger element, through the constructor and print each resulting word.
+The restart takes the trace-0 partner where one exists (odd q, n >= 3, g
+not quadratic), whose witness has 4 steps, and the first non-commuting
+transvection otherwise; an input that is already a projective involution
+is its own 1-step witness.
 
 Every witness is a sequence of steps (c, e): the product of c g^e c^-1
 over the steps equals the recorded target, a non-scalar matrix squaring
@@ -38,17 +42,21 @@ tour("2x2 pulled back from a commutator", Mat(ctx7, [[2, 1], [0, 4]]),
      GroupSpec("SL", 2, 7))
 
 f = next(f for f in irreducible_polys(ctx5, 3) if f[0] == ctx5.neg(1))
-tour("irreducible companion 3x3 (restart window)", companion(ctx5, f), GroupSpec("SL", 3, 5))
+tour("irreducible companion 3x3 (trace-0 partner)", companion(ctx5, f), GroupSpec("SL", 3, 5))
 
-tour("scaled regular unipotent (restart window)",
+tour("scaled regular unipotent (trace-0 partner)",
      Mat(ctx5, [[2, 2, 0, 0], [0, 2, 2, 0], [0, 0, 2, 2], [0, 0, 0, 2]]),
      GroupSpec("SL", 4, 5))
 
 f = next(iter(irreducible_polys(ctx2, 2)))
-tour("quadratic block, multiplicity 3 (restart window)",
+tour("quadratic block over GF(2), multiplicity 3 (transvection partner)",
      gen_jordan_block(ctx2, f, 3), GroupSpec("SL", 6, 2))
 
-tour("block diagonal (restart window)",
+tour("quadratic J2(1) + J2(1) (transvection partner)",
+     Mat(ctx5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
+     GroupSpec("SL", 4, 5))
+
+tour("block diagonal, already a projective involution",
      Mat(ctx5, [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]),
      GroupSpec("SL", 4, 5))
 

@@ -3,7 +3,8 @@
 construct_involution(g, spec) returns a Witness holding steps (c_i, e_i)
 with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
-(in {I, -I}) and t non-central.  There are three outcomes.  A 2x2
+(in {I, -I}) and t non-central.  A projective involution is its own
+1-step witness.  Otherwise there are three outcomes.  A 2x2
 determinant-1 element takes one trace rule (_sl2_core): the shortest word
 g (k g^e k^-1)^m, k a transvection, whose product has trace 0, of at most
 4 steps.  A fixed list of small groups, where the 2x2 rule and the
@@ -11,8 +12,11 @@ restart degenerate, reads a stored minimal word for the class of g
 (class_words, regenerated by class_word_table with the oracle's
 class-graph search) and conjugates it back to g, so no group is
 enumerated.  Every other element takes the commutator restart: up to
-dimension 4 on its canonical form, the commutator with a transvection
-moves a window of dimension at most 4, solved there and lifted.  No pair
+dimension 4 on its canonical form, the commutator with a partner h
+(find_partner) moves a window of dimension at most 4, solved there and
+lifted.  For odd q, n >= 3 and g not quadratic, h is a rank-one trace-0
+partner: the window is a plane on which the commutator has trace 0, so
+the witness takes 4 steps.  Otherwise h is a transvection.  No pair
 is searched.  The word over a canonical form (stored or restarted) depends
 on the form and the restart depth alone, so it is computed once per pair
 and held in a memo of at most _CANONICAL_WORDS_HELD words; each input then
@@ -39,6 +43,10 @@ from .perm import Perm, a5_witness, alt_partner
 # (CLASS_WORDS), and take the restart only when none is stored: SL(4,3) is
 # too large for the class-graph search that fills the table.
 EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
+
+# the pairs whose class words are stored, where a projective involution
+# reads a 1-step word
+_STORED_PAIRS = frozenset(key[:2] for key in CLASS_WORDS)
 
 # the window table's maximum over every supported q; a 3- or 4-dimensional
 # window restarts once, onto a 2x2 window or a stored word, so depth 2 ends
@@ -124,16 +132,58 @@ def _expand(outer, word):
     return out
 
 
+def _trace0_partner(g):
+    """h = I + v phi with phi(v) = 0, phi(g v) = 1 and phi(g^-1 v) = 2, for
+    the first v of e_1, ..., e_n, (1, ..., 1) with v, g v and g^-1 v
+    independent, or None when there is none.  As h^-1 = I - v phi, the
+    commutator is x = I + v phi - g^-1 v (phi g) - phi(g v) g^-1 v phi: it
+    moves only S = span(v, g^-1 v), where it sends v to v - g^-1 v and g^-1 v
+    to 2 v - g^-1 v.  So tr [g, h] = n - phi(g v) phi(g^-1 v) = n - 2, x has
+    trace 0 and determinant 1 on S, and x - I is invertible there (its
+    determinant is 2): the window is S itself.  phi lives on the first three
+    pivot coordinates of the rows (v, g v, g^-1 v), one 3x3 system."""
+    ctx, n = g.ctx, g.n
+    ones = Mat(ctx, [[1]] * n)
+
+    def columns(m):
+        # m e_1, ..., m e_n, then m (1, ..., 1)
+        return list(zip(*m.rows)) + [tuple(r[0] for r in (m * ones).rows)]
+
+    # a non-scalar g has a candidate off its eigenvectors, so g^-1 is needed
+    for rows in zip(*map(columns, (Mat.identity(ctx, n), g, g.inv()))):
+        piv = pivot_columns(Mat(ctx, rows))
+        if len(piv) < 3:
+            continue
+        a = Mat(ctx, [[r[p] for p in piv] for r in rows])
+        sol = a.inv() * Mat(ctx, [[0], [1], [ctx.scalar(2)]])
+        phi = [0] * n
+        for p, (c,) in zip(piv, sol.rows):
+            phi[p] = c
+        return (Mat.identity(ctx, n)
+                + Mat(ctx, [[x] for x in rows[0]]) * Mat(ctx, [phi]))
+    return None
+
+
 def find_partner(g):
-    """First transvection h = I + E_ij (by position) whose commutator with
-    g is non-central.  A scalar commutator with a unipotent h is I, since
-    g^-1 h^-1 g = s h^-1 forces s = 1, so h is the first that g does not
-    commute with: g E_ij = E_ij g exactly when column i and row j of g are
-    zero off the diagonal and g_ii = g_jj.  No other coefficient than 1
-    is needed, as g commutes with I + c E_ij for all c or for none."""
+    """The partner h whose commutator [g, h] the restart solves.  For odd q
+    and n >= 3 it is the trace-0 partner I + v phi of _trace0_partner when
+    one exists: its commutator is trace-0 on a 2-dimensional window, so the
+    witness takes 4 steps.  A quadratic g (g^2 = a g + b) has none, as
+    g^-1 v always lies in span(v, g v).
+
+    Otherwise it is the first transvection h = I + E_ij (by position) whose
+    commutator with g is non-central.  A scalar commutator with a unipotent
+    h is I, since g^-1 h^-1 g = s h^-1 forces s = 1, so h is the first that
+    g does not commute with: g E_ij = E_ij g exactly when column i and row j
+    of g are zero off the diagonal and g_ii = g_jj.  No other coefficient
+    than 1 is needed, as g commutes with I + c E_ij for all c or for none."""
     ctx, n, rows = g.ctx, g.n, g.rows
     if g.is_scalar():
         raise ValueError("central element has no partner")
+    if ctx.p != 2 and n >= 3:
+        h = _trace0_partner(g)
+        if h is not None:
+            return h
     col_diag = [all(rows[k][i] == 0 for k in range(n) if k != i)
                 for i in range(n)]
     row_diag = [all(rows[j][k] == 0 for k in range(n) if k != j)
@@ -473,7 +523,14 @@ def construct_involution(g, spec):
             raise ValueError("determinant is not 1: outside the group")
         if cls.central:
             raise ValueError("central element has no witness")
-        steps, target = _construct_internal(g)
+        # a projective involution is its own target, the 1-step word
+        # [(I, +1)]; the 2x2 rule and the stored class words return a 1-step
+        # word themselves, and every other input would take the restart
+        if cls.projective_involution and (g.det() != 1 or (
+                g.n > 2 and (g.n, spec.q) not in _STORED_PAIRS)):
+            steps, target = [(g ** 0, 1, "involution")], g
+        else:
+            steps, target = _construct_internal(g)
         w = Witness(spec, g, steps, target)
     rep = replay(w)
     if not rep.ok:

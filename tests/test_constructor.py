@@ -227,30 +227,30 @@ def test_m2_classes_n4_take_the_restart():
 
 def test_m1_route():
     # a companion block has no closed-form word: the restart solves its
-    # commutator on the window
+    # commutator on the window, here with the trace-0 partner
     f = next(f for f in irreducible_polys(ctx5, 3) if f[0] == ctx5.neg(1))
     w = ok(construct_involution(companion(ctx5, f), GroupSpec("SL", 3, 5)))
-    assert w.length == 24 and labels(w) == ["reseed"]
+    assert w.length == 4 and labels(w) == ["reseed"]
 
 
 def test_m1_route_q3():
     f = next(f for f in irreducible_polys(ctx3, 3) if f[0] == ctx3.neg(1))
     w = ok(construct_involution(companion(ctx3, f), GroupSpec("SL", 3, 3)))
-    assert w.length == 16 and labels(w) == ["reseed"]
+    assert w.length == 4 and labels(w) == ["reseed"]
 
 
 def test_mn_route_unipotent():
     # a single Jordan block, unipotent or scaled, takes the restart too
     g = Mat(ctx5, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
     w = ok(construct_involution(g, GroupSpec("SL", 3, 5)))
-    assert w.length == 12 and labels(w) == ["reseed"]
+    assert w.length == 4 and labels(w) == ["reseed"]
 
 
 def test_mn_route_scaled():
     g = Mat(ctx5, [[2, 2, 0, 0], [0, 2, 2, 0], [0, 0, 2, 2], [0, 0, 0, 2]])
     assert g.det() == 1
     w = ok(construct_involution(g, GroupSpec("SL", 4, 5)))
-    assert w.length == 12 and labels(w) == ["reseed"]
+    assert w.length == 4 and labels(w) == ["reseed"]
 
 
 def test_m2_route_n8_det_repair_blocked_reseeds():
@@ -260,22 +260,25 @@ def test_m2_route_n8_det_repair_blocked_reseeds():
              if gen_jordan_block(ctx3, f, 2).det() == 1)
     w = ok(construct_involution(gen_jordan_block(ctx3, f, 2),
                                 GroupSpec("SL", 8, 3)))
-    assert labels(w) == ["reseed"] and w.length == 16
+    assert labels(w) == ["reseed"] and w.length == 4
     f = next(f for f in irreducible_polys(ctx5, 4)
              if gen_jordan_block(ctx5, f, 2).det() == 1)
     w = ok(construct_involution(gen_jordan_block(ctx5, f, 2),
                                 GroupSpec("SL", 8, 5)))
-    assert labels(w) == ["reseed"] and w.length == 24
+    assert labels(w) == ["reseed"] and w.length == 4
 
 
 def test_decomposable_route():
     # a decomposable element is not split into parts: the restart solves
-    # its commutator on the window, as for every other element
-    for g in (Mat(ctx5, [[2, 0, 0, 0], [0, 3, 0, 0], [0, 0, 2, 0], [0, 0, 0, 3]]),
-              Mat(ctx5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]),
-              Mat(ctx5, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])):
+    # its commutator on the window, as for every other element.  The
+    # first two have a trace-0 partner; the quadratic J_2(1) (+) J_2(1)
+    # has none and takes the first non-commuting transvection
+    for g, length in ((Mat(ctx5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]), 4),
+                      (Mat(ctx5, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0],
+                                  [0, 0, 0, 1]]), 4),
+                      (parse_mat(ctx5, "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1"), 12)):
         w = ok(construct_involution(g, GroupSpec("SL", g.n, 5)))
-        assert w.length == 12 and labels(w) == ["reseed"]
+        assert w.length == length and labels(w) == ["reseed"]
 
 
 def test_gl_reseed_route():
@@ -307,6 +310,8 @@ def _partner_by_commutator(g):
 
 
 def test_find_partner_matches_the_commutator_definition():
+    # over the inputs that fall back to it: even q, n = 2, and those with
+    # no trace-0 partner
     inputs = [g for q in (2, 3, 4, 5, 7, 8, 9) for n in (2, 3, 4)
               for g, _ in class_transversal(make_field(q), n)]
     rng = random.Random(16)
@@ -320,13 +325,188 @@ def test_find_partner_matches_the_commutator_definition():
             inputs.append(direct_sum(Mat.scalar(ctx, k, rng.randrange(1, q)),
                                      rand_gl(ctx, n - k, rng)))
     assert len(inputs) == 16116
-    assert sum(g.det() != 1 for g in inputs) > 30
+    fallback = [g for g in inputs if g.ctx.p == 2 or g.n == 2
+                or constructor._trace0_partner(g) is None]
+    assert len(fallback) == 5654
+    assert sum(g.ctx.p != 2 and g.n > 2 for g in fallback) == 522
+    assert sum(g.det() != 1 for g in fallback) > 5
     late = 0
-    for g in inputs:
+    for g in fallback:
         h = find_partner(g)
         assert h == _partner_by_commutator(g), g.to_text()
         late += h.rows[0][1] != 1
     assert late > 1000
+
+
+# -- the trace-0 partner ----------------------------------------------------
+
+
+def _is_quadratic(g):
+    """Whether g^2 lies in span(g, I): a minimal polynomial of degree <= 2."""
+    flat = [sum(m.rows, ()) for m in (Mat.identity(g.ctx, g.n), g, g * g)]
+    return Mat(g.ctx, flat).rank() < 3
+
+
+def _blocks(b, k):
+    """The direct sum of k copies of b."""
+    out = b
+    for _ in range(k - 1):
+        out = direct_sum(out, b)
+    return out
+
+
+def _trace(m):
+    tr = 0
+    for i in range(m.n):
+        tr = m.ctx.add(tr, m[i, i])
+    return tr
+
+
+def test_rank_one_partner_trace_identity():
+    # h = I + v phi with phi(v) = 0 has h^-1 = I - v phi, and
+    # tr [g, h] = n - phi(g v) phi(g^-1 v) for every invertible g
+    rng = random.Random(26)
+    other_det = 0
+    for q in (2, 3, 4, 5, 7, 8, 9, 13):
+        ctx = make_field(q)
+        for n in range(3, 10):
+            for _ in range(2):
+                g = rand_gl(ctx, n, rng)
+                other_det += g.det() != 1
+                v = [rng.randrange(q) for _ in range(n)]
+                k = rng.randrange(n)
+                v[k] = rng.randrange(1, q)
+                phi = [rng.randrange(q) for _ in range(n)]
+                phi[k] = 0
+                rest = Mat(ctx, [phi]) * Mat(ctx, [[x] for x in v])
+                phi[k] = ctx.neg(ctx.div(rest[0, 0], v[k]))
+                col, row = Mat(ctx, [[x] for x in v]), Mat(ctx, [phi])
+                assert (row * col)[0, 0] == 0
+                h = Mat.identity(ctx, n) + col * row
+                at_gv = (row * g * col)[0, 0]
+                at_giv = (row * g.inv() * col)[0, 0]
+                assert _trace(commutator(g, h)) == ctx.sub(
+                    ctx.scalar(n), ctx.mul(at_gv, at_giv)), (q, n)
+    assert other_det > 50
+
+
+def test_trace0_partner_solves_on_a_plane():
+    # for odd q the partner is I + v phi with (phi(v), phi(g v),
+    # phi(g^-1 v)) = (0, 1, 2): [g, h] has trace n - 2, moves only a plane
+    # and squares to an involution, and the witness takes 4 steps, whatever
+    # the determinant of g
+    rng = random.Random(27)
+    other_det = 0
+    for q in (3, 5, 7, 9, 13):
+        ctx = make_field(q)
+        for n in range(3, 10):
+            g = rand_gl(ctx, n, rng)
+            h = find_partner(g)
+            assert h == constructor._trace0_partner(g)
+            assert (h - Mat.identity(ctx, n)).rank() == 1 and h.det() == 1
+            x = commutator(g, h)
+            assert _trace(x) == ctx.scalar(n - 2)
+            assert (x - Mat.identity(ctx, n)).rank() == 2
+            y = x * x
+            assert (y * y).is_identity() and not y.is_scalar()
+            family = "SL" if g.det() == 1 else "GL"
+            other_det += family == "GL"
+            w = ok(construct_involution(g, GroupSpec(family, n, q)))
+            assert (w.length, w.net_exponent, labels(w)) == (4, 0, ["reseed"])
+    assert other_det > 25
+
+
+def test_quadratic_elements_have_no_trace0_partner():
+    # g^2 = a g + b puts g^-1 v = (g v - a v) / b in span(v, g v) for every
+    # v, so a quadratic g falls back to the first non-commuting transvection
+    rng = random.Random(28)
+    count = 0
+    for q in (3, 5, 7, 9, 13):
+        ctx = make_field(q)
+        j2 = Mat(ctx, [[1, 1], [0, 1]])
+        c2 = companion(ctx, next(iter(irreducible_polys(ctx, 2))))
+        for n in range(3, 9):
+            a, b, k = rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, n)
+            ys = [direct_sum(Mat.scalar(ctx, k, a), Mat.scalar(ctx, n - k, b)),
+                  direct_sum(j2, Mat.identity(ctx, n - 2)).scale(a)]
+            if n % 2 == 0:
+                ys.append(_blocks(c2, n // 2))
+            for y in ys:
+                if y.is_scalar():
+                    continue
+                p = rand_gl(ctx, n, rng)
+                g = p * y * p.inv()
+                assert _is_quadratic(g)
+                assert constructor._trace0_partner(g) is None
+                assert find_partner(g) == _partner_by_commutator(g)
+                count += 1
+    assert count == 66
+
+
+@pytest.mark.parametrize("n, q, counts", [(3, 5, (100, 16)), (3, 7, (294, 36)),
+                                          (4, 5, (580, 56))])
+def test_non_quadratic_classes_take_4_steps(n, q, counts):
+    # every non-quadratic class representative has a trace-0 partner; the
+    # quadratic ones have none
+    spec = GroupSpec("SL", n, q)
+    four = quadratic = 0
+    for g, _ in class_transversal(make_field(q), n):
+        if g.is_scalar():
+            continue
+        if _is_quadratic(g):
+            assert constructor._trace0_partner(g) is None
+            quadratic += 1
+            continue
+        w = ok(construct_involution(g, spec))
+        assert (w.length, labels(w)) == (4, ["reseed"]), g.to_text()
+        four += 1
+    assert (four, quadratic) == counts
+
+
+def test_random_sl_takes_4_steps():
+    rng = random.Random(29)
+    for n in range(5, 13):
+        for q in (3, 5, 7, 13, 29):
+            for _ in range(2):
+                g = _random_sl(make_field(q), n, rng)
+                w = ok(construct_involution(g, GroupSpec("SL", n, q)))
+                assert (w.length, w.net_exponent) == (4, 0), (n, q)
+
+
+def test_projective_involutions_are_their_own_witness():
+    # a projective involution is its own 1-step witness at every n: the 2x2
+    # rule gives [(I, +1)] as "sl2-antidiagonal", a stored class word one
+    # step (c, +1) as "bfs", and every other input [(I, +1)] as "involution"
+    g = Mat.diag(ctx5, (4, 4, 1))
+    w = ok(construct_involution(g, GroupSpec("SL", 3, 5)))
+    assert [(s.c, s.e, s.case) for s in w.steps] == [
+        (Mat.identity(ctx5, 3), 1, "involution")] and w.target == g
+    rng = random.Random(30)
+    cases = Counter()
+    for q in (2, 3, 4, 5, 7, 9):
+        ctx = make_field(q)
+        minus = ctx.neg(1)
+        for n in range(2, 10):
+            ys = [Mat.diag(ctx, (minus,) * k + (1,) * (n - k)) for k in (1, 2)]
+            ys.append(transvection(ctx, n, 0, 1))
+            if n % 2 == 0:
+                ys.append(_blocks(Mat(ctx, [[0, minus], [1, 0]]), n // 2))
+            for y in ys:
+                if y.is_scalar() or not (y * y).is_scalar():
+                    continue
+                p = rand_gl(ctx, n, rng)
+                g = p * y * p.inv()
+                family = "SL" if g.det() == 1 else "GL"
+                w = ok(construct_involution(g, GroupSpec(family, n, q)))
+                (step,) = w.steps
+                assert step.e == 1
+                if step.case != "bfs":
+                    assert step.c.is_identity() and w.target == g
+                cases[n == 2, family, step.case] += 1
+    assert set(cases) == {
+        (True, "SL", "sl2-antidiagonal"), (True, "SL", "bfs"),
+        (True, "GL", "involution"), (False, "SL", "involution"),
+        (False, "SL", "bfs"), (False, "GL", "involution")}, cases
 
 
 # -- the window above dimension 4 -------------------------------------------
@@ -344,7 +524,10 @@ def test_window_shapes_stay_under_the_cap():
     # ker(x - I) apart, or J_2(1)), J_3(1), J_2(1) (+) J_2(1); over GF(2)
     # the 2x2 classes are widened to y (+) 1.  The witness for x is the
     # one for y, squared once (s = 2) when its target squares to -I only on
-    # the window, then pulled back along the 2-step restart word
+    # the window, then pulled back along the 2-step restart word.  Only an
+    # input with no trace-0 partner meets these windows, as that partner's
+    # window is 2-dimensional; J_3(1) itself has one for odd q, and takes
+    # 4 steps on a 2-dimensional window of its own
     worst = {}
     for q in _field_orders():
         ctx = make_field(q)
@@ -364,15 +547,24 @@ def test_window_shapes_stay_under_the_cap():
             assert 2 * s * w.length <= constructor.MAX_WITNESS_LEN, (q, name)
             kind = name.split()[0]
             worst[kind] = max(worst.get(kind, 0), 2 * s * w.length)
-    assert worst == {"J3": 24, "J2+J2": 24, "J2+1": 2, "C3+1": 4, "2x2": 16}
+    assert worst == {"J3": 8, "J2+J2": 24, "J2+1": 2, "C3+1": 4, "2x2": 16}
     # the replay cap is this table's maximum, not a bound above it
     assert max(worst.values()) == constructor.MAX_WITNESS_LEN
 
 
+def _conjugate_of_j2_j2_1(g):
+    """Whether g is conjugate to J_2(1) (+) J_2(1) (+) I_(n-4): quadratic,
+    so it has no trace-0 partner."""
+    m = g - Mat.identity(g.ctx, g.n)
+    return m.rank() == 2 and (m * m).rank() == 0
+
+
 def test_window_holding_j2_j2_reaches_the_cap():
-    # the window of this SL(5,5) element holds J_2(1) (+) J_2(1), one of
-    # the two window shapes whose lift is the window table's maximum
-    g = parse_mat(ctx5, "3,1,0,3,2;0,1,4,0,1;3,0,4,3,0;1,4,2,0,1;0,0,2,3,3")
+    # the window of this SL(5,5) element holds J_2(1) (+) J_2(1), the
+    # window shape whose lift is the window table's maximum; the element is
+    # a conjugate of J_2(1) (+) J_2(1) (+) 1, which has no trace-0 partner
+    g = parse_mat(ctx5, "3,3,3,2,4;0,4,2,1,4;3,2,3,3,1;3,2,2,4,1;4,0,2,2,1")
+    assert _conjugate_of_j2_j2_1(g) and constructor._trace0_partner(g) is None
     w = ok(construct_involution(g, GroupSpec("SL", 5, 5)))
     assert w.length == constructor.MAX_WITNESS_LEN
     assert labels(w) == ["reseed"]
@@ -485,7 +677,7 @@ def _cubed(ctx, d):
     return gen_jordan_block(ctx, f, 3)
 
 
-@pytest.mark.parametrize("q, d, length", [(7, 2, 8), (4, 3, 4)])
+@pytest.mark.parametrize("q, d, length", [(7, 2, 4), (4, 3, 4)])
 def test_ext_descent_past_field_cap_reseeds(monkeypatch, q, d, length):
     # a cubed block whose GF(q^d) is past the 32-element cap: no field
     # descent is needed, as above dimension 4 the commutator restart solves
@@ -829,10 +1021,14 @@ def test_replay_flags_tampering():
 
 def _doubled_window_witness():
     """An SL(5,7) witness whose window's target squares to -I on the window
-    only, so the window's word is taken twice: 16 steps, 8 distinct."""
-    g = parse_mat(ctx7, "2,2,2,2,4;4,4,0,3,1;2,0,1,4,5;3,4,1,3,0;5,3,2,4,3")
+    only, so the window's word is taken twice: 16 steps, 8 distinct.  g is
+    a conjugate of J_2(1) (+) J_2(1) (+) 1, so it has no trace-0 partner,
+    whose witness is the 1-step window word taken twice."""
+    g = parse_mat(ctx7, "3,0,2,2,3;0,5,0,5,1;6,2,0,5,6;5,2,5,5,1;3,2,3,2,6")
+    assert _conjugate_of_j2_j2_1(g)
     w = ok(construct_involution(g, GroupSpec("SL", 5, 7)))
-    assert w.length == 16 and len({(s.c, s.e) for s in w.steps}) == 8
+    word = [(s.c, s.e) for s in w.steps]
+    assert w.length == 16 and len(set(word)) == 8 and word[:8] == word[8:]
     return w
 
 
@@ -1074,12 +1270,15 @@ def test_canonical_word_memo_is_transparent(n, q):
 # (n, q) -> histogram of the gaps L - d over one input per class_transversal
 # element, L the witness length and d the exact distance to a projective
 # involution in the class graph; the 2x2 rule and the stored words are
-# minimal on most groups, the restart on SL(3,3) is not
+# minimal on most groups, the restart is not: on SL(3,3) and SL(3,5) the
+# 4-step word of a trace-0 partner is 2 above d, and the quadratic classes
+# of SL(3,5) take 10 to 12 steps
 GAP_HISTOGRAMS = {
     (2, 2): {0: 1}, (2, 3): {0: 6}, (2, 4): {0: 12}, (2, 5): {0: 20},
     (2, 7): {0: 30, 2: 12}, (2, 8): {0: 49, 1: 7}, (2, 9): {0: 72},
     (2, 11): {0: 110}, (2, 13): {0: 108, 1: 48},
-    (3, 2): {0: 5}, (3, 3): {1: 2, 2: 2, 6: 14, 7: 2, 14: 2},
+    (3, 2): {0: 5}, (3, 3): {0: 2, 1: 2, 2: 18},
+    (3, 5): {0: 4, 2: 100, 9: 4, 10: 8},
     (4, 2): {0: 13}, (3, 4): {0: 57},
 }
 
@@ -1139,10 +1338,10 @@ def pinned_inputs():
 # exception line), the shape of every witness; one pair of digests for the
 # inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("00b5072cb756030ba83f65a2f103f18d922b6434c44994e2ff1886e95d4b3e05",
-               "b96e135f83a13d7a138e6464157647bb1f8f5c7035ba6f8f9c7b0852bbce811b"),
-    "n > 4": ("b0a857c0d2ad7ec37c084a51e263a313d8427cf126d0c13b8bf183431d924e77",
-              "41e09793156ccd956113b978b2402881a340da331ce57bd775bb172ac0e156e5"),
+    "n <= 4": ("714c576f99b7bd2d07a75c75a830d6155d63b8127d1b9a35960e5bceb2a22acc",
+               "fbecf2d6e9ea02e584a42604bb80ff91ba5c550b5d3ca84969df611c6ca7a62a"),
+    "n > 4": ("5b83b32e84e9e28722f7cd44962a2c0f393306d6b1b015e3176d066ffb4f76e3",
+              "4fc604ed1b5b0a0e00fbe54eb04b0c489cc18e79aebd2d10e20a2d75868e6418"),
 }
 
 

@@ -21,7 +21,7 @@ PINNED_STDOUT_SHA256 = {
     "orbital_diameter":
         "c8e21dbc90bc23b31dd8ddab65735b30deede875d6055a98fa3d69f282b9046b",
     "witness_tour":
-        "5b0c7c3c0efa24f84d4ae7d8167705d5ed6c3932af927cf557e494be4f9a1628",
+        "05c84688548f84dc5f05f1c0445c13807bcf796336ead50982b0fda8e7911dc3",
 }
 
 
