@@ -354,7 +354,7 @@ def brute_force_witness(g, spec):
     replay (parity in Sym, determinant in GL, products up to scalars in
     PSL and PGL), so other families raise ValueError, as does a g of the
     wrong shape or field, before any group is built."""
-    if spec.family not in ("SL", "Alt"):
+    if not spec.special or spec.projective:
         raise ValueError("class-graph search not supported for family %r"
                          % spec.family)
     if not _fits(g, spec):
@@ -381,7 +381,7 @@ def brute_force_witness(g, spec):
             e, x = -1, ai
         return tbl.decode(tbl.mul(ct.transporter(x), tg_inv)), e, "bfs"
 
-    targets = (involution_indices if spec.family == "Alt"
+    targets = (involution_indices if spec.perm
                else projective_involution_indices)(tbl)
 
     parents = {}  # class index -> node it was first reached from
@@ -499,16 +499,16 @@ def construct_involution(g, spec):
     inputs.  An input of the wrong kind, size or field raises ValueError.
     The returned witness is replayed before being handed back; one that
     fails the replay raises ConstructError."""
-    if spec.family not in ("Sym", "Alt", "GL", "SL"):
+    if spec.projective:
         raise ValueError("construction not supported for family %r"
                          % spec.family)
     if not _fits(g, spec):
         raise ValueError("input is not an element of the shape of %r"
                          % (spec,))
-    if spec.family in ("Sym", "Alt"):
+    if spec.perm:
         if g.is_identity():
             raise ValueError("identity has no witness")
-        if spec.family == "Alt" and g.parity() != 0:
+        if spec.special and g.parity() != 0:
             raise ValueError("odd permutation is outside the group")
         certificate = None
         if g.n == 5 and g.cycle_type() == (5,):
@@ -560,7 +560,7 @@ class ReplayReport:
 def _fits(x, spec):
     """Whether x has the shape of an element of spec: a permutation of
     degree spec.n, or a spec.n x spec.n matrix over GF(spec.q)."""
-    if spec.family in ("Sym", "Alt"):
+    if spec.perm:
         return isinstance(x, Perm) and x.n == spec.n
     return (isinstance(x, Mat) and x.n == x.m == spec.n
             and x.ctx.q == spec.q)
@@ -569,7 +569,7 @@ def _fits(x, spec):
 def _target_violation(t, spec):
     """The violation of a target that is no (projective) involution of the
     family, or None."""
-    if spec.family in ("Sym", "Alt"):
+    if spec.perm:
         if t.is_identity() or not (t * t).is_identity():
             return "target-not-involution"
         return "target-parity" if t.parity() != 0 else None
@@ -599,10 +599,9 @@ def replay(w):
     # a permutation's inv_det gives its sign, the determinant of its matrix
     g = w.g
     gi, det = g.inv_det()
-    if gi is None or (det != 1 and spec.family in ("SL", "PSL", "Alt")):
+    if gi is None or (det != 1 and spec.special):
         return report("element-outside-group")
-    violation = ("conjugator-parity" if spec.family in ("Sym", "Alt")
-                 else "conjugator-determinant")
+    violation = "conjugator-parity" if spec.perm else "conjugator-determinant"
     # c g^e c^-1 once per distinct step: a doubled window repeats its steps
     conjugates = {}
     acc = g ** 0
@@ -654,12 +653,10 @@ def witness_from_json(text):
     if not isinstance(obj, dict):
         raise ValueError("malformed witness record: not a JSON object")
     group = _record_field(obj, "group", dict)
-    fam, n = group.get("family"), group.get("n")
-    if fam in ("Sym", "Alt"):
-        spec = GroupSpec(fam, n)
-        dec = lambda s: Perm.from_cycles(s, n)
+    spec = GroupSpec(group.get("family"), group.get("n"), group.get("q"))
+    if spec.perm:
+        dec = lambda s: Perm.from_cycles(s, spec.n)
     else:
-        spec = GroupSpec(fam, n, group.get("q"))
         ctx = make_field(spec.q)
         dec = lambda s: parse_mat(ctx, s)
     steps = [(dec(_record_field(d, "c", str)), _record_field(d, "e", int),

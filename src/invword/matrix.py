@@ -15,7 +15,7 @@ zip(row, pivot_row)]`` with ``mf = mul_rows[-f]``.  Results are built by
 every entry is an encoding in range(q).
 """
 
-from .gf import make_field
+from .gf import UnsupportedField, make_field, prime_power
 
 
 class Mat:
@@ -327,22 +327,30 @@ def commutator(g, h):
 
 
 class GroupSpec:
-    """Ambient group of an element: (family, degree/dimension, field order)."""
+    """Ambient group of an element: (family, degree/dimension, field order).
 
-    FAMILIES = ("GL", "SL", "PGL", "PSL", "Sym", "Alt")
+    The family answers three questions, read off FAMILIES: perm (elements
+    are permutations, else matrices), special (determinant 1, or even
+    parity) and projective (taken modulo scalars)."""
+
+    FAMILIES = {"GL": (False, False, False), "SL": (False, True, False),
+                "PGL": (False, False, True), "PSL": (False, True, True),
+                "Sym": (True, False, False), "Alt": (True, True, False)}
 
     def __init__(self, family, n, q=None):
-        if family not in self.FAMILIES:
-            raise ValueError("unknown family %r" % family)
-        perm = family in ("Sym", "Alt")
-        if perm and q is not None:
+        if not isinstance(family, str) or family not in self.FAMILIES:
+            raise ValueError("unknown family %r" % (family,))
+        self.perm, self.special, self.projective = self.FAMILIES[family]
+        if self.perm and q is not None:
             raise ValueError("%s takes no field order" % family)
-        if not perm and q is None:
+        if not self.perm and q is None:
             raise ValueError("%s needs a field order q" % family)
         if type(n) is not int or not (q is None or type(q) is int):
             raise ValueError("n and q must be ints, not %r and %r" % (n, q))
         if n < 1:
             raise ValueError("n must be at least 1, not %d" % n)
+        if q is not None and prime_power(q) is None:
+            raise UnsupportedField("field order %d is not a prime power" % q)
         self.family = family
         self.n = n
         self.q = q
@@ -383,7 +391,7 @@ def classify(g, spec):
     det = g.det()
     if det == 0:
         raise ValueError("singular matrix")
-    in_group = det == 1 if spec.family in ("SL", "PSL") else True
+    in_group = det == 1 or not spec.special
     eye = Mat.identity(g.ctx, g.n)
     sq = g * g
     central = g.is_scalar()

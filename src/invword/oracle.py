@@ -60,39 +60,29 @@ class GroupTooLarge(Exception):
 
 
 def group_order(spec):
-    if spec.family == "Sym":
-        return factorial(spec.n)
-    if spec.family == "Alt":
-        return factorial(spec.n) // 2 if spec.n >= 2 else 1
     n, q = spec.n, spec.q
-    gl = q ** (n * (n - 1) // 2) * prod(q ** k - 1 for k in range(1, n + 1))
-    if spec.family == "GL":
-        return gl
-    if spec.family in ("SL", "PGL"):
-        return gl // (q - 1)
-    if spec.family == "PSL":
-        return gl // ((q - 1) * gcd(n, q - 1))
-    raise ValueError("unknown family %r" % spec.family)
+    if spec.perm:
+        return factorial(n) // 2 if spec.special and n >= 2 else factorial(n)
+    order = q ** (n * (n - 1) // 2) * prod(q ** k - 1 for k in range(1, n + 1))
+    if spec.special or spec.projective:
+        order //= q - 1
+    if spec.special and spec.projective:
+        order //= gcd(n, q - 1)
+    return order
 
 
 def is_simple(spec):
     """Whether spec describes a non-abelian simple group.  A matrix group
     is one exactly when it equals a simple PSL(n, q), n >= 2 and (n, q) not
-    (2, 2) or (2, 3): GL equals PSL when q = 2, SL and PGL when
-    gcd(n, q - 1) = 1.  So GL(3,2) is PSL(2,7) and PGL(2,4) is Alt(5),
-    while SL(1, q) and PSL(1, q) are trivial."""
+    (2, 2) or (2, 3); PSL(n, q) is a quotient of SL(n, q) and a normal
+    subgroup of PGL(n, q), a quotient of GL(n, q), so a matrix group equals
+    it exactly when their orders agree.  So GL(3,2) is PSL(2,7) and
+    PGL(2,4) is Alt(5), while SL(1, q) and PSL(1, q) are trivial."""
     n, q = spec.n, spec.q
-    if spec.family == "Alt":
-        return n >= 5
-    if spec.family == "Sym":
-        return False
-    if spec.family == "GL":
-        is_psl = q == 2
-    elif spec.family in ("SL", "PGL"):
-        is_psl = gcd(n, q - 1) == 1
-    else:
-        is_psl = True
-    return is_psl and n >= 2 and (n, q) not in ((2, 2), (2, 3))
+    if spec.perm:
+        return spec.special and n >= 5
+    return (group_order(spec) == group_order(GroupSpec("PSL", n, q))
+            and n >= 2 and (n, q) not in ((2, 2), (2, 3)))
 
 
 # -- element codes ----------------------------------------------------------
@@ -381,7 +371,7 @@ def _row_ops(spec, ctx):
     The closure, conjugation, and so every transporter, run over them."""
     n = spec.n
     dilation = ([(0, 0, ctx.sub(ctx.generator(), 1))]
-                if spec.family in ("GL", "PGL") else [])
+                if not spec.special else [])
     return [(i, j, ctx.p ** k) for i in range(n) for j in (i - 1, i + 1)
             if 0 <= j < n for k in range(ctx.deg)] + dilation
 
@@ -396,13 +386,12 @@ def build_group(spec):
     if expected > ORDER_CAP:
         raise GroupTooLarge("|%r| = %d exceeds the cap %d"
                             % (spec, expected, ORDER_CAP))
-    key = (spec.family, spec.n, spec.q)
-    if key in _TABLE_CACHE:
-        return _TABLE_CACHE[key]
+    if spec in _TABLE_CACHE:
+        return _TABLE_CACHE[spec]
     n = spec.n
-    if spec.family in ("Sym", "Alt"):
+    if spec.perm:
         elems = itertools.permutations(range(n))
-        if spec.family == "Alt":
+        if spec.special:
             elems = itertools.compress(elems, _even_mask(n))
             # (1,2,3) and the even long cycle, (1..n) for odd n and (2..n)
             # for even n; the two coincide at n = 3
@@ -422,18 +411,14 @@ def build_group(spec):
         q = ctx.q
         # projective families: quotient by scalars with lambda^n = 1 (PSL)
         # or all scalars (PGL)
-        if spec.family == "PSL":
-            scalars = [c for c in range(2, q) if ctx.pow(c, n) == 1]
-        elif spec.family == "PGL":
-            scalars = list(range(2, q))
-        else:
-            scalars = []
+        scalars = [c for c in range(2, q) if spec.projective
+                   and (not spec.special or ctx.pow(c, n) == 1)]
         code = _RowCode(ctx, n, _row_ops(spec, ctx), scalars)
         tbl = GroupTable(spec, ctx, code, code.closure(ORDER_CAP))
     if tbl.order != expected:
         raise RuntimeError("%r: enumerated %d elements, the order formula "
                            "gives %d" % (spec, tbl.order, expected))
-    _TABLE_CACHE[key] = tbl
+    _TABLE_CACHE[spec] = tbl
     return tbl
 
 
@@ -587,7 +572,7 @@ def projective_involution_test(tbl):
 
 
 def _require_linear(spec):
-    if spec.family not in ("GL", "SL"):
+    if spec.perm or spec.projective:
         raise ValueError("%r: projective involutions are defined here for "
                          "GL and SL only" % spec)
 

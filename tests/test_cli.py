@@ -193,6 +193,17 @@ def test_survey_refuses_non_simple_group(capsys):
     assert code == 2 and "not simple" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("survey", "--family", "sl2", "--q", "1"),
+    ("survey", "--family", "psl2", "--q", "6"),
+    ("charsum", "--q", "1")], ids=["survey-q-1", "survey-q-6", "charsum-q-1"])
+def test_field_order_no_prime_power_exits_two(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err == "%s: field order %s is not a prime power\n" % (argv[0],
+                                                                 argv[-1])
+
+
 def test_charsum_positive(capsys):
     code, out, _ = run(capsys, "charsum", "--q", "5")
     assert code == 0

@@ -1116,6 +1116,22 @@ def test_witness_json_roundtrip_perm():
     assert replay(w2).ok and witness_to_json(w2) == js
 
 
+@pytest.mark.parametrize("perm, group, match", [
+    (True, {"family": "Alt", "n": 6, "q": 5}, "takes no field order"),
+    (False, {"family": "SL", "n": 2}, "needs a field order"),
+    (False, {"family": ["SL"], "n": 2, "q": 5}, "unknown family"),
+    (False, {"family": "SL", "n": 2, "q": 6}, "not a prime power"),
+], ids=["perm-with-q", "matrix-without-q", "family-is-list", "q-6"])
+def test_witness_record_with_a_malformed_group_is_refused(perm, group, match):
+    w = (construct_involution(Perm.from_cycles("(1,2,3,4,5)", 6),
+                              GroupSpec("Alt", 6)) if perm
+         else _sample_witness())
+    obj = json.loads(witness_to_json(w))
+    obj["group"] = group
+    with pytest.raises(ValueError, match=match):
+        witness_from_json(json.dumps(obj))
+
+
 def test_witness_step_rejects_bad_exponent():
     c = Mat.identity(ctx5, 2)
     for e in (0, 2, -2):

@@ -218,6 +218,13 @@ def test_group_spec_refuses_sizes_below_one(family, n, q):
     assert GroupSpec(family, 1, q).n == 1
 
 
+@pytest.mark.parametrize("family, q", [
+    ("SL", 1), ("GL", -4), ("PSL", 6), ("PGL", 0), ("SL", 12)])
+def test_group_spec_refuses_q_that_is_no_prime_power(family, q):
+    with pytest.raises(ValueError, match="is not a prime power"):
+        GroupSpec(family, 2, q)
+
+
 def test_parse_rejects_ragged():
     with pytest.raises(ValueError):
         parse_mat(make_field(5), "1,2;3")

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +33,41 @@ def test_order_formulas():
     assert group_order(GroupSpec("SL", 3, 2)) == 168
     assert group_order(GroupSpec("SL", 3, 4)) == 60480
     assert group_order(GroupSpec("PSL", 3, 4)) == 20160
+    assert group_order(GroupSpec("PGL", 2, 5)) == 120
+
+
+def _reference_order(family, n, q):
+    """|G| counted another way: n! for Sym, and for GL the ordered bases
+    of GF(q)^n; SL and PGL divide by q - 1, PSL by gcd(n, q - 1) more."""
+    if family in ("Sym", "Alt"):
+        return math.factorial(n) // (2 if family == "Alt" and n > 1 else 1)
+    order = math.prod(q ** n - q ** k for k in range(n))
+    if family != "GL":
+        order //= q - 1
+    if family == "PSL":
+        order //= math.gcd(n, q - 1)
+    return order
+
+
+def _reference_simple(family, n, q):
+    """The gcd rule: a matrix group is simple exactly when it equals a
+    simple PSL(n, q), GL when q = 2 and SL and PGL when gcd(n, q - 1) = 1."""
+    if family in ("Sym", "Alt"):
+        return family == "Alt" and n >= 5
+    is_psl = {"GL": q == 2, "SL": math.gcd(n, q - 1) == 1,
+              "PGL": math.gcd(n, q - 1) == 1, "PSL": True}[family]
+    return is_psl and n >= 2 and (n, q) not in ((2, 2), (2, 3))
+
+
+def test_order_and_simplicity_grid():
+    specs = [(f, n, None) for f in ("Sym", "Alt") for n in range(1, 9)]
+    specs += [(f, n, q) for f in ("GL", "SL", "PGL", "PSL")
+              for n in range(1, 6) for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 32)]
+    assert len(specs) == 216
+    for s in specs:
+        spec = GroupSpec(*s)
+        assert group_order(spec) == _reference_order(*s), s
+        assert is_simple(spec) == _reference_simple(*s), s
 
 
 def test_build_group_alt5():
@@ -218,11 +254,18 @@ def test_simple_exactly_when_psl_and_isomorphic_pairs_agree():
     # involution that cannot exist
     with pytest.raises(ValueError, match="not simple"):
         d_inv(build_group(GroupSpec("SL", 1, 5)))
-    # GL(3,2) = PSL(2,7), PGL(2,4) = Alt(5), GL(4,2) = Alt(8): the same
-    # multiset of (class size, distance to the involutions)
+    # isomorphic simple groups, GL(3,2) = PSL(3,2) = PSL(2,7),
+    # PGL(2,4) = PSL(2,4) = PSL(2,5) = Alt(5), PSL(2,9) = Alt(6) and
+    # GL(4,2) = SL(4,2) = Alt(8), have the same multiset of (class size,
+    # distance to the involutions)
     for a, b in ((GroupSpec("GL", 3, 2), GroupSpec("PSL", 2, 7)),
                  (GroupSpec("PGL", 2, 4), GroupSpec("Alt", 5)),
-                 (GroupSpec("GL", 4, 2), GroupSpec("Alt", 8))):
+                 (GroupSpec("GL", 4, 2), GroupSpec("Alt", 8)),
+                 (GroupSpec("PSL", 2, 4), GroupSpec("Alt", 5)),
+                 (GroupSpec("PSL", 2, 5), GroupSpec("Alt", 5)),
+                 (GroupSpec("PSL", 2, 9), GroupSpec("Alt", 6)),
+                 (GroupSpec("PSL", 3, 2), GroupSpec("PSL", 2, 7)),
+                 (GroupSpec("SL", 4, 2), GroupSpec("Alt", 8))):
         assert _class_distances(a) == _class_distances(b), (a, b)
 
 
