@@ -12,8 +12,6 @@ from fractions import Fraction
 
 from .gf import prime_power
 
-FAMILIES = ("gl-mn", "gl-m1", "gu-i", "gu-ii", "sp-odd", "sp-even", "o")
-
 # printed exception lists, where the source states one; "o" is an upper
 # envelope (the scan is allowed to come in under it)
 STATED_EXCEPTIONS = {
@@ -113,6 +111,20 @@ def o_even_dim(m, q, eps):
     return Fraction(15) * q ** m * (2 * q ** m) ** 6 / d ** 10
 
 
+# the linear scans: family -> (bound, least first parameter, parity of q
+# or None for every q, pairs skipped before the scan starts); "o" scans
+# two shapes of its own
+_SCANS = {
+    "gl-mn": (gl_full_block, 4, None, frozenset()),
+    "gl-m1": (gl_single_eigenvalue, 4, None, frozenset()),
+    "gu-i": (gu_semisimple_s, 4, None, GU_SKIP),
+    "gu-ii": (gu_semisimple_g, 4, None, GU_SKIP),
+    "sp-odd": (sp_odd, 2, 1, frozenset()),
+    "sp-even": (sp_even, 2, 0, frozenset()),
+}
+FAMILIES = tuple(_SCANS) + ("o",)
+
+
 class BoundCheck:
     """One evaluated inequality: params, exact value, verdict."""
 
@@ -133,37 +145,17 @@ def scan(family, nmax=12, qmax=16):
     Returns (checks, exceptions) where exceptions is the set of (n, q)
     or (m, q) pairs with value >= 1."""
     qs = prime_powers(qmax)
-    checks = []
-    if family == "gl-mn":
-        checks = [BoundCheck(family, (n, q), gl_full_block(n, q))
-                  for n in range(4, nmax + 1) for q in qs]
-    elif family == "gl-m1":
-        checks = [BoundCheck(family, (n, q), gl_single_eigenvalue(n, q))
-                  for n in range(4, nmax + 1) for q in qs]
-    elif family in ("gu-i", "gu-ii"):
-        fn = gu_semisimple_s if family == "gu-i" else gu_semisimple_g
+    if family in _SCANS:
+        fn, least, parity, skip = _SCANS[family]
         checks = [BoundCheck(family, (n, q), fn(n, q))
-                  for n in range(4, nmax + 1) for q in qs
-                  if (n, q) not in GU_SKIP]
-    elif family == "sp-odd":
-        checks = [BoundCheck(family, (m, q), sp_odd(m, q))
-                  for m in range(2, nmax + 1) for q in qs if q % 2 == 1]
-    elif family == "sp-even":
-        checks = [BoundCheck(family, (m, q), sp_even(m, q))
-                  for m in range(2, nmax + 1) for q in qs if q % 2 == 0]
+                  for n in range(least, nmax + 1) for q in qs
+                  if parity in (None, q % 2) and (n, q) not in skip]
     elif family == "o":
-        for m in range(3, nmax + 1):
-            for q in qs:
-                if q % 2 == 1:
-                    checks.append(BoundCheck(
-                        family, (2 * m + 1, q), o_odd_dim(m, q)))
-        for m in range(4, nmax + 1):
-            for q in qs:
-                for eps in (1, -1):
-                    if (m, q, eps) == (4, 2, 1):
-                        continue
-                    checks.append(BoundCheck(
-                        family, (2 * m, q, eps), o_even_dim(m, q, eps)))
+        checks = ([BoundCheck(family, (2 * m + 1, q), o_odd_dim(m, q))
+                   for m in range(3, nmax + 1) for q in qs if q % 2 == 1]
+                  + [BoundCheck(family, (2 * m, q, eps), o_even_dim(m, q, eps))
+                     for m in range(4, nmax + 1) for q in qs for eps in (1, -1)
+                     if (m, q, eps) != (4, 2, 1)])
     else:
         raise ValueError("unknown bound family %r" % family)
     exceptions = {c.params[:2] for c in checks if not c.ok}
@@ -172,10 +164,12 @@ def scan(family, nmax=12, qmax=16):
 
 def scan_matches_statement(family, nmax=12, qmax=16):
     """Whether the computed exception set agrees with the printed one
-    (subset for the orthogonal envelope, equality elsewhere)."""
+    (subset for the orthogonal envelope, equality elsewhere), over the
+    rectangle: a printed pair outside it is not asked for."""
     _, exceptions = scan(family, nmax, qmax)
     if family == "o":
         return exceptions <= O_EXCEPTION_ENVELOPE
     if family == "gu-ii":
         raise ValueError("no printed list to compare for gu-ii")
-    return exceptions == STATED_EXCEPTIONS[family]
+    return exceptions == {(n, q) for n, q in STATED_EXCEPTIONS[family]
+                          if n <= nmax and q <= qmax}

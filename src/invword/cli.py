@@ -89,28 +89,26 @@ def _cmd_verify(args):
     return 1
 
 
+# survey family -> (GroupSpec family, fixed n or None, default list): the
+# list runs over n when n is not fixed (Alt), else over q
+_SURVEYS = {"alt": ("Alt", None, range(5, 9)),
+            "psl2": ("PSL", 2, [5, 7, 8, 9, 11]),
+            "sl2": ("SL", 2, [5, 7]), "sl3": ("SL", 3, [2, 3])}
+
+
 def _survey_rows(args):
-    if args.family == "alt":
-        cells = [("Alt", n, None) for n in args.n]
-    elif args.family == "psl2":
-        cells = [("PSL", 2, q) for q in args.q]
-    else:
-        cells = [("SL", 2 if args.family == "sl2" else 3, q) for q in args.q]
-    for family, n, q in cells:
-        tbl = build_group(GroupSpec(family, n, q))
+    family, n, default = _SURVEYS[args.family]
+    given = args.n if n is None else args.q
+    for k in default if given is None else given:
+        spec = GroupSpec(family, k) if n is None else GroupSpec(family, n, k)
+        tbl = build_group(spec)
         rep = d_proj_inv(tbl) if family == "SL" else d_inv(tbl)
-        for k, text, size, dist in rep.rows:
-            yield (args.family, n, "-" if q is None else q, text, size, dist,
-                   rep.value)
+        for _, text, size, dist in rep.rows:
+            yield (args.family, spec.n, "-" if spec.q is None else spec.q,
+                   text, size, dist, rep.value)
 
 
 def _cmd_survey(args):
-    if args.family == "alt":
-        if args.n is None:
-            args.n = list(range(5, 9))
-    elif args.q is None:
-        args.q = {"psl2": [5, 7, 8, 9, 11],
-                  "sl2": [5, 7], "sl3": [2, 3]}[args.family]
     print("family\tn\tq\trep\tsize\tdist\td_max")
     try:
         for row in _survey_rows(args):
@@ -191,8 +189,7 @@ def build_parser():
     v.set_defaults(fn=_cmd_verify)
 
     s = sub.add_parser("survey", help="per-class distance table (TSV)")
-    s.add_argument("--family", required=True,
-                   choices=["alt", "psl2", "sl2", "sl3"])
+    s.add_argument("--family", required=True, choices=list(_SURVEYS))
     s.add_argument("--n", type=_int_range, help="A..B (alt only)")
     s.add_argument("--q", type=_int_list, help="comma list of field sizes")
     s.set_defaults(fn=_cmd_survey)

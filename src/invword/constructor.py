@@ -28,9 +28,9 @@ import json
 from functools import lru_cache
 
 from .gf import make_field
-from .matrix import (GroupSpec, Mat, classify, commutator,
-                     is_projective_involution, nullspace, pad, parse_mat,
-                     pivot_columns, sub_block, transvection)
+from .matrix import (GroupSpec, Mat, classify, is_projective_involution,
+                     nullspace, pad, parse_mat, pivot_columns, sub_block,
+                     transvection)
 from .canonical import class_transversal, generalized_jordan
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
@@ -39,13 +39,14 @@ from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
 from .perm import Perm, a5_witness, alt_partner
 
 # Pairs (n, q) where the 2x2 rule and the restart are not available end to
-# end; these read the stored class word for the canonical form of g
-# (CLASS_WORDS), and take the restart only when none is stored: SL(4,3) is
-# too large for the class-graph search that fills the table.
+# end.  Only class_word_table (and the benchmark's sl-classes grid) reads
+# this list: SL(4,3) is too large for the class-graph search that fills
+# the table, so it takes the restart like any other pair.
 EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
-# the pairs whose class words are stored, where a projective involution
-# reads a 1-step word
+# the pairs whose class words are stored (CLASS_WORDS): the one list the
+# construction reads; these read the stored word for the canonical form of
+# g, and a projective involution there reads a 1-step word
 _STORED_PAIRS = frozenset(key[:2] for key in CLASS_WORDS)
 
 # the window table's maximum over every supported q; a 3- or 4-dimensional
@@ -205,7 +206,8 @@ def _reseed_word(g, h, label):
     alternating group's, with h = alt_partner(g) (x is an even
     involution).  The word has net exponent 0, so a witness for x pulled
     back along it is balanced regardless of the inner word."""
-    return [(g ** 0, -1, label), (h.inv(), 1, label)], commutator(g, h)
+    hi = h.inv()
+    return [(g ** 0, -1, label), (hi, 1, label)], g.inv() * hi * g * h
 
 
 def _reseed(g, depth):
@@ -437,7 +439,7 @@ def class_word_table():
 
 
 def _class_word(gJ):
-    """The stored word over the canonical form gJ of an excluded pair, as
+    """The stored word over the canonical form gJ of a stored pair, as
     (steps, target), or None when CLASS_WORDS holds no entry for it.
     Raises Unreachable, with a copy of the stored certificate, for the
     class that reaches no involution."""
@@ -458,13 +460,12 @@ def _class_word(gJ):
 @lru_cache(maxsize=_CANONICAL_WORDS_HELD)
 def _canonical_word(gJ, depth):
     """(steps, target) over the canonical form gJ met at restart depth
-    `depth`, the steps a tuple: the stored class word of an excluded pair,
+    `depth`, the steps a tuple: the stored class word of a stored pair,
     else the commutator restart.  Both depend on (gJ, depth) alone, as
     every search is seeded, so each pair is solved once.  An exception is
     not held: each call raises afresh, with its own copy of a
     certificate."""
-    excluded = (gJ.n, gJ.ctx.q) in EXCLUDED_PAIRS
-    stored = _class_word(gJ) if excluded else None
+    stored = _class_word(gJ) if (gJ.n, gJ.ctx.q) in _STORED_PAIRS else None
     steps, t = _reseed(gJ, depth) if stored is None else stored
     return tuple(steps), t
 
@@ -477,7 +478,7 @@ def _construct_internal(g, depth=0):
         raise ValueError("central element has no witness")
     if g.det() != 1 or n > 4:
         return _reseed(g, depth)
-    if n == 2 and (n, ctx.q) not in EXCLUDED_PAIRS:
+    if n == 2 and (n, ctx.q) not in _STORED_PAIRS:
         found = _sl2_core(g)
         if found is None:
             raise ConstructError("no 2x2 word of at most 4 steps has trace 0")

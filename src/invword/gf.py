@@ -89,13 +89,7 @@ class FieldCtx:
     def pow(self, a, k):
         if k < 0:
             a, k = self.inv(a), -k
-        r, mulr = 1, self.mul_rows
-        while k:
-            if k & 1:
-                r = mulr[r][a]
-            a = mulr[a][a]
-            k >>= 1
-        return r
+        return power(a, k, 1, self.mul)
 
     def sqrt(self, a):
         """Square root of a, smallest encoding, or None if a is a non-square."""
@@ -127,46 +121,33 @@ class FieldCtx:
         return "GF(%d)" % self.q
 
 
+def power(x, k, one, mul):
+    """x**k for k >= 0 by repeated squaring, with the identity one and the
+    product mul(a, b): the one loop behind field, polynomial, matrix and
+    permutation powers."""
+    r = one
+    while k:
+        if k & 1:
+            r = mul(r, x)
+        x = mul(x, x)
+        k >>= 1
+    return r
+
+
 def _poly_field_tables(k, modulus):
     """(add_rows, mul_rows) of k[x]/(modulus), for a field context k and
     a monic modulus of degree d >= 2 over it; the element sum c_i x^i is
     encoded sum c_i * k.q**i."""
     d = len(modulus) - 1
     s = k.q
-    q = s ** d
-    addk, mulk, negk = k.add_rows, k.mul_rows, k.neg_table
-    digits = []
-    for e in range(q):
-        t = []
-        for _ in range(d):
-            e, c = divmod(e, s)
-            t.append(c)
-        digits.append(t)
+    polys = [poly_trim((e // s ** i) % s for i in range(d)) for e in range(s ** d)]
 
-    def enc(t):
-        e = 0
-        for c in reversed(t):
-            e = e * s + c
-        return e
+    def enc(f):
+        return sum(c * s ** i for i, c in enumerate(f))
 
-    def times(ta, tb):
-        prod = [0] * (2 * d - 1)
-        for i, x in enumerate(ta):
-            if x:
-                mx = mulk[x]
-                for j, y in enumerate(tb, i):
-                    prod[j] = addk[prod[j]][mx[y]]
-        for i in range(2 * d - 2, d - 1, -1):
-            c = prod[i]
-            if c:   # subtract c x^(i-d) modulus; the monic lead clears i
-                mc = mulk[negk[c]]
-                for j, m in enumerate(modulus, i - d):
-                    prod[j] = addk[prod[j]][mc[m]]
-        return enc(prod[:d])
-
-    add_rows = tuple(tuple(enc([addk[x][y] for x, y in zip(ta, tb)])
-                           for tb in digits) for ta in digits)
-    mul_rows = tuple(tuple(times(ta, tb) for tb in digits) for ta in digits)
+    add_rows = tuple(tuple(enc(poly_add(k, f, g)) for g in polys) for f in polys)
+    mul_rows = tuple(tuple(enc(poly_mod(k, poly_mul(k, f, g), modulus))
+                           for g in polys) for f in polys)
     return add_rows, mul_rows
 
 
@@ -326,14 +307,8 @@ def poly_gcd(ctx, f, g):
 
 
 def poly_pow_mod(ctx, f, k, m):
-    r = poly_mod(ctx, (1,), m)
-    f = poly_mod(ctx, f, m)
-    while k:
-        if k & 1:
-            r = poly_mod(ctx, poly_mul(ctx, r, f), m)
-        f = poly_mod(ctx, poly_mul(ctx, f, f), m)
-        k >>= 1
-    return r
+    return power(poly_mod(ctx, f, m), k, poly_mod(ctx, (1,), m),
+                 lambda a, b: poly_mod(ctx, poly_mul(ctx, a, b), m))
 
 
 def monic_polys(ctx, d):

@@ -15,7 +15,9 @@ zip(row, pivot_row)]`` with ``mf = mul_rows[-f]``.  Results are built by
 every entry is an encoding in range(q).
 """
 
-from .gf import UnsupportedField, make_field, prime_power
+import operator
+
+from .gf import UnsupportedField, make_field, power, prime_power
 
 
 class Mat:
@@ -98,15 +100,8 @@ class Mat:
 
     def __pow__(self, k):
         _require_square(self)
-        base = self if k >= 0 else self.inv()
-        k = abs(k)
-        out = Mat.identity(self.ctx, self.n)
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
+        return power(self if k >= 0 else self.inv(), abs(k),
+                     Mat.identity(self.ctx, self.n), operator.mul)
 
     def __eq__(self, other):
         return isinstance(other, Mat) and self.ctx is other.ctx and self.rows == other.rows
@@ -293,9 +288,7 @@ def pad(mat, n):
     if mat.n > n:
         raise ValueError("a %dx%d block does not fit in %dx%d"
                          % (mat.n, mat.n, n, n))
-    right = (0,) * (n - mat.n)
-    return _mat(mat.ctx, tuple(r + right for r in mat.rows)
-                + Mat.identity(mat.ctx, n).rows[mat.n:])
+    return direct_sum(mat, Mat.identity(mat.ctx, n - mat.n))
 
 
 def sub_block(mat, emb):

@@ -8,6 +8,9 @@ g ** 0, str(g) and inv_det(), whose sign is the permutation matrix's
 determinant.
 """
 
+import operator
+
+from .gf import power
 from .matrix import commutator
 
 
@@ -77,16 +80,8 @@ class Perm:
         return self.inv(), -1 if self.parity() else 1
 
     def __pow__(self, k):
-        if k < 0:
-            return self.inv() ** (-k)
-        acc = Perm.identity(self.n)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base
-            k >>= 1
-        return acc
+        return power(self if k >= 0 else self.inv(), abs(k),
+                     Perm.identity(self.n), operator.mul)
 
     def __eq__(self, other):
         return isinstance(other, Perm) and self.images == other.images

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import invword.bounds as bounds
 from invword.bounds import (FAMILIES, GU_SKIP, O_EXCEPTION_ENVELOPE,
                             STATED_EXCEPTIONS, BoundCheck, gl_full_block,
                             gl_single_eigenvalue, gu_semisimple_g,
@@ -77,6 +78,32 @@ def test_o_scan_within_envelope():
 def test_all_statement_comparisons():
     for fam in ("gl-mn", "gl-m1", "gu-i", "sp-odd", "sp-even", "o"):
         assert scan_matches_statement(fam), fam
+
+
+@pytest.mark.parametrize("family, nmax, qmax", [
+    ("gu-i", 6, 16), ("sp-odd", 12, 2), ("sp-even", 2, 16)])
+def test_statement_compared_over_the_rectangle(family, nmax, qmax):
+    # each leaves a printed exception outside the rectangle, (7, 2), (2, 3)
+    # and (3, 2): only the printed pairs inside it are asked for
+    assert scan_matches_statement(family, nmax, qmax)
+
+
+def test_printed_pair_inside_the_rectangle_still_counts(monkeypatch):
+    stated = dict(STATED_EXCEPTIONS)
+    stated["gu-i"] = STATED_EXCEPTIONS["gu-i"] | {(5, 4)}
+    monkeypatch.setattr(bounds, "STATED_EXCEPTIONS", stated)
+    assert not scan_matches_statement("gu-i", nmax=6)
+    stated["gu-i"] = STATED_EXCEPTIONS["gu-i"] - {(4, 4)}
+    assert not scan_matches_statement("gu-i", nmax=6)
+    stated["gu-i"] = STATED_EXCEPTIONS["gu-i"]
+    assert scan_matches_statement("gu-i", nmax=6)
+
+
+def test_family_order():
+    # the CLI's --family choices and the bound_scan demo list them in this
+    # order
+    assert FAMILIES == ("gl-mn", "gl-m1", "gu-i", "gu-ii", "sp-odd",
+                        "sp-even", "o")
 
 
 def test_scan_rejects_unknown_family():

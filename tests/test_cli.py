@@ -231,6 +231,37 @@ def test_bounds_all_families_exit_zero(capsys):
         assert code == 0, fam
 
 
+@pytest.mark.parametrize("argv", [
+    ("--family", "gu-i", "--nmax", "6"), ("--family", "sp-odd", "--qmax", "2"),
+    ("--family", "sp-even", "--nmax", "2")], ids=["gu-i", "sp-odd", "sp-even"])
+def test_bounds_rectangle_leaving_out_printed_pairs_exits_zero(capsys, argv):
+    assert run(capsys, "bounds", *argv)[0] == 0
+
+
+@pytest.mark.parametrize("cmd, choices", [
+    ("bounds", "{gl-mn,gl-m1,gu-i,gu-ii,sp-odd,sp-even,o}"),
+    ("survey", "{alt,psl2,sl2,sl3}")])
+def test_family_choices_in_order(capsys, cmd, choices):
+    with pytest.raises(SystemExit) as ei:
+        main([cmd, "--help"])
+    assert ei.value.code == 0
+    assert "--family %s" % choices in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("family, option, default", [
+    ("alt", "--n", "5..8"), ("psl2", "--q", "5,7,8,9,11"),
+    ("sl2", "--q", "5,7"), ("sl3", "--q", "2,3")])
+def test_survey_default_list(capsys, family, option, default):
+    bare = run(capsys, "survey", "--family", family)
+    assert bare[0] == 0
+    assert bare == run(capsys, "survey", "--family", family, option, default)
+
+
+def test_survey_empty_list_is_used_as_given(capsys):
+    code, out, _ = run(capsys, "survey", "--family", "sl2", "--q", ",")
+    assert code == 0 and out == "family\tn\tq\trep\tsize\tdist\td_max\n"
+
+
 def test_orbdiam(capsys):
     code, out, _ = run(capsys, "orbdiam")
     assert code == 0

@@ -14,8 +14,8 @@ from invword.matrix import (GroupSpec, Mat, commutator, direct_sum, parse_mat,
                             sub_block, transvection)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
-from invword.oracle import (build_group, dist_to_set,
-                            projective_involution_indices)
+from invword.oracle import (build_group, conjugacy_classes, dist_to_set,
+                            involution_indices, projective_involution_indices)
 from invword.perm import Perm
 from invword.constructor import (ConstructError, Unreachable, Witness,
                                  WitnessStep, brute_force_witness,
@@ -1293,6 +1293,9 @@ GAP_HISTOGRAMS = {
     (2, 2): {0: 1}, (2, 3): {0: 6}, (2, 4): {0: 12}, (2, 5): {0: 20},
     (2, 7): {0: 30, 2: 12}, (2, 8): {0: 49, 1: 7}, (2, 9): {0: 72},
     (2, 11): {0: 110}, (2, 13): {0: 108, 1: 48},
+    (2, 16): {0: 240}, (2, 17): {0: 272}, (2, 19): {0: 342},
+    (2, 23): {0: 286, 1: 132, 2: 88}, (2, 25): {0: 600}, (2, 27): {0: 702},
+    (2, 29): {0: 476, 1: 336}, (2, 31): {0: 510, 1: 240, 2: 180},
     (3, 2): {0: 5}, (3, 3): {0: 2, 1: 2, 2: 18},
     (3, 5): {0: 4, 2: 100, 9: 4, 10: 8},
     (4, 2): {0: 13}, (3, 4): {0: 57},
@@ -1322,6 +1325,32 @@ def test_witness_length_against_exact_distance(n, q):
         gaps[w.length - d] += 1
     assert unreachable == int((n, q) == (2, 2))
     assert dict(gaps) == GAP_HISTOGRAMS[n, q]
+
+
+# n -> histogram of the gaps L - d over the non-identity class
+# representatives of Alt(n), d the exact distance to an involution: the
+# trade word with alt_partner and the A5 5-cycle's searched word are
+# minimal on every class but the involutions, whose 2-step word is 1 above
+# d = 1
+ALT_GAP_HISTOGRAMS = {5: {0: 3, 1: 1}, 6: {0: 5, 1: 1}, 7: {0: 7, 1: 1},
+                      8: {0: 11, 1: 2}}
+
+
+@pytest.mark.parametrize("n", list(ALT_GAP_HISTOGRAMS))
+def test_alt_witness_length_against_exact_distance(n):
+    spec = GroupSpec("Alt", n)
+    tbl = build_group(spec)
+    targets = involution_indices(tbl)
+    gaps = Counter()
+    for r in conjugacy_classes(tbl).reps:
+        if r == tbl.identity_index:
+            continue
+        d = dist_to_set(tbl, r, targets)
+        w = construct_involution(tbl.decode(r), spec)
+        assert w.length >= d, (str(tbl.decode(r)), w.length, d)
+        gaps[w.length - d] += 1
+        assert (w.length - d == 1) == (r in targets), str(tbl.decode(r))
+    assert dict(gaps) == ALT_GAP_HISTOGRAMS[n]
 
 
 # -- pinned witness bytes ----------------------------------------------------

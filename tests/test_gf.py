@@ -14,7 +14,10 @@ from invword.gf import (
     poly_mod,
     poly_mul,
     poly_pow_mod,
+    power,
 )
+from invword.matrix import Mat
+from invword.perm import Perm
 
 ALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -200,3 +203,34 @@ def test_poly_pow_mod_fermat():
     F = make_field(3)
     m = (1, 0, 1)
     assert poly_pow_mod(F, (0, 1), 9, m) == (0, 1)
+
+
+def _products(x, k, one):
+    out = one
+    for _ in range(k):
+        out = out * x
+    return out
+
+
+def test_power_agrees_with_repeated_products():
+    F = make_field(9)
+    a = 5
+    for k in range(10):
+        r = 1
+        for _ in range(k):
+            r = F.mul(r, a)
+        assert power(a, k, 1, F.mul) == F.pow(a, k) == r
+        assert F.pow(F.inv(a), k) == F.pow(a, -k)
+    F3, m, f = make_field(3), (1, 2, 0, 1), (2, 1, 2, 1, 1)
+    r = poly_mod(F3, (1,), m)
+    for k in range(10):
+        assert poly_pow_mod(F3, f, k, m) == r
+        r = poly_mod(F3, poly_mul(F3, r, f), m)
+    g = Mat(make_field(5), [[1, 2, 0], [3, 0, 1], [4, 4, 2]])
+    gi, eye = g.inv(), Mat.identity(g.ctx, 3)
+    p = Perm.from_cycles("(1,2,3)(4,5,6,7)", 8)
+    for k in range(10):
+        assert g ** k == _products(g, k, eye)
+        assert g ** -k == _products(gi, k, eye)
+        assert p ** k == _products(p, k, Perm.identity(8))
+        assert p ** -k == _products(p.inv(), k, Perm.identity(8))
