@@ -14,10 +14,14 @@ class-graph search) and conjugates it back to g, so no group is
 enumerated.  Every other element takes the commutator restart: up to
 dimension 4 on its canonical form, the commutator with a partner h
 (find_partner) moves a window of dimension at most 4, solved there and
-lifted.  For odd q, n >= 3 and g not quadratic, h is a rank-one trace-0
+lifted.  For odd q, n >= 3 and g not quadratic, h is the trace-0
 partner: the window is a plane on which the commutator has trace 0, so
-the witness takes 4 steps.  Otherwise h is a transvection.  No pair
-is searched.  The word over a canonical form (stored or restarted) depends
+the witness takes 4 steps.  Otherwise h is the first non-commuting
+I + E_ij.  No pair is searched.  Both partners are transvections
+I + v phi with phi(v) = 0, so the commutator is I + a b with a n x 2 and
+b 2 x n: the restart inverts g once, reads the window, its projection,
+the lifts and the pull-back off these factors, and multiplies no two
+n x n matrices.  The word over a canonical form (stored or restarted) depends
 on the form and the restart depth alone, so it is computed once per pair
 and held in a memo of at most _CANONICAL_WORDS_HELD words; each input then
 pays for its canonical form and the conjugation back.  Everything is
@@ -29,8 +33,7 @@ from functools import lru_cache
 
 from .gf import make_field
 from .matrix import (GroupSpec, Mat, classify, is_projective_involution,
-                     nullspace, pad, parse_mat, pivot_columns, sub_block,
-                     transvection)
+                     nullspace, pad, parse_mat, pivot_columns, row_echelon)
 from .canonical import class_transversal, generalized_jordan
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
@@ -120,38 +123,40 @@ def _product(g, steps):
     return acc
 
 
-def _expand(outer, word):
-    """Rewrite steps over y in terms of steps over g, where word is a
-    g-word with product y: an occurrence d y d^-1 becomes the word
-    conjugated by d, and d y^-1 d^-1 its reversal with flipped exponents."""
+def _expand(outer, conjugated):
+    """Rewrite steps over y in terms of steps over g, where conjugated(d)
+    is a g-word with product y conjugated by d: an occurrence d y d^-1
+    becomes conjugated(d), and d y^-1 d^-1 its reversal with flipped
+    exponents."""
     out = []
     for d, eps, _lab in outer:
-        if eps == 1:
-            out.extend((d * c, e, lab) for c, e, lab in word)
-        else:
-            out.extend((d * c, -e, lab) for c, e, lab in reversed(word))
+        word = conjugated(d)
+        out.extend(word if eps == 1
+                   else [(c, -e, lab) for c, e, lab in reversed(word)])
     return out
 
 
-def _trace0_partner(g):
-    """h = I + v phi with phi(v) = 0, phi(g v) = 1 and phi(g^-1 v) = 2, for
-    the first v of e_1, ..., e_n, (1, ..., 1) with v, g v and g^-1 v
-    independent, or None when there is none.  As h^-1 = I - v phi, the
-    commutator is x = I + v phi - g^-1 v (phi g) - phi(g v) g^-1 v phi: it
-    moves only S = span(v, g^-1 v), where it sends v to v - g^-1 v and g^-1 v
-    to 2 v - g^-1 v.  So tr [g, h] = n - phi(g v) phi(g^-1 v) = n - 2, x has
-    trace 0 and determinant 1 on S, and x - I is invertible there (its
-    determinant is 2): the window is S itself.  phi lives on the first three
-    pivot coordinates of the rows (v, g v, g^-1 v), one 3x3 system."""
+def _trace0_partner(g, gi):
+    """(v, phi), a column and a row, with phi(v) = 0, phi(g v) = 1 and
+    phi(g^-1 v) = 2, for the first v of e_1, ..., e_n, (1, ..., 1) with v,
+    g v and g^-1 v independent, or None when there is none; gi is g^-1.
+    For h = I + v phi, the commutator [g, h] moves only S = span(v, g^-1 v)
+    (_commutator_factors), where it sends v to v - g^-1 v and g^-1 v to
+    2 v - g^-1 v.  So tr [g, h] = n - phi(g v) phi(g^-1 v) = n - 2, [g, h]
+    has trace 0 and determinant 1 on S, and [g, h] - I is invertible there
+    (its determinant is 2): the window is S itself.  phi lives on the first
+    three pivot coordinates of the rows (v, g v, g^-1 v), one 3x3 system."""
     ctx, n = g.ctx, g.n
     ones = Mat(ctx, [[1]] * n)
 
-    def columns(m):
-        # m e_1, ..., m e_n, then m (1, ..., 1)
-        return list(zip(*m.rows)) + [tuple(r[0] for r in (m * ones).rows)]
+    def column(m, k):
+        # m e_k, and m (1, ..., 1) for k = n
+        return (tuple(r[k] for r in m.rows) if k < n
+                else tuple(r[0] for r in (m * ones).rows))
 
-    # a non-scalar g has a candidate off its eigenvectors, so g^-1 is needed
-    for rows in zip(*map(columns, (Mat.identity(ctx, n), g, g.inv()))):
+    eye = Mat.identity(ctx, n)
+    for k in range(n + 1):
+        rows = [column(m, k) for m in (eye, g, gi)]
         piv = pivot_columns(Mat(ctx, rows))
         if len(piv) < 3:
             continue
@@ -160,62 +165,90 @@ def _trace0_partner(g):
         phi = [0] * n
         for p, (c,) in zip(piv, sol.rows):
             phi[p] = c
-        return (Mat.identity(ctx, n)
-                + Mat(ctx, [[x] for x in rows[0]]) * Mat(ctx, [phi]))
+        return Mat(ctx, [[x] for x in rows[0]]), Mat(ctx, [phi])
     return None
 
 
-def find_partner(g):
-    """The partner h whose commutator [g, h] the restart solves.  For odd q
-    and n >= 3 it is the trace-0 partner I + v phi of _trace0_partner when
-    one exists: its commutator is trace-0 on a 2-dimensional window, so the
-    witness takes 4 steps.  A quadratic g (g^2 = a g + b) has none, as
-    g^-1 v always lies in span(v, g v).
-
-    Otherwise it is the first transvection h = I + E_ij (by position) whose
-    commutator with g is non-central.  A scalar commutator with a unipotent
-    h is I, since g^-1 h^-1 g = s h^-1 forces s = 1, so h is the first that
-    g does not commute with: g E_ij = E_ij g exactly when column i and row j
-    of g are zero off the diagonal and g_ii = g_jj.  No other coefficient
-    than 1 is needed, as g commutes with I + c E_ij for all c or for none."""
+def _partner(g, gi=None):
+    """(v, phi), a column and a row, of find_partner(g) = I + v phi, with
+    phi(v) = 0; gi is g^-1, or None to have it computed when needed."""
     ctx, n, rows = g.ctx, g.n, g.rows
     if g.is_scalar():
         raise ValueError("central element has no partner")
     if ctx.p != 2 and n >= 3:
-        h = _trace0_partner(g)
-        if h is not None:
-            return h
+        found = _trace0_partner(g, g.inv() if gi is None else gi)
+        if found is not None:
+            return found
     col_diag = [all(rows[k][i] == 0 for k in range(n) if k != i)
                 for i in range(n)]
     row_diag = [all(rows[j][k] == 0 for k in range(n) if k != j)
                 for j in range(n)]
+    eye = Mat.identity(ctx, n).rows
     for i in range(n):
         for j in range(n):
             if i != j and not (col_diag[i] and row_diag[j]
                                and rows[i][i] == rows[j][j]):
-                return transvection(ctx, n, i, j)
+                return Mat(ctx, [[x] for x in eye[i]]), Mat(ctx, [eye[j]])
     raise ConstructError("non-central element must fail to commute with "
                          "some transvection")
 
 
+def find_partner(g):
+    """The partner h whose commutator [g, h] the restart solves, a
+    transvection I + v phi (phi(v) = 0).  For odd q and n >= 3 it is the
+    trace-0 partner of _trace0_partner when one exists: its commutator is
+    trace-0 on a 2-dimensional window, so the witness takes 4 steps.  A
+    quadratic g (g^2 = a g + b) has none, as g^-1 v always lies in
+    span(v, g v).
+
+    Otherwise it is the first transvection h = I + E_ij (v = e_i, phi =
+    e_j, by position) whose commutator with g is non-central.  A scalar
+    commutator with a unipotent h is I, since g^-1 h^-1 g = s h^-1 forces
+    s = 1, so h is the first that g does not commute with: g E_ij = E_ij g
+    exactly when column i and row j of g are zero off the diagonal and
+    g_ii = g_jj.  No other coefficient than 1 is needed, as g commutes with
+    I + c E_ij for all c or for none."""
+    v, phi = _partner(g)
+    return Mat.identity(g.ctx, g.n) + v * phi
+
+
+def _commutator_factors(g, gi, v, phi):
+    """(a, b) with [g, h] = g^-1 h^-1 g h = I + a b for h = I + v phi,
+    phi(v) = 0, and gi = g^-1: a = [v | g^-1 v] is n x 2 and b = [phi ;
+    -(phi g + phi(g v) phi)] is 2 x n.  As h^-1 = I - v phi, g^-1 h^-1 g =
+    I - g^-1 v (phi g), and its product with h is I + v phi - g^-1 v (phi g)
+    - phi(g v) g^-1 v phi.  Each factor costs one product with a vector."""
+    ctx = g.ctx
+    phig = phi * g
+    s = (phig * v).rows[0][0]
+    a = Mat(ctx, [r + w for r, w in zip(v.rows, (gi * v).rows)])
+    return a, Mat(ctx, phi.rows + (-(phig + phi.scale(s))).rows)
+
+
 def _reseed_word(g, h, label):
     """The word g^-1 (h^-1 g h) over a partner h of g, each step labelled
-    `label`, and its product, the commutator x = g^-1 h^-1 g h.  The one
-    trade word for both kinds of element: the restart's, with h =
-    find_partner(g) (x has determinant 1 and is non-central), and the
-    alternating group's, with h = alt_partner(g) (x is an even
-    involution).  The word has net exponent 0, so a witness for x pulled
-    back along it is balanced regardless of the inner word."""
+    `label`, and its product, the commutator x = g^-1 h^-1 g h: the
+    alternating group's trade word, with h = alt_partner(g) (x is an even
+    involution).  The restart takes the same word over its matrix partner,
+    with h^-1 = I - v phi applied in factored form (_reseed).  The word has
+    net exponent 0, so a witness for x pulled back along it is balanced
+    regardless of the inner word."""
     hi = h.inv()
     return [(g ** 0, -1, label), (hi, 1, label)], g.inv() * hi * g * h
 
 
 def _reseed(g, depth):
-    """Trade g for its commutator with a partner, solve the commutator on
-    its window and pull the witness back to g."""
-    word_x, x = _reseed_word(g, find_partner(g), "reseed")
-    inner, t = _window(x, depth)
-    return _expand(inner, word_x), t
+    """Trade g for its commutator x = I + a b with the partner h = I + v
+    phi, solve x on its window and pull the witness back along the trade
+    word g^-1 (h^-1 g h): a step d x^e d^-1 becomes (d, -1), (d h^-1, +1),
+    reversed with flipped exponents for e = -1, and d h^-1 = d + (d v)(-phi).
+    g^-1 is the one inversion, shared by the partner and the factors."""
+    gi = g.inv()
+    v, phi = _partner(g, gi)
+    inner, t = _window(*_commutator_factors(g, gi, v, phi), depth)
+    minus_phi = -phi
+    return _expand(inner, lambda d: [
+        (d, -1, "reseed"), (d + (d * v) * minus_phi, 1, "reseed")]), t
 
 
 # -- 2x2 core ------------------------------------------------------------
@@ -288,58 +321,95 @@ def _sl2_core(g, longest=4):
         # pulled-back word keeps the product of the word over x
         found = _sl2_core(_product(g, word), 2)
         if found is not None:
-            return _expand(found[0], word), found[1]
+            steps, t = found
+            return _expand(steps, lambda d: [(d * c, e, lab)
+                                             for c, e, lab in word]), t
     return None
 
 
 # -- window --------------------------------------------------------------
 
 
-def _extend(ctx, basis, vectors):
-    """basis followed by those of vectors that are independent of it and
-    of the ones taken before them."""
-    cols = list(basis) + list(vectors)
-    return [cols[c] for c in pivot_columns(Mat(ctx, list(zip(*cols))))]
+def _window_basis(a, b):
+    """(p, pi, y) for the commutator x = I + a b, a n x 2 and b 2 x n:
+    x fixes K = ker(x - I) and moves only the window U = im(x - I) + W, W
+    a complement of K taken from im(x - I) first and then from e_1, ...,
+    e_n, so dim U = r + dim(im & K) <= 4 for r = rank(x - I) <= 2.  The
+    complement of U & K in K is the kernel vectors not in the span of U and
+    of the ones before them, and over GF(2) a 2-dimensional window takes
+    the first of those.  In the basis of U followed by that complement, x
+    is y (+) I: p (n x d) holds U's basis, pi (d x n) is the first d rows
+    of the inverse of that basis, so pi p = I and pi vanishes on the
+    complement, and y = I + pi (x - I) p.
 
-
-def _window(x, depth):
-    """Witness for a commutator x with a transvection.  x - I has
-    rank r <= 2, so x fixes K = ker(x - I) and moves only the window
-    U = im(x - I) + W, W a complement of K taken from im(x - I) first:
-    dim U = r + dim(im & K) <= 4.  In the basis P of U followed by a
-    complement of U & K in K, x is y (+) I.  A witness for y on U lifts
-    with no balance, as the complement is exactly I; conjugating by P keeps
-    each conjugator's determinant.  y is never scalar: that would make U =
-    im(x - I), which both transvections of x preserve, and on U their
-    product, two unipotents, would be -I.  Over GF(2) a 2-dimensional
-    window is widened by one kernel vector, since the order-3 class of the
-    2x2 group reaches no involution while every class of the 3x3 group has
-    a stored word.  The target is squared once when it squares to -I on U
-    only."""
-    ctx, n = x.ctx, x.n
-    m = x - Mat.identity(ctx, n)
-    kernel = nullspace(m)
-    image = _extend(ctx, [], zip(*m.rows))
-    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    spanned = _extend(ctx, kernel, image)
-    window = image + _extend(ctx, spanned, units)[len(spanned):]
-    rest = _extend(ctx, window, kernel)[len(window):]
+    The one n x n matrix reduced is m = x - I, of rank r, in r passes.
+    m e_i is independent of m(im) and of the m e_j before it exactly when
+    e_i joins W: the pivots past r of [R E | R], with R the echelon rows of
+    m and E the image columns.  im & K = U & K is E ker(R E), and in
+    the free coordinates of the echelon form, where each kernel vector of
+    nullspace is a unit vector, a kernel vector is left out exactly when
+    its coordinate is the last nonzero one of a vector of im & K.  pi is
+    (F p)^-1 F, with F the rows of R and the unit rows of the free
+    coordinates left out: F vanishes exactly on the complement."""
+    ctx, n = a.ctx, a.n
+    m = a * b
+    pivots, ech = row_echelon(m)
+    r = len(pivots)
+    image = [tuple(row[c] for row in m.rows) for c in pivots]
+    re = ech * Mat(ctx, list(zip(*image)))
+    units = [c - r for c in pivot_columns(
+        Mat(ctx, [x + y for x, y in zip(re.rows, ech.rows)])) if c >= r]
+    free = [c for c in range(n) if c not in pivots]
+    unit = Mat.identity(ctx, n).rows
+    # im & K read backwards over the free coordinates, where the pivots of
+    # its vectors are their last nonzero coordinates
+    meet = [(Mat(ctx, [z]) * Mat(ctx, image)).rows[0] for z in nullspace(re)]
+    left_out = {free[-1 - c] for c in pivot_columns(
+        Mat(ctx, [[w[f] for f in reversed(free)] for w in meet]))}
+    rest = [(f, k) for f, k in zip(free, nullspace(ech)) if f not in left_out]
+    window = image + [unit[i] for i in units]
     if ctx.q == 2 and len(window) == 2:
-        window, rest = window + rest[:1], rest[1:]
-    d = len(window)
-    p = Mat(ctx, list(zip(*(window + rest))))
-    pi = p.inv()
-    xw = pi * x * p
-    y = sub_block(xw, range(d))
-    if xw != pad(y, n):
+        window, rest = window + [k for _, k in rest[:1]], rest[1:]
+    p = Mat(ctx, list(zip(*window)))
+    kept = {f for f, _ in rest}
+    f_rows = Mat(ctx, ech.rows + tuple(unit[f] for f in free
+                                       if f not in kept))
+    pi = (f_rows * p).inv() * f_rows
+    mp = a * (b * p)
+    eye = Mat.identity(ctx, len(window))
+    y = eye + pi * mp
+    # x is y (+) I in the basis (p, rest): the echelon rows of m vanish on
+    # rest, and m maps p's span into itself by y - I
+    on_rest = ech * Mat(ctx, list(zip(*(k for _, k in rest))) or [()] * n)
+    if any(map(any, on_rest.rows)) or mp != p * (y - eye):
         raise ConstructError("window identity failed")
-    inner, t_sub = _construct_internal(y, depth + 1)
-    steps = [(p * pad(c, n) * pi, e, lab) for c, e, lab in inner]
-    t = pad(t_sub, n)
-    if not is_projective_involution(t):
-        # t may square to -I on the window only
+    return p, pi, y
+
+
+def _window(a, b, depth):
+    """Witness steps and target for the commutator x = I + a b of the
+    restart, from its window (_window_basis): a witness for y on U lifts
+    with no balance, as x is exactly I on the complement, and a conjugator
+    or target c of the window lifts to I + p (c - I) pi, of the same
+    determinant.  y is never scalar: that would make U = im(x - I), which
+    both transvections of x preserve, and on U their product, two
+    unipotents, would be -I.  The 2-dimensional window is widened over
+    GF(2) since the order-3 class of the 2x2 group reaches no involution
+    while every class of the 3x3 group has a stored word.  The steps are
+    doubled and the target squared when the target squares to -I on U
+    only, decided on the d x d target: t (+) I_(n-d) is a projective
+    involution exactly when t (+) I_1 is, for d < n."""
+    p, pi, y = _window_basis(a, b)
+    d, n = y.n, a.n
+    eye, big = Mat.identity(y.ctx, d), Mat.identity(y.ctx, n)
+
+    def lift(c):
+        return big + (p * (c - eye)) * pi
+    inner, t = _construct_internal(y, depth + 1)
+    steps = [(lift(c), e, lab) for c, e, lab in inner]
+    if not is_projective_involution(pad(t, min(d + 1, n))):
         steps, t = steps + steps, t * t
-    return steps, p * t * pi
+    return steps, lift(t)
 
 
 # -- class words for the excluded pairs ------------------------------------
@@ -476,7 +546,7 @@ def _construct_internal(g, depth=0):
     ctx, n = g.ctx, g.n
     if g.is_scalar():
         raise ValueError("central element has no witness")
-    if g.det() != 1 or n > 4:
+    if n > 4 or g.det() != 1:
         return _reseed(g, depth)
     if n == 2 and (n, ctx.q) not in _STORED_PAIRS:
         found = _sl2_core(g)

@@ -253,8 +253,16 @@ def _row_echelon(ctx, a):
     return pivots, a
 
 
+def row_echelon(mat):
+    """(pivot columns, the nonzero rows of the reduced row echelon form of
+    mat as a Mat); at rank r the elimination is r passes over mat."""
+    pivots, a = _row_echelon(mat.ctx, list(mat.rows))
+    return pivots, Mat(mat.ctx, a[:len(pivots)])
+
+
 def nullspace(mat):
-    """Basis of the right kernel {x : mat @ x = 0}, vectors as tuples."""
+    """Basis of the right kernel {x : mat @ x = 0}, vectors as tuples: one
+    per non-pivot column c, 1 at c and 0 at every other non-pivot column."""
     neg = mat.ctx.neg_table
     pivots, a = _row_echelon(mat.ctx, list(mat.rows))
     basis = []
@@ -385,22 +393,33 @@ def classify(g, spec):
     if det == 0:
         raise ValueError("singular matrix")
     in_group = det == 1 or not spec.special
-    eye = Mat.identity(g.ctx, g.n)
-    sq = g * g
+    sign = _square_sign(g)
     central = g.is_scalar()
-    involution = sq == eye and g != eye
-    proj = _is_pm_identity(sq) and not central
+    involution = sign == 1 and not g.is_identity()
+    proj = sign is not None and not central
     return Classification(in_group, central, involution, proj)
 
 
 def is_projective_involution(g):
     """classify(g, spec).projective_involution for an invertible g, without
     the determinant: g^2 in {I, -I} and g not scalar."""
-    return not g.is_scalar() and _is_pm_identity(g * g)
+    return not g.is_scalar() and _square_sign(g) is not None
 
 
-def _is_pm_identity(m):
-    return m.is_scalar() and m.rows[0][0] in (1, m.ctx.neg(1))
+def _square_sign(g):
+    """c in {1, -1} with g^2 = c I, else None.  g^2 is built a row at a
+    time and the build stops at the first row that is not c e_i, c read
+    off the first row, so a g whose square is not +-I pays about one row of
+    the product."""
+    ctx, n = g.ctx, g.n
+    c = None
+    for i, row in enumerate(g.rows):
+        (sq,) = (_mat(ctx, (row,)) * g).rows
+        c = sq[i] if c is None else c
+        if (c not in (1, ctx.neg(1))
+                or sq != (0,) * i + (c,) + (0,) * (n - 1 - i)):
+            return None
+    return c
 
 
 def mat_over(q, text):

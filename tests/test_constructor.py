@@ -10,8 +10,8 @@ import pytest
 
 import invword.constructor as constructor
 from invword.gf import MAX_ORDER, make_field, irreducible_polys
-from invword.matrix import (GroupSpec, Mat, commutator, direct_sum, parse_mat,
-                            sub_block, transvection)
+from invword.matrix import (GroupSpec, Mat, commutator, direct_sum, nullspace,
+                            parse_mat, pivot_columns, sub_block, transvection)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
 from invword.oracle import (build_group, conjugacy_classes, dist_to_set,
@@ -295,6 +295,13 @@ def test_find_partner_frozen():
         find_partner(Mat(ctx5, [[2, 0], [0, 2]]))
 
 
+def _trace0(g):
+    """The trace-0 partner I + v phi of g, or None."""
+    found = constructor._trace0_partner(g, g.inv())
+    return None if found is None else (Mat.identity(g.ctx, g.n)
+                                       + found[0] * found[1])
+
+
 def _partner_by_commutator(g):
     """find_partner's definition by commutators: the first transvection
     I + lam E_ij, by coefficient and then position, whose commutator with
@@ -326,7 +333,7 @@ def test_find_partner_matches_the_commutator_definition():
                                      rand_gl(ctx, n - k, rng)))
     assert len(inputs) == 16116
     fallback = [g for g in inputs if g.ctx.p == 2 or g.n == 2
-                or constructor._trace0_partner(g) is None]
+                or _trace0(g) is None]
     assert len(fallback) == 5654
     assert sum(g.ctx.p != 2 and g.n > 2 for g in fallback) == 522
     assert sum(g.det() != 1 for g in fallback) > 5
@@ -402,7 +409,7 @@ def test_trace0_partner_solves_on_a_plane():
         for n in range(3, 10):
             g = rand_gl(ctx, n, rng)
             h = find_partner(g)
-            assert h == constructor._trace0_partner(g)
+            assert h == _trace0(g)
             assert (h - Mat.identity(ctx, n)).rank() == 1 and h.det() == 1
             x = commutator(g, h)
             assert _trace(x) == ctx.scalar(n - 2)
@@ -437,7 +444,7 @@ def test_quadratic_elements_have_no_trace0_partner():
                 p = rand_gl(ctx, n, rng)
                 g = p * y * p.inv()
                 assert _is_quadratic(g)
-                assert constructor._trace0_partner(g) is None
+                assert _trace0(g) is None
                 assert find_partner(g) == _partner_by_commutator(g)
                 count += 1
     assert count == 66
@@ -454,7 +461,7 @@ def test_non_quadratic_classes_take_4_steps(n, q, counts):
         if g.is_scalar():
             continue
         if _is_quadratic(g):
-            assert constructor._trace0_partner(g) is None
+            assert _trace0(g) is None
             quadratic += 1
             continue
         w = ok(construct_involution(g, spec))
@@ -564,7 +571,7 @@ def test_window_holding_j2_j2_reaches_the_cap():
     # window shape whose lift is the window table's maximum; the element is
     # a conjugate of J_2(1) (+) J_2(1) (+) 1, which has no trace-0 partner
     g = parse_mat(ctx5, "3,3,3,2,4;0,4,2,1,4;3,2,3,3,1;3,2,2,4,1;4,0,2,2,1")
-    assert _conjugate_of_j2_j2_1(g) and constructor._trace0_partner(g) is None
+    assert _conjugate_of_j2_j2_1(g) and _trace0(g) is None
     w = ok(construct_involution(g, GroupSpec("SL", 5, 5)))
     assert w.length == constructor.MAX_WITNESS_LEN
     assert labels(w) == ["reseed"]
@@ -611,8 +618,10 @@ def test_window_widens_the_gf2_order3_class(monkeypatch):
     # the order-3 class of the 2x2 group, which reaches no involution; the
     # window takes one kernel vector more and reads the stored 3x3 word
     g = parse_mat(ctx2, "0,1,0,0,1;1,0,1,0,0;1,1,0,1,0;0,1,0,1,1;0,1,1,1,1")
-    _, x = constructor._reseed_word(g, find_partner(g), "reseed")
-    m = x - Mat.identity(ctx2, 5)
+    gi = g.inv()
+    a, b = constructor._commutator_factors(g, gi, *constructor._partner(g, gi))
+    m = a * b
+    x = m + Mat.identity(ctx2, 5)
     assert m.rank() == (m * m).rank() == 2 and (x * x * x).is_identity()
     solved = []
     real = constructor._construct_internal
@@ -668,6 +677,147 @@ def test_window_shapes_and_depth(monkeypatch):
     assert set(windows) == {"2x2", "J3", "J2+J2", "widened"}, windows
 
 
+# -- the factored restart ----------------------------------------------------
+
+
+def _restart_inputs(rng, qs, ns):
+    """Seeded inputs of both partner kinds: a random SL and a random GL
+    element, and a conjugate of J_2(1) (+) I, which is quadratic and so
+    keeps the transvection partner for odd q as well."""
+    out = []
+    for q in qs:
+        ctx = make_field(q)
+        for n in ns:
+            p = rand_gl(ctx, n, rng)
+            j2 = direct_sum(Mat(ctx, [[1, 1], [0, 1]]),
+                            Mat.identity(ctx, n - 2))
+            out += [_random_sl(ctx, n, rng), rand_gl(ctx, n, rng),
+                    p * j2 * p.inv()]
+    return out
+
+
+def test_commutator_factors_match_the_definition():
+    # [g, h] = I + a b with a = [v | g^-1 v] and b = [phi ; -(phi g +
+    # phi(g v) phi)] for the partner h = I + v phi of either kind
+    kinds = Counter()
+    for g in _restart_inputs(random.Random(31), (2, 3, 4, 5, 7, 8, 9),
+                             range(3, 13)):
+        ctx, n = g.ctx, g.n
+        gi = g.inv()
+        v, phi = constructor._partner(g, gi)
+        a, b = constructor._commutator_factors(g, gi, v, phi)
+        assert (a.n, a.m, b.n, b.m) == (n, 2, 2, n)
+        assert (phi * v).rows == ((0,),)
+        h = find_partner(g)
+        assert h == Mat.identity(ctx, n) + v * phi
+        assert Mat.identity(ctx, n) + a * b == commutator(g, h)
+        trace0 = ctx.p != 2 and _trace0(g) is not None
+        kinds[trace0, g.det() == 1] += 1
+    assert set(kinds) == {(t, s) for t in (True, False)
+                          for s in (True, False)}, kinds
+
+
+def _extend(ctx, basis, vectors):
+    """basis followed by those of vectors that are independent of it and
+    of the ones taken before them."""
+    cols = list(basis) + list(vectors)
+    return [cols[c] for c in pivot_columns(Mat(ctx, list(zip(*cols))))]
+
+
+def _dense_window(x):
+    """The window by its definition, on dense n x n matrices: (the basis
+    P of the window U followed by the kept kernel vectors, d = dim U)."""
+    ctx, n = x.ctx, x.n
+    m = x - Mat.identity(ctx, n)
+    kernel = nullspace(m)
+    image = _extend(ctx, [], zip(*m.rows))
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    spanned = _extend(ctx, kernel, image)
+    window = image + _extend(ctx, spanned, units)[len(spanned):]
+    rest = _extend(ctx, window, kernel)[len(window):]
+    if ctx.q == 2 and len(window) == 2:
+        window, rest = window + rest[:1], rest[1:]
+    return Mat(ctx, list(zip(*(window + rest)))), len(window)
+
+
+def test_window_basis_matches_the_dense_window():
+    # p is the window's basis, pi the first d rows of the inverse of (p,
+    # kept kernel vectors): pi p = I and pi vanishes on the kept kernel
+    # vectors; y is the window block of x in that basis
+    rng = random.Random(32)
+    inputs = _restart_inputs(rng, (2, 3, 4, 5, 7, 9), range(3, 10))
+    inputs += [g for q in (2, 3, 4, 5) for n in (3, 4)
+               for g, _ in class_transversal(make_field(q), n)
+               if not g.is_scalar()]
+    seen = Counter()
+    for g in inputs:
+        ctx, n = g.ctx, g.n
+        gi = g.inv()
+        a, b = constructor._commutator_factors(g, gi,
+                                               *constructor._partner(g, gi))
+        x = Mat.identity(ctx, n) + a * b
+        full, d = _dense_window(x)
+        p, pi, y = constructor._window_basis(a, b)
+        full_inv = full.inv()
+        assert p == Mat(ctx, [r[:d] for r in full.rows])
+        assert pi == Mat(ctx, full_inv.rows[:d])
+        assert pi * p == Mat.identity(ctx, d)
+        kept = Mat(ctx, [r[d:] for r in full.rows])
+        assert d == n or not any(map(any, (pi * kept).rows))
+        assert y == sub_block(full_inv * x * full, range(d))
+        seen[d, d == n, ctx.q == 2] += 1
+    # the 2x2 window, J3 and J2 + J2, the widened GF(2) window, and windows
+    # that fill the whole space
+    assert {(2, False, False), (3, False, False), (4, False, False),
+            (3, False, True), (3, True, False), (4, True, True)} <= set(seen)
+
+
+def test_restart_inverts_only_g(monkeypatch):
+    # inside the restart (partner, commutator, window, lift and pull-back)
+    # no two n x n matrices are multiplied and only g is eliminated
+    products, eliminations = Counter(), Counter()
+    mul, inv_det, det = Mat.__mul__, Mat.inv_det, Mat.det
+
+    def spy_mul(a, b):
+        products[a.n, a.m, b.m] += 1
+        return mul(a, b)
+
+    def spy_inv_det(a):
+        eliminations[a.n] += 1
+        return inv_det(a)
+
+    def spy_det(a):
+        eliminations[a.n] += 1
+        return det(a)
+    for g in _restart_inputs(random.Random(33), (2, 3, 4, 5, 7, 9),
+                             range(9, 13)):
+        products.clear()
+        eliminations.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(Mat, "__mul__", spy_mul)
+            patch.setattr(Mat, "inv_det", spy_inv_det)
+            patch.setattr(Mat, "det", spy_det)
+            steps, t = constructor._reseed(g, 0)
+        n = g.n
+        assert products[n, n, n] == 0 and eliminations[n] == 1, (n, g.ctx.q)
+        assert len(steps) <= constructor.MAX_WITNESS_LEN
+
+
+@pytest.mark.parametrize("n", [16, 24, 32])
+def test_large_n_witnesses_replay(n):
+    # the restart at dimensions far past the sampled grid: for odd q a
+    # non-quadratic g takes 4 steps, and every witness replays
+    rng = random.Random(34 + n)
+    for q in (3, 5, 4):
+        ctx = make_field(q)
+        g = _random_sl(ctx, n, rng)
+        w = ok(construct_involution(g, GroupSpec("SL", n, q)))
+        assert labels(w) == ["reseed"] and w.net_exponent == 0
+        if q % 2:
+            assert not _is_quadratic(g) and w.length == 4
+        assert w.length <= constructor.MAX_WITNESS_LEN
+
+
 # -- one restart for every case ---------------------------------------------
 
 
@@ -684,8 +834,8 @@ def test_ext_descent_past_field_cap_reseeds(monkeypatch, q, d, length):
     # the window, and its 2-step word doubles the window's length
     windows = []
     real = constructor._window
-    monkeypatch.setattr(constructor, "_window", lambda x, depth: windows.append(
-        real(x, depth)) or windows[-1])
+    monkeypatch.setattr(constructor, "_window", lambda a, b, depth:
+                        windows.append(real(a, b, depth)) or windows[-1])
     ctx = make_field(q)
     w = ok(construct_involution(_cubed(ctx, d), GroupSpec("SL", 3 * d, q)))
     assert w.length == length and labels(w) == ["reseed"]

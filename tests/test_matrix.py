@@ -19,6 +19,7 @@ from invword.matrix import (
     nullspace,
     pad,
     parse_mat,
+    row_echelon,
     transvection,
 )
 
@@ -142,6 +143,53 @@ def test_projective_involution_without_determinant():
             assert is_projective_involution(g) == \
                 classify(g, spec).projective_involution
         assert 0 < hits < 200
+
+
+def _classify_by_the_square(g, spec):
+    """classify's fields from the whole product g * g."""
+    sq, eye = g * g, Mat.identity(g.ctx, g.n)
+    pm = sq.is_scalar() and sq[0, 0] in (1, g.ctx.neg(1))
+    return (g.det() == 1 or not spec.special, g.is_scalar(),
+            sq == eye and g != eye, pm and not g.is_scalar())
+
+
+def test_classify_builds_the_square_row_by_row():
+    # classify stops building g^2 at its first row that is not +-e_i with
+    # the sign of the rows before it; every field agrees with the whole
+    # product, on random elements, scalars, and elements whose square is
+    # I, -I, another scalar, or +-I on some rows only
+    rng = random.Random(35)
+    seen = set()
+    for q in (2, 3, 4, 5, 9):
+        ctx = make_field(q)
+        minus = ctx.neg(1)
+        for n in range(2, 10):
+            c = rng.randrange(1, q)
+            ys = [rand_invertible(ctx, n, rng), Mat.scalar(ctx, n, c),
+                  Mat.scalar(ctx, n, minus), Mat.identity(ctx, n),
+                  Mat.diag(ctx, (minus,) * (n // 2) + (1,) * (n - n // 2)),
+                  Mat.diag(ctx, (1,) * (n - 1) + (c,)),
+                  direct_sum(Mat(ctx, [[0, c], [1, 0]]),
+                             Mat.scalar(ctx, n - 2, c)),
+                  direct_sum(Mat(ctx, [[0, minus], [1, 0]]),
+                             Mat.identity(ctx, n - 2)),
+                  transvection(ctx, n, 0, n - 1)]
+            for y in ys:
+                p = rand_invertible(ctx, n, rng)
+                for g in (y, p * y * p.inv()):
+                    for family in ("SL", "GL"):
+                        spec = GroupSpec(family, n, q)
+                        cls = classify(g, spec)
+                        got = (cls.in_group, cls.central, cls.involution,
+                               cls.projective_involution)
+                        assert got == _classify_by_the_square(g, spec)
+                        assert is_projective_involution(g) == got[3]
+                        seen.add(got[1:])
+    # (central, involution, projective involution); -I is a central
+    # involution
+    assert seen == {(False, False, False), (True, False, False),
+                    (True, True, False), (False, True, True),
+                    (False, False, True)}
 
 
 def test_classify_conjugation_invariant():
@@ -407,9 +455,10 @@ def test_row_table_elimination_matches_reference(ctx):
             # rectangular products n x m times m x k
             for b in kernel_inputs(ctx, rng, m, k)[:2]:
                 assert (a * b).rows == ref_mul(a, b)
-            pivots, _ = ref_row_echelon(ctx, [list(r) for r in a.rows])
+            pivots, ech = ref_row_echelon(ctx, [list(r) for r in a.rows])
             assert a.rank() == len(pivots)
             assert nullspace(a) == ref_nullspace(a)
+            assert row_echelon(a) == (pivots, Mat(ctx, ech[:len(pivots)]))
 
 
 def test_kernel_guards_raise_under_optimize():
