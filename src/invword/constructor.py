@@ -15,17 +15,18 @@ enumerated.  Every other element takes the commutator restart: up to
 dimension 4 on its canonical form, the commutator with a partner h
 (find_partner) moves a window of dimension at most 4, solved there and
 lifted.  For odd q, n >= 3 and g not quadratic, h is the trace-0
-partner: the window is a plane on which the commutator has trace 0, so
-the witness takes 4 steps.  Otherwise h is the first non-commuting
-I + E_ij.  No pair is searched.  Both partners are transvections
-I + v phi with phi(v) = 0, so the commutator is I + a b with a n x 2 and
-b 2 x n: the restart inverts g once, reads the window, its projection,
-the lifts and the pull-back off these factors, and multiplies no two
-n x n matrices.  The word over a canonical form (stored or restarted) depends
-on the form and the restart depth alone, so it is computed once per pair
-and held in a memo of at most _CANONICAL_WORDS_HELD words; each input then
-pays for its canonical form and the conjugation back.  Everything is
-replayed before being returned.
+partner: the window is a plane on which the commutator has trace 0, read
+in closed form with no basis, lift or sub-problem, so the witness takes 4
+steps.  Otherwise h is the first non-commuting I + E_ij.  No pair is
+searched.  Both partners are transvections I + v phi with phi(v) = 0, so
+the commutator is I + a b with a n x 2 and b 2 x n: the restart takes
+g^-1 from g's one elimination (classify's inv_det, kept on g), reads the
+window, its projection, the lifts and the pull-back off these factors,
+and multiplies no two n x n matrices.  The word over a canonical form
+(stored or restarted) depends on the form and the restart depth alone, so
+it is computed once per pair and held in a memo of at most
+_CANONICAL_WORDS_HELD words; each input then pays for its canonical form
+and the conjugation back.  Everything is replayed before being returned.
 """
 
 import json
@@ -398,10 +399,28 @@ def _window(a, b, depth):
     while every class of the 3x3 group has a stored word.  The steps are
     doubled and the target squared when the target squares to -I on U
     only, decided on the d x d target: t (+) I_(n-d) is a projective
-    involution exactly when t (+) I_1 is, for d < n."""
+    involution exactly when t (+) I_1 is, for d < n.
+
+    The trace-0 plane is read in closed form.  When q is odd, n >= 3 (at
+    n = 2 the plane is the space, and x^2 = -I is central) and the 2 x 2
+    matrix b a has trace -2 and determinant 2 (always so for the trace-0
+    partner, where b a = [[0, 2], [-1, -2]]), b a is invertible, so
+    im a and K = ker b split the space and the window is the plane im a,
+    on which x acts as y = I + b a (x a = a y): trace 0 and determinant 1,
+    so y^2 = -I.  y is its own 1-step word, the window's is [(I, +1)]
+    taken twice, and the target is x^2 = I + a (2 I + b a) b, -I on im a
+    and I on K.  Nothing is reduced or lifted, and no n x n matrices are
+    multiplied."""
+    ctx, n = a.ctx, a.n
+    ba, two = b * a, ctx.scalar(2)
+    if (ctx.p != 2 and n >= 3 and ba.det() == two
+            and ctx.add(ba[0, 0], ba[1, 1]) == ctx.neg(two)):
+        eye = Mat.identity(ctx, n)
+        return ([(eye, 1, "sl2-antidiagonal")] * 2,
+                eye + a * (Mat.scalar(ctx, 2, two) + ba) * b)
     p, pi, y = _window_basis(a, b)
-    d, n = y.n, a.n
-    eye, big = Mat.identity(y.ctx, d), Mat.identity(y.ctx, n)
+    d = y.n
+    eye, big = Mat.identity(ctx, d), Mat.identity(ctx, n)
 
     def lift(c):
         return big + (p * (c - eye)) * pi
@@ -651,7 +670,12 @@ def _target_violation(t, spec):
 
 def replay(w):
     """Recompute the product and recheck every invariant; reports the
-    first violation instead of raising."""
+    first violation instead of raising.  One elimination of g gives g^-1
+    and its determinant, and one of each distinct conjugator other than the
+    identity its inverse and determinant (inv_det, which keeps the pair on
+    the matrix: a g that classify has met is not eliminated again).  Each
+    distinct step's conjugate is formed once, and the product starts from
+    the first."""
     spec = w.spec
     length = len(w.steps)
     net = sum(s.e for s in w.steps)
@@ -673,18 +697,22 @@ def replay(w):
     if gi is None or (det != 1 and spec.special):
         return report("element-outside-group")
     violation = "conjugator-parity" if spec.perm else "conjugator-determinant"
-    # c g^e c^-1 once per distinct step: a doubled window repeats its steps
+    # c g^e c^-1 once per distinct step: a doubled window repeats its
+    # steps.  The identity conjugator, of determinant 1, gives g^e itself
     conjugates = {}
-    acc = g ** 0
+    acc = None
     for s in w.steps:
         key = (s.c, s.e)
         y = conjugates.get(key)
         if y is None:
-            ci, det = s.c.inv_det()
-            if det != 1:
-                return report(violation)
-            y = conjugates[key] = s.c * (g if s.e == 1 else gi) * ci
-        acc = acc * y
+            y = g if s.e == 1 else gi
+            if not s.c.is_identity():
+                ci, det = s.c.inv_det()
+                if det != 1:
+                    return report(violation)
+                y = s.c * y * ci
+            conjugates[key] = y
+        acc = y if acc is None else acc * y
     if acc != w.target:
         return report("product-mismatch")
     return report(_target_violation(w.target, spec))

@@ -21,7 +21,8 @@ from .gf import UnsupportedField, make_field, power, prime_power
 
 
 class Mat:
-    __slots__ = ("ctx", "rows", "n", "m")
+    # _inv_det holds (inverse, determinant) from the first inv_det
+    __slots__ = ("ctx", "rows", "n", "m", "_inv_det")
 
     def __init__(self, ctx, rows):
         rows = tuple(map(tuple, rows))
@@ -36,6 +37,7 @@ class Mat:
         self.rows = rows
         self.n = len(rows)
         self.m = len(rows[0]) if rows else 0
+        self._inv_det = None
 
     # -- constructors ----------------------------------------------------
 
@@ -128,6 +130,8 @@ class Mat:
     # -- elimination-based ops ----------------------------------------------
 
     def det(self):
+        if self._inv_det is not None:
+            return self._inv_det[1]
         _require_square(self)
         ctx, n = self.ctx, self.n
         addr, mulr, neg, inv = ctx.add_rows, ctx.mul_rows, ctx.neg_table, ctx.inv_table
@@ -159,7 +163,15 @@ class Mat:
 
     def inv_det(self):
         """(inverse, determinant) from one Gauss-Jordan elimination; the
-        inverse is None when the determinant is 0."""
+        inverse is None when the determinant is 0.  The pair is kept on
+        the matrix, whose rows never change, so later calls and det() read
+        it without eliminating again.  Nothing is kept on the inverse: it
+        holds no reference back to this matrix."""
+        if self._inv_det is None:
+            self._inv_det = self._gauss_jordan()
+        return self._inv_det
+
+    def _gauss_jordan(self):
         _require_square(self)
         ctx, n = self.ctx, self.n
         mulr, neg = ctx.mul_rows, ctx.neg_table
@@ -200,6 +212,7 @@ def _mat(ctx, rows):
     m.rows = rows
     m.n = len(rows)
     m.m = len(rows[0]) if rows else 0
+    m._inv_det = None
     return m
 
 
@@ -389,7 +402,8 @@ def classify(g, spec):
     central tests scalarity; projective_involution means g^2 in {I, -I}
     with g itself non-scalar, i.e. an involution modulo the center.
     """
-    det = g.det()
+    # g's one elimination: the restart's g^-1 and replay read it back
+    det = g.inv_det()[1]
     if det == 0:
         raise ValueError("singular matrix")
     in_group = det == 1 or not spec.special

@@ -10,7 +10,8 @@ import pytest
 
 import invword.constructor as constructor
 from invword.gf import MAX_ORDER, make_field, irreducible_polys
-from invword.matrix import (GroupSpec, Mat, commutator, direct_sum, nullspace,
+from invword.matrix import (GroupSpec, Mat, commutator, direct_sum,
+                            is_projective_involution, nullspace, pad,
                             parse_mat, pivot_columns, sub_block, transvection)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
@@ -803,6 +804,94 @@ def test_restart_inverts_only_g(monkeypatch):
         assert len(steps) <= constructor.MAX_WITNESS_LEN
 
 
+def _window_by_basis(a, b):
+    """The general path of _window, the reference for its closed form:
+    the window basis, the lifts and the doubling, with y's own 1-step word
+    [(I, +1)] inside, as y has trace 0 and determinant 1 on a plane."""
+    p, pi, y = constructor._window_basis(a, b)
+    ctx, d, n = y.ctx, y.n, a.n
+    assert d == 2 and _trace(y) == 0 and y.det() == 1
+    eye, big = Mat.identity(ctx, d), Mat.identity(ctx, n)
+
+    def lift(c):
+        return big + (p * (c - eye)) * pi
+    steps, t = [(lift(eye), 1, "sl2-antidiagonal")], y
+    if not is_projective_involution(pad(t, min(d + 1, n))):
+        steps, t = steps + steps, t * t
+    return steps, lift(t)
+
+
+def _spy_window_basis(monkeypatch):
+    calls = []
+    real = constructor._window_basis
+    monkeypatch.setattr(constructor, "_window_basis",
+                        lambda a, b: calls.append(a.n) or real(a, b))
+    return calls
+
+
+def test_trace0_window_in_closed_form(monkeypatch):
+    # for odd q and n >= 3, a window on which b a has trace -2 and
+    # determinant 2 is the plane im a: _window returns [(I, +1)] twice and
+    # x^2 without _window_basis, as the general path would.  Every trace-0
+    # partner takes it, and so do some transvection partners of quadratic
+    # inputs; every other window reduces its basis
+    calls = _spy_window_basis(monkeypatch)
+    kinds = Counter()
+    for g in _restart_inputs(random.Random(35), (3, 5, 7, 9, 13, 25, 27),
+                             range(3, 13)):
+        ctx, n = g.ctx, g.n
+        gi = g.inv()
+        a, b = constructor._commutator_factors(g, gi,
+                                               *constructor._partner(g, gi))
+        ba = b * a
+        plane = (_trace(ba) == ctx.neg(ctx.scalar(2))
+                 and ba.det() == ctx.scalar(2))
+        calls.clear()
+        steps, t = constructor._window(a, b, 0)
+        assert calls == ([] if plane else [n])
+        trace0 = _trace0(g) is not None
+        assert plane or not trace0
+        kinds[trace0, g.det() == 1, plane] += 1
+        if not plane:
+            continue
+        x = commutator(g, find_partner(g))
+        assert t == x * x
+        assert steps == [(Mat.identity(ctx, n), 1, "sl2-antidiagonal")] * 2
+        assert (steps, t) == _window_by_basis(a, b)
+    assert set(kinds) == {(True, True, True), (True, False, True),
+                          (False, True, True), (False, True, False)}, kinds
+
+
+def test_other_windows_reduce_their_basis(monkeypatch):
+    # even q, and the GL restarts at n = 2, whose window is the whole plane
+    # (x^2 is -I there, no target) even when b a has trace -2 and
+    # determinant 2: each restart reduces its window's basis (a window of
+    # dimension 3 or 4 restarts again, and reduces its own)
+    calls = _spy_window_basis(monkeypatch)
+    inputs = _restart_inputs(random.Random(36), (2, 4, 8), range(3, 9))
+    rng = random.Random(37)
+    planes = 0
+    for q in (5, 7, 9, 13):
+        ctx = make_field(q)
+        for _ in range(12):
+            g = rand_gl(ctx, 2, rng)
+            if g.det() == 1 or g.is_scalar():
+                continue
+            gi = g.inv()
+            a, b = constructor._commutator_factors(
+                g, gi, *constructor._partner(g, gi))
+            ba = b * a
+            planes += (_trace(ba) == ctx.neg(ctx.scalar(2))
+                       and ba.det() == ctx.scalar(2))
+            inputs.append(g)
+    assert planes > 0
+    for g in inputs:
+        calls.clear()
+        steps, t = constructor._reseed(g, 0)
+        assert calls[:1] == [g.n] and is_projective_involution(t)
+        assert len(steps) <= constructor.MAX_WITNESS_LEN
+
+
 @pytest.mark.parametrize("n", [16, 24, 32])
 def test_large_n_witnesses_replay(n):
     # the restart at dimensions far past the sampled grid: for odd q a
@@ -1202,8 +1291,9 @@ def test_replay_flags_tampered_target_of_doubled_witness():
 
 
 def test_replay_eliminates_once_per_distinct_conjugator(monkeypatch):
-    # one Gauss-Jordan elimination for g^-1 and one per distinct step (c, e),
-    # which checks det c and gives c^-1 together; no determinant besides
+    # one Gauss-Jordan elimination for g^-1 and one per distinct step (c, e)
+    # other than the identity, which checks det c and gives c^-1 together;
+    # no determinant besides
     w = _doubled_window_witness()
     calls = {"inv_det": 0, "det": 0}
     for name in calls:
@@ -1214,8 +1304,99 @@ def test_replay_eliminates_once_per_distinct_conjugator(monkeypatch):
             return real(self)
         monkeypatch.setattr(Mat, name, counted)
     assert replay(w).ok
-    assert calls == {"inv_det": 8 + 1, "det": 0}
+    assert calls == {"inv_det": 7 + 1, "det": 0}
     assert len({s.c for s in w.steps}) == 8
+    assert len({s.c for s in w.steps if s.c.is_identity()}) == 1
+
+
+def _spy_eliminations(monkeypatch, counts):
+    """Count, by the rows eliminated, the eliminations of inv_det and of
+    det(): a det() that reads the kept inv_det pair makes none."""
+    gauss_jordan, det = Mat._gauss_jordan, Mat.det
+
+    def spy_gauss_jordan(a):
+        counts[a.rows] += 1
+        return gauss_jordan(a)
+
+    def spy_det(a):
+        counts[a.rows] += a._inv_det is None
+        return det(a)
+    monkeypatch.setattr(Mat, "_gauss_jordan", spy_gauss_jordan)
+    monkeypatch.setattr(Mat, "det", spy_det)
+
+
+def test_construct_eliminates_g_once(monkeypatch):
+    # classify's inv_det keeps g^-1 and det g on g; the restart's g^-1 and
+    # replay's inv_det read them.  replay of the 4-step witness [(I, -1),
+    # (h^-1, +1)] twice eliminates h^-1 alone, forms its one conjugate (two
+    # n x n products) and the product from the first conjugate (three)
+    rng = random.Random(38)
+    for q in (3, 5, 7, 9):
+        ctx = make_field(q)
+        for n in range(5, 10):
+            g = _random_sl(ctx, n, rng)
+            eliminations = Counter()
+            with monkeypatch.context() as patch:
+                _spy_eliminations(patch, eliminations)
+                w = construct_involution(g, GroupSpec("SL", n, q))
+            assert eliminations[g.rows] == 1, (n, q)
+            assert w.length == 4
+            w = witness_from_json(witness_to_json(w))
+            assert [s.c.is_identity() for s in w.steps] == [True, False] * 2
+            eliminations.clear()
+            products = Counter()
+            mul = Mat.__mul__
+            with monkeypatch.context() as patch:
+                _spy_eliminations(patch, eliminations)
+                patch.setattr(Mat, "__mul__", lambda a, b: products.update(
+                    [(a.n, a.m, b.m)]) or mul(a, b))
+                assert replay(w).ok
+            assert sorted(eliminations.values()) == [1, 1]
+            assert eliminations[w.g.rows] == 1
+            assert products[n, n, n] == 5, products
+
+
+def _restart_witness():
+    """A 4-step SL(6,5) restart witness: [(I, -1), (h^-1, +1)] twice."""
+    g = _random_sl(ctx5, 6, random.Random(39))
+    w = ok(construct_involution(g, GroupSpec("SL", 6, 5)))
+    assert [s.c.is_identity() for s in w.steps] == [True, False] * 2
+    return w
+
+
+def _alt_witness():
+    """An Alt(7) trade word g^-1 (h^-1 g h): its first step is (I, -1)."""
+    w = ok(construct_involution(Perm.from_cycles("(1,2,3)(4,5,6)", 7),
+                                GroupSpec("Alt", 7)))
+    assert w.steps[0].c.is_identity() and not w.steps[1].c.is_identity()
+    return w
+
+
+def test_replay_with_identity_steps_flags_a_tampered_target():
+    # the identity step reads g^e directly; the product check still holds
+    w = _restart_witness()
+    h = transvection(ctx5, 6, 0, 1)
+    w.target = h * w.target * h.inv()
+    assert is_projective_involution(w.target)
+    assert replay(w).violation == "product-mismatch"
+    w = _alt_witness()
+    c = Perm.from_cycles("(1,2,7)", 7)
+    w.target = c * w.target * c.inv()
+    assert w.target * w.target == Perm.identity(7)
+    assert replay(w).violation == "product-mismatch"
+
+
+def test_replay_with_identity_steps_flags_a_bad_conjugator():
+    # a conjugator of determinant 2 (an odd one) after an identity step
+    w = _restart_witness()
+    s = w.steps[1]
+    w.steps[1] = WitnessStep(s.c * Mat.diag(ctx5, (2, 1, 1, 1, 1, 1)), s.e,
+                             s.case)
+    assert replay(w).violation == "conjugator-determinant"
+    w = _alt_witness()
+    s = w.steps[1]
+    w.steps[1] = WitnessStep(s.c * Perm.from_cycles("(1,2)", 7), s.e, s.case)
+    assert replay(w).violation == "conjugator-parity"
 
 
 def test_replay_flags_bad_target():
@@ -1533,9 +1714,9 @@ def pinned_inputs():
 # exception line), the shape of every witness; one pair of digests for the
 # inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("714c576f99b7bd2d07a75c75a830d6155d63b8127d1b9a35960e5bceb2a22acc",
+    "n <= 4": ("458ea37b629c72f794a21a85ad254f3020a394173fcdfc6dfee2edf08e616346",
                "fbecf2d6e9ea02e584a42604bb80ff91ba5c550b5d3ca84969df611c6ca7a62a"),
-    "n > 4": ("5b83b32e84e9e28722f7cd44962a2c0f393306d6b1b015e3176d066ffb4f76e3",
+    "n > 4": ("2240ea3f24e4d85527263bc1d357d02f14e7da7646b378493d9e83003b638b37",
               "4fc604ed1b5b0a0e00fbe54eb04b0c489cc18e79aebd2d10e20a2d75868e6418"),
 }
 

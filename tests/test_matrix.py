@@ -1,3 +1,4 @@
+import gc
 import random
 import subprocess
 import sys
@@ -442,6 +443,38 @@ def test_inv_det_is_det_and_inv_in_one(q):
                 assert inverse is None
                 with pytest.raises(ZeroDivisionError):
                     a.inv()
+    assert singular > 0
+
+
+@pytest.mark.parametrize("q", (2, 3, 5, 9))
+def test_inv_det_is_kept_on_the_matrix(q):
+    # the first inv_det keeps (inverse, determinant) on the matrix: a later
+    # call returns it, equal to a fresh matrix's elimination; det() then
+    # reads it and agrees with det()'s own elimination on a fresh matrix;
+    # == and hash ignore it; the inverse keeps nothing, so it holds no
+    # reference back to the matrix
+    ctx = make_field(q)
+    rng = random.Random(q * 109)
+    singular = 0
+    for n in range(1, 9):
+        for a in kernel_inputs(ctx, rng, n, n):
+            fresh = Mat(ctx, a.rows)
+            pair = a.inv_det()
+            assert a.inv_det() is pair and pair == Mat(ctx, a.rows).inv_det()
+            assert a.det() == pair[1] == fresh.det() == ref_det(a)
+            assert a == fresh and hash(a) == hash(fresh) and {fresh: 1}[a]
+            inverse, det = pair
+            if not det:
+                singular += 1
+                assert inverse is None
+                with pytest.raises(ZeroDivisionError):
+                    a.inv()
+                continue
+            assert a.inv() is inverse and inverse.rows == ref_inv(a)
+            assert not any(r is a or r is pair
+                           for r in gc.get_referents(inverse))
+            back, _ = inverse.inv_det()
+            assert back == a and back is not a
     assert singular > 0
 
 
