@@ -1,10 +1,12 @@
 """Walk the 2x2 trace rule (the shortest word g (k g^e k^-1)^m, k a
 transvection, of trace 0) and the commutator restart, which answers every
 larger element, through the constructor and print each resulting word.
-The restart takes the trace-0 partner where one exists (odd q, n >= 3, g
-not quadratic), whose witness has 4 steps, and the first non-commuting
-transvection otherwise; an input that is already a projective involution
-is its own 1-step witness.
+The restart takes one of two partners.  For even q the involution
+partner's commutator is itself the target, so the witness has 2 steps.
+Otherwise the plane partner's commutator moves only a plane: the trace-0
+plane (odd q, g not quadratic) gives 4 steps, and a quadratic g scales its
+partner to the best plane the field offers, at most 8 steps.  An input
+that is already a projective involution is its own 1-step witness.
 
 Every witness is a sequence of steps (c, e): the product of c g^e c^-1
 over the steps equals the recorded target, a non-scalar matrix squaring
@@ -49,10 +51,10 @@ tour("scaled regular unipotent (trace-0 partner)",
      GroupSpec("SL", 4, 5))
 
 f = next(iter(irreducible_polys(ctx2, 2)))
-tour("quadratic block over GF(2), multiplicity 3 (transvection partner)",
+tour("quadratic block over GF(2), multiplicity 3 (involution partner)",
      gen_jordan_block(ctx2, f, 3), GroupSpec("SL", 6, 2))
 
-tour("quadratic J2(1) + J2(1) (transvection partner)",
+tour("quadratic J2(1) + J2(1) (scaled plane partner)",
      Mat(ctx5, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 1]]),
      GroupSpec("SL", 4, 5))
 

@@ -3,30 +3,29 @@
 construct_involution(g, spec) returns a Witness holding steps (c_i, e_i)
 with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
-(in {I, -I}) and t non-central.  A projective involution is its own
-1-step witness.  Otherwise there are three outcomes.  A 2x2
-determinant-1 element takes one trace rule (_sl2_core): the shortest word
-g (k g^e k^-1)^m, k a transvection, whose product has trace 0, of at most
-4 steps.  A fixed list of small groups, where the 2x2 rule and the
-restart degenerate, reads a stored minimal word for the class of g
-(class_words, regenerated by class_word_table with the oracle's
-class-graph search) and conjugates it back to g, so no group is
-enumerated.  Every other element takes the commutator restart: up to
-dimension 4 on its canonical form, the commutator with a partner h
-(find_partner) moves a window of dimension at most 4, solved there and
-lifted.  For odd q, n >= 3 and g not quadratic, h is the trace-0
-partner: the window is a plane on which the commutator has trace 0, read
-in closed form with no basis, lift or sub-problem, so the witness takes 4
-steps.  Otherwise h is the first non-commuting I + E_ij.  No pair is
-searched.  Both partners are transvections I + v phi with phi(v) = 0, so
-the commutator is I + a b with a n x 2 and b 2 x n: the restart takes
-g^-1 from g's one elimination (classify's inv_det, kept on g), reads the
-window, its projection, the lifts and the pull-back off these factors,
-and multiplies no two n x n matrices.  The word over a canonical form
-(stored or restarted) depends on the form and the restart depth alone, so
-it is computed once per pair and held in a memo of at most
-_CANONICAL_WORDS_HELD words; each input then pays for its canonical form
-and the conjugation back.  Everything is replayed before being returned.
+(in {I, -I}) and t non-central.  An input that would be traded below and
+that passes replay's target check is its own 1-step witness.  Otherwise
+there are three outcomes.  A 2x2 determinant-1 element takes one trace
+rule (_sl2_core): the shortest word g (k g^e k^-1)^m, k a transvection,
+whose product has trace 0, of at most 4 steps.  A fixed list of small
+groups, where the 2x2 rule and the restart degenerate, reads a stored
+minimal word for the class of g (class_words, regenerated by
+class_word_table with the oracle's class-graph search) over g's canonical
+form and conjugates it back to g, so no group is enumerated; no other input
+takes a canonical form.  Every other element, of dimension 3 and up or of
+determinant other than 1, takes the commutator restart: the trade word
+g^-1 (h^-1 g h) with a partner h = I + v phi, phi(v) = 0, whose commutator
+x = [g, h] is I + a b with a n x 2 and b 2 x n.  The partner is one of two
+kinds (find_partner).  The involution partner, for even q, has b a = 0, so
+x is an involution and the witness takes 2 steps.  The plane partner has
+b a invertible: x moves only the plane im a, where the field's plane
+table (_plane_table) holds the 2x2 word of x, lifted to the whole space
+and pulled back; for odd q and g not quadratic it takes 4 steps, and no
+input takes more than MAX_WITNESS_LEN = 8.  No pair is searched.  The
+restart takes g^-1 from g's one elimination (classify's inv_det, kept on
+g), reads the window, the lifts and the pull-back off a and b, and
+multiplies no two n x n matrices.  Everything is replayed before being
+returned.
 """
 
 import json
@@ -34,8 +33,9 @@ from functools import lru_cache
 
 from .gf import make_field
 from .matrix import (GroupSpec, Mat, classify, is_projective_involution,
-                     nullspace, pad, parse_mat, pivot_columns, row_echelon)
-from .canonical import class_transversal, generalized_jordan
+                     nullspace, parse_mat, pivot_columns)
+from .canonical import (charpoly, class_transversal, generalized_jordan,
+                        mat_poly_eval)
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
                      group_order, involution_indices,
@@ -53,14 +53,9 @@ EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 # g, and a projective involution there reads a 1-step word
 _STORED_PAIRS = frozenset(key[:2] for key in CLASS_WORDS)
 
-# the window table's maximum over every supported q; a 3- or 4-dimensional
-# window restarts once, onto a 2x2 window or a stored word, so depth 2 ends
-MAX_WITNESS_LEN = 24
-_MAX_DEPTH = 2
-
-# words over canonical forms held by _canonical_word; over the classes of
-# SL(4,7) one takes about 4 KiB, so the memo holds about 4 MiB when full
-_CANONICAL_WORDS_HELD = 1024
+# the plane table's longest witness over every supported q: a 2-step plane
+# word, doubled for odd q and pulled back along the 2-step trade word
+MAX_WITNESS_LEN = 8
 
 
 class ConstructError(Exception):
@@ -137,79 +132,106 @@ def _expand(outer, conjugated):
     return out
 
 
-def _trace0_partner(g, gi):
-    """(v, phi), a column and a row, with phi(v) = 0, phi(g v) = 1 and
-    phi(g^-1 v) = 2, for the first v of e_1, ..., e_n, (1, ..., 1) with v,
-    g v and g^-1 v independent, or None when there is none; gi is g^-1.
-    For h = I + v phi, the commutator [g, h] moves only S = span(v, g^-1 v)
-    (_commutator_factors), where it sends v to v - g^-1 v and g^-1 v to
-    2 v - g^-1 v.  So tr [g, h] = n - phi(g v) phi(g^-1 v) = n - 2, [g, h]
-    has trace 0 and determinant 1 on S, and [g, h] - I is invertible there
-    (its determinant is 2): the window is S itself.  phi lives on the first
-    three pivot coordinates of the rows (v, g v, g^-1 v), one 3x3 system."""
+def _orbits(g, gi):
+    """[v, g v, g^-1 v] as tuples for v = e_1, ..., e_n and then (1, ..., 1),
+    each computed when it is read; gi is g^-1.  Since g is not scalar, one
+    of these v is no eigenvector of g."""
     ctx, n = g.ctx, g.n
     ones = Mat(ctx, [[1]] * n)
-
-    def column(m, k):
-        # m e_k, and m (1, ..., 1) for k = n
-        return (tuple(r[k] for r in m.rows) if k < n
-                else tuple(r[0] for r in (m * ones).rows))
-
-    eye = Mat.identity(ctx, n)
     for k in range(n + 1):
-        rows = [column(m, k) for m in (eye, g, gi)]
-        piv = pivot_columns(Mat(ctx, rows))
-        if len(piv) < 3:
+        yield [tuple(int(i == k) for i in range(n)) if k < n else (1,) * n] + [
+            tuple(r[k] for r in m.rows) if k < n
+            else tuple(r[0] for r in (m * ones).rows) for m in (g, gi)]
+
+
+def _solve_phi(ctx, rows, piv, rhs):
+    """The row phi, zero off the pivot coordinates piv, with phi(r) = rhs
+    for the rows r: one system of len(piv) unknowns."""
+    a = Mat(ctx, [[r[p] for p in piv] for r in rows])
+    phi = [0] * len(rows[0])
+    for p, (c,) in zip(piv, (a.inv() * Mat(ctx, [[x] for x in rhs])).rows):
+        phi[p] = c
+    return Mat(ctx, [phi])
+
+
+def _involution_partner(g, gi):
+    """(v, phi), a column and a row, with phi(v) = phi(g v) = phi(g^-1 v) = 0
+    and a b != 0, or None; gi is g^-1.  Then b a = 0 (_commutator_factors),
+    so x = [g, h] = I + a b has (x - I)^2 = 0 and x != I: in characteristic
+    2, x is an involution.  For n >= 4, v is the first of _orbits' vectors
+    that is no eigenvector and phi the first vector of the nullspace of the
+    rows (v, g v, g^-1 v), so the partner always exists: a b = v phi -
+    g^-1 v (phi g) is not 0 for v and g^-1 v independent.  At n = 3 such a
+    phi vanishes on the g-invariant plane that v, g v and g^-1 v span: phi
+    is a left eigenvector, phi g = lam phi with lam a root of charpoly(g) in
+    GF(q), and v the first basis vector of ker phi with g v != lam v; x is
+    then a transvection."""
+    ctx, n = g.ctx, g.n
+    if n >= 4:
+        rows = next(r for r in _orbits(g, gi) if Mat(ctx, r[:2]).rank() == 2)
+        return (Mat(ctx, [[x] for x in rows[0]]),
+                Mat(ctx, nullspace(Mat(ctx, rows))[:1]))
+    f = charpoly(g)
+    for lam in ctx.elements():
+        if mat_poly_eval(Mat(ctx, [[lam]]), f)[0, 0]:
             continue
-        a = Mat(ctx, [[r[p] for p in piv] for r in rows])
-        sol = a.inv() * Mat(ctx, [[0], [1], [ctx.scalar(2)]])
-        phi = [0] * n
-        for p, (c,) in zip(piv, sol.rows):
-            phi[p] = c
-        return Mat(ctx, [[x] for x in rows[0]]), Mat(ctx, [phi])
+        m = g - Mat.scalar(ctx, n, lam)
+        for phi in nullspace(Mat(ctx, list(zip(*m.rows)))):
+            for v in nullspace(Mat(ctx, [phi])):
+                v = Mat(ctx, [[x] for x in v])
+                if any(map(any, (m * v).rows)):
+                    return v, Mat(ctx, [phi])
     return None
 
 
-def _partner(g, gi=None):
+def _plane_partner(g, gi):
+    """(v, phi), a column and a row, with phi(v) = 0, s = phi(g v) != 0 and
+    u = phi(g^-1 v) != 0, so b a = [[0, u], [-s, -s u]] is invertible
+    (_commutator_factors); gi is g^-1.  The window is the plane im a, on
+    which x = [g, h] acts as y = I + b a, conjugate to y_p of the field's
+    plane table (_plane_table) for p = s u.  v is the first of _orbits'
+    vectors with v, g v and g^-1 v independent, and then (s, u) = (1, p)
+    for the table's best p: phi lives on three pivot coordinates, one 3x3
+    system.  For odd q that p is 2, where y has trace 0 (the trace-0
+    partner).  A quadratic g, g^2 = alpha g + beta, has no such v, as
+    g^-1 v = (g v - alpha v) / beta: it takes the first v that is no
+    eigenvector, phi with phi(v) = 0 and phi(g v) = 1 on two pivot
+    coordinates, c = phi(g^-1 v) (1 / beta for a quadratic g), and then
+    phi scaled by the table's s for c, so p = s^2 c."""
+    ctx = g.ctx
+    _, best, scale = _plane_table(ctx.q)
+    pair = None
+    for rows in _orbits(g, gi):
+        piv = pivot_columns(Mat(ctx, rows))
+        if len(piv) == 3:
+            return (Mat(ctx, [[x] for x in rows[0]]),
+                    _solve_phi(ctx, rows, piv, (0, 1, best)))
+        if len(piv) == 2 and pair is None:
+            pair = rows, piv
+    rows, piv = pair
+    phi = _solve_phi(ctx, rows[:2], piv, (0, 1))
+    c = (phi * Mat(ctx, [[x] for x in rows[2]]))[0, 0]
+    return Mat(ctx, [[x] for x in rows[0]]), phi.scale(scale[c])
+
+
+def _partner(g, gi):
     """(v, phi), a column and a row, of find_partner(g) = I + v phi, with
-    phi(v) = 0; gi is g^-1, or None to have it computed when needed."""
-    ctx, n, rows = g.ctx, g.n, g.rows
+    phi(v) = 0; gi is g^-1."""
     if g.is_scalar():
         raise ValueError("central element has no partner")
-    if ctx.p != 2 and n >= 3:
-        found = _trace0_partner(g, g.inv() if gi is None else gi)
-        if found is not None:
-            return found
-    col_diag = [all(rows[k][i] == 0 for k in range(n) if k != i)
-                for i in range(n)]
-    row_diag = [all(rows[j][k] == 0 for k in range(n) if k != j)
-                for j in range(n)]
-    eye = Mat.identity(ctx, n).rows
-    for i in range(n):
-        for j in range(n):
-            if i != j and not (col_diag[i] and row_diag[j]
-                               and rows[i][i] == rows[j][j]):
-                return Mat(ctx, [[x] for x in eye[i]]), Mat(ctx, [eye[j]])
-    raise ConstructError("non-central element must fail to commute with "
-                         "some transvection")
+    found = (_involution_partner(g, gi) if g.ctx.p == 2 and g.n >= 3
+             else None)
+    return found or _plane_partner(g, gi)
 
 
 def find_partner(g):
     """The partner h whose commutator [g, h] the restart solves, a
-    transvection I + v phi (phi(v) = 0).  For odd q and n >= 3 it is the
-    trace-0 partner of _trace0_partner when one exists: its commutator is
-    trace-0 on a 2-dimensional window, so the witness takes 4 steps.  A
-    quadratic g (g^2 = a g + b) has none, as g^-1 v always lies in
-    span(v, g v).
-
-    Otherwise it is the first transvection h = I + E_ij (v = e_i, phi =
-    e_j, by position) whose commutator with g is non-central.  A scalar
-    commutator with a unipotent h is I, since g^-1 h^-1 g = s h^-1 forces
-    s = 1, so h is the first that g does not commute with: g E_ij = E_ij g
-    exactly when column i and row j of g are zero off the diagonal and
-    g_ii = g_jj.  No other coefficient than 1 is needed, as g commutes with
-    I + c E_ij for all c or for none."""
-    v, phi = _partner(g)
+    transvection I + v phi (phi(v) = 0), of one of two kinds.  For even q
+    and n >= 3 it is the involution partner of _involution_partner when g
+    has one (always for n >= 4): [g, h] is itself an involution.  Otherwise
+    it is the plane partner of _plane_partner: [g, h] moves only a plane,
+    where the field's plane table solves it."""
+    v, phi = _partner(g, g.inv())
     return Mat.identity(g.ctx, g.n) + v * phi
 
 
@@ -218,7 +240,8 @@ def _commutator_factors(g, gi, v, phi):
     phi(v) = 0, and gi = g^-1: a = [v | g^-1 v] is n x 2 and b = [phi ;
     -(phi g + phi(g v) phi)] is 2 x n.  As h^-1 = I - v phi, g^-1 h^-1 g =
     I - g^-1 v (phi g), and its product with h is I + v phi - g^-1 v (phi g)
-    - phi(g v) g^-1 v phi.  Each factor costs one product with a vector."""
+    - phi(g v) g^-1 v phi.  Each factor costs one product with a vector, and
+    b a = [[phi(v), phi(g^-1 v)], [-phi(g v), -phi(g v) phi(g^-1 v)]]."""
     ctx = g.ctx
     phig = phi * g
     s = (phig * v).rows[0][0]
@@ -238,15 +261,15 @@ def _reseed_word(g, h, label):
     return [(g ** 0, -1, label), (hi, 1, label)], g.inv() * hi * g * h
 
 
-def _reseed(g, depth):
+def _reseed(g):
     """Trade g for its commutator x = I + a b with the partner h = I + v
-    phi, solve x on its window and pull the witness back along the trade
-    word g^-1 (h^-1 g h): a step d x^e d^-1 becomes (d, -1), (d h^-1, +1),
+    phi, solve x (_window) and pull the witness back along the trade word
+    g^-1 (h^-1 g h): a step d x^e d^-1 becomes (d, -1), (d h^-1, +1),
     reversed with flipped exponents for e = -1, and d h^-1 = d + (d v)(-phi).
     g^-1 is the one inversion, shared by the partner and the factors."""
     gi = g.inv()
     v, phi = _partner(g, gi)
-    inner, t = _window(*_commutator_factors(g, gi, v, phi), depth)
+    inner, t = _window(*_commutator_factors(g, gi, v, phi))
     minus_phi = -phi
     return _expand(inner, lambda d: [
         (d, -1, "reseed"), (d + (d * v) * minus_phi, 1, "reseed")]), t
@@ -328,105 +351,65 @@ def _sl2_core(g, longest=4):
     return None
 
 
-# -- window --------------------------------------------------------------
+# -- the plane window ----------------------------------------------------
 
 
-def _window_basis(a, b):
-    """(p, pi, y) for the commutator x = I + a b, a n x 2 and b 2 x n:
-    x fixes K = ker(x - I) and moves only the window U = im(x - I) + W, W
-    a complement of K taken from im(x - I) first and then from e_1, ...,
-    e_n, so dim U = r + dim(im & K) <= 4 for r = rank(x - I) <= 2.  The
-    complement of U & K in K is the kernel vectors not in the span of U and
-    of the ones before them, and over GF(2) a 2-dimensional window takes
-    the first of those.  In the basis of U followed by that complement, x
-    is y (+) I: p (n x d) holds U's basis, pi (d x n) is the first d rows
-    of the inverse of that basis, so pi p = I and pi vanishes on the
-    complement, and y = I + pi (x - I) p.
+@lru_cache(maxsize=None)
+def _plane_table(q):
+    """(words, best, scale) over GF(q), built once per field with q - 1
+    calls of _sl2_core.  words[p], for p != 0, is _sl2_core's word over
+    y_p = [[1, 1], [-p, 1 - p]] (trace 2 - p, determinant 1), or None:
+    the window of a plane partner with phi(g v) phi(g^-1 v) = p, in the
+    basis (u v, g^-1 v) of im a.  best is the first p whose word is
+    shortest, for a partner whose (s, u) is free, and scale[c] the first s
+    whose p = s^2 c has the shortest word, for a partner with phi(g^-1 v) =
+    c phi(g v) (c = 1 / beta for a quadratic g).  MAX_WITNESS_LEN is the
+    longest witness the table gives, as test_window_shapes_stay_under_the_cap
+    checks."""
+    ctx = make_field(q)
+    words = {p: _sl2_core(Mat(ctx, [[1, 1], [ctx.neg(p), ctx.sub(1, p)]]))
+             for p in range(1, q)}
 
-    The one n x n matrix reduced is m = x - I, of rank r, in r passes.
-    m e_i is independent of m(im) and of the m e_j before it exactly when
-    e_i joins W: the pivots past r of [R E | R], with R the echelon rows of
-    m and E the image columns.  im & K = U & K is E ker(R E), and in
-    the free coordinates of the echelon form, where each kernel vector of
-    nullspace is a unit vector, a kernel vector is left out exactly when
-    its coordinate is the last nonzero one of a vector of im & K.  pi is
-    (F p)^-1 F, with F the rows of R and the unit rows of the free
-    coordinates left out: F vanishes exactly on the complement."""
+    def cost(p):
+        return len(words[p][0]) if words[p] else 5
+    units = range(1, q)
+    return words, min(units, key=cost), {
+        c: min(units, key=lambda s: cost(ctx.mul(ctx.mul(s, s), c)))
+        for c in units}
+
+
+def _window(a, b):
+    """Witness steps and target for the restart's commutator x = I + a b,
+    read off the 2 x 2 matrix b a.  When b a = 0 (the involution partner)
+    x is its own target, the 1-step word [(I, +1)].  Otherwise (the plane
+    partner) b a = [[0, u], [-s, -p]] with p = s u is invertible, so im a
+    and ker b split the space and x is I on ker b.  In the basis (u v,
+    g^-1 v) of im a, the columns of a scaled to a', and b to b' with
+    b' a' = m = [[0, 1], [-p, -p]], x acts as y_p = I + m, whose word the
+    plane table holds.  A 2 x 2 conjugator or target c lifts to
+    I + a' (c - I) m^-1 b', c on im a and I on ker b, of the same
+    determinant, in O(n^2).  The steps are doubled and the target squared
+    when the target squares to -I on the plane only, n > 2 and q odd."""
     ctx, n = a.ctx, a.n
-    m = a * b
-    pivots, ech = row_echelon(m)
-    r = len(pivots)
-    image = [tuple(row[c] for row in m.rows) for c in pivots]
-    re = ech * Mat(ctx, list(zip(*image)))
-    units = [c - r for c in pivot_columns(
-        Mat(ctx, [x + y for x, y in zip(re.rows, ech.rows)])) if c >= r]
-    free = [c for c in range(n) if c not in pivots]
-    unit = Mat.identity(ctx, n).rows
-    # im & K read backwards over the free coordinates, where the pivots of
-    # its vectors are their last nonzero coordinates
-    meet = [(Mat(ctx, [z]) * Mat(ctx, image)).rows[0] for z in nullspace(re)]
-    left_out = {free[-1 - c] for c in pivot_columns(
-        Mat(ctx, [[w[f] for f in reversed(free)] for w in meet]))}
-    rest = [(f, k) for f, k in zip(free, nullspace(ech)) if f not in left_out]
-    window = image + [unit[i] for i in units]
-    if ctx.q == 2 and len(window) == 2:
-        window, rest = window + [k for _, k in rest[:1]], rest[1:]
-    p = Mat(ctx, list(zip(*window)))
-    kept = {f for f, _ in rest}
-    f_rows = Mat(ctx, ech.rows + tuple(unit[f] for f in free
-                                       if f not in kept))
-    pi = (f_rows * p).inv() * f_rows
-    mp = a * (b * p)
-    eye = Mat.identity(ctx, len(window))
-    y = eye + pi * mp
-    # x is y (+) I in the basis (p, rest): the echelon rows of m vanish on
-    # rest, and m maps p's span into itself by y - I
-    on_rest = ech * Mat(ctx, list(zip(*(k for _, k in rest))) or [()] * n)
-    if any(map(any, on_rest.rows)) or mp != p * (y - eye):
-        raise ConstructError("window identity failed")
-    return p, pi, y
-
-
-def _window(a, b, depth):
-    """Witness steps and target for the commutator x = I + a b of the
-    restart, from its window (_window_basis): a witness for y on U lifts
-    with no balance, as x is exactly I on the complement, and a conjugator
-    or target c of the window lifts to I + p (c - I) pi, of the same
-    determinant.  y is never scalar: that would make U = im(x - I), which
-    both transvections of x preserve, and on U their product, two
-    unipotents, would be -I.  The 2-dimensional window is widened over
-    GF(2) since the order-3 class of the 2x2 group reaches no involution
-    while every class of the 3x3 group has a stored word.  The steps are
-    doubled and the target squared when the target squares to -I on U
-    only, decided on the d x d target: t (+) I_(n-d) is a projective
-    involution exactly when t (+) I_1 is, for d < n.
-
-    The trace-0 plane is read in closed form.  When q is odd, n >= 3 (at
-    n = 2 the plane is the space, and x^2 = -I is central) and the 2 x 2
-    matrix b a has trace -2 and determinant 2 (always so for the trace-0
-    partner, where b a = [[0, 2], [-1, -2]]), b a is invertible, so
-    im a and K = ker b split the space and the window is the plane im a,
-    on which x acts as y = I + b a (x a = a y): trace 0 and determinant 1,
-    so y^2 = -I.  y is its own 1-step word, the window's is [(I, +1)]
-    taken twice, and the target is x^2 = I + a (2 I + b a) b, -I on im a
-    and I on K.  Nothing is reduced or lifted, and no n x n matrices are
-    multiplied."""
-    ctx, n = a.ctx, a.n
-    ba, two = b * a, ctx.scalar(2)
-    if (ctx.p != 2 and n >= 3 and ba.det() == two
-            and ctx.add(ba[0, 0], ba[1, 1]) == ctx.neg(two)):
-        eye = Mat.identity(ctx, n)
-        return ([(eye, 1, "sl2-antidiagonal")] * 2,
-                eye + a * (Mat.scalar(ctx, 2, two) + ba) * b)
-    p, pi, y = _window_basis(a, b)
-    d = y.n
-    eye, big = Mat.identity(ctx, d), Mat.identity(ctx, n)
+    eye = Mat.identity(ctx, n)
+    ba = b * a
+    if not any(map(any, ba.rows)):
+        return [(eye, 1, "involution")], eye + a * b
+    u, p = ba[0, 1], ctx.neg(ba[1, 1])
+    found = _plane_table(ctx.q)[0][p]
+    if found is None:
+        raise ConstructError("no 2x2 word of at most 4 steps on the plane")
+    inner, t = found
+    by_inv_u = ctx.mul_rows[ctx.inv(u)]
+    a = Mat(ctx, [(ctx.mul(x, u), y) for x, y in a.rows])
+    b = Mat(ctx, [[by_inv_u[x] for x in b.rows[0]], b.rows[1]])
+    eye2 = Mat.identity(ctx, 2)
+    m_inv = Mat(ctx, [[ctx.neg(1), ctx.neg(ctx.inv(p))], [1, 0]])
 
     def lift(c):
-        return big + (p * (c - eye)) * pi
-    inner, t = _construct_internal(y, depth + 1)
+        return eye if c == eye2 else eye + a * ((c - eye2) * m_inv) * b
     steps = [(lift(c), e, lab) for c, e, lab in inner]
-    if not is_projective_involution(pad(t, min(d + 1, n))):
+    if n > 2 and not (t * t).is_identity():
         steps, t = steps + steps, t * t
     return steps, lift(t)
 
@@ -529,12 +512,11 @@ def class_word_table():
 
 def _class_word(gJ):
     """The stored word over the canonical form gJ of a stored pair, as
-    (steps, target), or None when CLASS_WORDS holds no entry for it.
-    Raises Unreachable, with a copy of the stored certificate, for the
-    class that reaches no involution."""
+    (steps, target).  Raises Unreachable, with a copy of the stored
+    certificate, for the class that reaches no involution."""
     entry = CLASS_WORDS.get((gJ.n, gJ.ctx.q, gJ.to_text()))
     if entry is None:
-        return None
+        raise ConstructError("no stored class word for %s" % gJ.to_text())
     word, target = entry
     if isinstance(word, str):
         raise Unreachable(word, dict(target))
@@ -546,36 +528,19 @@ def _class_word(gJ):
 # -- main pipeline -------------------------------------------------------
 
 
-@lru_cache(maxsize=_CANONICAL_WORDS_HELD)
-def _canonical_word(gJ, depth):
-    """(steps, target) over the canonical form gJ met at restart depth
-    `depth`, the steps a tuple: the stored class word of a stored pair,
-    else the commutator restart.  Both depend on (gJ, depth) alone, as
-    every search is seeded, so each pair is solved once.  An exception is
-    not held: each call raises afresh, with its own copy of a
-    certificate."""
-    stored = _class_word(gJ) if (gJ.n, gJ.ctx.q) in _STORED_PAIRS else None
-    steps, t = _reseed(gJ, depth) if stored is None else stored
-    return tuple(steps), t
-
-
-def _construct_internal(g, depth=0):
-    if depth > _MAX_DEPTH:
-        raise ConstructError("recursion limit hit")
-    ctx, n = g.ctx, g.n
-    if g.is_scalar():
-        raise ValueError("central element has no witness")
-    if n > 4 or g.det() != 1:
-        return _reseed(g, depth)
-    if n == 2 and (n, ctx.q) not in _STORED_PAIRS:
+def _construct_internal(g):
+    """(steps, target) for a determinant-1 g of dimension 2 or of a stored
+    pair: the 2x2 rule, or the stored class word over g's canonical form,
+    conjugated back.  No other input takes a canonical form."""
+    if (g.n, g.ctx.q) not in _STORED_PAIRS:
         found = _sl2_core(g)
         if found is None:
             raise ConstructError("no 2x2 word of at most 4 steps has trace 0")
         return found
     cf = generalized_jordan(g)
     # g = u^-1 gJ u, and conjugation by u maps the word over gJ to one over
-    # g with the same length and determinant-1 conjugators (below)
-    steps, t = _canonical_word(cf.canonical, depth)
+    # g with the same length and determinant-1 conjugators
+    steps, t = _class_word(cf.canonical)
     if cf.u.is_identity():
         return steps, t
     u, ui = cf.u, cf.u.inv()
@@ -600,28 +565,29 @@ def construct_involution(g, spec):
             raise ValueError("identity has no witness")
         if spec.special and g.parity() != 0:
             raise ValueError("odd permutation is outside the group")
-        certificate = None
-        if g.n == 5 and g.cycle_type() == (5,):
-            raw, target, certificate = a5_witness(g)
-            steps = [(c, e, "a5-search") for c, e in raw]
-        else:
-            steps, target = _reseed_word(g, alt_partner(g), "alt-partner")
-        w = Witness(spec, g, steps, target, certificate)
+        traded = g.n != 5 or g.cycle_type() != (5,)
     else:
         cls = classify(g, spec)
         if not cls.in_group:
             raise ValueError("determinant is not 1: outside the group")
         if cls.central:
             raise ValueError("central element has no witness")
-        # a projective involution is its own target, the 1-step word
-        # [(I, +1)]; the 2x2 rule and the stored class words return a 1-step
-        # word themselves, and every other input would take the restart
-        if cls.projective_involution and (g.det() != 1 or (
-                g.n > 2 and (g.n, spec.q) not in _STORED_PAIRS)):
-            steps, target = [(g ** 0, 1, "involution")], g
-        else:
-            steps, target = _construct_internal(g)
-        w = Witness(spec, g, steps, target)
+        traded = g.det() != 1 or (g.n > 2
+                                  and (g.n, spec.q) not in _STORED_PAIRS)
+    certificate = None
+    if traded and _target_violation(g, spec) is None:
+        # an input that the trade word would take and that passes replay's
+        # target check is its own target, the 1-step word [(I, +1)]; the
+        # 2x2 rule and the stored class words give one themselves
+        steps, target = [(g ** 0, 1, "involution")], g
+    elif spec.perm and not traded:
+        raw, target, certificate = a5_witness(g)
+        steps = [(c, e, "a5-search") for c, e in raw]
+    elif spec.perm:
+        steps, target = _reseed_word(g, alt_partner(g), "alt-partner")
+    else:
+        steps, target = (_reseed if traded else _construct_internal)(g)
+    w = Witness(spec, g, steps, target, certificate)
     rep = replay(w)
     if not rep.ok:
         raise ConstructError("construction produced an invalid witness: %s"

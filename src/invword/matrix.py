@@ -266,13 +266,6 @@ def _row_echelon(ctx, a):
     return pivots, a
 
 
-def row_echelon(mat):
-    """(pivot columns, the nonzero rows of the reduced row echelon form of
-    mat as a Mat); at rank r the elimination is r passes over mat."""
-    pivots, a = _row_echelon(mat.ctx, list(mat.rows))
-    return pivots, Mat(mat.ctx, a[:len(pivots)])
-
-
 def nullspace(mat):
     """Basis of the right kernel {x : mat @ x = 0}, vectors as tuples: one
     per non-pivot column c, 1 at c and 0 at every other non-pivot column."""

@@ -11,8 +11,8 @@ import pytest
 import invword.constructor as constructor
 from invword.gf import MAX_ORDER, make_field, irreducible_polys
 from invword.matrix import (GroupSpec, Mat, commutator, direct_sum,
-                            is_projective_involution, nullspace, pad,
-                            parse_mat, pivot_columns, sub_block, transvection)
+                            is_projective_involution, nullspace, parse_mat,
+                            pivot_columns, sub_block, transvection)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
 from invword.oracle import (build_group, conjugacy_classes, dist_to_set,
@@ -273,77 +273,110 @@ def test_decomposable_route():
     # a decomposable element is not split into parts: the restart solves
     # its commutator on the window, as for every other element.  The
     # first two have a trace-0 partner; the quadratic J_2(1) (+) J_2(1)
-    # has none and takes the first non-commuting transvection
+    # has none, and as 2 beta = -2 is no square mod 5, its scaled plane
+    # partner takes a 2-step plane word, doubled
     for g, length in ((Mat(ctx5, [[1, 0, 0], [0, 2, 0], [0, 0, 3]]), 4),
                       (Mat(ctx5, [[3, 0, 0, 0], [0, 2, 0, 0], [0, 0, 1, 0],
                                   [0, 0, 0, 1]]), 4),
-                      (parse_mat(ctx5, "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1"), 12)):
+                      (parse_mat(ctx5, "1,1,0,0;0,1,0,0;0,0,1,1;0,0,0,1"), 8)):
         w = ok(construct_involution(g, GroupSpec("SL", g.n, 5)))
         assert w.length == length and labels(w) == ["reseed"]
 
 
 def test_gl_reseed_route():
+    # at n = 2 the plane is the whole space: here beta = -det g = 4 and
+    # 2 beta = 1 is a square mod 7, so the plane has trace 0 and its
+    # commutator is a projective involution, the target of the trade word
     g = Mat(ctx7, [[3, 0], [0, 1]])
     w = ok(construct_involution(g, GroupSpec("GL", 2, 7)))
-    assert labels(w) == ["reseed"] and w.length == 4
+    assert labels(w) == ["reseed"] and w.length == 2
     assert w.net_exponent == 0    # commutator restarts always balance
 
 
 def test_find_partner_frozen():
-    assert find_partner(Mat(ctx5, [[1, 1], [0, 1]])).to_text() == "1,0;1,1"
-    assert find_partner(Mat(ctx7, [[2, 0], [0, 3]])).to_text() == "1,1;0,1"
+    assert find_partner(Mat(ctx5, [[1, 1], [0, 1]])).to_text() == "1,0;2,1"
+    assert find_partner(Mat(ctx7, [[2, 0], [0, 3]])).to_text() == "5,3;4,4"
     with pytest.raises(ValueError):
         find_partner(Mat(ctx5, [[2, 0], [0, 2]]))
 
 
+def _values(g, v, phi):
+    """(phi(v), phi(g v), phi(g^-1 v)) on dense products."""
+    return tuple((phi * m * v)[0, 0]
+                 for m in (Mat.identity(g.ctx, g.n), g, g.inv()))
+
+
+def _orbit_rank(g, v):
+    """The rank of the columns v, g v and g^-1 v."""
+    cols = [(m * v).rows for m in (Mat.identity(g.ctx, g.n), g, g.inv())]
+    return Mat(g.ctx, [sum(c, ()) for c in cols]).rank()
+
+
+def _candidates(ctx, n):
+    """e_1, ..., e_n and (1, ..., 1) as columns, in the partners' order."""
+    return [Mat(ctx, [[int(i == k)] for i in range(n)]) for k in range(n)] + [
+        Mat(ctx, [[1]] * n)]
+
+
 def _trace0(g):
-    """The trace-0 partner I + v phi of g, or None."""
-    found = constructor._trace0_partner(g, g.inv())
-    return None if found is None else (Mat.identity(g.ctx, g.n)
-                                       + found[0] * found[1])
+    """The trace-0 partner I + v phi of g: the plane partner when some
+    candidate v has v, g v and g^-1 v independent, whose phi takes the
+    values (0, 1, 2) there; None when no candidate does."""
+    if all(_orbit_rank(g, v) < 3 for v in _candidates(g.ctx, g.n)):
+        return None
+    v, phi = constructor._plane_partner(g, g.inv())
+    assert _values(g, v, phi) == (0, 1, g.ctx.scalar(2))
+    return Mat.identity(g.ctx, g.n) + v * phi
 
 
-def _partner_by_commutator(g):
-    """find_partner's definition by commutators: the first transvection
-    I + lam E_ij, by coefficient and then position, whose commutator with
-    g is non-central."""
-    ctx, n = g.ctx, g.n
-    for lam in range(1, ctx.q):
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    h = transvection(ctx, n, i, j, lam)
-                    if not commutator(g, h).is_scalar():
-                        return h
-
-
-def test_find_partner_matches_the_commutator_definition():
-    # over the inputs that fall back to it: even q, n = 2, and those with
-    # no trace-0 partner
+def test_find_partner_is_one_of_two_kinds():
+    # every partner is h = I + v phi with phi(v) = 0.  The involution
+    # partner (even q, n >= 3) has phi(g v) = phi(g^-1 v) = 0, and [g, h] - I
+    # squares to 0 and is not 0; at n >= 4 every non-scalar g has it.  The
+    # plane partner has s = phi(g v) and u = phi(g^-1 v) nonzero, with
+    # (s, u) = (1, best) when v, g v and g^-1 v are independent, and else
+    # s = scale[c] for c = u / s
     inputs = [g for q in (2, 3, 4, 5, 7, 8, 9) for n in (2, 3, 4)
+              if n < 4 or q <= 5
               for g, _ in class_transversal(make_field(q), n)]
     rng = random.Random(16)
     for n in range(5, 10):
         for q in (2, 3, 4, 5, 7, 9):
             ctx = make_field(q)
-            # dense, then a scalar block followed by a dense one, whose
-            # partner sits past the first position
+            # dense, then a scalar block followed by a dense one
             inputs.append(rand_gl(ctx, n, rng))
             k = rng.randrange(2, n - 1)
             inputs.append(direct_sum(Mat.scalar(ctx, k, rng.randrange(1, q)),
                                      rand_gl(ctx, n - k, rng)))
-    assert len(inputs) == 16116
-    fallback = [g for g in inputs if g.ctx.p == 2 or g.n == 2
-                or _trace0(g) is None]
-    assert len(fallback) == 5654
-    assert sum(g.ctx.p != 2 and g.n > 2 for g in fallback) == 522
-    assert sum(g.det() != 1 for g in fallback) > 5
-    late = 0
-    for g in fallback:
+    kinds = Counter()
+    for g in inputs:
+        ctx, n = g.ctx, g.n
+        if g.is_scalar():
+            continue
         h = find_partner(g)
-        assert h == _partner_by_commutator(g), g.to_text()
-        late += h.rows[0][1] != 1
-    assert late > 1000
+        v, phi = constructor._partner(g, g.inv())
+        assert h == Mat.identity(ctx, n) + v * phi
+        zero, s, u = _values(g, v, phi)
+        assert zero == 0
+        x = commutator(g, h)
+        m = x - Mat.identity(ctx, n)
+        if ctx.p == 2 and n >= 3 and (s, u) == (0, 0):
+            assert not (m * m).rank()
+            assert (x * x).is_identity() and not x.is_identity()
+            kinds["involution", n >= 4] += 1
+            continue
+        assert n <= 3 or ctx.p != 2, g.to_text()
+        _, best, scale = constructor._plane_table(ctx.q)
+        if _orbit_rank(g, v) == 3:
+            assert (s, u) == (1, best)
+            kinds["plane", "free"] += 1
+        else:
+            c = ctx.div(u, s)
+            assert s == scale[c] and _orbit_rank(g, v) == 2
+            kinds["plane", "scaled"] += 1
+        assert m.rank() == 2 and (m * m).rank() == 2
+    assert kinds == {("plane", "free"): 1932, ("plane", "scaled"): 404,
+                     ("involution", False): 371, ("involution", True): 282}
 
 
 # -- the trace-0 partner ----------------------------------------------------
@@ -424,31 +457,52 @@ def test_trace0_partner_solves_on_a_plane():
     assert other_det > 25
 
 
+def _beta(g):
+    """beta with g^2 = alpha g + beta I, for a quadratic, non-scalar g."""
+    ctx, sq = g.ctx, g * g
+    i, j = next((i, j) for i in range(g.n) for j in range(g.n)
+                if i != j and g[i, j])
+    alpha = ctx.div(sq[i, j], g[i, j])
+    return ctx.sub(sq[0, 0], ctx.mul(alpha, g[0, 0]))
+
+
 def test_quadratic_elements_have_no_trace0_partner():
     # g^2 = a g + b puts g^-1 v = (g v - a v) / b in span(v, g v) for every
-    # v, so a quadratic g falls back to the first non-commuting transvection
+    # v, so a quadratic g has no trace-0 partner: its plane partner has
+    # phi(g^-1 v) = phi(g v) / b, and s = phi(g v) is the plane table's for
+    # c = 1 / b.  The witness takes 4 steps when 2 b is a square (then
+    # s^2 = 2 b gives the trace-0 plane), else 8
     rng = random.Random(28)
-    count = 0
-    for q in (3, 5, 7, 9, 13):
+    lengths = Counter()
+    for q in (3, 5, 7, 9, 11, 13, 25, 27, 29):
         ctx = make_field(q)
+        _, _, scale = constructor._plane_table(q)
         j2 = Mat(ctx, [[1, 1], [0, 1]])
         c2 = companion(ctx, next(iter(irreducible_polys(ctx, 2))))
-        for n in range(3, 9):
+        for n in (3, 4, 5, 6, 8):
             a, b, k = rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, n)
             ys = [direct_sum(Mat.scalar(ctx, k, a), Mat.scalar(ctx, n - k, b)),
-                  direct_sum(j2, Mat.identity(ctx, n - 2)).scale(a)]
+                  direct_sum(j2, Mat.identity(ctx, n - 2)).scale(a),
+                  direct_sum(_blocks(j2, n // 2), Mat.identity(ctx, 1))
+                  if n % 2 else _blocks(j2, n // 2)]
             if n % 2 == 0:
                 ys.append(_blocks(c2, n // 2))
             for y in ys:
-                if y.is_scalar():
+                if (y * y).is_scalar():
                     continue
                 p = rand_gl(ctx, n, rng)
                 g = p * y * p.inv()
-                assert _is_quadratic(g)
-                assert _trace0(g) is None
-                assert find_partner(g) == _partner_by_commutator(g)
-                count += 1
-    assert count == 66
+                assert _is_quadratic(g) and _trace0(g) is None
+                beta = _beta(g)
+                v, phi = constructor._partner(g, g.inv())
+                s = scale[ctx.inv(beta)]
+                assert _values(g, v, phi) == (0, s, ctx.div(s, beta))
+                family = "SL" if g.det() == 1 else "GL"
+                w = ok(construct_involution(g, GroupSpec(family, n, q)))
+                square = ctx.sqrt(ctx.mul(ctx.scalar(2), beta)) is not None
+                assert w.length == (4 if square else 8), (q, g.to_text())
+                lengths[square, w.length] += 1
+    assert lengths == {(True, 4): 65, (False, 8): 55}, lengths
 
 
 @pytest.mark.parametrize("n, q, counts", [(3, 5, (100, 16)), (3, 7, (294, 36)),
@@ -527,37 +581,40 @@ def _field_orders():
 
 
 def test_window_shapes_stay_under_the_cap():
-    # above dimension 4 the restart's commutator x is y (+) I on a window
-    # of dimension <= 4, y one of: a non-central 2x2 class (im(x - I) and
-    # ker(x - I) apart, or J_2(1)), J_3(1), J_2(1) (+) J_2(1); over GF(2)
-    # the 2x2 classes are widened to y (+) 1.  The witness for x is the
-    # one for y, squared once (s = 2) when its target squares to -I only on
-    # the window, then pulled back along the 2-step restart word.  Only an
-    # input with no trace-0 partner meets these windows, as that partner's
-    # window is 2-dimensional; J_3(1) itself has one for odd q, and takes
-    # 4 steps on a 2-dimensional window of its own
-    worst = {}
+    # the restart's window has one of two shapes.  The involution partner's
+    # commutator is its own 1-step target.  On the plane partner's plane
+    # the commutator acts as y_p = [[1, 1], [-p, 1 - p]], whose word the
+    # field's plane table holds: a partner with (s, u) free takes the best
+    # p, one with phi(g^-1 v) = c phi(g v) (a quadratic g) p = s^2 c for
+    # s = scale[c].  The witness is the plane word, doubled for odd q above
+    # dimension 2, then pulled back along the 2-step trade word.  Over
+    # GF(2), y_1 has order 3 and no word: every input there has the
+    # involution partner or a stored class word
+    table = {}
     for q in _field_orders():
         ctx = make_field(q)
-        j2 = Mat(ctx, [[1, 1], [0, 1]])
-        shapes = {"J3": parse_mat(ctx, "1,1,0;0,1,1;0,0,1"),
-                  "J2+J2": direct_sum(j2, j2)}
-        if q == 2:
-            one = Mat.identity(ctx, 1)
-            shapes["J2+1"] = direct_sum(j2, one)
-            shapes["C3+1"] = direct_sum(Mat(ctx, [[0, 1], [1, 1]]), one)
-        else:
-            shapes.update(("2x2 %s" % g, g) for g, _ in class_transversal(ctx, 2)
-                          if not g.is_scalar())
-        for name, y in shapes.items():
-            w = ok(construct_involution(y, GroupSpec("SL", y.n, q)))
-            s = 1 if (w.target * w.target).is_identity() else 2
-            assert 2 * s * w.length <= constructor.MAX_WITNESS_LEN, (q, name)
-            kind = name.split()[0]
-            worst[kind] = max(worst.get(kind, 0), 2 * s * w.length)
-    assert worst == {"J3": 8, "J2+J2": 24, "J2+1": 2, "C3+1": 4, "2x2": 16}
-    # the replay cap is this table's maximum, not a bound above it
-    assert max(worst.values()) == constructor.MAX_WITNESS_LEN
+        words, best, scale = constructor._plane_table(q)
+        for p, found in words.items():
+            y = Mat(ctx, [[1, 1], [ctx.neg(p), ctx.sub(1, p)]])
+            assert y.det() == 1 and _trace(y) == ctx.sub(ctx.scalar(2), p)
+            if found is not None:
+                steps, t = found
+                assert t == constructor._product(y, steps)
+                assert _trace(t) == 0 and not t.is_scalar()
+
+        def witness(p):
+            found = words[p]
+            return None if found is None else (
+                2 * len(found[0]) * (2 if q % 2 else 1))
+        table[q] = (witness(best), max(
+            witness(ctx.mul(ctx.mul(s, s), c)) or 0 for c, s in scale.items()))
+    assert table.pop(2) == (None, 0)
+    assert table == {q: (4, 8 if q % 2 else 4) for q in table}
+    # the replay cap is this table's maximum, and no stored word passes it
+    assert max(max(row) for row in table.values()) == \
+        constructor.MAX_WITNESS_LEN
+    assert max(len(word) for word, _ in constructor.CLASS_WORDS.values()
+               if not isinstance(word, str)) <= constructor.MAX_WITNESS_LEN
 
 
 def _conjugate_of_j2_j2_1(g):
@@ -568,9 +625,10 @@ def _conjugate_of_j2_j2_1(g):
 
 
 def test_window_holding_j2_j2_reaches_the_cap():
-    # the window of this SL(5,5) element holds J_2(1) (+) J_2(1), the
-    # window shape whose lift is the window table's maximum; the element is
-    # a conjugate of J_2(1) (+) J_2(1) (+) 1, which has no trace-0 partner
+    # this SL(5,5) element is a conjugate of J_2(1) (+) J_2(1) (+) 1, so it
+    # is quadratic with beta = -1 and has no trace-0 partner.  2 beta = 3 is
+    # no square mod 5, so no scaled partner gives a plane of trace 0: the
+    # 2-step plane word, doubled and pulled back, takes the cap
     g = parse_mat(ctx5, "3,3,3,2,4;0,4,2,1,4;3,2,3,3,1;3,2,2,4,1;4,0,2,2,1")
     assert _conjugate_of_j2_j2_1(g) and _trace0(g) is None
     w = ok(construct_involution(g, GroupSpec("SL", 5, 5)))
@@ -614,68 +672,54 @@ def test_window_gl_inputs():
         assert labels(w) == ["reseed"]
 
 
-def test_window_widens_the_gf2_order3_class(monkeypatch):
-    # x - I has rank 2 and x has order 3, so the 2-dimensional window holds
-    # the order-3 class of the 2x2 group, which reaches no involution; the
-    # window takes one kernel vector more and reads the stored 3x3 word
-    g = parse_mat(ctx2, "0,1,0,0,1;1,0,1,0,0;1,1,0,1,0;0,1,0,1,1;0,1,1,1,1")
-    gi = g.inv()
-    a, b = constructor._commutator_factors(g, gi, *constructor._partner(g, gi))
-    m = a * b
-    x = m + Mat.identity(ctx2, 5)
-    assert m.rank() == (m * m).rank() == 2 and (x * x * x).is_identity()
-    solved = []
-    real = constructor._construct_internal
-    monkeypatch.setattr(constructor, "_construct_internal", lambda y, depth=0:
-                        solved.append(y) or real(y, depth))
-    w = ok(construct_involution(g, GroupSpec("SL", 5, 2)))
-    y = solved[-1]
-    assert y.n == 3 and y.rows[2] == (0, 0, 1) and (y * y * y).is_identity()
-    assert w.length == 4 and labels(w) == ["reseed"]
+def _even_q_target(g):
+    """Whether g's witness is the 2-step trade word over the involution
+    partner, whose commutator is the target."""
+    w = ok(construct_involution(g, GroupSpec("SL" if g.det() == 1 else "GL",
+                                             g.n, g.ctx.q)))
+    return (w.length == 2
+            and w.target == commutator(g, find_partner(g)))
 
 
-def _window_shape(y):
-    """The shape of a restart's window y, or None for a shape outside the
-    list of _window's docstring."""
-    ctx, d = y.ctx, y.n
-    m = y - Mat.identity(ctx, d)
-    if d == 2 and ctx.q > 2 and not y.is_scalar():
-        return "2x2"
-    if d == 3 and m.rank() == 2 and (m * m * m).rank() == 0:
-        return "J3"
-    if d == 4 and m.rank() == 2 and (m * m).rank() == 0:
-        return "J2+J2"
-    corner = sub_block(y, range(2))
-    if (ctx.q == 2 and d == 3 and not corner.is_scalar()
-            and y == direct_sum(corner, Mat.identity(ctx, 1))):
-        return "widened"
-    return None
+def test_even_q_inputs_take_the_involution_partner():
+    # seeded SL and GL inputs for even q and n >= 4 (SL(4,2) reads its
+    # stored words), and conjugates of quadratic classes: each has the
+    # involution partner, so its witness is the 2-step trade word, the
+    # exact distance for a non-involution
+    rng = random.Random(40)
+    count = 0
+    for q in (2, 4, 8, 16, 32):
+        ctx = make_field(q)
+        for n in (4, 5, 6, 8, 12)[q == 2:]:
+            p = rand_gl(ctx, n, rng)
+            j2 = direct_sum(_blocks(Mat(ctx, [[1, 1], [0, 1]]), 2),
+                            Mat.identity(ctx, n - 4))
+            for g in (_random_sl(ctx, n, rng), rand_gl(ctx, n, rng),
+                      p * j2.scale(rng.randrange(1, q)) * p.inv()):
+                if not (g * g).is_identity():
+                    assert _even_q_target(g), (n, q, g.to_text())
+                    count += 1
+    assert count == 66
 
 
-def test_window_shapes_and_depth(monkeypatch):
-    # every window met is one of the shapes the window table covers, and a
-    # 3- or 4-dimensional window restarts once: depth 2 is the deepest
-    windows, depths = {}, []
-    real = constructor._construct_internal
-
-    def spy(y, depth=0):
-        depths.append(depth)
-        if depth:
-            shape = _window_shape(y)
-            assert shape is not None, y.to_text()
-            windows[shape] = windows.get(shape, 0) + 1
-        return real(y, depth)
-    monkeypatch.setattr(constructor, "_construct_internal", spy)
-    rng = random.Random(19)
-    for n in range(3, 11):
-        for q in (2, 3, 4, 5, 7, 8, 9, 11, 13):
-            ctx = make_field(q)
-            for g in (_random_sl(ctx, n, rng), _random_sl(ctx, n, rng),
-                      rand_gl(ctx, n, rng)):
-                family = "SL" if g.det() == 1 else "GL"
-                ok(construct_involution(g, GroupSpec(family, n, q)))
-    assert max(depths) == 2 == constructor._MAX_DEPTH
-    assert set(windows) == {"2x2", "J3", "J2+J2", "widened"}, windows
+@pytest.mark.parametrize("n, q, counts", [(4, 4, (243, 6)), (5, 2, (24, 2)),
+                                          (6, 2, (56, 3)), (7, 2, (113, 3)),
+                                          (3, 8, (322, 7))])
+def test_even_q_classes_take_the_involution_partner(n, q, counts):
+    # every non-central class that is no involution: for n >= 4 each takes
+    # the 2-step word; at n = 3 those with a left eigenvector phi and a v in
+    # ker phi moved by g off lam v do
+    two = involutions = 0
+    for g, _ in class_transversal(make_field(q), n):
+        if g.is_scalar():
+            continue
+        if (g * g).is_identity():
+            involutions += 1
+        elif _even_q_target(g):
+            two += 1
+        else:
+            assert n == 3, g.to_text()
+    assert (two, involutions) == counts
 
 
 # -- the factored restart ----------------------------------------------------
@@ -684,7 +728,7 @@ def test_window_shapes_and_depth(monkeypatch):
 def _restart_inputs(rng, qs, ns):
     """Seeded inputs of both partner kinds: a random SL and a random GL
     element, and a conjugate of J_2(1) (+) I, which is quadratic and so
-    keeps the transvection partner for odd q as well."""
+    takes the scaled plane partner for odd q."""
     out = []
     for q in qs:
         ctx = make_field(q)
@@ -736,41 +780,59 @@ def _dense_window(x):
     spanned = _extend(ctx, kernel, image)
     window = image + _extend(ctx, spanned, units)[len(spanned):]
     rest = _extend(ctx, window, kernel)[len(window):]
-    if ctx.q == 2 and len(window) == 2:
-        window, rest = window + rest[:1], rest[1:]
     return Mat(ctx, list(zip(*(window + rest)))), len(window)
 
 
 def test_window_basis_matches_the_dense_window():
-    # p is the window's basis, pi the first d rows of the inverse of (p,
-    # kept kernel vectors): pi p = I and pi vanishes on the kept kernel
-    # vectors; y is the window block of x in that basis
+    # the plane window's basis a' = (u v, g^-1 v) spans the dense window
+    # U = im(x - I), which ker(x - I) complements, and x acts on it as y_p;
+    # each lifted conjugator and the target equal the table's c acting on U
+    # in that basis and I on the kernel.  The involution partner's x is its
+    # own target, an involution.  SL(3,2) reads its stored words, as its
+    # planes have no word
     rng = random.Random(32)
-    inputs = _restart_inputs(rng, (2, 3, 4, 5, 7, 9), range(3, 10))
-    inputs += [g for q in (2, 3, 4, 5) for n in (3, 4)
+    inputs = [g for g in _restart_inputs(rng, (2, 3, 4, 5, 7, 9),
+                                         range(3, 10))
+              if (g.n, g.ctx.q) != (3, 2)]
+    inputs += [g for q, n in ((3, 3), (3, 4), (4, 3), (5, 3), (5, 4), (8, 3))
                for g, _ in class_transversal(make_field(q), n)
-               if not g.is_scalar()]
+               if not (g * g).is_scalar()]
     seen = Counter()
     for g in inputs:
         ctx, n = g.ctx, g.n
+        eye = Mat.identity(ctx, n)
         gi = g.inv()
         a, b = constructor._commutator_factors(g, gi,
                                                *constructor._partner(g, gi))
-        x = Mat.identity(ctx, n) + a * b
+        x = eye + a * b
+        steps, t = constructor._window(a, b)
+        ba = b * a
+        if not any(map(any, ba.rows)):
+            assert ctx.p == 2 and (x * x).is_identity() and x != eye
+            assert (steps, t) == ([(eye, 1, "involution")], x)
+            seen["involution"] += 1
+            continue
         full, d = _dense_window(x)
-        p, pi, y = constructor._window_basis(a, b)
         full_inv = full.inv()
-        assert p == Mat(ctx, [r[:d] for r in full.rows])
-        assert pi == Mat(ctx, full_inv.rows[:d])
-        assert pi * p == Mat.identity(ctx, d)
-        kept = Mat(ctx, [r[d:] for r in full.rows])
-        assert d == n or not any(map(any, (pi * kept).rows))
-        assert y == sub_block(full_inv * x * full, range(d))
-        seen[d, d == n, ctx.q == 2] += 1
-    # the 2x2 window, J3 and J2 + J2, the widened GF(2) window, and windows
-    # that fill the whole space
-    assert {(2, False, False), (3, False, False), (4, False, False),
-            (3, False, True), (3, True, False), (4, True, True)} <= set(seen)
+        u, p = ba[0, 1], ctx.neg(ba[1, 1])
+        basis = full_inv * a * Mat.diag(ctx, (u, 1))
+        coords = Mat(ctx, basis.rows[:2])
+        assert d == 2 and not any(map(any, basis.rows[2:]))
+        y = Mat(ctx, [[1, 1], [ctx.neg(p), ctx.sub(1, p)]])
+        assert sub_block(full_inv * x * full, range(2)) == \
+            coords * y * coords.inv()
+        inner, target = constructor._plane_table(ctx.q)[0][p]
+        if not (target * target).is_identity():
+            inner, target = inner + inner, target * target
+
+        def dense_lift(c):
+            return full * direct_sum(coords * c * coords.inv(),
+                                     Mat.identity(ctx, n - 2)) * full_inv
+        assert [(c, e) for c, e, _ in steps] == [(dense_lift(c), e)
+                                                 for c, e, _ in inner]
+        assert t == dense_lift(target)
+        seen["plane", ctx.p == 2] += 1
+    assert set(seen) == {"involution", ("plane", True), ("plane", False)}
 
 
 def test_restart_inverts_only_g(monkeypatch):
@@ -798,44 +860,19 @@ def test_restart_inverts_only_g(monkeypatch):
             patch.setattr(Mat, "__mul__", spy_mul)
             patch.setattr(Mat, "inv_det", spy_inv_det)
             patch.setattr(Mat, "det", spy_det)
-            steps, t = constructor._reseed(g, 0)
+            steps, t = constructor._reseed(g)
         n = g.n
         assert products[n, n, n] == 0 and eliminations[n] == 1, (n, g.ctx.q)
         assert len(steps) <= constructor.MAX_WITNESS_LEN
 
 
-def _window_by_basis(a, b):
-    """The general path of _window, the reference for its closed form:
-    the window basis, the lifts and the doubling, with y's own 1-step word
-    [(I, +1)] inside, as y has trace 0 and determinant 1 on a plane."""
-    p, pi, y = constructor._window_basis(a, b)
-    ctx, d, n = y.ctx, y.n, a.n
-    assert d == 2 and _trace(y) == 0 and y.det() == 1
-    eye, big = Mat.identity(ctx, d), Mat.identity(ctx, n)
-
-    def lift(c):
-        return big + (p * (c - eye)) * pi
-    steps, t = [(lift(eye), 1, "sl2-antidiagonal")], y
-    if not is_projective_involution(pad(t, min(d + 1, n))):
-        steps, t = steps + steps, t * t
-    return steps, lift(t)
-
-
-def _spy_window_basis(monkeypatch):
-    calls = []
-    real = constructor._window_basis
-    monkeypatch.setattr(constructor, "_window_basis",
-                        lambda a, b: calls.append(a.n) or real(a, b))
-    return calls
-
-
-def test_trace0_window_in_closed_form(monkeypatch):
-    # for odd q and n >= 3, a window on which b a has trace -2 and
-    # determinant 2 is the plane im a: _window returns [(I, +1)] twice and
-    # x^2 without _window_basis, as the general path would.  Every trace-0
-    # partner takes it, and so do some transvection partners of quadratic
-    # inputs; every other window reduces its basis
-    calls = _spy_window_basis(monkeypatch)
+def test_trace0_window_in_closed_form():
+    # for odd q and n >= 3, the trace-0 partner's plane holds y_2, of
+    # trace 0, whose word is [(I, +1)]: y_2^2 = -I, so _window returns
+    # [(I, +1)] twice and the target x^2, -I on the plane and I on ker b.
+    # Exactly the planes with p = s u = 2 (b a of trace -2 and determinant
+    # 2) take it: every trace-0 partner, and the quadratic inputs whose
+    # scaled partner reaches p = 2
     kinds = Counter()
     for g in _restart_inputs(random.Random(35), (3, 5, 7, 9, 13, 25, 27),
                              range(3, 13)):
@@ -846,50 +883,17 @@ def test_trace0_window_in_closed_form(monkeypatch):
         ba = b * a
         plane = (_trace(ba) == ctx.neg(ctx.scalar(2))
                  and ba.det() == ctx.scalar(2))
-        calls.clear()
-        steps, t = constructor._window(a, b, 0)
-        assert calls == ([] if plane else [n])
+        steps, t = constructor._window(a, b)
         trace0 = _trace0(g) is not None
         assert plane or not trace0
         kinds[trace0, g.det() == 1, plane] += 1
-        if not plane:
-            continue
-        x = commutator(g, find_partner(g))
-        assert t == x * x
-        assert steps == [(Mat.identity(ctx, n), 1, "sl2-antidiagonal")] * 2
-        assert (steps, t) == _window_by_basis(a, b)
+        assert (steps == [(Mat.identity(ctx, n), 1, "sl2-antidiagonal")]
+                * 2) == plane
+        if plane:
+            x = commutator(g, find_partner(g))
+            assert t == x * x
     assert set(kinds) == {(True, True, True), (True, False, True),
                           (False, True, True), (False, True, False)}, kinds
-
-
-def test_other_windows_reduce_their_basis(monkeypatch):
-    # even q, and the GL restarts at n = 2, whose window is the whole plane
-    # (x^2 is -I there, no target) even when b a has trace -2 and
-    # determinant 2: each restart reduces its window's basis (a window of
-    # dimension 3 or 4 restarts again, and reduces its own)
-    calls = _spy_window_basis(monkeypatch)
-    inputs = _restart_inputs(random.Random(36), (2, 4, 8), range(3, 9))
-    rng = random.Random(37)
-    planes = 0
-    for q in (5, 7, 9, 13):
-        ctx = make_field(q)
-        for _ in range(12):
-            g = rand_gl(ctx, 2, rng)
-            if g.det() == 1 or g.is_scalar():
-                continue
-            gi = g.inv()
-            a, b = constructor._commutator_factors(
-                g, gi, *constructor._partner(g, gi))
-            ba = b * a
-            planes += (_trace(ba) == ctx.neg(ctx.scalar(2))
-                       and ba.det() == ctx.scalar(2))
-            inputs.append(g)
-    assert planes > 0
-    for g in inputs:
-        calls.clear()
-        steps, t = constructor._reseed(g, 0)
-        assert calls[:1] == [g.n] and is_projective_involution(t)
-        assert len(steps) <= constructor.MAX_WITNESS_LEN
 
 
 @pytest.mark.parametrize("n", [16, 24, 32])
@@ -916,15 +920,16 @@ def _cubed(ctx, d):
     return gen_jordan_block(ctx, f, 3)
 
 
-@pytest.mark.parametrize("q, d, length", [(7, 2, 4), (4, 3, 4)])
+@pytest.mark.parametrize("q, d, length", [(7, 2, 4), (4, 3, 2)])
 def test_ext_descent_past_field_cap_reseeds(monkeypatch, q, d, length):
     # a cubed block whose GF(q^d) is past the 32-element cap: no field
-    # descent is needed, as above dimension 4 the commutator restart solves
-    # the window, and its 2-step word doubles the window's length
+    # descent is needed, as the commutator restart solves the window (the
+    # trace-0 plane for q = 7, the involution for q = 4), and its 2-step
+    # word doubles the window's length
     windows = []
     real = constructor._window
-    monkeypatch.setattr(constructor, "_window", lambda a, b, depth:
-                        windows.append(real(a, b, depth)) or windows[-1])
+    monkeypatch.setattr(constructor, "_window", lambda a, b:
+                        windows.append(real(a, b)) or windows[-1])
     ctx = make_field(q)
     w = ok(construct_involution(_cubed(ctx, d), GroupSpec("SL", 3 * d, q)))
     assert w.length == length and labels(w) == ["reseed"]
@@ -954,31 +959,14 @@ ROUTE_INPUTS = {
 @pytest.mark.parametrize("case", list(ROUTE_INPUTS))
 def test_every_case_takes_one_restart(monkeypatch, case):
     # no canonical case has a word of its own: an element with no stored
-    # class word takes the commutator restart, once at the top
-    depths = []
+    # class word takes the commutator restart, once, on g itself
+    restarted = []
     real = constructor._reseed
-    monkeypatch.setattr(constructor, "_reseed", lambda g, depth:
-                        depths.append(depth) or real(g, depth))
+    monkeypatch.setattr(constructor, "_reseed", lambda g:
+                        restarted.append(g) or real(g))
     g, spec = ROUTE_INPUTS[case]()
     w = ok(construct_involution(g, spec))
-    assert depths.count(0) == 1 and labels(w) == ["reseed"]
-
-
-def test_excluded_pair_too_large_runs_the_routes(monkeypatch):
-    # an excluded pair with no stored class word (as SL(4,3), too large to
-    # enumerate) takes the commutator restart in the same call, at the same
-    # depth
-    monkeypatch.setattr(constructor, "CLASS_WORDS", {})
-    depths = []
-    real = constructor._construct_internal
-    monkeypatch.setattr(constructor, "_construct_internal",
-                        lambda g, depth=0: depths.append(depth) or real(g, depth))
-    for g, _ in class_transversal(ctx4, 3):
-        if g.is_scalar():
-            continue
-        depths.clear()
-        w = ok(construct_involution(g, GroupSpec("SL", 3, 4)))
-        assert "bfs" not in labels(w) and depths.count(0) == 1
+    assert restarted == [g] and labels(w) == ["reseed"]
 
 
 # -- excluded pairs and the search ladder ----------------------------------
@@ -1018,6 +1006,45 @@ def test_excluded_sl32_transversal():
         w = ok(construct_involution(g, GroupSpec("SL", 3, 2)))
         lens.append(w.length)
     assert lens == [2, 2, 1, 2, 2]
+
+
+def test_restart_takes_no_canonical_form(monkeypatch):
+    # only the stored pairs compute a canonical form, to key their words:
+    # every other input of dimension 3 and up, and every input of
+    # determinant other than 1, restarts on g itself
+    forms = []
+    real = constructor.generalized_jordan
+    monkeypatch.setattr(constructor, "generalized_jordan",
+                        lambda g: forms.append((g.n, g.ctx.q)) or real(g))
+    rng = random.Random(41)
+    stored = 0
+    for q in (2, 3, 4, 5, 7, 8, 9):
+        ctx = make_field(q)
+        for n in (2, 3, 4, 5, 6):
+            for g in (_random_sl(ctx, n, rng), rand_gl(ctx, n, rng)):
+                if g.is_scalar():
+                    continue
+                family = "SL" if g.det() == 1 else "GL"
+                forms.clear()
+                try:
+                    ok(construct_involution(g, GroupSpec(family, n, q)))
+                except Unreachable:
+                    pass
+                keyed = (family == "SL"
+                         and (n, q) in constructor._STORED_PAIRS)
+                assert forms == ([(n, q)] if keyed else []), (n, q, family)
+                stored += keyed
+    assert stored > 5
+
+
+def test_stored_pair_without_its_word_raises(monkeypatch):
+    # a stored pair reads its class words and nothing else: with the table
+    # emptied, its inputs raise ConstructError instead of taking the restart
+    monkeypatch.setattr(constructor, "CLASS_WORDS", {})
+    for g, _ in class_transversal(ctx4, 3):
+        if not (g * g).is_scalar():
+            with pytest.raises(ConstructError, match="no stored class word"):
+                construct_involution(g, GroupSpec("SL", 3, 4))
 
 
 def test_excluded_sl43_too_large_falls_through():
@@ -1093,6 +1120,30 @@ def test_every_witness_has_a_certificate_field():
     for w in (sl, bfs, witness_from_json(witness_to_json(a5))):
         assert w.certificate is None
     assert a5.certificate["no_witness_of_length"] == 2
+
+
+def test_perm_involutions_are_their_own_witness():
+    # an even involution of Alt(n) or Sym(n) passes replay's target check,
+    # so it is its own 1-step witness [(I, +1)], as a projective
+    # involution is for matrices; an odd one (in Sym) is no target and
+    # takes the trade word to an even involution
+    seen = Counter()
+    for family in ("Alt", "Sym"):
+        for n in range(4, 11):
+            for k in range(1, n // 2 + 1):
+                g = Perm.from_cycles("".join(
+                    "(%d,%d)" % (2 * i + 1, 2 * i + 2) for i in range(k)), n)
+                if family == "Alt" and k % 2:
+                    continue
+                w = ok(construct_involution(g, GroupSpec(family, n)))
+                if k % 2 == 0:
+                    assert [(s.c, s.e, s.case) for s in w.steps] == [
+                        (Perm.identity(n), 1, "involution")]
+                    assert w.target == g
+                else:
+                    assert w.length == 2 and w.target.parity() == 0
+                seen[family, k % 2] += 1
+    assert set(seen) == {("Alt", 0), ("Sym", 0), ("Sym", 1)}
 
 
 def test_sym_route_accepts_odd_input():
@@ -1218,7 +1269,7 @@ def test_replay_flags_empty_and_oversize():
     eye = Mat.identity(ctx5, 2)
     long = [(eye, 1, "x")] * (constructor.MAX_WITNESS_LEN + 1)
     assert replay(Witness(w.spec, w.g, long, w.target)).violation == \
-        "length-exceeds-24"
+        "length-exceeds-8"
 
 
 # records whose g lies outside the group: each product is a projective
@@ -1260,14 +1311,16 @@ def test_replay_flags_tampering():
 
 def _doubled_window_witness():
     """An SL(5,7) witness whose window's target squares to -I on the window
-    only, so the window's word is taken twice: 16 steps, 8 distinct.  g is
+    only, so the window's word is taken twice: 8 steps, 2 distinct.  g is
     a conjugate of J_2(1) (+) J_2(1) (+) 1, so it has no trace-0 partner,
-    whose witness is the 1-step window word taken twice."""
+    and 2 beta = -2 is no square mod 7: its plane word is y^2 (here
+    tr(y)^2 = 2, so y^2 has trace 0), and the witness is the trade word
+    four times."""
     g = parse_mat(ctx7, "3,0,2,2,3;0,5,0,5,1;6,2,0,5,6;5,2,5,5,1;3,2,3,2,6")
     assert _conjugate_of_j2_j2_1(g)
     w = ok(construct_involution(g, GroupSpec("SL", 5, 7)))
     word = [(s.c, s.e) for s in w.steps]
-    assert w.length == 16 and len(set(word)) == 8 and word[:8] == word[8:]
+    assert w.length == 8 and len(set(word)) == 2 and word == word[:2] * 4
     return w
 
 
@@ -1276,7 +1329,7 @@ def test_replay_flags_repeated_bad_conjugator():
     c = w.steps[0].c
     bad = c * Mat.diag(ctx7, (3, 1, 1, 1, 1))
     repeats = [i for i, s in enumerate(w.steps) if s.c == c]
-    assert len(repeats) == 2
+    assert len(repeats) == 4
     for i in repeats:
         w.steps[i] = WitnessStep(bad, w.steps[i].e, "x")
     assert replay(w).violation == "conjugator-determinant"
@@ -1304,8 +1357,8 @@ def test_replay_eliminates_once_per_distinct_conjugator(monkeypatch):
             return real(self)
         monkeypatch.setattr(Mat, name, counted)
     assert replay(w).ok
-    assert calls == {"inv_det": 7 + 1, "det": 0}
-    assert len({s.c for s in w.steps}) == 8
+    assert calls == {"inv_det": 1 + 1, "det": 0}
+    assert len({s.c for s in w.steps}) == 2
     assert len({s.c for s in w.steps if s.c.is_identity()}) == 1
 
 
@@ -1572,43 +1625,7 @@ def test_excluded_pairs_enumerate_no_group(monkeypatch):
                                         GroupSpec("SL", n, q)))
             except Unreachable:
                 assert (n, q) == (2, 2)
-    # a class of SL(4,4) whose restart window holds a class of SL(3,4),
-    # solved through the stored words
-    hits = []
-    real = constructor._class_word
-    monkeypatch.setattr(constructor, "_class_word",
-                        lambda gJ: hits.append(gJ.n) or real(gJ))
-    g = parse_mat(ctx4, "0,0,0,1;1,0,0,2;0,1,0,0;0,0,1,1")
-    w = ok(construct_involution(g, GroupSpec("SL", 4, 4)))
-    assert w.length == 4 and hits and set(hits) == {3}
     assert calls == []
-
-
-# -- the memo of words over canonical forms ----------------------------------
-
-
-@pytest.mark.parametrize("n, q", [(3, 5), (4, 3), (4, 4)])
-def test_canonical_word_memo_is_transparent(n, q):
-    # every class representative and a conjugate of it, each solved with
-    # the memo cleared and then with it warm: a held word gives the same
-    # bytes as a word solved afresh
-    ctx, spec = make_field(q), GroupSpec("SL", n, q)
-    rng = random.Random(n * 32 + q)
-    inputs = []
-    for g, _ in class_transversal(ctx, n):
-        if not g.is_scalar():
-            c = rand_gl(ctx, n, rng)
-            inputs += [g, c * g * c.inv()]
-    memo = constructor._canonical_word
-    cold = []
-    for g in inputs:
-        memo.cache_clear()
-        cold.append(witness_to_json(construct_involution(g, spec)))
-    memo.cache_clear()
-    warm = [witness_to_json(construct_involution(g, spec)) for g in inputs]
-    assert warm == cold
-    # each conjugate at least reads the word its representative left
-    assert memo.cache_info().hits >= len(inputs) // 2
 
 
 # -- witness length against the exact distance --------------------------------
@@ -1619,7 +1636,7 @@ def test_canonical_word_memo_is_transparent(n, q):
 # involution in the class graph; the 2x2 rule and the stored words are
 # minimal on most groups, the restart is not: on SL(3,3) and SL(3,5) the
 # 4-step word of a trace-0 partner is 2 above d, and the quadratic classes
-# of SL(3,5) take 10 to 12 steps
+# of SL(3,5) where 2 beta is no square take 8 steps
 GAP_HISTOGRAMS = {
     (2, 2): {0: 1}, (2, 3): {0: 6}, (2, 4): {0: 12}, (2, 5): {0: 20},
     (2, 7): {0: 30, 2: 12}, (2, 8): {0: 49, 1: 7}, (2, 9): {0: 72},
@@ -1628,7 +1645,7 @@ GAP_HISTOGRAMS = {
     (2, 23): {0: 286, 1: 132, 2: 88}, (2, 25): {0: 600}, (2, 27): {0: 702},
     (2, 29): {0: 476, 1: 336}, (2, 31): {0: 510, 1: 240, 2: 180},
     (3, 2): {0: 5}, (3, 3): {0: 2, 1: 2, 2: 18},
-    (3, 5): {0: 4, 2: 100, 9: 4, 10: 8},
+    (3, 5): {0: 4, 2: 108, 5: 4},
     (4, 2): {0: 13}, (3, 4): {0: 57},
 }
 
@@ -1660,11 +1677,9 @@ def test_witness_length_against_exact_distance(n, q):
 
 # n -> histogram of the gaps L - d over the non-identity class
 # representatives of Alt(n), d the exact distance to an involution: the
-# trade word with alt_partner and the A5 5-cycle's searched word are
-# minimal on every class but the involutions, whose 2-step word is 1 above
-# d = 1
-ALT_GAP_HISTOGRAMS = {5: {0: 3, 1: 1}, 6: {0: 5, 1: 1}, 7: {0: 7, 1: 1},
-                      8: {0: 11, 1: 2}}
+# trade word with alt_partner, the A5 5-cycle's searched word and the
+# involutions' 1-step word are minimal on every class
+ALT_GAP_HISTOGRAMS = {5: {0: 4}, 6: {0: 6}, 7: {0: 8}, 8: {0: 13}}
 
 
 @pytest.mark.parametrize("n", list(ALT_GAP_HISTOGRAMS))
@@ -1680,7 +1695,7 @@ def test_alt_witness_length_against_exact_distance(n):
         w = construct_involution(tbl.decode(r), spec)
         assert w.length >= d, (str(tbl.decode(r)), w.length, d)
         gaps[w.length - d] += 1
-        assert (w.length - d == 1) == (r in targets), str(tbl.decode(r))
+        assert (w.length == 1) == (r in targets), str(tbl.decode(r))
     assert dict(gaps) == ALT_GAP_HISTOGRAMS[n]
 
 
@@ -1691,7 +1706,8 @@ def pinned_inputs():
     """The class transversals of SL(2,2), SL(2,3), SL(2,5) and SL(3,3), the
     doubled blocks at n = 4, 6, 8 and the cubed quadratics at n = 6, the
     SL(4,3) too-large path, the GL reseed and one SL(6,3) element; every
-    element above dimension 4 takes the commutator restart's window."""
+    element outside the stored pairs and the 2x2 rule takes the commutator
+    restart on g itself."""
     items = []
     for n, q in ((2, 2), (2, 3), (2, 5), (3, 3)):
         items += [(g, GroupSpec("SL", n, q))
@@ -1714,10 +1730,10 @@ def pinned_inputs():
 # exception line), the shape of every witness; one pair of digests for the
 # inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("458ea37b629c72f794a21a85ad254f3020a394173fcdfc6dfee2edf08e616346",
-               "fbecf2d6e9ea02e584a42604bb80ff91ba5c550b5d3ca84969df611c6ca7a62a"),
-    "n > 4": ("2240ea3f24e4d85527263bc1d357d02f14e7da7646b378493d9e83003b638b37",
-              "4fc604ed1b5b0a0e00fbe54eb04b0c489cc18e79aebd2d10e20a2d75868e6418"),
+    "n <= 4": ("3de25482a59d464c2248c01a56050c5a2d355835f0afe275fd25e7749c85089e",
+               "f40b0661d6af062afc739cb12f4f6571381b70aa4de8051884f4d5512e0de6ff"),
+    "n > 4": ("7cfb1a478148642de751abdc34beb7cbe00330e82dec31872350b975bd30d93a",
+              "caa2312823dd062561438ae8ebcd50918f6f492dfa00c4bfcbbfb6e98d2e484a"),
 }
 
 

@@ -21,7 +21,7 @@ PINNED_STDOUT_SHA256 = {
     "orbital_diameter":
         "c8e21dbc90bc23b31dd8ddab65735b30deede875d6055a98fa3d69f282b9046b",
     "witness_tour":
-        "05c84688548f84dc5f05f1c0445c13807bcf796336ead50982b0fda8e7911dc3",
+        "335e605e3ccc1bf355a15f5ca28f2b20f7f7568c24aa79996a4311acda354c71",
 }
 
 

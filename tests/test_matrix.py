@@ -20,7 +20,6 @@ from invword.matrix import (
     nullspace,
     pad,
     parse_mat,
-    row_echelon,
     transvection,
 )
 
@@ -488,10 +487,9 @@ def test_row_table_elimination_matches_reference(ctx):
             # rectangular products n x m times m x k
             for b in kernel_inputs(ctx, rng, m, k)[:2]:
                 assert (a * b).rows == ref_mul(a, b)
-            pivots, ech = ref_row_echelon(ctx, [list(r) for r in a.rows])
+            pivots, _ = ref_row_echelon(ctx, [list(r) for r in a.rows])
             assert a.rank() == len(pivots)
             assert nullspace(a) == ref_nullspace(a)
-            assert row_echelon(a) == (pivots, Mat(ctx, ech[:len(pivots)]))
 
 
 def test_kernel_guards_raise_under_optimize():

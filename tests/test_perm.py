@@ -157,8 +157,8 @@ def test_pinned_alt_partner():
 # degree 2..10 in Alt and in Sym, one line each: the record and the
 # certificate, or the ValueError for the identity, an odd g in Alt and
 # degrees below 4 (548 lines)
-PINNED_ALT_SYM_SHA256 = ("13c64d8e92e755e18b5c7f969046121f"
-                         "0eab3051516853ef7c51f4731c226390")
+PINNED_ALT_SYM_SHA256 = ("a99e562aff7f839b01cefb0649e23d85"
+                         "f7b1a8c0f424f1fca4a06cbb339dcadb")
 
 
 def test_pinned_alt_sym_witness_bytes():
