@@ -296,15 +296,6 @@ def direct_sum(a, b):
                 + tuple(left + r for r in b.rows))
 
 
-def pad(mat, n):
-    """Embed a square block on the leading coordinates of I_n."""
-    _require_square(mat)
-    if mat.n > n:
-        raise ValueError("a %dx%d block does not fit in %dx%d"
-                         % (mat.n, mat.n, n, n))
-    return direct_sum(mat, Mat.identity(mat.ctx, n - mat.n))
-
-
 def sub_block(mat, emb):
     """The square block of mat on the coordinates emb (rows and columns)."""
     return Mat(mat.ctx, [[mat.rows[i][j] for j in emb] for i in emb])

@@ -22,16 +22,22 @@ entries, so a table's element list (sorted codes), and with it every
 index, class representative and transporter, does not depend on the
 code chosen.  Matrix arithmetic runs on row tables built with each group
 table (none at import): a row sum and a scaled row are one lookup each,
-right multiplication by a generator maps each row through one table, and
-left multiplication by a generator rewrites one row.
+the closure's right multiplication by a generator's inverse is one lookup
+per block of rows, and left multiplication by a generator rewrites one
+row.
 
 A matrix group has one generator list (_row_ops): the adjacent
 transvections with lam in an additive basis of GF(q) (8 for SL(3,4)),
 plus a dilation for GL and PGL.  Alt(n) has two generators, (1,2,3) and
 the even long cycle ((1..n) for odd n, (2..n) for even n), and Sym(n)
-has (1,2) and (1..n).  The closure walks the list, conjugacy classes grow
-by conjugating with it, and it fixes every transporter; elements,
-inverses and the class partition do not depend on the list.
+has (1,2) and (1..n).  Each element is conjugated by each generator
+once: the matrix closure multiplies x by s^-1 on the right and keeps
+s x s^-1, one row operation further, and a permutation table composes
+the conjugates in one comprehension per generator.  They become one index
+list per generator, i -> index of s x_i s^-1, and conjugacy_classes grows
+each class along these lists and then drops them.  The list fixes every
+transporter; elements, inverses and the class partition do not depend
+on it.
 
 What is the same on a whole class is computed once per class: the
 involution and projective-involution sets test each class
@@ -116,9 +122,11 @@ class _PermCode:
     def decode(self, e):
         return Perm(e)
 
-    def conjugates(self, x):
-        """[s x s^-1 for s in gens], each composed in one pass."""
-        return [tuple([si[x[j]] for j in s])
+    def conjugate_lists(self, index):
+        """For each generator s, the list i -> index of s x_i s^-1, x_i the
+        element of index i: one comprehension per generator over the
+        elements in index order, each conjugate composed in one pass."""
+        return [[index[tuple([si[x[j]] for j in s])] for x in index]
                 for s, si in zip(self.gens, self._gens_inv)]
 
     def left(self, k, t):
@@ -152,11 +160,11 @@ class _RowCode:
     Generators are elementary matrices I + c E_ij, given as (i, j, c);
     i == j is allowed (a dilation by 1 + c).  Left multiplication by one
     adds c times row j to row i.  ops are the generators, which the
-    closure, conjugation and left multiplication all run over.  scalars
-    lists the scalars other than 1 of a projective quotient; every code is
-    normalized to the least code among its multiples by them.  The tables
-    live as long as the group table: add[a * Q + b] is the code of row
-    a + row b and scale[c * Q + a] that of c * row a, for Q = q**n."""
+    closure, its kept conjugates and left multiplication all run over.
+    scalars lists the scalars other than 1 of a projective quotient; every
+    code is normalized to the least code among its multiples by them.  The
+    tables live as long as the group table: add[a * Q + b] is the code of
+    row a + row b and scale[c * Q + a] that of c * row a, for Q = q**n."""
 
     def __init__(self, ctx, n, ops, scalars):
         q = ctx.q
@@ -181,11 +189,6 @@ class _RowCode:
         self.identity = self._code([q ** (n - 1 - k) for k in range(n)])
         self.ops = ops
         self.gens = [self._row_op(op, self.identity) for op in ops]
-        # s x s^-1 is x mapped by s^-1 on the right, then row i of the
-        # result plus c times its row j put back at place Q**(n-1-i)
-        self._conj = [(self.right_map(self.inverse(s)), i, j, c * self.Q,
-                       self.Q ** (n - 1 - i))
-                      for s, (i, j, c) in zip(self.gens, ops)]
 
     def _row_op(self, op, t):
         """Code of (I + c E_ij) t: t with c times its row j added to row i."""
@@ -282,45 +285,62 @@ class _RowCode:
         """gens[k] * t."""
         return self._row_op(self.ops[k], t)
 
-    def conjugates(self, x):
-        """[s x s^-1 for s in gens]."""
-        add, scale, Q, least = self.add, self.scale, self.Q, self._least
-        rows = self.split(x)
-        out = []
-        for m, i, j, cQ, place in self._conj:
-            y = 0
-            for r in rows:
-                y = y * Q + m[r]
-            old = m[rows[i]]
-            y += (add[old * Q + scale[cQ + m[rows[j]]]] - old) * place
-            out.append(least(y) if self.scalars else y)
-        return out
-
     def closure(self, cap):
         """The set of every element generated by ops.
 
-        Breadth-first from the identity by right multiplication, each
-        product one row map per row.  The set is the same for any
-        generating list; only the time taken depends on it."""
-        split, Q, least = self.split, self.Q, self._least
-        scalars = self.scalars
-        maps = [self.right_map(s) for s in self.gens]
+        Breadth-first from the identity by right multiplication with each
+        generator's inverse, which generates the same set; only the time
+        taken depends on the list.  A product x s^-1 is two lookups, one
+        per block of rows (the last n // 2 rows and the others), and one
+        row operation turns it into s x s^-1: the conjugate is kept, in
+        walk order, for conjugate_lists."""
+        n, Q, add, scale = self.n, self.Q, self.add, self.scale
+        least, scalars = self._least, self.scalars
+        low = Q ** (n // 2)
+        steps = []
+        for s, (i, j, c) in zip(self.gens, self.ops):
+            m = self.right_map(self.inverse(s))
+            blocks = []
+            for rows, span in ((n - n // 2, low), (n // 2, 1)):
+                t = [0]
+                for _ in range(rows):
+                    t = [a * span + b for a in m for b in t]
+                    span *= Q
+                blocks.append(t)
+            steps.append((*blocks, Q ** (n - 1 - i), Q ** (n - 1 - j), c * Q))
         seen = {self.identity}
         todo = [self.identity]
+        kept = [[] for _ in steps]
         for x in todo:
-            rows = split(x)
-            for m in maps:
-                y = 0
-                for r in rows:
-                    y = y * Q + m[r]
+            h, l = divmod(x, low)
+            for (hi, lo, pi, pj, cQ), out in zip(steps, kept):
+                y = hi[h] + lo[l]
+                # s y: row i of y plus c times its row j
+                r = y // pi % Q
+                z = y + (add[r * Q + scale[cQ + y // pj % Q]] - r) * pi
                 if scalars:
-                    y = least(y)
+                    y, z = least(y), least(z)
+                out.append(z)
                 if y not in seen:
                     seen.add(y)
                     todo.append(y)
             if len(seen) > cap:
                 raise GroupTooLarge("closure passed the order cap")
+        self._kept = todo, kept
         return seen
+
+    def conjugate_lists(self, index):
+        """For each generator s, the list i -> index of s x_i s^-1, x_i the
+        element of index i: the conjugates the closure kept, put in index
+        order.  The code holds them no longer."""
+        (walk, kept), self._kept = self._kept, None
+        at = sorted(range(len(walk)), key=walk.__getitem__)
+        get = index.__getitem__
+        # looked up in the order they were made, which keeps the reads
+        # close in memory, and then reordered; looking them up in index
+        # order took twice as long on SL(3,4)
+        return [list(map(list(map(get, conj)).__getitem__, at))
+                for conj in kept]
 
 
 class GroupTable:
@@ -493,15 +513,16 @@ class ClassTable:
 
 
 def conjugacy_classes(tbl):
-    """Classes in index order of their least element, each grown by
-    conjugating with the generators; the transporter of y = s x s^-1 is
-    s times that of x, and only the walk's records are kept for it (see
-    ClassTable).  Raises RuntimeError if the classes do not partition the
-    group or a sampled transporter is wrong."""
+    """Classes in index order of their least element, each grown along
+    the code's conjugate lists, one per generator s (i -> index of
+    s x_i s^-1); the transporter of y = s x s^-1 is s times that of x,
+    and only the walk's records are kept for it (see ClassTable).  The
+    lists are dropped after the walk.  Raises RuntimeError if the classes
+    do not partition the group or a sampled transporter is wrong."""
     if tbl._classes is not None:
         return tbl._classes
     order = tbl.order
-    index, elements, conjugates = tbl.index, tbl.elements, tbl.code.conjugates
+    steps = list(enumerate(tbl.code.conjugate_lists(tbl.index)))
     class_of, src, via = [-1] * order, [-1] * order, [0] * order
     reps, sizes = [], []
     for i in range(order):
@@ -512,14 +533,15 @@ def conjugacy_classes(tbl):
         class_of[i] = k
         members = [i]
         for x in members:
-            for s, c in enumerate(conjugates(elements[x])):
-                y = index[c]
+            for s, conj in steps:
+                y = conj[x]
                 if class_of[y] == -1:
                     class_of[y] = k
                     src[y] = x
                     via[y] = s
                     members.append(y)
         sizes.append(len(members))
+    del steps
     if sum(sizes) != order:
         raise RuntimeError("%r: class sizes sum to %d, not %d"
                            % (tbl.spec, sum(sizes), order))

@@ -1644,6 +1644,7 @@ GAP_HISTOGRAMS = {
     (2, 16): {0: 240}, (2, 17): {0: 272}, (2, 19): {0: 342},
     (2, 23): {0: 286, 1: 132, 2: 88}, (2, 25): {0: 600}, (2, 27): {0: 702},
     (2, 29): {0: 476, 1: 336}, (2, 31): {0: 510, 1: 240, 2: 180},
+    (2, 32): {0: 961, 1: 31},
     (3, 2): {0: 5}, (3, 3): {0: 2, 1: 2, 2: 18},
     (3, 5): {0: 4, 2: 108, 5: 4},
     (4, 2): {0: 13}, (3, 4): {0: 57},

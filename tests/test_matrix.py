@@ -18,7 +18,6 @@ from invword.matrix import (
     kron,
     mat_over,
     nullspace,
-    pad,
     parse_mat,
     transvection,
 )
@@ -242,8 +241,6 @@ def test_block_helpers():
     b = Mat.diag(F, (2,))
     s = direct_sum(a, b)
     assert s.to_text() == "1,1,0;0,1,0;0,0,2"
-    p = pad(a, 4)
-    assert p.to_text() == "1,1,0,0;0,1,0,0;0,0,1,0;0,0,0,1"
     k = kron(Mat.identity(F, 2), a)
     assert k == direct_sum(a, a)
     t = transvection(F, 3, 2, 0, 4)
@@ -496,7 +493,7 @@ def test_kernel_guards_raise_under_optimize():
     # shape and field mismatches must raise ValueError also under python -O
     code = (
         "from invword.gf import make_field\n"
-        "from invword.matrix import Mat, direct_sum, kron, mat_over, pad, transvection\n"
+        "from invword.matrix import Mat, direct_sum, kron, mat_over, transvection\n"
         "a, b = mat_over(5, '1,2,3;4,0,1'), mat_over(5, '1,2;3,4')\n"
         "f7 = mat_over(7, '2,0;0,2')\n"
         "cases = [\n"
@@ -509,8 +506,6 @@ def test_kernel_guards_raise_under_optimize():
         "    ('add field', lambda: b + f7),\n"
         "    ('direct_sum', lambda: direct_sum(b, f7)),\n"
         "    ('kron', lambda: kron(b, f7)),\n"
-        "    ('pad square', lambda: pad(a, 4)),\n"
-        "    ('pad fit', lambda: pad(b, 1)),\n"
         "    ('transvection', lambda: transvection(make_field(5), 3, 1, 1)),\n"
         "]\n"
         "for name, f in cases:\n"
@@ -523,5 +518,5 @@ def test_kernel_guards_raise_under_optimize():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.strip().splitlines()
-    assert len(lines) == 12
+    assert len(lines) == 10
     assert all(line.endswith(" ValueError") for line in lines), lines

@@ -700,15 +700,44 @@ def test_even_mask_is_perm_parity(n):
 
 @pytest.mark.parametrize("spec", [GroupSpec("Alt", 6), GroupSpec("Sym", 5)],
                          ids=repr)
-def test_perm_code_conjugates_compose_in_one_pass(spec):
+def test_perm_code_mul_applies_the_left_factor_first(spec):
     tbl = build_group(spec)
     code = tbl.code
     for x in tbl.elements[::7]:
-        assert code.conjugates(x) == [
-            code.mul(code.mul(s, x), code.inverse(s)) for s in code.gens]
         # mul(a, b) applies a first: the image of i is b[a[i]]
         for s in code.gens:
             assert code.mul(x, s) == tuple(s[i] for i in x)
+
+
+@pytest.mark.parametrize("spec", [
+    GroupSpec("Alt", 5), GroupSpec("Alt", 6), GroupSpec("Sym", 5),
+    GroupSpec("SL", 2, 5), GroupSpec("SL", 2, 8), GroupSpec("PSL", 2, 9),
+    GroupSpec("GL", 2, 3), GroupSpec("PGL", 2, 5), GroupSpec("SL", 3, 2)],
+    ids=repr)
+def test_conjugate_lists_index_each_generators_conjugates(spec, monkeypatch):
+    # a fresh table: a matrix code hands out the conjugates its closure
+    # kept once, and then holds them no longer
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    tbl = build_group(spec)
+    code, index, mul = tbl.code, tbl.index, tbl.code.mul
+    lists = code.conjugate_lists(index)
+    assert len(lists) == len(code.gens)
+    for s, conj in zip(code.gens, lists):
+        s_inv = code.inverse(s)
+        assert conj == [index[mul(mul(s, x), s_inv)] for x in tbl.elements]
+    if not spec.perm:
+        assert code._kept is None
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("SL", 2, 5), GroupSpec("PSL", 2, 9),
+                                  GroupSpec("GL", 2, 3), GroupSpec("SL", 3, 2)],
+                         ids=repr)
+def test_closure_returns_the_elements_and_stops_at_the_cap(spec, monkeypatch):
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    tbl = build_group(spec)
+    assert sorted(tbl.code.closure(tbl.order)) == tbl.elements
+    with pytest.raises(GroupTooLarge, match="order cap"):
+        tbl.code.closure(tbl.order - 1)
 
 
 MATRIX_TABLE_SPECS = [
@@ -735,14 +764,14 @@ def every_row_op(spec, ctx):
 def test_closure_walk_matches_all_generators(spec):
     # the closure walks the oracle's short list; walking every
     # transvection finds the same elements, and each table inverse is the
-    # matrix inverse
+    # matrix inverse.  The table's own code is not walked again, since it
+    # would keep a second set of conjugates in the cached table
     tbl = build_group(spec)
     walk = oracle._row_ops(spec, tbl.ctx)
     ops = every_row_op(spec, tbl.ctx)
     assert set(walk) <= set(ops)
     full = oracle._RowCode(tbl.ctx, spec.n, ops,
                            tbl.code.scalars).closure(oracle.ORDER_CAP)
-    assert tbl.code.closure(oracle.ORDER_CAP) == full
     assert sorted(full) == tbl.elements
     for i in range(tbl.order):
         assert tbl.inv(i) == tbl.index_of(tbl.decode(i).inv()), i
@@ -989,6 +1018,7 @@ def _eager_transporters(tbl):
     order of their least element, each grown by conjugating with the
     generators, y = s x s^-1 getting s times the transporter of x."""
     code, index, elements = tbl.code, tbl.index, tbl.elements
+    pairs = [(s, code.inverse(s)) for s in code.gens]
     seen = [False] * tbl.order
     t = [tbl.identity_index] * tbl.order
     for i in range(tbl.order):
@@ -997,8 +1027,8 @@ def _eager_transporters(tbl):
         seen[i] = True
         members = [i]
         for x in members:
-            for s, c in enumerate(code.conjugates(elements[x])):
-                y = index[c]
+            for s, (g, g_inv) in enumerate(pairs):
+                y = index[code.mul(code.mul(g, elements[x]), g_inv)]
                 if not seen[y]:
                     seen[y] = True
                     t[y] = index[code.left(s, elements[t[x]])]
