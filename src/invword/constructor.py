@@ -25,15 +25,20 @@ input takes more than MAX_WITNESS_LEN = 8.  No pair is searched.  The
 restart takes g^-1 from g's one elimination (classify's inv_det, kept on
 g), reads the window, the lifts and the pull-back off a and b, and
 multiplies no two n x n matrices.  Everything is replayed before being
-returned.
+returned.  replay reads the low rank of each conjugator off the record:
+from n = 8 up a restart witness replays with no n x n product and no
+elimination but g's, each conjugate being g^e plus a term of rank at most
+2 rank(c - I) and the running product g^m (|m| <= 1) plus one of rank
+growing with the word; every other witness replays densely.
 """
 
 import json
 from functools import lru_cache
+from itertools import accumulate
 
 from .gf import make_field
 from .matrix import (GroupSpec, Mat, classify, is_projective_involution,
-                     nullspace, parse_mat, pivot_columns)
+                     nullspace, parse_mat, pivot_columns, low_rank_part)
 from .canonical import (charpoly, class_transversal, generalized_jordan,
                         mat_poly_eval)
 from .class_words import CLASS_WORDS
@@ -176,7 +181,7 @@ def _involution_partner(g, gi):
         if mat_poly_eval(Mat(ctx, [[lam]]), f)[0, 0]:
             continue
         m = g - Mat.scalar(ctx, n, lam)
-        for phi in nullspace(Mat(ctx, list(zip(*m.rows)))):
+        for phi in nullspace(m.transpose()):
             for v in nullspace(Mat(ctx, [phi])):
                 v = Mat(ctx, [[x] for x in v])
                 if any(map(any, (m * v).rows)):
@@ -566,6 +571,7 @@ def construct_involution(g, spec):
         if spec.special and g.parity() != 0:
             raise ValueError("odd permutation is outside the group")
         traded = g.n != 5 or g.cycle_type() != (5,)
+        own_target = traded and _target_violation(g, spec) is None
     else:
         cls = classify(g, spec)
         if not cls.in_group:
@@ -574,8 +580,10 @@ def construct_involution(g, spec):
             raise ValueError("central element has no witness")
         traded = g.det() != 1 or (g.n > 2
                                   and (g.n, spec.q) not in _STORED_PAIRS)
+        # replay's target check on a matrix is classify's predicate
+        own_target = traded and cls.projective_involution
     certificate = None
-    if traded and _target_violation(g, spec) is None:
+    if own_target:
         # an input that the trade word would take and that passes replay's
         # target check is its own target, the 1-step word [(I, +1)]; the
         # 2x2 rule and the stored class words give one themselves
@@ -622,26 +630,139 @@ def _fits(x, spec):
             and x.ctx.q == spec.q)
 
 
-def _target_violation(t, spec):
+def _target_violation(t, spec, square=None):
     """The violation of a target that is no (projective) involution of the
-    family, or None."""
+    family, or None.  square, for a matrix t whose square replay holds in
+    factored form, iterates over the rows of t^2."""
     if spec.perm:
         if t.is_identity() or not (t * t).is_identity():
             return "target-not-involution"
         return "target-parity" if t.parity() != 0 else None
-    if not is_projective_involution(t):
+    if not is_projective_involution(t, square):
         return "target-not-projective-involution"
     return None
 
 
+# A matrix witness replays in factored form when every conjugator c has
+# _RANK_STEP (rank(c - I) + 1) <= n and every partial exponent sum is in
+# {-1, 0, 1}.  Restart witnesses, whose conjugators had rank(c - I) <= 1
+# in every one measured, do so from n = 8 up.  Below that line the dense
+# path is as fast or faster (measured per n and rank in CHANGES.md)
+_RANK_STEP = 4
+
+# what _replay_low_rank returns for a conjugator of too high a rank
+_DENSE = object()
+
+
+def _stack(a, b):
+    return Mat(a.ctx, a.rows + b.rows)
+
+
+def _low_rank_conjugate(e, g_e, gt_e, factors):
+    """(e, lt, r) with c g^e c^-1 = G + lt^T r for G = g^e, gt_e = G^T and
+    the factors (u, ut, v, m) of c: c = I + u v, ut = u^T and m = -(I_r +
+    v u)^-1, so c^-1 = I + u m v and c G c^-1 = G + [u | G u] [v G +
+    (v G u) m v ; m v].  Every product is r rows times G or G^T, or
+    r x r."""
+    u, ut, v, m = factors
+    vg, mv = v * g_e, m * v
+    return e, _stack(ut, ut * gt_e), _stack(vg + (vg * u) * mv, mv)
+
+
+def _times(acc, y, pows, gts):
+    """The factored product (g^m + l r)(g^e + l' r') = g^(m+e) + [g^m l' |
+    l] [r' ; r g^e + (r l') r'] of acc = (m, lt, r) and y = (e, lt', r'),
+    with lt = l^T and (g^m l')^T = l'^T (g^m)^T; lt and r are None for an
+    empty l.  pows[m] is g^m and gts[m] its transpose."""
+    m, lt, r = acc
+    e, lt2, r2 = y
+    if lt2 is None:
+        return m + e, lt, None if r is None else r * pows[e]
+    moved = lt2 * gts[m] if m else lt2
+    if lt is None:
+        return m + e, moved, r2
+    return m + e, _stack(moved, lt), _stack(
+        r2, r * pows[e] + (r * lt2.transpose()) * r2)
+
+
+def _fold(ys, pows, gts):
+    """The factored product (m, lt, r) of the factored conjugates ys.  A
+    word that is one block twice squares the block's product, (I + l r)^2 =
+    I + l (r l + 2 I) r: the block's net exponent is 0, as the partial
+    exponent sums of the word stay in {-1, 0, 1}."""
+    half = len(ys) // 2
+    if len(ys) % 2 == 0 and all(a is b for a, b in zip(ys[:half], ys[half:])):
+        m, lt, r = _fold(ys[:half], pows, gts)
+        if lt is None:
+            return m, lt, r
+        two = Mat.scalar(r.ctx, r.n, r.ctx.scalar(2))
+        return m, lt, (r * lt.transpose() + two) * r
+    acc = ys[0]
+    for y in ys[1:]:
+        acc = _times(acc, y, pows, gts)
+    return acc
+
+
+def _replay_low_rank(w, gi, most):
+    """The first violation of a matrix witness, or None, checked in
+    O(n^2 r) per distinct step besides g's elimination (gi = g^-1); _DENSE
+    when a conjugator has rank(c - I) above most.  Each distinct
+    conjugator is factored once (low_rank_part), det c = det(I_r + v u),
+    and each distinct step's conjugate is g^e plus a term of rank 2 r; the
+    product g^m + l r is formed once, for the product check, and a target
+    I + l r is squared in factored form."""
+    g, ctx, n = w.g, w.g.ctx, w.g.n
+    eye = Mat.identity(ctx, n)
+    pows = {-1: gi, 0: eye, 1: g}
+    gts = {-1: gi.transpose(), 1: g.transpose()}
+    factored, conjugates, ys = {}, {}, []
+    for s in w.steps:
+        key = (s.c, s.e)
+        y = conjugates.get(key)
+        if y is None:
+            if s.c == eye:
+                y = (s.e, None, None)
+            else:
+                factors = factored.get(s.c)
+                if factors is None:
+                    found = low_rank_part(s.c, most)
+                    if found is None:
+                        return _DENSE
+                    u, v = found
+                    inverse, det = (v * u + Mat.identity(ctx, v.n)).inv_det()
+                    if det != 1:
+                        return "conjugator-determinant"
+                    factors = factored[s.c] = (u, u.transpose(), v, -inverse)
+                y = _low_rank_conjugate(s.e, pows[s.e], gts[s.e], factors)
+            conjugates[key] = y
+        ys.append(y)
+    m, lt, r = _fold(ys, pows, gts)
+    t = w.target
+    if lt is None:
+        return ("product-mismatch" if pows[m] != t
+                else _target_violation(t, w.spec))
+    l = lt.transpose()
+    if l * r + pows[m] != t:
+        return "product-mismatch"
+    # t = I + l r, so t^2 = t + l (r t)
+    return _target_violation(t, w.spec,
+                             (l * (r * t) + t).rows if m == 0 else None)
+
+
 def replay(w):
     """Recompute the product and recheck every invariant; reports the
-    first violation instead of raising.  One elimination of g gives g^-1
-    and its determinant, and one of each distinct conjugator other than the
-    identity its inverse and determinant (inv_det, which keeps the pair on
-    the matrix: a g that classify has met is not eliminated again).  Each
-    distinct step's conjugate is formed once, and the product starts from
-    the first."""
+    first violation instead of raising, in the same order on either path.
+    One elimination of g gives g^-1 and its determinant (inv_det, which
+    keeps the pair on the matrix: a g that classify has met is not
+    eliminated again).  A matrix witness of dimension n whose partial
+    exponent sums stay in {-1, 0, 1}, as every restart word's do, and
+    whose conjugators have _RANK_STEP (rank(c - I) + 1) <= n replays in
+    factored form (_replay_low_rank): no n x n product, and no elimination
+    but g's and one of r x r per distinct conjugator.  Every other witness,
+    a permutation's too, takes the dense path: one inv_det of each distinct
+    conjugator other than the identity, each distinct step's conjugate
+    formed once, and the product built from the first.  On either path a
+    step whose conjugator is the identity reads g^e itself."""
     spec = w.spec
     length = len(w.steps)
     net = sum(s.e for s in w.steps)
@@ -662,6 +783,12 @@ def replay(w):
     gi, det = g.inv_det()
     if gi is None or (det != 1 and spec.special):
         return report("element-outside-group")
+    most = g.n // _RANK_STEP - 1
+    if (not spec.perm and most > 0
+            and max(map(abs, accumulate(s.e for s in w.steps))) <= 1):
+        violation = _replay_low_rank(w, gi, most)
+        if violation is not _DENSE:
+            return report(violation)
     violation = "conjugator-parity" if spec.perm else "conjugator-determinant"
     # c g^e c^-1 once per distinct step: a doubled window repeats its
     # steps.  The identity conjugator, of determinant 1, gives g^e itself

@@ -192,6 +192,9 @@ class Mat:
     def rank(self):
         return len(_row_echelon(self.ctx, list(self.rows))[0])
 
+    def transpose(self):
+        return _mat(self.ctx, tuple(zip(*self.rows)))
+
     # -- text form -------------------------------------------------------
 
     def to_text(self):
@@ -264,6 +267,32 @@ def _row_echelon(ctx, a):
         if r == rows:
             break
     return pivots, a
+
+
+def low_rank_part(c, most):
+    """(u, v) with c = I + u v for a square c other than I, with u n x r and
+    v r x n for r = rank(c - I) <= most; None when r is above most.  v
+    holds the r rows of the reduced row echelon form of d = c - I and u
+    the r pivot columns of d (v is I_r on them), so d = u v, from one
+    elimination of the non-zero rows of d that stops once it passes most
+    pivots: O(n^2 r)."""
+    ctx = c.ctx
+    dec = ctx.add_rows[ctx.neg_table[1]]
+    d = [row[:i] + (dec[row[i]],) + row[i + 1:]
+         for i, row in enumerate(c.rows)]
+    a = [row for row in d if any(row)]
+    if not a:
+        raise ValueError("the identity has no low-rank part")
+    piv = []
+    while len(piv) < len(a):
+        if len(piv) == most:
+            return None
+        r = len(piv)
+        piv.append(next(j for j, x in enumerate(a[r]) if x))
+        _eliminate(ctx, a, r, piv[-1])
+        a[r + 1:] = [row for row in a[r + 1:] if any(row)]
+    return (_mat(ctx, tuple(tuple([row[p] for p in piv]) for row in d)),
+            _mat(ctx, tuple(map(tuple, a))))
 
 
 def nullspace(mat):
@@ -398,21 +427,22 @@ def classify(g, spec):
     return Classification(in_group, central, involution, proj)
 
 
-def is_projective_involution(g):
+def is_projective_involution(g, square=None):
     """classify(g, spec).projective_involution for an invertible g, without
-    the determinant: g^2 in {I, -I} and g not scalar."""
-    return not g.is_scalar() and _square_sign(g) is not None
+    the determinant: g^2 in {I, -I} and g not scalar.  square, for a caller
+    that holds g^2 in another form, iterates over the rows of g^2."""
+    return not g.is_scalar() and _square_sign(g, square) is not None
 
 
-def _square_sign(g):
+def _square_sign(g, square=None):
     """c in {1, -1} with g^2 = c I, else None.  g^2 is built a row at a
-    time and the build stops at the first row that is not c e_i, c read
-    off the first row, so a g whose square is not +-I pays about one row of
-    the product."""
+    time, unless square iterates over its rows, and the build stops at the
+    first row that is not c e_i, c read off the first row, so a g whose
+    square is not +-I pays about one row of the product."""
     ctx, n = g.ctx, g.n
     c = None
-    for i, row in enumerate(g.rows):
-        (sq,) = (_mat(ctx, (row,)) * g).rows
+    for i, row in enumerate(g.rows if square is None else square):
+        sq = (_mat(ctx, (row,)) * g).rows[0] if square is None else row
         c = sq[i] if c is None else c
         if (c not in (1, ctx.neg(1))
                 or sq != (0,) * i + (c,) + (0,) * (n - 1 - i)):

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import invword.constructor as constructor
+import invword.matrix as matrix
 from invword.gf import MAX_ORDER, make_field, irreducible_polys
 from invword.matrix import (GroupSpec, Mat, commutator, direct_sum,
                             is_projective_involution, nullspace, parse_mat,
@@ -1343,23 +1344,39 @@ def test_replay_flags_tampered_target_of_doubled_witness():
     assert replay(w).violation == "product-mismatch"
 
 
-def test_replay_eliminates_once_per_distinct_conjugator(monkeypatch):
-    # one Gauss-Jordan elimination for g^-1 and one per distinct step (c, e)
-    # other than the identity, which checks det c and gives c^-1 together;
-    # no determinant besides
-    w = _doubled_window_witness()
-    calls = {"inv_det": 0, "det": 0}
-    for name in calls:
-        real = getattr(Mat, name)
+def _quadratic_witness(ctx, n, seed):
+    """The witness of a conjugate of J_2(1)^(n/2), even n: quadratic, so it
+    has no trace-0 partner, and its word repeats one block."""
+    x = _random_sl(ctx, n, random.Random(seed))
+    j = Mat(ctx, [[int(i == k or (k == i + 1 and i % 2 == 0))
+                   for k in range(n)] for i in range(n)])
+    return ok(construct_involution(x * j * x.inv(), GroupSpec("SL", n, ctx.q)))
 
-        def counted(self, name=name, real=real):
-            calls[name] += 1
-            return real(self)
-        monkeypatch.setattr(Mat, name, counted)
-    assert replay(w).ok
-    assert calls == {"inv_det": 1 + 1, "det": 0}
-    assert len({s.c for s in w.steps}) == 2
-    assert len({s.c for s in w.steps if s.c.is_identity()}) == 1
+
+def test_replay_eliminates_once_per_distinct_conjugator(monkeypatch):
+    # dense path (n < 8): one Gauss-Jordan elimination for g^-1 and one per
+    # distinct step (c, e) other than the identity, which checks det c and
+    # gives c^-1 together.  Factored path (n >= 8): g's elimination and one
+    # of the r x r matrix I_r + v u per distinct conjugator, r = rank(c - I),
+    # whose determinant is det c.  No determinant besides
+    doubled = _quadratic_witness(ctx7, 8, 40)
+    word = [(s.c, s.e) for s in doubled.steps]
+    assert doubled.length == 8 and word == word[:2] * 4
+    for w, sizes in ((_doubled_window_witness(), {5: 2}),
+                     (doubled, {8: 1, 1: 1})):
+        calls = {"inv_det": Counter(), "det": Counter()}
+        for name in calls:
+            real = getattr(Mat, name)
+
+            def counted(self, name=name, real=real):
+                calls[name][self.n] += 1
+                return real(self)
+            monkeypatch.setattr(Mat, name, counted)
+        assert replay(w).ok
+        monkeypatch.undo()
+        assert calls == {"inv_det": sizes, "det": {}}
+        assert len({s.c for s in w.steps}) == 2
+        assert len({s.c for s in w.steps if s.c.is_identity()}) == 1
 
 
 def _spy_eliminations(monkeypatch, counts):
@@ -1380,22 +1397,26 @@ def _spy_eliminations(monkeypatch, counts):
 
 def test_construct_eliminates_g_once(monkeypatch):
     # classify's inv_det keeps g^-1 and det g on g; the restart's g^-1 and
-    # replay's inv_det read them.  replay of the 4-step witness [(I, -1),
-    # (h^-1, +1)] twice eliminates h^-1 alone, forms its one conjugate (two
-    # n x n products) and the product from the first conjugate (three)
+    # replay's inv_det read them.  Replay of the record of the 4-step
+    # witness [(I, -1), (h^-1, +1)] twice (odd q), or of the 2-step one
+    # (even q), below n = 8 takes the dense path: it eliminates g and h^-1,
+    # forms the conjugate of h^-1 (two n x n products) and the product from
+    # the first conjugate (three, or one for 2 steps).  From n = 8 up it
+    # makes no n x n product, and g is the one n x n matrix eliminated
     rng = random.Random(38)
-    for q in (3, 5, 7, 9):
+    for q in (3, 5, 7, 9, 4, 8):
         ctx = make_field(q)
-        for n in range(5, 10):
+        for n in list(range(5, 10)) + [16, 24]:
             g = _random_sl(ctx, n, rng)
             eliminations = Counter()
             with monkeypatch.context() as patch:
                 _spy_eliminations(patch, eliminations)
                 w = construct_involution(g, GroupSpec("SL", n, q))
             assert eliminations[g.rows] == 1, (n, q)
-            assert w.length == 4
+            assert w.length == (4 if q % 2 else 2)
             w = witness_from_json(witness_to_json(w))
-            assert [s.c.is_identity() for s in w.steps] == [True, False] * 2
+            assert ([s.c.is_identity() for s in w.steps]
+                    == [True, False] * (w.length // 2))
             eliminations.clear()
             products = Counter()
             mul = Mat.__mul__
@@ -1404,9 +1425,32 @@ def test_construct_eliminates_g_once(monkeypatch):
                 patch.setattr(Mat, "__mul__", lambda a, b: products.update(
                     [(a.n, a.m, b.m)]) or mul(a, b))
                 assert replay(w).ok
-            assert sorted(eliminations.values()) == [1, 1]
-            assert eliminations[w.g.rows] == 1
-            assert products[n, n, n] == 5, products
+            square = {rows: k for rows, k in eliminations.items()
+                      if len(rows) == n}
+            if n < 8:
+                assert sorted(square.values()) == [1, 1]
+                assert square[w.g.rows] == 1
+                assert products[n, n, n] == w.length + 1, products
+            else:
+                assert square == {w.g.rows: 1}
+                assert products[n, n, n] == 0, products
+
+
+def test_construct_squares_g_once(monkeypatch):
+    # classify's square of g decides whether g is its own target; replay
+    # squares the target again only when it is g itself (the 1-step word)
+    squared = Counter()
+    real = matrix._square_sign
+
+    def spy(g, square=None):
+        squared[g.rows] += square is None
+        return real(g, square)
+    monkeypatch.setattr(matrix, "_square_sign", spy)
+    g = _random_sl(ctx5, 6, random.Random(44))
+    involution = Mat.diag(ctx5, (1, 1, 4, 4, 1, 1))
+    for x, length, times in ((g, 4, 1), (g * involution * g.inv(), 1, 2)):
+        assert construct_involution(x, GroupSpec("SL", 6, 5)).length == length
+        assert squared[x.rows] == times
 
 
 def _restart_witness():
@@ -1450,6 +1494,104 @@ def test_replay_with_identity_steps_flags_a_bad_conjugator():
     s = w.steps[1]
     w.steps[1] = WitnessStep(s.c * Perm.from_cycles("(1,2)", 7), s.e, s.case)
     assert replay(w).violation == "conjugator-parity"
+
+
+def _dense_product(g, steps):
+    acc = Mat.identity(g.ctx, g.n)
+    for c, e, _ in steps:
+        acc = acc * c * g ** e * c.inv()
+    return acc
+
+
+def _dense_reference(w):
+    """(ok, violation) of an SL witness, read off the dense product of the
+    conjugates c g^e c^-1, in replay's order of checks."""
+    if w.g.det() != 1:
+        return False, "element-outside-group"
+    if any(s.c.det() != 1 for s in w.steps):
+        return False, "conjugator-determinant"
+    if _dense_product(w.g, [(s.c, s.e, s.case) for s in w.steps]) != w.target:
+        return False, "product-mismatch"
+    if not is_projective_involution(w.target):
+        return False, "target-not-projective-involution"
+    return True, None
+
+
+def _tampered(w, rng):
+    """Records made from w, one of each kind: an entry of a conjugator, an
+    entry of the target, a conjugator times diag(lam, 1, ...) (lam != 1,
+    of rank(c - I) one more than c's), the word conjugated by a random x
+    (a valid record whose conjugators have full rank, so replay takes the
+    dense path), the first half of a word of even length with its product
+    as the target (a restart word's commutator, or g^-1: no involution)
+    and, for words of at most 6 steps, the word between (I, e) and (I, -e),
+    e the first exponent, whose partial exponent sum reaches 2 e (valid
+    with the target conjugated to match)."""
+    ctx, n = w.g.ctx, w.g.n
+
+    def record(steps, target):
+        return Witness(w.spec, w.g, steps, target)
+
+    def bump(m):
+        i, j = rng.randrange(n), rng.randrange(n)
+        rows = [list(r) for r in m.rows]
+        rows[i][j] = ctx.add(rows[i][j], 1)
+        return Mat(ctx, rows)
+    steps = [(s.c, s.e, s.case) for s in w.steps]
+    k = rng.randrange(len(steps))
+    c, e, case = steps[k]
+    out = [record(steps[:k] + [(bump(c), e, case)] + steps[k + 1:],
+                  w.target),
+           record(steps, bump(w.target))]
+    lam = Mat.diag(ctx, (2 % ctx.q,) + (1,) * (n - 1))
+    out.append(record([(d * lam if d == c else d, f, lab)
+                       for d, f, lab in steps], w.target))
+    x = _random_sl(ctx, n, rng)
+    xi = x.inv()
+    out.append(record([(x * d, f, lab) for d, f, lab in steps],
+                      x * w.target * xi))
+    if len(steps) % 2 == 0:
+        half = steps[:len(steps) // 2]
+        out.append(record(half, _dense_product(w.g, half)))
+    if len(steps) <= constructor.MAX_WITNESS_LEN - 2:
+        eye, f = Mat.identity(ctx, n), steps[0][1]
+        g_f = w.g ** f
+        out.append(record([(eye, f, "x")] + steps + [(eye, -f, "x")],
+                          g_f * w.target * g_f.inv()))
+    return out
+
+
+def test_replay_agrees_with_the_dense_product(monkeypatch):
+    # the factored replay (n >= 8) and the dense one (below, or for a
+    # conjugator of too high a rank or a partial exponent sum of 2) read
+    # every record as the dense product does; the factored path meets
+    # every outcome, and hands some records to the dense one
+    rng = random.Random(41)
+    witnesses = [_doubled_window_witness(), _quadratic_witness(ctx5, 8, 42),
+                 _quadratic_witness(ctx7, 16, 43)]
+    for q in _field_orders():
+        ctx = make_field(q)
+        for n in list(range(3, 10)) + [16, 24]:
+            g = _random_sl(ctx, n, rng)
+            while g.is_scalar():
+                g = _random_sl(ctx, n, rng)
+            witnesses.append(construct_involution(g, GroupSpec("SL", n, q)))
+    factored = Counter()
+    low_rank = constructor._replay_low_rank
+
+    def spy(*args):
+        found = low_rank(*args)
+        factored[found] += 1
+        return found
+    monkeypatch.setattr(constructor, "_replay_low_rank", spy)
+    for w in witnesses:
+        for record in [w] + _tampered(w, rng):
+            got = replay(record)
+            assert (got.ok, got.violation) == _dense_reference(record), (
+                record, got)
+    assert min(factored[v] for v in (
+        None, "conjugator-determinant", "product-mismatch",
+        "target-not-projective-involution", constructor._DENSE)) > 0
 
 
 def test_replay_flags_bad_target():
