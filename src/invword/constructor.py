@@ -22,14 +22,16 @@ b a invertible: x moves only the plane im a, where the field's plane
 table (_plane_table) holds the 2x2 word of x, lifted to the whole space
 and pulled back; for odd q and g not quadratic it takes 4 steps, and no
 input takes more than MAX_WITNESS_LEN = 8.  No pair is searched.  The
-restart takes g^-1 from g's one elimination (classify's inv_det, kept on
-g), reads the window, the lifts and the pull-back off a and b, and
-multiplies no two n x n matrices.  Everything is replayed before being
-returned.  replay reads the low rank of each conjugator off the record:
-from n = 8 up a restart witness replays with no n x n product and no
-elimination but g's, each conjugate being g^e plus a term of rank at most
-2 rank(c - I) and the running product g^m (|m| <= 1) plus one of rank
-growing with the word; every other witness replays densely.
+restart reads g through its one forward elimination (classify's det, kept
+on g): g^-1 v is a solve, no inverse of g is formed, the window and its
+lifts, each a rank-2 update of the rows of I, are read off a, b and the
+partner's phi(g v) and phi(g^-1 v), and no two n x n matrices are
+multiplied.  Everything is replayed before being returned.  replay reads
+the low rank of each conjugator off the record: from n = 6 up a restart
+witness replays with no n x n product, g^-1 read only through solves and
+no elimination but g's forward one, each conjugate being g^e plus a term
+of rank at most 2 rank(c - I) and the running product g^m (|m| <= 1) plus
+one of rank growing with the word; every other witness replays densely.
 """
 
 import json
@@ -37,15 +39,16 @@ from functools import lru_cache
 from itertools import accumulate
 
 from .gf import make_field
-from .matrix import (GroupSpec, Mat, classify, is_projective_involution,
-                     nullspace, parse_mat, pivot_columns, low_rank_part)
+from .matrix import (GroupSpec, Mat, add_product, basic_solution, classify,
+                     is_projective_involution, low_rank_part, nullspace,
+                     parse_mat)
 from .canonical import (charpoly, class_transversal, generalized_jordan,
                         mat_poly_eval)
 from .class_words import CLASS_WORDS
 from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
                      group_order, involution_indices,
                      projective_involution_indices)
-from .perm import Perm, a5_witness, alt_partner
+from .perm import Perm, _alt_partner, a5_witness
 
 # Pairs (n, q) where the 2x2 rule and the restart are not available end to
 # end.  Only class_word_table (and the benchmark's sl-classes grid) reads
@@ -117,10 +120,15 @@ class Witness:
 
 
 def _product(g, steps):
+    """prod c g^e c^-1 over the steps, built from the first conjugate; an
+    identity conjugator gives g^e itself."""
     gi = g.inv()
-    acc = Mat.identity(g.ctx, g.n)
+    acc = None
     for c, e, _ in steps:
-        acc = acc * (c * (g if e == 1 else gi) * c.inv())
+        y = g if e == 1 else gi
+        if not c.is_identity():
+            y = c * y * c.inv()
+        acc = y if acc is None else acc * y
     return acc
 
 
@@ -128,54 +136,49 @@ def _expand(outer, conjugated):
     """Rewrite steps over y in terms of steps over g, where conjugated(d)
     is a g-word with product y conjugated by d: an occurrence d y d^-1
     becomes conjugated(d), and d y^-1 d^-1 its reversal with flipped
-    exponents."""
-    out = []
+    exponents.  conjugated(d) is computed once per distinct d: a doubled
+    window repeats its steps."""
+    out, words = [], {}
     for d, eps, _lab in outer:
-        word = conjugated(d)
+        word = words.get(d)
+        if word is None:
+            word = words[d] = conjugated(d)
         out.extend(word if eps == 1
                    else [(c, -e, lab) for c, e, lab in reversed(word)])
     return out
 
 
-def _orbits(g, gi):
+def _orbits(g):
     """[v, g v, g^-1 v] as tuples for v = e_1, ..., e_n and then (1, ..., 1),
-    each computed when it is read; gi is g^-1.  Since g is not scalar, one
-    of these v is no eigenvector of g."""
+    each computed when it is read: g v is a column of g (for the all-ones
+    vector, a product with one column) and g^-1 v one solve through g's
+    kept forward elimination, so no inverse of g is formed.  Since g is not
+    scalar, one of these v is no eigenvector of g."""
     ctx, n = g.ctx, g.n
-    ones = Mat(ctx, [[1]] * n)
     for k in range(n + 1):
-        yield [tuple(int(i == k) for i in range(n)) if k < n else (1,) * n] + [
-            tuple(r[k] for r in m.rows) if k < n
-            else tuple(r[0] for r in (m * ones).rows) for m in (g, gi)]
+        v = tuple(int(i == k) for i in range(n)) if k < n else (1,) * n
+        col = Mat(ctx, [[x] for x in v])
+        gv = (tuple(r[k] for r in g.rows) if k < n
+              else tuple(r[0] for r in (g * col).rows))
+        yield [v, gv, tuple(r[0] for r in g.solve_cols(col).rows)]
 
 
-def _solve_phi(ctx, rows, piv, rhs):
-    """The row phi, zero off the pivot coordinates piv, with phi(r) = rhs
-    for the rows r: one system of len(piv) unknowns."""
-    a = Mat(ctx, [[r[p] for p in piv] for r in rows])
-    phi = [0] * len(rows[0])
-    for p, (c,) in zip(piv, (a.inv() * Mat(ctx, [[x] for x in rhs])).rows):
-        phi[p] = c
-    return Mat(ctx, [phi])
-
-
-def _involution_partner(g, gi):
-    """(v, phi), a column and a row, with phi(v) = phi(g v) = phi(g^-1 v) = 0
-    and a b != 0, or None; gi is g^-1.  Then b a = 0 (_commutator_factors),
-    so x = [g, h] = I + a b has (x - I)^2 = 0 and x != I: in characteristic
-    2, x is an involution.  For n >= 4, v is the first of _orbits' vectors
-    that is no eigenvector and phi the first vector of the nullspace of the
-    rows (v, g v, g^-1 v), so the partner always exists: a b = v phi -
-    g^-1 v (phi g) is not 0 for v and g^-1 v independent.  At n = 3 such a
-    phi vanishes on the g-invariant plane that v, g v and g^-1 v span: phi
-    is a left eigenvector, phi g = lam phi with lam a root of charpoly(g) in
-    GF(q), and v the first basis vector of ker phi with g v != lam v; x is
-    then a transvection."""
+def _involution_partner(g):
+    """([v, g v, g^-1 v], phi, 0, 0), the vectors as tuples, with phi(v) =
+    phi(g v) = phi(g^-1 v) = 0 and a b != 0, or None.  Then b a = 0
+    (_commutator_factors), so x = [g, h] = I + a b has (x - I)^2 = 0 and
+    x != I: in characteristic 2, x is an involution.  For n >= 4, v is the
+    first of _orbits' vectors that is no eigenvector and phi the first
+    vector of the nullspace of the rows (v, g v, g^-1 v), so the partner
+    always exists: a b = v phi - g^-1 v (phi g) is not 0 for v and g^-1 v
+    independent.  At n = 3 such a phi vanishes on the g-invariant plane
+    that v, g v and g^-1 v span: phi is a left eigenvector, phi g = lam phi
+    with lam a root of charpoly(g) in GF(q), and v the first basis vector of
+    ker phi with g v != lam v; x is then a transvection."""
     ctx, n = g.ctx, g.n
     if n >= 4:
-        rows = next(r for r in _orbits(g, gi) if Mat(ctx, r[:2]).rank() == 2)
-        return (Mat(ctx, [[x] for x in rows[0]]),
-                Mat(ctx, nullspace(Mat(ctx, rows))[:1]))
+        rows = next(r for r in _orbits(g) if Mat(ctx, r[:2]).rank() == 2)
+        return rows, nullspace(Mat(ctx, rows))[0], 0, 0
     f = charpoly(g)
     for lam in ctx.elements():
         if mat_poly_eval(Mat(ctx, [[lam]]), f)[0, 0]:
@@ -183,50 +186,54 @@ def _involution_partner(g, gi):
         m = g - Mat.scalar(ctx, n, lam)
         for phi in nullspace(m.transpose()):
             for v in nullspace(Mat(ctx, [phi])):
-                v = Mat(ctx, [[x] for x in v])
-                if any(map(any, (m * v).rows)):
-                    return v, Mat(ctx, [phi])
+                col = Mat(ctx, [[x] for x in v])
+                if any(map(any, (m * col).rows)):
+                    orbit = [v] + [tuple(r[0] for r in x.rows)
+                                   for x in (g * col, g.solve_cols(col))]
+                    return orbit, phi, 0, 0
     return None
 
 
-def _plane_partner(g, gi):
-    """(v, phi), a column and a row, with phi(v) = 0, s = phi(g v) != 0 and
-    u = phi(g^-1 v) != 0, so b a = [[0, u], [-s, -s u]] is invertible
-    (_commutator_factors); gi is g^-1.  The window is the plane im a, on
-    which x = [g, h] acts as y = I + b a, conjugate to y_p of the field's
-    plane table (_plane_table) for p = s u.  v is the first of _orbits'
-    vectors with v, g v and g^-1 v independent, and then (s, u) = (1, p)
-    for the table's best p: phi lives on three pivot coordinates, one 3x3
-    system.  For odd q that p is 2, where y has trace 0 (the trace-0
-    partner).  A quadratic g, g^2 = alpha g + beta, has no such v, as
-    g^-1 v = (g v - alpha v) / beta: it takes the first v that is no
-    eigenvector, phi with phi(v) = 0 and phi(g v) = 1 on two pivot
-    coordinates, c = phi(g^-1 v) (1 / beta for a quadratic g), and then
-    phi scaled by the table's s for c, so p = s^2 c."""
+def _plane_partner(g):
+    """([v, g v, g^-1 v], phi, s, u), the vectors as tuples, with phi(v) =
+    0, s = phi(g v) != 0 and u = phi(g^-1 v) != 0, so b a = [[0, u], [-s,
+    -s u]] is invertible (_commutator_factors).  The window is the plane
+    im a, on which x = [g, h] acts as y = I + b a, conjugate to y_p of the
+    field's plane table (_plane_table) for p = s u.  v is the first of
+    _orbits' vectors with v, g v and g^-1 v independent, and then (s, u) =
+    (1, p) for the table's best p: phi lives on the three pivot coordinates
+    of the rows (v, g v, g^-1 v) and is read off one elimination of the
+    rows and the values (basic_solution).  For odd q that p is 2, where y
+    has trace 0 (the trace-0 partner).  A quadratic g, g^2 = alpha g +
+    beta, has no such v, as g^-1 v = (g v - alpha v) / beta: it takes the
+    first v that is no eigenvector, phi with phi(v) = 0 and phi(g v) = 1
+    on two pivot coordinates, c = phi(g^-1 v) (1 / beta for a quadratic
+    g), and then phi scaled by the table's s for c, so (s, u) = (s, s c)
+    and p = s^2 c."""
     ctx = g.ctx
     _, best, scale = _plane_table(ctx.q)
     pair = None
-    for rows in _orbits(g, gi):
-        piv = pivot_columns(Mat(ctx, rows))
+    for rows in _orbits(g):
+        piv, phi = basic_solution(Mat(ctx, rows), (0, 1, best))
         if len(piv) == 3:
-            return (Mat(ctx, [[x] for x in rows[0]]),
-                    _solve_phi(ctx, rows, piv, (0, 1, best)))
+            return rows, phi, 1, best
         if len(piv) == 2 and pair is None:
-            pair = rows, piv
-    rows, piv = pair
-    phi = _solve_phi(ctx, rows[:2], piv, (0, 1))
-    c = (phi * Mat(ctx, [[x] for x in rows[2]]))[0, 0]
-    return Mat(ctx, [[x] for x in rows[0]]), phi.scale(scale[c])
+            pair = rows
+    rows = pair
+    _, phi = basic_solution(Mat(ctx, rows[:2]), (0, 1))
+    c = (Mat(ctx, [phi]) * Mat(ctx, [[x] for x in rows[2]]))[0, 0]
+    by = ctx.mul_rows[scale[c]]
+    return rows, tuple(by[x] for x in phi), scale[c], by[c]
 
 
-def _partner(g, gi):
-    """(v, phi), a column and a row, of find_partner(g) = I + v phi, with
-    phi(v) = 0; gi is g^-1."""
+def _partner(g):
+    """([v, g v, g^-1 v], phi, s, u) of find_partner(g) = I + v phi, with
+    phi(v) = 0, s = phi(g v) and u = phi(g^-1 v) as the partner solved for
+    them; the vectors and phi are tuples."""
     if g.is_scalar():
         raise ValueError("central element has no partner")
-    found = (_involution_partner(g, gi) if g.ctx.p == 2 and g.n >= 3
-             else None)
-    return found or _plane_partner(g, gi)
+    found = _involution_partner(g) if g.ctx.p == 2 and g.n >= 3 else None
+    return found or _plane_partner(g)
 
 
 def find_partner(g):
@@ -236,48 +243,52 @@ def find_partner(g):
     has one (always for n >= 4): [g, h] is itself an involution.  Otherwise
     it is the plane partner of _plane_partner: [g, h] moves only a plane,
     where the field's plane table solves it."""
-    v, phi = _partner(g, g.inv())
-    return Mat.identity(g.ctx, g.n) + v * phi
-
-
-def _commutator_factors(g, gi, v, phi):
-    """(a, b) with [g, h] = g^-1 h^-1 g h = I + a b for h = I + v phi,
-    phi(v) = 0, and gi = g^-1: a = [v | g^-1 v] is n x 2 and b = [phi ;
-    -(phi g + phi(g v) phi)] is 2 x n.  As h^-1 = I - v phi, g^-1 h^-1 g =
-    I - g^-1 v (phi g), and its product with h is I + v phi - g^-1 v (phi g)
-    - phi(g v) g^-1 v phi.  Each factor costs one product with a vector, and
-    b a = [[phi(v), phi(g^-1 v)], [-phi(g v), -phi(g v) phi(g^-1 v)]]."""
+    (v, _, _), phi, _, _ = _partner(g)
     ctx = g.ctx
-    phig = phi * g
-    s = (phig * v).rows[0][0]
-    a = Mat(ctx, [r + w for r, w in zip(v.rows, (gi * v).rows)])
-    return a, Mat(ctx, phi.rows + (-(phig + phi.scale(s))).rows)
+    return add_product(Mat.identity(ctx, g.n), Mat(ctx, [[x] for x in v]),
+                       Mat(ctx, [phi]))
 
 
-def _reseed_word(g, h, label):
+def _commutator_factors(g, orbit, phi, s):
+    """(a, b) with [g, h] = g^-1 h^-1 g h = I + a b for h = I + v phi,
+    phi(v) = 0, orbit = [v, g v, g^-1 v] and s = phi(g v): a = [v | g^-1 v]
+    is n x 2 and b = [phi ; -(phi g + s phi)] is 2 x n.  As h^-1 = I -
+    v phi, g^-1 h^-1 g = I - g^-1 v (phi g), and its product with h is
+    I + v phi - g^-1 v (phi g) - s g^-1 v phi.  So b a = [[phi(v), u],
+    [-s, -s u]] for u = phi(g^-1 v), which the partner holds, and phi g,
+    one row times g, is the one product with g."""
+    ctx = g.ctx
+    v, _, giv = orbit
+    row = Mat(ctx, [phi])
+    return Mat(ctx, list(zip(v, giv))), _stack(row, -(row * g + row.scale(s)))
+
+
+def _reseed_word(h, x, label):
     """The word g^-1 (h^-1 g h) over a partner h of g, each step labelled
-    `label`, and its product, the commutator x = g^-1 h^-1 g h: the
-    alternating group's trade word, with h = alt_partner(g) (x is an even
-    involution).  The restart takes the same word over its matrix partner,
-    with h^-1 = I - v phi applied in factored form (_reseed).  The word has
-    net exponent 0, so a witness for x pulled back along it is balanced
-    regardless of the inner word."""
-    hi = h.inv()
-    return [(g ** 0, -1, label), (hi, 1, label)], g.inv() * hi * g * h
+    `label`, and its product, the commutator x = g^-1 h^-1 g h, which the
+    caller has already formed: the alternating group's trade word, with
+    (h, x) from alt_partner's own check (x is an even involution).  The
+    restart takes the same word over its matrix partner, with h^-1 = I -
+    v phi applied in factored form (_reseed).  The word has net exponent
+    0, so a witness for x pulled back along it is balanced regardless of
+    the inner word."""
+    return [(h ** 0, -1, label), (h.inv(), 1, label)], x
 
 
 def _reseed(g):
     """Trade g for its commutator x = I + a b with the partner h = I + v
     phi, solve x (_window) and pull the witness back along the trade word
     g^-1 (h^-1 g h): a step d x^e d^-1 becomes (d, -1), (d h^-1, +1),
-    reversed with flipped exponents for e = -1, and d h^-1 = d + (d v)(-phi).
-    g^-1 is the one inversion, shared by the partner and the factors."""
-    gi = g.inv()
-    v, phi = _partner(g, gi)
-    inner, t = _window(*_commutator_factors(g, gi, v, phi))
-    minus_phi = -phi
+    reversed with flipped exponents for e = -1, and d h^-1 = d - (d v) phi,
+    with d v a product with one column.  g is read through its kept forward
+    elimination: g^-1 v is a solve and no inverse of g is formed."""
+    orbit, phi, s, u = _partner(g)
+    a, b = _commutator_factors(g, orbit, phi, s)
+    inner, t = _window(a, b, s, u)
+    ctx = g.ctx
+    v, minus_phi = Mat(ctx, [[x] for x in orbit[0]]), -Mat(ctx, [phi])
     return _expand(inner, lambda d: [
-        (d, -1, "reseed"), (d + (d * v) * minus_phi, 1, "reseed")]), t
+        (d, -1, "reseed"), (add_product(d, d * v, minus_phi), 1, "reseed")]), t
 
 
 # -- 2x2 core ------------------------------------------------------------
@@ -383,39 +394,60 @@ def _plane_table(q):
         for c in units}
 
 
-def _window(a, b):
+@lru_cache(maxsize=None)
+def _plane_cores(q, s, u):
+    """The plane table's word for p = s u with each 2 x 2 conjugator c
+    replaced by its core k = d (c - I) d^-1 (b a)^-1, None for c = I, for
+    b a = [[0, u], [-s, -s u]] and d = diag(u, 1): (steps, target core,
+    core of the target's square or None when that square is I), or None
+    when the table has no word.  At most q^2 entries per field, each
+    computed once."""
+    ctx = make_field(q)
+    found = _plane_table(q)[0][ctx.mul(s, u)]
+    if found is None:
+        return None
+    inner, t = found
+    eye2 = Mat.identity(ctx, 2)
+    # m = d^-1 (b a)^-1, so the core is d (c - I) m
+    m = Mat(ctx, [[ctx.neg(ctx.inv(u)), ctx.neg(ctx.div(1, ctx.mul(s, u)))],
+                  [ctx.inv(u), 0]])
+    d = Mat.diag(ctx, (u, 1))
+
+    def core(c):
+        return None if c == eye2 else d * (c - eye2) * m
+    square = t * t
+    return ([(core(c), e, lab) for c, e, lab in inner], core(t),
+            None if square == eye2 else core(square))
+
+
+def _window(a, b, s, u):
     """Witness steps and target for the restart's commutator x = I + a b,
-    read off the 2 x 2 matrix b a.  When b a = 0 (the involution partner)
-    x is its own target, the 1-step word [(I, +1)].  Otherwise (the plane
-    partner) b a = [[0, u], [-s, -p]] with p = s u is invertible, so im a
-    and ker b split the space and x is I on ker b.  In the basis (u v,
-    g^-1 v) of im a, the columns of a scaled to a', and b to b' with
-    b' a' = m = [[0, 1], [-p, -p]], x acts as y_p = I + m, whose word the
-    plane table holds.  A 2 x 2 conjugator or target c lifts to
-    I + a' (c - I) m^-1 b', c on im a and I on ker b, of the same
-    determinant, in O(n^2).  The steps are doubled and the target squared
-    when the target squares to -I on the plane only, n > 2 and q odd."""
+    with b a = [[0, u], [-s, -s u]] read off the partner (s = phi(g v),
+    u = phi(g^-1 v)).  When s = u = 0, b a = 0 (the involution partner)
+    and x is its own target, the 1-step word [(I, +1)].  Otherwise (the
+    plane partner) b a is invertible, so im a and ker b split the space and
+    x is I on ker b.  In the basis a' = a d, d = diag(u, 1), of im a, that
+    is (u v, g^-1 v), x acts as y_p = I + m with m = d^-1 (b a) d = [[0, 1],
+    [-p, -p]], p = s u, whose word the plane table holds.  A 2 x 2
+    conjugator or target c lifts to I + a k b for its core k = d (c - I)
+    d^-1 (b a)^-1 (_plane_cores), c on im a and I on ker b, of the same
+    determinant: one rank-2 update of the rows of I, O(n^2).  The
+    steps are doubled and the target squared when the target squares to -I
+    on the plane only, n > 2 and q odd."""
     ctx, n = a.ctx, a.n
     eye = Mat.identity(ctx, n)
-    ba = b * a
-    if not any(map(any, ba.rows)):
-        return [(eye, 1, "involution")], eye + a * b
-    u, p = ba[0, 1], ctx.neg(ba[1, 1])
-    found = _plane_table(ctx.q)[0][p]
+    if not (s or u):
+        return [(eye, 1, "involution")], add_product(eye, a, b)
+    found = _plane_cores(ctx.q, s, u)
     if found is None:
         raise ConstructError("no 2x2 word of at most 4 steps on the plane")
-    inner, t = found
-    by_inv_u = ctx.mul_rows[ctx.inv(u)]
-    a = Mat(ctx, [(ctx.mul(x, u), y) for x, y in a.rows])
-    b = Mat(ctx, [[by_inv_u[x] for x in b.rows[0]], b.rows[1]])
-    eye2 = Mat.identity(ctx, 2)
-    m_inv = Mat(ctx, [[ctx.neg(1), ctx.neg(ctx.inv(p))], [1, 0]])
+    cores, t, square = found
 
-    def lift(c):
-        return eye if c == eye2 else eye + a * ((c - eye2) * m_inv) * b
-    steps = [(lift(c), e, lab) for c, e, lab in inner]
-    if n > 2 and not (t * t).is_identity():
-        steps, t = steps + steps, t * t
+    def lift(k):
+        return eye if k is None else add_product(eye, a, k * b)
+    steps = [(lift(k), e, lab) for k, e, lab in cores]
+    if n > 2 and square is not None:
+        return steps + steps, lift(square)
     return steps, lift(t)
 
 
@@ -592,7 +624,7 @@ def construct_involution(g, spec):
         raw, target, certificate = a5_witness(g)
         steps = [(c, e, "a5-search") for c, e in raw]
     elif spec.perm:
-        steps, target = _reseed_word(g, alt_partner(g), "alt-partner")
+        steps, target = _reseed_word(*_alt_partner(g), "alt-partner")
     else:
         steps, target = (_reseed if traded else _construct_internal)(g)
     w = Witness(spec, g, steps, target, certificate)
@@ -646,9 +678,9 @@ def _target_violation(t, spec, square=None):
 # A matrix witness replays in factored form when every conjugator c has
 # _RANK_STEP (rank(c - I) + 1) <= n and every partial exponent sum is in
 # {-1, 0, 1}.  Restart witnesses, whose conjugators had rank(c - I) <= 1
-# in every one measured, do so from n = 8 up.  Below that line the dense
-# path is as fast or faster (measured per n and rank in CHANGES.md)
-_RANK_STEP = 4
+# in every one measured, do so from n = 6 up.  Below that line the dense
+# path is as fast or faster (measured per n, rank and q in CHANGES.md)
+_RANK_STEP = 3
 
 # what _replay_low_rank returns for a conjugator of too high a rank
 _DENSE = object()
@@ -658,70 +690,81 @@ def _stack(a, b):
     return Mat(a.ctx, a.rows + b.rows)
 
 
-def _low_rank_conjugate(e, g_e, gt_e, factors):
-    """(e, lt, r) with c g^e c^-1 = G + lt^T r for G = g^e, gt_e = G^T and
-    the factors (u, ut, v, m) of c: c = I + u v, ut = u^T and m = -(I_r +
-    v u)^-1, so c^-1 = I + u m v and c G c^-1 = G + [u | G u] [v G +
-    (v G u) m v ; m v].  Every product is r rows times G or G^T, or
-    r x r."""
-    u, ut, v, m = factors
-    vg, mv = v * g_e, m * v
-    return e, _stack(ut, ut * gt_e), _stack(vg + (vg * u) * mv, mv)
+def _beside(a, b):
+    return Mat(a.ctx, [x + y for x, y in zip(a.rows, b.rows)])
 
 
-def _times(acc, y, pows, gts):
+def _low_rank_conjugate(e, times_g, g_times, factors):
+    """(e, l, r, u) with c g^e c^-1 = G + l r for G = g^e and the factors
+    (u, v, m) of c: c = I + u v and m = -(I_r + v u)^-1, so c^-1 = I + u m v
+    and c G c^-1 = G + [u | G u] [v G + (v G u) m v ; m v].  times_g(x, e)
+    is x g^e for x of r rows, g_times(e, x) g^e x for x of r columns, and
+    every other product is r x r or with r rows or columns."""
+    u, v, m = factors
+    vg, mv = times_g(v, e), m * v
+    return e, _beside(u, g_times(e, u)), _stack(vg + (vg * u) * mv, mv), u
+
+
+def _times(acc, y, times_g, g_times):
     """The factored product (g^m + l r)(g^e + l' r') = g^(m+e) + [g^m l' |
-    l] [r' ; r g^e + (r l') r'] of acc = (m, lt, r) and y = (e, lt', r'),
-    with lt = l^T and (g^m l')^T = l'^T (g^m)^T; lt and r are None for an
-    empty l.  pows[m] is g^m and gts[m] its transpose."""
-    m, lt, r = acc
-    e, lt2, r2 = y
-    if lt2 is None:
-        return m + e, lt, None if r is None else r * pows[e]
-    moved = lt2 * gts[m] if m else lt2
-    if lt is None:
+    l] [r' ; r g^e + (r l') r'] of acc = (m, l, r) and a conjugate y = (e,
+    l', r', u'), l' = [u' | g^e u']; l and r are None for an empty l.  For
+    m != 0 the partial sums in {-1, 0, 1} make m = -e, so g^m l' = [g^m u' |
+    u']: one product or solve of the r columns of u'."""
+    m, l, r = acc
+    e, l2, r2, u2 = y
+    if l2 is None:
+        return m + e, l, None if r is None else times_g(r, e)
+    moved = _beside(g_times(m, u2), u2) if m else l2
+    if l is None:
         return m + e, moved, r2
-    return m + e, _stack(moved, lt), _stack(
-        r2, r * pows[e] + (r * lt2.transpose()) * r2)
+    return m + e, _beside(moved, l), _stack(
+        r2, times_g(r, e) + (r * l2) * r2)
 
 
-def _fold(ys, pows, gts):
-    """The factored product (m, lt, r) of the factored conjugates ys.  A
+def _fold(ys, times_g, g_times):
+    """The factored product (m, l, r) of the factored conjugates ys.  A
     word that is one block twice squares the block's product, (I + l r)^2 =
     I + l (r l + 2 I) r: the block's net exponent is 0, as the partial
     exponent sums of the word stay in {-1, 0, 1}."""
     half = len(ys) // 2
     if len(ys) % 2 == 0 and all(a is b for a, b in zip(ys[:half], ys[half:])):
-        m, lt, r = _fold(ys[:half], pows, gts)
-        if lt is None:
-            return m, lt, r
+        m, l, r = _fold(ys[:half], times_g, g_times)
+        if l is None:
+            return m, l, r
         two = Mat.scalar(r.ctx, r.n, r.ctx.scalar(2))
-        return m, lt, (r * lt.transpose() + two) * r
-    acc = ys[0]
+        return m, l, (r * l + two) * r
+    acc = ys[0][:3]
     for y in ys[1:]:
-        acc = _times(acc, y, pows, gts)
+        acc = _times(acc, y, times_g, g_times)
     return acc
 
 
-def _replay_low_rank(w, gi, most):
+def _replay_low_rank(w, most):
     """The first violation of a matrix witness, or None, checked in
-    O(n^2 r) per distinct step besides g's elimination (gi = g^-1); _DENSE
-    when a conjugator has rank(c - I) above most.  Each distinct
+    O(n^2 r) per distinct step besides g's forward elimination; _DENSE when
+    a conjugator has rank(c - I) above most.  g^-1 is read only through
+    solves of rows and columns (Mat.solve_rows, Mat.solve_cols), so no
+    inverse of g is formed for a word of net exponent 0.  Each distinct
     conjugator is factored once (low_rank_part), det c = det(I_r + v u),
     and each distinct step's conjugate is g^e plus a term of rank 2 r; the
     product g^m + l r is formed once, for the product check, and a target
     I + l r is squared in factored form."""
     g, ctx, n = w.g, w.g.ctx, w.g.n
     eye = Mat.identity(ctx, n)
-    pows = {-1: gi, 0: eye, 1: g}
-    gts = {-1: gi.transpose(), 1: g.transpose()}
+
+    def times_g(x, e):
+        return x if e == 0 else x * g if e == 1 else g.solve_rows(x)
+
+    def g_times(e, x):
+        return x if e == 0 else g * x if e == 1 else g.solve_cols(x)
     factored, conjugates, ys = {}, {}, []
     for s in w.steps:
         key = (s.c, s.e)
         y = conjugates.get(key)
         if y is None:
             if s.c == eye:
-                y = (s.e, None, None)
+                y = (s.e, None, None, None)
             else:
                 factors = factored.get(s.c)
                 if factors is None:
@@ -729,40 +772,42 @@ def _replay_low_rank(w, gi, most):
                     if found is None:
                         return _DENSE
                     u, v = found
-                    inverse, det = (v * u + Mat.identity(ctx, v.n)).inv_det()
-                    if det != 1:
+                    core = v * u + Mat.identity(ctx, v.n)
+                    if core.det() != 1:
                         return "conjugator-determinant"
-                    factors = factored[s.c] = (u, u.transpose(), v, -inverse)
-                y = _low_rank_conjugate(s.e, pows[s.e], gts[s.e], factors)
+                    factors = factored[s.c] = (u, v, -core.inv())
+                y = _low_rank_conjugate(s.e, times_g, g_times, factors)
             conjugates[key] = y
         ys.append(y)
-    m, lt, r = _fold(ys, pows, gts)
+    m, l, r = _fold(ys, times_g, g_times)
     t = w.target
-    if lt is None:
-        return ("product-mismatch" if pows[m] != t
+    g_m = eye if m == 0 else g if m == 1 else g.inv()
+    if l is None:
+        return ("product-mismatch" if g_m != t
                 else _target_violation(t, w.spec))
-    l = lt.transpose()
-    if l * r + pows[m] != t:
+    if add_product(g_m, l, r) != t:
         return "product-mismatch"
     # t = I + l r, so t^2 = t + l (r t)
     return _target_violation(t, w.spec,
-                             (l * (r * t) + t).rows if m == 0 else None)
+                             add_product(t, l, r * t).rows if m == 0 else None)
 
 
 def replay(w):
     """Recompute the product and recheck every invariant; reports the
     first violation instead of raising, in the same order on either path.
-    One elimination of g gives g^-1 and its determinant (inv_det, which
-    keeps the pair on the matrix: a g that classify has met is not
-    eliminated again).  A matrix witness of dimension n whose partial
-    exponent sums stay in {-1, 0, 1}, as every restart word's do, and
-    whose conjugators have _RANK_STEP (rank(c - I) + 1) <= n replays in
-    factored form (_replay_low_rank): no n x n product, and no elimination
-    but g's and one of r x r per distinct conjugator.  Every other witness,
-    a permutation's too, takes the dense path: one inv_det of each distinct
-    conjugator other than the identity, each distinct step's conjugate
-    formed once, and the product built from the first.  On either path a
-    step whose conjugator is the identity reads g^e itself."""
+    g's determinant comes from its forward elimination (det, kept on the
+    matrix: a g that classify has met is not eliminated again; a
+    permutation's det is its sign).  A matrix witness of dimension n whose
+    partial exponent sums stay in {-1, 0, 1}, as every restart word's do,
+    and whose conjugators have _RANK_STEP (rank(c - I) + 1) <= n replays in
+    factored form (_replay_low_rank): no n x n product, g^-1 read only
+    through solves, and no elimination but g's forward one and one of
+    r x r per distinct conjugator.  Every other witness, a permutation's
+    too, takes the dense path: g^-1 (for a matrix, the backward half of
+    g's kept elimination), one inv_det of each distinct conjugator other
+    than the identity, each distinct step's conjugate formed once, and the
+    product built from the first.  On either path a step whose conjugator
+    is the identity reads g^e itself."""
     spec = w.spec
     length = len(w.steps)
     net = sum(s.e for s in w.steps)
@@ -778,17 +823,17 @@ def replay(w):
         return report("net-exponent-mismatch")
     if not all(_fits(x, spec) for x in [w.g, w.target] + [s.c for s in w.steps]):
         return report("spec-mismatch")
-    # a permutation's inv_det gives its sign, the determinant of its matrix
     g = w.g
-    gi, det = g.inv_det()
-    if gi is None or (det != 1 and spec.special):
+    det = g.det()
+    if det == 0 or (det != 1 and spec.special):
         return report("element-outside-group")
     most = g.n // _RANK_STEP - 1
     if (not spec.perm and most > 0
             and max(map(abs, accumulate(s.e for s in w.steps))) <= 1):
-        violation = _replay_low_rank(w, gi, most)
+        violation = _replay_low_rank(w, most)
         if violation is not _DENSE:
             return report(violation)
+    gi = g.inv()
     violation = "conjugator-parity" if spec.perm else "conjugator-determinant"
     # c g^e c^-1 once per distinct step: a doubled window repeats its
     # steps.  The identity conjugator, of determinant 1, gives g^e itself

@@ -9,10 +9,19 @@ The kernels work a row at a time through the field's row tables
 (``ctx.add_rows``, ``ctx.mul_rows``): a product row is the sum of the
 rows of the right factor scaled by the entries of the left one, and an
 elimination step replaces a row by ``[addr[x][mf[y]] for x, y in
-zip(row, pivot_row)]`` with ``mf = mul_rows[-f]``.  Results are built by
-``_mat``, which takes a tuple of equal-length tuples as given; the public
-``Mat(ctx, rows)`` converts its rows and checks their lengths and that
-every entry is an encoding in range(q).
+zip(row, pivot_row)]`` with ``mf = mul_rows[-f]``.  A right factor of one
+or two columns (and more than two rows) is multiplied by dot products
+instead, one per entry.  Results are built by ``_mat``, which takes a
+tuple of equal-length tuples as given; the public ``Mat(ctx, rows)``
+converts its rows and checks their lengths and that every entry is an
+encoding in range(q).
+
+A square matrix keeps one forward elimination (``_forward``), made by the
+first ``det``, ``inv`` or solve: ``det`` reads it, ``solve_cols`` and
+``solve_rows`` give a^-1 b and r a^-1 from it in O(n^2) per column or
+row, and ``inv`` finishes its backward half only when a whole inverse is
+asked for, so forward and backward together cost one Gauss-Jordan
+elimination.
 """
 
 import operator
@@ -21,8 +30,9 @@ from .gf import UnsupportedField, make_field, power, prime_power
 
 
 class Mat:
-    # _inv_det holds (inverse, determinant) from the first inv_det
-    __slots__ = ("ctx", "rows", "n", "m", "_inv_det")
+    # _lu holds the forward elimination of the first det, inv or solve,
+    # _inv_det (inverse, determinant) from the first inv or inv_det
+    __slots__ = ("ctx", "rows", "n", "m", "_lu", "_inv_det")
 
     def __init__(self, ctx, rows):
         rows = tuple(map(tuple, rows))
@@ -37,7 +47,7 @@ class Mat:
         self.rows = rows
         self.n = len(rows)
         self.m = len(rows[0]) if rows else 0
-        self._inv_det = None
+        self._lu = self._inv_det = None
 
     # -- constructors ----------------------------------------------------
 
@@ -82,6 +92,19 @@ class Mat:
             raise ValueError("cannot multiply %s by %s" % (_shape(self), _shape(other)))
         addr, mulr = ctx.add_rows, ctx.mul_rows
         brows = other.rows
+        if other.m <= 2 < other.n:
+            # one or two columns: a dot product per entry
+            cols = tuple(zip(*brows))
+            out = []
+            for ra in self.rows:
+                row = []
+                for col in cols:
+                    acc = 0
+                    for x, y in zip(ra, col):
+                        acc = addr[acc][mulr[x][y]]
+                    row.append(acc)
+                out.append(tuple(row))
+            return _mat(ctx, tuple(out))
         out = []
         for ra in self.rows:
             # row i of the product: sum over k of a_ik times row k of other
@@ -130,64 +153,102 @@ class Mat:
     # -- elimination-based ops ----------------------------------------------
 
     def det(self):
-        if self._inv_det is not None:
-            return self._inv_det[1]
-        _require_square(self)
-        ctx, n = self.ctx, self.n
-        addr, mulr, neg, inv = ctx.add_rows, ctx.mul_rows, ctx.neg_table, ctx.inv_table
-        a = list(self.rows)
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = neg[det]
-            prow = a[col]
-            p = prow[col]
-            det = mulr[det][p]
-            minv = mulr[neg[inv[p]]]
-            for r in range(col + 1, n):
-                f = a[r][col]
-                if f:
-                    mf = mulr[minv[f]]
-                    a[r] = [addr[x][mf[y]] for x, y in zip(a[r], prow)]
-        return det
+        return (self._lu or self._forward())[0]
 
     def inv(self):
-        inverse, _ = self.inv_det()
+        inverse = (self._inv_det or self.inv_det())[0]
         if inverse is None:
             raise ZeroDivisionError("singular matrix")
         return inverse
 
     def inv_det(self):
-        """(inverse, determinant) from one Gauss-Jordan elimination; the
-        inverse is None when the determinant is 0.  The pair is kept on
-        the matrix, whose rows never change, so later calls and det() read
-        it without eliminating again.  Nothing is kept on the inverse: it
-        holds no reference back to this matrix."""
+        """(inverse, determinant); the inverse is None when the determinant
+        is 0.  The pair is kept on the matrix, whose rows never change, so
+        later calls read it.  The inverse finishes the kept forward
+        elimination (_backward), so the two halves together cost about one
+        Gauss-Jordan elimination.  Nothing is kept on the inverse: it holds
+        no reference back to this matrix."""
         if self._inv_det is None:
-            self._inv_det = self._gauss_jordan()
+            det, perm, rows = self._lu or self._forward()
+            self._inv_det = (None if det == 0 else
+                             _backward(self.ctx, perm, rows), det)
         return self._inv_det
 
-    def _gauss_jordan(self):
-        _require_square(self)
-        ctx, n = self.ctx, self.n
-        mulr, neg = ctx.mul_rows, ctx.neg_table
-        one = (0,) * n + (1,) + (0,) * (n - 1)
-        a = [row + one[n - i:2 * n - i] for i, row in enumerate(self.rows)]
-        det = 1
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col]), None)
-            if piv is None:
-                return None, 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = neg[det]
-            det = mulr[det][a[col][col]]
-            _eliminate(ctx, a, col, col)
-        return _mat(ctx, tuple(tuple(row[n:]) for row in a)), det
+    def solve_cols(self, b):
+        """self^-1 b for an n x k matrix b, by one forward and one backward
+        substitution per column through the kept forward elimination:
+        O(n^2 k), and no inverse is formed."""
+        if b.ctx is not self.ctx or b.n != self.n:
+            raise ValueError("cannot solve %s for %s" % (_shape(self), _shape(b)))
+        lu = self._factors()
+        return _mat(self.ctx, tuple(zip(*[_solve_col(self.ctx, lu, c)
+                                          for c in zip(*b.rows)]))
+                    or ((),) * b.n)
+
+    def solve_rows(self, r):
+        """r self^-1 for a k x n matrix r, by one substitution through U and
+        one through L per row of r: O(n^2 k), and no inverse is formed."""
+        if r.ctx is not self.ctx or r.m != self.n:
+            raise ValueError("cannot solve %s for %s" % (_shape(self), _shape(r)))
+        lu = self._factors()
+        return _mat(self.ctx, tuple(_solve_row(self.ctx, lu, row)
+                                    for row in r.rows))
+
+    def _factors(self):
+        """(perm, rows) of the forward elimination of a matrix that is
+        invertible; ZeroDivisionError for a singular one."""
+        det, perm, rows = self._lu or self._forward()
+        if det == 0:
+            raise ZeroDivisionError("singular matrix")
+        return perm, rows
+
+    def _forward(self):
+        """The forward half of a Gauss-Jordan elimination of [a | I] with row
+        pivoting, kept on the matrix: (det, perm, rows) with E a = U for E =
+        L^-1 P, U upper triangular, L unit lower triangular and P the row
+        permutation, row i of P a being row perm[i] of a.  rows[i] holds row
+        i of U from column i on (its pivot first), then the i entries of row
+        i of L^-1 before the diagonal.  The identity half is kept in the
+        pivots' order, where L^-1 is lower triangular, so every row keeps n
+        entries: a step drops the pivot column and appends the new
+        multiplier, and the whole elimination costs about n^3 / 2 row-table
+        lookups against the 2 n^3 of Gauss-Jordan.  perm and rows are None
+        when det is 0."""
+        if self._lu is None:
+            _require_square(self)
+            ctx, n = self.ctx, self.n
+            addr, mulr, neg, inv = (ctx.add_rows, ctx.mul_rows,
+                                    ctx.neg_table, ctx.inv_table)
+            a = list(self.rows)
+            perm = list(range(n))
+            det = 1
+            for col in range(n):
+                piv = col
+                while not a[piv][0]:
+                    piv += 1
+                    if piv == n:
+                        self._lu = (0, None, None)
+                        return self._lu
+                if piv != col:
+                    a[col], a[piv] = a[piv], a[col]
+                    perm[col], perm[piv] = perm[piv], perm[col]
+                    det = neg[det]
+                prow = a[col]
+                det = mulr[det][prow[0]]
+                minv = mulr[neg[inv[prow[0]]]]
+                tail = prow[1:]
+                for r in range(col + 1, n):
+                    row = a[r]
+                    f = minv[row[0]]
+                    if f:
+                        mf = mulr[f]
+                        row = [addr[x][mf[y]] for x, y in zip(row[1:], tail)]
+                    else:
+                        row = list(row[1:])
+                    row.append(f)
+                    a[r] = row
+            self._lu = (det, perm, a)
+        return self._lu
 
     def rank(self):
         return len(_row_echelon(self.ctx, list(self.rows))[0])
@@ -215,7 +276,7 @@ def _mat(ctx, rows):
     m.rows = rows
     m.n = len(rows)
     m.m = len(rows[0]) if rows else 0
-    m._inv_det = None
+    m._lu = m._inv_det = None
     return m
 
 
@@ -241,6 +302,107 @@ def _eliminate(ctx, a, r, c):
         if f and i != r:
             mf = mulr[neg[f]]
             a[i] = [addr[x][mf[y]] for x, y in zip(row, prow)]
+
+
+def _backward(ctx, perm, rows):
+    """The inverse U^-1 L^-1 P from a kept forward elimination (perm, rows).
+    From the last row up, row i of U^-1 L^-1 P is row i of L^-1 P less the
+    rows below scaled by U's row, over U's pivot; row i of L^-1 P holds the
+    stored entries of L^-1 and 1 on the diagonal, at the columns perm.  Its
+    n (n - 1) / 2 row updates finish the n (n - 1) / 2 of the forward half:
+    together as many as one Gauss-Jordan elimination makes, on rows of n
+    entries in place of 2 n."""
+    addr, mulr, neg, inv = ctx.add_rows, ctx.mul_rows, ctx.neg_table, ctx.inv_table
+    n = len(perm)
+    out = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        scale = mulr[inv[row[0]]]
+        acc = [0] * n
+        for p, f in zip(perm, row[n - i:]):
+            acc[p] = scale[f]
+        acc[perm[i]] = scale[1]
+        for c, y in zip(row[1:n - i], out[i + 1:]):
+            if c:
+                mc = mulr[neg[scale[c]]]
+                acc = [addr[x][mc[z]] for x, z in zip(acc, y)]
+        out[i] = acc
+    return _mat(ctx, tuple(map(tuple, out)))
+
+
+def _solve_col(ctx, lu, b):
+    """The column x with a x = b, from the forward elimination lu = (perm,
+    rows) of a: z = L^-1 P b, a dot product per row with the stored entries
+    of L^-1, then U x = z from the last entry up."""
+    addr, mulr, neg, inv = ctx.add_rows, ctx.mul_rows, ctx.neg_table, ctx.inv_table
+    perm, rows = lu
+    n = len(perm)
+    y = [b[p] for p in perm]
+    z = []
+    for i, row in enumerate(rows):
+        acc = y[i]
+        for f, x in zip(row[n - i:], y):
+            acc = addr[acc][mulr[f][x]]
+        z.append(acc)
+    xs = []
+    for i in range(n - 1, -1, -1):
+        row = rows[i]
+        acc = 0
+        for u, x in zip(row[n - 1 - i:0:-1], xs):
+            acc = addr[acc][mulr[u][x]]
+        xs.append(mulr[inv[row[0]]][addr[z[i]][neg[acc]]])
+    return xs[::-1]
+
+
+def _solve_row(ctx, lu, r):
+    """The row y with y a = r, from the forward elimination lu = (perm,
+    rows) of a: w U = r a pivot at a time, each step taking the pivot's row
+    of U off what is left, then y = w L^-1 P, the rows of L^-1 scaled by w
+    and summed, put back in the order of P."""
+    addr, mulr, neg, inv = ctx.add_rows, ctx.mul_rows, ctx.neg_table, ctx.inv_table
+    perm, rows = lu
+    n = len(perm)
+    w = []
+    acc = r
+    for i, row in enumerate(rows):
+        c = mulr[acc[0]][inv[row[0]]]
+        w.append(c)
+        if c:
+            mc = mulr[neg[c]]
+            acc = [addr[x][mc[y]] for x, y in zip(acc[1:], row[1:n - i])]
+        else:
+            acc = acc[1:]
+    y = list(w)
+    for i, row in enumerate(rows):
+        c = w[i]
+        if c and i:
+            mc = mulr[c]
+            y[:i] = [addr[x][mc[f]] for x, f in zip(y, row[n - i:])]
+    out = [0] * n
+    for p, x in zip(perm, y):
+        out[p] = x
+    return tuple(out)
+
+
+def add_product(c, l, r):
+    """c + l r for an n x m matrix c, l n x k and r k x m, formed a row at
+    a time: row i of c plus the rows of r scaled by row i of l, O(n m k)
+    with no product matrix built.  Rows of l that are 0 keep c's row."""
+    ctx = c.ctx
+    if (l.ctx is not ctx or r.ctx is not ctx or l.n != c.n or l.m != r.n
+            or r.m != c.m):
+        raise ValueError("cannot add %s times %s to %s"
+                         % (_shape(l), _shape(r), _shape(c)))
+    addr, mulr = ctx.add_rows, ctx.mul_rows
+    rrows = r.rows
+    out = []
+    for rc, rl in zip(c.rows, l.rows):
+        for a, rb in zip(rl, rrows):
+            if a:
+                ma = mulr[a]
+                rc = [addr[x][ma[y]] for x, y in zip(rc, rb)]
+        out.append(tuple(rc))
+    return _mat(ctx, tuple(out))
 
 
 def parse_mat(ctx, text):
@@ -309,6 +471,21 @@ def nullspace(mat):
             v[pc] = neg[a[r][fc]]
         basis.append(tuple(v))
     return basis
+
+
+def basic_solution(mat, rhs):
+    """(pivots, x): the pivot columns of mat and the solution of mat x =
+    rhs that is 0 off them, x a tuple, or None when there is none; from one
+    elimination of [mat | rhs].  The pivots are those of pivot_columns(mat):
+    rhs comes last, so it is a pivot of its own only when mat x = rhs has
+    no solution."""
+    pivots, a = _row_echelon(mat.ctx, [row + (b,) for row, b in zip(mat.rows, rhs)])
+    if pivots and pivots[-1] == mat.m:
+        return pivots[:-1], None
+    x = [0] * mat.m
+    for row, p in zip(a, pivots):
+        x[p] = row[-1]
+    return pivots, tuple(x)
 
 
 def pivot_columns(mat):
@@ -415,8 +592,9 @@ def classify(g, spec):
     central tests scalarity; projective_involution means g^2 in {I, -I}
     with g itself non-scalar, i.e. an involution modulo the center.
     """
-    # g's one elimination: the restart's g^-1 and replay read it back
-    det = g.inv_det()[1]
+    # g's forward elimination, kept on g: the restart's solves and replay
+    # read it back
+    det = g.det()
     if det == 0:
         raise ValueError("singular matrix")
     in_group = det == 1 or not spec.special

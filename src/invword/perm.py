@@ -4,8 +4,8 @@ square products of conjugates to involutions in alternating groups.
 Convention: points are 1-based in text form, images are stored 0-based, and
 (g*h)(x) = h(g(x)).  Under this convention h^-1 g h relabels the cycles of g
 by h.  The witness path treats a Perm as it does a Mat: matrix.commutator,
-g ** 0, str(g) and inv_det(), whose sign is the permutation matrix's
-determinant.
+g ** 0, str(g), inv() and det(), the sign, which is the permutation
+matrix's determinant, and inv_det() for both.
 """
 
 import operator
@@ -73,11 +73,15 @@ class Perm:
             out[j] = i
         return Perm(out)
 
+    def det(self):
+        """The sign, 1 or -1: the determinant of the permutation matrix, so
+        an even permutation is one of sign 1, as a matrix of SL is one of
+        determinant 1."""
+        return -1 if self.parity() else 1
+
     def inv_det(self):
-        """(inverse, sign): the sign, 1 or -1, is the determinant of the
-        permutation matrix, so an even permutation is one of sign 1, as a
-        matrix of SL is one of determinant 1."""
-        return self.inv(), -1 if self.parity() else 1
+        """(inverse, sign), as Mat.inv_det gives (inverse, determinant)."""
+        return self.inv(), self.det()
 
     def __pow__(self, k):
         return power(self if k >= 0 else self.inv(), abs(k),
@@ -145,6 +149,12 @@ def alt_partner(g):
     involutions, so no partner can exist), and for a single 5-cycle on 5
     points (see a5_witness for that case).
     """
+    return _alt_partner(g)[0]
+
+
+def _alt_partner(g):
+    """(h, [g, h]) for alt_partner's h: the commutator is formed once, for
+    the table's self-check, and handed to the trade word with h."""
     if g.is_identity():
         raise ValueError("identity has no partner")
     n = g.n
@@ -207,7 +217,7 @@ def alt_partner(g):
     if h.parity() != 0 or x.is_identity() or not (x * x).is_identity():
         raise RuntimeError("partner table produced an odd partner or a "
                            "commutator of order != 2")
-    return h
+    return h, x
 
 
 def a5_witness(g):

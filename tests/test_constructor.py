@@ -307,6 +307,16 @@ def _values(g, v, phi):
                  for m in (Mat.identity(g.ctx, g.n), g, g.inv()))
 
 
+def _partner_of(g, found=None):
+    """The partner (v, phi) of g, a column and a row, from the orbit
+    [v, g v, g^-1 v] and phi that _partner (or found) gives, after
+    checking g v and g^-1 v against dense products."""
+    orbit, phi, _, _ = constructor._partner(g) if found is None else found
+    v, gv, giv = (Mat(g.ctx, [[x] for x in col]) for col in orbit)
+    assert gv == g * v and giv == g.inv() * v
+    return v, Mat(g.ctx, [phi])
+
+
 def _orbit_rank(g, v):
     """The rank of the columns v, g v and g^-1 v."""
     cols = [(m * v).rows for m in (Mat.identity(g.ctx, g.n), g, g.inv())]
@@ -325,7 +335,7 @@ def _trace0(g):
     values (0, 1, 2) there; None when no candidate does."""
     if all(_orbit_rank(g, v) < 3 for v in _candidates(g.ctx, g.n)):
         return None
-    v, phi = constructor._plane_partner(g, g.inv())
+    v, phi = _partner_of(g, constructor._plane_partner(g))
     assert _values(g, v, phi) == (0, 1, g.ctx.scalar(2))
     return Mat.identity(g.ctx, g.n) + v * phi
 
@@ -355,7 +365,7 @@ def test_find_partner_is_one_of_two_kinds():
         if g.is_scalar():
             continue
         h = find_partner(g)
-        v, phi = constructor._partner(g, g.inv())
+        v, phi = _partner_of(g)
         assert h == Mat.identity(ctx, n) + v * phi
         zero, s, u = _values(g, v, phi)
         assert zero == 0
@@ -495,7 +505,7 @@ def test_quadratic_elements_have_no_trace0_partner():
                 g = p * y * p.inv()
                 assert _is_quadratic(g) and _trace0(g) is None
                 beta = _beta(g)
-                v, phi = constructor._partner(g, g.inv())
+                v, phi = _partner_of(g)
                 s = scale[ctx.inv(beta)]
                 assert _values(g, v, phi) == (0, s, ctx.div(s, beta))
                 family = "SL" if g.det() == 1 else "GL"
@@ -744,18 +754,20 @@ def _restart_inputs(rng, qs, ns):
 
 def test_commutator_factors_match_the_definition():
     # [g, h] = I + a b with a = [v | g^-1 v] and b = [phi ; -(phi g +
-    # phi(g v) phi)] for the partner h = I + v phi of either kind
+    # phi(g v) phi)] for the partner h = I + v phi of either kind, and
+    # b a = [[0, u], [-s, -s u]] for s = phi(g v) and u = phi(g^-1 v)
     kinds = Counter()
     for g in _restart_inputs(random.Random(31), (2, 3, 4, 5, 7, 8, 9),
                              range(3, 13)):
         ctx, n = g.ctx, g.n
-        gi = g.inv()
-        v, phi = constructor._partner(g, gi)
-        a, b = constructor._commutator_factors(g, gi, v, phi)
+        found = orbit, phi, s, u = constructor._partner(g)
+        v, phi_row = _partner_of(g, found)
+        a, b = constructor._commutator_factors(g, orbit, phi, s)
         assert (a.n, a.m, b.n, b.m) == (n, 2, 2, n)
-        assert (phi * v).rows == ((0,),)
+        assert _values(g, v, phi_row) == (0, s, u)
+        assert b * a == Mat(ctx, [[0, u], [ctx.neg(s), ctx.neg(ctx.mul(s, u))]])
         h = find_partner(g)
-        assert h == Mat.identity(ctx, n) + v * phi
+        assert h == Mat.identity(ctx, n) + v * phi_row
         assert Mat.identity(ctx, n) + a * b == commutator(g, h)
         trace0 = ctx.p != 2 and _trace0(g) is not None
         kinds[trace0, g.det() == 1] += 1
@@ -802,11 +814,10 @@ def test_window_basis_matches_the_dense_window():
     for g in inputs:
         ctx, n = g.ctx, g.n
         eye = Mat.identity(ctx, n)
-        gi = g.inv()
-        a, b = constructor._commutator_factors(g, gi,
-                                               *constructor._partner(g, gi))
+        orbit, phi, s, u = constructor._partner(g)
+        a, b = constructor._commutator_factors(g, orbit, phi, s)
         x = eye + a * b
-        steps, t = constructor._window(a, b)
+        steps, t = constructor._window(a, b, s, u)
         ba = b * a
         if not any(map(any, ba.rows)):
             assert ctx.p == 2 and (x * x).is_identity() and x != eye
@@ -838,32 +849,30 @@ def test_window_basis_matches_the_dense_window():
 
 def test_restart_inverts_only_g(monkeypatch):
     # inside the restart (partner, commutator, window, lift and pull-back)
-    # no two n x n matrices are multiplied and only g is eliminated
-    products, eliminations = Counter(), Counter()
-    mul, inv_det, det = Mat.__mul__, Mat.inv_det, Mat.det
+    # no two n x n matrices are multiplied and g is read through its one
+    # forward elimination: no n x n matrix is eliminated but g, and no
+    # backward half runs, so no inverse of g is formed
+    products, forward, backward = Counter(), Counter(), Counter()
+    mul = Mat.__mul__
 
     def spy_mul(a, b):
         products[a.n, a.m, b.m] += 1
         return mul(a, b)
-
-    def spy_inv_det(a):
-        eliminations[a.n] += 1
-        return inv_det(a)
-
-    def spy_det(a):
-        eliminations[a.n] += 1
-        return det(a)
     for g in _restart_inputs(random.Random(33), (2, 3, 4, 5, 7, 9),
                              range(9, 13)):
+        g = Mat(g.ctx, g.rows)
         products.clear()
-        eliminations.clear()
+        forward.clear()
+        backward.clear()
         with monkeypatch.context() as patch:
             patch.setattr(Mat, "__mul__", spy_mul)
-            patch.setattr(Mat, "inv_det", spy_inv_det)
-            patch.setattr(Mat, "det", spy_det)
+            _spy_eliminations(patch, forward, backward)
             steps, t = constructor._reseed(g)
         n = g.n
-        assert products[n, n, n] == 0 and eliminations[n] == 1, (n, g.ctx.q)
+        assert products[n, n, n] == 0, (n, g.ctx.q)
+        assert {rows: k for rows, k in forward.items() if len(rows) == n} \
+            == {g.rows: 1}, (n, g.ctx.q)
+        assert not any(len(rows) == n for rows in backward), (n, g.ctx.q)
         assert len(steps) <= constructor.MAX_WITNESS_LEN
 
 
@@ -878,13 +887,12 @@ def test_trace0_window_in_closed_form():
     for g in _restart_inputs(random.Random(35), (3, 5, 7, 9, 13, 25, 27),
                              range(3, 13)):
         ctx, n = g.ctx, g.n
-        gi = g.inv()
-        a, b = constructor._commutator_factors(g, gi,
-                                               *constructor._partner(g, gi))
+        orbit, phi, s, u = constructor._partner(g)
+        a, b = constructor._commutator_factors(g, orbit, phi, s)
         ba = b * a
         plane = (_trace(ba) == ctx.neg(ctx.scalar(2))
                  and ba.det() == ctx.scalar(2))
-        steps, t = constructor._window(a, b)
+        steps, t = constructor._window(a, b, s, u)
         trace0 = _trace0(g) is not None
         assert plane or not trace0
         kinds[trace0, g.det() == 1, plane] += 1
@@ -929,8 +937,8 @@ def test_ext_descent_past_field_cap_reseeds(monkeypatch, q, d, length):
     # word doubles the window's length
     windows = []
     real = constructor._window
-    monkeypatch.setattr(constructor, "_window", lambda a, b:
-                        windows.append(real(a, b)) or windows[-1])
+    monkeypatch.setattr(constructor, "_window", lambda *args:
+                        windows.append(real(*args)) or windows[-1])
     ctx = make_field(q)
     w = ok(construct_involution(_cubed(ctx, d), GroupSpec("SL", 3 * d, q)))
     assert w.length == length and labels(w) == ["reseed"]
@@ -1098,6 +1106,36 @@ def test_alt_partner_witness():
     w = ok(construct_involution(g, GroupSpec("Alt", 6)))
     assert w.length == 2 and labels(w) == ["alt-partner"]
     assert w.certificate is None
+
+
+def test_alt_trade_word_forms_the_commutator_once(monkeypatch):
+    # alt_partner's self-check forms [g, h] = g^-1 h^-1 g h (three
+    # products) and its square, and the trade word's target is that
+    # commutator: outside replay, construct makes only one more product of
+    # permutations, g^2 for the check whether g is its own target
+    import invword.perm as perm
+    products, outside = [], [True]
+    real_mul, real_replay = Perm.__mul__, constructor.replay
+
+    def spy_replay(w):
+        outside[0] = False
+        try:
+            return real_replay(w)
+        finally:
+            outside[0] = True
+    monkeypatch.setattr(Perm, "__mul__", lambda a, b: products.append(
+        outside[0]) or real_mul(a, b))
+    monkeypatch.setattr(constructor, "replay", spy_replay)
+    for family, text, n in (("Alt", "(1,2,3,4,5)", 6),
+                            ("Alt", "(1,2,3)(4,5,6,7,8)", 9),
+                            ("Sym", "(1,2,3,4)", 6)):
+        g = Perm.from_cycles(text, n)
+        products.clear()
+        w = construct_involution(g, GroupSpec(family, n))
+        assert products.count(True) == 5, (text, products)
+        ok(w)
+        h = perm.alt_partner(g)
+        assert w.target == perm.commutator(g, h) and w.steps[1].c == h.inv()
 
 
 def test_a5_search_witness():
@@ -1354,85 +1392,102 @@ def _quadratic_witness(ctx, n, seed):
 
 
 def test_replay_eliminates_once_per_distinct_conjugator(monkeypatch):
-    # dense path (n < 8): one Gauss-Jordan elimination for g^-1 and one per
+    # dense path (n < 6): g's forward elimination and its backward half
+    # (one Gauss-Jordan elimination for g^-1), and both halves for each
     # distinct step (c, e) other than the identity, which checks det c and
-    # gives c^-1 together.  Factored path (n >= 8): g's elimination and one
-    # of the r x r matrix I_r + v u per distinct conjugator, r = rank(c - I),
-    # whose determinant is det c.  No determinant besides
+    # gives c^-1 together.  Factored path (n >= 6): g's forward elimination
+    # alone, and both halves of the r x r matrix I_r + v u per distinct
+    # conjugator, r = rank(c - I), whose determinant is det c.  Counted on
+    # the records, whose matrices have kept nothing
     doubled = _quadratic_witness(ctx7, 8, 40)
     word = [(s.c, s.e) for s in doubled.steps]
     assert doubled.length == 8 and word == word[:2] * 4
-    for w, sizes in ((_doubled_window_witness(), {5: 2}),
-                     (doubled, {8: 1, 1: 1})):
-        calls = {"inv_det": Counter(), "det": Counter()}
-        for name in calls:
-            real = getattr(Mat, name)
-
-            def counted(self, name=name, real=real):
-                calls[name][self.n] += 1
-                return real(self)
-            monkeypatch.setattr(Mat, name, counted)
-        assert replay(w).ok
-        monkeypatch.undo()
-        assert calls == {"inv_det": sizes, "det": {}}
+    for w, forward_sizes, backward_sizes in (
+            (_doubled_window_witness(), {5: 2}, {5: 2}),
+            (doubled, {8: 1, 1: 1}, {1: 1})):
+        w = witness_from_json(witness_to_json(w))
+        forward, backward = Counter(), Counter()
+        with monkeypatch.context() as patch:
+            _spy_eliminations(patch, forward, backward)
+            assert replay(w).ok
+        assert _by_size(forward) == forward_sizes
+        assert _by_size(backward) == backward_sizes
         assert len({s.c for s in w.steps}) == 2
         assert len({s.c for s in w.steps if s.c.is_identity()}) == 1
 
 
-def _spy_eliminations(monkeypatch, counts):
-    """Count, by the rows eliminated, the eliminations of inv_det and of
-    det(): a det() that reads the kept inv_det pair makes none."""
-    gauss_jordan, det = Mat._gauss_jordan, Mat.det
+def _by_size(counts):
+    """{n: number of n x n matrices counted} for counts keyed by rows."""
+    return dict(Counter(len(rows) for rows, k in counts.items()
+                        for _ in range(k)))
 
-    def spy_gauss_jordan(a):
-        counts[a.rows] += 1
-        return gauss_jordan(a)
 
-    def spy_det(a):
-        counts[a.rows] += a._inv_det is None
-        return det(a)
-    monkeypatch.setattr(Mat, "_gauss_jordan", spy_gauss_jordan)
-    monkeypatch.setattr(Mat, "det", spy_det)
+def _spy_eliminations(monkeypatch, forward, backward):
+    """Count, by the rows of the matrix, the forward eliminations (the
+    first det, inv or solve of a matrix) and the backward halves (its first
+    inv or inv_det, when it is invertible): a call that reads what the
+    matrix kept makes none."""
+    real_forward, real_inv_det = Mat._forward, Mat.inv_det
+
+    def spy_forward(a):
+        forward[a.rows] += a._lu is None
+        return real_forward(a)
+
+    def spy_inv_det(a):
+        backward[a.rows] += a._inv_det is None and a.det() != 0
+        return real_inv_det(a)
+    monkeypatch.setattr(Mat, "_forward", spy_forward)
+    monkeypatch.setattr(Mat, "inv_det", spy_inv_det)
 
 
 def test_construct_eliminates_g_once(monkeypatch):
-    # classify's inv_det keeps g^-1 and det g on g; the restart's g^-1 and
-    # replay's inv_det read them.  Replay of the record of the 4-step
+    # classify's det keeps g's forward elimination on g; the restart's
+    # solves and replay read it.  Replay of the record of the 4-step
     # witness [(I, -1), (h^-1, +1)] twice (odd q), or of the 2-step one
-    # (even q), below n = 8 takes the dense path: it eliminates g and h^-1,
+    # (even q), below n = 6 takes the dense path: it eliminates g forward
+    # and finishes g's backward half for g^-1, eliminates h^-1 both ways,
     # forms the conjugate of h^-1 (two n x n products) and the product from
-    # the first conjugate (three, or one for 2 steps).  From n = 8 up it
-    # makes no n x n product, and g is the one n x n matrix eliminated
+    # the first conjugate (three, or one for 2 steps).  From n = 6 up it
+    # makes no n x n product, g's forward elimination is the one n x n
+    # elimination, and construct followed by replay never runs g's
+    # backward half
     rng = random.Random(38)
     for q in (3, 5, 7, 9, 4, 8):
         ctx = make_field(q)
         for n in list(range(5, 10)) + [16, 24]:
+            dense = n < 2 * constructor._RANK_STEP
             g = _random_sl(ctx, n, rng)
-            eliminations = Counter()
+            g = Mat(ctx, g.rows)
+            forward, backward = Counter(), Counter()
             with monkeypatch.context() as patch:
-                _spy_eliminations(patch, eliminations)
+                _spy_eliminations(patch, forward, backward)
                 w = construct_involution(g, GroupSpec("SL", n, q))
-            assert eliminations[g.rows] == 1, (n, q)
+            assert (forward[g.rows], backward[g.rows]) == (1, dense), (n, q)
             assert w.length == (4 if q % 2 else 2)
             w = witness_from_json(witness_to_json(w))
             assert ([s.c.is_identity() for s in w.steps]
                     == [True, False] * (w.length // 2))
-            eliminations.clear()
+            forward.clear()
+            backward.clear()
             products = Counter()
             mul = Mat.__mul__
             with monkeypatch.context() as patch:
-                _spy_eliminations(patch, eliminations)
+                _spy_eliminations(patch, forward, backward)
                 patch.setattr(Mat, "__mul__", lambda a, b: products.update(
                     [(a.n, a.m, b.m)]) or mul(a, b))
                 assert replay(w).ok
-            square = {rows: k for rows, k in eliminations.items()
-                      if len(rows) == n}
-            if n < 8:
-                assert sorted(square.values()) == [1, 1]
-                assert square[w.g.rows] == 1
+            square_forward = {rows: k for rows, k in forward.items()
+                              if len(rows) == n}
+            square_backward = {rows: k for rows, k in backward.items()
+                               if len(rows) == n}
+            if dense:
+                assert sorted(square_forward.values()) == [1, 1]
+                assert square_backward == square_forward
+                assert square_forward[w.g.rows] == 1
                 assert products[n, n, n] == w.length + 1, products
             else:
-                assert square == {w.g.rows: 1}
+                assert square_forward == {w.g.rows: 1}
+                assert square_backward == {}
                 assert products[n, n, n] == 0, products
 
 
@@ -1562,10 +1617,10 @@ def _tampered(w, rng):
 
 
 def test_replay_agrees_with_the_dense_product(monkeypatch):
-    # the factored replay (n >= 8) and the dense one (below, or for a
-    # conjugator of too high a rank or a partial exponent sum of 2) read
-    # every record as the dense product does; the factored path meets
-    # every outcome, and hands some records to the dense one
+    # the factored replay (n >= 6 for a restart word) and the dense one
+    # (below, or for a conjugator of too high a rank or a partial exponent
+    # sum of 2) read every record as the dense product does; the factored
+    # path meets every outcome, and hands some records to the dense one
     rng = random.Random(41)
     witnesses = [_doubled_window_witness(), _quadratic_witness(ctx5, 8, 42),
                  _quadratic_witness(ctx7, 16, 43)]

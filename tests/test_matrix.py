@@ -11,6 +11,8 @@ from invword.gf import make_extension, make_field
 from invword.matrix import (
     GroupSpec,
     Mat,
+    add_product,
+    basic_solution,
     classify,
     commutator,
     direct_sum,
@@ -489,11 +491,124 @@ def test_row_table_elimination_matches_reference(ctx):
             assert nullspace(a) == ref_nullspace(a)
 
 
+def ref_gauss_jordan(mat):
+    """(inverse rows or None, det) from one Gauss-Jordan elimination of
+    [mat | I] with the determinant read off the pivots and the swaps, as
+    inv_det computed it before the kept forward elimination."""
+    ctx, n = mat.ctx, mat.n
+    a = [list(mat.rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
+    det = 1
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
+        if piv is None:
+            return None, 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            det = ctx.neg(det)
+        det = ctx.mul(det, a[col][col])
+        inv_p = ctx.inv(a[col][col])
+        a[col] = [ctx.mul(inv_p, x) for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col]:
+                f = a[r][col]
+                a[r] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[n:]) for row in a), det
+
+
+def _rect(ctx, rng, n, m):
+    return Mat(ctx, [[rng.randrange(ctx.q) for _ in range(m)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=repr)
+def test_forward_elimination_matches_gauss_jordan(ctx):
+    # the kept forward elimination against one Gauss-Jordan elimination, on
+    # seeded invertible and singular matrices: det() is the Gauss-Jordan
+    # determinant, inv() (the backward half) its inverse with g inv() = I,
+    # each solve the product with inv(), on a fresh matrix and after det()
+    # kept the elimination, and a singular matrix raises
+    # ZeroDivisionError("singular matrix") from inv(), inv_det()[0] is None
+    # and both solves raise it too
+    rng = random.Random(ctx.q * 113 + ctx.deg + (ctx.base is not None))
+    singular = invertible = 0
+    for n in list(range(1, 10)) + [16]:
+        inputs = kernel_inputs(ctx, rng, n, n) + [rand_mat(ctx, n, rng)]
+        for a in inputs:
+            inverse, det = ref_gauss_jordan(a)
+            cols = [_rect(ctx, rng, n, k) for k in (1, 2, 3)]
+            rows = [_rect(ctx, rng, k, n) for k in (1, 2)]
+            assert Mat(ctx, a.rows).det() == det
+            if not det:
+                singular += 1
+                for fresh in (Mat(ctx, a.rows), a):
+                    for solve in (lambda: fresh.inv(),
+                                  lambda: fresh.solve_cols(cols[0]),
+                                  lambda: fresh.solve_rows(rows[0])):
+                        with pytest.raises(ZeroDivisionError,
+                                           match="^singular matrix$"):
+                            solve()
+                    assert fresh.inv_det() == (None, 0)
+                continue
+            invertible += 1
+            for b in cols:
+                assert Mat(ctx, a.rows).solve_cols(b).rows == ref_mul(
+                    Mat(ctx, inverse), b)
+            for r in rows:
+                assert Mat(ctx, a.rows).solve_rows(r).rows == ref_mul(
+                    r, Mat(ctx, inverse))
+            assert a.det() == det
+            assert [a.solve_cols(b) for b in cols] == [a.inv() * b for b in cols]
+            assert [a.solve_rows(r) for r in rows] == [r * a.inv() for r in rows]
+            assert a.inv().rows == inverse
+            assert a * a.inv() == Mat.identity(ctx, n)
+    assert singular > 0 and invertible > 0
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=repr)
+def test_narrow_products_match_reference(ctx):
+    # a right factor of one or two columns (and more than two rows) takes
+    # dot products, every other product the row kernel; both against the
+    # triple loop, on n x n times n x 1, r x n times n x r, 1 x n times
+    # n x 1 and 2 x 2 times 2 x 2; add_product(c, l, r) is c + l r
+    rng = random.Random(ctx.q * 127 + ctx.deg + (ctx.base is not None))
+    for n in list(range(1, 10)) + [16]:
+        shapes = [(n, n, 1), (1, n, 1), (2, 2, 2)] + [(r, n, r) for r in (1, 2, 3)]
+        for rows, inner, cols in shapes:
+            for a in kernel_inputs(ctx, rng, rows, inner)[:3]:
+                for b in kernel_inputs(ctx, rng, inner, cols)[:3]:
+                    assert (a * b).rows == ref_mul(a, b), (rows, inner, cols)
+        for k in (1, 2):
+            c, l, r = _rect(ctx, rng, n, n), _rect(ctx, rng, n, k), _rect(ctx, rng, k, n)
+            assert add_product(c, l, r) == c + Mat(ctx, ref_mul(l, r))
+
+
+@pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=repr)
+def test_basic_solution_reads_the_pivots(ctx):
+    # basic_solution(mat, rhs) gives pivot_columns' pivots and the solution
+    # that is 0 off them, or None when mat x = rhs has no solution
+    rng = random.Random(ctx.q * 131 + ctx.deg + (ctx.base is not None))
+    solved = unsolvable = 0
+    for n in range(1, 6):
+        for m in (n, n + 2, 9):
+            for a in kernel_inputs(ctx, rng, n, m):
+                rhs = tuple(rng.randrange(ctx.q) for _ in range(n))
+                pivots, x = basic_solution(a, rhs)
+                assert pivots == ref_row_echelon(ctx, [list(r) for r in a.rows])[0]
+                if x is None:
+                    unsolvable += 1
+                    assert len(pivots) < n
+                    continue
+                solved += 1
+                assert all(x[j] == 0 for j in range(m) if j not in pivots)
+                assert a * Mat(ctx, [[y] for y in x]) == Mat(ctx, [[y] for y in rhs])
+    assert solved > 0 and unsolvable > 0
+
+
 def test_kernel_guards_raise_under_optimize():
     # shape and field mismatches must raise ValueError also under python -O
     code = (
         "from invword.gf import make_field\n"
-        "from invword.matrix import Mat, direct_sum, kron, mat_over, transvection\n"
+        "from invword.matrix import (Mat, add_product, direct_sum, kron, mat_over,\n"
+        "                            transvection)\n"
         "a, b = mat_over(5, '1,2,3;4,0,1'), mat_over(5, '1,2;3,4')\n"
         "f7 = mat_over(7, '2,0;0,2')\n"
         "cases = [\n"
@@ -507,6 +622,13 @@ def test_kernel_guards_raise_under_optimize():
         "    ('direct_sum', lambda: direct_sum(b, f7)),\n"
         "    ('kron', lambda: kron(b, f7)),\n"
         "    ('transvection', lambda: transvection(make_field(5), 3, 1, 1)),\n"
+        "    ('solve_cols shape', lambda: b.solve_cols(mat_over(5, '1;2;3'))),\n"
+        "    ('solve_cols field', lambda: f7.solve_cols(b)),\n"
+        "    ('solve_rows shape', lambda: b.solve_rows(a)),\n"
+        "    ('solve_rows field', lambda: f7.solve_rows(b)),\n"
+        "    ('solve square', lambda: a.solve_cols(mat_over(5, '1;2'))),\n"
+        "    ('add_product shape', lambda: add_product(b, a, b)),\n"
+        "    ('add_product field', lambda: add_product(b, b, f7)),\n"
         "]\n"
         "for name, f in cases:\n"
         "    try:\n"
@@ -518,5 +640,5 @@ def test_kernel_guards_raise_under_optimize():
                          text=True, timeout=60)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.strip().splitlines()
-    assert len(lines) == 10
+    assert len(lines) == 17
     assert all(line.endswith(" ValueError") for line in lines), lines
