@@ -318,9 +318,9 @@ def _krylov_inverse(g):
     unit vector is cyclic."""
     n = g.n
     for i in range(n):
-        k = _krylov(g, (0,) * i + (1,) + (0,) * (n - 1 - i))
-        if k.det():
-            return k.inv()
+        kinv, _ = _krylov(g, (0,) * i + (1,) + (0,) * (n - 1 - i)).inv_det()
+        if kinv is not None:
+            return kinv
     return None
 
 

@@ -476,9 +476,9 @@ def nullspace(mat):
 def basic_solution(mat, rhs):
     """(pivots, x): the pivot columns of mat and the solution of mat x =
     rhs that is 0 off them, x a tuple, or None when there is none; from one
-    elimination of [mat | rhs].  The pivots are those of pivot_columns(mat):
-    rhs comes last, so it is a pivot of its own only when mat x = rhs has
-    no solution."""
+    elimination of [mat | rhs].  The pivots are those of mat's row echelon
+    form: rhs comes last, so it is a pivot of its own only when mat x = rhs
+    has no solution."""
     pivots, a = _row_echelon(mat.ctx, [row + (b,) for row, b in zip(mat.rows, rhs)])
     if pivots and pivots[-1] == mat.m:
         return pivots[:-1], None
@@ -486,12 +486,6 @@ def basic_solution(mat, rhs):
     for row, p in zip(a, pivots):
         x[p] = row[-1]
     return pivots, tuple(x)
-
-
-def pivot_columns(mat):
-    """Indices of the columns of mat that are independent of the columns
-    before them (the pivots of its row echelon form)."""
-    return _row_echelon(mat.ctx, list(mat.rows))[0]
 
 
 def direct_sum(a, b):

@@ -11,9 +11,9 @@ import pytest
 import invword.constructor as constructor
 import invword.matrix as matrix
 from invword.gf import MAX_ORDER, make_field, irreducible_polys
-from invword.matrix import (GroupSpec, Mat, commutator, direct_sum,
-                            is_projective_involution, nullspace, parse_mat,
-                            pivot_columns, sub_block, transvection)
+from invword.matrix import (GroupSpec, Mat, basic_solution, commutator,
+                            direct_sum, is_projective_involution, nullspace,
+                            parse_mat, sub_block, transvection)
 from invword.canonical import (companion, gen_jordan_block, class_transversal,
                                generalized_jordan)
 from invword.oracle import (build_group, conjugacy_classes, dist_to_set,
@@ -779,7 +779,9 @@ def _extend(ctx, basis, vectors):
     """basis followed by those of vectors that are independent of it and
     of the ones taken before them."""
     cols = list(basis) + list(vectors)
-    return [cols[c] for c in pivot_columns(Mat(ctx, list(zip(*cols))))]
+    pivots, _ = basic_solution(Mat(ctx, list(zip(*cols))),
+                               (0,) * len(cols[0]))
+    return [cols[c] for c in pivots]
 
 
 def _dense_window(x):

@@ -583,7 +583,7 @@ def test_narrow_products_match_reference(ctx):
 
 @pytest.mark.parametrize("ctx", KERNEL_FIELDS, ids=repr)
 def test_basic_solution_reads_the_pivots(ctx):
-    # basic_solution(mat, rhs) gives pivot_columns' pivots and the solution
+    # basic_solution(mat, rhs) gives the row echelon pivots and the solution
     # that is 0 off them, or None when mat x = rhs has no solution
     rng = random.Random(ctx.q * 131 + ctx.deg + (ctx.base is not None))
     solved = unsolvable = 0
