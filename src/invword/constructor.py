@@ -5,16 +5,18 @@ with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
 (in {I, -I}) and t non-central.  An input that would be traded below and
 that passes replay's target check is its own 1-step witness.  Otherwise
-there are three outcomes.  A 2x2 determinant-1 element takes one trace
-rule (_sl2_core): the shortest word g (k g^e k^-1)^m, k a transvection,
-whose product has trace 0, of at most 4 steps.  A fixed list of small
-groups, where the 2x2 rule and the restart degenerate, reads a stored
-minimal word for the class of g (class_words, regenerated by
-class_word_table with the oracle's class-graph search) over g's canonical
-form and conjugates it back to g, so no group is enumerated; no other input
-takes a canonical form.  Every other element, of dimension 3 and up or of
-determinant other than 1, takes the commutator restart: the trade word
-g^-1 (h^-1 g h) with a partner h = I + v phi, phi(v) = 0, whose commutator
+there are three outcomes.  In SL(2,2), SL(3,2) and SL(3,4), a class whose
+characteristic polynomial f is irreducible, where the 2x2 rule and the
+restart degenerate or take longer, reads a stored minimal word (9 entries
+in class_words, keyed by companion(charpoly(g)) and regenerated by
+class_word_table with the oracle's class-graph search) and conjugates it
+back to g by g's Krylov matrix, so no group is enumerated and no input
+takes a canonical form.  Every other 2x2 determinant-1 element takes one
+trace rule (_sl2_core): the shortest word g (k g^e k^-1)^m, k a
+transvection, whose product has trace 0, of at most 4 steps.  Every other
+element, of dimension 3 and up or of determinant other than 1, takes the
+commutator restart: the trade word g^-1 (h^-1 g h) with a partner
+h = I + v phi, phi(v) = 0, whose commutator
 x = [g, h] is I + a b with a n x 2 and b 2 x n.  The partner is one of two
 kinds (find_partner).  The involution partner, for even q, has b a = 0, so
 x is an involution and the witness takes 2 steps.  The plane partner has
@@ -35,31 +37,30 @@ one of rank growing with the word; every other witness replays densely.
 """
 
 import json
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import accumulate
 
 from .gf import make_field
 from .matrix import (GroupSpec, Mat, add_product, basic_solution, classify,
                      is_projective_involution, low_rank_part, nullspace,
                      parse_mat)
-from .canonical import (charpoly, class_transversal, generalized_jordan,
-                        mat_poly_eval)
+from .canonical import charpoly, class_transversal, companion
 from .class_words import CLASS_WORDS
-from .oracle import (ORDER_CAP, build_group, class_search, conjugacy_classes,
-                     group_order, involution_indices,
-                     projective_involution_indices)
+from .oracle import (build_group, class_search, conjugacy_classes,
+                     involution_indices, projective_involution_indices)
 from .perm import Perm, _alt_partner, a5_witness
 
-# Pairs (n, q) where the 2x2 rule and the restart are not available end to
-# end.  Only class_word_table (and the benchmark's sl-classes grid) reads
-# this list: SL(4,3) is too large for the class-graph search that fills
-# the table, so it takes the restart like any other pair.
+# Pairs (n, q) where the 2x2 rule and the restart once degenerated.  Only
+# the benchmark's sl-classes grid reads this list; the construction reads
+# _STORED_PAIRS.
 EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
-# the pairs whose class words are stored (CLASS_WORDS): the one list the
-# construction reads; these read the stored word for the canonical form of
-# g, and a projective involution there reads a 1-step word
-_STORED_PAIRS = frozenset(key[:2] for key in CLASS_WORDS)
+# the pairs whose class words are stored (CLASS_WORDS), one for each class
+# whose characteristic polynomial is irreducible: over GF(2) neither the 2x2
+# rule nor the plane partner reaches those classes of SL(2,2) and SL(3,2),
+# and the stored words of SL(3,4) take 2 steps where the plane partner takes
+# 4.  Every other input of these pairs takes the rule it takes anywhere else
+_STORED_PAIRS = {(2, 2), (3, 2), (3, 4)}
 
 # the plane table's longest witness over every supported q: a 2-step plane
 # word, doubled for odd q and pulled back along the 2-step trade word
@@ -120,14 +121,18 @@ class Witness:
 
 
 def _product(g, steps):
-    """prod c g^e c^-1 over the steps, built from the first conjugate; an
-    identity conjugator gives g^e itself."""
-    gi = g.inv()
-    acc = None
+    """prod c g^e c^-1 over the steps, matrices or permutations, built from
+    the first conjugate.  Each distinct (c, e) is conjugated once (a doubled
+    window repeats its steps), and an identity conjugator gives g^e
+    itself."""
+    conjugates, acc = {}, None
     for c, e, _ in steps:
-        y = g if e == 1 else gi
-        if not c.is_identity():
-            y = c * y * c.inv()
+        y = conjugates.get((c, e))
+        if y is None:
+            y = g if e == 1 else g.inv()
+            if not c.is_identity():
+                y = c * y * c.inv()
+            conjugates[c, e] = y
         acc = y if acc is None else acc * y
     return acc
 
@@ -173,16 +178,14 @@ def _involution_partner(g):
     always exists: a b = v phi - g^-1 v (phi g) is not 0 for v and g^-1 v
     independent.  At n = 3 such a phi vanishes on the g-invariant plane
     that v, g v and g^-1 v span: phi is a left eigenvector, phi g = lam phi
-    with lam a root of charpoly(g) in GF(q), and v the first basis vector of
-    ker phi with g v != lam v; x is then a transvection."""
+    for an eigenvalue lam in GF(q), read off the nullspace of (g - lam I)^T
+    (empty for any other lam), and v the first basis vector of ker phi with
+    g v != lam v; x is then a transvection."""
     ctx, n = g.ctx, g.n
     if n >= 4:
         rows = next(r for r in _orbits(g) if Mat(ctx, r[:2]).rank() == 2)
         return rows, nullspace(Mat(ctx, rows))[0], 0, 0
-    f = charpoly(g)
-    for lam in ctx.elements():
-        if mat_poly_eval(Mat(ctx, [[lam]]), f)[0, 0]:
-            continue
+    for lam in range(1, ctx.q):
         m = g - Mat.scalar(ctx, n, lam)
         for phi in nullspace(m.transpose()):
             for v in nullspace(Mat(ctx, [phi])):
@@ -261,18 +264,6 @@ def _commutator_factors(g, orbit, phi, s):
     v, _, giv = orbit
     row = Mat(ctx, [phi])
     return Mat(ctx, list(zip(v, giv))), _stack(row, -(row * g + row.scale(s)))
-
-
-def _reseed_word(h, x, label):
-    """The word g^-1 (h^-1 g h) over a partner h of g, each step labelled
-    `label`, and its product, the commutator x = g^-1 h^-1 g h, which the
-    caller has already formed: the alternating group's trade word, with
-    (h, x) from alt_partner's own check (x is an even involution).  The
-    restart takes the same word over its matrix partner, with h^-1 = I -
-    v phi applied in factored form (_reseed).  The word has net exponent
-    0, so a witness for x pulled back along it is balanced regardless of
-    the inner word."""
-    return [(h ** 0, -1, label), (h.inv(), 1, label)], x
 
 
 def _reseed(g):
@@ -451,7 +442,7 @@ def _window(a, b, s, u):
     return steps, lift(t)
 
 
-# -- class words for the excluded pairs ------------------------------------
+# -- class words for the stored pairs ---------------------------------------
 
 
 def brute_force_witness(g, spec):
@@ -521,19 +512,19 @@ def brute_force_witness(g, spec):
 
 
 def class_word_table():
-    """CLASS_WORDS recomputed with the oracle: for each excluded pair small
-    enough to enumerate and each determinant-1, non-central canonical form
-    J there (from class_transversal), the key (n, q, J text) and either
-    (the step texts (c, e) of brute_force_witness(J, SL(n, q)), the target
-    text) or, for a class that reaches no involution, (the Unreachable
-    message, its certificate)."""
+    """CLASS_WORDS recomputed with the oracle: for each stored pair and each
+    class of SL(n, q) whose characteristic polynomial f is irreducible (one
+    block (f, 1) in class_transversal), the key (n, q, companion(f) text)
+    and either (the step texts (c, e) of brute_force_witness(companion(f),
+    SL(n, q)), the target text) or, for a class that reaches no involution,
+    (the Unreachable message, its certificate)."""
     table = {}
-    for n, q in sorted(EXCLUDED_PAIRS):
-        spec = GroupSpec("SL", n, q)
-        if group_order(spec) > ORDER_CAP:
-            continue
-        for g, _ in class_transversal(make_field(q), n):
-            j = generalized_jordan(g).canonical
+    for n, q in sorted(_STORED_PAIRS):
+        ctx, spec = make_field(q), GroupSpec("SL", n, q)
+        for _, ((f, m), *rest) in class_transversal(ctx, n):
+            if rest or m > 1:
+                continue  # a reducible characteristic polynomial
+            j = companion(ctx, f)
             key = (n, q, j.to_text())
             if key in table:
                 continue
@@ -547,41 +538,32 @@ def class_word_table():
     return table
 
 
-def _class_word(gJ):
-    """The stored word over the canonical form gJ of a stored pair, as
-    (steps, target).  Raises Unreachable, with a copy of the stored
-    certificate, for the class that reaches no involution."""
-    entry = CLASS_WORDS.get((gJ.n, gJ.ctx.q, gJ.to_text()))
+def _stored_word(g):
+    """(steps, target) for a determinant-1 g of a stored pair whose class
+    has a stored word, keyed by companion(charpoly(g)), or None.  The
+    stored classes are those of an irreducible f = charpoly(g), where every
+    non-zero vector is cyclic: the Krylov matrix K = [e_1, g e_1, ...,
+    g^(n-1) e_1] is invertible and K^-1 g K = companion(f), so the word
+    over companion(f) conjugated by K is a word over g of the same length,
+    with determinant-1 conjugators.  Raises Unreachable, with a copy of the
+    stored certificate, for the class that reaches no involution."""
+    ctx, n = g.ctx, g.n
+    entry = CLASS_WORDS.get((n, ctx.q, companion(ctx, charpoly(g)).to_text()))
     if entry is None:
-        raise ConstructError("no stored class word for %s" % gJ.to_text())
+        return None
     word, target = entry
     if isinstance(word, str):
         raise Unreachable(word, dict(target))
-    ctx = gJ.ctx
-    return ([(parse_mat(ctx, c), e, "bfs") for c, e in word],
-            parse_mat(ctx, target))
+    cols = [Mat(ctx, [[int(i == 0)] for i in range(n)])]
+    for _ in range(n - 1):
+        cols.append(g * cols[-1])
+    k = reduce(_beside, cols)
+    ki = k.inv()
+    return ([(k * parse_mat(ctx, c) * ki, e, "bfs") for c, e in word],
+            k * parse_mat(ctx, target) * ki)
 
 
 # -- main pipeline -------------------------------------------------------
-
-
-def _construct_internal(g):
-    """(steps, target) for a determinant-1 g of dimension 2 or of a stored
-    pair: the 2x2 rule, or the stored class word over g's canonical form,
-    conjugated back.  No other input takes a canonical form."""
-    if (g.n, g.ctx.q) not in _STORED_PAIRS:
-        found = _sl2_core(g)
-        if found is None:
-            raise ConstructError("no 2x2 word of at most 4 steps has trace 0")
-        return found
-    cf = generalized_jordan(g)
-    # g = u^-1 gJ u, and conjugation by u maps the word over gJ to one over
-    # g with the same length and determinant-1 conjugators
-    steps, t = _class_word(cf.canonical)
-    if cf.u.is_identity():
-        return steps, t
-    u, ui = cf.u, cf.u.inv()
-    return [(ui * c * u, e, lab) for c, e, lab in steps], ui * t * u
 
 
 def construct_involution(g, spec):
@@ -597,6 +579,7 @@ def construct_involution(g, spec):
     if not _fits(g, spec):
         raise ValueError("input is not an element of the shape of %r"
                          % (spec,))
+    found = None
     if spec.perm:
         if g.is_identity():
             raise ValueError("identity has no witness")
@@ -610,23 +593,36 @@ def construct_involution(g, spec):
             raise ValueError("determinant is not 1: outside the group")
         if cls.central:
             raise ValueError("central element has no witness")
-        traded = g.det() != 1 or (g.n > 2
-                                  and (g.n, spec.q) not in _STORED_PAIRS)
+        traded = g.det() != 1 or g.n > 2
         # replay's target check on a matrix is classify's predicate
         own_target = traded and cls.projective_involution
+        if g.det() == 1 and (g.n, spec.q) in _STORED_PAIRS:
+            found = _stored_word(g)
+        if found is None and not traded:
+            found = _sl2_core(g)
+            if found is None:
+                raise ConstructError(
+                    "no 2x2 word of at most 4 steps has trace 0")
     certificate = None
-    if own_target:
+    if found is not None:
+        steps, target = found
+    elif own_target:
         # an input that the trade word would take and that passes replay's
         # target check is its own target, the 1-step word [(I, +1)]; the
-        # 2x2 rule and the stored class words give one themselves
+        # 2x2 rule gives one itself, and no stored class is an involution
         steps, target = [(g ** 0, 1, "involution")], g
     elif spec.perm and not traded:
         raw, target, certificate = a5_witness(g)
         steps = [(c, e, "a5-search") for c, e in raw]
     elif spec.perm:
-        steps, target = _reseed_word(*_alt_partner(g), "alt-partner")
+        # the trade word g^-1 (h^-1 g h), whose product is the even
+        # involution x = [g, h] that alt_partner's own check formed; the
+        # restart spells the same word over its matrix partner (_reseed)
+        h, x = _alt_partner(g)
+        steps, target = [(h ** 0, -1, "alt-partner"),
+                         (h.inv(), 1, "alt-partner")], x
     else:
-        steps, target = (_reseed if traded else _construct_internal)(g)
+        steps, target = _reseed(g)
     w = Witness(spec, g, steps, target, certificate)
     rep = replay(w)
     if not rep.ok:
@@ -803,11 +799,12 @@ def replay(w):
     factored form (_replay_low_rank): no n x n product, g^-1 read only
     through solves, and no elimination but g's forward one and one of
     r x r per distinct conjugator.  Every other witness, a permutation's
-    too, takes the dense path: g^-1 (for a matrix, the backward half of
-    g's kept elimination), one inv_det of each distinct conjugator other
-    than the identity, each distinct step's conjugate formed once, and the
-    product built from the first.  On either path a step whose conjugator
-    is the identity reads g^e itself."""
+    too, takes the dense path: the determinant (a permutation's sign) of
+    each distinct conjugator other than the identity, then _product, which
+    forms each distinct step's conjugate once, reading g^-1 (for a matrix,
+    the backward half of g's kept elimination) only if a step does.  On
+    either path a step whose conjugator is the identity reads g^e
+    itself."""
     spec = w.spec
     length = len(w.steps)
     net = sum(s.e for s in w.steps)
@@ -833,25 +830,14 @@ def replay(w):
         violation = _replay_low_rank(w, most)
         if violation is not _DENSE:
             return report(violation)
-    gi = g.inv()
-    violation = "conjugator-parity" if spec.perm else "conjugator-determinant"
-    # c g^e c^-1 once per distinct step: a doubled window repeats its
-    # steps.  The identity conjugator, of determinant 1, gives g^e itself
-    conjugates = {}
-    acc = None
-    for s in w.steps:
-        key = (s.c, s.e)
-        y = conjugates.get(key)
-        if y is None:
-            y = g if s.e == 1 else gi
-            if not s.c.is_identity():
-                ci, det = s.c.inv_det()
-                if det != 1:
-                    return report(violation)
-                y = s.c * y * ci
-            conjugates[key] = y
-        acc = y if acc is None else acc * y
-    if acc != w.target:
+    # the identity conjugator, of determinant 1, gives g^e itself; each
+    # other distinct conjugator keeps the elimination its det made, which
+    # its inverse in _product finishes
+    if any(c.det() != 1 for c in {s.c for s in w.steps}
+           if not c.is_identity()):
+        return report("conjugator-parity" if spec.perm
+                      else "conjugator-determinant")
+    if _product(g, [(s.c, s.e, s.case) for s in w.steps]) != w.target:
         return report("product-mismatch")
     return report(_target_violation(w.target, spec))
 

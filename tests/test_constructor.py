@@ -14,8 +14,7 @@ from invword.gf import MAX_ORDER, make_field, irreducible_polys
 from invword.matrix import (GroupSpec, Mat, basic_solution, commutator,
                             direct_sum, is_projective_involution, nullspace,
                             parse_mat, sub_block, transvection)
-from invword.canonical import (companion, gen_jordan_block, class_transversal,
-                               generalized_jordan)
+from invword.canonical import companion, gen_jordan_block, class_transversal
 from invword.oracle import (build_group, conjugacy_classes, dist_to_set,
                             involution_indices, projective_involution_indices)
 from invword.perm import Perm
@@ -211,8 +210,8 @@ def test_sl2_witness_rejections():
 
 def test_m2_classes_n4_take_the_restart():
     # J_2(C(f)) for an irreducible quadratic f has no closed-form word: the
-    # commutator restart solves its window, for every determinant-1 class
-    # (SL(4,2)'s one class reads its stored word)
+    # commutator restart solves its window, for every determinant-1 class,
+    # SL(4,2)'s one class too
     count = 0
     for q in _field_orders():
         ctx = make_field(q)
@@ -221,7 +220,7 @@ def test_m2_classes_n4_take_the_restart():
             if g.det() != 1:
                 continue
             w = ok(construct_involution(g, GroupSpec("SL", 4, q)))
-            assert labels(w) == (["bfs"] if q == 2 else ["reseed"]), (q, f)
+            assert labels(w) == ["reseed"], (q, f)
             assert w.length <= constructor.MAX_WITNESS_LEN, (q, f)
             count += 1
     assert count == 244
@@ -548,8 +547,8 @@ def test_random_sl_takes_4_steps():
 
 def test_projective_involutions_are_their_own_witness():
     # a projective involution is its own 1-step witness at every n: the 2x2
-    # rule gives [(I, +1)] as "sl2-antidiagonal", a stored class word one
-    # step (c, +1) as "bfs", and every other input [(I, +1)] as "involution"
+    # rule gives [(I, +1)] as "sl2-antidiagonal", and every other input
+    # [(I, +1)] as "involution"; no stored class word is for an involution
     g = Mat.diag(ctx5, (4, 4, 1))
     w = ok(construct_involution(g, GroupSpec("SL", 3, 5)))
     assert [(s.c, s.e, s.case) for s in w.steps] == [
@@ -573,13 +572,11 @@ def test_projective_involutions_are_their_own_witness():
                 w = ok(construct_involution(g, GroupSpec(family, n, q)))
                 (step,) = w.steps
                 assert step.e == 1
-                if step.case != "bfs":
-                    assert step.c.is_identity() and w.target == g
+                assert step.c.is_identity() and w.target == g
                 cases[n == 2, family, step.case] += 1
     assert set(cases) == {
-        (True, "SL", "sl2-antidiagonal"), (True, "SL", "bfs"),
-        (True, "GL", "involution"), (False, "SL", "involution"),
-        (False, "SL", "bfs"), (False, "GL", "involution")}, cases
+        (True, "SL", "sl2-antidiagonal"), (True, "GL", "involution"),
+        (False, "SL", "involution"), (False, "GL", "involution")}, cases
 
 
 # -- the window above dimension 4 -------------------------------------------
@@ -982,11 +979,16 @@ def test_every_case_takes_one_restart(monkeypatch, case):
 
 # -- excluded pairs and the search ladder ----------------------------------
 
+# the pairs of constructor.EXCLUDED_PAIRS small enough to enumerate, where
+# the 2x2 rule and the restart once degenerated
+EXCLUDED_SMALL_PAIRS = [(2, 2), (2, 3), (3, 2), (3, 4), (4, 2)]
+
 
 def test_excluded_sl22():
+    # the transvection of SL(2,2) has trace 0: the 2x2 rule's 1-step word
     w = ok(construct_involution(Mat(ctx2, [[1, 1], [0, 1]]),
                                 GroupSpec("SL", 2, 2)))
-    assert w.length == 1 and labels(w) == ["bfs"]
+    assert w.length == 1 and labels(w) == ["sl2-antidiagonal"]
 
 
 def test_excluded_sl22_order3_unreachable():
@@ -1003,12 +1005,15 @@ def test_excluded_sl22_order3_unreachable():
 
 
 def test_excluded_sl23_transversal():
-    lens = []
+    # SL(2,3) stores no word: the 2x2 rule gives each class its exact
+    # distance
+    lens, cases = [], []
     for g, _ in class_transversal(ctx3, 2):
         w = ok(construct_involution(g, GroupSpec("SL", 2, 3)))
-        assert labels(w) == ["bfs"]
+        cases.append(labels(w))
         lens.append(w.length)
     assert lens == [2, 2, 2, 2, 1, 1]
+    assert cases == [["sl2-commutator"]] * 4 + [["sl2-antidiagonal"]] * 2
 
 
 def test_excluded_sl32_transversal():
@@ -1020,47 +1025,70 @@ def test_excluded_sl32_transversal():
 
 
 def test_restart_takes_no_canonical_form(monkeypatch):
-    # only the stored pairs compute a canonical form, to key their words:
-    # every other input of dimension 3 and up, and every input of
-    # determinant other than 1, restarts on g itself
-    forms = []
-    real = constructor.generalized_jordan
-    monkeypatch.setattr(constructor, "generalized_jordan",
-                        lambda g: forms.append((g.n, g.ctx.q)) or real(g))
+    # no input takes a canonical form: the stored pairs key their words by
+    # companion(charpoly(g)) and conjugate back by g's Krylov matrix, every
+    # other input takes the 2x2 rule or restarts on g itself, and replay
+    # reads the record alone
+    import invword.canonical as canonical
+    calls = []
+    for name in ("generalized_jordan", "factor_charpoly", "solve_similarity"):
+        assert not hasattr(constructor, name)
+        real = getattr(canonical, name)
+        monkeypatch.setattr(canonical, name, lambda *a, _n=name, _r=real:
+                            calls.append(_n) or _r(*a))
     rng = random.Random(41)
-    stored = 0
+    inputs = []
     for q in (2, 3, 4, 5, 7, 8, 9):
         ctx = make_field(q)
         for n in (2, 3, 4, 5, 6):
-            for g in (_random_sl(ctx, n, rng), rand_gl(ctx, n, rng)):
-                if g.is_scalar():
-                    continue
-                family = "SL" if g.det() == 1 else "GL"
-                forms.clear()
-                try:
-                    ok(construct_involution(g, GroupSpec(family, n, q)))
-                except Unreachable:
-                    pass
-                keyed = (family == "SL"
-                         and (n, q) in constructor._STORED_PAIRS)
-                assert forms == ([(n, q)] if keyed else []), (n, q, family)
-                stored += keyed
-    assert stored > 5
+            inputs += [_random_sl(ctx, n, rng), rand_gl(ctx, n, rng)]
+    for n, q in EXCLUDED_SMALL_PAIRS:
+        ctx = make_field(q)
+        inputs += [c * g * c.inv() for g, _ in class_transversal(ctx, n)
+                   for c in [rand_gl(ctx, n, rng)]]
+    stored = 0
+    for g in inputs:
+        if g.is_scalar():
+            continue
+        family = "SL" if g.det() == 1 else "GL"
+        try:
+            w = ok(construct_involution(g, GroupSpec(family, g.n, g.ctx.q)))
+        except Unreachable:
+            continue
+        stored += labels(w) == ["bfs"]
+    assert calls == [] and stored > 5
 
 
 def test_stored_pair_without_its_word_raises(monkeypatch):
-    # a stored pair reads its class words and nothing else: with the table
-    # emptied, its inputs raise ConstructError instead of taking the restart
+    # with the table emptied, the irreducible classes of SL(3,4) take the
+    # 4-step plane partner and those of SL(3,2), where no plane has a word,
+    # raise ConstructError; every reducible class keeps its witness
+    def witnesses(n, q):
+        out = []
+        for g, ((f, m), *rest) in class_transversal(make_field(q), n):
+            try:
+                w = construct_involution(g, GroupSpec("SL", n, q))
+            except ConstructError as e:
+                w = e
+            out.append((not rest and m == 1, g, w))
+        return out
+    stored = {(n, q): witnesses(n, q) for n, q in ((3, 2), (3, 4))}
     monkeypatch.setattr(constructor, "CLASS_WORDS", {})
-    for g, _ in class_transversal(ctx4, 3):
-        if not (g * g).is_scalar():
-            with pytest.raises(ConstructError, match="no stored class word"):
-                construct_involution(g, GroupSpec("SL", 3, 4))
+    for (n, q), rows in stored.items():
+        for (irreducible, g, w), (_, _, bare) in zip(rows, witnesses(n, q)):
+            if not irreducible:
+                assert witness_to_json(bare) == witness_to_json(w)
+            elif q == 2:
+                assert isinstance(bare, ConstructError) and not isinstance(
+                    bare, Unreachable), g.to_text()
+            else:
+                assert (bare.length, labels(bare)) == (4, ["reseed"])
+                assert w.length == 2
 
 
 def test_excluded_sl43_too_large_falls_through():
-    # |SL(4,3)| is past the enumeration cap; the pair is excluded from
-    # the reduction routes but the guard steps aside rather than fail
+    # |SL(4,3)| is past the enumeration cap and the pair stores no word:
+    # its elements take the restart like those of any other pair
     g = Mat(ctx3, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     w = ok(construct_involution(g, GroupSpec("SL", 4, 3)))
     assert w.length <= constructor.MAX_WITNESS_LEN
@@ -1768,8 +1796,6 @@ def test_class_search_cap():
 
 # -- stored class words -------------------------------------------------------
 
-STORED_PAIRS = [(2, 2), (2, 3), (3, 2), (3, 4), (4, 2)]
-
 
 def test_class_words_equal_the_class_search():
     table = constructor.class_word_table()
@@ -1777,17 +1803,24 @@ def test_class_words_equal_the_class_search():
 
 
 def test_class_words_cover_every_class():
+    # one word for each class of a stored pair whose characteristic
+    # polynomial is irreducible, keyed by its companion matrix
     keys = set()
-    for n, q in STORED_PAIRS:
-        for g, _ in class_transversal(make_field(q), n):
-            keys.add((n, q, generalized_jordan(g).canonical.to_text()))
+    for n, q in constructor._STORED_PAIRS:
+        ctx = make_field(q)
+        for g, blocks in class_transversal(ctx, n):
+            if len(blocks) == 1 and blocks[0][1] == 1:
+                keys.add((n, q, companion(ctx, blocks[0][0]).to_text()))
     assert keys == set(constructor.CLASS_WORDS)
-    assert len(keys) == 42
+    assert len(keys) == 9
+    assert {k[:2] for k in constructor.CLASS_WORDS} == \
+        constructor._STORED_PAIRS
+    assert Counter(k[:2] for k in keys) == {(2, 2): 1, (3, 2): 2, (3, 4): 6}
 
 
 def test_class_words_replay_under_non_sl_conjugation():
     # v has determinant != 1 wherever GF(q) allows it; g = v J v^-1 still
-    # gets the stored word's length, carried over by generalized_jordan's u
+    # gets the stored word's length, carried over by g's Krylov matrix
     rng = random.Random(11)
     for (n, q, text), (word, target) in constructor.CLASS_WORDS.items():
         ctx = make_field(q)
@@ -1815,7 +1848,7 @@ def test_excluded_pairs_enumerate_no_group(monkeypatch):
             monkeypatch.setattr(mod, name, lambda *a, _n=name, _r=real:
                                 calls.append(_n) or _r(*a))
     rng = random.Random(5)
-    for n, q in STORED_PAIRS:
+    for n, q in EXCLUDED_SMALL_PAIRS:
         ctx = make_field(q)
         for g, _ in class_transversal(ctx, n):
             c = rand_gl(ctx, n, rng)
@@ -1875,6 +1908,53 @@ def test_witness_length_against_exact_distance(n, q):
     assert dict(gaps) == GAP_HISTOGRAMS[n, q]
 
 
+# (n, q) -> (witnesses, Unreachable raised) over every non-central element
+# of the three smallest groups and two seeded conjugates of each class of
+# the two larger ones: the pairs whose classes all read stored words before
+# the table kept only the irreducible classes
+WHOLE_GROUP_COUNTS = {(2, 2): (3, 2), (2, 3): (22, 0), (3, 2): (167, 0),
+                      (3, 4): (None, 0), (4, 2): (None, 0)}
+
+
+@pytest.mark.parametrize("n, q", list(WHOLE_GROUP_COUNTS))
+def test_every_element_reaches_its_class_distance(n, q):
+    # the 2x2 rule, the own-target word and the restart serve every class of
+    # these groups but the 9 irreducible ones, which read stored words: each
+    # element gets a witness of exactly its class's distance, or, in the
+    # order-3 class of SL(2,2), Unreachable
+    spec = GroupSpec("SL", n, q)
+    tbl = build_group(spec)
+    ct = conjugacy_classes(tbl)
+    targets = projective_involution_indices(tbl)
+    ctx, rng = make_field(q), random.Random(n * 100 + q)
+    witnesses, raised = WHOLE_GROUP_COUNTS[n, q]
+    if witnesses is None:
+        inputs = [c * tbl.decode(r) * c.inv() for r in ct.reps
+                  for c in (rand_gl(ctx, n, rng), rand_gl(ctx, n, rng))]
+    else:
+        inputs = [tbl.decode(i) for i in range(tbl.order)]
+    dist, got = {}, Counter()
+    for g in inputs:
+        if g.is_scalar():
+            continue
+        k = ct.class_of[tbl.index_of(g)]
+        if k not in dist:
+            dist[k] = dist_to_set(tbl, ct.reps[k], targets)
+        try:
+            w = ok(construct_involution(g, spec))
+        except Unreachable:
+            assert dist[k] is None
+            got["raised"] += 1
+            continue
+        assert w.length == dist[k], (g.to_text(), w.length, dist[k])
+        got["witnesses"] += 1
+    assert got["raised"] == raised
+    if witnesses is not None:
+        assert got["witnesses"] == witnesses
+    assert len(dist) == len(ct.reps) - sum(
+        tbl.decode(r).is_scalar() for r in ct.reps)
+
+
 # n -> histogram of the gaps L - d over the non-identity class
 # representatives of Alt(n), d the exact distance to an involution: the
 # trade word with alt_partner, the A5 5-cycle's searched word and the
@@ -1930,7 +2010,7 @@ def pinned_inputs():
 # exception line), the shape of every witness; one pair of digests for the
 # inputs of dimension at most 4 and one for the inputs above it
 PINNED_SHA256 = {
-    "n <= 4": ("3de25482a59d464c2248c01a56050c5a2d355835f0afe275fd25e7749c85089e",
+    "n <= 4": ("7d52bdff2cd73da603c0644073142fb2f1375f7ac5915bbcf8804ab1c742333e",
                "f40b0661d6af062afc739cb12f4f6571381b70aa4de8051884f4d5512e0de6ff"),
     "n > 4": ("7cfb1a478148642de751abdc34beb7cbe00330e82dec31872350b975bd30d93a",
               "caa2312823dd062561438ae8ebcd50918f6f492dfa00c4bfcbbfb6e98d2e484a"),
