@@ -26,19 +26,19 @@ CLASS_WORDS = {
     (2, 2, '0,1;1,1'):
         ('closure of the class contains no involution', {'group_order': 6, 'classes_in_closure': 2, 'closure_size': 3, 'levels_explored': 2, 'involution_classes_in_group': 1}),
     (3, 2, '0,0,1;1,0,1;0,1,0'):
-        ((('0,1,0;1,1,0;0,0,1', -1), ('1,0,0;1,1,1;1,1,0', -1)), '0,1,0;1,0,0;1,1,1'),
+        ((('1,1,0;1,0,1;1,1,1', -1), ('1,0,0;1,1,1;1,1,0', -1)), '0,1,0;1,0,0;1,1,1'),
     (3, 2, '0,0,1;1,0,0;0,1,1'):
-        ((('1,0,0;1,1,1;0,0,1', 1), ('1,0,0;0,1,1;0,0,1', 1)), '0,1,0;1,0,0;1,1,1'),
+        ((('0,0,1;1,1,0;0,1,1', 1), ('1,0,1;1,0,0;0,1,0', 1)), '0,1,0;1,0,0;1,1,1'),
     (3, 4, '0,0,1;1,0,1;0,1,0'):
-        ((('0,1,0;1,1,0;0,0,1', -1), ('1,0,0;1,1,1;1,1,0', -1)), '0,1,0;1,0,0;1,1,1'),
+        ((('1,1,0;1,0,1;1,1,1', -1), ('1,0,0;1,1,1;1,1,0', -1)), '0,1,0;1,0,0;1,1,1'),
     (3, 4, '0,0,1;1,0,2;0,1,0'):
         ((('1,0,1;0,0,1;0,1,1', 1), ('1,0,1;2,3,0;0,1,1', 1)), '2,2,0;1,2,0;3,2,1'),
     (3, 4, '0,0,1;1,0,3;0,1,0'):
         ((('1,0,1;0,0,1;0,1,1', 1), ('1,0,1;3,2,0;0,1,1', 1)), '3,3,0;1,3,0;2,3,1'),
     (3, 4, '0,0,1;1,0,0;0,1,1'):
-        ((('1,0,0;1,1,1;0,0,1', 1), ('1,0,0;0,1,1;0,0,1', 1)), '0,1,0;1,0,0;1,1,1'),
+        ((('0,0,1;1,1,0;0,1,1', 1), ('1,0,1;1,0,0;0,1,0', 1)), '0,1,0;1,0,0;1,1,1'),
     (3, 4, '0,0,1;1,0,0;0,1,2'):
-        ((('0,1,3;0,0,1;1,0,1', -1), ('0,1,3;3,2,3;1,0,1', -1)), '2,2,0;1,2,0;3,2,1'),
+        ((('1,1,0;0,1,0;2,1,1', -1), ('0,1,3;3,2,3;1,0,1', -1)), '2,2,0;1,2,0;3,2,1'),
     (3, 4, '0,0,1;1,0,0;0,1,3'):
-        ((('0,1,2;0,0,1;1,0,1', -1), ('1,1,0;2,0,2;3,1,1', -1)), '3,3,0;1,3,0;2,3,1'),
+        ((('1,1,0;0,1,0;3,1,1', -1), ('0,1,2;2,3,2;1,0,1', -1)), '3,3,0;1,3,0;2,3,1'),
 }

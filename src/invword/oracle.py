@@ -24,20 +24,22 @@ code chosen.  Matrix arithmetic runs on row tables built with each group
 table (none at import): a row sum and a scaled row are one lookup each,
 the closure's right multiplication by a generator's inverse is one lookup
 per block of rows, and left multiplication by a generator rewrites one
-row.
+row or shifts the rows by one.
 
-A matrix group has one generator list (_row_ops): the adjacent
-transvections with lam in an additive basis of GF(q) (8 for SL(3,4)),
-plus a dilation for GL and PGL.  Alt(n) has two generators, (1,2,3) and
-the even long cycle ((1..n) for odd n, (2..n) for even n), and Sym(n)
-has (1,2) and (1..n).  Each element is conjugated by each generator
-once: the matrix closure multiplies x by s^-1 on the right and keeps
-s x s^-1, one row operation further, and a permutation table composes
-the conjugates in one comprehension per generator.  They become one index
-list per generator, i -> index of s x_i s^-1, and conjugacy_classes grows
-each class along these lists and then drops them.  The list fixes every
-transporter; elements, inverses and the class partition do not depend
-on it.
+A matrix group has one generator list (_row_ops), of deg(q) + 1
+elements for n >= 2: the transvections x_12(lam) = I + lam E_12 with lam
+in an additive basis of GF(q), and the signed cyclic row shift w of
+determinant 1, whose conjugation carries x_12 around to x_23, ..., x_n1
+(3 generators for SL(3,4)); GL and PGL add a dilation.  Alt(n) has two
+generators, (1,2,3) and the even long cycle ((1..n) for odd n, (2..n) for
+even n), and Sym(n) has (1,2) and (1..n).  Each element is conjugated by
+each generator once: the matrix closure multiplies x by s^-1 on the right
+and keeps s x s^-1, one row operation or row shift further, and a
+permutation table composes the conjugates in one comprehension per
+generator.  They become one index list per generator, i -> index of
+s x_i s^-1, and conjugacy_classes grows each class along these lists and
+then drops them.  The list fixes every transporter; elements, inverses
+and the class partition do not depend on it.
 
 What is the same on a whole class is computed once per class: the
 involution and projective-involution sets test each class
@@ -154,21 +156,32 @@ def _even_mask(n):
     return even
 
 
+# the signed cyclic row shift w among a _RowCode's ops
+SHIFT = "w"
+
+
 class _RowCode:
     """n x n matrices over GF(q) as row codes (see the module docstring).
 
-    Generators are elementary matrices I + c E_ij, given as (i, j, c);
-    i == j is allowed (a dilation by 1 + c).  Left multiplication by one
-    adds c times row j to row i.  ops are the generators, which the
-    closure, its kept conjugates and left multiplication all run over.
-    scalars lists the scalars other than 1 of a projective quotient; every
-    code is normalized to the least code among its multiples by them.  The
-    tables live as long as the group table: add[a * Q + b] is the code of
-    row a + row b and scale[c * Q + a] that of c * row a, for Q = q**n."""
+    Generators come in two kinds.  A row operation (i, j, c) is the
+    elementary matrix I + c E_ij; i == j is allowed (a dilation by 1 + c),
+    and left multiplication by one adds c times row j to row i.  SHIFT is
+    the signed cyclic row shift w: left multiplication by it moves row k-1
+    to row k and row n-1, times sign = (-1)**(n-1), to row 0, so that
+    det w = 1.  ops are the generators, which the closure, its kept
+    conjugates and left multiplication all run over.  scalars lists the
+    scalars other than 1 of a projective quotient; every code is
+    normalized to the least code among its multiples by them.  The tables
+    live as long as the group table: add[a * Q + b] is the code of row
+    a + row b and scale[c * Q + a] that of c * row a, for Q = q**n, and
+    lead[a] is the scalar among 1 and scalars whose multiple of row a is
+    the least."""
 
     def __init__(self, ctx, n, ops, scalars):
         q = ctx.q
         self.ctx, self.n, self.q, self.Q = ctx, n, q, q ** n
+        self.top = self.Q ** (n - 1)
+        self.sign = ctx.neg(1) if n % 2 == 0 else 1
         fa, fm = ctx.add_rows, ctx.mul_rows
         # build the tables for rows of length 1, 2, ..., n, each row
         # x * span + u getting a leading entry x in front of the shorter
@@ -186,15 +199,25 @@ class _RowCode:
             span *= q
         self.add, self.scale, self.entries = add, scale, entries
         self.scalars = scalars
+        # codes compare row 0 first and the multiples of a nonzero row
+        # differ, so the least multiple of a matrix has the least row 0
+        self.lead = [min([1] + scalars, key=lambda c: scale[c * self.Q + r])
+                     for r in range(self.Q)] if scalars else None
         self.identity = self._code([q ** (n - 1 - k) for k in range(n)])
         self.ops = ops
         self.gens = [self._row_op(op, self.identity) for op in ops]
 
     def _row_op(self, op, t):
-        """Code of (I + c E_ij) t: t with c times its row j added to row i."""
-        i, j, c = op
+        """Code of s t for the generator s given by op: (I + c E_ij) t is t
+        with c times its row j added to row i, and w t is t with its rows
+        moved down by one, the last one times the sign on top."""
         rows = self.split(t)
-        rows[i] = self.add[rows[i] * self.Q + self.scale[c * self.Q + rows[j]]]
+        if op == SHIFT:
+            rows.insert(0, self.scale[self.sign * self.Q + rows.pop()])
+        else:
+            i, j, c = op
+            rows[i] = self.add[rows[i] * self.Q
+                               + self.scale[c * self.Q + rows[j]]]
         return self._code(rows)
 
     def split(self, x):
@@ -212,17 +235,16 @@ class _RowCode:
         return self._least(x) if self.scalars else x
 
     def _least(self, x):
-        """The least code among the multiples of x by the scalars."""
+        """The least code among the multiples of x by the scalars: the
+        multiple by the scalar that lead reads off row 0."""
+        c = self.lead[x // self.top]
+        if c == 1:
+            return x
         Q, scale = self.Q, self.scale
-        rows = self.split(x)
-        best = x
-        for c in self.scalars:
-            y = 0
-            for r in rows:
-                y = y * Q + scale[c * Q + r]
-            if y < best:
-                best = y
-        return best
+        y = 0
+        for r in self.split(x):
+            y = y * Q + scale[c * Q + r]
+        return y
 
     def encode(self, el):
         """Code of a Mat, or None if el is not an n x n matrix over this
@@ -292,13 +314,14 @@ class _RowCode:
         generator's inverse, which generates the same set; only the time
         taken depends on the list.  A product x s^-1 is two lookups, one
         per block of rows (the last n // 2 rows and the others), and one
-        row operation turns it into s x s^-1: the conjugate is kept, in
-        walk order, for conjugate_lists."""
+        row operation, or for w one signed shift of the code, turns it
+        into s x s^-1: the conjugate is kept, in walk order, for
+        conjugate_lists."""
         n, Q, add, scale = self.n, self.Q, self.add, self.scale
         least, scalars = self._least, self.scalars
         low = Q ** (n // 2)
         steps = []
-        for s, (i, j, c) in zip(self.gens, self.ops):
+        for s, op in zip(self.gens, self.ops):
             m = self.right_map(self.inverse(s))
             blocks = []
             for rows, span in ((n - n // 2, low), (n // 2, 1)):
@@ -307,7 +330,13 @@ class _RowCode:
                     t = [a * span + b for a in m for b in t]
                     span *= Q
                 blocks.append(t)
-            steps.append((*blocks, Q ** (n - 1 - i), Q ** (n - 1 - j), c * Q))
+            if op == SHIFT:
+                # pi = 0 marks the shift, whose pj is the weight of row 0
+                steps.append((*blocks, 0, self.top, self.sign * Q))
+            else:
+                i, j, c = op
+                steps.append((*blocks, Q ** (n - 1 - i), Q ** (n - 1 - j),
+                              c * Q))
         seen = {self.identity}
         todo = [self.identity]
         kept = [[] for _ in steps]
@@ -315,9 +344,13 @@ class _RowCode:
             h, l = divmod(x, low)
             for (hi, lo, pi, pj, cQ), out in zip(steps, kept):
                 y = hi[h] + lo[l]
-                # s y: row i of y plus c times its row j
-                r = y // pi % Q
-                z = y + (add[r * Q + scale[cQ + y // pj % Q]] - r) * pi
+                if pi:
+                    # s y: row i of y plus c times its row j
+                    r = y // pi % Q
+                    z = y + (add[r * Q + scale[cQ + y // pj % Q]] - r) * pi
+                else:
+                    # w y: the last row of y, times the sign, on top
+                    z = scale[cQ + y % Q] * pj + y // Q
                 if scalars:
                     y, z = least(y), least(z)
                 out.append(z)
@@ -383,17 +416,20 @@ _TABLE_CACHE = {}
 
 
 def _row_ops(spec, ctx):
-    """The generators of a matrix group table, as row operations (i, j, c)
-    for I + c E_ij: the transvections with |i - j| = 1 and lam in the
-    additive basis 1, xi, ..., xi^(deg-1) (encoded p**k), and for GL and
-    PGL the dilation diag(nu, 1, ..., 1) with nu the field's generator.
-    Commutators of adjacent root groups give every other transvection.
-    The closure, conjugation, and so every transporter, run over them."""
-    n = spec.n
+    """The generators of a matrix group table, as _RowCode ops: for n >= 2
+    the transvections x_12(lam), the row operations (0, 1, lam) with lam
+    in the additive basis 1, xi, ..., xi^(deg-1) (encoded p**k), and the
+    signed row shift w (SHIFT); for GL and PGL also the dilation
+    diag(nu, 1, ..., 1), nu the field's generator.  Conjugation by w
+    carries x_12(lam) to x_23(lam), ..., x_n1(+-lam), and the commutators
+    [x_ij(a), x_jk(b)] = x_ik(ab) of these root groups give every other
+    transvection.  The closure, conjugation, and so every transporter, run
+    over them."""
     dilation = ([(0, 0, ctx.sub(ctx.generator(), 1))]
                 if not spec.special else [])
-    return [(i, j, ctx.p ** k) for i in range(n) for j in (i - 1, i + 1)
-            if 0 <= j < n for k in range(ctx.deg)] + dilation
+    if spec.n == 1:
+        return dilation
+    return [(0, 1, ctx.p ** k) for k in range(ctx.deg)] + [SHIFT] + dilation
 
 
 def build_group(spec):

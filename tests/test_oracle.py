@@ -10,7 +10,7 @@ import pytest
 from invword import oracle
 from invword.constructor import brute_force_witness, find_partner
 from invword.matrix import GroupSpec, Mat, classify, commutator
-from invword.gf import make_extension, make_field
+from invword.gf import make_extension, make_field, prime_power
 from invword.perm import Perm
 from invword.oracle import (GroupTooLarge, build_group, class_product_count,
                             class_search, conjugacy_classes, d_inv,
@@ -451,9 +451,10 @@ def _ref_code(spec, ctx):
 
 
 def _ref_gens(spec, ctx, code, every):
-    """Codes of the transvections I + lam E_ij, either every one or (as
-    the oracle's generator list) those with |i - j| = 1 and lam = p**k,
-    followed for GL and PGL by diag(nu, 1, ..., 1)."""
+    """Codes of either every transvection I + lam E_ij or (as the oracle's
+    generator list, for n >= 2) I + p**k E_01 and the signed cyclic shift
+    w, the permutation matrix of e_k -> e_k+1 with its corner entry
+    (-1)**(n-1); followed for GL and PGL by diag(nu, 1, ..., 1)."""
     n, q = spec.n, spec.q
 
     def unit():
@@ -463,12 +464,15 @@ def _ref_gens(spec, ctx, code, every):
         ijs = [(i, j, lam) for i in range(n) for j in range(n) if i != j
                for lam in range(1, q)]
     else:
-        ijs = [(i, j, ctx.p ** k) for i in range(n) for j in (i - 1, i + 1)
-               if 0 <= j < n for k in range(ctx.deg)]
+        ijs = [(0, 1, ctx.p ** k) for k in range(ctx.deg) if n > 1]
     gens = []
     for i, j, lam in ijs:
         rows = unit()
         rows[i][j] = lam
+        gens.append(code(rows))
+    if not every and n > 1:
+        rows = [[int(a == b + 1) for b in range(n)] for a in range(n)]
+        rows[0][n - 1] = ctx.pow(ctx.neg(1), n - 1)
         gens.append(code(rows))
     if spec.family in ("GL", "PGL"):
         rows = unit()
@@ -609,7 +613,7 @@ PINNED_TABLE_SPECS = (
        GroupSpec("GL", 2, 3), GroupSpec("GL", 3, 2), GroupSpec("PGL", 2, 5)])
 PINNED_ORACLE_SHA256 = {
     "outputs": "2f092e7f343e22665fc1ac645a72b97b682d457f986eafcf18a102d9842fa168",
-    "generators": "292a1bade411f264de00b184d57e0a4487809a7f65426955ad4322b6a57e3f5d",
+    "generators": "05a447ea22181b5a8cfebba1e4de23fb01c2391ef33d7289baae1b5eeb6acad1",
 }
 
 
@@ -760,6 +764,17 @@ def every_row_op(spec, ctx):
     return ops
 
 
+def assert_generators_are_the_short_list(tbl):
+    """Each of tbl.gens decodes to x_12(p**k), the signed shift w or the
+    dilation, in the order of _ref_gens, and has determinant 1 in SL and
+    PSL, which pins w's sign at even n and odd q."""
+    spec, ctx = tbl.spec, tbl.ctx
+    want = _ref_gens(spec, ctx, _ref_code(spec, ctx), False)
+    assert [tbl.decode(s).rows for s in tbl.gens] == want
+    if spec.special:
+        assert all(tbl.decode(s).det() == 1 for s in tbl.gens)
+
+
 @pytest.mark.parametrize("spec", MATRIX_TABLE_SPECS, ids=repr)
 def test_closure_walk_matches_all_generators(spec):
     # the closure walks the oracle's short list; walking every
@@ -767,9 +782,8 @@ def test_closure_walk_matches_all_generators(spec):
     # matrix inverse.  The table's own code is not walked again, since it
     # would keep a second set of conjugates in the cached table
     tbl = build_group(spec)
-    walk = oracle._row_ops(spec, tbl.ctx)
+    assert_generators_are_the_short_list(tbl)
     ops = every_row_op(spec, tbl.ctx)
-    assert set(walk) <= set(ops)
     full = oracle._RowCode(tbl.ctx, spec.n, ops,
                            tbl.code.scalars).closure(oracle.ORDER_CAP)
     assert sorted(full) == tbl.elements
@@ -782,10 +796,60 @@ def test_closure_walk_sizes():
         ctx = make_field(spec.q)
         return len(every_row_op(spec, ctx)), len(oracle._row_ops(spec, ctx))
 
-    assert sizes(GroupSpec("SL", 3, 4)) == (18, 8)
+    assert sizes(GroupSpec("SL", 3, 4)) == (18, 3)
     assert sizes(GroupSpec("PSL", 2, 11)) == (20, 2)
-    assert sizes(GroupSpec("SL", 4, 2)) == (12, 6)
+    assert sizes(GroupSpec("SL", 4, 2)) == (12, 2)
     assert sizes(GroupSpec("GL", 2, 3)) == (5, 3)
+
+
+# every matrix table with n <= 4, q <= 32 and order at most this many
+# elements: 135 tables, built in under 2 s on a 2-core Xeon
+SMALL_TABLE_ORDER = 20000
+
+
+def test_every_small_matrix_table_builds_from_the_short_list(monkeypatch):
+    # build_group checks the enumerated order against the formula, so a
+    # list that generated a proper subgroup raises
+    monkeypatch.setattr(oracle, "_TABLE_CACHE", {})
+    built = 0
+    for family in ("SL", "GL", "PSL", "PGL"):
+        for n, q in itertools.product(range(1, 5), range(2, 33)):
+            if not prime_power(q):
+                continue
+            spec = GroupSpec(family, n, q)
+            if group_order(spec) > SMALL_TABLE_ORDER:
+                continue
+            tbl = build_group(spec)
+            assert_generators_are_the_short_list(tbl)
+            ctx = tbl.ctx
+            assert len(tbl.gens) == (ctx.deg + 1 if n > 1 else 0) + \
+                (not spec.special)
+            oracle._TABLE_CACHE.clear()
+            built += 1
+    assert built == 135
+
+
+@pytest.mark.parametrize("spec", [GroupSpec("PSL", 2, 9), GroupSpec("PGL", 2, 5),
+                                  GroupSpec("PSL", 3, 4)], ids=repr)
+def test_least_is_the_least_scalar_multiple(spec):
+    # _least reads the scalar off row 0; check it against the minimum over
+    # every scalar multiple, from each multiple of each element
+    tbl = build_group(spec)
+    code, ctx = tbl.code, tbl.ctx
+    scalars = [1] + code.scalars
+
+    def multiple(rows, c):
+        x = 0
+        for r in rows:
+            for e in r:
+                x = x * ctx.q + ctx.mul(c, e)
+        return x
+
+    for e in tbl.elements:
+        rows = code.decode(e).rows
+        codes = [multiple(rows, c) for c in scalars]
+        assert min(codes) == e
+        assert [code._least(x) for x in codes] == [e] * len(codes)
 
 
 @pytest.mark.parametrize("spec", MATRIX_TABLE_SPECS + [GroupSpec("SL", 3, 4)],
