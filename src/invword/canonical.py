@@ -1,20 +1,10 @@
 """Characteristic polynomials, factorization, and generalized Jordan form.
 
-generalized_jordan finds the base change u to the canonical form J of an
-invertible g in one of two ways:
-
-* g cyclic (minimal polynomial = characteristic polynomial, so J has one
-  block per irreducible factor) with a cyclic unit vector: u = K_J K_g^-1
-  for the Krylov matrices K = [v, gv, ..., g^(n-1) v] of a cyclic vector
-  of each side, about 2n matrix-vector products and two eliminations.
-  g's vector is its first cyclic unit vector; J's is read off its block
-  layout;
-* any other g (derogatory, or no unit vector is cyclic): solve_similarity
-  takes seeded random combinations of the solutions of an n^2-unknown
-  linear system until one is invertible.
-
-The rank filtration of f(g)^j gives the blocks either way; one rank
-decides whether a factor has a single block.
+generalized_jordan reads the blocks of the canonical form J of an
+invertible g off the rank filtration of f(g)^j for each irreducible factor
+f, and finds the base change u with solve_similarity, which takes seeded
+random combinations of the solutions of an n^2-unknown linear system until
+one is invertible; a g that is already J gets u = I.
 
 Conventions (frozen; the constructor depends on them):
 
@@ -28,7 +18,6 @@ Conventions (frozen; the constructor depends on them):
 """
 
 import random
-from functools import lru_cache
 
 from .gf import (
     irreducible_polys,
@@ -43,11 +32,6 @@ from .gf import (
     poly_trim,
 )
 from .matrix import Mat, direct_sum, kron, nullspace, sub_block
-
-# factorizations held by factor_charpoly; sl-classes seed 1 meets 158
-# distinct characteristic polynomials in 611 calls
-_FACTORIZATIONS_HELD = 1024
-
 
 def companion(ctx, f):
     """Companion matrix of a monic polynomial, subdiagonal-1 convention.
@@ -176,21 +160,15 @@ def _split_equal_degree(ctx, h, d):
 
 def factor_charpoly(g):
     """Monic irreducible factors of charpoly(g) with multiplicities, ordered
-    by degree then coefficient encoding, as a fresh list.
+    by degree then coefficient encoding.
 
     Distinct-degree factorization: once every factor of degree below d has
     been divided out of rem, gcd(rem, x^(q^d) - x) is the product of the
     distinct degree-d factors, already squarefree.  Berlekamp splits it
     when it holds more than one, and repeated exact division gives each
-    multiplicity.  When deg rem < 2d, rem itself is irreducible.  Each
-    (field, polynomial) is factored once and held in a memo of at most
-    _FACTORIZATIONS_HELD entries.  ValueError for a non-square g."""
-    return list(_factorization(g.ctx, charpoly(g)))
-
-
-@lru_cache(maxsize=_FACTORIZATIONS_HELD)
-def _factorization(ctx, rem):
-    """factor_charpoly's factors of the monic polynomial rem, as a tuple."""
+    multiplicity.  When deg rem < 2d, rem itself is irreducible.
+    ValueError for a non-square g."""
+    ctx, rem = g.ctx, charpoly(g)
     x = (0, 1)
     frob = x  # x^(q^d) mod rem
     out = []
@@ -213,7 +191,7 @@ def _factorization(ctx, rem):
                 rem, mult = quo, mult + 1
             out.append((f, mult))
     out.sort(key=lambda fm: (len(fm[0]), fm[0][::-1]))
-    return tuple(out)
+    return out
 
 
 def mat_poly_eval(g, f):
@@ -224,14 +202,13 @@ def mat_poly_eval(g, f):
 
 
 def _jordan_partition(g, f, e):
-    # Multiplicities of the (f, *) blocks from the rank filtration of f(g)^j.
-    if e == 1:
-        return [1]
+    """Sizes of the (f, *) blocks, largest first, from the rank filtration
+    of f(g)^j, run until the rank stops falling: (rank f(g)^(j-1) - rank
+    f(g)^j) / deg f blocks have size >= j.  RuntimeError when the sizes do
+    not add up to the multiplicity e."""
     d = poly_deg(f)
     fg = mat_poly_eval(g, f)
     ranks = [g.n, fg.rank()]
-    if ranks[1] == g.n - d:  # ker f(g) has dimension d: a single block
-        return [e]
     power = fg
     while ranks[-1] != ranks[-2]:
         power = power * fg
@@ -266,9 +243,13 @@ def solve_similarity(g, j):
 
     Solves the linear system X g = j X and tries up to 2000 seeded random
     combinations of its solution basis; a g not similar to j gives None.
-    generalized_jordan calls it only for a g that is derogatory or has no
-    cyclic unit vector.
+    ValueError for a non-square g or j, or for g and j of different sizes
+    or over different fields.
     """
+    if g.ctx is not j.ctx or not g.n == g.m == j.n == j.m:
+        raise ValueError("solve_similarity needs two square matrices of one "
+                         "size over one field, not %dx%d over %r and %dx%d "
+                         "over %r" % (g.n, g.m, g.ctx, j.n, j.m, j.ctx))
     ctx, n = g.ctx, g.n
     nsq = n * n
     rows = []
@@ -295,61 +276,15 @@ def solve_similarity(g, j):
     return None
 
 
-def _krylov(g, v):
-    """The matrix [v, gv, ..., g^(n-1) v], column by column."""
-    addr, mulr = g.ctx.add_rows, g.ctx.mul_rows
-    cols = [v]
-    for _ in range(g.n - 1):
-        out = []
-        for row in g.rows:
-            s = 0
-            for a, x in zip(row, v):
-                if a and x:
-                    s = addr[s][mulr[a][x]]
-            out.append(s)
-        v = tuple(out)
-        cols.append(v)
-    return Mat(g.ctx, list(zip(*cols)))
-
-
-def _krylov_inverse(g):
-    """K_g^-1 for the first unit vector whose Krylov matrix K_g is
-    invertible (one elimination tests it and inverts it), or None if no
-    unit vector is cyclic."""
-    n = g.n
-    for i in range(n):
-        kinv, _ = _krylov(g, (0,) * i + (1,) + (0,) * (n - 1 - i)).inv_det()
-        if kinv is not None:
-            return kinv
-    return None
-
-
-def _layout_vector(blocks, n):
-    """A cyclic vector of the canonical matrix of a block list with one
-    block per factor: 1 at the first coordinate of each block's last
-    C(f) copy."""
-    w = [0] * n
-    at = 0
-    for f, m in blocks:
-        d = poly_deg(f)
-        w[at + d * (m - 1)] = 1
-        at += d * m
-    return tuple(w)
-
-
 def generalized_jordan(g):
     """Canonical form of an invertible matrix, with a replayable base change.
 
-    The rank filtration (_jordan_partition) gives the blocks; it stops
-    after one rank when a factor has a single block.  A cyclic g has one
-    block (f, e) per factor f^e of its characteristic polynomial.  When
-    it also has a cyclic unit vector, u = K_J K_g^-1, with K_g that
-    vector's Krylov matrix (_krylov_inverse) and K_J that of
-    _layout_vector's cyclic vector of J: both conjugate their side to the
-    companion matrix of that polynomial.  Any other g takes
-    solve_similarity for u, and a g that is already its canonical form
-    gets u = I.  ValueError for a singular or non-square g; RuntimeError
-    if the base change found does not conjugate g to the block matrix."""
+    The rank filtration (_jordan_partition) gives the blocks of each
+    factor of the characteristic polynomial.  A g that is already its
+    canonical form gets u = I; any other g takes solve_similarity for u.
+    ValueError for a singular or non-square g; RuntimeError if no base
+    change is found, or if the one found does not conjugate g to the block
+    matrix."""
     ctx, n = g.ctx, g.n
     factors = factor_charpoly(g)
     if any(f == (0, 1) for f, _ in factors):
@@ -357,24 +292,18 @@ def generalized_jordan(g):
     blocks = [(f, m) for f, e in factors for m in _jordan_partition(g, f, e)]
     jmat = blocks_matrix(ctx, blocks)
     if jmat == g:
-        u = Mat.identity(ctx, n)
-    elif len(blocks) == len(factors) and \
-            (kinv := _krylov_inverse(g)) is not None:
-        kj = _krylov(jmat, _layout_vector(blocks, n))
-        # u is invertible iff K_J is
-        u = kj * kinv if kj.det() else None
-    else:
-        u = solve_similarity(g, jmat)
-        if u is None:
-            raise RuntimeError("block data must describe a similar matrix")
+        return CanonicalForm(Mat.identity(ctx, n), blocks, jmat)
+    u = solve_similarity(g, jmat)
+    if u is None:
+        raise RuntimeError("block data must describe a similar matrix")
     # u is invertible, so u g = jmat u is u g u^-1 = jmat
-    if u is None or u * g != jmat * u:
+    if u * g != jmat * u:
         raise RuntimeError("base change does not conjugate g to its "
                            "canonical form")
     return CanonicalForm(u, blocks, jmat)
 
 
-def split_decomposable(cf, g):
+def split_decomposable(cf):
     """Split a decomposable canonical form into two diagonal parts.
 
     Returns (g1, g2, (emb1, emb2)) where emb_i are index tuples into the

@@ -161,7 +161,7 @@ def _cmd_bounds(args):
         else 1
 
 
-def _cmd_orbdiam(args):
+def _cmd_orbdiam(_args):
     rep = orbital_diameter_report()
     print("orbdiam=%d d_t=%d half_lower=%s upper_72x=%s"
           % (rep.orbdiam, rep.d_t, rep.lower_ok, rep.upper_ok))

@@ -31,8 +31,8 @@ from .gf import UnsupportedField, make_field, power, prime_power
 
 class Mat:
     # _lu holds the forward elimination of the first det, inv or solve,
-    # _inv_det (inverse, determinant) from the first inv or inv_det
-    __slots__ = ("ctx", "rows", "n", "m", "_lu", "_inv_det")
+    # _inv the inverse from the first inv
+    __slots__ = ("ctx", "rows", "n", "m", "_lu", "_inv")
 
     def __init__(self, ctx, rows):
         rows = tuple(map(tuple, rows))
@@ -47,7 +47,7 @@ class Mat:
         self.rows = rows
         self.n = len(rows)
         self.m = len(rows[0]) if rows else 0
-        self._lu = self._inv_det = None
+        self._lu = self._inv = None
 
     # -- constructors ----------------------------------------------------
 
@@ -156,23 +156,14 @@ class Mat:
         return (self._lu or self._forward())[0]
 
     def inv(self):
-        inverse = (self._inv_det or self.inv_det())[0]
-        if inverse is None:
-            raise ZeroDivisionError("singular matrix")
-        return inverse
-
-    def inv_det(self):
-        """(inverse, determinant); the inverse is None when the determinant
-        is 0.  The pair is kept on the matrix, whose rows never change, so
-        later calls read it.  The inverse finishes the kept forward
-        elimination (_backward), so the two halves together cost about one
-        Gauss-Jordan elimination.  Nothing is kept on the inverse: it holds
-        no reference back to this matrix."""
-        if self._inv_det is None:
-            det, perm, rows = self._lu or self._forward()
-            self._inv_det = (None if det == 0 else
-                             _backward(self.ctx, perm, rows), det)
-        return self._inv_det
+        """The inverse, kept on the matrix, whose rows never change, so
+        later calls return it.  It finishes the kept forward elimination
+        (_backward), so the two halves together cost about one Gauss-Jordan
+        elimination.  Nothing is kept on the inverse: it holds no reference
+        back to this matrix.  ZeroDivisionError for a singular matrix."""
+        if self._inv is None:
+            self._inv = _backward(self.ctx, *self._factors())
+        return self._inv
 
     def solve_cols(self, b):
         """self^-1 b for an n x k matrix b, by one forward and one backward
@@ -276,7 +267,7 @@ def _mat(ctx, rows):
     m.rows = rows
     m.n = len(rows)
     m.m = len(rows[0]) if rows else 0
-    m._lu = m._inv_det = None
+    m._lu = m._inv = None
     return m
 
 

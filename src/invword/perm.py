@@ -5,7 +5,7 @@ Convention: points are 1-based in text form, images are stored 0-based, and
 (g*h)(x) = h(g(x)).  Under this convention h^-1 g h relabels the cycles of g
 by h.  The witness path treats a Perm as it does a Mat: matrix.commutator,
 g ** 0, str(g), inv() and det(), the sign, which is the permutation
-matrix's determinant, and inv_det() for both.
+matrix's determinant.
 """
 
 import operator
@@ -78,10 +78,6 @@ class Perm:
         an even permutation is one of sign 1, as a matrix of SL is one of
         determinant 1."""
         return -1 if self.parity() else 1
-
-    def inv_det(self):
-        """(inverse, sign), as Mat.inv_det gives (inverse, determinant)."""
-        return self.inv(), self.det()
 
     def __pow__(self, k):
         return power(self if k >= 0 else self.inv(), abs(k),

@@ -222,24 +222,13 @@ def test_factor_irreducible_quadratic():
     assert factor_charpoly(g) == [((1, 0, 1), 1)]
 
 
-def test_factor_charpoly_memo_hands_out_fresh_lists():
-    # one factorization per (field, polynomial): a matrix with the same
-    # characteristic polynomial reads the held one, and no caller can
-    # change what the next caller gets
-    memo = canonical._factorization
-    assert memo.cache_info().maxsize == canonical._FACTORIZATIONS_HELD
-    assert memo.cache_info().currsize == 0   # the conftest fixture clears it
+def test_factor_charpoly_hands_out_fresh_lists():
+    # no caller can change what the next caller gets
     g = mat_over(5, "1,1;0,1")
     first = factor_charpoly(g)
     first.append("junk")
     first[0] = None
-    assert factor_charpoly(mat_over(5, "1,0;3,1")) == [((4, 1), 2)]
     assert factor_charpoly(g) == [((4, 1), 2)]
-    info = memo.cache_info()
-    assert (info.hits, info.misses) == (2, 1)
-    # the same coefficients over another field are another key
-    assert factor_charpoly(mat_over(7, "1,1;0,1")) == [((6, 1), 2)]
-    assert memo.cache_info().misses == 2
 
 
 def test_gen_jordan_blocks():
@@ -277,12 +266,24 @@ def test_solve_similarity_negative():
     assert solve_similarity(mat_over(5, "1,1;0,1"), mat_over(5, "1,0;0,1")) is None
 
 
+def test_solve_similarity_checks_its_inputs():
+    # matrices of two sizes, or over two fields, are never similar: a
+    # ValueError, not a u that conjugates nothing or an IndexError
+    two, three = mat_over(5, "2,3;0,2"), mat_over(5, "2,0,0;0,2,0;0,0,3")
+    wide = Mat(make_field(5), [[1, 2, 3], [0, 1, 4]])
+    cases = [(two, three), (mat_over(4, "1,0;0,1"), mat_over(5, "1,0;0,1")),
+             (three, two), (wide, wide), (two, wide), (wide, two)]
+    for g, j in cases:
+        with pytest.raises(ValueError, match="solve_similarity needs"):
+            solve_similarity(g, j)
+
+
 def test_split_two_eigenvalues():
     g = mat_over(7, "2,0;0,3")
     cf = generalized_jordan(g)
     # factor order puts x-3 = (4,1) before x-2 = (5,1)
     assert cf.canonical == mat_over(7, "3,0;0,2")
-    g1, g2, (e1, e2) = split_decomposable(cf, g)
+    g1, g2, (e1, e2) = split_decomposable(cf)
     assert g1.rows == ((3,),) and g2.rows == ((2,),)
     assert e1 == (0,) and e2 == (1,)
 
@@ -290,7 +291,7 @@ def test_split_two_eigenvalues():
 def test_split_rebalances_two_scalars():
     g = mat_over(5, "2,0,0,0;0,2,0,0;0,0,1,0;0,0,0,1")
     cf = generalized_jordan(g)
-    g1, g2, (e1, e2) = split_decomposable(cf, g)
+    g1, g2, (e1, e2) = split_decomposable(cf)
     assert not g1.is_scalar() and not g2.is_scalar()
     assert g1 == mat_over(5, "2,0;0,1") and g2 == mat_over(5, "2,0;0,1")
     assert e1 == (0, 2) and e2 == (1, 3)
@@ -300,7 +301,7 @@ def test_split_single_factor_two_blocks():
     f5 = make_field(5)
     j = direct_sum(gen_jordan_block(f5, (4, 1), 2), gen_jordan_block(f5, (4, 1), 2))
     cf = generalized_jordan(j)
-    g1, g2, (e1, e2) = split_decomposable(cf, j)
+    g1, g2, (e1, e2) = split_decomposable(cf)
     assert g1 == mat_over(5, "1,1;0,1") and g2 == g1
     assert e1 == (0, 1) and e2 == (2, 3)
 
@@ -309,7 +310,7 @@ def test_split_indecomposable_returns_none():
     g = companion(make_field(3), (1, 1, 2, 1))
     cf = generalized_jordan(g)
     assert cf.blocks == [((1, 1, 2, 1), 1)]
-    assert split_decomposable(cf, g) is None
+    assert split_decomposable(cf) is None
 
 
 def test_transversal_sl2_3():
@@ -384,22 +385,12 @@ def test_square_and_invertible_inputs_only():
         generalized_jordan(Mat(f5, [[0, 1], [0, 0]]))
 
 
-def _spy_solve_similarity(monkeypatch):
-    calls = []
-    real = canonical.solve_similarity
-    monkeypatch.setattr(canonical, "solve_similarity",
-                        lambda g, j: calls.append(g) or real(g, j))
-    return calls
-
-
 def test_jordan_self_checks_raise(monkeypatch):
     # these checks must survive python -O, so they are no asserts
     f5 = make_field(5)
-    # 1 + J_2(1) is derogatory and not its canonical form J_2(1) + 1, so it
-    # takes the rank filtration and solve_similarity; split is cyclic and
-    # takes the Krylov base change
+    # 1 + J_2(1) is not its canonical form J_2(1) + 1, so it takes the
+    # rank filtration and solve_similarity
     derogatory = Mat(f5, [[1, 0, 0], [0, 1, 1], [0, 0, 1]])
-    split = Mat(f5, [[2, 1], [0, 3]])
     with monkeypatch.context() as m:
         # f(g) = I: the rank filtration stops at once and finds no block
         m.setattr(canonical, "mat_poly_eval",
@@ -415,25 +406,9 @@ def test_jordan_self_checks_raise(monkeypatch):
                   lambda g, j: Mat.identity(g.ctx, g.n))
         with pytest.raises(RuntimeError, match="does not conjugate"):
             generalized_jordan(derogatory)
-    with monkeypatch.context() as m:
-        calls = _spy_solve_similarity(m)
-        # K_g = K_J = I makes u = I, which does not conjugate split
-        m.setattr(canonical, "_krylov",
-                  lambda g, v: Mat.identity(g.ctx, g.n))
-        with pytest.raises(RuntimeError, match="does not conjugate"):
-            generalized_jordan(split)
-        assert calls == []
-    with monkeypatch.context() as m:
-        calls = _spy_solve_similarity(m)
-        # a vector that is not cyclic for J makes K_J, and so u, singular
-        m.setattr(canonical, "_layout_vector", lambda blocks, n: (0,) * n)
-        with pytest.raises(RuntimeError, match="does not conjugate"):
-            generalized_jordan(split)
-        assert calls == []
     cf = generalized_jordan(derogatory)
     assert cf.blocks == [((4, 1), 2), ((4, 1), 1)]
     assert cf.canonical != derogatory
-    assert generalized_jordan(split).canonical != split
 
 
 def _blocks_by_ranks(g):
@@ -450,21 +425,7 @@ def _blocks_by_ranks(g):
     return out
 
 
-def _has_cyclic_unit_vector(g):
-    """Reference: some e_i has g-translates e_i, g e_i, ..., g^(n-1) e_i
-    that span the whole space."""
-    for i in range(g.n):
-        v = Mat(g.ctx, [[int(r == i)] for r in range(g.n)])
-        cols = [v]
-        for _ in range(g.n - 1):
-            cols.append(g * cols[-1])
-        if Mat(g.ctx, [[c.rows[r][0] for c in cols]
-                       for r in range(g.n)]).rank() == g.n:
-            return True
-    return False
-
-
-def test_krylov_base_change_over_class_transversals(monkeypatch):
+def test_jordan_form_over_class_transversals(monkeypatch):
     # one representative per canonical form of SL(n, q), n <= 4, q <= 9,
     # and of SL(5, 2), SL(6, 2) and SL(5, 3), where the solution spaces of
     # solve_similarity are largest, each conjugated by a seeded random
@@ -472,14 +433,15 @@ def test_krylov_base_change_over_class_transversals(monkeypatch):
     # add no case here).  The blocks match the rank-filtration reference,
     # u conjugates g to its canonical form, and solve_similarity runs on
     # exactly the inputs that are not already canonical (those get u = I)
-    # and are derogatory or have no cyclic unit vector; every other input
-    # takes the Krylov base change
-    calls = _spy_solve_similarity(monkeypatch)
+    calls = []
+    real = canonical.solve_similarity
+    monkeypatch.setattr(canonical, "solve_similarity",
+                        lambda g, j: calls.append(g) or real(g, j))
     rng = random.Random(19)
     cases = [(q, n) for q in CROSS_CHECK_QS for n in (2, 3, 4)]
     cases += [(2, 5), (2, 6), (3, 5)]
     expected = []
-    derogatory = no_unit = krylov = 0
+    inputs = 0
     for q, n in cases:
         ctx = make_field(q)
         forms = {}
@@ -488,20 +450,12 @@ def test_krylov_base_change_over_class_transversals(monkeypatch):
         for j in forms.values():
             c = rand_invertible(ctx, n, rng)
             g = c * j * c.inv()
-            ref = _blocks_by_ranks(g)
+            inputs += 1
             cf = generalized_jordan(g)
-            assert cf.blocks == ref
+            assert cf.blocks == _blocks_by_ranks(g)
             assert cf.canonical == j
             assert cf.u * g * cf.u.inv() == j
-            if g == j:
-                continue
-            if len(ref) > len(factor_charpoly(g)):
-                derogatory += 1
-            elif not _has_cyclic_unit_vector(g):
-                no_unit += 1
-            else:
-                krylov += 1
-                continue
-            expected.append(g)
+            if g != j:
+                expected.append(g)
     assert calls == expected
-    assert (krylov, derogatory, no_unit) == (2211, 405, 8)
+    assert (inputs, len(expected)) == (2628, 2624)

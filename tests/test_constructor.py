@@ -1455,19 +1455,19 @@ def _by_size(counts):
 def _spy_eliminations(monkeypatch, forward, backward):
     """Count, by the rows of the matrix, the forward eliminations (the
     first det, inv or solve of a matrix) and the backward halves (its first
-    inv or inv_det, when it is invertible): a call that reads what the
-    matrix kept makes none."""
-    real_forward, real_inv_det = Mat._forward, Mat.inv_det
+    inv, when it is invertible): a call that reads what the matrix kept
+    makes none."""
+    real_forward, real_inv = Mat._forward, Mat.inv
 
     def spy_forward(a):
         forward[a.rows] += a._lu is None
         return real_forward(a)
 
-    def spy_inv_det(a):
-        backward[a.rows] += a._inv_det is None and a.det() != 0
-        return real_inv_det(a)
+    def spy_inv(a):
+        backward[a.rows] += a._inv is None and a.det() != 0
+        return real_inv(a)
     monkeypatch.setattr(Mat, "_forward", spy_forward)
-    monkeypatch.setattr(Mat, "inv_det", spy_inv_det)
+    monkeypatch.setattr(Mat, "inv", spy_inv)
 
 
 def test_construct_eliminates_g_once(monkeypatch):

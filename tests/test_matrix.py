@@ -427,29 +427,36 @@ def test_row_table_kernels_match_reference(ctx):
 
 @pytest.mark.parametrize("q", (2, 4, 7, 9))
 def test_inv_det_is_det_and_inv_in_one(q):
+    # det() and inv() read one forward elimination: whichever comes first
+    # makes it and keeps it on the matrix, and the other makes none
     ctx = make_field(q)
     rng = random.Random(q * 107)
     singular = 0
     for n in range(1, 9):
         for a in kernel_inputs(ctx, rng, n, n):
-            inverse, det = a.inv_det()
-            assert det == a.det() == ref_det(a)
+            b = Mat(ctx, a.rows)
+            det = a.det()
+            lu = a._lu
+            assert det == ref_det(a)
             if det:
-                assert inverse.rows == ref_inv(a) and inverse == a.inv()
+                assert a.inv().rows == ref_inv(a) and b.inv() == a.inv()
             else:
                 singular += 1
-                assert inverse is None
-                with pytest.raises(ZeroDivisionError):
-                    a.inv()
+                for c in (a, b):
+                    with pytest.raises(ZeroDivisionError):
+                        c.inv()
+            assert a._lu is lu
+            lu = b._lu
+            assert b.det() == det and b._lu is lu
     assert singular > 0
 
 
 @pytest.mark.parametrize("q", (2, 3, 5, 9))
 def test_inv_det_is_kept_on_the_matrix(q):
-    # the first inv_det keeps (inverse, determinant) on the matrix: a later
-    # call returns it, equal to a fresh matrix's elimination; det() then
-    # reads it and agrees with det()'s own elimination on a fresh matrix;
-    # == and hash ignore it; the inverse keeps nothing, so it holds no
+    # the first inv() keeps the inverse on the matrix: a later call returns
+    # it, equal to a fresh matrix's elimination; det() then reads the kept
+    # elimination and agrees with det()'s own on a fresh matrix; == and
+    # hash ignore what is kept; the inverse keeps nothing, so it holds no
     # reference back to the matrix
     ctx = make_field(q)
     rng = random.Random(q * 109)
@@ -457,21 +464,22 @@ def test_inv_det_is_kept_on_the_matrix(q):
     for n in range(1, 9):
         for a in kernel_inputs(ctx, rng, n, n):
             fresh = Mat(ctx, a.rows)
-            pair = a.inv_det()
-            assert a.inv_det() is pair and pair == Mat(ctx, a.rows).inv_det()
-            assert a.det() == pair[1] == fresh.det() == ref_det(a)
-            assert a == fresh and hash(a) == hash(fresh) and {fresh: 1}[a]
-            inverse, det = pair
-            if not det:
+            if not ref_det(a):
                 singular += 1
-                assert inverse is None
                 with pytest.raises(ZeroDivisionError):
                     a.inv()
+                inverse = None
+            else:
+                inverse = a.inv()
+                assert a.inv() is inverse
+                assert inverse == Mat(ctx, a.rows).inv()
+            assert a.det() == fresh.det() == ref_det(a)
+            assert a == fresh and hash(a) == hash(fresh) and {fresh: 1}[a]
+            if inverse is None:
                 continue
-            assert a.inv() is inverse and inverse.rows == ref_inv(a)
-            assert not any(r is a or r is pair
-                           for r in gc.get_referents(inverse))
-            back, _ = inverse.inv_det()
+            assert inverse.rows == ref_inv(a)
+            assert not any(r is a for r in gc.get_referents(inverse))
+            back = inverse.inv()
             assert back == a and back is not a
     assert singular > 0
 
@@ -494,7 +502,8 @@ def test_row_table_elimination_matches_reference(ctx):
 def ref_gauss_jordan(mat):
     """(inverse rows or None, det) from one Gauss-Jordan elimination of
     [mat | I] with the determinant read off the pivots and the swaps, as
-    inv_det computed it before the kept forward elimination."""
+    inverse and determinant were computed before the kept forward
+    elimination."""
     ctx, n = mat.ctx, mat.n
     a = [list(mat.rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
     det = 1
@@ -526,8 +535,8 @@ def test_forward_elimination_matches_gauss_jordan(ctx):
     # determinant, inv() (the backward half) its inverse with g inv() = I,
     # each solve the product with inv(), on a fresh matrix and after det()
     # kept the elimination, and a singular matrix raises
-    # ZeroDivisionError("singular matrix") from inv(), inv_det()[0] is None
-    # and both solves raise it too
+    # ZeroDivisionError("singular matrix") from inv() and both solves, and
+    # keeps the determinant 0
     rng = random.Random(ctx.q * 113 + ctx.deg + (ctx.base is not None))
     singular = invertible = 0
     for n in list(range(1, 10)) + [16]:
@@ -546,7 +555,7 @@ def test_forward_elimination_matches_gauss_jordan(ctx):
                         with pytest.raises(ZeroDivisionError,
                                            match="^singular matrix$"):
                             solve()
-                    assert fresh.inv_det() == (None, 0)
+                    assert fresh.det() == 0
                 continue
             invertible += 1
             for b in cols:

@@ -46,11 +46,13 @@ def test_inverse_and_power():
 
 
 def test_inv_det_gives_the_sign():
-    # the sign is the determinant of the permutation matrix
+    # det() is the sign, the determinant of the permutation matrix, and
+    # inv() the inverse, as for a Mat
     for text, sign in (("()", 1), ("(1,2)", -1), ("(1,2,3)", 1),
                        ("(1,2,3,4)(5,6)", 1), ("(1,2,3,4)", -1)):
         g = Perm.from_cycles(text, 6)
-        assert g.inv_det() == (g.inv(), sign)
+        assert g.det() == g.inv().det() == sign
+        assert g * g.inv() == g.inv() * g == Perm.identity(6)
 
 
 def test_parity_and_cycle_type():
