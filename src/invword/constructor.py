@@ -5,15 +5,14 @@ with every c_i of determinant 1 (even parity in the alternating case) such
 that prod_i c_i g^{e_i} c_i^{-1} equals a recorded target t with t^2 scalar
 (in {I, -I}) and t non-central.  An input that would be traded below and
 that passes replay's target check is its own 1-step witness.  Otherwise
-there are three outcomes.  In SL(2,2), SL(3,2) and SL(3,4), a class whose
-characteristic polynomial f is irreducible, where the 2x2 rule and the
-restart degenerate or take longer, reads a stored minimal word (9 entries
-in class_words, keyed by companion(charpoly(g)) and regenerated by
-class_word_table with the oracle's class-graph search) and conjugates it
-back to g by g's Krylov matrix, so no group is enumerated and no input
-takes a canonical form.  Every other 2x2 determinant-1 element takes one
-trace rule (_sl2_core): the shortest word g (k g^e k^-1)^m, k a
-transvection, whose product has trace 0, of at most 4 steps.  Every other
+there are three outcomes.  Every 2x2 determinant-1 element takes one trace
+rule (_sl2_core): the shortest word g (k g^e k^-1)^m, k a transvection,
+whose product has trace 0, of at most 4 steps; the order-3 class of
+SL(2,2), which no word reaches, raises Unreachable with brute_force_witness's
+certificate, and no group is enumerated.  A 3x3 determinant-1 g over even q
+with g e_1 cyclic takes the unipotent word (_unipotent_word): [(I, +1), (k,
++1)] for a transvection k = I + e_1 phi placed so that g k is regular
+unipotent, whose square g (k g k^-1) is an involution.  Every other
 element, of dimension 3 and up or of determinant other than 1, takes the
 commutator restart: the trade word g^-1 (h^-1 g h) with a partner
 h = I + v phi, phi(v) = 0, whose commutator
@@ -37,30 +36,27 @@ one of rank growing with the word; every other witness replays densely.
 """
 
 import json
-from functools import lru_cache, reduce
+from functools import lru_cache
 from itertools import accumulate
+from math import factorial
 
 from .gf import make_field
 from .matrix import (GroupSpec, Mat, add_product, basic_solution, classify,
                      is_projective_involution, low_rank_part, nullspace,
                      parse_mat)
-from .canonical import charpoly, class_transversal, companion
-from .class_words import CLASS_WORDS
 from .oracle import (build_group, class_search, conjugacy_classes,
                      involution_indices, projective_involution_indices)
 from .perm import Perm, _alt_partner, a5_witness
 
 # Pairs (n, q) where the 2x2 rule and the restart once degenerated.  Only
-# the benchmark's sl-classes grid reads this list; the construction reads
-# _STORED_PAIRS.
+# the benchmark's sl-classes grid reads this list
 EXCLUDED_PAIRS = {(2, 2), (2, 3), (3, 2), (3, 4), (4, 2), (4, 3)}
 
-# the pairs whose class words are stored (CLASS_WORDS), one for each class
-# whose characteristic polynomial is irreducible: over GF(2) neither the 2x2
-# rule nor the plane partner reaches those classes of SL(2,2) and SL(3,2),
-# and the stored words of SL(3,4) take 2 steps where the plane partner takes
-# 4.  Every other input of these pairs takes the rule it takes anywhere else
-_STORED_PAIRS = {(2, 2), (3, 2), (3, 4)}
+# brute_force_witness's certificate for the order-3 class of SL(2,2), where
+# alone _sl2_core returns None: its closure holds no involution
+_SL22_CERTIFICATE = {"group_order": 6, "classes_in_closure": 2,
+                     "closure_size": 3, "levels_explored": 2,
+                     "involution_classes_in_group": 1}
 
 # the plane table's longest witness over every supported q: a 2-step plane
 # word, doubled for odd q and pulled back along the 2-step trade word
@@ -180,7 +176,8 @@ def _involution_partner(g):
     that v, g v and g^-1 v span: phi is a left eigenvector, phi g = lam phi
     for an eigenvalue lam in GF(q), read off the nullspace of (g - lam I)^T
     (empty for any other lam), and v the first basis vector of ker phi with
-    g v != lam v; x is then a transvection."""
+    g v != lam v; x is then a transvection.  At n = 3 this serves g of
+    determinant other than 1 and g with g e_1 not cyclic (_unipotent_word)."""
     ctx, n = g.ctx, g.n
     if n >= 4:
         rows = next(r for r in _orbits(g) if Mat(ctx, r[:2]).rank() == 2)
@@ -272,7 +269,8 @@ def _reseed(g):
     g^-1 (h^-1 g h): a step d x^e d^-1 becomes (d, -1), (d h^-1, +1),
     reversed with flipped exponents for e = -1, and d h^-1 = d - (d v) phi,
     with d v a product with one column.  g is read through its kept forward
-    elimination: g^-1 v is a solve and no inverse of g is formed."""
+    elimination: g^-1 v is a solve and no inverse of g is formed.  It
+    serves every traded matrix input that the unipotent word does not."""
     orbit, phi, s, u = _partner(g)
     a, b = _commutator_factors(g, orbit, phi, s)
     inner, t = _window(a, b, s, u)
@@ -442,7 +440,34 @@ def _window(a, b, s, u):
     return steps, lift(t)
 
 
-# -- class words for the stored pairs ---------------------------------------
+# -- the unipotent word --------------------------------------------------
+
+
+def _unipotent_word(g):
+    """(steps, t) for a 3x3 g of determinant 1 over even q, or None when
+    w = g e_1 is not cyclic: the 2-step word [(I, +1), (k, +1)] with k =
+    I + e_1 phi and t = (g k)^2.  phi places the poles of g k = g + w phi
+    at 1 (Ackermann): for K = [w | g w | g^2 w], invertible exactly when w
+    is cyclic, phi = e_3^T K^-1 (g + I)^3, one solve and three rows times
+    g, so g k has characteristic polynomial (x + 1)^3.  Then det k = 1 +
+    phi(e_1) = det(g k) = 1, so phi(e_1) = 0 and k = k^-1 is a
+    transvection, and w stays cyclic for g k, which is the regular
+    unipotent J_3(1): of order 4, so t = g (k g k^-1) is an involution."""
+    ctx, eye = g.ctx, Mat.identity(g.ctx, 3)
+    w = Mat(ctx, [[r[0]] for r in g.rows])
+    gw = g * w
+    krylov = _beside(_beside(w, gw), g * gw)
+    if krylov.det() == 0:
+        return None
+    phi = krylov.solve_rows(Mat(ctx, [[0, 0, 1]]))
+    for _ in range(3):
+        phi = phi * g + phi
+    k = add_product(eye, Mat(ctx, [[1], [0], [0]]), phi)
+    gk = add_product(g, w, phi)
+    return [(eye, 1, "unipotent"), (k, 1, "unipotent")], gk * gk
+
+
+# -- the class-graph search ----------------------------------------------
 
 
 def brute_force_witness(g, spec):
@@ -455,7 +480,9 @@ def brute_force_witness(g, spec):
     enumerated.  Only SL and Alt: elsewhere the table's words do not
     replay (parity in Sym, determinant in GL, products up to scalars in
     PSL and PGL), so other families raise ValueError, as does a g of the
-    wrong shape or field, before any group is built."""
+    wrong shape or field, before any group is built.  No witness of
+    construct_involution comes from here; the certificate it raises for
+    the order-3 class of SL(2,2) is _SL22_CERTIFICATE."""
     if not spec.special or spec.projective:
         raise ValueError("class-graph search not supported for family %r"
                          % spec.family)
@@ -511,58 +538,6 @@ def brute_force_witness(g, spec):
                       certificate)
 
 
-def class_word_table():
-    """CLASS_WORDS recomputed with the oracle: for each stored pair and each
-    class of SL(n, q) whose characteristic polynomial f is irreducible (one
-    block (f, 1) in class_transversal), the key (n, q, companion(f) text)
-    and either (the step texts (c, e) of brute_force_witness(companion(f),
-    SL(n, q)), the target text) or, for a class that reaches no involution,
-    (the Unreachable message, its certificate)."""
-    table = {}
-    for n, q in sorted(_STORED_PAIRS):
-        ctx, spec = make_field(q), GroupSpec("SL", n, q)
-        for _, ((f, m), *rest) in class_transversal(ctx, n):
-            if rest or m > 1:
-                continue  # a reducible characteristic polynomial
-            j = companion(ctx, f)
-            key = (n, q, j.to_text())
-            if key in table:
-                continue
-            try:
-                w = brute_force_witness(j, spec)
-            except Unreachable as u:
-                table[key] = (str(u), u.certificate)
-            else:
-                table[key] = (tuple((s.c.to_text(), s.e) for s in w.steps),
-                              w.target.to_text())
-    return table
-
-
-def _stored_word(g):
-    """(steps, target) for a determinant-1 g of a stored pair whose class
-    has a stored word, keyed by companion(charpoly(g)), or None.  The
-    stored classes are those of an irreducible f = charpoly(g), where every
-    non-zero vector is cyclic: the Krylov matrix K = [e_1, g e_1, ...,
-    g^(n-1) e_1] is invertible and K^-1 g K = companion(f), so the word
-    over companion(f) conjugated by K is a word over g of the same length,
-    with determinant-1 conjugators.  Raises Unreachable, with a copy of the
-    stored certificate, for the class that reaches no involution."""
-    ctx, n = g.ctx, g.n
-    entry = CLASS_WORDS.get((n, ctx.q, companion(ctx, charpoly(g)).to_text()))
-    if entry is None:
-        return None
-    word, target = entry
-    if isinstance(word, str):
-        raise Unreachable(word, dict(target))
-    cols = [Mat(ctx, [[int(i == 0)] for i in range(n)])]
-    for _ in range(n - 1):
-        cols.append(g * cols[-1])
-    k = reduce(_beside, cols)
-    ki = k.inv()
-    return ([(k * parse_mat(ctx, c) * ki, e, "bfs") for c, e in word],
-            k * parse_mat(ctx, target) * ki)
-
-
 # -- main pipeline -------------------------------------------------------
 
 
@@ -571,8 +546,10 @@ def construct_involution(g, spec):
 
     Matrix families GL and SL take Mat inputs; Sym and Alt take Perm
     inputs.  An input of the wrong kind, size or field raises ValueError.
-    The returned witness is replayed before being handed back; one that
-    fails the replay raises ConstructError."""
+    One that no product of conjugates takes to an involution, in the
+    order-3 class of SL(2,2) or a permutation of degree at most 3, raises
+    Unreachable.  The returned witness is replayed before being handed
+    back; one that fails the replay raises ConstructError."""
     if spec.projective:
         raise ValueError("construction not supported for family %r"
                          % spec.family)
@@ -596,24 +573,31 @@ def construct_involution(g, spec):
         traded = g.det() != 1 or g.n > 2
         # replay's target check on a matrix is classify's predicate
         own_target = traded and cls.projective_involution
-        if g.det() == 1 and (g.n, spec.q) in _STORED_PAIRS:
-            found = _stored_word(g)
-        if found is None and not traded:
+        if not traded:
             found = _sl2_core(g)
+            if found is None and spec.q == 2:
+                raise Unreachable("closure of the class contains no "
+                                  "involution", dict(_SL22_CERTIFICATE))
             if found is None:
                 raise ConstructError(
                     "no 2x2 word of at most 4 steps has trace 0")
+        elif not own_target and g.n == 3 and g.ctx.p == 2 and g.det() == 1:
+            found = _unipotent_word(g)
     certificate = None
     if found is not None:
         steps, target = found
     elif own_target:
         # an input that the trade word would take and that passes replay's
-        # target check is its own target, the 1-step word [(I, +1)]; the
-        # 2x2 rule gives one itself, and no stored class is an involution
+        # target check is its own target, the 1-step word [(I, +1)]
         steps, target = [(g ** 0, 1, "involution")], g
     elif spec.perm and not traded:
         raw, target, certificate = a5_witness(g)
         steps = [(c, e, "a5-search") for c, e in raw]
+    elif spec.perm and g.n <= 3:
+        # Alt(n) has odd order for n <= 3: no even involution to reach
+        raise Unreachable("the group holds no even involution", {
+            "group_order": factorial(g.n) // (2 if spec.special else 1),
+            "even_involution_classes_in_group": 0})
     elif spec.perm:
         # the trade word g^-1 (h^-1 g h), whose product is the even
         # involution x = [g, h] that alt_partner's own check formed; the

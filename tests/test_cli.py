@@ -58,6 +58,17 @@ def test_construct_unreachable_exits_one(capsys):
     assert json.loads(out.splitlines()[-1]) == {"unreachable": True}
 
 
+@pytest.mark.parametrize("group, n, perm", [
+    ("alt", 3, "(1,2,3)"), ("sym", 3, "(1,3,2)"), ("sym", 3, "(1,2)"),
+    ("sym", 2, "(1,2)")])
+def test_construct_below_degree_four_exits_one(capsys, group, n, perm):
+    # Alt(n) has odd order for n <= 3: no even involution to reach
+    code, out, err = run(capsys, "construct", "--group", group, "--n",
+                         str(n), "--perm", perm)
+    assert code == 1 and "no witness exists" in err
+    assert json.loads(out.splitlines()[-1]) == {"unreachable": True}
+
+
 def test_verify_tampered_exits_one(capsys, tmp_path):
     code, out, _ = run(capsys, "construct", "--group", "sl", "--n", "2",
                        "--q", "7", "--matrix", "2,0;0,4")

@@ -548,7 +548,7 @@ def test_random_sl_takes_4_steps():
 def test_projective_involutions_are_their_own_witness():
     # a projective involution is its own 1-step witness at every n: the 2x2
     # rule gives [(I, +1)] as "sl2-antidiagonal", and every other input
-    # [(I, +1)] as "involution"; no stored class word is for an involution
+    # [(I, +1)] as "involution"
     g = Mat.diag(ctx5, (4, 4, 1))
     w = ok(construct_involution(g, GroupSpec("SL", 3, 5)))
     assert [(s.c, s.e, s.case) for s in w.steps] == [
@@ -597,7 +597,7 @@ def test_window_shapes_stay_under_the_cap():
     # s = scale[c].  The witness is the plane word, doubled for odd q above
     # dimension 2, then pulled back along the 2-step trade word.  Over
     # GF(2), y_1 has order 3 and no word: every input there has the
-    # involution partner or a stored class word
+    # involution partner or the unipotent word
     table = {}
     for q in _field_orders():
         ctx = make_field(q)
@@ -618,11 +618,9 @@ def test_window_shapes_stay_under_the_cap():
             witness(ctx.mul(ctx.mul(s, s), c)) or 0 for c, s in scale.items()))
     assert table.pop(2) == (None, 0)
     assert table == {q: (4, 8 if q % 2 else 4) for q in table}
-    # the replay cap is this table's maximum, and no stored word passes it
+    # the replay cap is this table's maximum
     assert max(max(row) for row in table.values()) == \
         constructor.MAX_WITNESS_LEN
-    assert max(len(word) for word, _ in constructor.CLASS_WORDS.values()
-               if not isinstance(word, str)) <= constructor.MAX_WITNESS_LEN
 
 
 def _conjugate_of_j2_j2_1(g):
@@ -690,8 +688,8 @@ def _even_q_target(g):
 
 
 def test_even_q_inputs_take_the_involution_partner():
-    # seeded SL and GL inputs for even q and n >= 4 (SL(4,2) reads its
-    # stored words), and conjugates of quadratic classes: each has the
+    # seeded SL and GL inputs for even q and n >= 4, and conjugates of
+    # quadratic classes: each has the
     # involution partner, so its witness is the 2-step trade word, the
     # exact distance for a non-involution
     rng = random.Random(40)
@@ -800,8 +798,8 @@ def test_window_basis_matches_the_dense_window():
     # U = im(x - I), which ker(x - I) complements, and x acts on it as y_p;
     # each lifted conjugator and the target equal the table's c acting on U
     # in that basis and I on the kernel.  The involution partner's x is its
-    # own target, an involution.  SL(3,2) reads its stored words, as its
-    # planes have no word
+    # own target, an involution.  SL(3,2) is left out, as its planes have
+    # no word
     rng = random.Random(32)
     inputs = [g for g in _restart_inputs(rng, (2, 3, 4, 5, 7, 9),
                                          range(3, 10))
@@ -966,8 +964,8 @@ ROUTE_INPUTS = {
 
 @pytest.mark.parametrize("case", list(ROUTE_INPUTS))
 def test_every_case_takes_one_restart(monkeypatch, case):
-    # no canonical case has a word of its own: an element with no stored
-    # class word takes the commutator restart, once, on g itself
+    # no canonical case has a word of its own: each takes the commutator
+    # restart, once, on g itself
     restarted = []
     real = constructor._reseed
     monkeypatch.setattr(constructor, "_reseed", lambda g:
@@ -1000,7 +998,7 @@ def test_excluded_sl22_order3_unreachable():
         assert cert == {"group_order": 6, "classes_in_closure": 2,
                         "closure_size": 3, "levels_explored": 2,
                         "involution_classes_in_group": 1}
-        # each call raises with its own copy of the stored certificate
+        # each call raises with its own copy of the module's certificate
         cert.clear()
 
 
@@ -1025,11 +1023,15 @@ def test_excluded_sl32_transversal():
 
 
 def test_restart_takes_no_canonical_form(monkeypatch):
-    # no input takes a canonical form: the stored pairs key their words by
-    # companion(charpoly(g)) and conjugate back by g's Krylov matrix, every
-    # other input takes the 2x2 rule or restarts on g itself, and replay
-    # reads the record alone
+    # no input takes a canonical form: the 2x2 rule, the unipotent word and
+    # the restart read g itself, replay reads the record alone, and the
+    # constructor imports no name from canonical
+    import ast
     import invword.canonical as canonical
+    tree = ast.parse(Path(constructor.__file__).read_text())
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "canonical"]
     calls = []
     for name in ("generalized_jordan", "factor_charpoly", "solve_similarity"):
         assert not hasattr(constructor, name)
@@ -1046,7 +1048,7 @@ def test_restart_takes_no_canonical_form(monkeypatch):
         ctx = make_field(q)
         inputs += [c * g * c.inv() for g, _ in class_transversal(ctx, n)
                    for c in [rand_gl(ctx, n, rng)]]
-    stored = 0
+    unipotent = 0
     for g in inputs:
         if g.is_scalar():
             continue
@@ -1055,40 +1057,13 @@ def test_restart_takes_no_canonical_form(monkeypatch):
             w = ok(construct_involution(g, GroupSpec(family, g.n, g.ctx.q)))
         except Unreachable:
             continue
-        stored += labels(w) == ["bfs"]
-    assert calls == [] and stored > 5
-
-
-def test_stored_pair_without_its_word_raises(monkeypatch):
-    # with the table emptied, the irreducible classes of SL(3,4) take the
-    # 4-step plane partner and those of SL(3,2), where no plane has a word,
-    # raise ConstructError; every reducible class keeps its witness
-    def witnesses(n, q):
-        out = []
-        for g, ((f, m), *rest) in class_transversal(make_field(q), n):
-            try:
-                w = construct_involution(g, GroupSpec("SL", n, q))
-            except ConstructError as e:
-                w = e
-            out.append((not rest and m == 1, g, w))
-        return out
-    stored = {(n, q): witnesses(n, q) for n, q in ((3, 2), (3, 4))}
-    monkeypatch.setattr(constructor, "CLASS_WORDS", {})
-    for (n, q), rows in stored.items():
-        for (irreducible, g, w), (_, _, bare) in zip(rows, witnesses(n, q)):
-            if not irreducible:
-                assert witness_to_json(bare) == witness_to_json(w)
-            elif q == 2:
-                assert isinstance(bare, ConstructError) and not isinstance(
-                    bare, Unreachable), g.to_text()
-            else:
-                assert (bare.length, labels(bare)) == (4, ["reseed"])
-                assert w.length == 2
+        unipotent += labels(w) == ["unipotent"]
+    assert calls == [] and unipotent > 5
 
 
 def test_excluded_sl43_too_large_falls_through():
-    # |SL(4,3)| is past the enumeration cap and the pair stores no word:
-    # its elements take the restart like those of any other pair
+    # |SL(4,3)| is past the enumeration cap: its elements take the restart
+    # like those of any other pair
     g = Mat(ctx3, [[1, 1, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])
     w = ok(construct_involution(g, GroupSpec("SL", 4, 3)))
     assert w.length <= constructor.MAX_WITNESS_LEN
@@ -1794,51 +1769,6 @@ def test_class_search_cap():
     assert ei.value.certificate["levels_explored"] == 2
 
 
-# -- stored class words -------------------------------------------------------
-
-
-def test_class_words_equal_the_class_search():
-    table = constructor.class_word_table()
-    assert list(table.items()) == list(constructor.CLASS_WORDS.items())
-
-
-def test_class_words_cover_every_class():
-    # one word for each class of a stored pair whose characteristic
-    # polynomial is irreducible, keyed by its companion matrix
-    keys = set()
-    for n, q in constructor._STORED_PAIRS:
-        ctx = make_field(q)
-        for g, blocks in class_transversal(ctx, n):
-            if len(blocks) == 1 and blocks[0][1] == 1:
-                keys.add((n, q, companion(ctx, blocks[0][0]).to_text()))
-    assert keys == set(constructor.CLASS_WORDS)
-    assert len(keys) == 9
-    assert {k[:2] for k in constructor.CLASS_WORDS} == \
-        constructor._STORED_PAIRS
-    assert Counter(k[:2] for k in keys) == {(2, 2): 1, (3, 2): 2, (3, 4): 6}
-
-
-def test_class_words_replay_under_non_sl_conjugation():
-    # v has determinant != 1 wherever GF(q) allows it; g = v J v^-1 still
-    # gets the stored word's length, carried over by g's Krylov matrix
-    rng = random.Random(11)
-    for (n, q, text), (word, target) in constructor.CLASS_WORDS.items():
-        ctx = make_field(q)
-        v = rand_gl(ctx, n, rng)
-        while q > 2 and v.det() == 1:
-            v = rand_gl(ctx, n, rng)
-        g = v * parse_mat(ctx, text) * v.inv()
-        if isinstance(word, str):
-            with pytest.raises(Unreachable) as ei:
-                construct_involution(g, GroupSpec("SL", n, q))
-            assert ei.value.certificate == target
-            continue
-        w = ok(construct_involution(g, GroupSpec("SL", n, q)))
-        assert (w.length, w.net_exponent) == (len(word),
-                                              sum(e for _, e in word))
-        assert labels(w) == ["bfs"]
-
-
 def test_excluded_pairs_enumerate_no_group(monkeypatch):
     import invword.oracle as oracle
     calls = []
@@ -1860,12 +1790,73 @@ def test_excluded_pairs_enumerate_no_group(monkeypatch):
     assert calls == []
 
 
+# -- the unipotent word -------------------------------------------------------
+
+
+def test_sl3_even_classes_take_at_most_two_steps():
+    # every non-central class of SL(3, q), q even, is at most 2 steps from
+    # an involution, its exact distance: the own-target word, the unipotent
+    # word or, for g e_1 not cyclic, the involution partner's trade word.
+    # For q <= 8 a seeded conjugate of determinant other than 1 too, which
+    # moves e_1 against g's invariant subspaces
+    rng = random.Random(38)
+    count = 0
+    for q in (2, 4, 8, 16, 32):
+        ctx, spec = make_field(q), GroupSpec("SL", 3, q)
+        eye = Mat.identity(ctx, 3)
+        for g, blocks in class_transversal(ctx, 3):
+            # an irreducible characteristic polynomial: every vector is
+            # cyclic, so the unipotent word applies
+            irreducible = len(blocks) == 1 and blocks[0][1] == 1
+            inputs = [g]
+            if q <= 8:
+                c = rand_gl(ctx, 3, rng)
+                while q > 2 and c.det() == 1:
+                    c = rand_gl(ctx, 3, rng)
+                inputs.append(c * g * c.inv())
+            for x in inputs:
+                # construct_involution replays each witness it returns
+                w = construct_involution(x, spec)
+                route = labels(w)
+                assert w.length <= 2, (q, x.to_text(), w.length)
+                assert not irreducible or route == ["unipotent"]
+                count += 1
+                if route == ["reseed"]:
+                    # g e_1 spans a g-invariant subspace: no K is invertible
+                    assert constructor._unipotent_word(x) is None
+                if route != ["unipotent"]:
+                    continue
+                # [(I, +1), (k, +1)] with k = I + e_1 phi, phi(e_1) = 0
+                first, second = w.steps
+                k = second.c
+                assert (first.c, first.e, second.e) == (eye, 1, 1)
+                phi = (k - eye).rows
+                assert phi[0][0] == 0 and not any(phi[1] + phi[2])
+                assert w.target == (x * k) * (x * k)
+                # k = I only for a regular unipotent g, whose square is the
+                # target as it stands
+                assert (k == eye) == ((x + eye) ** 3 == Mat.zero(ctx, 3))
+    assert count == 5 + 57 + 497 + 4065 + 32705 + 5 + 57 + 497
+
+
+def test_sl22_certificate_is_the_class_search_certificate():
+    g = Mat(ctx2, [[0, 1], [1, 1]])
+    with pytest.raises(Unreachable) as ei:
+        brute_force_witness(g, GroupSpec("SL", 2, 2))
+    assert ei.value.certificate == constructor._SL22_CERTIFICATE
+    for family in ("SL", "GL"):
+        with pytest.raises(Unreachable) as ei:
+            construct_involution(g, GroupSpec(family, 2, 2))
+        assert ei.value.certificate == constructor._SL22_CERTIFICATE
+        assert ei.value.certificate is not constructor._SL22_CERTIFICATE
+
+
 # -- witness length against the exact distance --------------------------------
 
 
 # (n, q) -> histogram of the gaps L - d over one input per class_transversal
 # element, L the witness length and d the exact distance to a projective
-# involution in the class graph; the 2x2 rule and the stored words are
+# involution in the class graph; the 2x2 rule and the unipotent word are
 # minimal on most groups, the restart is not: on SL(3,3) and SL(3,5) the
 # 4-step word of a trace-0 partner is 2 above d, and the quadratic classes
 # of SL(3,5) where 2 beta is no square take 8 steps
@@ -1910,18 +1901,17 @@ def test_witness_length_against_exact_distance(n, q):
 
 # (n, q) -> (witnesses, Unreachable raised) over every non-central element
 # of the three smallest groups and two seeded conjugates of each class of
-# the two larger ones: the pairs whose classes all read stored words before
-# the table kept only the irreducible classes
+# the two larger ones: the pairs whose classes all once read stored words
 WHOLE_GROUP_COUNTS = {(2, 2): (3, 2), (2, 3): (22, 0), (3, 2): (167, 0),
                       (3, 4): (None, 0), (4, 2): (None, 0)}
 
 
 @pytest.mark.parametrize("n, q", list(WHOLE_GROUP_COUNTS))
 def test_every_element_reaches_its_class_distance(n, q):
-    # the 2x2 rule, the own-target word and the restart serve every class of
-    # these groups but the 9 irreducible ones, which read stored words: each
-    # element gets a witness of exactly its class's distance, or, in the
-    # order-3 class of SL(2,2), Unreachable
+    # the 2x2 rule, the own-target word, the unipotent word and the restart
+    # serve every class of these groups: each element gets a witness of
+    # exactly its class's distance, or, in the order-3 class of SL(2,2),
+    # Unreachable
     spec = GroupSpec("SL", n, q)
     tbl = build_group(spec)
     ct = conjugacy_classes(tbl)
@@ -1986,8 +1976,8 @@ def pinned_inputs():
     """The class transversals of SL(2,2), SL(2,3), SL(2,5) and SL(3,3), the
     doubled blocks at n = 4, 6, 8 and the cubed quadratics at n = 6, the
     SL(4,3) too-large path, the GL reseed and one SL(6,3) element; every
-    element outside the stored pairs and the 2x2 rule takes the commutator
-    restart on g itself."""
+    element outside the 2x2 rule takes the commutator restart on g
+    itself."""
     items = []
     for n, q in ((2, 2), (2, 3), (2, 5), (3, 3)):
         items += [(g, GroupSpec("SL", n, q))

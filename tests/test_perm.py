@@ -7,7 +7,8 @@ from pathlib import Path
 
 import pytest
 
-from invword.constructor import construct_involution, witness_to_json
+from invword.constructor import (Unreachable, construct_involution,
+                                 witness_to_json)
 from invword.matrix import GroupSpec, commutator
 from invword.perm import Perm, alt_partner, a5_witness
 
@@ -157,10 +158,10 @@ def test_pinned_alt_partner():
 
 # sha256 over the witness for each of g and g^3, g of each cycle type of
 # degree 2..10 in Alt and in Sym, one line each: the record and the
-# certificate, or the ValueError for the identity, an odd g in Alt and
-# degrees below 4 (548 lines)
-PINNED_ALT_SYM_SHA256 = ("a99e562aff7f839b01cefb0649e23d85"
-                         "f7b1a8c0f424f1fca4a06cbb339dcadb")
+# certificate, the ValueError for the identity and an odd g in Alt, or the
+# Unreachable and its certificate for degrees below 4 (548 lines)
+PINNED_ALT_SYM_SHA256 = ("983f88fe362f25f56410f5c43ed6b410"
+                         "225a8056843f8098de922265ed189a15")
 
 
 def test_pinned_alt_sym_witness_bytes():
@@ -176,10 +177,30 @@ def test_pinned_alt_sym_witness_bytes():
                         line = "%s %r" % (witness_to_json(w), w.certificate)
                     except ValueError as e:
                         line = "ValueError: %s" % e
+                    except Unreachable as e:
+                        line = "Unreachable: %s | %r" % (e, e.certificate)
                     h.update(line.encode() + b"\n")
                     count += 1
     assert count == 548
     assert h.hexdigest() == PINNED_ALT_SYM_SHA256
+
+
+def test_no_witness_below_degree_four():
+    # Alt(n) has odd order for n <= 3, so no product of conjugates reaches
+    # an even involution: every element that is not the identity raises
+    # Unreachable
+    raised = 0
+    for family, n, order in (("Sym", 2, 2), ("Alt", 3, 3), ("Sym", 3, 6)):
+        for images in itertools.permutations(range(n)):
+            g = Perm(images)
+            if g.is_identity() or (family == "Alt" and g.parity()):
+                continue
+            with pytest.raises(Unreachable) as ei:
+                construct_involution(g, GroupSpec(family, n))
+            assert ei.value.certificate == {
+                "group_order": order, "even_involution_classes_in_group": 0}
+            raised += 1
+    assert raised == 1 + 2 + 5
 
 
 def test_no_partner_possible_below_degree_four():
